@@ -7,7 +7,6 @@ package themisio
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 	"time"
 
@@ -92,91 +91,12 @@ func BenchmarkCompile100kJobs(b *testing.B) {
 	})
 }
 
-// flatLedgerRoll reproduces the pre-refactor ShareLedger.Roll exactly:
-// cumulative counters diffed against the previous snapshot, then a row
-// emitted for every active job — O(universe) per λ regardless of how
-// many jobs actually serviced bytes. Benchmark baseline only (the
-// mutexThemis pattern).
-type flatLedgerRoll struct {
-	horizon int
-	prev    map[string]int64
-	windows []map[string]int64
-}
-
-func (l *flatLedgerRoll) roll(cum map[string]int64, jobs []policy.JobInfo, shareOf func(string) float64) []metrics.ShareEntry {
-	delta := make(map[string]int64)
-	for job, n := range cum {
-		if d := n - l.prev[job]; d > 0 {
-			delta[job] = d
-		}
-	}
-	l.prev = cum
-	l.windows = append(l.windows, delta)
-	if len(l.windows) > l.horizon {
-		l.windows = l.windows[len(l.windows)-l.horizon:]
-	}
-	bytes := make(map[string]int64)
-	var total int64
-	for _, w := range l.windows {
-		for job, d := range w {
-			bytes[job] += d
-			total += d
-		}
-	}
-	if total == 0 {
-		return nil
-	}
-	type agg struct {
-		compiled float64
-		bytes    int64
-	}
-	users := map[string]*agg{}
-	groups := map[string]*agg{}
-	add := func(m map[string]*agg, key string, c float64, n int64) {
-		a, ok := m[key]
-		if !ok {
-			a = &agg{}
-			m[key] = a
-		}
-		a.compiled += c
-		a.bytes += n
-	}
-	var out []metrics.ShareEntry
-	for _, j := range jobs {
-		c := shareOf(j.JobID)
-		n := bytes[j.JobID]
-		out = append(out, metrics.ShareEntry{
-			Kind: "job", ID: j.JobID,
-			Compiled: c, Measured: float64(n) / float64(total), Bytes: n,
-		})
-		add(users, j.UserID, c, n)
-		add(groups, j.GroupID, c, n)
-	}
-	emit := func(kind string, m map[string]*agg) {
-		for id, a := range m {
-			out = append(out, metrics.ShareEntry{
-				Kind: kind, ID: id,
-				Compiled: a.compiled, Measured: float64(a.bytes) / float64(total), Bytes: a.bytes,
-			})
-		}
-	}
-	emit("user", users)
-	emit("group", groups)
-	sort.Slice(out, func(i, k int) bool {
-		if out[i].Kind != out[k].Kind {
-			return out[i].Kind < out[k].Kind
-		}
-		return out[i].ID < out[k].ID
-	})
-	return out
-}
-
 // BenchmarkLedgerRoll100k measures one λ share-ledger roll on a fabric
 // that knows 100k jobs of which 1k serviced bytes in the window.
 // "hier" is the hierarchical lazy ledger (per-window deltas, entities
-// materialised only for traffic); "flat" the pre-refactor roll that
-// diffed a 100k-entry cumulative snapshot and emitted a row per active
-// job. The PR 9 acceptance bar is hier ≥ 10× flat.
+// materialised only for traffic). The retired design that diffed a
+// 100k-entry cumulative snapshot and emitted a row per active job lives
+// on as the `flat` rows of BENCH_PR9/10.json (hier ≥ 10× it).
 func BenchmarkLedgerRoll100k(b *testing.B) {
 	const nJobs = 100_000
 	const active = 1_000
@@ -194,31 +114,6 @@ func BenchmarkLedgerRoll100k(b *testing.B) {
 				delta[jobs[(i*active+k)%nJobs].JobID] = 1 << 20
 			}
 			l.Roll(time.Duration(i)*time.Second, delta, snap.Lookup, shareOf)
-		}
-	})
-
-	b.Run("flat", func(b *testing.B) {
-		l := &flatLedgerRoll{horizon: metrics.DefaultShareHorizon, prev: map[string]int64{}}
-		cum := make(map[string]int64, nJobs)
-		for _, j := range jobs {
-			cum[j.JobID] = 1
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			// The pre-refactor contract: a full cumulative snapshot per
-			// roll (its construction was part of every λ's cost).
-			next := make(map[string]int64, nJobs)
-			for job, v := range cum {
-				next[job] = v
-			}
-			for k := 0; k < active; k++ {
-				next[jobs[(i*active+k)%nJobs].JobID] += 1 << 20
-			}
-			cum = next
-			if l.roll(cum, jobs, shareOf) == nil {
-				b.Fatal("flat roll produced no report")
-			}
 		}
 	})
 }

@@ -12,9 +12,7 @@ package themisio
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
-	mathrand "math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -216,72 +214,10 @@ func BenchmarkTokenDraw(b *testing.B) {
 	}
 }
 
-// mutexThemis reproduces the pre-refactor scheduler hot path exactly:
-// one mutex serializing every Push and Pop, eligibility peeked segment
-// by segment inside the lock, a locked rand.Rand token stream, and a
-// served-count map write per pop. It exists only as the benchmark
-// baseline the epoch-compiled implementation is measured against.
-type mutexThemis struct {
-	mu       sync.Mutex
-	rng      *mathrand.Rand
-	queues   *sched.JobQueues
-	compiled *policy.Compiled
-	served   map[string]int64
-}
-
-func newMutexThemis(pol policy.Policy, seed int64, jobs []policy.JobInfo) *mutexThemis {
-	c, err := policy.Compile(jobs, pol)
-	if err != nil {
-		panic(err)
-	}
-	return &mutexThemis{
-		rng:      mathrand.New(mathrand.NewSource(seed)),
-		queues:   sched.NewJobQueues(),
-		compiled: c,
-		served:   map[string]int64{},
-	}
-}
-
-func (t *mutexThemis) Push(r *sched.Request) {
-	t.mu.Lock()
-	t.queues.Push(r)
-	t.mu.Unlock()
-}
-
-func (t *mutexThemis) Pop() *sched.Request {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.queues.Pending() == 0 {
-		return nil
-	}
-	eligible := func(j string) bool { return t.queues.PeekFrom(j, nil) != nil }
-	if job, ok := t.compiled.Assignment.PickEligible(eligible, t.rng.Float64); ok {
-		if r := t.queues.PopFrom(job, nil); r != nil {
-			t.served[job]++
-			return r
-		}
-	}
-	for _, id := range t.queues.Order() {
-		if r := t.queues.PopFrom(id, nil); r != nil {
-			t.served[id]++
-			return r
-		}
-	}
-	return nil
-}
-
-func (t *mutexThemis) Pending() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.queues.Pending()
-}
-
 // BenchmarkThemisContended measures the scheduler under the live
 // server's concurrency shape — 8 connection goroutines pushing, 4
-// workers popping — for the epoch-compiled lock-striped implementation
-// against the pre-refactor single-mutex implementation (mutexThemis).
-// The acceptance bar for the refactor is striped ≥ 2× globalmutex
-// ops/sec.
+// workers popping. The retired single-mutex design it replaced lives on
+// as the `globalmutex` rows of BENCH_PR6–10.json (striped ≥ 2× it).
 func BenchmarkThemisContended(b *testing.B) {
 	const pushers, poppers = 8, 4
 	jobs := makeJobs(16)
@@ -344,16 +280,11 @@ func BenchmarkThemisContended(b *testing.B) {
 		th.SetJobs(jobs)
 		run(b, th.Push, func() *sched.Request { return th.Pop(0, nil) }, th.Pending)
 	})
-	b.Run("globalmutex", func(b *testing.B) {
-		th := newMutexThemis(policy.SizeFair, 1, jobs)
-		run(b, th.Push, th.Pop, th.Pending)
-	})
 }
 
-// BenchmarkCodec compares the length-prefixed binary codec against gob
-// for the hot data messages (a 64 KiB write request and its read-back
-// response). Run with -benchmem: the binary codec's pooled buffers must
-// show fewer allocs/op than gob.
+// BenchmarkCodec measures the wire codec on the hot data messages (a
+// 64 KiB write request and its read-back response). The gob codec it
+// replaced lives on as the `gob/*` rows of BENCH_PR7.json.
 func BenchmarkCodec(b *testing.B) {
 	req := &transport.Request{
 		Type: transport.MsgWrite,
@@ -374,19 +305,6 @@ func BenchmarkCodec(b *testing.B) {
 			}
 		}
 	})
-	b.Run("gob/write-req", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(req); err != nil {
-				b.Fatal(err)
-			}
-			var got transport.Request
-			if err := gob.NewDecoder(&buf).Decode(&got); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("binary/read-resp", func(b *testing.B) {
 		b.ReportAllocs()
 		var scratch []byte
@@ -394,19 +312,6 @@ func BenchmarkCodec(b *testing.B) {
 			scratch = transport.AppendResponseFrame(scratch[:0], resp)
 			var got transport.Response
 			if err := transport.DecodeResponseFrame(scratch, &got); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("gob/read-resp", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(resp); err != nil {
-				b.Fatal(err)
-			}
-			var got transport.Response
-			if err := gob.NewDecoder(&buf).Decode(&got); err != nil {
 				b.Fatal(err)
 			}
 		}

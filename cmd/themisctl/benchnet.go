@@ -118,7 +118,7 @@ func layoutGenOf(addr string, job policy.JobInfo, path string) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	conn := transport.NewBinaryConn(raw)
+	conn := transport.NewConn(raw)
 	defer conn.Close()
 	if err := conn.SendRequest(&transport.Request{
 		Type: transport.MsgStat, Seq: 1, Job: job, Path: path,
@@ -148,7 +148,7 @@ func benchNetStream(stdout io.Writer, addr string, job policy.JobInfo, path stri
 		if err != nil {
 			return err
 		}
-		cs[i] = transport.NewBinaryConnStats(raw, st)
+		cs[i] = transport.NewConnStats(raw, st)
 		defer cs[i].Close()
 	}
 

@@ -63,7 +63,6 @@ func main() {
 	polStr := flag.String("policy", "size-fair", "sharing policy")
 	workers := flag.Int("workers", 4, "worker pool size")
 	capacity := flag.Int64("capacity", 256<<20, "storage device bytes")
-	peers := flag.String("peers", "", "deprecated alias for -join (was: static peer list)")
 	join := flag.String("join", "", "comma-separated addresses of existing cluster members")
 	fanout := flag.Int("gossip-fanout", 0, "random peers gossiped with per λ round (0 = default)")
 	backingDir := flag.String("backing", "", "backing-store directory for stage-out durability (empty = volatile)")
@@ -95,10 +94,7 @@ func main() {
 	}
 	var seeds []string
 	if *join != "" {
-		seeds = append(seeds, strings.Split(*join, ",")...)
-	}
-	if *peers != "" {
-		seeds = append(seeds, strings.Split(*peers, ",")...)
+		seeds = strings.Split(*join, ",")
 	}
 	cfg := server.Config{
 		Policy:            pol,

@@ -37,15 +37,14 @@ func pumpAll(t *testing.T, d *Drainer) int {
 func TestDrainAndRehydrate(t *testing.T) {
 	store, _ := OpenDir(t.TempDir())
 	sh := fsys.NewShard("s1", 8<<20)
-	r := fsys.NewRouter([]*fsys.Shard{sh}, 1, 1<<16)
-	if err := r.Mkdir("/ckpt"); err != nil {
+	if err := sh.Mkdir("/ckpt"); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Create("/ckpt/a"); err != nil {
+	if err := sh.CreateStriped("/ckpt/a", 1, 1<<16, nil); err != nil {
 		t.Fatal(err)
 	}
 	want := bytes.Repeat([]byte("durable!"), 40000) // 320 KB, several chunks
-	if _, err := r.Write("/ckpt/a", want); err != nil {
+	if _, err := sh.Append("/ckpt/a", want); err != nil {
 		t.Fatal(err)
 	}
 
@@ -63,7 +62,7 @@ func TestDrainAndRehydrate(t *testing.T) {
 	}
 
 	// Incremental: another write stages only the delta.
-	if _, err := r.Write("/ckpt/a", []byte("tail")); err != nil {
+	if _, err := sh.Append("/ckpt/a", []byte("tail")); err != nil {
 		t.Fatal(err)
 	}
 	pumpAll(t, d)
@@ -81,15 +80,14 @@ func TestDrainAndRehydrate(t *testing.T) {
 	if n == 0 {
 		t.Fatal("nothing rehydrated")
 	}
-	r2 := fsys.NewRouter([]*fsys.Shard{sh2}, 1, 1<<16)
 	got := make([]byte, len(want)+4)
-	if m, err := r2.ReadAt("/ckpt/a", 0, got); err != nil || m != len(got) {
+	if m, err := sh2.ReadAt("/ckpt/a", 0, got); err != nil || m != len(got) {
 		t.Fatalf("rehydrated read: n=%d err=%v", m, err)
 	}
 	if !bytes.Equal(got, append(append([]byte{}, want...), []byte("tail")...)) {
 		t.Fatal("rehydrated content differs")
 	}
-	if names, err := r2.Readdir("/ckpt"); err != nil || len(names) != 1 || names[0] != "a" {
+	if names, err := sh2.Readdir("/ckpt"); err != nil || len(names) != 1 || names[0] != "a" {
 		t.Fatalf("rehydrated readdir: %v %v", names, err)
 	}
 	if sh2.HasDirty() {
@@ -97,7 +95,7 @@ func TestDrainAndRehydrate(t *testing.T) {
 	}
 
 	// Unlink propagates as a backing delete.
-	if err := r.Unlink("/ckpt/a"); err != nil {
+	if err := sh.Unlink("/ckpt/a"); err != nil {
 		t.Fatal(err)
 	}
 	pumpAll(t, d)
@@ -109,11 +107,10 @@ func TestDrainAndRehydrate(t *testing.T) {
 func TestFlushTimeoutAndSuccess(t *testing.T) {
 	store, _ := OpenDir(t.TempDir())
 	sh := fsys.NewShard("s1", 1<<20)
-	r := fsys.NewRouter([]*fsys.Shard{sh}, 1, 1<<16)
-	if err := r.Create("/f"); err != nil {
+	if err := sh.CreateStriped("/f", 1, 1<<16, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Write("/f", []byte("data")); err != nil {
+	if _, err := sh.Append("/f", []byte("data")); err != nil {
 		t.Fatal(err)
 	}
 	d := NewDrainer("s1", sh, store)
@@ -126,7 +123,7 @@ func TestFlushTimeoutAndSuccess(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A sink that drops tasks on the floor: flush times out.
-	if _, err := r.Write("/f", []byte("more")); err != nil {
+	if _, err := sh.Append("/f", []byte("more")); err != nil {
 		t.Fatal(err)
 	}
 	err = d.Flush(now, func(rq *sched.Request) {}, func(int) {}, 20*time.Millisecond)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"strings"
 	"testing"
 )
@@ -174,8 +175,7 @@ func TestContextCancellation(t *testing.T) {
 }
 
 // TestFileHandle: the handle speaks io — sequential Write, Seek,
-// ReadFull, io.EOF at end — and the deprecated int-fd API observes the
-// same file.
+// ReadFull, io.EOF at end, fs.ErrClosed after Close.
 func TestFileHandle(t *testing.T) {
 	addrs := startServers(t, 2)
 	c, err := DialOpts(testJob("file"), addrs, Options{Stripes: 2, StripeUnit: 1024})
@@ -210,13 +210,9 @@ func TestFileHandle(t *testing.T) {
 			t.Fatalf("byte %d: got %#x want %#x", i, got[i], data[i])
 		}
 	}
-	// At EOF the handle reports io.EOF, as io.Reader demands (the
-	// deprecated int-fd Read reports 0, nil instead).
+	// At EOF the handle reports io.EOF, as io.Reader demands.
 	if n, err := f.Read(got[:10]); n != 0 || err != io.EOF {
 		t.Fatalf("read at EOF: n=%d err=%v, want 0, io.EOF", n, err)
-	}
-	if n, err := c.Read(f.Fd(), got[:10]); n != 0 || err != nil {
-		t.Fatalf("deprecated read at EOF: n=%d err=%v, want 0, nil", n, err)
 	}
 	// io.Copy terminates off the io.EOF contract.
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
@@ -233,23 +229,13 @@ func TestFileHandle(t *testing.T) {
 	if _, err := f.Seek(0, 99); err == nil {
 		t.Fatal("bad whence accepted")
 	}
-
-	// The deprecated fd API addresses the same open handle.
-	fd := f.Fd()
-	if _, err := c.Lseek(fd, 0, io.SeekStart); err != nil {
-		t.Fatal(err)
-	}
-	viaFd := make([]byte, 100)
-	if n, err := c.Read(fd, viaFd); err != nil || n != len(viaFd) {
-		t.Fatalf("fd read: n=%d err=%v", n, err)
-	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Read(got[:1]); err == nil {
-		t.Fatal("read after close succeeded")
+	if _, err := f.Read(got[:1]); !errors.Is(err, fs.ErrClosed) {
+		t.Fatalf("read after close: %v", err)
 	}
-	if err := f.Close(); err == nil {
-		t.Fatal("double close succeeded")
+	if err := f.Close(); !errors.Is(err, fs.ErrClosed) {
+		t.Fatalf("double close: %v", err)
 	}
 }

@@ -60,10 +60,6 @@ type Options struct {
 	// with the stripe width, 1 reproduces the old single-connection
 	// behavior; other negatives are refused.
 	ConnsPerServer int
-	// LegacyGob forces the gob wire codec instead of the default
-	// length-prefixed binary codec — the escape hatch for servers too
-	// old to auto-detect the binary preamble.
-	LegacyGob bool
 }
 
 // DefaultStripeUnit is the stripe chunk size, matching the server-side
@@ -132,8 +128,6 @@ type Client struct {
 	// ensurePool fast-fails inside the cooldown; a member that comes
 	// back (restart, rejoin) is re-dialed after it.
 	unreachable map[string]time.Time
-	fds         map[int]*fileHandle
-	next        int
 	seq         atomic.Uint64
 	// closed stops ensurePool from registering new pools after Close —
 	// the membership refresh dials joiners asynchronously, and a dial
@@ -166,26 +160,20 @@ type fileHandle struct {
 }
 
 // dialConn dials one raw data connection to addr — the pool's dial
-// function (transport.Pool owns the multiplexing that the old
-// serverConn type used to).
-func dialConn(addr string, legacyGob bool) (*transport.Conn, error) {
+// function.
+func dialConn(addr string) (*transport.Conn, error) {
 	raw, err := net.DialTimeout("tcp", addr, 2*time.Second)
 	if err != nil {
 		return nil, err
 	}
-	if legacyGob {
-		return transport.NewConn(raw), nil
-	}
-	return transport.NewBinaryConn(raw), nil
+	return transport.NewConn(raw), nil
 }
 
 // newPool builds the connection pool for addr: slot 0 dials eagerly (so
 // an unreachable server fails here, with the same semantics one dial
 // had), the rest lazily.
 func (c *Client) newPool(addr string) (*transport.Pool, error) {
-	legacy := c.opts.LegacyGob
-	return transport.NewPool(addr, c.connsPerServer, pipelineWindow,
-		func(a string) (*transport.Conn, error) { return dialConn(a, legacy) })
+	return transport.NewPool(addr, c.connsPerServer, pipelineWindow, dialConn)
 }
 
 // Dial connects to the given servers under the job identity with
@@ -235,8 +223,6 @@ func DialOpts(job policy.JobInfo, servers []string, opts Options) (*Client, erro
 		pools:          map[string]*transport.Pool{},
 		draining:       map[string]bool{},
 		unreachable:    map[string]time.Time{},
-		fds:            map[int]*fileHandle{},
-		next:           3, // fds 0-2 are taken, as in POSIX
 		hbStop:         make(chan struct{}),
 		hbDone:         make(chan struct{}),
 	}
@@ -609,26 +595,10 @@ func (c *Client) Open(path string, create bool) (*File, error) {
 // OpenContext is Open honoring ctx: cancellation during the create
 // fan-out or the layout stat returns ErrCanceled.
 func (c *Client) OpenContext(ctx context.Context, path string, create bool) (*File, error) {
-	fd, err := c.open(ctx, path, create)
-	if err != nil {
-		return nil, err
-	}
-	return &File{c: c, fd: fd, path: path}, nil
-}
-
-// OpenFd is the int-descriptor Open.
-//
-// Deprecated: use Open (or OpenContext), which returns a *File
-// implementing io.ReadWriteSeeker and io.Closer.
-func (c *Client) OpenFd(path string, create bool) (int, error) {
-	return c.open(context.Background(), path, create)
-}
-
-func (c *Client) open(ctx context.Context, path string, create bool) (int, error) {
 	if create {
 		set := c.createSet(path)
 		if len(set) == 0 {
-			return -1, fmt.Errorf("client: no servers left")
+			return nil, fmt.Errorf("client: no servers left")
 		}
 		unit := c.stripeUnit()
 		if _, err := c.fanOut(ctx, set, path, func(int) *transport.Request {
@@ -639,36 +609,21 @@ func (c *Client) open(ctx context.Context, path string, create bool) (int, error
 				StripeSet:  set,
 			}
 		}); err != nil {
-			return -1, err
+			return nil, err
 		}
 	}
 	size, _, layout, err := c.statFull(ctx, path)
 	if err != nil {
-		return -1, err
+		return nil, err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	fd := c.next
-	c.next++
-	c.fds[fd] = &fileHandle{
+	return &File{c: c, h: &fileHandle{
 		path: path, size: size,
 		stripes: layout.stripes, unit: layout.unit, set: layout.set,
 		layoutGen: layout.gen,
-	}
-	return fd, nil
+	}}, nil
 }
 
-func (c *Client) handle(fd int) (*fileHandle, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	h, ok := c.fds[fd]
-	if !ok {
-		return nil, fmt.Errorf("client: bad file descriptor %d", fd)
-	}
-	return h, nil
-}
-
-// Write appends len(p) bytes to the file (the server store is
+// write appends len(p) bytes to the file (the server store is
 // append-structured; sequential writes are the burst-buffer pattern).
 // With striping, the data splits into stripe-unit chunks laid
 // round-robin over the stripe set; each server's chunks are contiguous
@@ -686,17 +641,9 @@ func (c *Client) handle(fd int) (*fileHandle, error) {
 // or writeRetryTimeout passes; on giving up it reports how much of p
 // is durably in the file (the handle's size already accounts for it),
 // so a POSIX-style short-write retry of the remainder is correct.
-func (c *Client) Write(fd int, p []byte) (int, error) {
-	h, err := c.handle(fd)
-	if err != nil {
-		return 0, err
-	}
-	return c.write(context.Background(), h, p)
-}
-
-// write is the striped append shared by the int-fd and *File APIs. The
-// seal-window retry budget is writeRetryTimeout, tightened to ctx's own
-// deadline when that is sooner; cancellation mid-retry returns
+//
+// The seal-window retry budget is writeRetryTimeout, tightened to ctx's
+// own deadline when that is sooner; cancellation mid-retry returns
 // ErrCanceled with the durable prefix reported like any short write.
 func (c *Client) write(ctx context.Context, h *fileHandle, p []byte) (int, error) {
 	if h.damaged {
@@ -773,8 +720,7 @@ const writeRetryTimeout = 10 * time.Second
 // The data plane here is zero-copy: p is sliced into per-server span
 // LISTS (segments referencing p directly — never concatenated), each
 // segment rides the wire as its own iovec, and each stripe's span goes
-// out either pipelined (a window of positional-append chunk RPCs, for
-// servers advertising CapAppendAt) or as one ordered append RPC.
+// out pipelined as a window of positional-append chunk RPCs.
 func (c *Client) writeOnce(ctx context.Context, h *fileHandle, p []byte) error {
 	set := h.set
 	if len(set) == 0 {
@@ -887,13 +833,10 @@ func affinityKey(path string, stripe int) uint64 {
 }
 
 // writeStripe sends one server's span of a striped write over the
-// stripe's affinity connection in its pool. Servers that have
-// advertised CapAppendAt get the pipelined positional-append path: the
-// span goes out as a window of chunk RPCs that need no round trip
-// between them, and the explicit offsets keep landing order-independent
-// under the server's multiplexed worker pool. Anyone else (old servers,
-// or a pool whose first response has not yet been seen) gets the whole
-// span as one ordered append RPC. Transport-level errors fail the
+// stripe's affinity connection in its pool, as pipelined positional
+// appends: a window of chunk RPCs that need no round trip between them,
+// with explicit offsets keeping landing order-independent under the
+// server's multiplexed worker pool. Transport-level errors fail the
 // server over, as callAddr would.
 func (c *Client) writeStripe(ctx context.Context, addr, path string, stripeIdx int, segs [][]byte, startOff int64, layoutGen uint64) error {
 	pool, err := c.ensurePool(addr)
@@ -905,34 +848,14 @@ func (c *Client) writeStripe(ctx context.Context, addr, path string, stripeIdx i
 		c.markFailed(addr)
 		return err
 	}
-	var appErr, netErr error
 	start := time.Now()
-	total := spanLen(segs)
-	if pool.Caps()&transport.CapAppendAt != 0 {
-		appErr, netErr = c.writeStripePipelined(ctx, pool, mc, path, segs, startOff, layoutGen)
-	} else {
-		resp, cerr := mc.Call(ctx, &transport.Request{
-			Type: transport.MsgWrite, Seq: c.seq.Add(1), Job: c.job, Path: path,
-			DataSegs: segs, LayoutGen: layoutGen,
-		})
-		if cerr != nil {
-			if isCtxErr(cerr) {
-				return canceled(cerr)
-			}
-			netErr = cerr
-		} else {
-			if resp.Err != "" {
-				appErr = wireErr(resp.Error())
-			}
-			resp.Release()
-		}
-	}
+	appErr, netErr := c.writeStripePipelined(ctx, pool, mc, path, segs, startOff, layoutGen)
 	if netErr != nil {
 		c.markFailed(addr)
 		return netErr
 	}
 	if appErr == nil {
-		c.bdp.observe(total, time.Since(start))
+		c.bdp.observe(spanLen(segs), time.Since(start))
 	}
 	return appErr
 }
@@ -1183,22 +1106,12 @@ func (c *Client) verifySpan(ctx context.Context, h *fileHandle, addr string, i, 
 	return nil
 }
 
-// Read reads up to len(p) bytes from the handle's offset. A striped
+// read reads up to len(p) bytes from the handle's offset. A striped
 // read touches each stripe server's locally-contiguous range once, in
 // parallel, and reassembles the units into p. A stale-layout answer
 // (the file was rebalanced under this handle) re-stats the path and
-// retries once against the migrated layout.
-func (c *Client) Read(fd int, p []byte) (int, error) {
-	h, err := c.handle(fd)
-	if err != nil {
-		return 0, err
-	}
-	return c.read(context.Background(), h, p)
-}
-
-// read is the striped read shared by the int-fd and *File APIs; the
-// stale-layout retry budget is statRetryTimeout, tightened to ctx's own
-// deadline when that is sooner.
+// retries against the migrated layout; the retry budget is
+// statRetryTimeout, tightened to ctx's own deadline when that is sooner.
 func (c *Client) read(ctx context.Context, h *fileHandle, p []byte) (int, error) {
 	n, err := c.readOnce(ctx, h, p)
 	for deadline := budgetDeadline(ctx, statRetryTimeout); err != nil && retryableLayout(err) && !time.Now().After(deadline); {
@@ -1322,8 +1235,7 @@ const readChunk = 512 << 10
 // readStripe fetches one server's locally-contiguous byte range
 // [lo,hi) of a striped read as a window of chunk RPCs — readahead that
 // needs no round trip between chunks (reads at explicit offsets are
-// idempotent, so unlike writes this pipelining needs no server
-// capability) — and scatters each arriving chunk's units straight into
+// idempotent) — and scatters each arriving chunk's units straight into
 // p. Chunks spread over every pool connection (PickSpread): explicit
 // offsets make order irrelevant, so the pool's paths carry the socket
 // reads and frame decodes in parallel. Transport-level errors fail the
@@ -1467,53 +1379,6 @@ func scatterLocal(p []byte, g0, g1 int64, idx, nStripes int, unit, a int64, data
 		copy(p[g-g0:], src)
 		l = end
 	}
-}
-
-// Lseek repositions the handle. Whence follows POSIX: 0=set, 1=cur,
-// 2=end. A resulting offset below zero is refused with the handle
-// unmoved — POSIX EINVAL — instead of the old silent clamp to zero,
-// which hid arithmetic bugs in callers by quietly rereading the file
-// head.
-func (c *Client) Lseek(fd int, offset int64, whence int) (int64, error) {
-	h, err := c.handle(fd)
-	if err != nil {
-		return 0, err
-	}
-	return c.lseek(context.Background(), h, offset, whence)
-}
-
-func (c *Client) lseek(ctx context.Context, h *fileHandle, offset int64, whence int) (int64, error) {
-	var next int64
-	switch whence {
-	case 0:
-		next = offset
-	case 1:
-		next = h.off + offset
-	case 2:
-		size, _, _, err := c.statFull(ctx, h.path)
-		if err != nil {
-			return 0, err
-		}
-		next = size + offset
-	default:
-		return 0, fmt.Errorf("client: bad whence %d", whence)
-	}
-	if next < 0 {
-		return 0, fmt.Errorf("client: invalid seek to negative offset %d (EINVAL)", next)
-	}
-	h.off = next
-	return h.off, nil
-}
-
-// CloseFd releases a file descriptor.
-func (c *Client) CloseFd(fd int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.fds[fd]; !ok {
-		return fmt.Errorf("client: bad file descriptor %d", fd)
-	}
-	delete(c.fds, fd)
-	return nil
 }
 
 // Stat returns size and directory flag. A striped file's size is the

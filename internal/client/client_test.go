@@ -3,6 +3,7 @@ package client
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"strings"
@@ -70,20 +71,20 @@ func TestPerServerRouting(t *testing.T) {
 	// land on exactly one server and read back from it.
 	owners := map[string]bool{}
 	for _, name := range []string{"/d/a", "/d/b", "/d/c", "/d/e", "/d/f", "/d/g"} {
-		fd, err := c.OpenFd(name, true)
+		f, err := c.Open(name, true)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if _, err := c.Write(fd, []byte(name)); err != nil {
+		if _, err := f.Write([]byte(name)); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		owner, _ := c.ring.Lookup(name)
 		owners[owner] = true
 		got := make([]byte, 64)
-		if _, err := c.Lseek(fd, 0, 0); err != nil {
+		if _, err := f.Seek(0, 0); err != nil {
 			t.Fatal(err)
 		}
-		n, err := c.Read(fd, got)
+		n, err := f.Read(got)
 		if err != nil || string(got[:n]) != name {
 			t.Fatalf("%s: read %q err=%v", name, got[:n], err)
 		}
@@ -105,26 +106,17 @@ func TestClientErrorPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.OpenFd("/nope", false); err == nil {
+	if _, err := c.Open("/nope", false); err == nil {
 		t.Fatal("opening a missing file should fail")
-	}
-	if _, err := c.Read(99, make([]byte, 8)); err == nil {
-		t.Fatal("read on bad fd should fail")
-	}
-	if _, err := c.Write(99, []byte("x")); err == nil {
-		t.Fatal("write on bad fd should fail")
-	}
-	if _, err := c.Lseek(99, 0, 0); err == nil {
-		t.Fatal("lseek on bad fd should fail")
 	}
 	if err := c.Unlink("/nope"); err == nil {
 		t.Fatal("unlink of a missing file should fail")
 	}
-	fd, err := c.OpenFd("/f", true)
+	f, err := c.Open("/f", true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Lseek(fd, 0, 9); err == nil || !strings.Contains(err.Error(), "whence") {
+	if _, err := f.Seek(0, 9); err == nil || !strings.Contains(err.Error(), "whence") {
 		t.Fatalf("bad whence error = %v", err)
 	}
 	if err := c.Mkdir("/missing/parent"); err == nil {
@@ -142,7 +134,7 @@ func TestStripedRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	fd, err := c.OpenFd("/striped", true)
+	f, err := c.Open("/striped", true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +145,7 @@ func TestStripedRoundTrip(t *testing.T) {
 		for j := range chunk {
 			chunk[j] ^= byte(j * 17)
 		}
-		if n, err := c.Write(fd, chunk); err != nil || n != sz {
+		if n, err := f.Write(chunk); err != nil || n != sz {
 			t.Fatalf("write %d: n=%d err=%v", sz, n, err)
 		}
 		want = append(want, chunk...)
@@ -161,11 +153,11 @@ func TestStripedRoundTrip(t *testing.T) {
 	if size, _, err := c.Stat("/striped"); err != nil || size != int64(len(want)) {
 		t.Fatalf("stat = %d err=%v, want %d", size, err, len(want))
 	}
-	if _, err := c.Lseek(fd, 0, 0); err != nil {
+	if _, err := f.Seek(0, 0); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, len(want))
-	if n, err := c.Read(fd, got); err != nil || n != len(want) {
+	if n, err := f.Read(got); err != nil || n != len(want) {
 		t.Fatalf("full read: n=%d err=%v", n, err)
 	}
 	if !bytes.Equal(got, want) {
@@ -174,11 +166,11 @@ func TestStripedRoundTrip(t *testing.T) {
 	// Interior unaligned reads across stripe boundaries.
 	for _, rg := range [][2]int{{0, 10}, {1020, 9}, {1000, 3000}, {50000, 12000}, {62200, 100}} {
 		off, ln := rg[0], rg[1]
-		if _, err := c.Lseek(fd, int64(off), 0); err != nil {
+		if _, err := f.Seek(int64(off), 0); err != nil {
 			t.Fatal(err)
 		}
 		buf := make([]byte, ln)
-		n, err := c.Read(fd, buf)
+		n, err := f.Read(buf)
 		if err != nil {
 			t.Fatalf("read [%d,%d): %v", off, off+ln, err)
 		}
@@ -187,19 +179,19 @@ func TestStripedRoundTrip(t *testing.T) {
 			t.Fatalf("read [%d,%d) mismatch (n=%d)", off, off+ln, n)
 		}
 	}
-	// Reading past EOF returns 0.
-	if _, err := c.Lseek(fd, int64(len(want))+100, 0); err != nil {
+	// Reading past EOF is io.EOF.
+	if _, err := f.Seek(int64(len(want))+100, 0); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := c.Read(fd, make([]byte, 8)); err != nil || n != 0 {
+	if n, err := f.Read(make([]byte, 8)); err != io.EOF || n != 0 {
 		t.Fatalf("past-EOF read: n=%d err=%v", n, err)
 	}
 	// Open the same file fresh: the size comes from summed stripe stats.
-	fd2, err := c.OpenFd("/striped", false)
+	f2, err := c.Open("/striped", false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if off, err := c.Lseek(fd2, 0, 2); err != nil || off != int64(len(want)) {
+	if off, err := f2.Seek(0, 2); err != nil || off != int64(len(want)) {
 		t.Fatalf("seek-end = %d err=%v", off, err)
 	}
 	// Unlink removes every stripe.
@@ -237,12 +229,12 @@ func TestClientFailover(t *testing.T) {
 		var lastErr error
 		ok := false
 		for attempt := 0; attempt < 5 && !ok; attempt++ {
-			fd, err := c.OpenFd(name, true)
+			f, err := c.Open(name, true)
 			if err != nil {
 				lastErr = err
 				continue
 			}
-			if _, err := c.Write(fd, []byte(name)); err != nil {
+			if _, err := f.Write([]byte(name)); err != nil {
 				lastErr = err
 				continue
 			}
@@ -268,11 +260,11 @@ func TestStripeWidthInterop(t *testing.T) {
 	}
 	defer w.Close()
 	want := bytes.Repeat([]byte("striped-interop/"), 4096) // 64 KiB
-	fd, err := w.OpenFd("/interop", true)
+	f, err := w.Open("/interop", true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Write(fd, want); err != nil {
+	if _, err := f.Write(want); err != nil {
 		t.Fatal(err)
 	}
 
@@ -285,12 +277,12 @@ func TestStripeWidthInterop(t *testing.T) {
 	if size, _, err := r.Stat("/interop"); err != nil || size != int64(len(want)) {
 		t.Fatalf("interop stat = %d err=%v, want %d", size, err, len(want))
 	}
-	rfd, err := r.OpenFd("/interop", false)
+	rf, err := r.Open("/interop", false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, len(want))
-	if n, err := r.Read(rfd, got); err != nil || n != len(want) {
+	if n, err := rf.Read(got); err != nil || n != len(want) {
 		t.Fatalf("interop read: n=%d err=%v", n, err)
 	}
 	if !bytes.Equal(got, want) {
@@ -316,30 +308,30 @@ func TestLseekNegative(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	fd, err := c.OpenFd("/seek", true)
+	f, err := c.Open("/seek", true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Write(fd, []byte("0123456789")); err != nil {
+	if _, err := f.Write([]byte("0123456789")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Lseek(fd, -1, 0); err == nil {
+	if _, err := f.Seek(-1, 0); err == nil {
 		t.Fatal("whence 0 to a negative offset must fail")
 	}
-	if off, err := c.Lseek(fd, 4, 0); err != nil || off != 4 {
+	if off, err := f.Seek(4, 0); err != nil || off != 4 {
 		t.Fatalf("seek-set = %d err=%v", off, err)
 	}
-	if _, err := c.Lseek(fd, -5, 1); err == nil {
+	if _, err := f.Seek(-5, 1); err == nil {
 		t.Fatal("whence 1 producing a negative offset must fail")
 	}
 	// The failed seeks must not have moved the handle.
-	if off, err := c.Lseek(fd, 0, 1); err != nil || off != 4 {
+	if off, err := f.Seek(0, 1); err != nil || off != 4 {
 		t.Fatalf("offset after refused seeks = %d err=%v, want 4", off, err)
 	}
-	if _, err := c.Lseek(fd, -11, 2); err == nil {
+	if _, err := f.Seek(-11, 2); err == nil {
 		t.Fatal("whence 2 producing a negative offset must fail")
 	}
-	if off, err := c.Lseek(fd, -10, 2); err != nil || off != 0 {
+	if off, err := f.Seek(-10, 2); err != nil || off != 0 {
 		t.Fatalf("seek-end -size = %d err=%v, want 0", off, err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"io/fs"
 )
 
 // File is a handle to an open ThemisIO file. It implements
@@ -11,23 +12,23 @@ import (
 // plane, and each method has a context-honoring variant for callers
 // that need deadlines or cancellation. A File is not safe for
 // concurrent use (it carries one offset, like a POSIX descriptor); open
-// the path again for a second independent handle.
+// the path again for a second independent handle. After Close every
+// method returns an error matching fs.ErrClosed.
 type File struct {
-	c    *Client
-	fd   int
-	path string
+	c      *Client
+	h      *fileHandle
+	closed bool
 }
 
 // Path returns the path the handle was opened on.
-func (f *File) Path() string { return f.path }
+func (f *File) Path() string { return f.h.path }
 
-// Fd returns the underlying integer descriptor — interoperability with
-// the deprecated int-fd API during migration.
-func (f *File) Fd() int { return f.fd }
+func (f *File) errClosed() error {
+	return fmt.Errorf("client: %s: %w", f.h.path, fs.ErrClosed)
+}
 
 // Read reads up to len(p) bytes from the handle's offset, returning
-// io.EOF at end of file (the io.Reader contract; the deprecated int-fd
-// Read returned 0, nil instead).
+// io.EOF at end of file (the io.Reader contract).
 func (f *File) Read(p []byte) (int, error) {
 	return f.ReadContext(context.Background(), p)
 }
@@ -35,11 +36,10 @@ func (f *File) Read(p []byte) (int, error) {
 // ReadContext is Read honoring ctx: cancellation mid-read abandons the
 // in-flight chunk RPCs and returns ErrCanceled.
 func (f *File) ReadContext(ctx context.Context, p []byte) (int, error) {
-	h, err := f.c.handle(f.fd)
-	if err != nil {
-		return 0, err
+	if f.closed {
+		return 0, f.errClosed()
 	}
-	n, err := f.c.read(ctx, h, p)
+	n, err := f.c.read(ctx, f.h, p)
 	if err == nil && n == 0 && len(p) > 0 {
 		return 0, io.EOF
 	}
@@ -56,31 +56,51 @@ func (f *File) Write(p []byte) (int, error) {
 // WriteContext is Write honoring ctx. The seal-window retry budget
 // tightens to ctx's deadline; cancellation returns ErrCanceled.
 func (f *File) WriteContext(ctx context.Context, p []byte) (int, error) {
-	h, err := f.c.handle(f.fd)
-	if err != nil {
-		return 0, err
+	if f.closed {
+		return 0, f.errClosed()
 	}
-	return f.c.write(ctx, h, p)
+	return f.c.write(ctx, f.h, p)
 }
 
 // Seek repositions the handle (io.Seeker whence values). Seeking
-// relative to the end stats the file.
+// relative to the end stats the file. A resulting offset below zero is
+// refused with the handle unmoved (POSIX EINVAL).
 func (f *File) Seek(offset int64, whence int) (int64, error) {
 	return f.SeekContext(context.Background(), offset, whence)
 }
 
 // SeekContext is Seek honoring ctx (only SeekEnd performs I/O).
 func (f *File) SeekContext(ctx context.Context, offset int64, whence int) (int64, error) {
-	h, err := f.c.handle(f.fd)
-	if err != nil {
-		return 0, err
+	if f.closed {
+		return 0, f.errClosed()
 	}
-	if whence < io.SeekStart || whence > io.SeekEnd {
+	next := offset
+	switch whence {
+	case io.SeekStart:
+	case io.SeekCurrent:
+		next += f.h.off
+	case io.SeekEnd:
+		size, _, _, err := f.c.statFull(ctx, f.h.path)
+		if err != nil {
+			return 0, err
+		}
+		next += size
+	default:
 		return 0, fmt.Errorf("client: bad whence %d", whence)
 	}
-	return f.c.lseek(ctx, h, offset, whence)
+	if next < 0 {
+		return 0, fmt.Errorf("client: invalid seek to negative offset %d (EINVAL)", next)
+	}
+	f.h.off = next
+	return next, nil
 }
 
 // Close releases the handle. The client connection stays up; Close on
 // the Client tears that down.
-func (f *File) Close() error { return f.c.CloseFd(f.fd) }
+func (f *File) Close() error {
+	if f.closed {
+		return f.errClosed()
+	}
+	f.closed = true
+	return nil
+}

@@ -35,20 +35,20 @@ func BenchmarkStripedThroughput(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				path := fmt.Sprintf("/bench-%d.bin", i)
-				fd, err := c.OpenFd(path, true)
+				f, err := c.Open(path, true)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := c.Write(fd, data); err != nil {
+				if _, err := f.Write(data); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := c.Lseek(fd, 0, 0); err != nil {
+				if _, err := f.Seek(0, 0); err != nil {
 					b.Fatal(err)
 				}
-				if m, err := c.Read(fd, got); err != nil || m != payload {
+				if m, err := f.Read(got); err != nil || m != payload {
 					b.Fatalf("read: n=%d err=%v", m, err)
 				}
-				if err := c.CloseFd(fd); err != nil {
+				if err := f.Close(); err != nil {
 					b.Fatal(err)
 				}
 				// Unlink releases the extents so capacity never runs out
@@ -99,21 +99,21 @@ func BenchmarkStripedThroughputPooled(b *testing.B) {
 						errs <- func() error {
 							c := cs[w]
 							path := fmt.Sprintf("/bench-p%d-%d.bin", w, i)
-							fd, err := c.OpenFd(path, true)
+							f, err := c.Open(path, true)
 							if err != nil {
 								return err
 							}
-							if _, err := c.Write(fd, data); err != nil {
+							if _, err := f.Write(data); err != nil {
 								return err
 							}
-							if _, err := c.Lseek(fd, 0, 0); err != nil {
+							if _, err := f.Seek(0, 0); err != nil {
 								return err
 							}
 							got := make([]byte, payload)
-							if m, err := c.Read(fd, got); err != nil || m != payload {
+							if m, err := f.Read(got); err != nil || m != payload {
 								return fmt.Errorf("read: n=%d err=%v", m, err)
 							}
-							if err := c.CloseFd(fd); err != nil {
+							if err := f.Close(); err != nil {
 								return err
 							}
 							return c.Unlink(path)

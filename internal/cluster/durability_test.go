@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -97,11 +98,11 @@ func TestFabricDurability(t *testing.T) {
 		p := fmt.Sprintf("/data/f%d.bin", i)
 		data := bytes.Repeat([]byte{byte(i + 1)}, 100_000+i*1_000)
 		files[p] = data
-		fd, err := c.OpenFd(p, true)
+		f, err := c.Open(p, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n, err := c.Write(fd, data); err != nil || n != len(data) {
+		if n, err := f.Write(data); err != nil || n != len(data) {
 			t.Fatalf("write %s: n=%d err=%v", p, n, err)
 		}
 	}
@@ -113,11 +114,11 @@ func TestFabricDurability(t *testing.T) {
 	for i := range striped {
 		striped[i] = byte(i * 131)
 	}
-	fd, err := cs.OpenFd("/data/striped.bin", true)
+	f, err := cs.Open("/data/striped.bin", true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, err := cs.Write(fd, striped); err != nil || n != len(striped) {
+	if n, err := f.Write(striped); err != nil || n != len(striped) {
 		t.Fatalf("striped write: n=%d err=%v", n, err)
 	}
 	files["/data/striped.bin"] = striped
@@ -152,21 +153,14 @@ func TestFabricDurability(t *testing.T) {
 	}
 	defer cr.Close()
 	readBack := func(p string, want []byte) bool {
-		fd, err := cr.OpenFd(p, false)
+		f, err := cr.Open(p, false)
 		if err != nil {
 			return false
 		}
-		defer cr.CloseFd(fd)
+		defer f.Close()
 		got := make([]byte, len(want))
-		total := 0
-		for total < len(got) {
-			n, err := cr.Read(fd, got[total:])
-			if err != nil || n == 0 {
-				return false
-			}
-			total += n
-		}
-		return bytes.Equal(got, want)
+		_, err = io.ReadFull(f, got)
+		return err == nil && bytes.Equal(got, want)
 	}
 	waitFor(t, 10*time.Second, "post-failover content recovery", func() bool {
 		for p, want := range files {

@@ -1,5 +1,5 @@
-// Gossip-based λ-sync: the epidemic push-pull exchange that replaces
-// the all-to-all MsgSync fan-out. Every λ round a node contacts k
+// Gossip-based λ-sync: an epidemic push-pull exchange in place of an
+// all-to-all job-table fan-out. Every λ round a node contacts k
 // uniformly random gossipable peers, pushes its job-table snapshot and
 // membership digest, and pulls the peer's in the reply. Push-pull
 // epidemic dissemination infects all N members in O(log N) rounds with

@@ -137,7 +137,7 @@ func TestFabricLive(t *testing.T) {
 	for i, s := range servers {
 		served[i] = s.Served()
 	}
-	fd, err := c.OpenFd("/data/striped.bin", true)
+	f, err := c.Open("/data/striped.bin", true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestFabricLive(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i * 31)
 	}
-	if n, err := c.Write(fd, data); err != nil || n != len(data) {
+	if n, err := f.Write(data); err != nil || n != len(data) {
 		t.Fatalf("striped write: n=%d err=%v", n, err)
 	}
 	for i, s := range servers {
@@ -156,11 +156,11 @@ func TestFabricLive(t *testing.T) {
 	if size, _, err := c.Stat("/data/striped.bin"); err != nil || size != int64(len(data)) {
 		t.Fatalf("striped stat: size=%d err=%v", size, err)
 	}
-	if _, err := c.Lseek(fd, 0, 0); err != nil {
+	if _, err := f.Seek(0, 0); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, len(data))
-	if n, err := c.Read(fd, got); err != nil || n != len(data) {
+	if n, err := f.Read(got); err != nil || n != len(data) {
 		t.Fatalf("striped read: n=%d err=%v", n, err)
 	}
 	if !bytes.Equal(got, data) {
@@ -168,11 +168,11 @@ func TestFabricLive(t *testing.T) {
 	}
 	// Unaligned interior read crossing several stripe units.
 	const off, ln = 4097*3 + 11, 40000
-	if _, err := c.Lseek(fd, off, 0); err != nil {
+	if _, err := f.Seek(off, 0); err != nil {
 		t.Fatal(err)
 	}
 	part := make([]byte, ln)
-	if n, err := c.Read(fd, part); err != nil || n != ln {
+	if n, err := f.Read(part); err != nil || n != ln {
 		t.Fatalf("interior read: n=%d err=%v", n, err)
 	}
 	if !bytes.Equal(part, data[off:off+ln]) {
@@ -219,23 +219,23 @@ func TestFabricLive(t *testing.T) {
 	// Jobs are still served under the policy: striped I/O continues on
 	// the survivors once the client's ring reassigns (its first attempt
 	// may consume the error that teaches it the server is gone).
-	var fd2 int
+	var f2 *client.File
 	waitFor(t, 5*time.Second, "post-failover write", func() bool {
-		fd2, err = c.OpenFd(fmt.Sprintf("/data/after-%d.bin", time.Now().UnixNano()), true)
+		f2, err = c.Open(fmt.Sprintf("/data/after-%d.bin", time.Now().UnixNano()), true)
 		if err != nil {
 			return false
 		}
-		_, err = c.Write(fd2, data[:1<<18])
+		_, err = f2.Write(data[:1<<18])
 		return err == nil
 	})
 	if len(c.Servers()) != 3 {
 		t.Fatalf("client ring = %v after failover", c.Servers())
 	}
-	if _, err := c.Lseek(fd2, 0, 0); err != nil {
+	if _, err := f2.Seek(0, 0); err != nil {
 		t.Fatal(err)
 	}
 	after := make([]byte, 1<<18)
-	if n, err := c.Read(fd2, after); err != nil || n != len(after) {
+	if n, err := f2.Read(after); err != nil || n != len(after) {
 		t.Fatalf("post-failover read: n=%d err=%v", n, err)
 	}
 	if !bytes.Equal(after, data[:1<<18]) {

@@ -192,7 +192,7 @@ func TestFabricMetricsLive(t *testing.T) {
 		go func(j int, c *client.Client) {
 			defer wg.Done()
 			defer c.Close()
-			fd, err := c.OpenFd(fmt.Sprintf("/flood/j%d.bin", j), true)
+			f, err := c.Open(fmt.Sprintf("/flood/j%d.bin", j), true)
 			if err != nil {
 				return
 			}
@@ -202,14 +202,14 @@ func TestFabricMetricsLive(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := c.Write(fd, data); err != nil {
+				if _, err := f.Write(data); err != nil {
 					return
 				}
 				if k%16 == 0 {
 					// Keep each file bounded so the shared RAM shards
 					// never fill mid-flood.
 					c.Unlink(fmt.Sprintf("/flood/j%d.bin", j))
-					fd, err = c.OpenFd(fmt.Sprintf("/flood/j%d.bin", j), true)
+					f, err = c.Open(fmt.Sprintf("/flood/j%d.bin", j), true)
 					if err != nil {
 						return
 					}

@@ -89,12 +89,12 @@ func swapLoad(t testing.TB, c *client.Client, user string, stop chan struct{}, e
 	var wg sync.WaitGroup
 	for i := 0; i < psWriters; i++ {
 		path := fmt.Sprintf("/swap/%s-%d.bin", user, i)
-		fd, err := c.OpenFd(path, true)
+		f, err := c.Open(path, true)
 		if err != nil {
 			t.Fatalf("open %s: %v", path, err)
 		}
 		wg.Add(1)
-		go func(fd int, path string) {
+		go func(f *client.File, path string) {
 			defer wg.Done()
 			buf := make([]byte, psWrite)
 			writes := 0
@@ -104,25 +104,25 @@ func swapLoad(t testing.TB, c *client.Client, user string, stop chan struct{}, e
 					return
 				default:
 				}
-				if n, err := c.Write(fd, buf); err != nil || n != len(buf) {
+				if n, err := f.Write(buf); err != nil || n != len(buf) {
 					errs.Add(1)
 				}
 				if writes++; writes >= psRotateWrites {
 					writes = 0
-					if err := c.CloseFd(fd); err != nil {
+					if err := f.Close(); err != nil {
 						errs.Add(1)
 					}
 					if err := c.Unlink(path); err != nil {
 						errs.Add(1)
 					}
 					var err error
-					if fd, err = c.OpenFd(path, true); err != nil {
+					if f, err = c.Open(path, true); err != nil {
 						errs.Add(1)
 						return
 					}
 				}
 			}
-		}(fd, path)
+		}(f, path)
 	}
 	return &wg
 }

@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -107,11 +108,11 @@ func TestFabricRebalance(t *testing.T) {
 			data[j] ^= byte(j * 13)
 		}
 		files[p] = data
-		fd, err := w.OpenFd(p, true)
+		f, err := w.Open(p, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n, err := w.Write(fd, data); err != nil || n != len(data) {
+		if n, err := f.Write(data); err != nil || n != len(data) {
 			t.Fatalf("write %s: n=%d err=%v", p, n, err)
 		}
 	}
@@ -126,11 +127,11 @@ func TestFabricRebalance(t *testing.T) {
 			data[j] = byte(j*31 + i)
 		}
 		files[p] = data
-		fd, err := ws.OpenFd(p, true)
+		f, err := ws.Open(p, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n, err := ws.Write(fd, data); err != nil || n != len(data) {
+		if n, err := f.Write(data); err != nil || n != len(data) {
 			t.Fatalf("striped write %s: n=%d err=%v", p, n, err)
 		}
 	}
@@ -144,7 +145,7 @@ func TestFabricRebalance(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer held.Close()
-	heldFd, err := held.OpenFd("/data/striped0.bin", false)
+	heldFile, err := held.Open("/data/striped0.bin", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,29 +171,17 @@ func TestFabricRebalance(t *testing.T) {
 			for i := 0; !stop.Load(); i++ {
 				p := paths[(i+g)%len(paths)]
 				want := files[p]
-				fd, err := reader.OpenFd(p, false)
+				f, err := reader.Open(p, false)
 				if err != nil {
 					readerErr.Store(fmt.Errorf("open %s: %w", p, err))
 					return
 				}
 				got := make([]byte, len(want))
-				total := 0
-				for total < len(got) {
-					n, err := reader.Read(fd, got[total:])
-					if err != nil {
-						readerErr.Store(fmt.Errorf("read %s at %d: %w", p, total, err))
-						reader.CloseFd(fd)
-						return
-					}
-					if n == 0 {
-						break
-					}
-					total += n
-				}
-				reader.CloseFd(fd)
-				if total != len(want) || !bytes.Equal(got[:total], want) {
-					readerErr.Store(fmt.Errorf("read %s: %d/%d bytes, content match=%v",
-						p, total, len(want), bytes.Equal(got[:total], want)))
+				total, err := io.ReadFull(f, got)
+				f.Close()
+				if err != nil || !bytes.Equal(got, want) {
+					readerErr.Store(fmt.Errorf("read %s: %d/%d bytes, err=%v, content match=%v",
+						p, total, len(want), err, bytes.Equal(got[:total], want[:total])))
 					return
 				}
 			}
@@ -221,25 +210,14 @@ func TestFabricRebalance(t *testing.T) {
 	}
 	defer fresh.Close()
 	readBack := func(c *client.Client, p string, want []byte) error {
-		fd, err := c.OpenFd(p, false)
+		f, err := c.Open(p, false)
 		if err != nil {
 			return err
 		}
-		defer c.CloseFd(fd)
+		defer f.Close()
 		got := make([]byte, len(want))
-		total := 0
-		for total < len(got) {
-			n, err := c.Read(fd, got[total:])
-			if err != nil {
-				return err
-			}
-			if n == 0 {
-				break
-			}
-			total += n
-		}
-		if total != len(want) || !bytes.Equal(got, want) {
-			return fmt.Errorf("%s: %d/%d bytes, equal=%v", p, total, len(want), bytes.Equal(got[:total], want))
+		if total, err := io.ReadFull(f, got); err != nil || !bytes.Equal(got, want) {
+			return fmt.Errorf("%s: %d/%d bytes, err=%v, equal=%v", p, total, len(want), err, bytes.Equal(got, want))
 		}
 		return nil
 	}
@@ -287,29 +265,18 @@ func TestFabricRebalance(t *testing.T) {
 	t.Logf("joined servers own %d stripes across %d files", newOwned, len(files))
 
 	// The pre-join handle reads the full migrated file through its old
-	// fd (stale-layout → re-stat → retry), then appends through it and
+	// f (stale-layout → re-stat → retry), then appends through it and
 	// reads the tail back.
 	want := files["/data/striped0.bin"]
-	if _, err := held.Lseek(heldFd, 0, 0); err != nil {
+	if _, err := heldFile.Seek(0, 0); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, len(want))
-	total := 0
-	for total < len(got) {
-		n, err := held.Read(heldFd, got[total:])
-		if err != nil {
-			t.Fatalf("held-handle read at %d: %v", total, err)
-		}
-		if n == 0 {
-			break
-		}
-		total += n
-	}
-	if total != len(want) || !bytes.Equal(got, want) {
-		t.Fatalf("held-handle content: %d/%d bytes, equal=%v", total, len(want), bytes.Equal(got[:total], want))
+	if total, err := io.ReadFull(heldFile, got); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("held-handle content: %d/%d bytes, err=%v, equal=%v", total, len(want), err, bytes.Equal(got, want))
 	}
 	tail := bytes.Repeat([]byte{0xEE}, 9000)
-	if n, err := held.Write(heldFd, tail); err != nil || n != len(tail) {
+	if n, err := heldFile.Write(tail); err != nil || n != len(tail) {
 		t.Fatalf("held-handle append: n=%d err=%v", n, err)
 	}
 	want = append(append([]byte{}, want...), tail...)

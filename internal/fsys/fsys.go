@@ -1,9 +1,9 @@
 // Package fsys implements ThemisIO's user-space file system (§4.3): a
 // byte-addressable store where "both directories and files are stored as
 // files, and files and metadata are spread across ThemisIO servers using
-// a consistent hash function". Each server holds a Shard (namespace
-// entries it owns plus extent-indexed data); a Router stripes paths and
-// data across shards.
+// a consistent hash function". Each server holds one Shard: the namespace
+// entries placed on it plus the extent-indexed local stripe of each file.
+// Placement and striping across servers are the client's job.
 //
 // Concurrency follows the paper: concurrent reads need no locking;
 // concurrent writes to non-conflicting byte ranges proceed without
@@ -19,7 +19,6 @@ import (
 	"sync"
 	"time"
 
-	"themisio/internal/chash"
 	"themisio/internal/storage"
 )
 
@@ -178,9 +177,9 @@ func clean(p string) string {
 }
 
 // CreateEntry records a namespace entry (file or directory) on this
-// shard. The router calls this on the owner shard of the path, and
-// separately updates the parent directory ("directory and file creation
-// updates the content of the parent directory", §4.3).
+// shard without touching the parent directory (Mkdir and CreateStriped
+// add the parent check and the child link; recovery and migration install
+// entries directly).
 func (s *Shard) CreateEntry(p string, dir bool, stripes int, unit int64, set []string) error {
 	p = clean(p)
 	s.mu.Lock()
@@ -259,7 +258,7 @@ func (s *Shard) RemoveEntry(p string) error {
 }
 
 // Stat returns metadata for an entry owned by this shard. For files, Size
-// is the size of the local stripe only; the router sums stripes.
+// is the size of the local stripe only; the client sums stripes.
 func (s *Shard) Stat(p string) (FileInfo, error) {
 	return s.StatGen(p, 0)
 }
@@ -564,274 +563,60 @@ func (s *Shard) Exists(p string) bool {
 	return ok
 }
 
-// Router spreads a namespace across shards with consistent hashing and
-// stripes file data round-robin over each file's stripe set.
-type Router struct {
-	ring    *chash.Ring
-	shards  map[string]*Shard
-	stripes int
-	stripe  int64 // stripe unit in bytes
-}
-
 // DefaultStripeUnit is the stripe unit used when none is configured.
 const DefaultStripeUnit = 1 << 20
 
-// NewRouter builds a router over the given shards. stripes is the number
-// of shards each file's data spans (clipped to the shard count);
-// stripeUnit is the bytes written to one shard before moving to the next.
-func NewRouter(shards []*Shard, stripes int, stripeUnit int64) *Router {
+// Mkdir creates a directory and links it into its parent ("directory and
+// file creation updates the content of the parent directory", §4.3).
+func (s *Shard) Mkdir(p string) error {
+	if p = clean(p); p == "/" {
+		return ErrExist
+	}
+	return s.createLinked(p, true, 0, 0, nil)
+}
+
+// CreateStriped creates an empty file recording its stripe layout (width,
+// unit, server set) and links it into its parent. This shard holds one
+// local stripe; the recorded layout lets any later client discover the
+// rest from a stat.
+func (s *Shard) CreateStriped(p string, stripes int, unit int64, set []string) error {
 	if stripes <= 0 {
 		stripes = 1
 	}
-	if stripes > len(shards) {
-		stripes = len(shards)
-	}
-	if stripeUnit <= 0 {
-		stripeUnit = DefaultStripeUnit
-	}
-	r := &Router{
-		ring:    chash.New(0),
-		shards:  map[string]*Shard{},
-		stripes: stripes,
-		stripe:  stripeUnit,
-	}
-	for _, s := range shards {
-		r.ring.Add(s.Name())
-		r.shards[s.Name()] = s
-	}
-	return r
-}
-
-// owner returns the shard owning the namespace entry for p.
-func (r *Router) owner(p string) *Shard {
-	name, _ := r.ring.Lookup(clean(p))
-	return r.shards[name]
-}
-
-// stripeSet returns the shards holding p's data, in stripe order.
-func (r *Router) stripeSet(p string) []*Shard {
-	names := r.ring.LookupN(clean(p), r.stripes)
-	out := make([]*Shard, len(names))
-	for i, n := range names {
-		out[i] = r.shards[n]
-	}
-	return out
-}
-
-// Mkdir creates a directory, updating the parent's content.
-func (r *Router) Mkdir(p string) error {
-	p = clean(p)
-	if p == "/" {
-		return ErrExist
-	}
-	parent, name := path.Split(p)
-	parent = clean(parent)
-	if fi, err := r.Stat(parent); err != nil || !fi.IsDir {
-		if err != nil {
-			return err
-		}
-		return ErrNotDir
-	}
-	if err := r.owner(p).CreateEntry(p, true, 0, 0, nil); err != nil {
-		return err
-	}
-	return r.owner(parent).AddChild(parent, name)
-}
-
-// Create creates an empty file with the router's stripe count; the
-// namespace entry lands on the owner shard and a stripe entry on each
-// shard in the stripe set.
-func (r *Router) Create(p string) error {
-	return r.create(p, 0, 0, nil)
-}
-
-// CreateStriped creates an empty file recording an explicit stripe
-// layout (width and unit) in its metadata. The live server uses this
-// for client-driven striping: each server holds one local stripe, but
-// the recorded layout lets any later client discover it from a stat.
-func (r *Router) CreateStriped(p string, stripes int, unit int64, set []string) error {
-	return r.create(p, stripes, unit, set)
-}
-
-func (r *Router) create(p string, stripes int, unit int64, set []string) error {
-	p = clean(p)
-	parent, name := path.Split(p)
-	parent = clean(parent)
-	if fi, err := r.Stat(parent); err != nil || !fi.IsDir {
-		if err != nil {
-			return err
-		}
-		return ErrNotDir
-	}
-	shards := r.stripeSet(p)
-	if stripes <= 0 {
-		stripes = len(shards)
-	}
 	if unit <= 0 {
-		unit = r.stripe
+		unit = DefaultStripeUnit
 	}
-	for _, sh := range shards {
-		if err := sh.CreateEntry(p, false, stripes, unit, set); err != nil {
-			return err
-		}
-	}
-	return r.owner(parent).AddChild(parent, name)
+	return s.createLinked(clean(p), false, stripes, unit, set)
 }
 
-// Write appends data to the file (the client library tracks offsets; the
-// store is append-structured, as the paper's future-work section notes
-// for log-structured designs). Data is striped across the stripe set in
-// stripe-unit chunks.
-func (r *Router) Write(p string, data []byte) (int, error) {
-	set := r.stripeSet(p)
-	if len(set) == 0 {
-		return 0, ErrNotExist
-	}
-	written := 0
-	// Determine the next stripe from the current total size.
-	total := int64(0)
-	for _, sh := range set {
-		fi, err := sh.Stat(p)
-		if err != nil {
-			return 0, err
-		}
-		total += fi.Size
-	}
-	for written < len(data) {
-		idx := int(total/r.stripe) % len(set)
-		chunk := int(r.stripe - total%r.stripe)
-		if chunk > len(data)-written {
-			chunk = len(data) - written
-		}
-		if _, err := set[idx].Append(p, data[written:written+chunk]); err != nil {
-			return written, err
-		}
-		written += chunk
-		total += int64(chunk)
-	}
-	return written, nil
-}
-
-// ReadAt reads from the striped file at a global offset.
-func (r *Router) ReadAt(p string, off int64, buf []byte) (int, error) {
-	if off < 0 {
-		return 0, ErrBadOffset
-	}
-	set := r.stripeSet(p)
-	if len(set) == 0 {
-		return 0, ErrNotExist
-	}
-	total := 0
-	for total < len(buf) {
-		idx := int(off/r.stripe) % len(set)
-		localOff := off/r.stripe/int64(len(set))*r.stripe + off%r.stripe
-		chunk := int(r.stripe - off%r.stripe)
-		if chunk > len(buf)-total {
-			chunk = len(buf) - total
-		}
-		n, err := set[idx].ReadAt(p, localOff, buf[total:total+chunk])
-		total += n
-		if err != nil {
-			return total, err
-		}
-		if n < chunk {
-			break // EOF on this stripe
-		}
-		off += int64(n)
-	}
-	return total, nil
-}
-
-// Stat aggregates stripe sizes for files; directories stat the owner.
-func (r *Router) Stat(p string) (FileInfo, error) {
-	p = clean(p)
-	fi, err := r.owner(p).Stat(p)
-	if err != nil || fi.IsDir {
-		return fi, err
-	}
-	total := int64(0)
-	for _, sh := range r.stripeSet(p) {
-		sfi, err := sh.Stat(p)
-		if err != nil {
-			return fi, err
-		}
-		total += sfi.Size
-	}
-	fi.Size = total
-	return fi, nil
-}
-
-// Readdir lists a directory.
-func (r *Router) Readdir(p string) ([]string, error) {
-	return r.owner(p).Readdir(p)
-}
-
-// Rename moves a file to a new path. Data does not move: the namespace
-// entries (and each stripe's extent index) are re-registered under the
-// destination path on the destination's shard set. Directories cannot be
-// renamed (their children reference paths on many shards); this matches
-// the burst-buffer usage pattern where renames finalize checkpoints.
-func (r *Router) Rename(oldPath, newPath string) error {
-	oldPath, newPath = clean(oldPath), clean(newPath)
-	fi, err := r.Stat(oldPath)
-	if err != nil {
+// createLinked is parent check + entry + child link.
+func (s *Shard) createLinked(p string, dir bool, stripes int, unit int64, set []string) error {
+	parent, name := path.Split(p)
+	parent = clean(parent)
+	if fi, err := s.Stat(parent); err != nil {
 		return err
-	}
-	if fi.IsDir {
-		return ErrIsDir
-	}
-	if r.owner(newPath).Exists(newPath) {
-		return ErrExist
-	}
-	newParent, _ := path.Split(newPath)
-	if pfi, err := r.Stat(clean(newParent)); err != nil || !pfi.IsDir {
-		if err != nil {
-			return err
-		}
+	} else if !fi.IsDir {
 		return ErrNotDir
 	}
-	// Read the whole file, create the destination, copy, remove source.
-	// (A production implementation would splice extent indexes; copying
-	// keeps the invariant that stripe placement always follows the hash
-	// of the current path, which reads depend on.)
-	buf := make([]byte, fi.Size)
-	if fi.Size > 0 {
-		if _, err := r.ReadAt(oldPath, 0, buf); err != nil {
-			return err
-		}
-	}
-	if err := r.Create(newPath); err != nil {
+	if err := s.CreateEntry(p, dir, stripes, unit, set); err != nil {
 		return err
 	}
-	if fi.Size > 0 {
-		if _, err := r.Write(newPath, buf); err != nil {
-			return err
-		}
-	}
-	return r.Unlink(oldPath)
+	return s.AddChild(parent, name)
 }
 
-// Unlink removes a file (all stripes) or empty directory.
-func (r *Router) Unlink(p string) error {
-	p = clean(p)
-	if p == "/" {
+// Unlink removes a file's local stripe or an empty directory, and its
+// link in the parent. A path whose stripe migrated away answers
+// ErrStaleLayout, not ErrNotExist.
+func (s *Shard) Unlink(p string) error {
+	if p = clean(p); p == "/" {
 		return ErrNotEmpty
 	}
-	fi, err := r.Stat(p)
-	if err != nil {
+	if _, err := s.Stat(p); err != nil {
 		return err
 	}
-	if fi.IsDir {
-		if err := r.owner(p).RemoveEntry(p); err != nil {
-			return err
-		}
-	} else {
-		for _, sh := range r.stripeSet(p) {
-			if err := sh.RemoveEntry(p); err != nil {
-				return err
-			}
-		}
+	if err := s.RemoveEntry(p); err != nil {
+		return err
 	}
 	parent, name := path.Split(p)
-	return r.owner(clean(parent)).RemoveChild(clean(parent), name)
+	return s.RemoveChild(clean(parent), name)
 }

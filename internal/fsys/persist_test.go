@@ -12,19 +12,18 @@ import (
 
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	sh := NewShard("bb0", 8<<20)
-	r := NewRouter([]*Shard{sh}, 1, 1<<16)
-	if err := r.Mkdir("/ckpt"); err != nil {
+	if err := sh.Mkdir("/ckpt"); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(9))
 	files := map[string][]byte{}
 	for _, name := range []string{"/ckpt/a", "/ckpt/b", "/top"} {
-		if err := r.Create(name); err != nil {
+		if err := create(sh, name); err != nil {
 			t.Fatal(err)
 		}
 		data := make([]byte, rng.Intn(200000)+1)
 		rng.Read(data)
-		if _, err := r.Write(name, data); err != nil {
+		if _, err := sh.Append(name, data); err != nil {
 			t.Fatal(err)
 		}
 		files[name] = data
@@ -41,10 +40,9 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if restored.Name() != "bb0" {
 		t.Fatalf("restored name = %q", restored.Name())
 	}
-	r2 := NewRouter([]*Shard{restored}, 1, 1<<16)
 	for name, want := range files {
 		got := make([]byte, len(want))
-		n, err := r2.ReadAt(name, 0, got)
+		n, err := restored.ReadAt(name, 0, got)
 		if err != nil || n != len(want) {
 			t.Fatalf("restored read %s: n=%d err=%v", name, n, err)
 		}
@@ -52,15 +50,15 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 			t.Fatalf("restored contents of %s differ", name)
 		}
 	}
-	names, err := r2.Readdir("/ckpt")
+	names, err := restored.Readdir("/ckpt")
 	if err != nil || len(names) != 2 {
 		t.Fatalf("restored readdir: %v %v", names, err)
 	}
 	// The restored shard keeps working: new writes land fine.
-	if err := r2.Create("/after-restore"); err != nil {
+	if err := create(restored, "/after-restore"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r2.Write("/after-restore", []byte("new data")); err != nil {
+	if _, err := restored.Append("/after-restore", []byte("new data")); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -90,12 +88,11 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 // snapshot must tolerate indexes growing under it.)
 func TestSnapshotUnderConcurrentWriters(t *testing.T) {
 	sh := NewShard("bb0", 64<<20)
-	r := NewRouter([]*Shard{sh}, 1, 1<<16)
 	const writers = 4
 	paths := make([]string, writers)
 	for i := range paths {
 		paths[i] = fmt.Sprintf("/w%d", i)
-		if err := r.Create(paths[i]); err != nil {
+		if err := create(sh, paths[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -119,7 +116,7 @@ func TestSnapshotUnderConcurrentWriters(t *testing.T) {
 				for b := range block {
 					block[b] = pat(i, off+int64(b))
 				}
-				if _, err := r.Write(paths[i], block); err != nil {
+				if _, err := sh.Append(paths[i], block); err != nil {
 					return // device full: writer retires
 				}
 				off += int64(len(block))
@@ -215,7 +212,6 @@ func TestSnapshotV1Compatibility(t *testing.T) {
 func TestSnapshotRestoreProperty(t *testing.T) {
 	f := func(contents [][]byte) bool {
 		sh := NewShard("p", 16<<20)
-		r := NewRouter([]*Shard{sh}, 1, 4096)
 		total := 0
 		for i, data := range contents {
 			if i >= 8 {
@@ -226,11 +222,11 @@ func TestSnapshotRestoreProperty(t *testing.T) {
 				break
 			}
 			name := "/f" + string(rune('a'+i))
-			if r.Create(name) != nil {
+			if create(sh, name) != nil {
 				return false
 			}
 			if len(data) > 0 {
-				if _, err := r.Write(name, data); err != nil {
+				if _, err := sh.Append(name, data); err != nil {
 					return false
 				}
 			}
@@ -243,22 +239,21 @@ func TestSnapshotRestoreProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		r2 := NewRouter([]*Shard{restored}, 1, 4096)
 		for i, data := range contents {
 			if i >= 8 {
 				break
 			}
 			name := "/f" + string(rune('a'+i))
-			fi, err := r2.Stat(name)
+			fi, err := restored.Stat(name)
 			if err != nil {
 				// Only acceptable if the original also lacks it (size cap).
-				if _, err0 := r.Stat(name); err0 != nil {
+				if _, err0 := sh.Stat(name); err0 != nil {
 					continue
 				}
 				return false
 			}
 			got := make([]byte, fi.Size)
-			if _, err := r2.ReadAt(name, 0, got); err != nil && fi.Size > 0 {
+			if _, err := restored.ReadAt(name, 0, got); err != nil && fi.Size > 0 {
 				return false
 			}
 			if !bytes.Equal(got, data[:fi.Size]) {

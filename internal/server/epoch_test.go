@@ -37,7 +37,7 @@ func startServersCompiles(t *testing.T, n int, pol policy.Policy) ([]*Server, []
 		servers[i] = New(lns[i], Config{
 			Policy: pol,
 			Lambda: 50 * time.Millisecond,
-			Peers:  peers,
+			Join:   peers,
 			Seed:   int64(i + 1),
 			Quiet:  true,
 		})
@@ -64,14 +64,14 @@ func TestCompileCountScalesWithJobSetChanges(t *testing.T) {
 	}
 	defer c.Close()
 
-	fd, err := c.OpenFd("/epoch.bin", true)
+	f, err := c.Open("/epoch.bin", true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const requests = 400
 	buf := make([]byte, 256)
 	for i := 0; i < requests; i++ {
-		if _, err := c.Write(fd, buf); err != nil {
+		if _, err := f.Write(buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -102,7 +102,7 @@ func TestCompileCountScalesWithJobSetChanges(t *testing.T) {
 	// volume.
 	before := compiles
 	for i := 0; i < requests; i++ {
-		if _, err := c.Write(fd, buf); err != nil {
+		if _, err := f.Write(buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -148,7 +148,7 @@ func TestFloodFromFewConnsDrainsManyWorkers(t *testing.T) {
 				errs <- err
 				return
 			}
-			conn := transport.NewBinaryConn(raw)
+			conn := transport.NewConn(raw)
 			defer conn.Close()
 			job := jobInfo(fmt.Sprintf("flood-%d", ci), 1)
 			// Pipeline the whole flood before reading any response: the

@@ -835,7 +835,7 @@ func (m *Migrator) call(addr string, req *transport.Request) (*transport.Respons
 	if err != nil {
 		return nil, err
 	}
-	c = transport.NewBinaryConn(raw)
+	c = transport.NewConn(raw)
 	m.mu.Lock()
 	if m.closed.Load() {
 		m.mu.Unlock()

@@ -65,10 +65,6 @@ type Config struct {
 	// regime — the only regime where fairness matters — would be
 	// unreachable in tests). Zero disables it.
 	OpDelay time.Duration
-	// Peers are the addresses of other servers. Historically this drove
-	// the all-to-all MsgSync fan-out; it now seeds the gossip fabric
-	// (equivalent to Join) so existing deployments keep working.
-	Peers []string
 	// Join lists existing cluster members to join through; the join is
 	// retried each λ until one seed answers, so start order is free.
 	Join []string
@@ -113,7 +109,6 @@ type Server struct {
 	table   *jobtable.Table
 	node    *cluster.Node
 	shard   *fsys.Shard
-	router  *fsys.Router
 	drain   *backing.Drainer
 	migr    *Migrator
 	bootErr error
@@ -203,13 +198,12 @@ func New(ln net.Listener, cfg Config) *Server {
 			FailTimeout: cfg.FailTimeout,
 			Seed:        cfg.Seed,
 		}, table),
-		shard:  shard,
-		router: fsys.NewRouter([]*fsys.Shard{shard}, 1, 0),
-		start:  time.Now(),
-		ln:     ln,
-		wake:   make(chan struct{}, wakeBuffer),
-		conns:  map[*transport.Conn]struct{}{},
-		gone:   map[string]int{},
+		shard: shard,
+		start: time.Now(),
+		ln:    ln,
+		wake:  make(chan struct{}, wakeBuffer),
+		conns: map[*transport.Conn]struct{}{},
+		gone:  map[string]int{},
 	}
 	s.applied.Store(&appliedPolicy{str: cfg.Policy.String()})
 	s.ledger = metrics.NewShareLedger(0)
@@ -360,12 +354,12 @@ func (s *Server) Leave() {
 // handleConn is the communicator: it decodes requests, feeds the job
 // monitor, and enqueues scheduler work tagged with the reply path.
 //
-// The data path performs no policy work: heartbeats, legacy syncs and
-// gossip only update the job table / fabric state, and the controller —
-// the sole owner of recompilation — republishes the scheduler's epoch
-// when the table's generation moves (at most once per λ). Before this
-// refactor every message here called sched.SetJobs, recompiling the
-// token assignment per request.
+// The data path performs no policy work: heartbeats and gossip only
+// update the job table / fabric state, and the controller — the sole
+// owner of recompilation — republishes the scheduler's epoch when the
+// table's generation moves (at most once per λ). A stream that does not
+// open with the codec magic fails its first RecvRequest, so the
+// connection is closed before anything is decoded.
 func (s *Server) handleConn(c *transport.Conn) {
 	defer s.wg.Done()
 	defer c.Close()
@@ -392,12 +386,6 @@ func (s *Server) handleConn(c *transport.Conn) {
 			return
 		case transport.MsgHeartbeat:
 			s.table.Heartbeat(req.Job, s.now())
-			req.Release()
-			continue
-		case transport.MsgSync:
-			// Legacy peer table merge (the receive side of the static
-			// all-gather); kept so mixed-version peers still sync.
-			s.table.Merge(req.Table, s.now())
 			req.Release()
 			continue
 		case transport.MsgGossip, transport.MsgJoin, transport.MsgLeave,
@@ -507,10 +495,7 @@ type pending struct {
 }
 
 // sendResponse stamps this server's capability set on every outgoing
-// response and sends it. Clients gate pipelined positional appends on
-// having actually observed CapAppendAt from the addressed peer, so an
-// old client (which ignores the trailing Caps field) and an old server
-// (which never sends one) both degrade to the one-RPC-per-span path.
+// response and sends it.
 func (s *Server) sendResponse(c *transport.Conn, resp *transport.Response) error {
 	resp.Caps = transport.CapAppendAt
 	return c.SendResponse(resp)
@@ -621,12 +606,12 @@ func (s *Server) execute(req *transport.Request) *transport.Response {
 	case transport.MsgMigrate:
 		return s.executeMigrate(req, resp, fail)
 	case transport.MsgCreate:
-		if err := s.router.CreateStriped(req.Path, req.Stripes, req.StripeUnit, req.StripeSet); err != nil {
+		if err := s.shard.CreateStriped(req.Path, req.Stripes, req.StripeUnit, req.StripeSet); err != nil {
 			// Open-or-create (POSIX O_CREAT without O_EXCL): an existing
 			// file is not an error. This also makes striped creates
 			// retry-safe — a create that reached only part of the stripe
 			// set before a server failed can simply be reissued.
-			if fi, serr := s.router.Stat(req.Path); serr != nil || fi.IsDir {
+			if fi, serr := s.shard.Stat(req.Path); serr != nil || fi.IsDir {
 				return fail(err)
 			}
 		}
@@ -642,15 +627,13 @@ func (s *Server) execute(req *transport.Request) *transport.Response {
 			}
 		}
 	case transport.MsgOpen:
-		if _, err := s.router.Stat(req.Path); err != nil {
+		if _, err := s.shard.Stat(req.Path); err != nil {
 			return fail(err)
 		}
 	// The data ops run against the shard directly with the client's
 	// layout generation checked inside the same critical section that
 	// resolves the entry — a separate check could pass against the old
 	// entry and then operate on the one a migration commit swapped in.
-	// The live server's router wraps exactly this one shard, so the
-	// shard ops are the router ops.
 	case transport.MsgWrite:
 		if req.AppendAt {
 			// Pipelined positional append: the worker pool may execute a
@@ -687,17 +670,17 @@ func (s *Server) execute(req *transport.Request) *transport.Response {
 		resp.StripeSet = fi.StripeSet
 		resp.LayoutGen = fi.LayoutGen
 	case transport.MsgMkdir:
-		if err := s.router.Mkdir(req.Path); err != nil {
+		if err := s.shard.Mkdir(req.Path); err != nil {
 			return fail(err)
 		}
 	case transport.MsgReaddir:
-		names, err := s.router.Readdir(req.Path)
+		names, err := s.shard.Readdir(req.Path)
 		if err != nil {
 			return fail(err)
 		}
 		resp.Names = names
 	case transport.MsgUnlink:
-		if err := s.router.Unlink(req.Path); err != nil {
+		if err := s.shard.Unlink(req.Path); err != nil {
 			return fail(err)
 		}
 	}
@@ -749,8 +732,8 @@ func (s *Server) executeMigrate(req *transport.Request, resp *transport.Response
 // controller owns policy recompilation — the paper's controller role:
 // every λ it expires stale heartbeats, runs the gossip round (join
 // retried until a seed answers, so start order is free; then an epidemic
-// push-pull exchange with k random peers in place of the old all-to-all
-// MsgSync fan-out), refreshes the job table's published snapshot, and —
+// push-pull exchange with k random peers), refreshes the job table's
+// published snapshot, and —
 // only if the snapshot generation moved — compiles the policy into a new
 // scheduler epoch. Steady-state traffic therefore compiles nothing:
 // recompilation is O(job-set changes), not O(requests).
@@ -760,8 +743,7 @@ func (s *Server) controller() {
 	defer s.migr.Close()
 	tick := time.NewTicker(s.cfg.Lambda)
 	defer tick.Stop()
-	seeds := append(append([]string{}, s.cfg.Join...), s.cfg.Peers...)
-	joined := len(seeds) == 0
+	joined := len(s.cfg.Join) == 0
 	var lastGen uint64
 	for !s.closed.Load() {
 		<-tick.C
@@ -770,7 +752,7 @@ func (s *Server) controller() {
 		}
 		s.table.Expire(s.now(), 0)
 		if !joined {
-			if err := s.node.Join(seeds, s.now()); err == nil {
+			if err := s.node.Join(s.cfg.Join, s.now()); err == nil {
 				joined = true
 			} else {
 				s.log.Info("join pending", "err", err)

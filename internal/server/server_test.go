@@ -2,7 +2,10 @@ package server
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
+	"io/fs"
 	"math/rand"
 	"net"
 	"sync"
@@ -42,7 +45,7 @@ func startServersDelay(t *testing.T, n int, pol policy.Policy, opDelay time.Dura
 		servers[i] = New(lns[i], Config{
 			Policy:  pol,
 			Lambda:  50 * time.Millisecond,
-			Peers:   peers,
+			Join:    peers,
 			Seed:    int64(i + 1),
 			OpDelay: opDelay,
 			Quiet:   true,
@@ -72,19 +75,19 @@ func TestLiveRoundTripSingleServer(t *testing.T) {
 	if err := c.Mkdir("/data"); err != nil {
 		t.Fatal(err)
 	}
-	fd, err := c.OpenFd("/data/hello.bin", true)
+	f, err := c.Open("/data/hello.bin", true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	msg := []byte("through the statistical token scheduler")
-	if n, err := c.Write(fd, msg); err != nil || n != len(msg) {
+	if n, err := f.Write(msg); err != nil || n != len(msg) {
 		t.Fatalf("write: n=%d err=%v", n, err)
 	}
-	if _, err := c.Lseek(fd, 0, 0); err != nil {
+	if _, err := f.Seek(0, 0); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, len(msg))
-	if n, err := c.Read(fd, got); err != nil || n != len(msg) {
+	if n, err := f.Read(got); err != nil || n != len(msg) {
 		t.Fatalf("read: n=%d err=%v", n, err)
 	}
 	if !bytes.Equal(got, msg) {
@@ -98,7 +101,7 @@ func TestLiveRoundTripSingleServer(t *testing.T) {
 	if err != nil || len(names) != 1 || names[0] != "hello.bin" {
 		t.Fatalf("readdir: %v %v", names, err)
 	}
-	if err := c.CloseFd(fd); err != nil {
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Unlink("/data/hello.bin"); err != nil {
@@ -125,17 +128,17 @@ func TestLiveMultiServerPlacementAndSync(t *testing.T) {
 	contents := map[string][]byte{}
 	for i := 0; i < 24; i++ {
 		p := fmt.Sprintf("/spread/file-%02d", i)
-		fd, err := c.OpenFd(p, true)
+		f, err := c.Open(p, true)
 		if err != nil {
 			t.Fatalf("create %s: %v", p, err)
 		}
 		data := make([]byte, rng.Intn(60000)+1)
 		rng.Read(data)
-		if _, err := c.Write(fd, data); err != nil {
+		if _, err := f.Write(data); err != nil {
 			t.Fatalf("write %s: %v", p, err)
 		}
 		contents[p] = data
-		c.CloseFd(fd)
+		f.Close()
 	}
 	// All files visible in one merged directory listing.
 	names, err := c.Readdir("/spread")
@@ -144,18 +147,18 @@ func TestLiveMultiServerPlacementAndSync(t *testing.T) {
 	}
 	// Data round-trips regardless of which server owns the file.
 	for p, want := range contents {
-		fd, err := c.OpenFd(p, false)
+		f, err := c.Open(p, false)
 		if err != nil {
 			t.Fatalf("open %s: %v", p, err)
 		}
 		got := make([]byte, len(want))
-		if n, err := c.Read(fd, got); err != nil || n != len(want) {
+		if n, err := f.Read(got); err != nil || n != len(want) {
 			t.Fatalf("read %s: n=%d err=%v", p, n, err)
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("corrupt data in %s", p)
 		}
-		c.CloseFd(fd)
+		f.Close()
 	}
 }
 
@@ -187,7 +190,7 @@ func TestLiveSizeFairService(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				p := fmt.Sprintf("/%s-%d", job.JobID, w)
-				fd, err := c.OpenFd(p, true)
+				f, err := c.Open(p, true)
 				if err != nil {
 					return
 				}
@@ -198,7 +201,7 @@ func TestLiveSizeFairService(t *testing.T) {
 						return
 					default:
 					}
-					if _, err := c.Write(fd, buf); err != nil {
+					if _, err := f.Write(buf); err != nil {
 						return
 					}
 					mu.Lock()
@@ -233,7 +236,9 @@ func TestLiveSizeFairService(t *testing.T) {
 	}
 }
 
-func TestLiveBadFd(t *testing.T) {
+// Any File method after Close returns fs.ErrClosed, and opening a
+// missing path without create fails.
+func TestLiveClosedFile(t *testing.T) {
 	addrs, stop := startServers(t, 1, policy.SizeFair)
 	defer stop()
 	c, err := client.Dial(jobInfo("j", 1), addrs)
@@ -241,16 +246,22 @@ func TestLiveBadFd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Read(99, make([]byte, 1)); err == nil {
-		t.Fatal("read on bad fd should fail")
+	if _, err := c.Open("/missing", false); !errors.Is(err, client.ErrNotExist) {
+		t.Fatalf("open of missing file: %v", err)
 	}
-	if err := c.CloseFd(99); err == nil {
-		t.Fatal("close on bad fd should fail")
+	f, err := c.Open("/f", true)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := c.OpenFd("/missing", false); err == nil {
-		t.Fatal("open of missing file should fail")
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := c.Lseek(42, 0, 0); err == nil {
-		t.Fatal("lseek on bad fd should fail")
+	_, rerr := f.Read(make([]byte, 1))
+	_, werr := f.Write([]byte("x"))
+	_, serr := f.Seek(0, io.SeekStart)
+	for op, err := range map[string]error{"read": rerr, "write": werr, "seek": serr, "close": f.Close()} {
+		if !errors.Is(err, fs.ErrClosed) {
+			t.Errorf("%s after Close: %v, want fs.ErrClosed", op, err)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"bytes"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -49,11 +50,11 @@ func TestStageOutRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := bytes.Repeat([]byte{0xAB, 0xCD, 0xEF, 0x01}, 200_000) // 800 KB
-	fd, err := c.OpenFd("/run1/ckpt.bin", true)
+	f, err := c.Open("/run1/ckpt.bin", true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, err := c.Write(fd, want); err != nil || n != len(want) {
+	if n, err := f.Write(want); err != nil || n != len(want) {
 		t.Fatalf("write: n=%d err=%v", n, err)
 	}
 	// Durability barrier, then crash without a goodbye.
@@ -75,24 +76,13 @@ func TestStageOutRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	fd2, err := c2.OpenFd("/run1/ckpt.bin", false)
+	f2, err := c2.Open("/run1/ckpt.bin", false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, len(want))
-	total := 0
-	for total < len(got) {
-		n, err := c2.Read(fd2, got[total:])
-		if err != nil {
-			t.Fatalf("read after restart: %v", err)
-		}
-		if n == 0 {
-			break
-		}
-		total += n
-	}
-	if total != len(want) || !bytes.Equal(got, want) {
-		t.Fatalf("restart read: %d/%d bytes, identical=%v", total, len(want), bytes.Equal(got, want))
+	if total, err := io.ReadFull(f2, got); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("restart read: %d/%d bytes, err=%v, identical=%v", total, len(want), err, bytes.Equal(got, want))
 	}
 	if names, err := c2.Readdir("/run1"); err != nil || len(names) != 1 || names[0] != "ckpt.bin" {
 		t.Fatalf("restart readdir: %v %v", names, err)
@@ -122,11 +112,11 @@ func TestStageOutUnlinkRecreate(t *testing.T) {
 		t.Fatal(err)
 	}
 	old := bytes.Repeat([]byte("OLD!"), 100_000)
-	fd, err := c.OpenFd("/gen.bin", true)
+	f, err := c.Open("/gen.bin", true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Write(fd, old); err != nil {
+	if _, err := f.Write(old); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Flush(); err != nil {
@@ -137,11 +127,11 @@ func TestStageOutUnlinkRecreate(t *testing.T) {
 	}
 	// Recreate immediately — the unlink's tombstone has not drained yet.
 	want := bytes.Repeat([]byte("new"), 50_000) // shorter than old, too
-	fd2, err := c.OpenFd("/gen.bin", true)
+	f2, err := c.Open("/gen.bin", true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Write(fd2, want); err != nil {
+	if _, err := f2.Write(want); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Flush(); err != nil {
@@ -165,21 +155,13 @@ func TestStageOutUnlinkRecreate(t *testing.T) {
 	if err != nil || size != int64(len(want)) {
 		t.Fatalf("restart stat: size=%d err=%v, want %d (old tombstone ate the new file, or stale tail)", size, err, len(want))
 	}
-	fd3, err := c2.OpenFd("/gen.bin", false)
+	f3, err := c2.Open("/gen.bin", false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, len(want))
-	total := 0
-	for total < len(got) {
-		n, err := c2.Read(fd3, got[total:])
-		if err != nil || n == 0 {
-			break
-		}
-		total += n
-	}
-	if total != len(want) || !bytes.Equal(got, want) {
-		t.Fatalf("restart read: %d/%d bytes, identical=%v", total, len(want), bytes.Equal(got[:total], want[:total]))
+	if total, err := io.ReadFull(f3, got); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("restart read: %d/%d bytes, err=%v, identical=%v", total, len(want), err, bytes.Equal(got[:total], want[:total]))
 	}
 }
 
@@ -203,12 +185,12 @@ func TestBackgroundDrainNoFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	fd, err := c.OpenFd("/lazy.bin", true)
+	f, err := c.Open("/lazy.bin", true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	data := bytes.Repeat([]byte("drip"), 50_000)
-	if _, err := c.Write(fd, data); err != nil {
+	if _, err := f.Write(data); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)

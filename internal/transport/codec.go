@@ -1,11 +1,11 @@
-// Binary codec: hand-rolled length-prefixed framing for the hot data
-// messages. A frame is a little-endian uint32 payload length followed by
+// Binary codec: hand-rolled length-prefixed framing for every message,
+// data and control alike. A frame is a little-endian uint32 payload length followed by
 // the payload; fields are written in a fixed order as uvarints, zigzag
-// varints, and length-prefixed byte strings. The rare control-plane
-// fields (the job-table snapshot carried by gossip/sync frames) ride as
-// an embedded gob blob behind a presence flag, so the binary framing
-// stays full-fidelity without reimplementing gob's reflective encoding
-// for structures that never appear on the data path.
+// varints, and length-prefixed byte strings. Repeated control-plane
+// fields (membership, the gossiped job table, share reports) are a count
+// followed by the entries field by field; a decoder refuses any count
+// larger than the bytes left in the frame, so what it allocates is
+// bounded by what it received.
 //
 // Encode scratch space comes from a sync.Pool and payloads at or above
 // sgMinPayload ride as their own iovecs (writev), so a steady-state
@@ -16,14 +16,14 @@
 package transport
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"themisio/internal/jobtable"
 )
@@ -179,6 +179,15 @@ func (c *Conn) writeBinFrame(data []byte, segs [][]byte,
 // frame and whose Release returns it (see Lease/Release).
 func (c *Conn) readFrameLeased() ([]byte, error) {
 	var hdr [4]byte
+	if !c.magicSeen {
+		if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
+			return nil, err
+		}
+		if hdr != binMagic {
+			return nil, errBadMagic
+		}
+		c.magicSeen = true
+	}
 	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
 		return nil, err
 	}
@@ -229,20 +238,32 @@ func appendBool(b []byte, v bool) []byte {
 	return append(b, 0)
 }
 
-// appendTable embeds a job-table snapshot as a flagged gob blob (gossip
-// and sync frames only — never data messages).
+// appendTable writes a job-table snapshot (gossip frames only — never
+// data messages, where the empty table is the single byte 0). Each
+// entry's server set goes out sorted, so equal tables encode equally.
 func appendTable(b []byte, t []jobtable.Entry) []byte {
-	if len(t) == 0 {
-		return append(b, 0)
+	b = binary.AppendUvarint(b, uint64(len(t)))
+	var servers []string
+	for i := range t {
+		e := &t[i]
+		b = appendString(b, e.Info.JobID)
+		b = appendString(b, e.Info.UserID)
+		b = appendString(b, e.Info.GroupID)
+		b = appendSvarint(b, int64(e.Info.Nodes))
+		b = appendSvarint(b, int64(e.Info.Priority))
+		b = appendSvarint(b, int64(e.Info.Presence))
+		b = appendSvarint(b, int64(e.Last))
+		b = appendSvarint(b, e.Demand)
+		servers = servers[:0]
+		for s, on := range e.Servers {
+			if on {
+				servers = append(servers, s)
+			}
+		}
+		slices.Sort(servers)
+		b = appendStrings(b, servers)
 	}
-	b = append(b, 1)
-	var blob bytes.Buffer
-	if err := gob.NewEncoder(&blob).Encode(t); err != nil {
-		// Entries are plain data; encoding them cannot fail. Emit an
-		// empty blob rather than a torn frame if it somehow does.
-		return appendBytes(b[:len(b)-1], nil)
-	}
-	return appendBytes(b, blob.Bytes())
+	return b
 }
 
 // appendF64 writes a float64 as 8 fixed little-endian bytes (shares are
@@ -377,21 +398,34 @@ func (d *reader) strs() []string {
 }
 
 func (d *reader) table() []jobtable.Entry {
-	if !d.bool() {
+	n := d.uvarint()
+	if n == 0 {
 		return nil
 	}
-	blob := d.raw(d.uvarint())
-	if len(blob) == 0 {
+	if n > uint64(len(d.b)) { // each entry takes ≥1 byte
+		d.fail()
 		return nil
 	}
-	var t []jobtable.Entry
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&t); err != nil {
-		if d.err == nil {
-			d.err = err
+	out := make([]jobtable.Entry, 0, n)
+	for i := uint64(0); i < n; i++ {
+		var e jobtable.Entry
+		e.Info.JobID = d.str()
+		e.Info.UserID = d.str()
+		e.Info.GroupID = d.str()
+		e.Info.Nodes = int(d.svarint())
+		e.Info.Priority = int(d.svarint())
+		e.Info.Presence = int(d.svarint())
+		e.Last = time.Duration(d.svarint())
+		e.Demand = d.svarint()
+		if servers := d.strs(); len(servers) > 0 {
+			e.Servers = make(map[string]bool, len(servers))
+			for _, s := range servers {
+				e.Servers[s] = true
+			}
 		}
-		return nil
+		out = append(out, e)
 	}
-	return t
+	return out
 }
 
 func (d *reader) f64() float64 {
@@ -465,11 +499,8 @@ func AppendResponseFrame(b []byte, r *Response) []byte { return appendResponse(b
 func DecodeResponseFrame(b []byte, r *Response) error { return decodeResponse(b, r) }
 
 // Flags of the optional trailing group of a request frame. The group is
-// omitted entirely when every flagged field is zero, so such a frame is
-// byte-identical to what older encoders produced; older decoders never
-// look past the last fixed field and skip the group unparsed. Flagged
-// field groups are encoded in flag-bit order, so a decoder that knows a
-// prefix of the flags still parses everything it understands.
+// omitted entirely when every flagged field is zero; flagged field
+// groups are encoded in flag-bit order.
 const (
 	// reqFlagAppendAt: an offset-checked append position
 	// (AppendAt/AppendOff).
@@ -498,7 +529,7 @@ func appendRequestHead(b []byte, r *Request, dataLen int) []byte {
 }
 
 // appendRequestTail appends the fields after the Data bytes, plus the
-// optional trailing group (omitted when all-zero — wire compatibility).
+// optional trailing group (omitted when all-zero).
 func appendRequestTail(b []byte, r *Request) []byte {
 	b = appendSvarint(b, int64(r.Stripes))
 	b = appendSvarint(b, r.StripeUnit)
@@ -568,8 +599,7 @@ func decodeRequest(b []byte, r *Request) error {
 	r.Table = d.table()
 	r.PolicyStr = d.str()
 	r.PolicyEpoch = d.uvarint()
-	// Optional trailing group: present only when a newer sender had
-	// something to say (an older sender's frame ends exactly here).
+	// Optional trailing group: present only when a flagged field is set.
 	if d.err == nil && len(d.b) > 0 {
 		flags := d.uvarint()
 		if flags&reqFlagAppendAt != 0 {
@@ -595,7 +625,7 @@ func appendResponseHead(b []byte, r *Response, dataLen int) []byte {
 }
 
 // appendResponseTail appends the fields after the Data bytes, plus the
-// trailing capability word (omitted when zero — wire compatibility).
+// trailing capability word (omitted when zero).
 func appendResponseTail(b []byte, r *Response) []byte {
 	b = appendSvarint(b, r.Size)
 	b = appendBool(b, r.IsDir)
@@ -643,7 +673,7 @@ func decodeResponse(b []byte, r *Response) error {
 	r.PolicyStr = d.str()
 	r.PolicyEpoch = d.uvarint()
 	r.Shares = d.shares()
-	// Optional trailing capability word (absent from older senders).
+	// Optional trailing capability word.
 	if d.err == nil && len(d.b) > 0 {
 		r.Caps = d.uvarint()
 	}

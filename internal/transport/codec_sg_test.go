@@ -18,7 +18,7 @@ func (sinkConn) SetWriteDeadline(time.Time) error { return nil }
 // both directions, both payload sizes (folded flat and vectored).
 func TestLeasedAliasRoundTrip(t *testing.T) {
 	for _, size := range []int{64, sgMinPayload, 1 << 20} {
-		c1, c2 := binaryPair()
+		c1, c2 := pipePair()
 		payload := make([]byte, size)
 		for i := range payload {
 			payload[i] = byte(i * 7)
@@ -34,7 +34,7 @@ func TestLeasedAliasRoundTrip(t *testing.T) {
 			t.Fatalf("size %d: request payload corrupted", size)
 		}
 		if req.frame == nil {
-			t.Fatalf("size %d: binary-decoded request should own a leased frame", size)
+			t.Fatalf("size %d: decoded request should own a leased frame", size)
 		}
 		req.Release()
 		if req.Data != nil {
@@ -90,8 +90,7 @@ func TestReleasePoison(t *testing.T) {
 }
 
 // A segmented payload (DataSegs) is byte-identical on the wire to the
-// same bytes sent flat — on the binary codec (both the folded and the
-// vectored path) and on the legacy gob codec (which flattens).
+// same bytes sent flat, on both the folded and the vectored path.
 func TestSegmentedSendEqualsFlat(t *testing.T) {
 	for _, size := range []int{100, 64 << 10} {
 		payload := make([]byte, size)
@@ -99,39 +98,28 @@ func TestSegmentedSendEqualsFlat(t *testing.T) {
 			payload[i] = byte(i * 13)
 		}
 		segs := [][]byte{payload[:size/3], payload[size/3 : size/2], payload[size/2:]}
-		for _, legacy := range []bool{false, true} {
-			a, b := net.Pipe()
-			var c1 *Conn
-			if legacy {
-				c1 = NewConn(a)
-			} else {
-				c1 = NewBinaryConn(a)
-			}
-			c2 := NewConn(b)
-			req := &Request{Type: MsgWrite, Seq: 9, Path: "/f", DataSegs: segs, LayoutGen: 2}
-			go func() { _ = c1.SendRequest(req) }()
-			got, err := c2.RecvRequest()
-			if err != nil {
-				t.Fatalf("legacy=%v size=%d: %v", legacy, size, err)
-			}
-			if !bytes.Equal(got.Data, payload) || got.DataSegs != nil {
-				t.Fatalf("legacy=%v size=%d: segmented send did not arrive flat and intact", legacy, size)
-			}
-			if req.DataSegs == nil || req.Data != nil {
-				t.Fatal("send must not mutate the caller's request")
-			}
-			got.Release()
-			c1.Close()
-			c2.Close()
+		c1, c2 := pipePair()
+		req := &Request{Type: MsgWrite, Seq: 9, Path: "/f", DataSegs: segs, LayoutGen: 2}
+		go func() { _ = c1.SendRequest(req) }()
+		got, err := c2.RecvRequest()
+		if err != nil {
+			t.Fatalf("size=%d: %v", size, err)
 		}
+		if !bytes.Equal(got.Data, payload) || got.DataSegs != nil {
+			t.Fatalf("size=%d: segmented send did not arrive flat and intact", size)
+		}
+		if req.DataSegs == nil || req.Data != nil {
+			t.Fatal("send must not mutate the caller's request")
+		}
+		got.Release()
+		c1.Close()
+		c2.Close()
 	}
 }
 
-// Wire compatibility across versions: a frame without the new trailing
-// fields is byte-identical to the pre-scatter-gather encoding (the new
-// group is a strict suffix), an old-style frame decodes with the new
-// fields zero, and unknown future trailing bytes are skipped unparsed —
-// the exact properties that let a PR 6 peer interoperate with this one.
+// The optional trailing groups: a frame with none set ends at the last
+// fixed field (the group is a strict suffix), decodes with the flagged
+// fields zero, and unknown trailing bytes are skipped unparsed.
 func TestWireCompatTrailingFields(t *testing.T) {
 	base := sampleRequest()
 	old := appendRequest(nil, base)
@@ -211,7 +199,7 @@ func TestWireCompatTrailingFields(t *testing.T) {
 // iovec, and the iovec list is the connection's reusable field. This is
 // the regression pin for the zero-copy send path.
 func TestEncodeAllocs(t *testing.T) {
-	c := NewBinaryConn(sinkConn{})
+	c := NewConn(sinkConn{})
 	data := make([]byte, 64<<10)
 	req := &Request{Type: MsgWrite, Seq: 1, Path: "/bench/file", Data: data, LayoutGen: 3}
 	for i := 0; i < 8; i++ { // warm the scratch pool and iovec array

@@ -23,10 +23,6 @@
 // healthy slot in the meantime; losing the whole server is the owner's
 // call (the client tears the pool down as it used to tear one
 // connection down).
-//
-// Capabilities are negotiated once per pool: every response on any slot
-// stamps the shared caps word, so a freshly dialed slot N inherits what
-// slot 0 already learned and pipelines immediately.
 package transport
 
 import (
@@ -48,10 +44,6 @@ const SlotCooldown = 3 * time.Second
 // stripe I/O can start requests without waiting.
 type MuxConn struct {
 	conn *Conn
-	// caps is the pool-shared capability word; any response carrying a
-	// non-zero Caps stamps it (heartbeat acks included, so negotiation
-	// usually completes before the first data RPC).
-	caps *atomic.Uint64
 	dead atomic.Bool
 
 	mu   sync.Mutex
@@ -59,8 +51,8 @@ type MuxConn struct {
 	err  error
 }
 
-func newMuxConn(conn *Conn, caps *atomic.Uint64) *MuxConn {
-	mc := &MuxConn{conn: conn, caps: caps, wait: map[uint64]chan *Response{}}
+func newMuxConn(conn *Conn) *MuxConn {
+	mc := &MuxConn{conn: conn, wait: map[uint64]chan *Response{}}
 	go mc.reader()
 	return mc
 }
@@ -78,9 +70,6 @@ func (mc *MuxConn) reader() {
 			mc.wait = map[uint64]chan *Response{}
 			mc.mu.Unlock()
 			return
-		}
-		if resp.Caps != 0 && mc.caps != nil {
-			mc.caps.Store(resp.Caps)
 		}
 		mc.mu.Lock()
 		ch, ok := mc.wait[resp.Seq]
@@ -165,7 +154,7 @@ func (mc *MuxConn) Call(ctx context.Context, req *Request) (*Response, error) {
 
 // Send fires a request without expecting to wait on its response
 // (heartbeats, goodbyes); any response that does come back is consumed
-// by the reader (and still stamps the pool's caps).
+// by the reader.
 func (mc *MuxConn) Send(req *Request) error { return mc.conn.SendRequest(req) }
 
 // Dead reports whether the connection's reader has exited.
@@ -189,7 +178,6 @@ type Pool struct {
 	size int
 	dial func(addr string) (*Conn, error)
 
-	caps   atomic.Uint64
 	slots  []poolSlot
 	closed atomic.Bool
 
@@ -237,10 +225,6 @@ func (p *Pool) Addr() string { return p.addr }
 // Size returns the pool's configured width.
 func (p *Pool) Size() int { return p.size }
 
-// Caps returns the pool-level capability word — the bits any response
-// on any slot has stamped.
-func (p *Pool) Caps() uint64 { return p.caps.Load() }
-
 var errPoolClosed = fmt.Errorf("transport: pool closed")
 
 // ensureSlot returns slot i's live connection, dialing it on first use.
@@ -276,7 +260,7 @@ func (p *Pool) ensureSlot(i int) (*MuxConn, error) {
 		s.badUntil.Store(time.Now().Add(SlotCooldown).UnixNano())
 		return nil, err
 	}
-	mc := newMuxConn(conn, &p.caps)
+	mc := newMuxConn(conn)
 	if p.closed.Load() {
 		// Close ran while we dialed; registering now would leak the
 		// socket past teardown.

@@ -62,7 +62,7 @@ func dialBinary(addr string) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewBinaryConn(raw), nil
+	return NewConn(raw), nil
 }
 
 // TestPoolAffinityStability: the same key always picks the same
@@ -203,32 +203,6 @@ func TestPoolSizeOneEquivalence(t *testing.T) {
 		}
 	}
 	waitAccepted(t, accepted, 1)
-}
-
-// TestPoolCapsShared: a capability learned on one slot's response is
-// visible pool-wide, so a lazily dialed slot pipelines immediately.
-func TestPoolCapsShared(t *testing.T) {
-	addr, _ := startEcho(t)
-	p, err := NewPool(addr, 4, 2, dialBinary)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if p.Caps() != 0 {
-		t.Fatal("caps known before any response")
-	}
-	mc, err := p.SlotFor(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := mc.Call(context.Background(), &Request{Type: MsgHeartbeat, Seq: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Release()
-	if p.Caps()&CapAppendAt == 0 {
-		t.Fatal("slot-0 response did not stamp the pool caps")
-	}
 }
 
 // TestPoolWindowTokens: the write window is a pool-wide budget of

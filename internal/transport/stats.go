@@ -16,8 +16,8 @@ import (
 // accepts.
 //
 // Byte counts are exact stream positions, not payload sizes: the
-// sender side counts what actually went down the socket (framing,
-// codec magic and gob type headers included), and the receiver side
+// sender side counts what actually went down the socket (framing and
+// codec magic included), and the receiver side
 // derives the consumed prefix as raw-bytes-read minus the decoder's
 // read-ahead still buffered.
 type Stats struct {
@@ -105,32 +105,18 @@ func (c *countWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// NewConnStats is NewConn with per-message accounting into st: the
-// accept side of an instrumented server. Passing nil st is NewConn.
+// NewConnStats is NewConn with per-message accounting into st (an
+// instrumented server's accept side, the themisctl network probe's dial
+// side). A nil st disables accounting.
 func NewConnStats(raw net.Conn, st *Stats) *Conn {
 	if st == nil {
-		return NewConn(raw)
+		return &Conn{raw: raw, w: raw, br: bufio.NewReader(raw)}
 	}
 	cr := &countReader{r: raw}
 	cw := &countWriter{w: raw}
 	return &Conn{
 		raw: raw, w: cw, br: bufio.NewReader(cr),
-		cr: cr, cw: cw, stats: st, adopt: true,
-	}
-}
-
-// NewBinaryConnStats is NewBinaryConn with per-message accounting into
-// st: an instrumented dial side (the themisctl network probe). Passing
-// nil st is NewBinaryConn.
-func NewBinaryConnStats(raw net.Conn, st *Stats) *Conn {
-	if st == nil {
-		return NewBinaryConn(raw)
-	}
-	cr := &countReader{r: raw}
-	cw := &countWriter{w: raw}
-	return &Conn{
-		raw: raw, w: cw, br: bufio.NewReader(cr),
-		cr: cr, cw: cw, stats: st, sendBin: true,
+		cr: cr, cw: cw, stats: st,
 	}
 }
 

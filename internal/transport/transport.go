@@ -5,22 +5,11 @@
 // the request level either way, and transport latency constants live in
 // the simulator, not here.
 //
-// Two codecs share the stream format:
-//
-//   - gob (legacy): self-describing, reflective, and what every peer
-//     spoke before the binary codec existed. Server↔server control
-//     traffic (gossip, the legacy MsgSync all-gather) stays on gob.
-//   - binary: a length-prefixed hand-rolled framing for the hot data
-//     messages (read/write/response payloads) with pooled buffers —
-//     near-zero steady-state allocation on the request path.
-//
-// Negotiation is per connection and receiver-driven: a binary sender
-// prefixes its stream with a magic that can never begin a gob stream (a
-// gob message cannot have length zero, so a leading 0x00 byte is
-// unambiguous); every receiver peeks the first bytes and picks the
-// decoder. The accept side of a connection additionally adopts the
-// peer's codec for its replies, so an old gob client keeps talking to a
-// new server entirely in gob.
+// One codec: a length-prefixed hand-rolled binary framing (codec.go)
+// with pooled buffers — near-zero steady-state allocation on the request
+// path. Every stream, in both directions, opens with a four-byte magic;
+// a stream that opens with anything else is refused before a single
+// field is decoded.
 //
 // Every I/O request carries the job metadata (job id, user id, group,
 // node count) that the server's policies evaluate — the paper's key
@@ -29,8 +18,6 @@ package transport
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"net"
@@ -59,7 +46,7 @@ const (
 	MsgUnlink
 	MsgHeartbeat
 	MsgBye
-	MsgSync // server↔server job-table all-gather (legacy static-peer mode)
+	_ // retired static-peer all-gather; the slot stays so later types keep their numbers
 
 	// Cluster-fabric control traffic (internal/cluster).
 	MsgGossip        // push-pull λ exchange: job table + membership digest
@@ -136,7 +123,7 @@ const (
 // String names the message type.
 func (m MsgType) String() string {
 	names := []string{"open", "create", "read", "write", "close", "stat",
-		"mkdir", "readdir", "unlink", "heartbeat", "bye", "sync",
+		"mkdir", "readdir", "unlink", "heartbeat", "bye", "reserved",
 		"gossip", "join", "leave", "cluster-status", "drain", "flush",
 		"migrate", "rebalance-status", "policy-set", "share-report"}
 	if int(m) < len(names) {
@@ -172,7 +159,7 @@ type ShareRecord struct {
 // fairness CI gate bounds its magnitude.
 func (r ShareRecord) Residual() float64 { return r.Measured - r.Compiled }
 
-// Request is a client→server (or server→server, for MsgSync) message.
+// Request is a client→server (or server→server) message.
 type Request struct {
 	Type MsgType
 	Seq  uint64
@@ -187,16 +174,14 @@ type Request struct {
 	// the per-server spans of the caller's buffer here and the binary
 	// sender carries each segment as its own iovec — no concatenation
 	// copy. The wire form is identical to Data (one contiguous payload
-	// field); DataSegs never appears on the receive side. The gob
-	// fallback flattens it before encoding.
+	// field); DataSegs never appears on the receive side.
 	DataSegs [][]byte
 
 	// AppendAt marks a write as offset-checked: the server appends only
 	// if the local stripe length equals AppendOff, parking early
 	// arrivals and discarding duplicates — what keeps pipelined chunk
 	// streams in order per stripe under the server's unordered worker
-	// pool. Rides the optional trailing frame group (older peers ignore
-	// it); clients set it only after the peer advertised CapAppendAt.
+	// pool. Rides the optional trailing frame group (absent when unset).
 	AppendAt  bool
 	AppendOff int64
 
@@ -223,7 +208,7 @@ type Request struct {
 	// layout generation being installed.
 	LayoutGen uint64
 
-	// Table carries job status entries for MsgSync and MsgGossip.
+	// Table carries job status entries for MsgGossip.
 	Table []jobtable.Entry
 
 	// From is the sender's advertised address for cluster control
@@ -244,13 +229,12 @@ type Request struct {
 	// ShareTopN and ShareKind page a MsgShareReport server-side: the
 	// ledger returns only the top N entities by |residual| of the given
 	// kind ("job", "user", "group"; "" or "all" keeps every kind). Zero
-	// values mean the full report — the legacy behaviour, and what an
-	// older client's frame decodes to. Rides the optional trailing
-	// frame group (older servers ignore it and answer unfiltered).
+	// values mean the full report. Rides the optional trailing frame
+	// group.
 	ShareTopN int
 	ShareKind string
 
-	// frame is the leased receive buffer a binary-decoded request's
+	// frame is the leased receive buffer a decoded request's
 	// Data aliases; Release returns it to the payload pool.
 	frame []byte
 }
@@ -269,9 +253,9 @@ func (r *Request) payloadLen() int {
 }
 
 // Release returns the leased frame buffer this request's Data aliases
-// to the payload pool (no-op for gob-decoded or locally built
-// requests). After Release neither r.Data nor any alias of it may be
-// used; Data is nilled so a stale use fails loudly. Releasing is
+// to the payload pool (no-op for locally built requests). After Release
+// neither r.Data nor any alias of it may be used; Data is nilled so a
+// stale use fails loudly. Releasing is
 // optional — an unreleased frame is garbage-collected — but the hot
 // paths (server workers, the client's response consumers) release so
 // steady-state traffic recycles instead of allocating.
@@ -322,9 +306,8 @@ type Response struct {
 	Shares []ShareRecord
 
 	// Caps advertises the responder's protocol capabilities (CapAppendAt
-	// and friends). Carried as the optional trailing frame word — older
-	// peers neither send nor parse it, so a zero Caps from the wire
-	// means "legacy peer" and gates every newer protocol feature off.
+	// and friends), carried as the optional trailing frame word. Every
+	// server stamps it; the client does not consult it.
 	Caps uint64
 
 	// frame is the leased buffer this response's Data aliases: the
@@ -336,14 +319,12 @@ type Response struct {
 // Capability bits for Response.Caps.
 const (
 	// CapAppendAt: the server honors Request.AppendAt offset-checked
-	// ordered appends, which is what licenses a client to pipeline
-	// striped write chunks without a round trip between them.
+	// ordered appends (every server does).
 	CapAppendAt uint64 = 1 << 0
 )
 
 // Release returns the leased buffer this response's Data aliases to the
-// payload pool (no-op for gob-decoded responses). Same contract as
-// Request.Release.
+// payload pool. Same contract as Request.Release.
 func (r *Response) Release() {
 	if r.frame != nil {
 		b := r.frame
@@ -371,8 +352,8 @@ func (r *Response) Error() error {
 // client's cached layout) the file's data, because join-time
 // rebalancing moved or re-striped it. Clients that see it re-stat the
 // path to learn the new layout and retry; it is a routing condition,
-// not a data error. The string is the protocol contract — both codecs
-// carry errors as strings, so the prefix is what survives the wire.
+// not a data error. The string is the protocol contract — the codec
+// carries errors as strings, so the prefix is what survives the wire.
 const ErrStaleLayout = "stale-layout: file layout changed, re-stat"
 
 // IsStaleLayout reports whether err is the wire-carried stale-layout
@@ -385,7 +366,7 @@ func IsStaleLayout(err error) bool {
 }
 
 // IsNotExist reports whether err carries the server's missing-entry
-// condition (fsys.ErrNotExist's message; both codecs carry errors as
+// condition (fsys.ErrNotExist's message; errors cross the wire as
 // strings). The one place the prose is matched — callers deciding
 // merge-tolerance or mid-cutover retries must not each hard-code the
 // wording.
@@ -393,15 +374,13 @@ func IsNotExist(err error) bool {
 	return err != nil && strings.Contains(err.Error(), "no such file or directory")
 }
 
-// binMagic announces the binary codec at the start of a stream. The
-// leading 0x00 can never begin a gob stream (gob frames open with a
-// non-zero uvarint byte count), which is what makes receiver-side
-// detection unambiguous.
+// binMagic opens every stream, in both directions.
 var binMagic = [4]byte{0x00, 'T', 'B', '1'}
 
-// Conn is a framed message stream with serialized writes. Each direction
-// is independently either gob- or binary-coded; see the package comment
-// for the negotiation rules.
+// errBadMagic refuses a stream that does not open with binMagic.
+var errBadMagic = fmt.Errorf("transport: stream does not open with the codec magic")
+
+// Conn is a framed message stream with serialized writes.
 type Conn struct {
 	raw net.Conn
 	// w is where encoded frames go: raw, or the counting wrapper when
@@ -417,63 +396,25 @@ type Conn struct {
 	cw          *countWriter
 	lastRecvPos int64
 
-	// Send state, guarded by wmu. sendBin may additionally be flipped by
-	// the receive path (codec adoption) before the first reply is sent;
-	// the request whose arrival triggered the flip happens-before its
-	// reply, so the update is ordered for every sender.
+	// Send state, guarded by wmu.
 	wmu       sync.Mutex
-	enc       *gob.Encoder
-	sendBin   bool
-	adopt     bool
 	magicSent bool
 	// iov is the reusable iovec scratch of the vectored send path.
 	iov net.Buffers
 
-	// Receive state, owned by the single reader goroutine.
-	dec      *gob.Decoder
-	recvBin  bool
-	detected bool
+	// magicSeen is set once the peer's opening magic has been consumed;
+	// owned by the single reader goroutine.
+	magicSeen bool
 }
 
-// NewConn wraps a net.Conn in legacy mode: sends are gob, receives
-// auto-detect the peer's codec, and — this being the accept side — the
-// send direction adopts the detected codec for replies.
-func NewConn(raw net.Conn) *Conn {
-	return &Conn{raw: raw, w: raw, br: bufio.NewReader(raw), adopt: true}
-}
+// NewConn wraps a net.Conn, dial or accept side alike: the first frame
+// sent is preceded by the codec magic and the first frame received must
+// be.
+func NewConn(raw net.Conn) *Conn { return NewConnStats(raw, nil) }
 
-// NewBinaryConn wraps a net.Conn in binary mode (the dial side of a data
-// connection): sends are length-prefixed binary opened with the codec
-// magic; receives still auto-detect, so a reply stream from either kind
-// of peer is understood.
-func NewBinaryConn(raw net.Conn) *Conn {
-	return &Conn{raw: raw, w: raw, br: bufio.NewReader(raw), sendBin: true}
-}
-
-// detect inspects the first bytes of the receive stream and locks in the
-// decoder. Called from the receive path only (one reader per conn).
-func (c *Conn) detect() error {
-	if c.detected {
-		return nil
-	}
-	b, err := c.br.Peek(len(binMagic))
-	if err != nil {
-		return err
-	}
-	if bytes.Equal(b, binMagic[:]) {
-		if _, err := c.br.Discard(len(binMagic)); err != nil {
-			return err
-		}
-		c.recvBin = true
-		if c.adopt {
-			c.wmu.Lock()
-			c.sendBin = true
-			c.wmu.Unlock()
-		}
-	}
-	c.detected = true
-	return nil
-}
+// NewBinaryConn is NewConn, kept under its old name for the benchmark
+// module, which compiles against it.
+func NewBinaryConn(raw net.Conn) *Conn { return NewConn(raw) }
 
 // SendRequest writes a request frame.
 func (c *Conn) SendRequest(r *Request) error {
@@ -483,28 +424,9 @@ func (c *Conn) SendRequest(r *Request) error {
 	if c.stats != nil {
 		before = c.cw.n
 	}
-	var err error
-	if c.sendBin {
-		err = c.writeBinFrame(r.Data, r.DataSegs,
-			func(b []byte, n int) []byte { return appendRequestHead(b, r, n) },
-			func(b []byte) []byte { return appendRequestTail(b, r) })
-	} else {
-		if c.enc == nil {
-			c.enc = gob.NewEncoder(c.w)
-		}
-		if r.DataSegs != nil {
-			// gob has no scatter path: flatten into a shallow copy so the
-			// caller's request (and its segment list) stays untouched.
-			rr := *r
-			rr.Data = make([]byte, 0, rr.payloadLen())
-			for _, s := range r.DataSegs {
-				rr.Data = append(rr.Data, s...)
-			}
-			rr.DataSegs = nil
-			r = &rr
-		}
-		err = c.enc.Encode(r)
-	}
+	err := c.writeBinFrame(r.Data, r.DataSegs,
+		func(b []byte, n int) []byte { return appendRequestHead(b, r, n) },
+		func(b []byte) []byte { return appendRequestTail(b, r) })
 	if err == nil && c.stats != nil {
 		c.stats.count(DirOut, int(r.Type), c.cw.n-before)
 	}
@@ -519,91 +441,53 @@ func (c *Conn) SendResponse(r *Response) error {
 	if c.stats != nil {
 		before = c.cw.n
 	}
-	var err error
-	if c.sendBin {
-		err = c.writeBinFrame(r.Data, nil,
-			func(b []byte, n int) []byte { return appendResponseHead(b, r, n) },
-			func(b []byte) []byte { return appendResponseTail(b, r) })
-	} else {
-		if c.enc == nil {
-			c.enc = gob.NewEncoder(c.w)
-		}
-		err = c.enc.Encode(r)
-	}
+	err := c.writeBinFrame(r.Data, nil,
+		func(b []byte, n int) []byte { return appendResponseHead(b, r, n) },
+		func(b []byte) []byte { return appendResponseTail(b, r) })
 	if err == nil && c.stats != nil {
 		c.stats.count(DirOut, respSlot, c.cw.n-before)
 	}
 	return err
 }
 
-// RecvRequest reads a request frame (server side).
+// RecvRequest reads a request frame (server side). A stream that does
+// not open with the codec magic fails here, before anything is decoded.
 func (c *Conn) RecvRequest() (*Request, error) {
-	if err := c.detect(); err != nil {
+	b, err := c.readFrameLeased()
+	if err != nil {
 		return nil, err
 	}
-	if c.recvBin {
-		b, err := c.readFrameLeased()
-		if err != nil {
-			return nil, err
-		}
-		r := new(Request)
-		if err := decodeRequest(b, r); err != nil {
-			Release(b)
-			return nil, err
-		}
-		// The decoded Data aliases the leased frame; ownership rides
-		// with the request until its Release.
-		r.frame = b
-		if c.stats != nil {
-			c.noteRecv(int(r.Type))
-		}
-		return r, nil
-	}
-	if c.dec == nil {
-		c.dec = gob.NewDecoder(c.br)
-	}
-	var r Request
-	if err := c.dec.Decode(&r); err != nil {
+	r := new(Request)
+	if err := decodeRequest(b, r); err != nil {
+		Release(b)
 		return nil, err
 	}
+	// The decoded Data aliases the leased frame; ownership rides with
+	// the request until its Release.
+	r.frame = b
 	if c.stats != nil {
 		c.noteRecv(int(r.Type))
 	}
-	return &r, nil
+	return r, nil
 }
 
-// RecvResponse reads a response frame (client side).
+// RecvResponse reads a response frame (client side), with the same
+// magic check as RecvRequest.
 func (c *Conn) RecvResponse() (*Response, error) {
-	if err := c.detect(); err != nil {
+	b, err := c.readFrameLeased()
+	if err != nil {
 		return nil, err
 	}
-	if c.recvBin {
-		b, err := c.readFrameLeased()
-		if err != nil {
-			return nil, err
-		}
-		r := new(Response)
-		if err := decodeResponse(b, r); err != nil {
-			Release(b)
-			return nil, err
-		}
-		r.frame = b
-		if c.stats != nil {
-			c.noteRecv(respSlot)
-		}
-		return r, nil
-	}
-	if c.dec == nil {
-		c.dec = gob.NewDecoder(c.br)
-	}
-	var r Response
-	if err := c.dec.Decode(&r); err != nil {
+	r := new(Response)
+	if err := decodeResponse(b, r); err != nil {
+		Release(b)
 		return nil, err
 	}
+	r.frame = b
 	if c.stats != nil {
 		c.noteRecv(respSlot)
 	}
-	return &r, nil
+	return r, nil
 }
 
 // Close closes the underlying connection.

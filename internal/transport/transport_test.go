@@ -2,6 +2,7 @@ package transport
 
 import (
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -13,37 +14,6 @@ import (
 func pipePair() (*Conn, *Conn) {
 	a, b := net.Pipe()
 	return NewConn(a), NewConn(b)
-}
-
-func TestRequestRoundTrip(t *testing.T) {
-	c1, c2 := pipePair()
-	defer c1.Close()
-	defer c2.Close()
-	want := &Request{
-		Type:   MsgWrite,
-		Seq:    42,
-		Job:    policy.JobInfo{JobID: "j", UserID: "u", GroupID: "g", Nodes: 8, Presence: 2},
-		Path:   "/data/x",
-		Offset: 1024,
-		Size:   4096,
-		Data:   []byte{1, 2, 3, 4},
-	}
-	done := make(chan *Request, 1)
-	go func() {
-		got, err := c2.RecvRequest()
-		if err != nil {
-			t.Error(err)
-		}
-		done <- got
-	}()
-	if err := c1.SendRequest(want); err != nil {
-		t.Fatal(err)
-	}
-	got := <-done
-	if got.Type != want.Type || got.Seq != want.Seq || got.Path != want.Path ||
-		got.Job != want.Job || got.Offset != want.Offset || string(got.Data) != string(want.Data) {
-		t.Fatalf("round trip mismatch: %+v", got)
-	}
 }
 
 func TestResponseRoundTripAndError(t *testing.T) {
@@ -63,36 +33,6 @@ func TestResponseRoundTripAndError(t *testing.T) {
 	ok := &Response{Seq: 8}
 	if ok.Error() != nil {
 		t.Fatal("empty Err should be nil error")
-	}
-}
-
-func TestSyncMessageCarriesJobTable(t *testing.T) {
-	c1, c2 := pipePair()
-	defer c1.Close()
-	defer c2.Close()
-	tb := jobtable.New("s1", 0)
-	tb.Observe(policy.JobInfo{JobID: "a", UserID: "u", Nodes: 16}, 0)
-	tb.Observe(policy.JobInfo{JobID: "b", UserID: "v", Nodes: 8}, 0)
-	snap := tb.Snapshot()
-	go func() {
-		_ = c1.SendRequest(&Request{Type: MsgSync, Table: snap})
-	}()
-	got, err := c2.RecvRequest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Type != MsgSync || len(got.Table) != 2 {
-		t.Fatalf("sync message: %+v", got)
-	}
-	if !got.Table[0].Servers["s1"] {
-		t.Fatal("server set lost in transit")
-	}
-	// Merging the received snapshot works like a local all-gather.
-	tb2 := jobtable.New("s2", 0)
-	tb2.Merge(got.Table, 0)
-	act := tb2.Active(0)
-	if len(act) != 2 || act[0].Presence != 1 {
-		t.Fatalf("merge of wire snapshot: %+v", act)
 	}
 }
 
@@ -129,7 +69,7 @@ func TestConcurrentSendersSerialize(t *testing.T) {
 func TestMsgTypeStrings(t *testing.T) {
 	for m, want := range map[MsgType]string{
 		MsgOpen: "open", MsgCreate: "create", MsgRead: "read",
-		MsgWrite: "write", MsgSync: "sync", MsgHeartbeat: "heartbeat",
+		MsgWrite: "write", MsgHeartbeat: "heartbeat",
 	} {
 		if m.String() != want {
 			t.Fatalf("%d = %q, want %q", m, m.String(), want)
@@ -141,11 +81,9 @@ func TestMsgTypeStrings(t *testing.T) {
 }
 
 // The cluster control frames (gossip push-pull, join, status) carry a
-// job-table snapshot and a membership digest both ways; make sure the
-// new fields survive the gob round trip.
+// job-table snapshot and a membership digest both ways.
 func TestGossipFrameRoundTrip(t *testing.T) {
-	a, b := net.Pipe()
-	ca, cb := NewConn(a), NewConn(b)
+	ca, cb := pipePair()
 	defer ca.Close()
 	defer cb.Close()
 	req := &Request{
@@ -169,7 +107,7 @@ func TestGossipFrameRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Type != MsgGossip || got.From != req.From || len(got.Members) != 2 ||
-		got.Members[1].Incarnation != 5 || !got.Table[0].Servers["127.0.0.1:7001"] {
+		got.Members[1].Incarnation != 5 || !reflect.DeepEqual(got.Table, req.Table) {
 		t.Fatalf("request round trip lost fields: %+v", got)
 	}
 	resp := &Response{
@@ -183,7 +121,7 @@ func TestGossipFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rgot.Epoch != 7 || len(rgot.Members) != 2 || len(rgot.Table) != 1 {
+	if rgot.Epoch != 7 || len(rgot.Members) != 2 || !reflect.DeepEqual(rgot.Table, req.Table) {
 		t.Fatalf("response round trip lost fields: %+v", rgot)
 	}
 	for _, m := range []MsgType{MsgGossip, MsgJoin, MsgLeave, MsgClusterStatus, MsgDrain} {

@@ -56,11 +56,11 @@ func TestLiveFacadeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	fd, err := c.OpenFd("/facade.txt", true)
+	f, err := c.Open("/facade.txt", true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Write(fd, []byte("hi")); err != nil {
+	if _, err := f.Write([]byte("hi")); err != nil {
 		t.Fatal(err)
 	}
 	size, _, err := c.Stat("/facade.txt")
