@@ -91,8 +91,8 @@ func TestBenchNetErrors(t *testing.T) {
 	}
 }
 
-// The -stripe-unit flag accepts byte counts and "auto", and refuses
-// garbage with a usage exit.
+// The -stripe-unit flag accepts byte counts, and refuses garbage with a
+// usage exit.
 func TestParseStripeUnit(t *testing.T) {
 	if u, err := parseStripeUnit("0"); err != nil || u != 0 {
 		t.Fatalf("0: u=%d err=%v", u, err)
@@ -100,10 +100,7 @@ func TestParseStripeUnit(t *testing.T) {
 	if u, err := parseStripeUnit("262144"); err != nil || u != 262144 {
 		t.Fatalf("262144: u=%d err=%v", u, err)
 	}
-	if u, err := parseStripeUnit("auto"); err != nil || u >= 0 {
-		t.Fatalf("auto: u=%d err=%v (want the AutoStripeUnit sentinel)", u, err)
-	}
-	for _, bad := range []string{"-5", "64k", ""} {
+	for _, bad := range []string{"-5", "64k", "auto", ""} {
 		if _, err := parseStripeUnit(bad); err == nil {
 			t.Fatalf("%q parsed without error", bad)
 		}
@@ -114,8 +111,8 @@ func TestParseStripeUnit(t *testing.T) {
 	}
 }
 
-// The -conns-per-server flag accepts counts and "auto", and refuses
-// garbage with a usage exit.
+// The -conns-per-server flag accepts counts, and refuses garbage with a
+// usage exit.
 func TestParseConnsPerServer(t *testing.T) {
 	if n, err := parseConnsPerServer("0"); err != nil || n != 0 {
 		t.Fatalf("0: n=%d err=%v", n, err)
@@ -123,10 +120,7 @@ func TestParseConnsPerServer(t *testing.T) {
 	if n, err := parseConnsPerServer("4"); err != nil || n != 4 {
 		t.Fatalf("4: n=%d err=%v", n, err)
 	}
-	if n, err := parseConnsPerServer("auto"); err != nil || n >= 0 {
-		t.Fatalf("auto: n=%d err=%v (want the AutoConnsPerServer sentinel)", n, err)
-	}
-	for _, bad := range []string{"-5", "two", ""} {
+	for _, bad := range []string{"-5", "two", "auto", ""} {
 		if _, err := parseConnsPerServer(bad); err == nil {
 			t.Fatalf("%q parsed without error", bad)
 		}

@@ -20,7 +20,7 @@
 //	themisctl metrics 127.0.0.1:9100
 //	themisctl metrics 127.0.0.1:9100 themis_share_
 //	themisctl bench net 127.0.0.1:7000
-//	themisctl -servers 127.0.0.1:7000 -stripes 4 -stripe-unit auto put /data/x < local.bin
+//	themisctl -servers 127.0.0.1:7000 -stripes 4 -stripe-unit 262144 put /data/x < local.bin
 //
 // `cluster status` prints the membership table as seen by the first
 // server; `cluster drain` asks that server to stop owning ring segments
@@ -52,10 +52,6 @@
 // over an instrumented connection and prints the achieved MB/s, the
 // wire overhead per frame, and the write-syscall economy of the
 // scatter-gather send path (see benchnet.go).
-//
-// `-stripe-unit auto` sizes each created file's stripe unit from the
-// client's measured bandwidth-delay product instead of a fixed byte
-// count.
 //
 // Every subcommand exits non-zero when its RPC fails — an unreachable
 // server, a refused drain, an unparseable policy string — so shell
@@ -102,9 +98,9 @@ func run(argv []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	nodes := fs.Int("nodes", 1, "job size in nodes")
 	stripes := fs.Int("stripes", 1, "servers each file's data spans")
 	stripeUnitStr := fs.String("stripe-unit", "0",
-		"bytes per stripe chunk (0 = default, 'auto' = size from the measured bandwidth-delay product)")
+		"bytes per stripe chunk, a power of two (0 = default)")
 	connsPerServerStr := fs.String("conns-per-server", "0",
-		"pooled connections per server (0 = default, 'auto' = scale with -stripes)")
+		"pooled connections per server (0 = default)")
 	benchConns := fs.Int("conns", 1, "bench net: sweep doubling connection counts up to N")
 	topN := fs.Int("top", 20, "policy status: show only the top N entities by |residual| (0 = all)")
 	kind := fs.String("kind", "", "policy status: restrict rows to one entity kind (job, user or group; empty = all)")
@@ -284,29 +280,20 @@ func run(argv []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// parseStripeUnit parses the -stripe-unit flag: a byte count, or
-// "auto" for BDP-adaptive unit sizing (client.AutoStripeUnit).
+// parseStripeUnit parses the -stripe-unit flag: a byte count.
 func parseStripeUnit(s string) (int64, error) {
-	if strings.EqualFold(s, "auto") {
-		return client.AutoStripeUnit, nil
-	}
 	n, err := strconv.ParseInt(s, 10, 64)
 	if err != nil || n < 0 {
-		return 0, fmt.Errorf("want a byte count or 'auto', got %q", s)
+		return 0, fmt.Errorf("want a byte count, got %q", s)
 	}
 	return n, nil
 }
 
-// parseConnsPerServer parses the -conns-per-server flag: a count, or
-// "auto" to scale the pool with the stripe width
-// (client.AutoConnsPerServer).
+// parseConnsPerServer parses the -conns-per-server flag: a count.
 func parseConnsPerServer(s string) (int, error) {
-	if strings.EqualFold(s, "auto") {
-		return client.AutoConnsPerServer, nil
-	}
 	n, err := strconv.Atoi(s)
 	if err != nil || n < 0 {
-		return 0, fmt.Errorf("want a connection count or 'auto', got %q", s)
+		return 0, fmt.Errorf("want a connection count, got %q", s)
 	}
 	return n, nil
 }

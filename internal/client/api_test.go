@@ -18,8 +18,7 @@ var (
 )
 
 // TestOptionsValidation: every malformed Options field is rejected with
-// a typed usage error before any socket is dialed; zero values and the
-// auto sentinels pass.
+// a typed usage error before any socket is dialed; zero values pass.
 func TestOptionsValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -28,14 +27,12 @@ func TestOptionsValidation(t *testing.T) {
 	}{
 		{"zero value", Options{}, true},
 		{"explicit defaults", Options{Stripes: 4, StripeUnit: DefaultStripeUnit, ConnsPerServer: DefaultConnsPerServer}, true},
-		{"auto stripe unit", Options{Stripes: 2, StripeUnit: AutoStripeUnit}, true},
-		{"auto conns", Options{Stripes: 8, ConnsPerServer: AutoConnsPerServer}, true},
 		{"one of everything", Options{Stripes: 1, StripeUnit: 1, ConnsPerServer: 1}, true},
 		{"negative stripes", Options{Stripes: -1}, false},
-		{"negative stripe unit", Options{StripeUnit: -2}, false},
+		{"negative stripe unit", Options{StripeUnit: -1}, false},
 		{"non-pow2 stripe unit", Options{StripeUnit: 3000}, false},
 		{"non-pow2 large unit", Options{StripeUnit: (1 << 20) + 512}, false},
-		{"negative conns", Options{ConnsPerServer: -2}, false},
+		{"negative conns", Options{ConnsPerServer: -1}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -21,7 +21,6 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"net"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -35,30 +34,23 @@ import (
 )
 
 // Options tunes a client beyond the defaults. DialOpts validates: a
-// negative Stripes, a negative non-sentinel StripeUnit or ConnsPerServer,
-// or a positive StripeUnit that is not a power of two are refused with
-// an error matching ErrInvalidOptions (zero always means "default" —
-// the zero Options value stays valid).
+// negative field, or a StripeUnit that is not a power of two, is refused
+// with an error matching ErrInvalidOptions (zero always means "default"
+// — the zero Options value stays valid).
 type Options struct {
 	// Stripes is the number of servers each file's data spans (clipped
 	// to the live server count; zero means 1, the unstriped placement
-	// of the seed implementation; negative is refused).
+	// of the seed implementation).
 	Stripes int
 	// StripeUnit is the bytes written to one server before moving to
-	// the next (zero selects DefaultStripeUnit; AutoStripeUnit sizes
-	// the unit of each newly created file to the measured
-	// bandwidth-delay product instead). Must be a power of two: the
-	// round-robin arithmetic and the BDP unit classes both assume it,
-	// and the old code silently accepted (then mis-measured) other
-	// values.
+	// the next (zero selects DefaultStripeUnit). Must be a power of two:
+	// the round-robin arithmetic assumes it.
 	StripeUnit int64
 	// ConnsPerServer is the connection-pool width per server: how many
 	// TCP connections the client multiplexes its traffic to one server
 	// over. Writes pin each (file, stripe) to one slot so per-stripe
 	// append order is preserved; read chunks spread across all slots.
-	// Zero selects DefaultConnsPerServer, AutoConnsPerServer scales
-	// with the stripe width, 1 reproduces the old single-connection
-	// behavior; other negatives are refused.
+	// Zero selects DefaultConnsPerServer; 1 is a single connection.
 	ConnsPerServer int
 }
 
@@ -66,41 +58,21 @@ type Options struct {
 // file system's unit.
 const DefaultStripeUnit = 1 << 20
 
-// AutoStripeUnit as Options.StripeUnit sizes each created file's
-// stripe unit from the client's measured bandwidth-delay product at
-// open time (see bdp.go). The chosen unit is recorded in the file's
-// metadata like any explicit one, so readers need no negotiation.
-const AutoStripeUnit int64 = -1
-
 // DefaultConnsPerServer is the pool width when Options.ConnsPerServer
 // is zero.
 const DefaultConnsPerServer = 4
 
-// AutoConnsPerServer as Options.ConnsPerServer sizes each server's pool
-// to the stripe width (clamped to [1, maxAutoConns]): a file that fans
-// out over k stripes tends to put k concurrent chunk streams on each
-// server once several files are in flight.
-const AutoConnsPerServer = -1
-
-// maxAutoConns caps the AutoConnsPerServer pool width.
-const maxAutoConns = 8
-
 // validateOptions refuses nonsense option values with typed usage
-// errors instead of the old silent clamps. Zero always means "default".
+// errors instead of silent clamps. Zero always means "default".
 func validateOptions(opts Options) error {
 	if opts.Stripes < 0 {
 		return fmt.Errorf("client: %w: Stripes %d is negative (0 means default)", ErrInvalidOptions, opts.Stripes)
 	}
-	if opts.StripeUnit < 0 && opts.StripeUnit != AutoStripeUnit {
-		return fmt.Errorf("client: %w: StripeUnit %d is negative (0 means default, %d means auto)",
-			ErrInvalidOptions, opts.StripeUnit, AutoStripeUnit)
+	if u := opts.StripeUnit; u < 0 || u&(u-1) != 0 {
+		return fmt.Errorf("client: %w: StripeUnit %d is not a power of two (0 means default)", ErrInvalidOptions, u)
 	}
-	if u := opts.StripeUnit; u > 0 && u&(u-1) != 0 {
-		return fmt.Errorf("client: %w: StripeUnit %d is not a power of two", ErrInvalidOptions, u)
-	}
-	if cps := opts.ConnsPerServer; cps < 0 && cps != AutoConnsPerServer {
-		return fmt.Errorf("client: %w: ConnsPerServer %d is negative (0 means default, %d means auto)",
-			ErrInvalidOptions, cps, AutoConnsPerServer)
+	if opts.ConnsPerServer < 0 {
+		return fmt.Errorf("client: %w: ConnsPerServer %d is negative (0 means default)", ErrInvalidOptions, opts.ConnsPerServer)
 	}
 	return nil
 }
@@ -109,30 +81,18 @@ func validateOptions(opts Options) error {
 type Client struct {
 	job  policy.JobInfo
 	ring *chash.Ring
-	opts Options
-	// autoUnit marks Options.StripeUnit == AutoStripeUnit: each created
-	// file's unit comes from bdp's live estimate instead of the option.
-	autoUnit bool
-	bdp      bdpEstimator
+	opts Options // defaults applied
 
-	// connsPerServer is the resolved pool width (defaults and the auto
-	// sentinel applied at dial time).
-	connsPerServer int
+	// peers holds the connection pool of every server the client has
+	// reached. Its cooldown fast-fails a member that recently failed:
+	// recorded stripe sets keep naming dead members, and re-dialing one
+	// (a full dial timeout) on every stat would stall the client; a
+	// member that comes back (restart, rejoin) is re-dialed after it.
+	peers *transport.Peers
 
 	mu       sync.Mutex
-	pools    map[string]*transport.Pool
 	draining map[string]bool // members to avoid for new placement
-	// unreachable remembers when a dial or call to a member last
-	// failed: recorded stripe sets keep naming dead members, and
-	// re-dialing one (2s timeout) on every stat would stall the client.
-	// ensurePool fast-fails inside the cooldown; a member that comes
-	// back (restart, rejoin) is re-dialed after it.
-	unreachable map[string]time.Time
-	seq         atomic.Uint64
-	// closed stops ensurePool from registering new pools after Close —
-	// the membership refresh dials joiners asynchronously, and a dial
-	// completing after teardown would leak its sockets.
-	closed atomic.Bool
+	seq      atomic.Uint64
 
 	hbStop chan struct{}
 	hbDone chan struct{}
@@ -142,8 +102,9 @@ type fileHandle struct {
 	path string
 	off  int64
 	// size is the known global size — the append position for striped
-	// writes. It is set at Open and advanced by Write; extensions made
-	// through other handles become visible on reopen.
+	// writes and the clamp for reads. It is set at Open and advanced by
+	// Write; extensions made through other handles become visible on
+	// reopen.
 	size    int64
 	stripes int      // the file's stripe width (from metadata, not config)
 	unit    int64    // the file's stripe unit (from metadata, not config)
@@ -159,22 +120,15 @@ type fileHandle struct {
 	damaged bool
 }
 
-// dialConn dials one raw data connection to addr — the pool's dial
-// function.
-func dialConn(addr string) (*transport.Conn, error) {
-	raw, err := net.DialTimeout("tcp", addr, 2*time.Second)
-	if err != nil {
-		return nil, err
-	}
-	return transport.NewConn(raw), nil
-}
-
-// newPool builds the connection pool for addr: slot 0 dials eagerly (so
-// an unreachable server fails here, with the same semantics one dial
-// had), the rest lazily.
-func (c *Client) newPool(addr string) (*transport.Pool, error) {
-	return transport.NewPool(addr, c.connsPerServer, pipelineWindow, dialConn)
-}
+// The client's peer-set parameters: pipelineWindow in-flight chunk RPCs
+// per pool connection (the pool's write and read windows are each
+// pipelineWindow × pool size), a 2 s dial, and a 3 s whole-server
+// cooldown after a failed dial or a fail-over.
+const (
+	pipelineWindow  = 8
+	peerDialTimeout = 2 * time.Second
+	peerCooldown    = 3 * time.Second
+)
 
 // Dial connects to the given servers under the job identity with
 // default options (no striping). The client begins heartbeating
@@ -186,6 +140,7 @@ func Dial(job policy.JobInfo, servers []string) (*Client, error) {
 
 // DialOpts connects with explicit striping and pooling options,
 // refusing invalid option values (see Options and ErrInvalidOptions).
+// Every listed server must be reachable.
 func DialOpts(job policy.JobInfo, servers []string, opts Options) (*Client, error) {
 	if len(servers) == 0 {
 		return nil, fmt.Errorf("client: no servers")
@@ -196,77 +151,44 @@ func DialOpts(job policy.JobInfo, servers []string, opts Options) (*Client, erro
 	if opts.Stripes == 0 {
 		opts.Stripes = 1
 	}
-	autoUnit := opts.StripeUnit == AutoStripeUnit
-	if opts.StripeUnit <= 0 {
-		// Auto keeps the default as its no-samples fallback and as the
-		// unit assumed for legacy files whose metadata records none.
+	if opts.StripeUnit == 0 {
 		opts.StripeUnit = DefaultStripeUnit
 	}
-	switch opts.ConnsPerServer {
-	case 0:
+	if opts.ConnsPerServer == 0 {
 		opts.ConnsPerServer = DefaultConnsPerServer
-	case AutoConnsPerServer:
-		opts.ConnsPerServer = opts.Stripes
-		if opts.ConnsPerServer < 1 {
-			opts.ConnsPerServer = 1
-		}
-		if opts.ConnsPerServer > maxAutoConns {
-			opts.ConnsPerServer = maxAutoConns
-		}
 	}
 	c := &Client{
-		autoUnit:       autoUnit,
-		job:            job,
-		ring:           chash.New(0),
-		opts:           opts,
-		connsPerServer: opts.ConnsPerServer,
-		pools:          map[string]*transport.Pool{},
-		draining:       map[string]bool{},
-		unreachable:    map[string]time.Time{},
-		hbStop:         make(chan struct{}),
-		hbDone:         make(chan struct{}),
+		job:      job,
+		ring:     chash.New(0),
+		opts:     opts,
+		peers:    transport.NewPeers(opts.ConnsPerServer, pipelineWindow, peerDialTimeout, peerCooldown),
+		draining: map[string]bool{},
+		hbStop:   make(chan struct{}),
+		hbDone:   make(chan struct{}),
 	}
 	for _, addr := range servers {
-		p, err := c.newPool(addr)
-		if err != nil {
-			c.closePools()
+		if _, err := c.ensurePool(addr); err != nil {
+			c.peers.Close()
 			return nil, err
 		}
-		c.pools[addr] = p
-		c.ring.Add(addr)
 	}
 	c.heartbeatAll()
 	go c.heartbeatLoop()
 	return c, nil
 }
 
-func (c *Client) closePools() {
-	for _, p := range c.pools {
-		p.Close()
-	}
-}
-
 // Close notifies servers and tears down connections (§4.2: "when a
 // client exits, it notifies the ThemisIO servers to destroy the
 // corresponding mapping entry").
 func (c *Client) Close() {
-	c.closed.Store(true)
 	close(c.hbStop)
 	<-c.hbDone
-	// Copy under the lock, send after: a goodbye to a wedged server
-	// must not hold c.mu and block every other client method.
-	c.mu.Lock()
-	pools := make([]*transport.Pool, 0, len(c.pools))
-	for _, p := range c.pools {
-		pools = append(pools, p)
-	}
-	c.mu.Unlock()
-	for _, p := range pools {
+	for _, p := range c.peers.Pools() {
 		p.ForEach(func(mc *transport.MuxConn) {
 			_ = mc.Send(&transport.Request{Type: transport.MsgBye, Job: c.job})
 		})
-		p.Close()
 	}
+	c.peers.Close()
 }
 
 // Servers returns the addresses the client still considers live.
@@ -292,15 +214,14 @@ func (c *Client) heartbeatLoop() {
 // proactively (not just after an I/O error), and draining members are
 // remembered so new files avoid them.
 func (c *Client) refreshMembership() {
-	c.mu.Lock()
-	var any *transport.Pool
-	for _, p := range c.pools {
-		any = p
-		break
-	}
-	c.mu.Unlock()
-	if any == nil {
+	pools := c.peers.Pools()
+	if len(pools) == 0 {
 		return
+	}
+	any := pools[0]
+	have := make(map[string]bool, len(pools))
+	for _, p := range pools {
+		have[p.Addr()] = true
 	}
 	resp, err := c.poolCall(context.Background(), any, &transport.Request{
 		Type: transport.MsgClusterStatus, Seq: c.seq.Add(1), Job: c.job,
@@ -309,6 +230,7 @@ func (c *Client) refreshMembership() {
 		c.markFailed(any.Addr())
 		return
 	}
+	defer resp.Release()
 	for _, m := range cluster.FromRecords(resp.Members) {
 		switch m.State {
 		case cluster.StateFailed, cluster.StateLeft:
@@ -319,7 +241,6 @@ func (c *Client) refreshMembership() {
 			c.mu.Unlock()
 		case cluster.StateAlive:
 			c.mu.Lock()
-			_, have := c.pools[m.Addr]
 			delete(c.draining, m.Addr)
 			c.mu.Unlock()
 			// A member this client has never dialed is a scale-out join:
@@ -328,63 +249,28 @@ func (c *Client) refreshMembership() {
 			// new member stay reachable. The dial runs off this loop — a
 			// member the fabric gossips alive but this client cannot
 			// reach (asymmetric partition) must not stall the heartbeat
-			// cadence for the healthy servers; ensurePool's cooldown
+			// cadence for the healthy servers; the peer set's cooldown
 			// keeps the retries bounded.
-			if !have {
+			if !have[m.Addr] {
 				go func(addr string) { _, _ = c.ensurePool(addr) }(m.Addr)
 			}
 		}
 	}
 }
 
-// dialCooldown is how long ensureConn fast-fails an address after a
-// failed dial or a failed-over connection, so a dead member named in
-// recorded stripe sets cannot stall every stat behind a dial timeout.
-const dialCooldown = 3 * time.Second
-
 // ensurePool returns the live connection pool for addr, building it on
 // first use — recorded stripe sets and the membership view may name
 // servers this client was never configured with (members that joined
-// after the client dialed in). Recently unreachable members fail fast.
+// after the client dialed in), and those extend the placement ring.
+// Recently unreachable members fail fast.
 func (c *Client) ensurePool(addr string) (*transport.Pool, error) {
-	if c.closed.Load() {
-		return nil, fmt.Errorf("client: closed")
-	}
-	c.mu.Lock()
-	p, ok := c.pools[addr]
-	if ok {
-		c.mu.Unlock()
-		return p, nil
-	}
-	if t, bad := c.unreachable[addr]; bad && time.Since(t) < dialCooldown {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("client: %s recently unreachable", addr)
-	}
-	c.mu.Unlock()
-	p, err := c.newPool(addr)
+	p, cached, err := c.peers.Get(addr)
 	if err != nil {
-		c.mu.Lock()
-		c.unreachable[addr] = time.Now()
-		c.mu.Unlock()
 		return nil, fmt.Errorf("client: no live connection to %s: %w", addr, err)
 	}
-	c.mu.Lock()
-	delete(c.unreachable, addr)
-	if exist, ok := c.pools[addr]; ok {
-		c.mu.Unlock()
-		p.Close()
-		return exist, nil
+	if !cached {
+		c.ring.Add(addr)
 	}
-	if c.closed.Load() {
-		// Close ran while we dialed; registering now would leak the
-		// sockets past teardown.
-		c.mu.Unlock()
-		p.Close()
-		return nil, fmt.Errorf("client: closed")
-	}
-	c.pools[addr] = p
-	c.mu.Unlock()
-	c.ring.Add(addr)
 	return p, nil
 }
 
@@ -400,13 +286,7 @@ func (c *Client) poolCall(ctx context.Context, p *transport.Pool, req *transport
 }
 
 func (c *Client) heartbeatAll() {
-	c.mu.Lock()
-	pools := make([]*transport.Pool, 0, len(c.pools))
-	for _, p := range c.pools {
-		pools = append(pools, p)
-	}
-	c.mu.Unlock()
-	for _, p := range pools {
+	for _, p := range c.peers.Pools() {
 		// Every open connection of the pool heartbeats: the server's job
 		// monitor only needs one, but each connection's liveness is only
 		// proven by traffic on that connection. The server is failed over
@@ -434,17 +314,8 @@ func (c *Client) heartbeatAll() {
 // survivors, mirroring the fabric's failover. Subsequent placement
 // follows the shrunken ring.
 func (c *Client) markFailed(addr string) {
-	c.mu.Lock()
-	p, ok := c.pools[addr]
-	if ok {
-		delete(c.pools, addr)
-	}
-	c.unreachable[addr] = time.Now()
-	c.mu.Unlock()
-	if ok {
-		p.Close()
-		c.ring.Remove(addr)
-	}
+	c.peers.Drop(addr)
+	c.ring.Remove(addr)
 }
 
 // stripeSet returns the addresses holding a width-stripes file's data,
@@ -499,7 +370,6 @@ func (c *Client) callAddr(ctx context.Context, addr, path string, req *transport
 	req.Seq = c.seq.Add(1)
 	req.Job = c.job
 	req.Path = path
-	start := time.Now()
 	resp, err := mc.Call(ctx, req)
 	if err != nil {
 		if isCtxErr(err) {
@@ -508,13 +378,6 @@ func (c *Client) callAddr(ctx context.Context, addr, path string, req *transport
 		c.markFailed(addr)
 		return nil, err
 	}
-	// Feed the bandwidth-delay estimator: a small exchange samples the
-	// round trip, a payload-bearing one samples bandwidth.
-	bytes := int64(len(req.Data))
-	if resp.N > bytes {
-		bytes = resp.N
-	}
-	c.bdp.observe(bytes, time.Since(start))
 	return resp, nil
 }
 
@@ -548,6 +411,54 @@ func (c *Client) call(ctx context.Context, path string, req *transport.Request) 
 	return nil, lastErr
 }
 
+// fan runs do(i) for every i in [0,n) that use reports and returns the
+// per-index errors: inline when only one index is in use (most files
+// are one stripe wide, and a goroutine plus a WaitGroup per call is
+// pure overhead there), concurrently otherwise.
+func fan(n int, use func(i int) bool, do func(i int) error) []error {
+	errs := make([]error, n)
+	used, last := 0, 0
+	for i := 0; i < n; i++ {
+		if use(i) {
+			used++
+			last = i
+		}
+	}
+	if used == 1 {
+		errs[last] = do(last)
+		return errs
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		if !use(i) {
+			continue
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = do(i)
+		}(i)
+	}
+	wg.Wait()
+	return errs
+}
+
+// decisive picks the error that decides a striped fan-out: a failure
+// that is not a layout transient dominates (so partial landings go
+// through repair rather than a blind re-stat and retry), then any.
+func decisive(errs []error) error {
+	var first error
+	for _, e := range errs {
+		if e != nil && !retryableLayout(e) {
+			return e
+		}
+		if first == nil {
+			first = e
+		}
+	}
+	return first
+}
+
 // fanOut sends one request per address in parallel and collects the
 // responses in address order. A transport-level error on any server
 // fails that server over and reports the error; an application error in
@@ -555,27 +466,17 @@ func (c *Client) call(ctx context.Context, path string, req *transport.Request) 
 // sentinels).
 func (c *Client) fanOut(ctx context.Context, addrs []string, path string, mk func(i int) *transport.Request) ([]*transport.Response, error) {
 	resps := make([]*transport.Response, len(addrs))
-	errs := make([]error, len(addrs))
-	var wg sync.WaitGroup
-	for i, addr := range addrs {
-		req := mk(i)
-		if req == nil {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, addr string, req *transport.Request) {
-			defer wg.Done()
-			resps[i], errs[i] = c.callAddr(ctx, addr, path, req)
-		}(i, addr, req)
-	}
-	wg.Wait()
+	errs := fan(len(addrs), func(int) bool { return true }, func(i int) (err error) {
+		resps[i], err = c.callAddr(ctx, addrs[i], path, mk(i))
+		return err
+	})
 	for _, err := range errs {
 		if err != nil {
 			return resps, err
 		}
 	}
 	for _, r := range resps {
-		if r != nil && r.Err != "" {
+		if r.Err != "" {
 			return resps, wireErr(r.Error())
 		}
 	}
@@ -600,12 +501,11 @@ func (c *Client) OpenContext(ctx context.Context, path string, create bool) (*Fi
 		if len(set) == 0 {
 			return nil, fmt.Errorf("client: no servers left")
 		}
-		unit := c.stripeUnit()
 		if _, err := c.fanOut(ctx, set, path, func(int) *transport.Request {
 			return &transport.Request{
 				Type:       transport.MsgCreate,
 				Stripes:    len(set),
-				StripeUnit: unit,
+				StripeUnit: c.opts.StripeUnit,
 				StripeSet:  set,
 			}
 		}); err != nil {
@@ -714,6 +614,23 @@ func retryableLayout(err error) bool {
 // while).
 const writeRetryTimeout = 10 * time.Second
 
+// geometry resolves the handle's stripe servers and unit, falling back
+// to the ring walk and the configured unit for legacy files whose
+// metadata records none.
+func (c *Client) geometry(h *fileHandle) (set []string, unit int64, err error) {
+	set, unit = h.set, h.unit
+	if len(set) == 0 {
+		set = c.stripeSet(h.path, h.stripes)
+	}
+	if len(set) == 0 {
+		return nil, 0, fmt.Errorf("client: no servers left")
+	}
+	if unit <= 0 {
+		unit = c.opts.StripeUnit
+	}
+	return set, unit, nil
+}
+
 // writeOnce performs one striped append attempt at the handle's
 // current layout, advancing the handle bookkeeping on success.
 //
@@ -722,16 +639,9 @@ const writeRetryTimeout = 10 * time.Second
 // segment rides the wire as its own iovec, and each stripe's span goes
 // out pipelined as a window of positional-append chunk RPCs.
 func (c *Client) writeOnce(ctx context.Context, h *fileHandle, p []byte) error {
-	set := h.set
-	if len(set) == 0 {
-		set = c.stripeSet(h.path, h.stripes)
-	}
-	if len(set) == 0 {
-		return fmt.Errorf("client: no servers left")
-	}
-	unit := h.unit
-	if unit <= 0 {
-		unit = c.opts.StripeUnit
+	set, unit, err := c.geometry(h)
+	if err != nil {
+		return err
 	}
 	// Slice p into per-server span lists, preserving order within a
 	// server. Each entry aliases p — no copy is made on the client side.
@@ -747,20 +657,10 @@ func (c *Client) writeOnce(ctx context.Context, h *fileHandle, p []byte) error {
 		done += n
 		off += int64(n)
 	}
-	errs := make([]error, len(set))
-	var wg sync.WaitGroup
-	for i, addr := range set {
-		if len(spans[i]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, addr string) {
-			defer wg.Done()
-			errs[i] = c.writeStripe(ctx, addr, h.path, i, spans[i],
-				localLen(h.size, i, len(set), unit), h.layoutGen)
-		}(i, addr)
-	}
-	wg.Wait()
+	errs := fan(len(set), func(i int) bool { return len(spans[i]) > 0 }, func(i int) error {
+		return c.writeStripe(ctx, set[i], h.path, i, spans[i],
+			localLen(h.size, i, len(set), unit), h.layoutGen)
+	})
 	for _, e := range errs {
 		if e != nil && isCanceled(e) {
 			// Cancellation mid-fan-out leaves the stripe state unknown,
@@ -771,24 +671,7 @@ func (c *Client) writeOnce(ctx context.Context, h *fileHandle, p []byte) error {
 			return e
 		}
 	}
-	// Transport-level (non-retryable) failures dominate the outcome so
-	// partial landings go through repair, mirroring fanOut's precedence.
-	var err error
-	for _, e := range errs {
-		if e != nil && !retryableLayout(e) {
-			err = e
-			break
-		}
-	}
-	if err == nil {
-		for _, e := range errs {
-			if e != nil {
-				err = e
-				break
-			}
-		}
-	}
-	if err != nil {
+	if err := decisive(errs); err != nil {
 		if retryableLayout(err) {
 			// No repair across layouts (or against a holder whose commit
 			// has not landed): the caller re-stats and retries.
@@ -811,15 +694,10 @@ func (c *Client) writeOnce(ctx context.Context, h *fileHandle, p []byte) error {
 	return nil
 }
 
-// writeChunkTarget is the payload size one pipelined append RPC aims
-// for (whole segments are never split); pipelineWindow is the in-flight
-// chunk budget each pool connection contributes — the pool's shared
-// write and read windows are each pipelineWindow × pool size, so a
-// size-1 pool budgets exactly what the old single connection did.
-const (
-	writeChunkTarget = 512 << 10
-	pipelineWindow   = 8
-)
+// chunkBytes is the payload one pipelined stripe RPC aims for: write
+// segments are grouped up to it (whole segments are never split) and
+// read ranges are cut into it.
+const chunkBytes = 512 << 10
 
 // affinityKey maps a (path, stripe index) pair into the pool's slot
 // space: the same stripe of the same file always picks the same slot
@@ -834,11 +712,11 @@ func affinityKey(path string, stripe int) uint64 {
 
 // writeStripe sends one server's span of a striped write over the
 // stripe's affinity connection in its pool, as pipelined positional
-// appends: a window of chunk RPCs that need no round trip between them,
-// with explicit offsets keeping landing order-independent under the
-// server's multiplexed worker pool. Transport-level errors fail the
-// server over, as callAddr would.
-func (c *Client) writeStripe(ctx context.Context, addr, path string, stripeIdx int, segs [][]byte, startOff int64, layoutGen uint64) error {
+// appends: chunk RPCs that need no round trip between them, with
+// explicit offsets keeping landing order-independent under the server's
+// multiplexed worker pool. Chunks are groups of whole segments
+// (subslices of segs: still zero-copy).
+func (c *Client) writeStripe(ctx context.Context, addr, path string, stripeIdx int, segs [][]byte, off int64, layoutGen uint64) error {
 	pool, err := c.ensurePool(addr)
 	if err != nil {
 		return err
@@ -848,117 +726,132 @@ func (c *Client) writeStripe(ctx context.Context, addr, path string, stripeIdx i
 		c.markFailed(addr)
 		return err
 	}
-	start := time.Now()
-	appErr, netErr := c.writeStripePipelined(ctx, pool, mc, path, segs, startOff, layoutGen)
-	if netErr != nil {
-		c.markFailed(addr)
-		return netErr
+	lo := 0
+	next := func() *transport.Request {
+		if lo == len(segs) {
+			return nil
+		}
+		hi, glen := lo+1, int64(len(segs[lo]))
+		for hi < len(segs) && glen+int64(len(segs[hi])) <= chunkBytes {
+			glen += int64(len(segs[hi]))
+			hi++
+		}
+		req := &transport.Request{
+			Type: transport.MsgWrite, Path: path, DataSegs: segs[lo:hi],
+			AppendAt: true, AppendOff: off, LayoutGen: layoutGen,
+		}
+		off += glen
+		lo = hi
+		return req
 	}
-	if appErr == nil {
-		c.bdp.observe(spanLen(segs), time.Since(start))
-	}
-	return appErr
+	pick := func() (*transport.MuxConn, error) { return mc, nil }
+	return c.pipeline(ctx, addr, &pool.Writes, pick, next, nil)
 }
 
-// writeStripePipelined issues a stripe's span as windowed positional
-// appends on the stripe's affinity connection. The in-flight budget is
-// the pool's shared write window (not a per-call constant): tokens are
-// taken per chunk and returned per response, so concurrent stripes to
-// one server share pipelineWindow × size chunk RPCs between them.
-// Application errors (appErr) and transport failures (netErr) are
-// reported separately so the caller can fail the server over on the
-// latter only; cancellation abandons the in-flight chunks (their frames
-// still return to the lease pool) and surfaces as appErr.
-func (c *Client) writeStripePipelined(ctx context.Context, pool *transport.Pool, mc *transport.MuxConn, path string, segs [][]byte, startOff int64, layoutGen uint64) (appErr, netErr error) {
-	// Group whole segments into chunk RPCs of ~writeChunkTarget bytes.
-	// Groups are subslices of segs: still zero-copy.
+// pipeline is the one windowed issue/collect/cancel loop behind striped
+// I/O: it starts the requests next yields (nil ends the stream) on the
+// connections pick chooses, keeping as many in flight as win allows,
+// and hands each successful reply to land (nil for writes, whose
+// replies carry nothing). The budget is the pool's shared window, not a
+// per-call constant: tokens are taken per chunk and returned per reply,
+// so concurrent stripes to one server share it. An application error
+// stops the stream and is returned once the in-flight replies are in; a
+// transport failure additionally fails the server over; cancellation
+// abandons the in-flight chunks (their frames still return to the lease
+// pool) and returns promptly.
+func (c *Client) pipeline(ctx context.Context, addr string, win *transport.Window,
+	pick func() (*transport.MuxConn, error), next func() *transport.Request,
+	land func(req *transport.Request, resp *transport.Response) error) error {
 	type pending struct {
-		seq uint64
+		req *transport.Request
+		mc  *transport.MuxConn
 		ch  chan *transport.Response
 	}
 	var inflight []pending
-	collect := func() {
+	var appErr, netErr error
+	// collect consumes the oldest in-flight reply; false means ctx ended
+	// first and the reply is still owed.
+	collect := func() bool {
 		pd := inflight[0]
+		var resp *transport.Response
+		var ok bool
+		select {
+		case resp, ok = <-pd.ch:
+		case <-ctx.Done():
+			return false
+		}
 		inflight = inflight[1:]
-		resp, ok := <-pd.ch
-		pool.ReleaseWrite()
+		win.Release()
 		if !ok {
 			if netErr == nil {
-				netErr = fmt.Errorf("client: connection lost")
+				netErr = fmt.Errorf("client: connection to %s lost", addr)
 			}
-			return
+			return true
 		}
-		if resp.Err != "" && appErr == nil {
+		defer resp.Release()
+		switch {
+		case appErr != nil: // the stream already failed; only drain
+		case resp.Err != "":
 			appErr = wireErr(resp.Error())
+		case land != nil:
+			appErr = land(pd.req, resp)
 		}
-		resp.Release()
+		return true
 	}
-	// acquire takes one pool write token, draining our own in-flight
-	// chunks while the window is full — progress never depends on a
-	// token this call itself is sitting on.
+	// acquire takes one window token, draining our own in-flight chunks
+	// while the window is full — progress never depends on a token this
+	// call itself is sitting on.
 	acquire := func() bool {
-		for {
-			if pool.TryAcquireWrite() {
-				return true
-			}
+		for !win.TryAcquire() {
 			if len(inflight) == 0 {
 				// Every token is held by other calls, which release
 				// independently of us; block (honoring ctx).
-				if err := pool.AcquireWrite(ctx); err != nil {
-					appErr = canceled(err)
-					return false
-				}
-				return true
+				return win.Acquire(ctx) == nil
 			}
-			collect()
-			if appErr != nil || netErr != nil {
+			if !collect() || appErr != nil || netErr != nil {
 				return false
 			}
 		}
+		return true
 	}
-	off := startOff
-	for lo := 0; lo < len(segs) && appErr == nil && netErr == nil; {
-		if err := ctx.Err(); err != nil {
-			appErr = canceled(err)
+	complete := false
+	for appErr == nil && netErr == nil && ctx.Err() == nil {
+		req := next()
+		if req == nil {
+			complete = true
 			break
-		}
-		hi := lo + 1
-		glen := int64(len(segs[lo]))
-		for hi < len(segs) && glen+int64(len(segs[hi])) <= writeChunkTarget {
-			glen += int64(len(segs[hi]))
-			hi++
 		}
 		if !acquire() {
 			break
 		}
-		seq := c.seq.Add(1)
-		ch, err := mc.Start(&transport.Request{
-			Type: transport.MsgWrite, Seq: seq, Job: c.job, Path: path,
-			DataSegs: segs[lo:hi], AppendAt: true, AppendOff: off,
-			LayoutGen: layoutGen,
-		})
-		if err != nil {
-			pool.ReleaseWrite()
-			netErr = err
-			break
+		mc, err := pick()
+		if err == nil {
+			req.Seq, req.Job = c.seq.Add(1), c.job
+			var ch chan *transport.Response
+			if ch, err = mc.Start(req); err == nil {
+				inflight = append(inflight, pending{req, mc, ch})
+				continue
+			}
 		}
-		inflight = append(inflight, pending{seq: seq, ch: ch})
-		off += glen
-		lo = hi
+		win.Release()
+		netErr = err
 	}
-	if isCanceled(appErr) {
-		// Return promptly on cancellation: abandon the waiters instead
-		// of draining them (the reader releases the late frames).
+	for len(inflight) > 0 && collect() {
+	}
+	if len(inflight) > 0 || (!complete && appErr == nil && netErr == nil) {
+		// ctx ended mid-stream. Abandon the waiters instead of draining
+		// them: the reader releases the late frames.
 		for _, pd := range inflight {
-			mc.Forget(pd.seq, pd.ch)
-			pool.ReleaseWrite()
+			pd.mc.Forget(pd.req.Seq, pd.ch)
+			win.Release()
 		}
-		inflight = nil
+		appErr = canceled(ctx.Err())
 	}
-	for len(inflight) > 0 {
-		collect()
+	if netErr != nil {
+		c.markFailed(addr)
+		return netErr
 	}
-	return appErr, netErr
+	return appErr
 }
 
 // spanLen is the byte length of a segment list.
@@ -1135,49 +1028,22 @@ func (c *Client) read(ctx context.Context, h *fileHandle, p []byte) (int, error)
 
 // readOnce performs one read attempt at the handle's current layout.
 func (c *Client) readOnce(ctx context.Context, h *fileHandle, p []byte) (int, error) {
-	set := h.set
-	if len(set) == 0 {
-		set = c.stripeSet(h.path, h.stripes)
-	}
-	if len(set) == 0 {
-		return 0, fmt.Errorf("client: no servers left")
-	}
-	if len(set) == 1 {
-		resp, err := c.callAddr(ctx, set[0], h.path, &transport.Request{
-			Type: transport.MsgRead, Offset: h.off, Size: int64(len(p)),
-			LayoutGen: h.layoutGen,
-		})
-		if err != nil {
-			return 0, err
-		}
-		if resp.Err != "" {
-			return 0, wireErr(resp.Error())
-		}
-		copy(p, resp.Data)
-		h.off += resp.N
-		n := int(resp.N)
-		resp.Release()
-		return n, nil
+	set, unit, err := c.geometry(h)
+	if err != nil {
+		return 0, err
 	}
 	// The handle's tracked size clamps the read (no per-read stat storm
 	// on the path that exists to scale bandwidth); writes through other
 	// handles become visible on reopen.
-	size := h.size
-	want := int64(len(p))
-	if h.off >= size {
+	want := min(int64(len(p)), h.size-h.off)
+	if want <= 0 {
 		return 0, nil
-	}
-	if want > size-h.off {
-		want = size - h.off
-	}
-	unit := h.unit
-	if unit <= 0 {
-		unit = c.opts.StripeUnit
 	}
 	g0, g1 := h.off, h.off+want
 	// Each server's touched units are consecutive multiples of the unit
 	// in its local stripe, so its byte range is contiguous: track the
-	// local [lo,hi) per server, read once, then scatter units back.
+	// local [lo,hi) per server, fetch it in chunks, and scatter the units
+	// of each arriving chunk back (the identity on a one-stripe file).
 	lo := make([]int64, len(set))
 	hi := make([]int64, len(set))
 	for i := range lo {
@@ -1185,167 +1051,56 @@ func (c *Client) readOnce(ctx context.Context, h *fileHandle, p []byte) (int, er
 	}
 	for u := g0 / unit; u <= (g1-1)/unit; u++ {
 		idx := int(u) % len(set)
-		segStart, segEnd := u*unit, (u+1)*unit
-		if segStart < g0 {
-			segStart = g0
-		}
-		if segEnd > g1 {
-			segEnd = g1
-		}
+		segStart, segEnd := max(u*unit, g0), min((u+1)*unit, g1)
 		base := (u / int64(len(set))) * unit
-		llo := base + segStart - u*unit
-		lhi := base + segEnd - u*unit
 		if lo[idx] < 0 {
-			lo[idx] = llo
+			lo[idx] = base + segStart - u*unit
 		}
-		hi[idx] = lhi
+		hi[idx] = base + segEnd - u*unit
 	}
-	errs := make([]error, len(set))
-	var wg sync.WaitGroup
-	for i, addr := range set {
-		if lo[i] < 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, addr string) {
-			defer wg.Done()
-			errs[i] = c.readStripe(ctx, addr, h.path, i, len(set), unit,
-				lo[i], hi[i], h.layoutGen, p, g0, g1)
-		}(i, addr)
-	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil && !retryableLayout(e) {
-			return 0, e
-		}
-	}
-	for _, e := range errs {
-		if e != nil {
-			return 0, e
-		}
+	errs := fan(len(set), func(i int) bool { return lo[i] >= 0 }, func(i int) error {
+		return c.readStripe(ctx, set[i], h.path, i, len(set), unit,
+			lo[i], hi[i], h.layoutGen, p, g0, g1)
+	})
+	if err := decisive(errs); err != nil {
+		return 0, err
 	}
 	h.off += want
 	return int(want), nil
 }
 
-// readChunk is the payload size one pipelined stripe-read RPC asks for;
-// the in-flight budget is the pool's shared read window.
-const readChunk = 512 << 10
-
 // readStripe fetches one server's locally-contiguous byte range
-// [lo,hi) of a striped read as a window of chunk RPCs — readahead that
+// [lo,hi) of a striped read as pipelined chunk RPCs — readahead that
 // needs no round trip between chunks (reads at explicit offsets are
 // idempotent) — and scatters each arriving chunk's units straight into
 // p. Chunks spread over every pool connection (PickSpread): explicit
 // offsets make order irrelevant, so the pool's paths carry the socket
-// reads and frame decodes in parallel. Transport-level errors fail the
-// server over.
+// reads and frame decodes in parallel.
 func (c *Client) readStripe(ctx context.Context, addr, path string, idx, nStripes int, unit int64, lo, hi int64, layoutGen uint64, p []byte, g0, g1 int64) error {
 	pool, err := c.ensurePool(addr)
 	if err != nil {
 		return err
 	}
-	type chunk struct {
-		off int64
-		n   int64
-		seq uint64
-		mc  *transport.MuxConn
-		ch  chan *transport.Response
+	off := lo
+	next := func() *transport.Request {
+		if off >= hi {
+			return nil
+		}
+		req := &transport.Request{
+			Type: transport.MsgRead, Path: path,
+			Offset: off, Size: min(hi-off, chunkBytes), LayoutGen: layoutGen,
+		}
+		off += req.Size
+		return req
 	}
-	var inflight []chunk
-	var appErr, netErr error
-	start := time.Now()
-	collect := func() {
-		ck := inflight[0]
-		inflight = inflight[1:]
-		resp, ok := <-ck.ch
-		pool.ReleaseRead()
-		if !ok {
-			if netErr == nil {
-				netErr = fmt.Errorf("client: connection lost")
-			}
-			return
+	land := func(req *transport.Request, resp *transport.Response) error {
+		if resp.N < req.Size {
+			return fmt.Errorf("client: short stripe read from %s: %d < %d", addr, resp.N, req.Size)
 		}
-		defer resp.Release()
-		if resp.Err != "" {
-			if appErr == nil {
-				appErr = wireErr(resp.Error())
-			}
-			return
-		}
-		if resp.N < ck.n && appErr == nil {
-			appErr = fmt.Errorf("client: short stripe read from %s: %d < %d", addr, resp.N, ck.n)
-			return
-		}
-		scatterLocal(p, g0, g1, idx, nStripes, unit, ck.off, resp.Data[:ck.n])
+		scatterLocal(p, g0, g1, idx, nStripes, unit, req.Offset, resp.Data[:req.Size])
+		return nil
 	}
-	acquire := func() bool {
-		for {
-			if pool.TryAcquireRead() {
-				return true
-			}
-			if len(inflight) == 0 {
-				if err := pool.AcquireRead(ctx); err != nil {
-					appErr = canceled(err)
-					return false
-				}
-				return true
-			}
-			collect()
-			if appErr != nil || netErr != nil {
-				return false
-			}
-		}
-	}
-	for off := lo; off < hi && appErr == nil && netErr == nil; {
-		if err := ctx.Err(); err != nil {
-			appErr = canceled(err)
-			break
-		}
-		n := hi - off
-		if n > readChunk {
-			n = readChunk
-		}
-		if !acquire() {
-			break
-		}
-		mc, err := pool.PickSpread()
-		if err != nil {
-			pool.ReleaseRead()
-			netErr = err
-			break
-		}
-		seq := c.seq.Add(1)
-		ch, err := mc.Start(&transport.Request{
-			Type: transport.MsgRead, Seq: seq, Job: c.job, Path: path,
-			Offset: off, Size: n, LayoutGen: layoutGen,
-		})
-		if err != nil {
-			pool.ReleaseRead()
-			netErr = err
-			break
-		}
-		inflight = append(inflight, chunk{off: off, n: n, seq: seq, mc: mc, ch: ch})
-		off += n
-	}
-	if isCanceled(appErr) {
-		for _, ck := range inflight {
-			ck.mc.Forget(ck.seq, ck.ch)
-			pool.ReleaseRead()
-		}
-		inflight = nil
-	}
-	for len(inflight) > 0 {
-		collect()
-	}
-	if netErr != nil {
-		c.markFailed(addr)
-		return netErr
-	}
-	if appErr == nil {
-		c.bdp.observe(hi-lo, time.Since(start))
-	}
-	return appErr
+	return c.pipeline(ctx, addr, &pool.Reads, pool.PickSpread, next, land)
 }
 
 // scatterLocal copies one stripe-local contiguous chunk (starting at
@@ -1488,9 +1243,10 @@ func (c *Client) statOnce(ctx context.Context, path string, tolerateMissing bool
 		if isCanceled(err) {
 			return 0, false, lay, false, err
 		}
-		resp = c.statAny(ctx, path)
+		var moving bool
+		resp, moving = c.statAny(ctx, path)
 		if resp == nil {
-			return 0, false, lay, transport.IsStaleLayout(err), err
+			return 0, false, lay, moving || transport.IsStaleLayout(err), err
 		}
 	}
 	if resp.IsDir {
@@ -1562,31 +1318,25 @@ func (c *Client) statOnce(ctx context.Context, path string, tolerateMissing bool
 
 // statAny broadcasts a stat to every connected server and returns the
 // first hit — the fallback path for entries the drifted ring owner no
-// longer holds.
-func (c *Client) statAny(ctx context.Context, path string) *transport.Response {
-	for _, p := range c.sortedPools() {
+// longer holds. With no hit, moving reports that some server answered
+// stale-layout: the sweep is not atomic, so a cutover landing mid-sweep
+// shows the new holder before its commit and the old one after its
+// drop, and the miss is worth a retry rather than a not-exist verdict.
+func (c *Client) statAny(ctx context.Context, path string) (hit *transport.Response, moving bool) {
+	for _, p := range c.peers.Pools() {
 		resp, err := c.poolCall(ctx, p, &transport.Request{
 			Type: transport.MsgStat, Seq: c.seq.Add(1), Job: c.job, Path: path,
 		})
-		if err == nil && resp.Err == "" {
-			return resp
+		if err != nil {
+			continue
 		}
+		if resp.Err == "" {
+			return resp, false
+		}
+		moving = moving || transport.IsStaleLayout(resp.Error())
+		resp.Release()
 	}
-	return nil
-}
-
-// sortedPools snapshots the live pools in address order — the iteration
-// every broadcast-style method (Mkdir/Readdir/Flush, SetPolicy,
-// ShareReports) shares.
-func (c *Client) sortedPools() []*transport.Pool {
-	c.mu.Lock()
-	pools := make([]*transport.Pool, 0, len(c.pools))
-	for _, p := range c.pools {
-		pools = append(pools, p)
-	}
-	c.mu.Unlock()
-	sort.Slice(pools, func(i, j int) bool { return pools[i].Addr() < pools[j].Addr() })
-	return pools
+	return nil, moving
 }
 
 // broadcast sends the request to every server and collects responses.
@@ -1595,7 +1345,7 @@ func (c *Client) sortedPools() []*transport.Pool {
 // stored as files" with directory content spread across servers.
 func (c *Client) broadcast(ctx context.Context, path string, mk func() *transport.Request) ([]*transport.Response, error) {
 	var out []*transport.Response
-	for _, p := range c.sortedPools() {
+	for _, p := range c.peers.Pools() {
 		req := mk()
 		req.Seq = c.seq.Add(1)
 		req.Job = c.job
@@ -1645,7 +1395,7 @@ func (c *Client) FlushContext(ctx context.Context) error {
 // request. Returns the canonical policy string and the new epoch.
 func (c *Client) SetPolicy(policyStr string) (string, uint64, error) {
 	var lastErr error = fmt.Errorf("client: no servers left")
-	for _, p := range c.sortedPools() {
+	for _, p := range c.peers.Pools() {
 		resp, err := c.poolCall(context.Background(), p, &transport.Request{
 			Type: transport.MsgPolicySet, Seq: c.seq.Add(1), Job: c.job,
 			PolicyStr: policyStr,
@@ -1682,7 +1432,7 @@ type ShareReport struct {
 // for the cluster-wide measured share).
 func (c *Client) ShareReports() ([]ShareReport, error) {
 	var out []ShareReport
-	for _, p := range c.sortedPools() {
+	for _, p := range c.peers.Pools() {
 		resp, err := c.poolCall(context.Background(), p, &transport.Request{
 			Type: transport.MsgShareReport, Seq: c.seq.Add(1), Job: c.job,
 		})

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"themisio/internal/transport"
 )
@@ -94,47 +93,6 @@ func TestZeroCopyHammer(t *testing.T) {
 	for err := range errs {
 		if err != nil {
 			t.Fatal(err)
-		}
-	}
-}
-
-// The BDP estimator: default before samples, EWMA convergence, and the
-// power-of-two clamp of the derived unit.
-func TestBDPEstimator(t *testing.T) {
-	var e bdpEstimator
-	if e.unit() != DefaultStripeUnit {
-		t.Fatalf("unsampled estimator must fall back to the default, got %d", e.unit())
-	}
-	e.observe(100, time.Millisecond) // small op → RTT sample only
-	if e.unit() != DefaultStripeUnit {
-		t.Fatal("RTT alone must not produce a unit")
-	}
-	// 1 GB/s over a 1 ms RTT → BDP 1 MB → unit 1 MiB (pow2 above 10^6).
-	for i := 0; i < 50; i++ {
-		e.observe(1<<20, time.Duration(float64(time.Second)*float64(1<<20)/1e9))
-		e.observe(100, time.Millisecond)
-	}
-	if u := e.unit(); u != 1<<20 {
-		t.Fatalf("1 GB/s × 1 ms should size a 1 MiB unit, got %d", u)
-	}
-	// A fat long pipe clamps at the top class…
-	var hi bdpEstimator
-	hi.observe(100, 100*time.Millisecond)
-	hi.observe(64<<20, 100*time.Millisecond)
-	if u := hi.unit(); u != maxAutoUnit {
-		t.Fatalf("huge BDP must clamp to %d, got %d", maxAutoUnit, u)
-	}
-	// …and a thin short one at the bottom.
-	var lo bdpEstimator
-	lo.observe(100, 10*time.Microsecond)
-	lo.observe(8<<10, 8*time.Millisecond)
-	if u := lo.unit(); u != minAutoUnit {
-		t.Fatalf("tiny BDP must clamp to %d, got %d", minAutoUnit, u)
-	}
-	// Units are powers of two in range.
-	for _, u := range []int64{e.unit(), hi.unit(), lo.unit()} {
-		if u&(u-1) != 0 || u < minAutoUnit || u > maxAutoUnit {
-			t.Fatalf("unit %d is not a clamped power of two", u)
 		}
 	}
 }

@@ -5,13 +5,16 @@
 // epidemic dissemination infects all N members in O(log N) rounds with
 // high probability, so every server's job table converges within a
 // small multiple of λ while each server maintains only k connections
-// per round instead of N-1.
+// per round instead of N-1. Peers are reached through a
+// transport.Peers set: one cached connection each, redialed once when a
+// cached connection turns out stale (every exchange is an idempotent
+// merge).
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,11 +39,6 @@ type Config struct {
 	// FailTimeout confirms a suspect member failed after this sighting
 	// age (non-positive selects DefaultFailTimeout).
 	FailTimeout time.Duration
-	// Replicas is the ring virtual-node count (non-positive selects
-	// chash.DefaultReplicas).
-	Replicas int
-	// DialTimeout bounds one peer dial (default 500ms).
-	DialTimeout time.Duration
 	// Seed fixes the peer-selection stream for deterministic tests.
 	Seed int64
 }
@@ -54,14 +52,10 @@ type Node struct {
 	mem *Membership
 	tab *jobtable.Table
 
-	// xmu serializes whole exchanges: request/response pairs on a
-	// cached connection must not interleave (responses carry no type,
-	// only Seq, and the exchange path matches them positionally).
-	xmu   sync.Mutex
-	mu    sync.Mutex
-	conns map[string]*transport.Conn
-	rng   *rand.Rand
-	seq   uint64
+	peers *transport.Peers
+
+	mu  sync.Mutex // guards rng
+	rng *rand.Rand
 
 	// rounds counts completed Gossip calls (λ rounds), for the
 	// operator metrics endpoint.
@@ -83,17 +77,23 @@ func NewNode(cfg Config, tab *jobtable.Table) *Node {
 	if cfg.Fanout <= 0 {
 		cfg.Fanout = DefaultFanout
 	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 500 * time.Millisecond
-	}
 	return &Node{
 		cfg:   cfg,
-		mem:   NewMembership(cfg.Self, cfg.FailTimeout, cfg.Replicas),
+		mem:   NewMembership(cfg.Self, cfg.FailTimeout),
 		tab:   tab,
-		conns: map[string]*transport.Conn{},
+		peers: transport.NewPeers(1, 1, dialTimeout, 0),
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
 	}
 }
+
+// dialTimeout bounds one peer dial; exchangeTimeout bounds a whole
+// exchange, so a peer that accepted the connection but never replies
+// (wedged process, half-open socket) cannot stall the caller's λ loop —
+// and with it failure detection — forever.
+const (
+	dialTimeout     = 500 * time.Millisecond
+	exchangeTimeout = 4 * dialTimeout
+)
 
 // Membership returns the node's membership view.
 func (n *Node) Membership() *Membership { return n.mem }
@@ -178,7 +178,7 @@ func (n *Node) Join(seeds []string, now time.Duration) error {
 		if addr == "" || addr == n.cfg.Self {
 			continue
 		}
-		resp, err := n.exchange(addr, transport.MsgJoin, now)
+		resp, err := n.exchange(addr, n.digest(transport.MsgJoin))
 		if err != nil {
 			lastErr = err
 			continue
@@ -201,7 +201,7 @@ func (n *Node) Gossip(now time.Duration) bool {
 	changed := len(n.mem.Tick(now)) > 0
 	peers := n.mem.Peers()
 	for _, addr := range n.sample(peers, n.cfg.Fanout) {
-		resp, err := n.exchange(addr, transport.MsgGossip, now)
+		resp, err := n.exchange(addr, n.digest(transport.MsgGossip))
 		if err != nil {
 			n.mem.ReportFailure(addr, now)
 			continue
@@ -231,11 +231,9 @@ func (n *Node) sample(peers []string, k int) []string {
 	return out
 }
 
-// exchange performs one request/response round trip with a peer over a
-// cached connection, redialing once on a stale connection.
-func (n *Node) exchange(addr string, typ transport.MsgType, now time.Duration) (*transport.Response, error) {
-	n.xmu.Lock()
-	defer n.xmu.Unlock()
+// digest builds a push frame of the given type: the job-table snapshot,
+// the membership digest and the policy rumor.
+func (n *Node) digest(typ transport.MsgType) *transport.Request {
 	req := &transport.Request{
 		Type:    typ,
 		From:    n.cfg.Self,
@@ -243,61 +241,21 @@ func (n *Node) exchange(addr string, typ transport.MsgType, now time.Duration) (
 		Members: Records(n.mem.Snapshot()),
 	}
 	req.PolicyStr, req.PolicyEpoch = n.PolicyVersion()
-	n.mu.Lock()
-	req.Seq = n.seq + 1
-	n.seq++
-	c := n.conns[addr]
-	n.mu.Unlock()
-	if c != nil {
-		if resp, err := n.roundTrip(c, req); err == nil {
-			return resp, nil
-		}
-		n.dropConn(addr, c)
-	}
-	raw, err := net.DialTimeout("tcp", addr, n.cfg.DialTimeout)
-	if err != nil {
-		return nil, err
-	}
-	c = transport.NewConn(raw)
-	n.mu.Lock()
-	n.conns[addr] = c
-	n.mu.Unlock()
-	resp, err := n.roundTrip(c, req)
-	if err != nil {
-		n.dropConn(addr, c)
-		return nil, err
-	}
-	return resp, nil
+	return req
 }
 
-func (n *Node) roundTrip(c *transport.Conn, req *transport.Request) (*transport.Response, error) {
-	// A deadline bounds the whole exchange: a peer that accepted the
-	// connection but never replies (wedged process, half-open socket)
-	// must not stall the caller's λ loop — and with it failure
-	// detection — forever.
-	_ = c.SetDeadline(time.Now().Add(4 * n.cfg.DialTimeout))
-	defer c.SetDeadline(time.Time{})
-	if err := c.SendRequest(req); err != nil {
-		return nil, err
-	}
-	resp, err := c.RecvResponse()
-	if err != nil {
-		return nil, err
-	}
-	return resp, nil
+// exchange performs one bounded request/response round trip with a
+// peer.
+func (n *Node) exchange(addr string, req *transport.Request) (*transport.Response, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), exchangeTimeout)
+	defer cancel()
+	return n.peers.Call(ctx, addr, req)
 }
 
-func (n *Node) dropConn(addr string, c *transport.Conn) {
-	c.Close()
-	n.mu.Lock()
-	if n.conns[addr] == c {
-		delete(n.conns, addr)
-	}
-	n.mu.Unlock()
-}
-
-// absorb merges a pull reply from addr into the local view.
+// absorb merges a pull reply from addr into the local view and
+// releases it.
 func (n *Node) absorb(addr string, resp *transport.Response, now time.Duration) bool {
+	defer resp.Release()
 	n.mem.Sighting(addr, now)
 	changed := len(n.mem.Merge(FromRecords(resp.Members), now)) > 0
 	if n.tab.Merge(resp.Table, now) {
@@ -378,37 +336,13 @@ func (n *Node) Leave(now time.Duration) {
 		From:    n.cfg.Self,
 		Members: Records(n.mem.Snapshot()),
 	}
-	n.xmu.Lock()
-	defer n.xmu.Unlock()
 	for _, addr := range n.sample(n.mem.Peers(), n.cfg.Fanout) {
-		n.mu.Lock()
-		c := n.conns[addr]
-		n.mu.Unlock()
-		if c == nil {
-			raw, err := net.DialTimeout("tcp", addr, n.cfg.DialTimeout)
-			if err != nil {
-				continue
-			}
-			c = transport.NewConn(raw)
-			n.mu.Lock()
-			n.conns[addr] = c
-			n.mu.Unlock()
+		if resp, err := n.exchange(addr, req); err == nil {
+			resp.Release()
 		}
-		_ = c.SetDeadline(time.Now().Add(4 * n.cfg.DialTimeout))
-		if err := c.SendRequest(req); err == nil {
-			_, _ = c.RecvResponse()
-		}
-		_ = c.SetDeadline(time.Time{})
 	}
 	n.Close()
 }
 
 // Close tears down cached peer connections.
-func (n *Node) Close() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for addr, c := range n.conns {
-		c.Close()
-		delete(n.conns, addr)
-	}
-}
+func (n *Node) Close() { n.peers.Close() }

@@ -127,10 +127,9 @@ type Membership struct {
 }
 
 // NewMembership returns a membership view owned by self, with the given
-// failure timeout (non-positive selects DefaultFailTimeout) and ring
-// virtual-node count (non-positive selects chash.DefaultReplicas).
-// The view starts as a single-member cluster: self, alive.
-func NewMembership(self string, timeout time.Duration, replicas int) *Membership {
+// failure timeout (non-positive selects DefaultFailTimeout). The view
+// starts as a single-member cluster: self, alive.
+func NewMembership(self string, timeout time.Duration) *Membership {
 	if timeout <= 0 {
 		timeout = DefaultFailTimeout
 	}
@@ -139,7 +138,7 @@ func NewMembership(self string, timeout time.Duration, replicas int) *Membership
 		timeout: timeout,
 		after:   DefaultFailAfter,
 		entries: map[string]*entry{},
-		ring:    chash.New(replicas),
+		ring:    chash.New(0),
 	}
 	m.entries[self] = &entry{m: Member{Addr: self, State: StateAlive, Incarnation: 1}}
 	m.ring.Add(self)

@@ -7,7 +7,7 @@ import (
 )
 
 func TestMembershipSingleNode(t *testing.T) {
-	m := NewMembership("a", 0, 0)
+	m := NewMembership("a", 0)
 	if got := m.Peers(); len(got) != 0 {
 		t.Fatalf("lone member has peers %v", got)
 	}
@@ -21,7 +21,7 @@ func TestMembershipSingleNode(t *testing.T) {
 }
 
 func TestMembershipSightingAndFailure(t *testing.T) {
-	m := NewMembership("a", 100*time.Millisecond, 0)
+	m := NewMembership("a", 100*time.Millisecond)
 	m.Sighting("b", 0)
 	if b, _ := m.Lookup("b"); b.State != StateAlive {
 		t.Fatalf("b = %+v after sighting", b)
@@ -64,7 +64,7 @@ func TestMembershipSightingAndFailure(t *testing.T) {
 }
 
 func TestMembershipRumorPrecedence(t *testing.T) {
-	m := NewMembership("a", 0, 0)
+	m := NewMembership("a", 0)
 	m.Merge([]Member{{Addr: "b", State: StateAlive, Incarnation: 3}}, 0)
 
 	// A stale alive rumor (lower incarnation) must not downgrade.
@@ -90,7 +90,7 @@ func TestMembershipRumorPrecedence(t *testing.T) {
 }
 
 func TestMembershipSelfRefutation(t *testing.T) {
-	m := NewMembership("a", 0, 0)
+	m := NewMembership("a", 0)
 	// A rumor that self has failed is refuted by out-incarnating it.
 	m.Merge([]Member{{Addr: "a", State: StateFailed, Incarnation: 7}}, 0)
 	self, _ := m.Lookup("a")
@@ -115,7 +115,7 @@ func TestMembershipSelfRefutation(t *testing.T) {
 }
 
 func TestMembershipDrainAndLeave(t *testing.T) {
-	m := NewMembership("a", 0, 0)
+	m := NewMembership("a", 0)
 	m.Sighting("b", 0)
 	m.Drain()
 	self, _ := m.Lookup("a")
@@ -126,7 +126,7 @@ func TestMembershipDrainAndLeave(t *testing.T) {
 		t.Fatalf("draining member still owns ring segments: %v", nodes)
 	}
 	// Draining members still gossip.
-	m2 := NewMembership("b", 0, 0)
+	m2 := NewMembership("b", 0)
 	m2.Merge(m.Snapshot(), 0)
 	if a, _ := m2.Lookup("a"); a.State != StateDraining {
 		t.Fatalf("drain did not propagate: %+v", a)
@@ -148,7 +148,7 @@ func TestMembershipGossipConvergence(t *testing.T) {
 	const n = 16
 	views := make([]*Membership, n)
 	for i := range views {
-		views[i] = NewMembership(fmt.Sprintf("s%02d", i), 0, 0)
+		views[i] = NewMembership(fmt.Sprintf("s%02d", i), 0)
 	}
 	// Everyone knows only the seed (s00) plus itself, as after MsgJoin.
 	for i := 1; i < n; i++ {

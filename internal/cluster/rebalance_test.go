@@ -15,6 +15,7 @@ import (
 	"themisio/internal/experiments"
 	"themisio/internal/policy"
 	"themisio/internal/server"
+	"themisio/internal/transport"
 )
 
 // joinServers starts extra servers that join an existing fabric through
@@ -310,5 +311,95 @@ func TestRebalanceShareTracksPolicy(t *testing.T) {
 	}
 	if s := m["jobfair_migration_share"]; s < 0.49 || s > 0.51 {
 		t.Fatalf("job-fair migration share = %.3f, want 0.50±0.01", s)
+	}
+}
+
+// TestMigrationReleasesLeases: every peer reply of a stripe migration —
+// 1 MiB stripe fetches, install/commit/drop acks, the gossip pulls in
+// between — goes back to the lease pool after its last touch. With
+// lease poisoning armed a reply released too early corrupts the
+// migrated bytes; a reply never released shows up as lease misses
+// growing with every chunk moved.
+func TestMigrationReleasesLeases(t *testing.T) {
+	transport.SetLeasePoison(true)
+	defer transport.SetLeasePoison(false)
+	servers, addrs := startFabric(t, 2)
+	waitConverged(t, servers, 2)
+
+	const fileBytes = 3 << 20
+	w, err := client.DialOpts(jobInfo("lease-writer"), addrs, client.Options{Stripes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	files := map[string][]byte{}
+	for i := 0; i < 16; i++ {
+		p := fmt.Sprintf("/lease%02d.bin", i)
+		data := make([]byte, fileBytes)
+		for j := range data {
+			data[j] = byte(j*29 + i)
+		}
+		files[p] = data
+		f, err := w.Open(p, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, err := f.Write(data); err != nil || n != len(data) {
+			t.Fatalf("write %s: n=%d err=%v", p, n, err)
+		}
+		f.Close()
+	}
+	movedBytes := func(all []*server.Server) (n int64) {
+		for _, s := range all {
+			_, b, _, _ := s.Migrator().Stats()
+			n += b
+		}
+		return n
+	}
+
+	// Warm-up: the first join's migrations fill the lease classes.
+	all := append(servers, joinServers(t, 1, addrs[0])...)
+	waitConverged(t, all, 3)
+	waitRebalanced(t, all)
+	moved0 := movedBytes(all)
+	_, misses0 := transport.LeaseStats()
+
+	// Measured: a second join moves more stripes through the warm pool.
+	all = append(all, joinServers(t, 1, addrs[0])...)
+	waitConverged(t, all, 4)
+	waitRebalanced(t, all)
+	movedMiB := (movedBytes(all) - moved0) >> 20
+	_, misses1 := transport.LeaseStats()
+	if movedMiB < 3 {
+		t.Fatalf("second join moved %d MiB, want at least one file", movedMiB)
+	}
+	// Unreleased, every moved MiB costs a miss or more (one per fetched
+	// chunk, one per install ack); released, only what a GC cycle
+	// clears out of the pool is ever re-allocated.
+	grew := misses1 - misses0
+	t.Logf("second join migrated %d MiB; lease misses grew by %d", movedMiB, grew)
+	if grew > movedMiB/2 && !raceEnabled {
+		t.Fatalf("lease misses grew by %d while %d MiB migrated through a warm pool", grew, movedMiB)
+	}
+
+	var fresh []string
+	for _, s := range all {
+		fresh = append(fresh, s.Addr())
+	}
+	r, err := client.Dial(jobInfo("lease-reader"), fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for p, want := range files {
+		f, err := r.Open(p, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, len(want))
+		if n, err := io.ReadFull(f, got); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s after two migrations: %d/%d bytes, err=%v, equal=%v", p, n, len(want), err, bytes.Equal(got, want))
+		}
+		f.Close()
 	}
 }

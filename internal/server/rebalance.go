@@ -1,10 +1,10 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log/slog"
-	"net"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -44,7 +44,9 @@ import (
 // carries the synthetic rebalance job (policy.RebalanceJob), and data
 // messages go through each receiving server's token scheduler — the
 // compiled sharing policy arbitrates migration bandwidth against
-// foreground I/O exactly as it does stage-out drain traffic.
+// foreground I/O exactly as it does stage-out drain traffic. Peers are
+// reached through a transport.Peers set (one cached connection each);
+// every reply is released after its last touch.
 
 // migChunk is the migration transfer granularity: the same 1 MiB grain
 // as foreground striped writes and drain chunks, so the policy
@@ -68,7 +70,9 @@ type Migrator struct {
 	running atomic.Bool
 	planned atomic.Uint64
 	dirty   atomic.Bool // a pass failed; retry even at the same epoch
-	closed  atomic.Bool
+
+	// peers reaches the other holders: one cached connection each.
+	peers *transport.Peers
 
 	// Progress counters for themisctl rebalance status.
 	files   atomic.Int64
@@ -78,8 +82,6 @@ type Migrator struct {
 
 	mu        sync.Mutex
 	lastErr   error
-	conns     map[string]*transport.Conn
-	seq       uint64
 	lastSweep time.Time
 	// drops are stale-stripe retirements whose delivery failed after a
 	// cutover already committed. The cutover is correct without them —
@@ -108,7 +110,7 @@ func NewMigrator(self string, shard *fsys.Shard, node *cluster.Node, store backi
 		store: store,
 		job:   policy.RebalanceJob(self),
 		log:   logger,
-		conns: map[string]*transport.Conn{},
+		peers: transport.NewPeers(1, 1, 2*time.Second, 0),
 	}
 }
 
@@ -143,15 +145,7 @@ func (m *Migrator) LastErr() error {
 // Close tears down cached peer connections and refuses new dials — an
 // in-flight pass errors out at its next round trip instead of opening
 // (and leaking) fresh sockets after shutdown.
-func (m *Migrator) Close() {
-	m.closed.Store(true)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for addr, c := range m.conns {
-		c.Close()
-		delete(m.conns, addr)
-	}
-}
+func (m *Migrator) Close() { m.peers.Close() }
 
 func (m *Migrator) fail(err error) {
 	m.errs.Add(1)
@@ -269,10 +263,9 @@ func (m *Migrator) ZombieSweep() {
 		if err != nil {
 			continue
 		}
-		if resp.IsDir || resp.LayoutGen <= fi.LayoutGen || slices.Contains(resp.StripeSet, m.self) {
-			continue
-		}
-		if m.shard.MigrateDrop(p, gen) {
+		superseded := !resp.IsDir && resp.LayoutGen > fi.LayoutGen && !slices.Contains(resp.StripeSet, m.self)
+		resp.Release()
+		if superseded && m.shard.MigrateDrop(p, gen) {
 			m.log.Info("retired zombie stripe",
 				"path", p, "superseded_gen", resp.LayoutGen, "owner", owner)
 		}
@@ -568,6 +561,7 @@ func (m *Migrator) sealOn(addr, path string, expectLayoutGen uint64) (int64, uin
 	if err != nil {
 		return 0, 0, err
 	}
+	defer resp.Release()
 	return resp.Size, resp.Gen, nil
 }
 
@@ -665,7 +659,7 @@ func (m *Migrator) unsealOn(addr, path string, keep int64) {
 	if keep >= 0 {
 		op, size = transport.MigrateUnsealTrim, keep
 	}
-	_, _ = m.call(addr, &transport.Request{
+	_ = m.send(addr, &transport.Request{
 		Type: transport.MsgMigrate, MigrateOp: op, Path: path, Size: size,
 	})
 }
@@ -683,6 +677,7 @@ func (m *Migrator) statStripe(addr, path string) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
+	defer resp.Release()
 	return resp.Size, nil
 }
 
@@ -692,7 +687,7 @@ func (m *Migrator) abortAll(targets []string, path string) {
 			m.shard.MigrateAbort(path)
 			continue
 		}
-		_, _ = m.call(addr, &transport.Request{
+		_ = m.send(addr, &transport.Request{
 			Type: transport.MsgMigrate, MigrateOp: transport.MigrateAbort, Path: path,
 		})
 	}
@@ -733,9 +728,11 @@ func (m *Migrator) fetchStripe(addr, path string, stripe int, size int64) ([]byt
 		}
 		if resp.N < want {
 			ferr = fmt.Errorf("short stripe read from %s: %d < %d", addr, resp.N, want)
+			resp.Release()
 			break
 		}
 		buf = append(buf, resp.Data[:want]...)
+		resp.Release()
 		off += want
 	}
 	if ferr == nil {
@@ -760,7 +757,7 @@ func (m *Migrator) installOn(addr, path string, data []byte) error {
 				return err
 			}
 		} else {
-			if _, err := m.call(addr, &transport.Request{
+			if err := m.send(addr, &transport.Request{
 				Type: transport.MsgMigrate, MigrateOp: transport.MigrateInstall,
 				Path: path, Offset: off, Data: data[off:end],
 			}); err != nil {
@@ -775,12 +772,11 @@ func (m *Migrator) installOn(addr, path string, data []byte) error {
 }
 
 func (m *Migrator) commitOn(addr, path string, stripes int, unit int64, set []string, layoutGen uint64) error {
-	_, err := m.call(addr, &transport.Request{
+	return m.send(addr, &transport.Request{
 		Type: transport.MsgMigrate, MigrateOp: transport.MigrateCommit,
 		Path: path, Stripes: stripes, StripeUnit: unit, StripeSet: set,
 		LayoutGen: layoutGen,
 	})
-	return err
 }
 
 func (m *Migrator) dropOn(addr, path string, gen uint64) error {
@@ -788,97 +784,47 @@ func (m *Migrator) dropOn(addr, path string, gen uint64) error {
 		m.shard.MigrateDrop(path, gen)
 		return nil
 	}
-	_, err := m.call(addr, &transport.Request{
+	return m.send(addr, &transport.Request{
 		Type: transport.MsgMigrate, MigrateOp: transport.MigrateDrop,
 		Path: path, Gen: gen,
 	})
-	return err
 }
 
-// call performs one request/response round trip with a peer over a
-// cached connection under the rebalance job identity, redialing once
-// on a transport failure. Data messages land in the peer's scheduler,
-// so the reply waits for a token draw — the deadline must comfortably
-// exceed a saturated queue's service time.
-//
-// An application-level error (the peer answered, but refused) is
-// returned as-is without touching the connection: it is a protocol
-// outcome, not a transport fault. A transport failure on the cached
-// connection re-sends once over a fresh dial; the first delivery may
-// have executed, which is safe because every migrate sub-op is
-// idempotent — seal/unseal/abort by nature, install by its in-order
-// offset check, commit by the layout-generation check, drop by the
-// creation-generation check.
+// callBudget bounds one peer round trip. Data messages land in the
+// peer's scheduler, so the reply waits for a token draw — the budget
+// must comfortably exceed a saturated queue's service time.
+const callBudget = 30 * time.Second
+
+// call performs one request/response round trip with a peer under the
+// rebalance job identity. A stale cached connection re-sends once over
+// a fresh dial (transport.Peers.Call); the first delivery may have
+// executed, which is safe because every migrate sub-op is idempotent —
+// seal/unseal/abort by nature, install by its in-order offset check,
+// commit by the layout-generation check, drop by the creation-generation
+// check. An application-level refusal (the peer answered, but said no)
+// surfaces as an error without touching the connection. The caller
+// releases the response after its last touch.
 func (m *Migrator) call(addr string, req *transport.Request) (*transport.Response, error) {
-	if m.closed.Load() {
-		return nil, fmt.Errorf("rebalance: migrator closed")
-	}
 	req.Job = m.job
-	m.mu.Lock()
-	m.seq++
-	req.Seq = m.seq
-	c := m.conns[addr]
-	m.mu.Unlock()
-	if c != nil {
-		resp, err := m.roundTrip(c, req)
-		if err == nil {
-			return m.appResult(resp)
-		}
-		m.dropConn(addr, c)
-	}
-	if m.closed.Load() {
-		// Close swept the cache while this call was in flight; dialing
-		// now would register a socket nothing ever closes.
-		return nil, fmt.Errorf("rebalance: migrator closed")
-	}
-	raw, err := net.DialTimeout("tcp", addr, 2*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), callBudget)
+	defer cancel()
+	resp, err := m.peers.Call(ctx, addr, req)
 	if err != nil {
 		return nil, err
 	}
-	c = transport.NewConn(raw)
-	m.mu.Lock()
-	if m.closed.Load() {
-		m.mu.Unlock()
-		c.Close()
-		return nil, fmt.Errorf("rebalance: migrator closed")
-	}
-	m.conns[addr] = c
-	m.mu.Unlock()
-	resp, err := m.roundTrip(c, req)
-	if err != nil {
-		m.dropConn(addr, c)
-		return nil, err
-	}
-	return m.appResult(resp)
-}
-
-// appResult surfaces a peer's application-level refusal as an error
-// while leaving the healthy connection cached.
-func (m *Migrator) appResult(resp *transport.Response) (*transport.Response, error) {
 	if resp.Err != "" {
-		return nil, resp.Error()
-	}
-	return resp, nil
-}
-
-func (m *Migrator) roundTrip(c *transport.Conn, req *transport.Request) (*transport.Response, error) {
-	_ = c.SetDeadline(time.Now().Add(30 * time.Second))
-	defer c.SetDeadline(time.Time{})
-	if err := c.SendRequest(req); err != nil {
-		return nil, err
-	}
-	resp, err := c.RecvResponse()
-	if err != nil {
+		err = resp.Error()
+		resp.Release()
 		return nil, err
 	}
 	return resp, nil
 }
 
-func (m *Migrator) dropConn(addr string, c *transport.Conn) {
-	c.Close()
-	m.mu.Lock()
-	if m.conns[addr] == c {
-		delete(m.conns, addr)
+// send is call for sub-ops whose reply carries nothing but success.
+func (m *Migrator) send(addr string, req *transport.Request) error {
+	resp, err := m.call(addr, req)
+	if err == nil {
+		resp.Release()
 	}
-	m.mu.Unlock()
+	return err
 }

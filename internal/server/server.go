@@ -81,8 +81,6 @@ type Config struct {
 	// job — and re-hydrates failed peers' ring segments. Nil disables
 	// durability (the seed behaviour).
 	Backing backing.Store
-	// FlushTimeout bounds a forced full stage-out (default 30s).
-	FlushTimeout time.Duration
 	// RebalanceDisabled turns off join-time stripe rebalancing (on by
 	// default): with it set, a newly joined member receives new
 	// placements but existing files never migrate toward it.
@@ -181,9 +179,6 @@ func New(ln net.Listener, cfg Config) *Server {
 	}
 	if cfg.FailTimeout <= 0 {
 		cfg.FailTimeout = 6 * cfg.Lambda
-	}
-	if cfg.FlushTimeout <= 0 {
-		cfg.FlushTimeout = 30 * time.Second
 	}
 	addr := ln.Addr().String()
 	shard := fsys.NewShard(addr, cfg.Capacity)
@@ -851,6 +846,9 @@ func (s *Server) wakeN(n int) {
 	}
 }
 
+// flushTimeout bounds a forced full stage-out.
+const flushTimeout = 30 * time.Second
+
 // Flush forces a full stage-out: every dirty byte, changed directory,
 // and pending unlink reaches the backing store before it returns. The
 // themisctl `flush` command and graceful shutdown both land here. A
@@ -862,7 +860,7 @@ func (s *Server) Flush() error {
 	}
 	s.stageMu.Lock()
 	defer s.stageMu.Unlock()
-	return s.drain.Flush(s.now, s.pushDrain, s.wakeN, s.cfg.FlushTimeout)
+	return s.drain.Flush(s.now, s.pushDrain, s.wakeN, flushTimeout)
 }
 
 // Drainer exposes the stage-out engine for inspection (nil without a

@@ -195,10 +195,26 @@ func (c *Conn) readFrameLeased() ([]byte, error) {
 	if n > maxFrame {
 		return nil, fmt.Errorf("transport: frame of %d bytes", n)
 	}
-	b := Lease(int(n))
-	if _, err := io.ReadFull(c.br, b); err != nil {
-		Release(b)
-		return nil, err
+	top := leaseClasses[len(leaseClasses)-1]
+	if int(n) <= top {
+		b := Lease(int(n))
+		if _, err := io.ReadFull(c.br, b); err != nil {
+			Release(b)
+			return nil, err
+		}
+		return b, nil
+	}
+	// Above the top lease class the length prefix is a claim, not yet a
+	// fact: read in top-class steps into a buffer that grows with the
+	// bytes actually received, so a hostile header followed by silence
+	// commits one class, not maxFrame.
+	b := make([]byte, 0, top)
+	for len(b) < int(n) {
+		step := min(top, int(n)-len(b))
+		b = slices.Grow(b, step)[:len(b)+step]
+		if _, err := io.ReadFull(c.br, b[len(b)-step:]); err != nil {
+			return nil, err
+		}
 	}
 	return b, nil
 }

@@ -28,7 +28,7 @@ import (
 )
 
 // leaseClasses are the payload size classes, spanning a heartbeat frame
-// up to the largest adaptive stripe unit. Above the top class Lease
+// up to a 4 MiB stripe unit. Above the top class Lease
 // falls back to a plain allocation (Release ignores it).
 var leaseClasses = [...]int{4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20}
 

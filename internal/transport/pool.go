@@ -8,8 +8,7 @@
 //     client hashes path and stripe index) always lands on the same
 //     slot, so one file's chunk stream for one stripe rides one
 //     connection in send order. The server's AppendAtGen reorder buffer
-//     then never parks a copy for pool-induced reordering, and the BDP
-//     estimator's samples stay coherent per network path.
+//     then never parks a copy for pool-induced reordering.
 //   - PickSpread() rotates over every slot: reads at explicit offsets
 //     are idempotent and order-free, so read chunks fan out across all
 //     connections for parallel socket reads and parallel decode.
@@ -21,8 +20,8 @@
 // dials on first use. A slot whose dial fails (or whose connection
 // dies) cools down before it is retried, and picks fall back to a
 // healthy slot in the meantime; losing the whole server is the owner's
-// call (the client tears the pool down as it used to tear one
-// connection down).
+// call (Peers.Drop). Pools are normally reached through a Peers set
+// (peers.go), which owns the dial and the redial-on-failure rule.
 package transport
 
 import (
@@ -34,8 +33,7 @@ import (
 )
 
 // SlotCooldown is how long a pool slot fast-fails after a failed dial
-// or a died connection before it is retried. Mirrors the client's
-// whole-server dial cooldown, scoped to one slot.
+// or a died connection before it is retried.
 const SlotCooldown = 3 * time.Second
 
 // MuxConn multiplexes concurrent request/response exchanges over one
@@ -183,13 +181,51 @@ type Pool struct {
 
 	rr atomic.Uint64 // spread-pick cursor
 
-	// Window budgets: the in-flight pipeline depth is a property of the
-	// pool, not of one connection — depth×size tokens each for writes
-	// and reads, so a size-1 pool budgets exactly what one connection
-	// used to, and a wider pool scales the budget with its paths.
-	wtok, rtok chan struct{}
+	// Writes and Reads are the in-flight chunk budgets: the pipeline
+	// depth is a property of the pool, not of one connection — depth×size
+	// tokens each, shared by every concurrent striped call to this
+	// server, so a size-1 pool budgets exactly what one connection used
+	// to, and a wider pool scales the budget with its paths.
+	Writes, Reads Window
 
 	inflight atomic.Int64 // acquired window tokens (both kinds)
+}
+
+// Window is a counting budget of in-flight requests.
+type Window struct {
+	tok      chan struct{}
+	inflight *atomic.Int64 // the owning pool's gauge
+}
+
+// Acquire takes one token, honoring ctx.
+func (w *Window) Acquire(ctx context.Context) error {
+	select {
+	case w.tok <- struct{}{}:
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	w.inflight.Add(1)
+	return nil
+}
+
+// TryAcquire takes a token only if one is free — the non-blocking pick
+// for callers that still hold collectable in-flight responses of their
+// own (blocking then could deadlock on a token the caller itself must
+// release).
+func (w *Window) TryAcquire() bool {
+	select {
+	case w.tok <- struct{}{}:
+		w.inflight.Add(1)
+		return true
+	default:
+		return false
+	}
+}
+
+// Release returns a token.
+func (w *Window) Release() {
+	w.inflight.Add(-1)
+	<-w.tok
 }
 
 // NewPool builds a pool of size connections to addr with a per-conn
@@ -209,9 +245,9 @@ func NewPool(addr string, size, depth int, dial func(addr string) (*Conn, error)
 		size:  size,
 		dial:  dial,
 		slots: make([]poolSlot, size),
-		wtok:  make(chan struct{}, size*depth),
-		rtok:  make(chan struct{}, size*depth),
 	}
+	p.Writes = Window{tok: make(chan struct{}, size*depth), inflight: &p.inflight}
+	p.Reads = Window{tok: make(chan struct{}, size*depth), inflight: &p.inflight}
 	if _, err := p.ensureSlot(0); err != nil {
 		return nil, err
 	}
@@ -333,58 +369,6 @@ func (p *Pool) fallback(i int, lastErr error) (*MuxConn, error) {
 		}
 	}
 	return nil, lastErr
-}
-
-// AcquireWrite takes one write-window token, honoring ctx. The budget
-// is pool-wide: concurrent striped writes to one server share depth×size
-// in-flight chunk RPCs instead of each opening its own window.
-func (p *Pool) AcquireWrite(ctx context.Context) error { return p.acquire(ctx, p.wtok) }
-
-// ReleaseWrite returns a write-window token.
-func (p *Pool) ReleaseWrite() { p.release(p.wtok) }
-
-// TryAcquireWrite takes a write-window token only if one is free — the
-// non-blocking pick callers use while they still hold collectable
-// in-flight responses of their own (blocking then could deadlock on a
-// token the caller itself must release).
-func (p *Pool) TryAcquireWrite() bool { return p.tryAcquire(p.wtok) }
-
-// AcquireRead takes one read-window token, honoring ctx.
-func (p *Pool) AcquireRead(ctx context.Context) error { return p.acquire(ctx, p.rtok) }
-
-// TryAcquireRead takes a read-window token only if one is free.
-func (p *Pool) TryAcquireRead() bool { return p.tryAcquire(p.rtok) }
-
-// ReleaseRead returns a read-window token.
-func (p *Pool) ReleaseRead() { p.release(p.rtok) }
-
-func (p *Pool) tryAcquire(tok chan struct{}) bool {
-	select {
-	case tok <- struct{}{}:
-		p.inflight.Add(1)
-		return true
-	default:
-		return false
-	}
-}
-
-func (p *Pool) acquire(ctx context.Context, tok chan struct{}) error {
-	if ctx == nil || ctx.Done() == nil {
-		tok <- struct{}{}
-	} else {
-		select {
-		case tok <- struct{}{}:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	p.inflight.Add(1)
-	return nil
-}
-
-func (p *Pool) release(tok chan struct{}) {
-	p.inflight.Add(-1)
-	<-tok
 }
 
 // ForEach calls f with every currently open connection (heartbeats,

@@ -216,24 +216,24 @@ func TestPoolWindowTokens(t *testing.T) {
 	}
 	defer p.Close()
 	for i := 0; i < 6; i++ {
-		if !p.TryAcquireWrite() {
+		if !p.Writes.TryAcquire() {
 			t.Fatalf("token %d refused below the budget", i)
 		}
 	}
-	if p.TryAcquireWrite() {
+	if p.Writes.TryAcquire() {
 		t.Fatal("token granted past the depth×size budget")
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if err := p.AcquireWrite(ctx); err == nil {
+	if err := p.Writes.Acquire(ctx); err == nil {
 		t.Fatal("blocking acquire past the budget should honor ctx")
 	}
-	p.ReleaseWrite()
-	if !p.TryAcquireWrite() {
+	p.Writes.Release()
+	if !p.Writes.TryAcquire() {
 		t.Fatal("released token not reusable")
 	}
 	for i := 0; i < 6; i++ {
-		p.ReleaseWrite()
+		p.Writes.Release()
 	}
 }
 

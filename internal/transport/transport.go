@@ -23,7 +23,6 @@ import (
 	"net"
 	"strings"
 	"sync"
-	"time"
 
 	"themisio/internal/jobtable"
 	"themisio/internal/policy"
@@ -492,11 +491,6 @@ func (c *Conn) RecvResponse() (*Response, error) {
 
 // Close closes the underlying connection.
 func (c *Conn) Close() error { return c.raw.Close() }
-
-// SetDeadline bounds both reads and writes on the underlying
-// connection; the zero time clears it. Control-plane exchanges use
-// this so one wedged peer cannot stall a server's λ loop forever.
-func (c *Conn) SetDeadline(t time.Time) error { return c.raw.SetDeadline(t) }
 
 // RemoteAddr exposes the peer address for logging.
 func (c *Conn) RemoteAddr() net.Addr { return c.raw.RemoteAddr() }

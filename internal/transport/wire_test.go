@@ -3,10 +3,12 @@ package transport
 import (
 	"bytes"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"math/rand"
 	"net"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -66,8 +68,8 @@ func TestHostileStreamRefused(t *testing.T) {
 			go func() {
 				_, _ = a.Write(append(append([]byte{}, prefix...), make([]byte, 64)...))
 			}()
+			_ = b.SetDeadline(time.Now().Add(5 * time.Second))
 			c := NewConn(b)
-			_ = c.SetDeadline(time.Now().Add(5 * time.Second))
 			var msg any
 			var err error
 			if recv == "request" {
@@ -192,5 +194,55 @@ func TestTableEncodingDeterministic(t *testing.T) {
 		if !bytes.Equal(appendRequest(nil, gossipRequest()), want) {
 			t.Fatal("the same table encoded to different bytes")
 		}
+	}
+}
+
+// A length prefix is a claim: a header announcing a near-maxFrame frame
+// followed by 16 bytes and a hang-up must fail having committed about
+// one lease class, not the gigabyte it announced.
+func TestHostileLengthCommitsOneClass(t *testing.T) {
+	a, b := net.Pipe()
+	defer b.Close()
+	go func() {
+		hostile := append(binMagic[:], 0xff, 0xff, 0xff, 0x3f) // little-endian 0x3fffffff
+		_, _ = a.Write(append(hostile, make([]byte, 16)...))
+		a.Close()
+	}()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	req, err := NewConn(b).RecvRequest()
+	runtime.ReadMemStats(&after)
+	if err == nil || req != nil {
+		t.Fatalf("truncated frame decoded: req=%v err=%v", req, err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 8<<20 {
+		t.Fatalf("hostile header committed %d bytes, want less than 8 MiB", grew)
+	}
+}
+
+// A legitimate frame above the top lease class — a gossip frame
+// carrying a very large job table — still round-trips.
+func TestOversizeFrameRoundTrip(t *testing.T) {
+	req := gossipRequest()
+	for i := 0; i < 120_000; i++ {
+		req.Table = append(req.Table, jobtable.Entry{
+			Info: policy.JobInfo{JobID: fmt.Sprintf("job-%07d", i), UserID: "some-user", GroupID: "some-group", Nodes: 4},
+			Last: time.Duration(i), Servers: map[string]bool{"127.0.0.1:7001": true},
+		})
+	}
+	top := leaseClasses[len(leaseClasses)-1]
+	if n := len(AppendRequestFrame(nil, req)); n <= top {
+		t.Fatalf("test frame is %d bytes, want more than the %d-byte top class", n, top)
+	}
+	ca, cb := pipePair()
+	defer ca.Close()
+	defer cb.Close()
+	go func() { _ = ca.SendRequest(req) }()
+	got, err := cb.RecvRequest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Table, req.Table) || got.PolicyEpoch != req.PolicyEpoch {
+		t.Fatal("oversize gossip frame lost fields in the round trip")
 	}
 }

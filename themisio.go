@@ -142,16 +142,6 @@ const (
 	Lambda   = bb.DefaultLambda
 )
 
-// ClientOptions sentinels: zero asks for the default; the Auto values
-// ask the client to size the knob itself.
-const (
-	// AutoStripeUnit sizes each created file's stripe unit from the
-	// measured bandwidth-delay product.
-	AutoStripeUnit = client.AutoStripeUnit
-	// DefaultConnsPerServer is the pool size used when
-	// ClientOptions.ConnsPerServer is zero.
-	DefaultConnsPerServer = client.DefaultConnsPerServer
-	// AutoConnsPerServer scales each per-server connection pool with
-	// the stripe width.
-	AutoConnsPerServer = client.AutoConnsPerServer
-)
+// DefaultConnsPerServer is the pool size used when
+// ClientOptions.ConnsPerServer is zero.
+const DefaultConnsPerServer = client.DefaultConnsPerServer
