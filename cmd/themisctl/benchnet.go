@@ -152,7 +152,8 @@ func benchNetStream(stdout io.Writer, addr string, job policy.JobInfo, path stri
 		defer cs[i].Close()
 	}
 
-	vec0, vecBytes0, flat0 := transport.IOStats()
+	vec0, vecBytes0, _ := transport.IOStats()
+	sent0, writes0 := transport.SendStats()
 	payload := make([]byte, benchNetFrame)
 	for i := range payload {
 		payload[i] = byte(i)
@@ -226,23 +227,23 @@ func benchNetStream(stdout io.Writer, addr string, job policy.JobInfo, path stri
 
 	// Distill: throughput from the wall clock, wire accounting from the
 	// shared Stats rows, write-syscall economy from the process-wide
-	// IOStats deltas (this probe's conns are the only data-plane senders
-	// in the process, so the delta is its own).
+	// SendStats and IOStats deltas (this probe's conns are the only
+	// data-plane senders in the process, so the deltas are its own).
 	var outFrames, outBytes int64
 	st.Snapshot(func(typ, dir string, f, b int64) {
 		if typ == transport.MsgWrite.String() && dir == "out" {
 			outFrames, outBytes = f, b
 		}
 	})
-	vec1, vecBytes1, flat1 := transport.IOStats()
-	writeCalls := (vec1 - vec0) + (flat1 - flat0)
+	vec1, vecBytes1, _ := transport.IOStats()
+	sent1, writes1 := transport.SendStats()
 	mbps := float64(benchNetTotal) / (1 << 20) / elapsed.Seconds()
 	fmt.Fprintf(stdout, "%s\tconns=%d\t%d MiB in %d frames, %.1f MB/s\n",
 		addr, nconns, benchNetTotal>>20, outFrames, mbps)
 	fmt.Fprintf(stdout, "%s\tconns=%d\twire %d bytes (%.1f bytes/frame overhead), %.2f write syscalls/frame, %d/%d frames vectored (%d MiB as iovecs)\n",
 		addr, nconns, outBytes,
 		float64(outBytes-int64(frames)*benchNetFrame)/float64(frames),
-		float64(writeCalls)/float64(frames),
-		vec1-vec0, writeCalls, (vecBytes1-vecBytes0)>>20)
+		float64(writes1-writes0)/float64(sent1-sent0),
+		vec1-vec0, sent1-sent0, (vecBytes1-vecBytes0)>>20)
 	return nil
 }

@@ -14,9 +14,13 @@ import (
 // lease poisoning armed: several writers each stream a deterministic
 // pattern through multiple Writes (the first rides the pre-capability
 // fallback, the rest the pipelined positional path), then read it all
-// back through the leased read replies. Any alias held past Release —
-// on either side of the wire — corrupts a pattern byte and fails the
-// compare; under -race the reuse also trips the detector.
+// back through the leased read replies. A tail of sub-8 KiB writes from
+// one reused buffer and a head of sub-8 KiB reads cover the copied
+// (group-committed) frames beside the vectored ones: the server releases
+// each reply lease right after sendResponse, possibly before the flusher
+// has written it. Any alias held past Release — on either side of the
+// wire — corrupts a pattern byte and fails the compare; under -race the
+// reuse also trips the detector.
 func TestZeroCopyHammer(t *testing.T) {
 	transport.SetLeasePoison(true)
 	defer transport.SetLeasePoison(false)
@@ -26,6 +30,8 @@ func TestZeroCopyHammer(t *testing.T) {
 		writers   = 4
 		perWrite  = 200 << 10 // crosses the 64 KiB units and the 8 KiB sg threshold
 		numWrites = 5
+		perSmall  = 3000 // below the sg threshold: copied at enqueue
+		numSmall  = 40
 	)
 	var wg sync.WaitGroup
 	errs := make(chan error, writers)
@@ -52,13 +58,17 @@ func TestZeroCopyHammer(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				want := make([]byte, 0, perWrite*numWrites)
-				for i := 0; i < numWrites; i++ {
-					chunk := make([]byte, perWrite)
+				want := make([]byte, 0, perWrite*numWrites+perSmall*numSmall)
+				chunk := make([]byte, perWrite)
+				for i := 0; i < numWrites+numSmall; i++ {
+					if i == numWrites {
+						chunk = chunk[:perSmall]
+					}
+					// One buffer, rewritten the moment Write returns.
 					for j := range chunk {
 						chunk[j] = byte((len(want)+j)*31 + w)
 					}
-					if n, err := f.Write(chunk); err != nil || n != perWrite {
+					if n, err := f.Write(chunk); err != nil || n != len(chunk) {
 						return fmt.Errorf("write %d: n=%d err=%v", i, n, err)
 					}
 					want = append(want, chunk...)
@@ -67,11 +77,15 @@ func TestZeroCopyHammer(t *testing.T) {
 					return err
 				}
 				// Read back in chunks misaligned with both the stripe
-				// unit and the write sizes.
+				// unit and the write sizes: small ones first, then large.
 				got := make([]byte, 0, len(want))
 				buf := make([]byte, 150<<10)
 				for len(got) < len(want) {
-					n, err := f.Read(buf)
+					into := buf
+					if len(got) < numSmall*perSmall {
+						into = buf[:perSmall]
+					}
+					n, err := f.Read(into)
 					if err != nil {
 						return fmt.Errorf("read at %d: %v", len(got), err)
 					}

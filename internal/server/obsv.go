@@ -102,12 +102,6 @@ func newServerMetrics(reg *obsv.Registry, s *Server) *serverMetrics {
 				emit([]string{typ, dir}, float64(bytes))
 			})
 		})
-	reg.CounterFunc("themis_transport_pool_gets_total",
-		"Codec scratch-buffer pool gets (process-wide).",
-		func() float64 { g, _ := transport.PoolStats(); return float64(g) })
-	reg.CounterFunc("themis_transport_pool_misses_total",
-		"Codec scratch-buffer pool gets that had to allocate (process-wide).",
-		func() float64 { _, mi := transport.PoolStats(); return float64(mi) })
 	reg.CounterFunc("themis_transport_writev_frames_total",
 		"Data frames sent vectored — header and payload as separate iovecs in one writev (process-wide).",
 		func() float64 { v, _, _ := transport.IOStats(); return float64(v) })
@@ -115,8 +109,11 @@ func newServerMetrics(reg *obsv.Registry, s *Server) *serverMetrics {
 		"Payload bytes that rode out as their own iovec, never concatenated into scratch (process-wide).",
 		func() float64 { _, b, _ := transport.IOStats(); return float64(b) })
 	reg.CounterFunc("themis_transport_flat_frames_total",
-		"Frames sent as a single contiguous write (control traffic and sub-threshold payloads, process-wide).",
+		"Frames whose payload was copied into the connection's pending buffer (control traffic and sub-threshold payloads, process-wide).",
 		func() float64 { _, _, f := transport.IOStats(); return float64(f) })
+	reg.CounterFunc("themis_transport_send_writes_total",
+		"Write calls (write or writev) that carried the writev and flat frames; frames per write is the group-commit batch size (process-wide).",
+		func() float64 { _, w := transport.SendStats(); return float64(w) })
 	reg.CounterFunc("themis_transport_lease_gets_total",
 		"Payload-pool leases handed out (frame receives and read replies, process-wide).",
 		func() float64 { g, _ := transport.LeaseStats(); return float64(g) })

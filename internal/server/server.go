@@ -370,6 +370,7 @@ func (s *Server) handleConn(c *transport.Conn) {
 		delete(s.conns, c)
 		s.connMu.Unlock()
 	}()
+	var replyFailed atomic.Bool
 	for {
 		req, err := c.RecvRequest()
 		if err != nil {
@@ -474,7 +475,7 @@ func (s *Server) handleConn(c *transport.Conn) {
 			Op:     opOf(req.Type),
 			Bytes:  reqBytes(req),
 			Arrive: s.now(),
-			Tag:    &pending{req: req, conn: c},
+			Tag:    &pending{req: req, conn: c, replyFailed: &replyFailed},
 		}
 		s.sched.Push(r)
 		select {
@@ -487,6 +488,8 @@ func (s *Server) handleConn(c *transport.Conn) {
 type pending struct {
 	req  *transport.Request
 	conn *transport.Conn
+	// replyFailed is the connection's "a failed reply was logged" flag.
+	replyFailed *atomic.Bool
 }
 
 // sendResponse stamps this server's capability set on every outgoing
@@ -540,6 +543,10 @@ func reqBytes(r *transport.Request) int64 {
 func (s *Server) worker() {
 	defer s.wg.Done()
 	batch := make([]*sched.Request, workerBatch)
+	// The park backstop: one timer per worker, stopped and drained
+	// whenever the loop is not parked on it.
+	park := time.NewTimer(time.Hour)
+	park.Stop()
 	for !s.closed.Load() {
 		k := s.sched.Pending() / (2 * s.cfg.Workers)
 		if k < 1 {
@@ -549,9 +556,13 @@ func (s *Server) worker() {
 		}
 		n := s.sched.PopBatch(s.now(), nil, batch[:k])
 		if n == 0 {
+			park.Reset(5 * time.Millisecond)
 			select {
 			case <-s.wake:
-			case <-time.After(5 * time.Millisecond):
+				if !park.Stop() {
+					<-park.C
+				}
+			case <-park.C:
 			}
 			continue
 		}
@@ -563,7 +574,9 @@ func (s *Server) worker() {
 			case *pending:
 				resp := s.execute(p.req)
 				s.served.Add(1)
-				if err := s.sendResponse(p.conn, resp); err != nil {
+				// A failed send latches on the connection and fails every
+				// reply after it: one warning per connection says it all.
+				if err := s.sendResponse(p.conn, resp); err != nil && !p.replyFailed.Swap(true) {
 					s.log.Warn("reply failed", "err", err)
 				}
 				// Both frames go back to the payload pool only after the

@@ -7,12 +7,13 @@
 // larger than the bytes left in the frame, so what it allocates is
 // bounded by what it received.
 //
-// Encode scratch space comes from a sync.Pool and payloads at or above
-// sgMinPayload ride as their own iovecs (writev), so a steady-state
-// write frame encodes with zero allocations and zero payload copies.
-// On decode the frame buffer is leased from the payload pool and the
-// decoded Data aliases it — no copy-out; ownership travels with the
-// message until its Release (see lease.go for the contract).
+// Frames are encoded into their connection's pending buffer (Conn.send)
+// and payloads at or above sgMinPayload ride as their own iovecs
+// (writev), so a steady-state write frame encodes with zero allocations
+// and zero payload copies. On decode the frame buffer is leased from
+// the payload pool and the decoded Data aliases it — no copy-out;
+// ownership travels with the message until its Release (see lease.go
+// for the contract).
 package transport
 
 import (
@@ -20,8 +21,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -32,145 +33,174 @@ import (
 // hostile stream.
 const maxFrame = 1 << 30
 
-type frameBuf struct{ b []byte }
-
-// poolGets / poolMisses meter the scratch pool for the operator
-// metrics endpoint: a miss is a Get the pool could not serve from a
-// recycled buffer (the New path). See PoolStats.
-var poolGets, poolMisses atomic.Int64
-
-var framePool = sync.Pool{New: func() any {
-	poolMisses.Add(1)
-	return &frameBuf{b: make([]byte, 0, 4096)}
-}}
-
-// getFrameBuf is the metered Get.
-func getFrameBuf() *frameBuf {
-	poolGets.Add(1)
-	return framePool.Get().(*frameBuf)
-}
-
-// sgMinPayload is the payload size at which the send path switches to
-// the vectored (scatter-gather) write: the codec encodes everything
-// except the payload into pooled scratch, and the payload bytes ride as
-// their own iovec(s) straight from caller memory — one writev syscall,
-// zero concatenation copies. Below it one concatenated write wins (the
-// extra iovec bookkeeping costs more than copying a few KiB, and
-// non-TCP conns fall back to one write per iovec anyway).
+// sgMinPayload is the payload size at which a frame goes out vectored
+// (scatter-gather): everything except the payload is encoded into the
+// connection's pending buffer and the payload bytes ride as their own
+// iovec(s) straight from caller memory — zero concatenation copies.
+// Below it the payload is copied into the pending buffer with the rest
+// of the frame (the iovec bookkeeping costs more than copying a few KiB)
+// and the frame may share its write with its neighbours.
 const sgMinPayload = 8 << 10
 
-// sendVecFrames / sendVecBytes / sendFlatFrames meter the send path for
-// the operator metrics endpoint: frames that went out vectored, the
-// payload bytes that rode as their own iovecs (the zero-copy bytes),
-// and frames sent as one concatenated write. Process-wide, like the
-// pool counters.
-var sendVecFrames, sendVecBytes, sendFlatFrames atomic.Int64
+// pendingMax bounds the bytes a connection holds encoded but unwritten:
+// a sender that finds that much pending blocks until the flusher has
+// written it out, so a peer that stops reading is backpressure, not
+// memory. Admission is checked before encoding, so pending can overshoot
+// by the one frame that was admitted.
+const pendingMax = 256 << 10
 
-// IOStats reports the process-wide send-path split: frames sent via the
-// vectored scatter-gather path, the payload bytes those frames carried
-// as caller-owned iovecs, and frames sent as a single concatenated
-// write (small payloads and control traffic).
+// Process-wide send-path meters for the operator metrics endpoint:
+// frames that went out vectored, the payload bytes that rode as their
+// own iovecs (the zero-copy bytes), frames whose payload was copied into
+// the pending buffer, and the write calls that carried them all.
+var sendVecFrames, sendVecBytes, sendFlatFrames, sendWrites atomic.Int64
+
+// IOStats reports the process-wide send-path split: frames sent
+// vectored, the payload bytes those frames carried as caller-owned
+// iovecs, and frames whose payload was copied (small payloads and
+// control traffic).
 func IOStats() (vecFrames, vecPayloadBytes, flatFrames int64) {
 	return sendVecFrames.Load(), sendVecBytes.Load(), sendFlatFrames.Load()
 }
 
-// writeBinFrame sends one binary frame whose encoding has been split
-// around the payload: head holds everything through the payload-length
-// uvarint, tail everything after the payload, and data/segs the payload
-// itself. Large payloads go out vectored as [head][payload...][tail] in
-// one writev; small ones are folded into the scratch buffer and sent as
-// a single write, byte-identical either way. Callers hold c.wmu.
-func (c *Conn) writeBinFrame(data []byte, segs [][]byte,
+// SendStats reports the process-wide frames sent and the write calls
+// (write or writev) that carried them; frames/writes is the group-commit
+// batch size.
+func SendStats() (frames, writes int64) {
+	return sendVecFrames.Load() + sendFlatFrames.Load(), sendWrites.Load()
+}
+
+// send is the one path a frame takes to the socket: group commit. The
+// frame's encoding is split around the payload: head holds everything
+// through the payload-length uvarint, tail everything after the payload,
+// and data/segs the payload itself. The frame is encoded at the end of
+// c.pending under smu. A small frame that finds a flusher active is
+// done — the flusher will carry it. Otherwise the sender becomes the
+// flusher: it yields the processor once, so that every other sender
+// already runnable queues its frame behind this one (a loopback write
+// never blocks, so without the yield nobody is ever queued; with nothing
+// else runnable the yield costs well under a microsecond), then writes
+// pending out. A vectored frame is written by its own sender, who
+// therefore waits for the flusher role first: frames reach the socket in
+// the order they were queued, and when send returns the caller's payload
+// has been either copied or written.
+func (c *Conn) send(slot int, data []byte, segs [][]byte,
 	head func(b []byte, dataLen int) []byte, tail func(b []byte) []byte) error {
 
 	n := len(data)
-	if segs != nil {
-		n = 0
-		for _, s := range segs {
-			n += len(s)
-		}
+	for _, s := range segs {
+		n += len(s)
 	}
-	buf := getFrameBuf()
-	b := buf.b[:0]
-	withMagic := !c.magicSent
-	if withMagic {
+	vectored := n >= sgMinPayload
+	c.smu.Lock()
+	defer c.smu.Unlock()
+	for c.werr == nil && (len(c.pending) >= pendingMax || vectored && c.flushing) {
+		c.scond.Wait()
+	}
+	if c.werr != nil {
+		return c.werr
+	}
+	start := len(c.pending)
+	b := c.pending
+	if !c.magicSent {
 		b = append(b, binMagic[:]...)
 	}
-	start := len(b)
-	b = append(b, 0, 0, 0, 0)
-	b = head(b, n)
-	vectored := n >= sgMinPayload
-	if !vectored {
-		if segs != nil {
-			for _, s := range segs {
-				b = append(b, s...)
-			}
-		} else {
-			b = append(b, data...)
+	lenAt := len(b)
+	b = head(append(b, 0, 0, 0, 0), n)
+	mid := 0 // where a vectored payload splices into the buffer
+	if vectored {
+		mid = len(b)
+	} else {
+		b = append(b, data...)
+		for _, s := range segs {
+			b = append(b, s...)
 		}
 	}
-	mid := len(b)
 	b = tail(b)
-	plen := len(b) - start - 4
+	plen := len(b) - lenAt - 4
 	if vectored {
 		plen += n
 	}
 	if plen > maxFrame {
-		// Nothing was written: the stream is intact and the magic (if
-		// still owed) must ride the next frame, so don't latch magicSent.
-		buf.b = b
-		framePool.Put(buf)
+		// Nothing was queued: the stream is intact and the magic (if
+		// still owed) rides the next frame.
+		c.pending = b[:start]
 		return fmt.Errorf("transport: frame exceeds %d bytes", maxFrame)
 	}
-	binary.LittleEndian.PutUint32(b[start:], uint32(plen))
-
-	var err error
-	if !vectored {
-		_, err = c.w.Write(b)
-		sendFlatFrames.Add(1)
+	binary.LittleEndian.PutUint32(b[lenAt:], uint32(plen))
+	c.pending, c.magicSent = b, true
+	if c.stats != nil {
+		c.stats.count(DirOut, slot, int64(lenAt+4+plen-start))
+	}
+	if vectored {
+		sendVecFrames.Add(1)
+		sendVecBytes.Add(int64(n))
 	} else {
-		// The iovec list bypasses the stats counting writer: wrapping
-		// would defeat writev (net.Buffers only vectorizes on the raw
-		// *net.TCPConn), so bytes are credited manually under wmu. The
-		// list is built in the connection's reusable c.iov and WriteTo is
-		// called on the field itself — a local net.Buffers header would
-		// escape into the writev interface check and cost an allocation
-		// per frame, which the 0-alloc encode pin forbids.
-		iov := append(c.iov[:0], b[:mid])
-		if segs != nil {
+		sendFlatFrames.Add(1)
+		if c.flushing {
+			return nil
+		}
+	}
+	c.flushing = true
+	if !vectored {
+		c.smu.Unlock()
+		runtime.Gosched()
+		c.smu.Lock()
+	}
+	return c.flush(mid, data, segs)
+}
+
+// flush writes pending out, one call per buffer-full, until nothing is
+// pending, then gives up the flusher role. The caller holds smu and the
+// role. With mid > 0 the first write is the vectored frame's: one writev
+// of [pending through its head][the caller's payload][its tail]. The
+// first write error latches: the socket is closed and every later sender
+// gets the error; senders whose frames were queued behind the failed
+// write learn from their reader, which fails on the closed socket.
+func (c *Conn) flush(mid int, data []byte, segs [][]byte) error {
+	for c.werr == nil && len(c.pending) > 0 {
+		buf := c.pending
+		c.pending, c.spare = c.spare[:0], nil
+		c.scond.Broadcast() // room
+		// The list is built in the connection's reusable c.iov (owned by
+		// the flusher) and WriteTo is called on the field itself — a
+		// local net.Buffers header would escape into the writev interface
+		// check and cost an allocation per write, which the 0-alloc
+		// encode pin forbids.
+		iov := append(c.iov[:0], buf)
+		if mid > 0 {
+			iov[0] = buf[:mid]
+			if len(data) > 0 {
+				iov = append(iov, data)
+			}
 			for _, s := range segs {
 				if len(s) > 0 {
 					iov = append(iov, s)
 				}
 			}
-		} else {
-			iov = append(iov, data)
-		}
-		if mid < len(b) {
-			iov = append(iov, b[mid:])
+			iov = append(iov, buf[mid:])
+			mid = 0
 		}
 		c.iov = iov
-		var nw int64
-		nw, err = c.iov.WriteTo(c.raw)
-		if c.cw != nil {
-			c.cw.n += nw
-		}
-		// WriteTo consumes the list in place; restore the full header and
-		// drop the payload refs so the reusable array cannot pin caller
-		// buffers past the send.
-		for i := range iov {
-			iov[i] = nil
-		}
+		c.smu.Unlock()
+		_, err := c.iov.WriteTo(c.raw)
+		sendWrites.Add(1)
+		// WriteTo consumes the list in place; drop the payload refs so
+		// the reusable array cannot pin caller buffers past the send.
+		clear(iov)
 		c.iov = iov[:0]
-		sendVecFrames.Add(1)
-		sendVecBytes.Add(int64(n))
+		c.smu.Lock()
+		if cap(buf) <= 2*pendingMax { // one oversize control frame must not pin its buffer
+			c.spare = buf[:0]
+		}
+		if err != nil {
+			c.werr = err
+			c.raw.Close()
+		}
 	}
-	if err == nil && withMagic {
-		c.magicSent = true
-	}
-	buf.b = b
-	framePool.Put(buf)
-	return err
+	c.flushing = false
+	c.scond.Broadcast() // the role
+	return c.werr
 }
 
 // readFrameLeased reads one length-prefixed frame into a buffer leased

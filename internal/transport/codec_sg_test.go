@@ -194,24 +194,26 @@ func TestWireCompatTrailingFields(t *testing.T) {
 	}
 }
 
-// The steady-state encode of a 64 KiB data frame performs zero
-// allocations: scratch comes from the pool, the payload rides as an
-// iovec, and the iovec list is the connection's reusable field. This is
-// the regression pin for the zero-copy send path.
+// The steady-state encode performs zero allocations, vectored and copied
+// alike: a 64 KiB payload rides as an iovec between a head and a tail
+// encoded in the connection's pending buffer, a 4 KiB one is copied
+// into it, and the iovec list is the connection's reusable field. This
+// is the regression pin for the send path.
 func TestEncodeAllocs(t *testing.T) {
-	c := NewConn(sinkConn{})
-	data := make([]byte, 64<<10)
-	req := &Request{Type: MsgWrite, Seq: 1, Path: "/bench/file", Data: data, LayoutGen: 3}
-	for i := 0; i < 8; i++ { // warm the scratch pool and iovec array
-		if err := c.SendRequest(req); err != nil {
-			t.Fatal(err)
+	for _, size := range []int{64 << 10, 4 << 10} {
+		c := NewConn(sinkConn{})
+		req := &Request{Type: MsgWrite, Seq: 1, Path: "/bench/file", Data: make([]byte, size), LayoutGen: 3}
+		for i := 0; i < 8; i++ { // grow both pending buffers and the iovec array
+			if err := c.SendRequest(req); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if n := testing.AllocsPerRun(200, func() {
-		if err := c.SendRequest(req); err != nil {
-			t.Fatal(err)
+		if n := testing.AllocsPerRun(200, func() {
+			if err := c.SendRequest(req); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Fatalf("%d-byte data frame encode = %v allocs/op, want 0", size, n)
 		}
-	}); n != 0 {
-		t.Fatalf("64 KiB data frame encode = %v allocs/op, want 0", n)
 	}
 }

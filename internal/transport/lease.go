@@ -35,7 +35,7 @@ var leaseClasses = [...]int{4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 <
 var leasePools [len(leaseClasses)]sync.Pool
 
 // leaseGets / leaseMisses meter the payload pool for the operator
-// metrics endpoint, mirroring the scratch pool's PoolStats.
+// metrics endpoint.
 var leaseGets, leaseMisses atomic.Int64
 
 // leasePoison, when set, scribbles released buffers (test hook).
@@ -86,7 +86,7 @@ func Release(b []byte) {
 }
 
 // LeaseStats reports the payload pool's lifetime gets and misses (a
-// miss is a Lease that had to allocate). Process-wide, like PoolStats.
+// miss is a Lease that had to allocate). Process-wide, like IOStats.
 func LeaseStats() (gets, misses int64) {
 	return leaseGets.Load(), leaseMisses.Load()
 }

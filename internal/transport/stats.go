@@ -16,10 +16,10 @@ import (
 // accepts.
 //
 // Byte counts are exact stream positions, not payload sizes: the
-// sender side counts what actually went down the socket (framing and
-// codec magic included), and the receiver side
-// derives the consumed prefix as raw-bytes-read minus the decoder's
-// read-ahead still buffered.
+// sender side counts each frame's encoded length (framing and codec
+// magic included) when it is queued, and the receiver side derives the
+// consumed prefix as raw-bytes-read minus the decoder's read-ahead
+// still buffered.
 type Stats struct {
 	frames [2][numTypeSlots]atomic.Int64
 	bytes  [2][numTypeSlots]atomic.Int64
@@ -68,15 +68,6 @@ func (s *Stats) Snapshot(emit func(typ, dir string, frames, bytes int64)) {
 	}
 }
 
-// PoolStats reports the codec scratch-buffer pool's lifetime gets and
-// misses (a miss is a Get that had to allocate a fresh buffer). The
-// pool is process-wide — it backs every connection — so the hit rate
-// is a process-level figure: at steady state gets grows and misses
-// does not.
-func PoolStats() (gets, misses int64) {
-	return poolGets.Load(), poolMisses.Load()
-}
-
 // countReader counts raw bytes read from the socket. It sits between
 // the net.Conn and the bufio.Reader, so its count includes the
 // decoder's read-ahead; the per-message attribution subtracts what is
@@ -92,32 +83,25 @@ func (c *countReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// countWriter counts raw bytes written to the socket. All writes
-// happen under the connection's write mutex, so plain fields suffice.
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
+// recvBuf is the receive buffer: large enough that one read takes in
+// what a peer's flusher put out in one write, and that a 4 KiB-payload
+// frame is never split across two reads. A frame larger than what is
+// buffered still reads directly into its lease.
+const recvBuf = 64 << 10
 
 // NewConnStats is NewConn with per-message accounting into st (an
 // instrumented server's accept side, the themisctl network probe's dial
 // side). A nil st disables accounting.
 func NewConnStats(raw net.Conn, st *Stats) *Conn {
-	if st == nil {
-		return &Conn{raw: raw, w: raw, br: bufio.NewReader(raw)}
+	c := &Conn{raw: raw, stats: st}
+	c.scond.L = &c.smu
+	var r io.Reader = raw
+	if st != nil {
+		c.cr = &countReader{r: raw}
+		r = c.cr
 	}
-	cr := &countReader{r: raw}
-	cw := &countWriter{w: raw}
-	return &Conn{
-		raw: raw, w: cw, br: bufio.NewReader(cr),
-		cr: cr, cw: cw, stats: st,
-	}
+	c.br = bufio.NewReaderSize(r, recvBuf)
+	return c
 }
 
 // recvPos returns the stream position the reader has consumed up to:

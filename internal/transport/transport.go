@@ -5,11 +5,12 @@
 // the request level either way, and transport latency constants live in
 // the simulator, not here.
 //
-// One codec: a length-prefixed hand-rolled binary framing (codec.go)
-// with pooled buffers — near-zero steady-state allocation on the request
-// path. Every stream, in both directions, opens with a four-byte magic;
-// a stream that opens with anything else is refused before a single
-// field is decoded.
+// One codec: a length-prefixed hand-rolled binary framing (codec.go),
+// encoded straight into the connection's pending buffer and
+// group-committed — concurrent senders share one write — with zero
+// steady-state allocation on the request path. Every stream, in both
+// directions, opens with a four-byte magic; a stream that opens with
+// anything else is refused before a single field is decoded.
 //
 // Every I/O request carries the job metadata (job id, user id, group,
 // node count) that the server's policies evaluate — the paper's key
@@ -19,7 +20,6 @@ package transport
 import (
 	"bufio"
 	"fmt"
-	"io"
 	"net"
 	"strings"
 	"sync"
@@ -379,26 +379,31 @@ var binMagic = [4]byte{0x00, 'T', 'B', '1'}
 // errBadMagic refuses a stream that does not open with binMagic.
 var errBadMagic = fmt.Errorf("transport: stream does not open with the codec magic")
 
-// Conn is a framed message stream with serialized writes.
+// Conn is a framed message stream. Sends from any number of goroutines
+// are group-committed (see send); receives belong to one reader.
 type Conn struct {
 	raw net.Conn
-	// w is where encoded frames go: raw, or the counting wrapper when
-	// the connection carries Stats.
-	w  io.Writer
-	br *bufio.Reader
+	br  *bufio.Reader
 
 	// Accounting state (nil/zero without Stats — see NewConnStats).
-	// cr/lastRecvPos are owned by the reader goroutine; cw is guarded
-	// by wmu like all send state.
+	// cr/lastRecvPos are owned by the reader goroutine.
 	stats       *Stats
 	cr          *countReader
-	cw          *countWriter
 	lastRecvPos int64
 
-	// Send state, guarded by wmu.
-	wmu       sync.Mutex
+	// Send state, guarded by smu (see send). pending holds the encoded
+	// frames nobody has written yet and spare is the buffer the previous
+	// write used; the two swap on every write. flushing is the flusher
+	// role, werr the latched first write error, and scond wakes senders
+	// waiting for room in pending or for the role.
+	smu       sync.Mutex
+	scond     sync.Cond
+	pending   []byte
+	spare     []byte
+	flushing  bool
+	werr      error
 	magicSent bool
-	// iov is the reusable iovec scratch of the vectored send path.
+	// iov is the reusable iovec scratch of the write, owned by the flusher.
 	iov net.Buffers
 
 	// magicSeen is set once the peer's opening magic has been consumed;
@@ -415,38 +420,21 @@ func NewConn(raw net.Conn) *Conn { return NewConnStats(raw, nil) }
 // module, which compiles against it.
 func NewBinaryConn(raw net.Conn) *Conn { return NewConn(raw) }
 
-// SendRequest writes a request frame.
+// SendRequest queues a request frame and, unless another sender is
+// already flushing, writes it. A payload below sgMinPayload was copied
+// when SendRequest returns and a larger one was written, so the caller
+// may reuse the buffer at once either way.
 func (c *Conn) SendRequest(r *Request) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	var before int64
-	if c.stats != nil {
-		before = c.cw.n
-	}
-	err := c.writeBinFrame(r.Data, r.DataSegs,
+	return c.send(int(r.Type), r.Data, r.DataSegs,
 		func(b []byte, n int) []byte { return appendRequestHead(b, r, n) },
 		func(b []byte) []byte { return appendRequestTail(b, r) })
-	if err == nil && c.stats != nil {
-		c.stats.count(DirOut, int(r.Type), c.cw.n-before)
-	}
-	return err
 }
 
-// SendResponse writes a response frame.
+// SendResponse queues a response frame; same contract as SendRequest.
 func (c *Conn) SendResponse(r *Response) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	var before int64
-	if c.stats != nil {
-		before = c.cw.n
-	}
-	err := c.writeBinFrame(r.Data, nil,
+	return c.send(respSlot, r.Data, nil,
 		func(b []byte, n int) []byte { return appendResponseHead(b, r, n) },
 		func(b []byte) []byte { return appendResponseTail(b, r) })
-	if err == nil && c.stats != nil {
-		c.stats.count(DirOut, respSlot, c.cw.n-before)
-	}
-	return err
 }
 
 // RecvRequest reads a request frame (server side). A stream that does

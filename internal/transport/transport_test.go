@@ -3,7 +3,6 @@ package transport
 import (
 	"net"
 	"reflect"
-	"sync"
 	"testing"
 	"time"
 
@@ -33,36 +32,6 @@ func TestResponseRoundTripAndError(t *testing.T) {
 	ok := &Response{Seq: 8}
 	if ok.Error() != nil {
 		t.Fatal("empty Err should be nil error")
-	}
-}
-
-// Concurrent senders on one conn must not interleave frames.
-func TestConcurrentSendersSerialize(t *testing.T) {
-	c1, c2 := pipePair()
-	defer c1.Close()
-	defer c2.Close()
-	const n = 200
-	go func() {
-		var wg sync.WaitGroup
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				_ = c1.SendRequest(&Request{Type: MsgStat, Seq: uint64(i), Path: "/p"})
-			}(i)
-		}
-		wg.Wait()
-	}()
-	seen := map[uint64]bool{}
-	for i := 0; i < n; i++ {
-		got, err := c2.RecvRequest()
-		if err != nil {
-			t.Fatalf("recv %d: %v", i, err)
-		}
-		if seen[got.Seq] {
-			t.Fatalf("duplicate seq %d", got.Seq)
-		}
-		seen[got.Seq] = true
 	}
 }
 
