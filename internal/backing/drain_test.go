@@ -40,7 +40,7 @@ func TestDrainAndRehydrate(t *testing.T) {
 	if err := sh.Mkdir("/ckpt"); err != nil {
 		t.Fatal(err)
 	}
-	if err := sh.CreateStriped("/ckpt/a", 1, 1<<16, nil); err != nil {
+	if _, err := sh.CreateStriped("/ckpt/a", 1, 1<<16, nil); err != nil {
 		t.Fatal(err)
 	}
 	want := bytes.Repeat([]byte("durable!"), 40000) // 320 KB, several chunks
@@ -95,7 +95,7 @@ func TestDrainAndRehydrate(t *testing.T) {
 	}
 
 	// Unlink propagates as a backing delete.
-	if err := sh.Unlink("/ckpt/a"); err != nil {
+	if _, err := sh.Unlink("/ckpt/a"); err != nil {
 		t.Fatal(err)
 	}
 	pumpAll(t, d)
@@ -107,7 +107,7 @@ func TestDrainAndRehydrate(t *testing.T) {
 func TestFlushTimeoutAndSuccess(t *testing.T) {
 	store, _ := OpenDir(t.TempDir())
 	sh := fsys.NewShard("s1", 1<<20)
-	if err := sh.CreateStriped("/f", 1, 1<<16, nil); err != nil {
+	if _, err := sh.CreateStriped("/f", 1, 1<<16, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sh.Append("/f", []byte("data")); err != nil {

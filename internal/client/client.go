@@ -21,6 +21,7 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -318,13 +319,18 @@ func (c *Client) markFailed(addr string) {
 	c.ring.Remove(addr)
 }
 
-// stripeSet returns the addresses holding a width-stripes file's data,
-// in stripe order, when no recorded set is available (legacy files).
-func (c *Client) stripeSet(path string, stripes int) []string {
-	if stripes < 1 {
-		stripes = 1
+// layoutOf is the stripe geometry a stat, create or unlink reply
+// describes, with what a legacy entry leaves unrecorded filled in: width
+// 1, the configured unit, the ring walk for the set.
+func (c *Client) layoutOf(path string, r *transport.Response) layoutInfo {
+	lay := layoutInfo{stripes: max(r.Stripes, 1), unit: r.StripeUnit, set: r.StripeSet, gen: r.LayoutGen}
+	if lay.unit <= 0 {
+		lay.unit = c.opts.StripeUnit
 	}
-	return c.ring.LookupN(path, stripes)
+	if len(lay.set) == 0 {
+		lay.set = c.ring.LookupN(path, lay.stripes)
+	}
+	return lay
 }
 
 // createSet picks the stripe servers for a new file: the ring walk,
@@ -332,17 +338,16 @@ func (c *Client) stripeSet(path string, stripes int) []string {
 // The chosen set is recorded in the file metadata, so every later
 // reader follows it regardless of how the ring drifts afterwards.
 func (c *Client) createSet(path string) []string {
-	c.mu.Lock()
-	nDraining := len(c.draining)
-	c.mu.Unlock()
 	want := c.opts.Stripes
-	candidates := c.ring.LookupN(path, want+nDraining)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	candidates := c.ring.LookupN(path, want+len(c.draining))
+	if len(c.draining) == 0 {
+		return candidates
+	}
 	var out []string
 	for _, addr := range candidates {
-		c.mu.Lock()
-		drain := c.draining[addr]
-		c.mu.Unlock()
-		if !drain && len(out) < want {
+		if !c.draining[addr] && len(out) < want {
 			out = append(out, addr)
 		}
 	}
@@ -382,33 +387,35 @@ func (c *Client) callAddr(ctx context.Context, addr, path string, req *transport
 }
 
 // call routes a request to the path's owner server, retrying on the
-// reassigned owner when the first choice has failed. Application errors
-// (ErrNotExist and friends) surface immediately; only transport-level
-// failures trigger re-routing, and cancellation stops the retries.
-func (c *Client) call(ctx context.Context, path string, req *transport.Request) (*transport.Response, error) {
+// reassigned owner when the first choice has failed, and reports which
+// server answered. Application errors (ErrNotExist and friends) surface
+// immediately; only transport-level failures trigger re-routing, and
+// cancellation stops the retries.
+func (c *Client) call(ctx context.Context, path string, req *transport.Request) (*transport.Response, string, error) {
 	var lastErr error
+	var addr string
 	for attempt := 0; attempt < 4; attempt++ {
 		if err := ctx.Err(); err != nil {
-			return nil, canceled(err)
+			return nil, addr, canceled(err)
 		}
-		addr, ok := c.ring.Lookup(path)
-		if !ok {
-			return nil, fmt.Errorf("client: no servers left")
+		var ok bool
+		if addr, ok = c.ring.Lookup(path); !ok {
+			return nil, "", fmt.Errorf("client: no servers left")
 		}
 		resp, err := c.callAddr(ctx, addr, path, req)
 		if err != nil {
 			if isCanceled(err) {
-				return nil, err
+				return nil, addr, err
 			}
 			lastErr = err
 			continue
 		}
 		if resp.Err != "" {
-			return nil, wireErr(resp.Error())
+			return nil, addr, wireErr(resp.Error())
 		}
-		return resp, nil
+		return resp, addr, nil
 	}
-	return nil, lastErr
+	return nil, addr, lastErr
 }
 
 // fan runs do(i) for every i in [0,n) that use reports and returns the
@@ -487,8 +494,10 @@ func (c *Client) fanOut(ctx context.Context, addrs []string, path string, mk fun
 // *File handle. Creation places the file on every server of its stripe
 // set — recording the stripe width in the file metadata — so striped
 // appends land locally and any client can later discover the layout.
-// Opening reads the width back from the metadata, so clients with
-// different striping configurations interoperate.
+// The handle follows the layout the servers recorded, not this client's
+// configuration — read off the create replies, which describe the entry
+// now at the path, or off a stat — so clients with different striping
+// configurations interoperate.
 func (c *Client) Open(path string, create bool) (*File, error) {
 	return c.OpenContext(context.Background(), path, create)
 }
@@ -501,26 +510,50 @@ func (c *Client) OpenContext(ctx context.Context, path string, create bool) (*Fi
 		if len(set) == 0 {
 			return nil, fmt.Errorf("client: no servers left")
 		}
-		if _, err := c.fanOut(ctx, set, path, func(int) *transport.Request {
+		resps, err := c.fanOut(ctx, set, path, func(int) *transport.Request {
 			return &transport.Request{
 				Type:       transport.MsgCreate,
 				Stripes:    len(set),
 				StripeUnit: c.opts.StripeUnit,
 				StripeSet:  set,
 			}
-		}); err != nil {
+		})
+		if err != nil {
 			return nil, err
 		}
+		if size, lay, ok := c.createdLayout(path, set, resps); ok {
+			return c.newFile(path, size, lay), nil
+		}
 	}
-	size, _, layout, err := c.statFull(ctx, path)
+	size, _, lay, err := c.statFull(ctx, path)
 	if err != nil {
 		return nil, err
 	}
+	return c.newFile(path, size, lay), nil
+}
+
+// newFile is a handle on path at the given size and layout.
+func (c *Client) newFile(path string, size int64, lay layoutInfo) *File {
 	return &File{c: c, h: &fileHandle{
 		path: path, size: size,
-		stripes: layout.stripes, unit: layout.unit, set: layout.set,
-		layoutGen: layout.gen,
-	}}, nil
+		stripes: lay.stripes, unit: lay.unit, set: lay.set, layoutGen: lay.gen,
+	}}
+}
+
+// createdLayout reads the file's size and layout off the replies of a
+// create fan-out to set. ok is false when they do not describe one file
+// laid out on exactly that set — it already existed under another layout,
+// or a migration is rewriting it — and the caller stats instead.
+func (c *Client) createdLayout(path string, set []string, resps []*transport.Response) (size int64, lay layoutInfo, ok bool) {
+	sizes := make([]int64, len(resps))
+	for i, r := range resps {
+		l := c.layoutOf(path, r)
+		if r.IsDir || l.gen == 0 || !slices.Equal(l.set, set) || i > 0 && (l.gen != lay.gen || l.unit != lay.unit) {
+			return 0, lay, false
+		}
+		lay, sizes[i] = l, r.Size
+	}
+	return fsys.ConsistentTotal(sizes, lay.unit), lay, true
 }
 
 // write appends len(p) bytes to the file (the server store is
@@ -614,21 +647,14 @@ func retryableLayout(err error) bool {
 // while).
 const writeRetryTimeout = 10 * time.Second
 
-// geometry resolves the handle's stripe servers and unit, falling back
-// to the ring walk and the configured unit for legacy files whose
-// metadata records none.
+// geometry is the handle's stripe servers and unit (normalised by
+// layoutOf when the handle was built); an empty set means the ring had
+// no server left to place a legacy file on.
 func (c *Client) geometry(h *fileHandle) (set []string, unit int64, err error) {
-	set, unit = h.set, h.unit
-	if len(set) == 0 {
-		set = c.stripeSet(h.path, h.stripes)
-	}
-	if len(set) == 0 {
+	if len(h.set) == 0 {
 		return nil, 0, fmt.Errorf("client: no servers left")
 	}
-	if unit <= 0 {
-		unit = c.opts.StripeUnit
-	}
-	return set, unit, nil
+	return h.set, h.unit, nil
 }
 
 // writeOnce performs one striped append attempt at the handle's
@@ -1238,13 +1264,13 @@ const (
 // fan-out (the layout was just readable, so the member is a
 // mid-cutover target, not a deleted file).
 func (c *Client) statOnce(ctx context.Context, path string, tolerateMissing bool) (size int64, isDir bool, lay layoutInfo, transient bool, err error) {
-	resp, err := c.call(ctx, path, &transport.Request{Type: transport.MsgStat})
+	resp, owner, err := c.call(ctx, path, &transport.Request{Type: transport.MsgStat})
 	if err != nil {
 		if isCanceled(err) {
 			return 0, false, lay, false, err
 		}
 		var moving bool
-		resp, moving = c.statAny(ctx, path)
+		resp, moving = c.statAny(ctx, path, owner)
 		if resp == nil {
 			return 0, false, lay, moving || transport.IsStaleLayout(err), err
 		}
@@ -1252,16 +1278,7 @@ func (c *Client) statOnce(ctx context.Context, path string, tolerateMissing bool
 	if resp.IsDir {
 		return 0, true, layoutInfo{stripes: 1}, false, nil
 	}
-	lay.stripes, lay.unit, lay.set, lay.gen = resp.Stripes, resp.StripeUnit, resp.StripeSet, resp.LayoutGen
-	if lay.stripes < 1 {
-		lay.stripes = 1
-	}
-	if lay.unit <= 0 {
-		lay.unit = c.opts.StripeUnit
-	}
-	if len(lay.set) == 0 {
-		lay.set = c.stripeSet(path, lay.stripes)
-	}
+	lay = c.layoutOf(path, resp)
 	if len(lay.set) == 1 {
 		return resp.Size, false, lay, false, nil
 	}
@@ -1316,14 +1333,18 @@ func (c *Client) statOnce(ctx context.Context, path string, tolerateMissing bool
 	return size, false, lay, false, nil
 }
 
-// statAny broadcasts a stat to every connected server and returns the
-// first hit — the fallback path for entries the drifted ring owner no
-// longer holds. With no hit, moving reports that some server answered
-// stale-layout: the sweep is not atomic, so a cutover landing mid-sweep
-// shows the new holder before its commit and the old one after its
-// drop, and the miss is worth a retry rather than a not-exist verdict.
-func (c *Client) statAny(ctx context.Context, path string) (hit *transport.Response, moving bool) {
+// statAny broadcasts a stat to every connected server but asked, which
+// has just answered for itself, and returns the first hit — the fallback
+// path for entries the drifted ring owner no longer holds. With no hit,
+// moving reports that some server answered stale-layout: the sweep is not
+// atomic, so a cutover landing mid-sweep shows the new holder before its
+// commit and the old one after its drop, and the miss is worth a retry
+// rather than a not-exist verdict.
+func (c *Client) statAny(ctx context.Context, path, asked string) (hit *transport.Response, moving bool) {
 	for _, p := range c.peers.Pools() {
+		if p.Addr() == asked {
+			continue
+		}
 		resp, err := c.poolCall(ctx, p, &transport.Request{
 			Type: transport.MsgStat, Seq: c.seq.Add(1), Job: c.job, Path: path,
 		})
@@ -1530,37 +1551,50 @@ func (c *Client) Unlink(path string) error {
 	return c.UnlinkContext(context.Background(), path)
 }
 
-// UnlinkContext is Unlink honoring ctx.
+// UnlinkContext is Unlink honoring ctx. The ring owner is asked to unlink
+// first and its reply describes what it removed, which names whoever else
+// holds a piece: nobody for a one-stripe file, the rest of the recorded
+// set for a wider one, every other server for a directory. An owner that
+// answers not-exist or stale-layout (the ring drifted, or the owner was
+// draining at create and never held the file) decides nothing: the entry
+// is then found by stat and unlinked wherever it lives. A failure among
+// the rest leaves the entry partly removed, as a failed fan-out always
+// has; a second Unlink finishes it the same way, through the stat.
 func (c *Client) UnlinkContext(ctx context.Context, path string) error {
-	_, isDir, lay, err := c.statFull(ctx, path)
-	if err != nil {
+	unlink := func(int) *transport.Request { return &transport.Request{Type: transport.MsgUnlink} }
+	var isDir bool
+	var lay layoutInfo
+	resp, owner, err := c.call(ctx, path, unlink(0))
+	switch {
+	case err == nil:
+		isDir, lay = resp.IsDir, c.layoutOf(path, resp)
+	case retryableLayout(err):
+		owner = ""
+		if _, isDir, lay, err = c.statFull(ctx, path); err != nil {
+			return err
+		}
+	default:
 		return err
 	}
-	if !isDir {
-		var live []string
-		for _, addr := range lay.set {
-			if _, err := c.ensurePool(addr); err == nil {
-				live = append(live, addr)
-			}
-		}
-		if len(live) == 0 {
-			return fmt.Errorf("client: no live stripe servers hold %s", path)
-		}
-		_, err := c.fanOut(ctx, live, path, func(int) *transport.Request {
-			return &transport.Request{Type: transport.MsgUnlink}
-		})
-		return err
-	}
-	resps, err := c.broadcast(ctx, path, func() *transport.Request {
-		return &transport.Request{Type: transport.MsgUnlink}
-	})
-	if err != nil {
-		return err
-	}
-	for _, r := range resps {
-		if r.Err != "" {
-			return wireErr(r.Error())
+	holders := lay.set
+	if isDir {
+		holders = nil
+		for _, p := range c.peers.Pools() {
+			holders = append(holders, p.Addr())
 		}
 	}
-	return nil
+	var rest []string
+	for _, addr := range holders {
+		if addr == owner {
+			continue
+		}
+		if _, err := c.ensurePool(addr); err == nil {
+			rest = append(rest, addr)
+		}
+	}
+	if owner == "" && len(rest) == 0 {
+		return fmt.Errorf("client: no live stripe servers hold %s", path)
+	}
+	_, err = c.fanOut(ctx, rest, path, unlink)
+	return err
 }

@@ -17,8 +17,9 @@ const itLambda = 25 * time.Millisecond
 
 // startFabric launches n live servers joined into one cluster through
 // server 0, with gossip fan-out strictly below n-1 so no server ever
-// holds all-to-all connections.
-func startFabric(t testing.TB, n int) ([]*server.Server, []string) {
+// holds all-to-all connections. Each tweak edits every server's config
+// before it boots.
+func startFabric(t testing.TB, n int, tweak ...func(*server.Config)) ([]*server.Server, []string) {
 	t.Helper()
 	servers := make([]*server.Server, n)
 	addrs := make([]string, n)
@@ -42,6 +43,9 @@ func startFabric(t testing.TB, n int) ([]*server.Server, []string) {
 		}
 		if i > 0 {
 			cfg.Join = []string{addrs[0]}
+		}
+		for _, f := range tweak {
+			f(&cfg)
 		}
 		servers[i] = server.New(lns[i], cfg)
 		go servers[i].Serve()

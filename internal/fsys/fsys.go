@@ -187,6 +187,13 @@ func (s *Shard) CreateEntry(p string, dir bool, stripes int, unit int64, set []s
 	if _, ok := s.nodes[p]; ok {
 		return ErrExist
 	}
+	s.insertLocked(p, dir, stripes, unit, set)
+	return nil
+}
+
+// insertLocked installs a fresh entry at the free path p. Caller holds
+// s.mu.
+func (s *Shard) insertLocked(p string, dir bool, stripes int, unit int64, set []string) *node {
 	s.genCtr++
 	delete(s.moved, p) // a fresh incarnation supersedes any moved marker
 	n := &node{isDir: dir, stripes: stripes, unit: unit, set: set, gen: s.genCtr, metaDirty: true}
@@ -198,7 +205,7 @@ func (s *Shard) CreateEntry(p string, dir bool, stripes int, unit int64, set []s
 		n.dirty = storage.NewRangeSet()
 	}
 	s.nodes[p] = n
-	return nil
+	return n
 }
 
 // AddChild records a child name in a directory owned by this shard.
@@ -241,6 +248,12 @@ func (s *Shard) RemoveEntry(p string) error {
 	if !ok {
 		return ErrNotExist
 	}
+	return s.removeLocked(p, n)
+}
+
+// removeLocked deletes entry n at p, releasing its extents. Caller holds
+// s.mu.
+func (s *Shard) removeLocked(p string, n *node) error {
 	if n.isDir && len(n.children) > 0 {
 		return ErrNotEmpty
 	}
@@ -268,24 +281,35 @@ func (s *Shard) Stat(p string) (FileInfo, error) {
 // the check): a caller comparing with a separate lookup could race a
 // migration commit swapping the entry between the check and the read.
 func (s *Shard) StatGen(p string, layoutGen uint64) (FileInfo, error) {
-	p = clean(p)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	_, fi, err := s.statLocked(clean(p), layoutGen)
+	return fi, err
+}
+
+// statLocked resolves the entry at the cleaned path p and describes it.
+// Caller holds s.mu.
+func (s *Shard) statLocked(p string, layoutGen uint64) (*node, FileInfo, error) {
 	n, ok := s.nodes[p]
 	if !ok {
 		if _, mv := s.moved[p]; mv {
-			return FileInfo{}, ErrStaleLayout
+			return nil, FileInfo{}, ErrStaleLayout
 		}
-		return FileInfo{}, ErrNotExist
+		return nil, FileInfo{}, ErrNotExist
 	}
 	if layoutGen != 0 && n.layoutGen != 0 && n.layoutGen != layoutGen {
-		return FileInfo{}, ErrStaleLayout
+		return nil, FileInfo{}, ErrStaleLayout
 	}
+	return n, describe(p, n), nil
+}
+
+// describe is the stat result of entry n at p. Caller holds s.mu.
+func describe(p string, n *node) FileInfo {
 	fi := FileInfo{Path: p, IsDir: n.isDir, Stripes: n.stripes, StripeUnit: n.unit, StripeSet: n.set, LayoutGen: n.layoutGen}
 	if n.index != nil {
 		fi.Size = n.index.Size()
 	}
-	return fi, nil
+	return fi
 }
 
 // Readdir lists a directory owned by this shard, sorted.
@@ -572,14 +596,18 @@ func (s *Shard) Mkdir(p string) error {
 	if p = clean(p); p == "/" {
 		return ErrExist
 	}
-	return s.createLinked(p, true, 0, 0, nil)
+	_, err := s.createLinked(p, true, 0, 0, nil)
+	return err
 }
 
-// CreateStriped creates an empty file recording its stripe layout (width,
-// unit, server set) and links it into its parent. This shard holds one
-// local stripe; the recorded layout lets any later client discover the
-// rest from a stat.
-func (s *Shard) CreateStriped(p string, stripes int, unit int64, set []string) error {
+// CreateStriped opens or creates a file (POSIX O_CREAT without O_EXCL)
+// and describes the entry now at p: a new empty file recording the given
+// stripe layout (width, unit, server set) and linked into its parent, or
+// the file already there under the layout it was created with — which
+// also makes a striped create that reached only part of its set
+// retry-safe. This shard holds one local stripe; the recorded layout lets
+// any later client discover the rest.
+func (s *Shard) CreateStriped(p string, stripes int, unit int64, set []string) (FileInfo, error) {
 	if stripes <= 0 {
 		stripes = 1
 	}
@@ -589,34 +617,52 @@ func (s *Shard) CreateStriped(p string, stripes int, unit int64, set []string) e
 	return s.createLinked(clean(p), false, stripes, unit, set)
 }
 
-// createLinked is parent check + entry + child link.
-func (s *Shard) createLinked(p string, dir bool, stripes int, unit int64, set []string) error {
+// createLinked is lookup + parent check + entry + child link in one
+// critical section: done in separate ones, an rmdir of the still-empty
+// parent could land between the entry and its link and orphan the entry.
+func (s *Shard) createLinked(p string, dir bool, stripes int, unit int64, set []string) (FileInfo, error) {
 	parent, name := path.Split(p)
-	parent = clean(parent)
-	if fi, err := s.Stat(parent); err != nil {
-		return err
-	} else if !fi.IsDir {
-		return ErrNotDir
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n, fi, err := s.statLocked(p, 0); err == nil {
+		if dir || n.isDir {
+			return FileInfo{}, ErrExist
+		}
+		return fi, nil
 	}
-	if err := s.CreateEntry(p, dir, stripes, unit, set); err != nil {
-		return err
+	d, _, err := s.statLocked(clean(parent), 0)
+	if err != nil {
+		return FileInfo{}, err
 	}
-	return s.AddChild(parent, name)
+	if !d.isDir {
+		return FileInfo{}, ErrNotDir
+	}
+	d.children[name] = true
+	d.metaDirty = true
+	return describe(p, s.insertLocked(p, dir, stripes, unit, set)), nil
 }
 
 // Unlink removes a file's local stripe or an empty directory, and its
-// link in the parent. A path whose stripe migrated away answers
-// ErrStaleLayout, not ErrNotExist.
-func (s *Shard) Unlink(p string) error {
+// link in the parent, in one critical section, and describes the entry
+// it removed. A path whose stripe migrated away answers ErrStaleLayout,
+// not ErrNotExist.
+func (s *Shard) Unlink(p string) (FileInfo, error) {
 	if p = clean(p); p == "/" {
-		return ErrNotEmpty
+		return FileInfo{}, ErrNotEmpty
 	}
-	if _, err := s.Stat(p); err != nil {
-		return err
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n, fi, err := s.statLocked(p, 0)
+	if err == nil {
+		err = s.removeLocked(p, n)
 	}
-	if err := s.RemoveEntry(p); err != nil {
-		return err
+	if err != nil {
+		return FileInfo{}, err
 	}
 	parent, name := path.Split(p)
-	return s.RemoveChild(clean(parent), name)
+	if d := s.nodes[clean(parent)]; d != nil && d.isDir { // a restored entry's parent may live on another shard
+		delete(d.children, name)
+		d.metaDirty = true
+	}
+	return fi, nil
 }

@@ -103,3 +103,32 @@ func TestReplyFailedLoggedOncePerConn(t *testing.T) {
 		t.Fatalf("%d \"reply failed\" warnings for one dropped connection, want 1:\n%s", n, logs.String())
 	}
 }
+
+// A frame whose type no handler is assigned to — the retired MsgOpen and
+// MsgClose, the reserved slot, a number past the last constant — is
+// answered with an error reply, never with an empty success.
+func TestUnknownRequestTypeRefused(t *testing.T) {
+	addrs, stop := startServers(t, 1, policy.SizeFair)
+	defer stop()
+	raw, err := net.Dial("tcp", addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := transport.NewConn(raw)
+	defer conn.Close()
+	for i, typ := range []transport.MsgType{transport.MsgOpen, transport.MsgClose, 11, 200} {
+		if err := conn.SendRequest(&transport.Request{
+			Type: typ, Seq: uint64(i + 1), Job: jobInfo("raw", 1), Path: "/",
+		}); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := conn.RecvResponse()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Seq != uint64(i+1) || !strings.Contains(resp.Err, "no handler") {
+			t.Errorf("type %v: reply seq %d err %q, want an error reply", typ, resp.Seq, resp.Err)
+		}
+		resp.Release()
+	}
+}

@@ -286,6 +286,9 @@ func (s *Server) Cluster() *cluster.Node { return s.node }
 // Table exposes the job status table for inspection and tests.
 func (s *Server) Table() *jobtable.Table { return s.table }
 
+// Shard exposes the server's piece of the file system for inspection.
+func (s *Server) Shard() *fsys.Shard { return s.shard }
+
 // now returns time since server start (the jobtable clock domain).
 func (s *Server) now() time.Duration { return time.Since(s.start) }
 
@@ -505,7 +508,7 @@ func opOf(t transport.MsgType) sched.Op {
 		return sched.OpRead
 	case transport.MsgWrite, transport.MsgMigrate:
 		return sched.OpWrite
-	case transport.MsgOpen, transport.MsgCreate:
+	case transport.MsgCreate:
 		return sched.OpOpen
 	case transport.MsgStat:
 		return sched.OpStat
@@ -610,18 +613,24 @@ func (s *Server) execute(req *transport.Request) *transport.Response {
 		}
 		return resp
 	}
+	// describe answers with the entry a stat found or a namespace mutation
+	// left behind (create: the file now at the path; unlink: the entry it
+	// removed), read inside the critical section that did the work — so a
+	// client needs no stat after the one nor before the other.
+	describe := func(fi fsys.FileInfo, err error) *transport.Response {
+		if err != nil {
+			return fail(err)
+		}
+		resp.Size, resp.IsDir, resp.LayoutGen = fi.Size, fi.IsDir, fi.LayoutGen
+		resp.Stripes, resp.StripeUnit, resp.StripeSet = fi.Stripes, fi.StripeUnit, fi.StripeSet
+		return resp
+	}
 	switch req.Type {
 	case transport.MsgMigrate:
 		return s.executeMigrate(req, resp, fail)
 	case transport.MsgCreate:
-		if err := s.shard.CreateStriped(req.Path, req.Stripes, req.StripeUnit, req.StripeSet); err != nil {
-			// Open-or-create (POSIX O_CREAT without O_EXCL): an existing
-			// file is not an error. This also makes striped creates
-			// retry-safe — a create that reached only part of the stripe
-			// set before a server failed can simply be reissued.
-			if fi, serr := s.shard.Stat(req.Path); serr != nil || fi.IsDir {
-				return fail(err)
-			}
+		if describe(s.shard.CreateStriped(req.Path, req.Stripes, req.StripeUnit, req.StripeSet)).Err != "" {
+			return resp
 		}
 		// A create whose recorded set diverges from the ring walk came
 		// from a client with a stale membership view (it dialed before
@@ -633,10 +642,6 @@ func (s *Server) execute(req *transport.Request) *transport.Response {
 			if want := ring.LookupN(req.Path, max(1, req.Stripes)); !slices.Equal(req.StripeSet, want) {
 				s.migr.MarkDirty()
 			}
-		}
-	case transport.MsgOpen:
-		if _, err := s.shard.Stat(req.Path); err != nil {
-			return fail(err)
 		}
 	// The data ops run against the shard directly with the client's
 	// layout generation checked inside the same critical section that
@@ -667,16 +672,7 @@ func (s *Server) execute(req *transport.Request) *transport.Response {
 		resp.Data = buf[:n]
 		resp.AttachLease(buf)
 	case transport.MsgStat:
-		fi, err := s.shard.StatGen(req.Path, req.LayoutGen)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Size = fi.Size
-		resp.IsDir = fi.IsDir
-		resp.Stripes = fi.Stripes
-		resp.StripeUnit = fi.StripeUnit
-		resp.StripeSet = fi.StripeSet
-		resp.LayoutGen = fi.LayoutGen
+		return describe(s.shard.StatGen(req.Path, req.LayoutGen))
 	case transport.MsgMkdir:
 		if err := s.shard.Mkdir(req.Path); err != nil {
 			return fail(err)
@@ -688,9 +684,9 @@ func (s *Server) execute(req *transport.Request) *transport.Response {
 		}
 		resp.Names = names
 	case transport.MsgUnlink:
-		if err := s.shard.Unlink(req.Path); err != nil {
-			return fail(err)
-		}
+		return describe(s.shard.Unlink(req.Path))
+	default:
+		return fail(fmt.Errorf("server: no handler for request type %v", req.Type))
 	}
 	return resp
 }
