@@ -1,8 +1,7 @@
-// Control-plane-at-scale benchmarks: the PR 9 acceptance pair. At 100k
-// active jobs the steady-state controller cost must be O(churn), not
-// O(jobs) — delta recompilation against from-scratch compilation, and
-// the hierarchical lazy share ledger against the flat pre-refactor roll
-// that re-walked the whole universe every λ.
+// Control-plane-at-scale benchmarks. At 100k active jobs the
+// steady-state controller cost must be O(churn), not O(jobs): delta
+// recompilation against from-scratch compilation, and one λ roll of the
+// hierarchical lazy share ledger. CI runs them at -benchtime 1x.
 package themisio
 
 import (
@@ -94,9 +93,7 @@ func BenchmarkCompile100kJobs(b *testing.B) {
 // BenchmarkLedgerRoll100k measures one λ share-ledger roll on a fabric
 // that knows 100k jobs of which 1k serviced bytes in the window.
 // "hier" is the hierarchical lazy ledger (per-window deltas, entities
-// materialised only for traffic). The retired design that diffed a
-// 100k-entry cumulative snapshot and emitted a row per active job lives
-// on as the `flat` rows of BENCH_PR9/10.json (hier ≥ 10× it).
+// materialised only for traffic).
 func BenchmarkLedgerRoll100k(b *testing.B) {
 	const nJobs = 100_000
 	const active = 1_000

@@ -1,20 +1,13 @@
 // Command benchrun regenerates the paper's tables and figures on the
-// simulated burst buffer, and emits the CI bench trajectory.
+// simulated burst buffer.
 //
 // Usage:
 //
 //	benchrun -list
 //	benchrun -exp fig8a
 //	benchrun -exp all
-//	benchrun -bench 'ThemisContended|Codec' -benchtime 100x -out BENCH.json . ./internal/cluster
-//	benchrun -regress BENCH_PR6.json fresh1.json fresh2.json
 //
 // Every experiment is deterministic: fixed seeds, virtual time.
-//
-// With -bench, benchrun instead shells out to `go test -bench` for the
-// listed packages (default ".") and distills the results — ns/op,
-// MB/s, allocs/op, and custom metrics — into a JSON trajectory file
-// for the CI perf-baseline artifact.
 package main
 
 import (
@@ -29,48 +22,7 @@ import (
 func main() {
 	list := flag.Bool("list", false, "list available experiments")
 	exp := flag.String("exp", "", "experiment id to run, or 'all'")
-	bench := flag.String("bench", "", "run `go test` benchmarks matching this regex and emit a JSON trajectory")
-	benchtime := flag.String("benchtime", "100x", "benchtime passed to `go test` in -bench mode")
-	out := flag.String("out", "", "JSON output path in -bench mode (default stdout)")
-	regress := flag.String("regress", "",
-		"baseline trajectory JSON; compare the fresh sample files given as positional args and exit non-zero on regression")
-	guard := flag.String("guard", defaultGuard, "regex of benchmark names the -regress gate enforces")
-	tolerance := flag.Float64("tolerance", 0.20, "fractional regression allowed by -regress (0.20 = 20%)")
 	flag.Parse()
-
-	if *regress != "" {
-		if flag.NArg() == 0 {
-			fmt.Fprintln(os.Stderr, "benchrun: -regress needs at least one fresh sample JSON as a positional argument")
-			os.Exit(2)
-		}
-		if err := runRegress(os.Stdout, *guard, *tolerance, *regress, flag.Args()); err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *bench != "" {
-		pkgs := flag.Args()
-		if len(pkgs) == 0 {
-			pkgs = []string{"."}
-		}
-		w := os.Stdout
-		if *out != "" {
-			f, err := os.Create(*out)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "benchrun: %v\n", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := runBenchJSON(w, *bench, *benchtime, pkgs); err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *list || *exp == "" {
 		fmt.Println("available experiments:")

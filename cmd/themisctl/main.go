@@ -19,7 +19,6 @@
 //	themisctl -servers 127.0.0.1:7000,127.0.0.1:7001 policy status
 //	themisctl metrics 127.0.0.1:9100
 //	themisctl metrics 127.0.0.1:9100 themis_share_
-//	themisctl bench net 127.0.0.1:7000
 //	themisctl -servers 127.0.0.1:7000 -stripes 4 -stripe-unit 262144 put /data/x < local.bin
 //
 // `cluster status` prints the membership table as seen by the first
@@ -48,11 +47,6 @@
 // only the lines for metric names starting with PREFIX) — the one-shot
 // debugging scrape for a fabric without a Prometheus server at hand.
 //
-// `bench net ADDR` streams a bounded append workload at one server
-// over an instrumented connection and prints the achieved MB/s, the
-// wire overhead per frame, and the write-syscall economy of the
-// scatter-gather send path (see benchnet.go).
-//
 // Every subcommand exits non-zero when its RPC fails — an unreachable
 // server, a refused drain, an unparseable policy string — so shell
 // scripts and CI steps can gate on it.
@@ -64,11 +58,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
-	"net"
 	"net/http"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -101,7 +92,6 @@ func run(argv []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		"bytes per stripe chunk, a power of two (0 = default)")
 	connsPerServerStr := fs.String("conns-per-server", "0",
 		"pooled connections per server (0 = default)")
-	benchConns := fs.Int("conns", 1, "bench net: sweep doubling connection counts up to N")
 	topN := fs.Int("top", 20, "policy status: show only the top N entities by |residual| (0 = all)")
 	kind := fs.String("kind", "", "policy status: restrict rows to one entity kind (job, user or group; empty = all)")
 	if err := fs.Parse(argv); err != nil {
@@ -140,20 +130,12 @@ func run(argv []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 	if len(args) < 2 {
 		fmt.Fprintln(stderr,
-			"usage: themisctl [flags] {put|get|ls|stat|rm|mkdir} PATH | cluster {status|drain} | rebalance status | policy {set STRING|status} | metrics ADDR [PREFIX] | bench net ADDR | flush")
+			"usage: themisctl [flags] {put|get|ls|stat|rm|mkdir} PATH | cluster {status|drain} | rebalance status | policy {set STRING|status} | metrics ADDR [PREFIX] | flush")
 		return 2
 	}
 	cmd, path := args[0], args[1]
 
 	switch cmd {
-	case "bench":
-		if path != "net" || len(args) < 3 {
-			return usage("bench", fmt.Errorf("usage: bench net ADDR"))
-		}
-		if err := benchNetCmd(stdout, args[2], *benchConns); err != nil {
-			return fail("bench net "+args[2], err)
-		}
-		return 0
 	case "metrics":
 		var prefix string
 		if len(args) > 2 {
@@ -228,17 +210,12 @@ func run(argv []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	case "mkdir":
 		err = c.Mkdir(path)
 	case "put":
-		var data []byte
-		data, err = io.ReadAll(stdin)
-		if err != nil {
-			break
-		}
 		var f *client.File
 		f, err = c.OpenContext(context.Background(), path, true)
 		if err != nil {
 			break
 		}
-		_, err = f.Write(data)
+		err = putStream(f, stdin)
 		f.Close()
 	case "get":
 		var f *client.File
@@ -298,22 +275,47 @@ func parseConnsPerServer(s string) (int, error) {
 	return n, nil
 }
 
+// putStream copies r into f through one reused buffer of eight
+// pipeline chunks, so a checkpoint-sized put keeps the write window
+// full without ever holding the whole file in memory.
+func putStream(f *client.File, r io.Reader) error {
+	buf := make([]byte, 4<<20)
+	for {
+		n, rerr := io.ReadFull(r, buf)
+		if n > 0 {
+			if _, err := f.Write(buf[:n]); err != nil {
+				return err
+			}
+		}
+		switch rerr {
+		case nil:
+		case io.EOF, io.ErrUnexpectedEOF:
+			return nil
+		default:
+			return rerr
+		}
+	}
+}
+
+// control is how the operator commands reach a server: the same dial
+// path as every other process, one connection per address.
+var control = transport.NewPeers(1, 1, 2*time.Second, 0)
+
+// queryTimeout bounds the wait for a control reply: a server that
+// accepts and never answers must fail the command, not hang it. A
+// variable so a test can shorten it.
+var queryTimeout = 5 * time.Second
+
+// flushTimeout is that bound for `flush`, which may legitimately take
+// the server's own 30 s stage-out limit.
+const flushTimeout = 30*time.Second + 5*time.Second
+
 // controlExchange performs one control request/response round trip with
 // a server (the operator commands bypass the client library).
-func controlExchange(addr string, req *transport.Request) (*transport.Response, error) {
-	raw, err := net.DialTimeout("tcp", addr, 2*time.Second)
-	if err != nil {
-		return nil, err
-	}
-	conn := transport.NewConn(raw)
-	defer conn.Close()
-	if req.Seq == 0 {
-		req.Seq = 1
-	}
-	if err := conn.SendRequest(req); err != nil {
-		return nil, err
-	}
-	resp, err := conn.RecvResponse()
+func controlExchange(addr string, req *transport.Request, timeout time.Duration) (*transport.Response, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	resp, err := control.Call(ctx, addr, req)
 	if err != nil {
 		return nil, err
 	}
@@ -359,7 +361,7 @@ func metricsCmd(w io.Writer, addr, prefix string) error {
 // flushCmd forces one server to stage out every dirty byte. The wait is
 // bounded server-side by its flush timeout.
 func flushCmd(addr string) error {
-	_, err := controlExchange(addr, &transport.Request{Type: transport.MsgFlush})
+	_, err := controlExchange(addr, &transport.Request{Type: transport.MsgFlush}, flushTimeout)
 	return err
 }
 
@@ -368,7 +370,7 @@ func flushCmd(addr string) error {
 // epoch the server's layouts were last reconciled against (compare
 // with `cluster status`'s epoch — equal means settled).
 func rebalanceStatusCmd(w io.Writer, addr string) error {
-	resp, err := controlExchange(addr, &transport.Request{Type: transport.MsgRebalanceStatus})
+	resp, err := controlExchange(addr, &transport.Request{Type: transport.MsgRebalanceStatus}, queryTimeout)
 	if err != nil {
 		return err
 	}
@@ -385,7 +387,7 @@ func rebalanceStatusCmd(w io.Writer, addr string) error {
 func policySetCmd(w io.Writer, addr, policyStr string) error {
 	resp, err := controlExchange(addr, &transport.Request{
 		Type: transport.MsgPolicySet, PolicyStr: policyStr,
-	})
+	}, queryTimeout)
 	if err != nil {
 		return err
 	}
@@ -401,34 +403,17 @@ func policySetCmd(w io.Writer, addr, policyStr string) error {
 //
 // top and kind page the report server-side (top N by |residual|,
 // optionally one entity kind) so a 100k-entity fabric answers with a
-// screenful, not the world; the same filter is re-applied client-side
-// as a fallback for older servers that ignore the request fields.
+// screenful, not the world.
 func policyStatusCmd(w io.Writer, addr string, top int, kind string) error {
 	resp, err := controlExchange(addr, &transport.Request{
 		Type: transport.MsgShareReport, ShareTopN: top, ShareKind: kind,
-	})
+	}, queryTimeout)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "%s\tpolicy %s\tapplied-epoch %d\tscheduler-epoch %d\n",
 		addr, resp.PolicyStr, resp.PolicyEpoch, resp.Epoch)
-	shares := resp.Shares
-	if kind != "" && kind != "all" {
-		kept := shares[:0]
-		for _, s := range shares {
-			if s.Kind == kind {
-				kept = append(kept, s)
-			}
-		}
-		shares = kept
-	}
-	if top > 0 && len(shares) > top {
-		sort.SliceStable(shares, func(i, k int) bool {
-			return math.Abs(shares[i].Residual()) > math.Abs(shares[k].Residual())
-		})
-		shares = shares[:top]
-	}
-	for _, s := range shares {
+	for _, s := range resp.Shares {
 		fmt.Fprintf(w, "%s\t%-5s %-24s compiled %.3f measured %.3f residual %+.3f (%d bytes)\n",
 			addr, s.Kind, s.ID, s.Compiled, s.Measured, s.Residual(), s.Bytes)
 	}
@@ -446,7 +431,7 @@ func clusterCmd(w io.Writer, addr, sub string) error {
 	default:
 		return fmt.Errorf("unknown subcommand %q (want status or drain)", sub)
 	}
-	resp, err := controlExchange(addr, &transport.Request{Type: typ})
+	resp, err := controlExchange(addr, &transport.Request{Type: typ}, queryTimeout)
 	if err != nil {
 		return err
 	}

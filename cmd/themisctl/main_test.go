@@ -2,10 +2,12 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"net"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"themisio/internal/obsv"
 	"themisio/internal/policy"
@@ -162,5 +164,125 @@ func TestPolicyCommandsLive(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "1 members") {
 		t.Fatalf("cluster status output: %q", out.String())
+	}
+}
+
+// A server that accepts, reads the request and never answers must fail
+// a control command at its reply deadline instead of hanging it — the
+// situation an operator runs `cluster status` in.
+func TestControlReplyDeadline(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				io.Copy(io.Discard, c) // until themisctl gives up and hangs up
+				c.Close()
+			}()
+		}
+	}()
+	defer func(d time.Duration) { queryTimeout = d }(queryTimeout)
+	queryTimeout = 200 * time.Millisecond
+
+	var out, errOut bytes.Buffer
+	start := time.Now()
+	code := run([]string{"-servers", ln.Addr().String(), "cluster", "status"}, strings.NewReader(""), &out, &errOut)
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("cluster status took %v against a mute server", took)
+	}
+	if code != 1 || !strings.Contains(errOut.String(), "deadline") {
+		t.Fatalf("exit %d, stderr %q; want 1 and a deadline error", code, errOut.String())
+	}
+}
+
+// raggedReader hands its bytes out in uneven pieces, as a pipe does.
+type raggedReader struct {
+	data []byte
+	i    int
+}
+
+func (r *raggedReader) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		return 0, io.EOF
+	}
+	r.i++
+	n := min(1+r.i*7919%100_000, len(p), len(r.data))
+	copy(p, r.data[:n])
+	r.data = r.data[n:]
+	return n, nil
+}
+
+// `put` streams stdin through its fixed buffer: a body larger than two
+// buffers, arriving in ragged pieces, reads back byte-identical.
+func TestPutStreamsRaggedInput(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(ln, server.Config{Policy: policy.SizeFair, Quiet: true})
+	go srv.Serve()
+	defer srv.Close()
+	addr := ln.Addr().String()
+
+	body := make([]byte, 9<<20)
+	for i := range body {
+		body[i] = byte(i * 31 >> 3)
+	}
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-servers", addr, "put", "/big"}, &raggedReader{data: body}, &out, &errOut); code != 0 {
+		t.Fatalf("put exited %d: %s", code, errOut.String())
+	}
+	if code := run([]string{"-servers", addr, "get", "/big"}, strings.NewReader(""), &out, &errOut); code != 0 {
+		t.Fatalf("get exited %d: %s", code, errOut.String())
+	}
+	if !bytes.Equal(out.Bytes(), body) {
+		t.Fatalf("read back %d bytes, differing from the %d put", out.Len(), len(body))
+	}
+}
+
+// The -stripe-unit flag accepts byte counts, and refuses garbage with a
+// usage exit.
+func TestParseStripeUnit(t *testing.T) {
+	if u, err := parseStripeUnit("0"); err != nil || u != 0 {
+		t.Fatalf("0: u=%d err=%v", u, err)
+	}
+	if u, err := parseStripeUnit("262144"); err != nil || u != 262144 {
+		t.Fatalf("262144: u=%d err=%v", u, err)
+	}
+	for _, bad := range []string{"-5", "64k", "auto", ""} {
+		if _, err := parseStripeUnit(bad); err == nil {
+			t.Fatalf("%q parsed without error", bad)
+		}
+	}
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-stripe-unit", "64k", "ls", "/"}, strings.NewReader(""), &out, &errOut); code != 2 {
+		t.Fatalf("bad -stripe-unit exited %d, want 2", code)
+	}
+}
+
+// The -conns-per-server flag accepts counts, and refuses garbage with a
+// usage exit.
+func TestParseConnsPerServer(t *testing.T) {
+	if n, err := parseConnsPerServer("0"); err != nil || n != 0 {
+		t.Fatalf("0: n=%d err=%v", n, err)
+	}
+	if n, err := parseConnsPerServer("4"); err != nil || n != 4 {
+		t.Fatalf("4: n=%d err=%v", n, err)
+	}
+	for _, bad := range []string{"-5", "two", "auto", ""} {
+		if _, err := parseConnsPerServer(bad); err == nil {
+			t.Fatalf("%q parsed without error", bad)
+		}
+	}
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-conns-per-server", "two", "ls", "/"}, strings.NewReader(""), &out, &errOut); code != 2 {
+		t.Fatalf("bad -conns-per-server exited %d, want 2", code)
 	}
 }

@@ -123,9 +123,6 @@ func OpenDir(root string) (*Dir, error) {
 	return &Dir{root: root}, nil
 }
 
-// Root returns the store's directory.
-func (d *Dir) Root() string { return d.root }
-
 func (d *Dir) rowPath(key string) string {
 	return filepath.Join(d.root, "meta", key+".json")
 }

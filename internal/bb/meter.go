@@ -131,19 +131,3 @@ func (m *Meter) TotalBytes(job string) float64 {
 	}
 	return t
 }
-
-// AggregateRates sums combined throughput across all jobs per bin over
-// [from, to).
-func (m *Meter) AggregateRates(from, to time.Duration) []float64 {
-	n := int(to/m.bin) - int(from/m.bin)
-	if n <= 0 {
-		return nil
-	}
-	out := make([]float64, n)
-	for _, j := range m.Jobs() {
-		for i, r := range m.Rates(j, from, to) {
-			out[i] += r
-		}
-	}
-	return out
-}

@@ -1,8 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§5). Each experiment is a pure function of fixed seeds over
 // the discrete-event simulator, so results are reproducible bit-for-bit.
-// cmd/benchrun exposes the registry on the command line; the repository's
-// top-level benchmarks wrap the same runners.
+// cmd/benchrun exposes the registry on the command line.
 //
 // Absolute GB/s values are expected to land near the paper's because the
 // simulator is calibrated from the paper's own hardware envelope

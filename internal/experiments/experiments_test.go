@@ -7,8 +7,8 @@ import (
 
 // These tests assert the *shape* claims of each reproduced figure — the
 // ratios, orderings and convergence points the paper's evaluation rests
-// on. The slow application suite (fig1/fig13, ~2 minutes) is exercised
-// by BenchmarkFig13Applications instead.
+// on. The slow application suite (fig1/fig13, ~2 minutes) has no shape
+// test; CI's fairness job runs it through `benchrun -exp all`.
 
 func metricsOf(t *testing.T, r *Result) map[string]float64 {
 	t.Helper()
@@ -48,6 +48,22 @@ func TestCapacityEnvelope(t *testing.T) {
 	}
 	if m["combined_gbps"] < 20.5 || m["combined_gbps"] > 23 {
 		t.Fatalf("combined = %.1f GB/s, want ~22", m["combined_gbps"])
+	}
+}
+
+func TestFig7Shape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fig7 sweeps up to 128 servers, ~18s")
+	}
+	m := metricsOf(t, Fig7())
+	if d := m["n1_read_gbps"]/11.7 - 1; d < -0.02 || d > 0.02 {
+		t.Fatalf("1 server reads %.2f GB/s, want 11.7 ± 2%%", m["n1_read_gbps"])
+	}
+	if m["n8_eff"] < 0.80 || m["n8_eff"] > 0.84 {
+		t.Fatalf("8-server efficiency = %.3f, want 0.82 ± 0.02 (paper 82%%)", m["n8_eff"])
+	}
+	if m["n128_eff"] < 0.63 || m["n128_eff"] > 0.69 {
+		t.Fatalf("128-server efficiency = %.3f, want 0.66 ± 0.03 (paper 68%%)", m["n128_eff"])
 	}
 }
 

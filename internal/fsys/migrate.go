@@ -470,15 +470,3 @@ func (s *Shard) LongSealed(olderThan time.Duration) []string {
 	sort.Strings(out)
 	return out
 }
-
-// LayoutGenOf returns the layout generation of the entry at p, 0 if
-// absent or a directory.
-func (s *Shard) LayoutGenOf(p string) uint64 {
-	p = clean(p)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if n, ok := s.nodes[p]; ok {
-		return n.layoutGen
-	}
-	return 0
-}

@@ -84,9 +84,6 @@ func minDur(a, b time.Duration) time.Duration {
 	return b
 }
 
-// Bins returns the number of bins.
-func (s *Series) Bins() int { return len(s.bytes) }
-
 // Rate returns the throughput of bin i in bytes/second.
 func (s *Series) Rate(i int) float64 {
 	if i < 0 || i >= len(s.bytes) {

@@ -217,14 +217,6 @@ func (l *ShareLedger) ReportTop(n int, kind string) []ShareEntry {
 	return out
 }
 
-// ReportAt returns the virtual/wall time offset of the last window
-// close that produced the current report.
-func (l *ShareLedger) ReportAt() time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.at
-}
-
 // MaxResidual returns the largest |measured − compiled| among the
 // report's entities of the given kind ("" means all kinds), and whether
 // any such entity exists — the scalar the fairness gate bounds.

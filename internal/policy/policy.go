@@ -166,9 +166,6 @@ type JobInfo struct {
 	Presence int
 }
 
-// Key returns the identity key of the job.
-func (j JobInfo) Key() string { return j.JobID }
-
 // StageOutUser is the user identity of synthetic background jobs (the
 // drain engine's stage-out traffic). It is an ordinary user as far as
 // policy compilation is concerned: under user-fair it is one more user,
@@ -203,12 +200,6 @@ func RebalanceJob(server string) JobInfo {
 		Nodes:   1,
 	}
 }
-
-// IsStageOut reports whether the job is a synthetic background
-// identity — a drain engine's stage-out job or a rebalance
-// coordinator's migration job (metering and operator tools single
-// these out).
-func (j JobInfo) IsStageOut() bool { return j.UserID == StageOutUser }
 
 // weight returns the job's weight under a terminal level, deweighted by
 // the job's server presence so that multi-server jobs receive a globally

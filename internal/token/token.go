@@ -248,18 +248,6 @@ func (a *Assignment) Segments() []Segment {
 	return segs
 }
 
-// FromRowVector builds an assignment from a 1×J chain product, using the
-// matrix column labels as job ids.
-func FromRowVector(m *Matrix) (*Assignment, error) {
-	if m.Rows != 1 {
-		return nil, fmt.Errorf("token: chain product has %d rows, want 1", m.Rows)
-	}
-	if len(m.ColLabels) != m.Cols {
-		return nil, fmt.Errorf("token: row vector missing column labels")
-	}
-	return FromWeights(m.ColLabels, m.V)
-}
-
 // Validate checks that segments tile [0, 1) without gaps or overlaps.
 func (a *Assignment) Validate() error {
 	segs := a.Segments()

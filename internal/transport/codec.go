@@ -264,11 +264,6 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-func appendBytes(b, p []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(len(p)))
-	return append(b, p...)
-}
-
 func appendStrings(b []byte, ss []string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(ss)))
 	for _, s := range ss {

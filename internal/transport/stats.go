@@ -90,8 +90,7 @@ func (c *countReader) Read(p []byte) (int, error) {
 const recvBuf = 64 << 10
 
 // NewConnStats is NewConn with per-message accounting into st (an
-// instrumented server's accept side, the themisctl network probe's dial
-// side). A nil st disables accounting.
+// instrumented server's accept side). A nil st disables accounting.
 func NewConnStats(raw net.Conn, st *Stats) *Conn {
 	c := &Conn{raw: raw, stats: st}
 	c.scond.L = &c.smu

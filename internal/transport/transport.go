@@ -479,6 +479,3 @@ func (c *Conn) RecvResponse() (*Response, error) {
 
 // Close closes the underlying connection.
 func (c *Conn) Close() error { return c.raw.Close() }
-
-// RemoteAddr exposes the peer address for logging.
-func (c *Conn) RemoteAddr() net.Addr { return c.raw.RemoteAddr() }
