@@ -231,7 +231,6 @@ func (c *Client) refreshMembership() {
 		c.markFailed(any.Addr())
 		return
 	}
-	defer resp.Release()
 	for _, m := range cluster.FromRecords(resp.Members) {
 		switch m.State {
 		case cluster.StateFailed, cluster.StateLeft:
@@ -283,7 +282,19 @@ func (c *Client) poolCall(ctx context.Context, p *transport.Pool, req *transport
 	if err != nil {
 		return nil, err
 	}
-	return mc.Call(ctx, req)
+	return exchange(ctx, mc, req)
+}
+
+// exchange is one call on mc. Only Data aliases a reply's leased frame
+// (every other decoded field is a copy), so a reply without a payload —
+// every namespace and control reply — gives its frame back here and
+// stays readable; a reply with one is its caller's to Release.
+func exchange(ctx context.Context, mc *transport.MuxConn, req *transport.Request) (*transport.Response, error) {
+	resp, err := mc.Call(ctx, req)
+	if err == nil && len(resp.Data) == 0 {
+		resp.Release()
+	}
+	return resp, err
 }
 
 func (c *Client) heartbeatAll() {
@@ -375,7 +386,7 @@ func (c *Client) callAddr(ctx context.Context, addr, path string, req *transport
 	req.Seq = c.seq.Add(1)
 	req.Job = c.job
 	req.Path = path
-	resp, err := mc.Call(ctx, req)
+	resp, err := exchange(ctx, mc, req)
 	if err != nil {
 		if isCtxErr(err) {
 			return nil, canceled(err)
@@ -968,7 +979,6 @@ func (c *Client) repairWrite(ctx context.Context, h *fileHandle, set []string, s
 			return fmt.Errorf("stripe %s: %w", addr, wireErr(resp.Error()))
 		}
 		need := localLen(target, i, len(set), unit) - resp.Size
-		resp.Release()
 		if need > spanLen(spans[i]) {
 			return fmt.Errorf("stripe %s has unexpected length %d", addr, resp.Size)
 		}
@@ -991,7 +1001,6 @@ func (c *Client) repairWrite(ctx context.Context, h *fileHandle, set []string, s
 		if wresp.Err != "" {
 			return fmt.Errorf("stripe %s: %w", addr, wireErr(wresp.Error()))
 		}
-		wresp.Release()
 	}
 	return nil
 }
@@ -1355,7 +1364,6 @@ func (c *Client) statAny(ctx context.Context, path, asked string) (hit *transpor
 			return resp, false
 		}
 		moving = moving || transport.IsStaleLayout(resp.Error())
-		resp.Release()
 	}
 	return nil, moving
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"themisio/internal/chash"
 	"themisio/internal/client"
 	"themisio/internal/server"
+	"themisio/internal/transport"
 )
 
 // TestNamespaceRoundTrips pins what each namespace call costs in
@@ -215,5 +217,73 @@ func TestNamespaceRoundTrips(t *testing.T) {
 	}
 	if _, _, err := one.Stat(orphan); !errors.Is(err, client.ErrNotExist) {
 		t.Errorf("stat after unlink: %v, want ErrNotExist", err)
+	}
+}
+
+// TestNamespaceRepliesReleased: the reply to every namespace call —
+// create, stat, readdir, unlink, the stripe-size fan-out, a stat's miss
+// and its error — goes back to the lease pool. Left to the collector,
+// each round costs a dozen lease misses; released, a warm pool serves
+// them all. With lease poisoning armed a reply released before its
+// fields were read would come back scribbled.
+func TestNamespaceRepliesReleased(t *testing.T) {
+	transport.SetLeasePoison(true)
+	defer transport.SetLeasePoison(false)
+	servers, addrs := startFabric(t, 2, func(c *server.Config) { c.RebalanceDisabled = true })
+	waitConverged(t, servers, 2)
+	c, err := client.DialOpts(jobInfo("ns-lease"), addrs, client.Options{Stripes: 2, StripeUnit: 4096, ConnsPerServer: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Mkdir("/nl"); err != nil {
+		t.Fatal(err)
+	}
+	body := bytes.Repeat([]byte("x"), 5000) // one unit and a bit: both stripes hold bytes
+	round := func(i int) {
+		name := fmt.Sprintf("file-%04d", i)
+		p := "/nl/" + name
+		f, err := c.Open(p, true)
+		if err != nil {
+			t.Fatalf("create %s: %v", p, err)
+		}
+		if n, err := f.Write(body); err != nil || n != len(body) {
+			t.Fatalf("write %s: n=%d err=%v", p, n, err)
+		}
+		if size, isDir, err := c.Stat(p); err != nil || isDir || size != int64(len(body)) {
+			t.Fatalf("stat %s: size %d dir %v err %v", p, size, isDir, err)
+		}
+		set, stripes, err := c.Layout(p)
+		if err != nil || stripes != 2 || len(set) != 2 || set[0] == set[1] || !slices.Contains(addrs, set[0]) || !slices.Contains(addrs, set[1]) {
+			t.Fatalf("layout %s: %v x%d err %v, want both of %v", p, set, stripes, err, addrs)
+		}
+		if names, err := c.Readdir("/nl"); err != nil || !slices.Equal(names, []string{name}) {
+			t.Fatalf("readdir: %v err %v, want [%s]", names, err, name)
+		}
+		if err := c.Unlink(p); err != nil {
+			t.Fatalf("unlink %s: %v", p, err)
+		}
+		if _, _, err := c.Stat(p); !errors.Is(err, client.ErrNotExist) {
+			t.Fatalf("stat after unlink: %v, want ErrNotExist", err)
+		}
+	}
+	rounds := 2000
+	if testing.Short() {
+		rounds = 300
+	}
+	for i := 0; i < 100; i++ { // warm-up: fill the lease classes
+		round(i)
+	}
+	_, misses0 := transport.LeaseStats()
+	for i := 0; i < rounds; i++ {
+		round(i)
+	}
+	_, misses1 := transport.LeaseStats()
+	// What is left is what a GC cycle clears out of the pool (the race
+	// detector's pool drops a quarter of what is put back).
+	grew := misses1 - misses0
+	t.Logf("%d rounds: lease misses grew by %d", rounds, grew)
+	if grew > int64(rounds)/20 && !raceEnabled {
+		t.Fatalf("lease misses grew by %d over %d namespace rounds through a warm pool", grew, rounds)
 	}
 }

@@ -62,7 +62,7 @@ func TestJobFairFrequencies(t *testing.T) {
 		counts[th.Pop(0, nil).Job.JobID]++
 	}
 	fa := float64(counts["a"]) / n
-	if math.Abs(fa-0.5) > 0.02 {
+	if math.Abs(fa-0.5) > 0.002 {
 		t.Fatalf("job a frequency = %.3f, want 0.5", fa)
 	}
 }
@@ -84,7 +84,7 @@ func TestSizeFairFrequencies(t *testing.T) {
 	}
 	served := th.Served()
 	ratio := float64(served["big"]) / float64(served["small"])
-	if ratio < 3.6 || ratio > 4.4 {
+	if ratio < 3.98 || ratio > 4.02 {
 		t.Fatalf("size-fair service ratio = %.2f, want ~4", ratio)
 	}
 }
@@ -240,7 +240,7 @@ func TestConservationProperty(t *testing.T) {
 }
 
 // Property: long-run service frequencies track arbitrary size-fair
-// weights within statistical tolerance.
+// weights to within a few requests (stream_test.go pins the bound).
 func TestShareTrackingProperty(t *testing.T) {
 	f := func(n1, n2 uint8) bool {
 		a := int(n1%16) + 1
@@ -263,7 +263,7 @@ func TestShareTrackingProperty(t *testing.T) {
 		}
 		want := float64(a) / float64(a+b)
 		got := float64(count) / n
-		return math.Abs(got-want) < 0.04
+		return math.Abs(got-want) < 0.005
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -142,6 +143,11 @@ func TestFig12Shape(t *testing.T) {
 		t.Fatalf("σ ordering broken: %v / %v / %v",
 			m["themisio_sigma_mbps"], m["gift_sigma_mbps"], m["tbf_sigma_mbps"])
 	}
+	// Equidistributed tokens leave no sampling noise in a saturated share
+	// (independent draws gave 149 MB/s here).
+	if m["themisio_sigma_mbps"] > 20 {
+		t.Fatalf("σ(themisio) = %.1f MB/s, want <= 20", m["themisio_sigma_mbps"])
+	}
 }
 
 func TestFig14Shape(t *testing.T) {
@@ -155,11 +161,13 @@ func TestFig14Shape(t *testing.T) {
 	if m["l10_converge_interval"] < 3 {
 		t.Fatalf("λ=10ms converged at interval %v; the paper needs 5 (control-plane bound)", m["l10_converge_interval"])
 	}
-	// Shorter λ → higher post-convergence share variance.
-	if !(m["l10_share_sigma"] > m["l50_share_sigma"] &&
-		m["l50_share_sigma"] > m["l500_share_sigma"]) {
-		t.Fatalf("variance trend broken: %v / %v / %v",
-			m["l10_share_sigma"], m["l50_share_sigma"], m["l500_share_sigma"])
+	// Once converged the share is flat at every λ. (The paper's "shorter
+	// λ → higher share variance" was the sampling noise of independent
+	// draws over a shorter window; the token sequence has none.)
+	for _, k := range []string{"l10_share_sigma", "l50_share_sigma", "l200_share_sigma", "l500_share_sigma"} {
+		if s, ok := m[k]; !ok || s > 0.01 {
+			t.Fatalf("%s = %v, want <= 0.01", k, s)
+		}
 	}
 }
 
@@ -193,11 +201,11 @@ func TestStageOutShareTracksPolicy(t *testing.T) {
 		t.Skip("stage-out sharing scenario takes ~15s")
 	}
 	m := metricsOf(t, StageOut())
-	if s := m["sizefair_drain_share"]; s < 0.21 || s > 0.29 {
-		t.Fatalf("size-fair drain share = %.3f, want ~0.25", s)
+	if s := m["sizefair_drain_share"]; math.Abs(s-0.25) > 0.005 {
+		t.Fatalf("size-fair drain share = %.4f, want 0.25±0.005", s)
 	}
-	if s := m["jobfair_drain_share"]; s < 0.44 || s > 0.56 {
-		t.Fatalf("job-fair drain share = %.3f, want ~0.50", s)
+	if s := m["jobfair_drain_share"]; math.Abs(s-0.50) > 0.005 {
+		t.Fatalf("job-fair drain share = %.4f, want 0.50±0.005", s)
 	}
 	if m["sizefair_fg_gbps"] < 7 {
 		t.Fatalf("foreground under size-fair = %.1f GB/s, drain must not starve it", m["sizefair_fg_gbps"])
@@ -210,9 +218,12 @@ func TestStageOutShareTracksPolicy(t *testing.T) {
 // share within ±0.02 of its compiled token share at window close. This
 // runs in -short too — it IS the CI job — and turns EXPERIMENTS.md
 // claims like 0.249-vs-0.25 into an enforced invariant instead of
-// prose.
+// prose. The contract is ±0.02; what the token sequence delivers is
+// ±0.0001, and the gate also fails at ±0.002 — a change that brings
+// back √N sampling noise or bends the conditioned split is caught an
+// order of magnitude inside the contract.
 func TestFairnessGate(t *testing.T) {
-	const tolerance = 0.02
+	const tolerance, sharp = 0.02, 0.002
 	m := metricsOf(t, PolicySwap())
 	checked := 0
 	for k, v := range m {
@@ -220,10 +231,13 @@ func TestFairnessGate(t *testing.T) {
 			continue
 		}
 		checked++
-		if v < -tolerance || v > tolerance {
+		switch {
+		case math.Abs(v) > tolerance:
 			t.Errorf("%s = %+.4f, exceeds ±%.2f fairness gate", k, v, tolerance)
-		} else {
-			t.Logf("%s = %+.4f (within ±%.2f)", k, v, tolerance)
+		case math.Abs(v) > sharp:
+			t.Errorf("%s = %+.4f: inside the ±%.2f contract but past the ±%.3f the token sequence guarantees", k, v, tolerance, sharp)
+		default:
+			t.Logf("%s = %+.4f (within ±%.3f)", k, v, sharp)
 		}
 	}
 	if checked < 8 {
@@ -233,7 +247,7 @@ func TestFairnessGate(t *testing.T) {
 
 // The rebalance experiment's sharing assertion lives with the
 // acceptance test (TestRebalanceShareTracksPolicy in
-// internal/cluster/rebalance_test.go, tighter ±0.01 tolerance) —
+// internal/cluster/rebalance_test.go, ±0.002 tolerance) —
 // running the same ~15s simulation twice bought nothing.
 
 func TestRenderIncludesPaperReference(t *testing.T) {

@@ -131,12 +131,9 @@ func (s *Shard) UnsealTrim(p string, keep int64) error {
 		}
 	}
 	// The replacement is staged; from here the swap must complete —
-	// continue past release errors (allocator inconsistency; the
-	// extent is merely leaked) rather than abort with the index still
-	// referencing half-released extents.
-	for _, e := range n.index.Extents() {
-		_ = s.store.Release(e)
-	}
+	// continue past a release error (allocator inconsistency; the
+	// extents are merely leaked) rather than abort.
+	_ = s.store.ReleaseAll(n.index.Extents())
 	n.index = storage.NewIndex()
 	n.dirty = storage.NewRangeSet()
 	if got > 0 {
@@ -243,20 +240,16 @@ func (s *Shard) MigrateCommit(p string, stripes int, unit int64, set []string, l
 		}
 	}
 	if hadOld {
-		for _, e := range old.index.Extents() {
-			if err := s.store.Release(e); err != nil {
-				// Keep the commit retryable: restore the pending buffer
-				// and free the staged extent. (Old extents released
-				// before the failure stay released — the same partial-
-				// release exposure RemoveEntry and RestoreFile accept;
-				// Release only fails on allocator inconsistency.)
-				if len(pi.buf) > 0 {
-					_ = s.store.Release(ext)
-				}
-				s.pending[p] = pi
-				s.mu.Unlock()
-				return err
+		if err := s.store.ReleaseAll(old.index.Extents()); err != nil {
+			// Keep the commit retryable: restore the pending buffer and
+			// free the staged extent. (ReleaseAll fails only on allocator
+			// inconsistency, and then releases nothing.)
+			if len(pi.buf) > 0 {
+				_ = s.store.Release(ext)
 			}
+			s.pending[p] = pi
+			s.mu.Unlock()
+			return err
 		}
 		delete(s.nodes, p)
 		// Tombstone the replaced entry's own staged object: the stripe
@@ -322,15 +315,11 @@ func (s *Shard) MigrateDrop(p string, gen uint64) bool {
 	if !ok || n.isDir || n.gen != gen {
 		return false
 	}
-	for _, e := range n.index.Extents() {
-		// Complete the drop even if an extent release fails (allocator
-		// inconsistency — cannot happen for index-owned extents):
-		// aborting midway would leave a half-released node whose next
-		// removal double-frees the extents released so far, and a
-		// zombie entry no pass ever revisits. A leaked extent only
-		// costs capacity.
-		_ = s.store.Release(e)
-	}
+	// Complete the drop even if the release fails (allocator
+	// inconsistency — cannot happen for index-owned extents): aborting
+	// would leave a zombie entry no pass ever revisits. Leaked extents
+	// only cost capacity.
+	_ = s.store.ReleaseAll(n.index.Extents())
 	delete(s.nodes, p)
 	s.tombstones = append(s.tombstones, Tombstone{Path: p, Stripe: s.stripeOf(n)})
 	s.moved[p] = time.Now()

@@ -360,11 +360,9 @@ func (s *Shard) RestoreFile(p string, data []byte, stripes int, unit int64, set 
 			s.mu.Unlock()
 			return ErrIsDir
 		}
-		for _, e := range old.index.Extents() {
-			if err := s.store.Release(e); err != nil {
-				s.mu.Unlock()
-				return err
-			}
+		if err := s.store.ReleaseAll(old.index.Extents()); err != nil {
+			s.mu.Unlock()
+			return err
 		}
 		delete(s.nodes, p)
 	}
@@ -436,10 +434,8 @@ func (s *Shard) DropStale(p string) bool {
 	if !ok || n.isDir {
 		return false
 	}
-	for _, e := range n.index.Extents() {
-		if err := s.store.Release(e); err != nil {
-			return false
-		}
+	if s.store.ReleaseAll(n.index.Extents()) != nil {
+		return false
 	}
 	delete(s.nodes, p)
 	return true

@@ -15,6 +15,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"log/slog"
 	"net"
 	"slices"
@@ -42,7 +43,7 @@ const wakeBuffer = 4096
 
 // workerBatch is how many statistical tokens a worker draws per wake —
 // small enough that fairness granularity is unaffected (each draw is
-// still independent), large enough to amortize the park/unpark cost.
+// still its own token), large enough to amortize the park/unpark cost.
 const workerBatch = 8
 
 // Config parameterizes a live server.
@@ -58,7 +59,8 @@ type Config struct {
 	Lambda time.Duration
 	// HeartbeatTimeout marks jobs inactive (default jobtable default).
 	HeartbeatTimeout time.Duration
-	// Seed fixes the statistical token stream.
+	// Seed fixes the start of the token sequence, together with the
+	// listen address (see schedSeed).
 	Seed int64
 	// OpDelay emulates per-request device time (the RAM-backed store is
 	// otherwise far faster than any real device, so a saturated-queue
@@ -66,7 +68,8 @@ type Config struct {
 	// unreachable in tests). Zero disables it.
 	OpDelay time.Duration
 	// Join lists existing cluster members to join through; the join is
-	// retried each λ until one seed answers, so start order is free.
+	// attempted when Serve starts and retried each λ until one seed
+	// answers, so start order is free.
 	Join []string
 	// GossipFanout is the number of random peers contacted per λ round
 	// (default cluster.DefaultFanout).
@@ -163,6 +166,16 @@ type Server struct {
 	served atomic.Int64
 }
 
+// schedSeed derives the scheduler's seed from the configured one and the
+// listen address. The members of a fabric share a Seed (themisd sets
+// none), and equal token sequences would serve a striped job at the same
+// instants on every server and leave it idle at the same instants.
+func schedSeed(seed int64, addr string) int64 {
+	h := fnv.New64a()
+	h.Write([]byte(addr))
+	return seed ^ int64(h.Sum64())
+}
+
 // New creates a server bound to the listener.
 func New(ln net.Listener, cfg Config) *Server {
 	if cfg.Workers <= 0 {
@@ -185,7 +198,7 @@ func New(ln net.Listener, cfg Config) *Server {
 	table := jobtable.New(addr, cfg.HeartbeatTimeout)
 	s := &Server{
 		cfg:   cfg,
-		sched: core.New(cfg.Policy, cfg.Seed),
+		sched: core.New(cfg.Policy, schedSeed(cfg.Seed, addr)),
 		table: table,
 		node: cluster.NewNode(cluster.Config{
 			Self:        addr,
@@ -533,7 +546,7 @@ func reqBytes(r *transport.Request) int64 {
 }
 
 // worker draws statistical tokens in small batches per wake (§4.1's
-// worker loop, amortized: each draw is still an independent token, so
+// worker loop, amortized: each draw is still its own token, so
 // fairness is identical to one-at-a-time popping) and executes the
 // chosen requests. The batch size adapts to the instantaneous backlog —
 // a worker never claims more than its share of the pending queue — so
@@ -748,13 +761,7 @@ func (s *Server) controller() {
 	tick := time.NewTicker(s.cfg.Lambda)
 	defer tick.Stop()
 	joined := len(s.cfg.Join) == 0
-	var lastGen uint64
-	for !s.closed.Load() {
-		<-tick.C
-		if s.closed.Load() {
-			break
-		}
-		s.table.Expire(s.now(), 0)
+	announce := func() {
 		if !joined {
 			if err := s.node.Join(s.cfg.Join, s.now()); err == nil {
 				joined = true
@@ -763,6 +770,18 @@ func (s *Server) controller() {
 			}
 		}
 		s.node.Gossip(s.now())
+	}
+	// Once before the first tick: the seeds are already listening, so a
+	// joiner need not stay invisible for a whole λ.
+	announce()
+	var lastGen uint64
+	for !s.closed.Load() {
+		<-tick.C
+		if s.closed.Load() {
+			break
+		}
+		s.table.Expire(s.now(), 0)
+		announce()
 		if s.drain != nil {
 			if n := s.drain.Pump(s.now(), s.pushDrain); n > 0 {
 				s.wakeN(n)

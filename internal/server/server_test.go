@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"themisio/internal/client"
+	"themisio/internal/cluster"
 	"themisio/internal/policy"
 )
 
@@ -55,6 +56,65 @@ func startServersDelay(t *testing.T, n int, pol policy.Policy, opDelay time.Dura
 	return addrs, func() {
 		for _, s := range servers {
 			s.Close()
+		}
+	}
+}
+
+// The scheduler's seed depends on the configured seed and on the listen
+// address, so no two members of a fabric draw the same token sequence.
+func TestSchedSeed(t *testing.T) {
+	a, b := "127.0.0.1:7000", "127.0.0.1:7001"
+	if schedSeed(0, a) != schedSeed(0, a) {
+		t.Fatal("same seed and address must give the same value")
+	}
+	if schedSeed(0, a) == schedSeed(0, b) {
+		t.Fatal("two listen addresses share a token sequence")
+	}
+	if schedSeed(0, a) == schedSeed(1, a) {
+		t.Fatal("a non-zero Seed must still change the value")
+	}
+}
+
+// A joiner announces itself when Serve starts: with λ = 2 s both members
+// see each other alive long before the first tick.
+func TestJoinBeforeFirstTick(t *testing.T) {
+	var servers [2]*Server
+	for i := range servers {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{Lambda: 2 * time.Second, Quiet: true}
+		if i > 0 {
+			cfg.Join = []string{servers[0].ln.Addr().String()}
+		}
+		servers[i] = New(ln, cfg)
+		go servers[i].Serve()
+	}
+	defer func() { // Close waits out the controller's tick: overlap the two
+		var wg sync.WaitGroup
+		for _, s := range servers {
+			wg.Add(1)
+			go func() { defer wg.Done(); s.Close() }()
+		}
+		wg.Wait()
+	}()
+	deadline := time.Now().Add(500 * time.Millisecond)
+	for _, s := range servers {
+		for {
+			alive := 0
+			for _, m := range s.Cluster().Membership().Snapshot() {
+				if m.State == cluster.StateAlive {
+					alive++
+				}
+			}
+			if alive == len(servers) {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s sees %d of %d members alive 500 ms after start", s.ln.Addr(), alive, len(servers))
+			}
+			time.Sleep(time.Millisecond)
 		}
 	}
 }

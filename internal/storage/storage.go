@@ -11,8 +11,10 @@
 package storage
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -115,6 +117,56 @@ func (s *Store) Release(e Extent) error {
 		s.free = append(s.free[:i], s.free[i+1:]...)
 	}
 	s.used -= e.Len
+	return nil
+}
+
+// ReleaseAll returns a batch of extents to the free list under one lock
+// and in one merge pass: a file's extents interleave with other files',
+// so releasing them one at a time shifts the list once per extent. The
+// batch is validated whole before anything changes — an extent out of
+// bounds is ErrBadExtent, one overlapping the free list or another extent
+// of the batch is ErrDoubleFree — so an error leaves the store untouched.
+func (s *Store) ReleaseAll(batch []Extent) error {
+	if len(batch) == 0 {
+		return nil
+	}
+	es := slices.Clone(batch)
+	slices.SortFunc(es, func(a, b Extent) int { return cmp.Compare(a.Off, b.Off) })
+	for i, e := range es {
+		if e.Len <= 0 || e.Off < 0 || e.End() > s.Capacity() {
+			return ErrBadExtent
+		}
+		if i > 0 && es[i-1].End() > e.Off {
+			return ErrDoubleFree
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	merged := make([]Extent, 0, len(s.free)+len(es))
+	var freed int64
+	for i, j := 0, 0; i < len(s.free) || j < len(es); {
+		var e Extent
+		if j == len(es) || (i < len(s.free) && s.free[i].Off < es[j].Off) {
+			e = s.free[i]
+			i++
+		} else {
+			e = es[j]
+			j++
+			freed += e.Len
+		}
+		if k := len(merged) - 1; k >= 0 && merged[k].End() >= e.Off {
+			// Each input is disjoint within itself, so an overlap here is
+			// a batch extent against a free one.
+			if merged[k].End() > e.Off {
+				return ErrDoubleFree
+			}
+			merged[k].Len += e.Len
+			continue
+		}
+		merged = append(merged, e)
+	}
+	s.free = merged
+	s.used -= freed
 	return nil
 }
 

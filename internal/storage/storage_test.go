@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -170,6 +171,73 @@ func TestAllocatorInvariantsProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: over random alloc/release histories ReleaseAll(batch) leaves
+// the free list and the used count exactly as releasing the batch one
+// extent at a time does, in any order; and a batch holding a free,
+// duplicated or out-of-bounds extent returns the error and changes
+// nothing.
+func TestReleaseAllMatchesRelease(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		all, one := NewStore(1<<16), NewStore(1<<16)
+		same := func() bool {
+			return all.Used() == one.Used() && slices.Equal(all.FreeExtents(), one.FreeExtents())
+		}
+		var live []Extent
+		for op := 0; op < 200; op++ {
+			if len(live) == 0 || rng.Intn(3) > 0 {
+				n := int64(rng.Intn(2000) + 1)
+				e, err := all.Alloc(n)
+				if e2, err2 := one.Alloc(n); e2 != e || err2 != err {
+					return false
+				}
+				if err == nil {
+					live = append(live, e)
+				}
+				continue
+			}
+			rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
+			batch := live[:1+rng.Intn(len(live))]
+			// The batch spoiled three ways must be refused whole.
+			for _, bad := range []struct {
+				e    Extent
+				want error
+			}{
+				{batch[rng.Intn(len(batch))], ErrDoubleFree},
+				{Extent{Off: all.Capacity() - 1, Len: 2}, ErrBadExtent},
+				{Extent{Off: -1, Len: 1}, ErrBadExtent},
+			} {
+				if err := all.ReleaseAll(append(slices.Clone(batch), bad.e)); err != bad.want || !same() {
+					return false
+				}
+			}
+			if fl := all.FreeExtents(); len(fl) > 0 {
+				free := fl[rng.Intn(len(fl))]
+				free.Len = 1 + rng.Int63n(free.Len)
+				if err := all.ReleaseAll(append(slices.Clone(batch), free)); err != ErrDoubleFree || !same() {
+					return false
+				}
+			}
+			if all.ReleaseAll(batch) != nil {
+				return false
+			}
+			for _, e := range batch {
+				if one.Release(e) != nil {
+					return false
+				}
+			}
+			if !same() {
+				return false
+			}
+			live = slices.Clone(live[len(batch):])
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
 }
