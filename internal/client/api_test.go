@@ -9,6 +9,8 @@ import (
 	"io/fs"
 	"strings"
 	"testing"
+
+	"themisio/internal/transport"
 )
 
 // The handle is the package's io citizen.
@@ -111,6 +113,10 @@ func TestErrorSentinels(t *testing.T) {
 // cancellation error — and does not mark the server failed, so the
 // client keeps working on a live context afterwards.
 func TestContextCancellation(t *testing.T) {
+	// Scribble recycled messages: nothing a canceled call abandoned may
+	// have gone back to a pool.
+	transport.SetLeasePoison(true)
+	defer transport.SetLeasePoison(false)
 	addrs := startServers(t, 2)
 	c, err := DialOpts(testJob("ctx"), addrs, Options{Stripes: 2, StripeUnit: 1024})
 	if err != nil {
@@ -174,6 +180,8 @@ func TestContextCancellation(t *testing.T) {
 // TestFileHandle: the handle speaks io — sequential Write, Seek,
 // ReadFull, io.EOF at end, fs.ErrClosed after Close.
 func TestFileHandle(t *testing.T) {
+	transport.SetLeasePoison(true)
+	defer transport.SetLeasePoison(false)
 	addrs := startServers(t, 2)
 	c, err := DialOpts(testJob("file"), addrs, Options{Stripes: 2, StripeUnit: 1024})
 	if err != nil {

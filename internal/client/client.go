@@ -773,10 +773,10 @@ func (c *Client) writeStripe(ctx context.Context, addr, path string, stripeIdx i
 			glen += int64(len(segs[hi]))
 			hi++
 		}
-		req := &transport.Request{
+		req := transport.GetRequest(transport.Request{
 			Type: transport.MsgWrite, Path: path, DataSegs: segs[lo:hi],
 			AppendAt: true, AppendOff: off, LayoutGen: layoutGen,
-		}
+		})
 		off += glen
 		lo = hi
 		return req
@@ -796,6 +796,12 @@ func (c *Client) writeStripe(ctx context.Context, addr, path string, stripeIdx i
 // transport failure additionally fails the server over; cancellation
 // abandons the in-flight chunks (their frames still return to the lease
 // pool) and returns promptly.
+//
+// The requests next yields come from transport.GetRequest and belong to
+// the pipeline from then on: a chunk whose reply was collected gives its
+// request, its reply and its reply channel back to their pools (land
+// must not keep either message), and an abandoned chunk gives back
+// nothing — the connection's reader may still deliver into its channel.
 func (c *Client) pipeline(ctx context.Context, addr string, win *transport.Window,
 	pick func() (*transport.MuxConn, error), next func() *transport.Request,
 	land func(req *transport.Request, resp *transport.Response) error) error {
@@ -825,7 +831,7 @@ func (c *Client) pipeline(ctx context.Context, addr string, win *transport.Windo
 			}
 			return true
 		}
-		defer resp.Release()
+		transport.RecycleReplyChan(pd.ch)
 		switch {
 		case appErr != nil: // the stream already failed; only drain
 		case resp.Err != "":
@@ -833,6 +839,8 @@ func (c *Client) pipeline(ctx context.Context, addr string, win *transport.Windo
 		case land != nil:
 			appErr = land(pd.req, resp)
 		}
+		pd.req.Recycle()
+		resp.Recycle()
 		return true
 	}
 	// acquire takes one window token, draining our own in-flight chunks
@@ -1121,10 +1129,10 @@ func (c *Client) readStripe(ctx context.Context, addr, path string, idx, nStripe
 		if off >= hi {
 			return nil
 		}
-		req := &transport.Request{
+		req := transport.GetRequest(transport.Request{
 			Type: transport.MsgRead, Path: path,
 			Offset: off, Size: min(hi-off, chunkBytes), LayoutGen: layoutGen,
-		}
+		})
 		off += req.Size
 		return req
 	}

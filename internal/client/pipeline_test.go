@@ -114,6 +114,11 @@ func inflightTokens(addr string) (n int64) {
 // cut into chunkBytes RPCs, and cancellation returns at once with every
 // token back.
 func TestStripePipeline(t *testing.T) {
+	// Recycled messages are scribbled: a request, reply or channel given
+	// back to its pool while something still reads it shows up as a wrong
+	// chunk or a failed call.
+	transport.SetLeasePoison(true)
+	defer transport.SetLeasePoison(false)
 	const chunks = 3 * pipelineWindow // three windows' worth on one connection
 	payload := make([]byte, chunks*chunkBytes)
 	for _, tc := range []struct {
@@ -192,7 +197,32 @@ func TestStripePipeline(t *testing.T) {
 			if len(c.Servers()) != 1 {
 				t.Fatal("cancellation must not fail the server over")
 			}
-			close(srv.release) // late replies find no waiter and are released by the reader
+			close(srv.release) // late replies find no waiter and are recycled by the reader
+
+			// The abandoned requests and reply channels went to no pool (the
+			// reader may still have been delivering into them), so the same
+			// client runs the stream again, whole and in order.
+			for deadline := time.Now().Add(2 * time.Second); srv.outstanding.Load() > 0; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d held chunks never answered", srv.outstanding.Load())
+				}
+			}
+			before := len(srv.requests())
+			if err := tc.run(context.Background(), c, srv.addr); err != nil {
+				t.Fatalf("run after a canceled one: %v", err)
+			}
+			for i, r := range srv.requests()[before:] {
+				if off := max(r.Offset, r.AppendOff); r.Type != tc.typ || off != int64(i*chunkBytes) {
+					t.Fatalf("after cancellation, chunk %d: %v at offset %d, want %v at %d", i, r.Type, off, tc.typ, i*chunkBytes)
+				}
+			}
+			if tc.typ == transport.MsgRead {
+				for i := 0; i < len(payload); i += 4093 {
+					if payload[i] != patternByte(int64(i)) {
+						t.Fatalf("after cancellation, byte %d: got %#x want %#x", i, payload[i], patternByte(int64(i)))
+					}
+				}
+			}
 		})
 	}
 }
@@ -201,6 +231,8 @@ func TestStripePipeline(t *testing.T) {
 // 3 MiB read goes out as 512 KiB chunks, scatters back as the identity,
 // and clamps to the handle's size.
 func TestWidthOneReadIsChunked(t *testing.T) {
+	transport.SetLeasePoison(true)
+	defer transport.SetLeasePoison(false)
 	srv := startChunkServer(t)
 	c, err := DialOpts(testJob("w1"), []string{srv.addr}, Options{ConnsPerServer: 1})
 	if err != nil {

@@ -13,6 +13,7 @@ import (
 	"themisio/internal/cluster"
 	"themisio/internal/policy"
 	"themisio/internal/server"
+	"themisio/internal/transport"
 )
 
 // startBackedFabric launches n live servers sharing one backing store —
@@ -62,6 +63,8 @@ func startBackedFabric(t testing.TB, n int, store backing.Store) ([]*server.Serv
 // member lost every byte it held (TestFabricLive asserts only that
 // routing survives).
 func TestFabricDurability(t *testing.T) {
+	transport.SetLeasePoison(true) // scribble released frames and recycled messages
+	defer transport.SetLeasePoison(false)
 	store, err := backing.OpenDir(t.TempDir())
 	if err != nil {
 		t.Fatal(err)

@@ -232,6 +232,8 @@ func TestFabricMetricsLive(t *testing.T) {
 		"themis_transport_pool_conns_open",
 		"themis_transport_pool_picks_total",
 		"themis_transport_pool_inflight",
+		"themis_storage_capacity_bytes",
+		"themis_storage_used_bytes",
 		"themis_backing_dirty_bytes",
 		"themis_backing_staged_bytes_total",
 		"themis_rebalance_epoch",
@@ -272,6 +274,35 @@ func TestFabricMetricsLive(t *testing.T) {
 
 	close(stop)
 	wg.Wait()
+
+	// The device gauges: the capacity the server was configured with (the
+	// 256 MiB default here) and, now that nothing writes, exactly the
+	// bytes the shard's allocator has handed out — the store is mapped
+	// outside the heap, so no runtime figure shows either.
+	gc, err := client.Dial(jobInfo("gauge"), addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gc.Close()
+	if f, err := gc.Open("/flood/gauge.bin", true); err != nil {
+		t.Fatal(err)
+	} else if _, err := f.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	var used float64
+	for i, ep := range endpoints {
+		m := scrape(t, ep)
+		if got := m["themis_storage_capacity_bytes"]; got != 256<<20 {
+			t.Errorf("server %d: themis_storage_capacity_bytes = %v, want %d", i, got, 256<<20)
+		}
+		if got, want := m["themis_storage_used_bytes"], float64(servers[i].Shard().Used()); got != want {
+			t.Errorf("server %d: themis_storage_used_bytes = %v, the shard says %v", i, got, want)
+		}
+		used += m["themis_storage_used_bytes"]
+	}
+	if used < float64(len(data)) {
+		t.Errorf("themis_storage_used_bytes sums to %v across the fabric, which holds a %d-byte file", used, len(data))
+	}
 
 	// Residual agreement: the share gauges a scrape renders and the
 	// MsgShareReport wire report read the same ledger. The flood has

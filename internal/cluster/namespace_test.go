@@ -26,6 +26,11 @@ import (
 // layout the client asked for, and an unlink that cannot start at the
 // ring owner still finds every stripe.
 func TestNamespaceRoundTrips(t *testing.T) {
+	// Recycled messages are scribbled: a server that recycled an inflight
+	// value before its reply was sent, or a client that recycled a
+	// namespace reply it still reads, fails the calls below.
+	transport.SetLeasePoison(true)
+	defer transport.SetLeasePoison(false)
 	servers, addrs := startFabric(t, 2, func(c *server.Config) { c.RebalanceDisabled = true })
 	waitConverged(t, servers, 2)
 	rpcs := func(what string, want int64, call func()) {

@@ -18,6 +18,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"themisio/internal/storage"
 )
@@ -170,10 +171,61 @@ func (s *Shard) Name() string { return s.name }
 // Used returns allocated device bytes.
 func (s *Shard) Used() int64 { return s.store.Used() }
 
-// clean canonicalizes a path.
+// clean canonicalizes a path: path.Clean("/" + strings.TrimSpace(p)). A
+// path that already is canonical — what every client sends on every
+// request — comes back as it is, without the three allocations of saying
+// so the long way.
 func clean(p string) string {
-	p = path.Clean("/" + strings.TrimSpace(p))
-	return p
+	if isClean(p) {
+		return p
+	}
+	return path.Clean("/" + strings.TrimSpace(p))
+}
+
+// isClean reports whether p is rooted, carries no space clean would trim
+// and has no empty, "." or ".." element and no trailing slash. It may say
+// no to a canonical path (one ending in a non-ASCII byte), never yes to
+// another.
+func isClean(p string) bool {
+	n := len(p)
+	if n == 0 || p[0] != '/' {
+		return false
+	}
+	if n == 1 {
+		return true
+	}
+	// The last byte: no slash, no ASCII space, and no multi-byte rune,
+	// which may be a space.
+	if last := p[n-1]; last == '/' || last == ' ' || ('\t' <= last && last <= '\r') || last >= utf8.RuneSelf {
+		return false
+	}
+	for i := 1; i < n; i++ {
+		if p[i-1] != '/' {
+			continue
+		}
+		// An element starts at i.
+		switch {
+		case p[i] == '/':
+			return false
+		case p[i] != '.':
+		case i+1 == n || p[i+1] == '/':
+			return false
+		case p[i+1] == '.' && (i+2 == n || p[i+2] == '/'):
+			return false
+		}
+	}
+	return true
+}
+
+// split cuts the canonical path p into its parent directory, itself
+// canonical, and its last element (path.Split leaves the parent its
+// trailing slash, which clean would then have to take off again).
+func split(p string) (parent, name string) {
+	parent, name = path.Split(p)
+	if len(parent) > 1 {
+		parent = parent[:len(parent)-1]
+	}
+	return parent, name
 }
 
 // CreateEntry records a namespace entry (file or directory) on this
@@ -621,7 +673,7 @@ func (s *Shard) CreateStriped(p string, stripes int, unit int64, set []string) (
 // critical section: done in separate ones, an rmdir of the still-empty
 // parent could land between the entry and its link and orphan the entry.
 func (s *Shard) createLinked(p string, dir bool, stripes int, unit int64, set []string) (FileInfo, error) {
-	parent, name := path.Split(p)
+	parent, name := split(p)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if n, fi, err := s.statLocked(p, 0); err == nil {
@@ -630,7 +682,7 @@ func (s *Shard) createLinked(p string, dir bool, stripes int, unit int64, set []
 		}
 		return fi, nil
 	}
-	d, _, err := s.statLocked(clean(parent), 0)
+	d, _, err := s.statLocked(parent, 0)
 	if err != nil {
 		return FileInfo{}, err
 	}
@@ -659,8 +711,8 @@ func (s *Shard) Unlink(p string) (FileInfo, error) {
 	if err != nil {
 		return FileInfo{}, err
 	}
-	parent, name := path.Split(p)
-	if d := s.nodes[clean(parent)]; d != nil && d.isDir { // a restored entry's parent may live on another shard
+	parent, name := split(p)
+	if d := s.nodes[parent]; d != nil && d.isDir { // a restored entry's parent may live on another shard
 		delete(d.children, name)
 		d.metaDirty = true
 	}

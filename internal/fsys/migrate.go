@@ -2,7 +2,6 @@ package fsys
 
 import (
 	"fmt"
-	"path"
 	"slices"
 	"sort"
 	"time"
@@ -287,8 +286,7 @@ func (s *Shard) MigrateCommit(p string, stripes int, unit int64, set []string, l
 // like any mkdir.
 func (s *Shard) ensureParents(p string) {
 	for p != "/" {
-		parent, name := path.Split(p)
-		parent = clean(parent)
+		parent, name := split(p)
 		if err := s.AddChild(parent, name); err == nil {
 			// The parent exists, so its own ancestry is already in place
 			// (mkdir replication or an earlier walk of this loop).

@@ -1,7 +1,6 @@
 package fsys
 
 import (
-	"path"
 	"sort"
 
 	"themisio/internal/storage"
@@ -111,8 +110,11 @@ func (s *Shard) HasDirty() bool {
 // are independently synchronized, so the data copy — the expensive part
 // — must not stall foreground I/O on the shard mutex).
 type harvest struct {
-	path  string
-	n     *node
+	n *node
+	// base is the entry's identity and layout as they stood when the work
+	// was taken — a RestoreFile may rewrite the layout generation under
+	// the lock while the chunks are still being materialized without it.
+	base  DirtyChunk
 	zero  bool // entry existence not yet staged (new or empty file)
 	spans []storage.Extent
 }
@@ -121,7 +123,12 @@ type harvest struct {
 // (budget <= 0 takes everything) and returns the bytes taken. Caller
 // holds s.mu.
 func (s *Shard) takeLocked(p string, n *node, budget int64) (harvest, int64) {
-	h := harvest{path: p, n: n, zero: n.metaDirty}
+	h := harvest{n: n, zero: n.metaDirty, base: DirtyChunk{
+		Path: p, Gen: n.gen,
+		Stripe: s.stripeOf(n), Stripes: n.stripes, Unit: n.unit,
+		Set:       append([]string(nil), n.set...),
+		LayoutGen: n.layoutGen,
+	}}
 	n.metaDirty = false
 	h.spans = n.dirty.Take(budget)
 	var taken int64
@@ -137,13 +144,7 @@ func (s *Shard) takeLocked(p string, n *node, budget int64) (harvest, int64) {
 // the size (a store error) re-marks the unread remainder so taken bytes
 // never silently leave the write-back bookkeeping.
 func (s *Shard) chunksOf(h harvest, chunkBytes int64, out []DirtyChunk) []DirtyChunk {
-	n := h.n
-	base := DirtyChunk{
-		Path: h.path, Gen: n.gen,
-		Stripe: s.stripeOf(n), Stripes: n.stripes, Unit: n.unit,
-		Set:       append([]string(nil), n.set...),
-		LayoutGen: n.layoutGen,
-	}
+	n, base := h.n, h.base
 	emitted := false
 	size := n.index.Size()
 	for si, span := range h.spans {
@@ -388,8 +389,7 @@ func (s *Shard) RestoreFile(p string, data []byte, stripes int, unit int64, set 
 		}
 	}
 	s.mu.Unlock()
-	parent, name := path.Split(p)
-	if parent = clean(parent); parent != p {
+	if parent, name := split(p); parent != p {
 		_ = s.AddChild(parent, name) // parent may live on another shard
 	}
 	return nil
@@ -416,8 +416,8 @@ func (s *Shard) RestoreDir(p string, children []string) error {
 	n.metaDirty = false
 	s.mu.Unlock()
 	if p != "/" {
-		parent, name := path.Split(p)
-		_ = s.AddChild(clean(parent), name)
+		parent, name := split(p)
+		_ = s.AddChild(parent, name)
 	}
 	return nil
 }

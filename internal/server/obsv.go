@@ -146,6 +146,16 @@ func newServerMetrics(reg *obsv.Registry, s *Server) *serverMetrics {
 			})
 		})
 
+	// --- storage device ---------------------------------------------------
+	// The device is a mapping outside the Go heap, so the runtime's own
+	// memory figures say nothing about it; these two do.
+	reg.GaugeFunc("themis_storage_capacity_bytes",
+		"Size of the server's storage device.",
+		func() float64 { return float64(s.cfg.Capacity) })
+	reg.GaugeFunc("themis_storage_used_bytes",
+		"Device bytes allocated to file extents.",
+		func() float64 { return float64(s.shard.Used()) })
+
 	// --- backing / stage-out ----------------------------------------------
 	reg.GaugeFunc("themis_backing_dirty_bytes",
 		"Bytes on the shard not yet staged to the backing store.",

@@ -387,23 +387,22 @@ func (s *Server) handleConn(c *transport.Conn) {
 		s.connMu.Unlock()
 	}()
 	var replyFailed atomic.Bool
+	in := getInflight()
+	defer func() { in.recycle() }()
 	for {
-		req, err := c.RecvRequest()
-		if err != nil {
+		req := &in.req
+		if err := c.RecvRequestInto(req); err != nil {
 			return
 		}
 		switch req.Type {
 		case transport.MsgBye:
-			req.Release()
 			return
 		case transport.MsgHeartbeat:
 			s.table.Heartbeat(req.Job, s.now())
-			req.Release()
 			continue
 		case transport.MsgGossip, transport.MsgJoin, transport.MsgLeave,
 			transport.MsgClusterStatus, transport.MsgDrain:
 			resp := s.node.Handle(req, s.now())
-			req.Release()
 			if err := s.sendResponse(c, resp); err != nil {
 				return
 			}
@@ -417,7 +416,6 @@ func (s *Server) handleConn(c *transport.Conn) {
 			if err := s.Flush(); err != nil {
 				resp.Err = err.Error()
 			}
-			req.Release()
 			if err := s.sendResponse(c, resp); err != nil {
 				return
 			}
@@ -435,7 +433,6 @@ func (s *Server) handleConn(c *transport.Conn) {
 				resp.PolicyStr = pol.String()
 				resp.PolicyEpoch = s.node.ProposePolicy(pol.String())
 			}
-			req.Release()
 			if err := s.sendResponse(c, resp); err != nil {
 				return
 			}
@@ -458,7 +455,6 @@ func (s *Server) handleConn(c *transport.Conn) {
 				Epoch:       s.sched.EpochSeq(),
 				Shares:      shareRecords(shares),
 			}
-			req.Release()
 			if err := s.sendResponse(c, resp); err != nil {
 				return
 			}
@@ -479,21 +475,25 @@ func (s *Server) handleConn(c *transport.Conn) {
 			if err := s.migr.LastErr(); err != nil {
 				resp.Names = append(resp.Names, "last-error "+err.Error())
 			}
-			req.Release()
 			if err := s.sendResponse(c, resp); err != nil {
 				return
 			}
 			continue
 		}
+		// Everything else is scheduled: the inflight value goes with the
+		// request to the worker that draws it, and the reader takes a
+		// fresh one for the next frame.
 		s.table.Observe(req.Job, s.now())
-		r := &sched.Request{
+		in.conn, in.replyFailed = c, &replyFailed
+		in.sched = sched.Request{
 			Job:    req.Job,
 			Op:     opOf(req.Type),
 			Bytes:  reqBytes(req),
 			Arrive: s.now(),
-			Tag:    &pending{req: req, conn: c, replyFailed: &replyFailed},
+			Tag:    in,
 		}
-		s.sched.Push(r)
+		s.sched.Push(&in.sched)
+		in = getInflight()
 		select {
 		case s.wake <- struct{}{}:
 		default:
@@ -501,11 +501,35 @@ func (s *Server) handleConn(c *transport.Conn) {
 	}
 }
 
-type pending struct {
-	req  *transport.Request
-	conn *transport.Conn
+// inflight is everything one scheduled request owns between its arrival
+// and its reply: the decoded frame, the scheduler's view of it, the
+// reply path and the reply. Ownership is linear — the connection reader
+// fills it and pushes it, exactly one worker draws it, executes it,
+// sends resp and recycles it — so the value comes from a pool and a
+// steady stream of requests allocates none of its five parts.
+type inflight struct {
+	req   transport.Request
+	sched sched.Request
+	resp  transport.Response
+	conn  *transport.Conn
 	// replyFailed is the connection's "a failed reply was logged" flag.
 	replyFailed *atomic.Bool
+}
+
+var inflightPool = sync.Pool{New: func() any { return new(inflight) }}
+
+func getInflight() *inflight { return inflightPool.Get().(*inflight) }
+
+// recycle gives both leased frames and the value itself back. Nothing
+// may read in, or anything execute returned from it, afterwards; under
+// transport.SetLeasePoison the messages are scribbled to catch whoever
+// does.
+func (in *inflight) recycle() {
+	in.req.Reset()
+	in.resp.Reset()
+	in.sched = sched.Request{}
+	in.conn, in.replyFailed = nil, nil
+	inflightPool.Put(in)
 }
 
 // sendResponse stamps this server's capability set on every outgoing
@@ -587,21 +611,21 @@ func (s *Server) worker() {
 				time.Sleep(s.cfg.OpDelay)
 			}
 			switch p := r.Tag.(type) {
-			case *pending:
-				resp := s.execute(p.req)
+			case *inflight:
+				resp := s.execute(&p.req, &p.resp)
 				s.served.Add(1)
 				// A failed send latches on the connection and fails every
 				// reply after it: one warning per connection says it all.
 				if err := s.sendResponse(p.conn, resp); err != nil && !p.replyFailed.Swap(true) {
 					s.log.Warn("reply failed", "err", err)
 				}
-				// Both frames go back to the payload pool only after the
-				// reply is on the wire: the request's Data fed the extent
-				// write (copied there), the response's Data just rode out
-				// as an iovec.
-				p.req.Release()
-				resp.Release()
 				s.met.observeRequest(r.Op, s.now()-r.Arrive)
+				// Both frames go back to the payload pool, and the inflight
+				// value (r is part of it) to its own, only after the reply
+				// is on the wire: the request's Data fed the extent write
+				// (copied there), the response's Data just rode out as an
+				// iovec.
+				p.recycle()
 			case *backing.Task:
 				// A stage-out chunk the token draw selected: the sharing
 				// policy has already arbitrated it against foreground I/O.
@@ -613,9 +637,10 @@ func (s *Server) worker() {
 	}
 }
 
-// execute runs one file-system operation.
-func (s *Server) execute(req *transport.Request) *transport.Response {
-	resp := &transport.Response{Seq: req.Seq}
+// execute runs one file-system operation and answers in resp, which it
+// overwrites and returns.
+func (s *Server) execute(req *transport.Request, resp *transport.Response) *transport.Response {
+	*resp = transport.Response{Seq: req.Seq}
 	fail := func(err error) *transport.Response {
 		if errors.Is(err, fsys.ErrStaleLayout) {
 			// The layout-changed condition crosses the wire as a typed
@@ -787,6 +812,10 @@ func (s *Server) controller() {
 				s.wakeN(n)
 			}
 			s.recoverFailed()
+		} else {
+			// No backing store to delete staged objects from: the unlink
+			// tombstones have no consumer and would grow with every unlink.
+			s.shard.TakeTombstones()
 		}
 		if !s.cfg.RebalanceDisabled {
 			s.rebalanceTick()

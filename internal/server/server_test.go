@@ -119,6 +119,48 @@ func TestJoinBeforeFirstTick(t *testing.T) {
 	}
 }
 
+// A server without a backing store has nobody to hand its unlink
+// tombstones to; the controller must drop them each λ, or every unlink
+// a volatile server ever served stays in its memory (80 MB over a 20 s
+// meta_churn run).
+func TestVolatileServerDropsTombstones(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(ln, Config{Lambda: 20 * time.Millisecond, Quiet: true})
+	go s.Serve()
+	defer s.Close()
+	c, err := client.Dial(jobInfo("churn", 1), []string{s.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const files = 200
+	for i := 0; i < files; i++ {
+		p := fmt.Sprintf("/t-%03d", i)
+		if f, err := c.Open(p, true); err != nil {
+			t.Fatal(err)
+		} else if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Unlink(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Two more gossip rounds bracket one whole controller pass that began
+	// after the last unlink.
+	deadline := time.Now().Add(5 * time.Second)
+	for after := s.node.GossipRounds() + 2; s.node.GossipRounds() < after; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the controller stopped ticking")
+		}
+	}
+	if left := s.Shard().TakeTombstones(); len(left) != 0 {
+		t.Fatalf("%d of %d unlink tombstones still held with no backing store to send them to", len(left), files)
+	}
+}
+
 func jobInfo(id string, nodes int) policy.JobInfo {
 	return policy.JobInfo{JobID: id, UserID: "u-" + id, GroupID: "g", Nodes: nodes}
 }

@@ -14,9 +14,11 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Errors returned by the store.
@@ -44,12 +46,26 @@ type Store struct {
 	used int64
 }
 
-// NewStore returns a store with the given capacity in bytes.
+// mappedBytes is the device memory this process currently holds mapped:
+// NewStore adds a mapping's size and the finalizer that unmaps it takes
+// the size off again.
+var mappedBytes atomic.Int64
+
+// NewStore returns a store with the given capacity in bytes. The device
+// is unmapped when the store becomes unreachable; there is no Close for
+// a caller to invoke too early (tests and tools read a shard after its
+// server has stopped).
 func NewStore(capacity int64) *Store {
-	return &Store{
-		data: make([]byte, capacity),
-		free: []Extent{{Off: 0, Len: capacity}},
+	data, mapped := mapDevice(capacity)
+	s := &Store{data: data, free: []Extent{{Off: 0, Len: capacity}}}
+	if mapped {
+		mappedBytes.Add(capacity)
+		runtime.SetFinalizer(s, func(s *Store) {
+			unmapDevice(s.data)
+			mappedBytes.Add(-capacity)
+		})
 	}
+	return s
 }
 
 // Capacity returns the device size in bytes.
@@ -178,6 +194,7 @@ func (s *Store) WriteAt(e Extent, off int64, p []byte) (int, error) {
 		return 0, ErrBadExtent
 	}
 	n := copy(s.data[e.Off+off:e.Off+off+int64(len(p))], p)
+	runtime.KeepAlive(s) // the finalizer unmaps data
 	return n, nil
 }
 
@@ -187,6 +204,7 @@ func (s *Store) ReadAt(e Extent, off int64, p []byte) (int, error) {
 		return 0, ErrBadExtent
 	}
 	n := copy(p, s.data[e.Off+off:e.Off+off+int64(len(p))])
+	runtime.KeepAlive(s) // the finalizer unmaps data
 	return n, nil
 }
 

@@ -19,6 +19,7 @@ package transport
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"math"
 	"runtime"
@@ -208,20 +209,20 @@ func (c *Conn) flush(mid int, data []byte, segs [][]byte) error {
 // — normally to the decoded message, whose byte-slice Data aliases the
 // frame and whose Release returns it (see Lease/Release).
 func (c *Conn) readFrameLeased() ([]byte, error) {
-	var hdr [4]byte
+	hdr := c.hdr[:] // a local array would escape into ReadFull: one allocation per frame
 	if !c.magicSeen {
-		if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
+		if _, err := io.ReadFull(c.br, hdr); err != nil {
 			return nil, err
 		}
-		if hdr != binMagic {
+		if c.hdr != binMagic {
 			return nil, errBadMagic
 		}
 		c.magicSeen = true
 	}
-	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
+	if _, err := io.ReadFull(c.br, hdr); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(hdr)
 	if n > maxFrame {
 		return nil, fmt.Errorf("transport: frame of %d bytes", n)
 	}
@@ -408,6 +409,44 @@ func (d *reader) raw(n uint64) []byte {
 
 func (d *reader) str() string {
 	return string(d.raw(d.uvarint()))
+}
+
+// nameCache is a connection's memory of the names its recent request
+// frames carried. A connection repeats itself — every frame of a client
+// names the same job, user and group, and a stream keeps naming the few
+// files it has open — so the decoder hands out the string it made last
+// time when the bytes match, where it would allocate an equal one. The
+// job fields have one slot each (the last frame's); paths share a
+// direct-mapped table, where a collision costs the allocation the cache
+// exists to save and nothing else. Owned by the connection's reader.
+type nameCache [namePath + pathSlots]string
+
+// nameCache slots.
+const (
+	nameJob = iota
+	nameUser
+	nameGroup
+	namePath // the first of pathSlots path slots
+
+	pathSlots = 64
+)
+
+var pathSeed = maphash.MakeSeed()
+
+// name decodes the next string through slot i of nc (a path picks its
+// slot by its bytes); without a cache it is str.
+func (d *reader) name(nc *nameCache, i int) string {
+	b := d.raw(d.uvarint())
+	if nc == nil || len(b) == 0 {
+		return string(b)
+	}
+	if i == namePath {
+		i += int(maphash.Bytes(pathSeed, b) % pathSlots)
+	}
+	if nc[i] != string(b) {
+		nc[i] = string(b)
+	}
+	return nc[i]
 }
 
 // alias returns the next length-prefixed slice as a view into the
@@ -615,17 +654,21 @@ func appendRequest(b []byte, r *Request) []byte {
 	return appendRequestTail(b, r)
 }
 
-func decodeRequest(b []byte, r *Request) error {
+func decodeRequest(b []byte, r *Request) error { return decodeRequestNames(b, r, nil) }
+
+// decodeRequestNames is decodeRequest through a connection's name cache.
+// Every field of r is overwritten, so r may be a recycled message.
+func decodeRequestNames(b []byte, r *Request, nc *nameCache) error {
 	d := reader{b: b}
 	r.Type = MsgType(d.u8())
 	r.Seq = d.uvarint()
-	r.Job.JobID = d.str()
-	r.Job.UserID = d.str()
-	r.Job.GroupID = d.str()
+	r.Job.JobID = d.name(nc, nameJob)
+	r.Job.UserID = d.name(nc, nameUser)
+	r.Job.GroupID = d.name(nc, nameGroup)
 	r.Job.Nodes = int(d.svarint())
 	r.Job.Priority = int(d.svarint())
 	r.Job.Presence = int(d.svarint())
-	r.Path = d.str()
+	r.Path = d.name(nc, namePath)
 	r.Offset = d.svarint()
 	r.Size = d.svarint()
 	r.Data = d.alias()
@@ -640,6 +683,8 @@ func decodeRequest(b []byte, r *Request) error {
 	r.Table = d.table()
 	r.PolicyStr = d.str()
 	r.PolicyEpoch = d.uvarint()
+	r.DataSegs = nil
+	r.AppendAt, r.AppendOff, r.ShareTopN, r.ShareKind = false, 0, 0, ""
 	// Optional trailing group: present only when a flagged field is set.
 	if d.err == nil && len(d.b) > 0 {
 		flags := d.uvarint()
@@ -694,6 +739,8 @@ func appendResponse(b []byte, r *Response) []byte {
 	return appendResponseTail(b, r)
 }
 
+// decodeResponse overwrites every field of r, so r may be a recycled
+// message.
 func decodeResponse(b []byte, r *Response) error {
 	d := reader{b: b}
 	r.Seq = d.uvarint()
@@ -714,6 +761,7 @@ func decodeResponse(b []byte, r *Response) error {
 	r.PolicyStr = d.str()
 	r.PolicyEpoch = d.uvarint()
 	r.Shares = d.shares()
+	r.Caps = 0
 	// Optional trailing capability word.
 	if d.err == nil && len(d.b) > 0 {
 		r.Caps = d.uvarint()

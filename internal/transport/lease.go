@@ -6,7 +6,7 @@
 // payloads from the same pool, so a steady read/write workload recycles
 // stripe-unit-sized buffers instead of allocating one per data message.
 //
-// Ownership contract (see ARCHITECTURE.md "Data path"):
+// Ownership contract (see ARCHITECTURE.md "The zero-copy data plane"):
 //
 //   - Lease(n) returns a []byte of length n whose backing array came
 //     from the pool (or a fresh allocation on a miss, or a plain
@@ -20,11 +20,16 @@
 //     touched. SetLeasePoison(true) (tests) scribbles released buffers
 //     so a use-after-release shows up as corrupt data under -race
 //     instead of a heisenbug.
+//
+// The messages themselves are recycled too, by a separate and explicitly
+// named call: Recycle (recycle.go) — never by Release, after which a
+// message's other fields stay readable.
 package transport
 
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // leaseClasses are the payload size classes, spanning a heartbeat frame
@@ -32,6 +37,10 @@ import (
 // falls back to a plain allocation (Release ignores it).
 var leaseClasses = [...]int{4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20}
 
+// leasePools hold each class's free backing arrays as pointers to their
+// first byte: a pointer rides in the pool's interface value as it is,
+// where a slice header would be boxed — one allocation per Release. The
+// class fixes the array's length, so the pointer is all a Lease needs.
 var leasePools [len(leaseClasses)]sync.Pool
 
 // leaseGets / leaseMisses meter the payload pool for the operator
@@ -52,7 +61,7 @@ func Lease(n int) []byte {
 	for i, sz := range leaseClasses {
 		if n <= sz {
 			if v := leasePools[i].Get(); v != nil {
-				return v.([]byte)[:n]
+				return unsafe.Slice((*byte)(v.(unsafe.Pointer)), sz)[:n]
 			}
 			leaseMisses.Add(1)
 			return make([]byte, n, sz)
@@ -78,8 +87,7 @@ func Release(b []byte) {
 					full[j] = leasePoisonByte
 				}
 			}
-			//lint:ignore SA6002 the slice-header box is one 24-byte allocation per release, dwarfed by the payload it recycles
-			leasePools[i].Put(full)
+			leasePools[i].Put(unsafe.Pointer(unsafe.SliceData(full)))
 			return
 		}
 	}
@@ -91,8 +99,9 @@ func LeaseStats() (gets, misses int64) {
 	return leaseGets.Load(), leaseMisses.Load()
 }
 
-// SetLeasePoison toggles scribbling of released buffers — a test hook
-// that turns any read-after-Release into visibly corrupt data. Safe to
-// leave on for whole test binaries: a correct program never observes a
-// released buffer.
+// SetLeasePoison toggles scribbling of released buffers and of recycled
+// messages (see Recycle) — a test hook that turns any read-after-Release
+// or use-after-Recycle into visibly corrupt data. Safe to leave on for
+// whole test binaries: a correct program never observes a released
+// buffer or a recycled message.
 func SetLeasePoison(on bool) { leasePoison.Store(on) }

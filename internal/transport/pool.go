@@ -57,8 +57,8 @@ func newMuxConn(conn *Conn) *MuxConn {
 
 func (mc *MuxConn) reader() {
 	for {
-		resp, err := mc.conn.RecvResponse()
-		if err != nil {
+		resp := responsePool.Get().(*Response)
+		if err := mc.conn.RecvResponseInto(resp); err != nil {
 			mc.dead.Store(true)
 			mc.mu.Lock()
 			mc.err = err
@@ -76,9 +76,9 @@ func (mc *MuxConn) reader() {
 		if ok {
 			ch <- resp
 		} else {
-			// No waiter (caller torn down mid-exchange): the leased
-			// frame goes straight back to the pool.
-			resp.Release()
+			// No waiter (caller torn down mid-exchange): frame and
+			// message go straight back to their pools.
+			resp.Recycle()
 		}
 	}
 }
@@ -86,9 +86,10 @@ func (mc *MuxConn) reader() {
 // Start registers req's response channel and puts the request on the
 // wire without waiting — the building block of pipelined stripe I/O.
 // The caller must receive exactly once from the returned channel; a
-// closed channel means the connection died.
+// closed channel means the connection died. A caller that did receive
+// its reply may hand the channel to RecycleReplyChan.
 func (mc *MuxConn) Start(req *Request) (chan *Response, error) {
-	ch := make(chan *Response, 1)
+	ch := replyChanPool.Get().(chan *Response)
 	mc.mu.Lock()
 	if mc.err != nil {
 		err := mc.err
@@ -106,10 +107,17 @@ func (mc *MuxConn) Start(req *Request) (chan *Response, error) {
 	return ch, nil
 }
 
+// RecycleReplyChan returns a Start channel whose single reply was
+// received: the reader deregistered it before the send, so the receiver
+// holds the only reference and the channel is empty. A channel that was
+// closed (the connection died) or passed to Forget (the reader may still
+// be about to send into it) must never come here.
+func RecycleReplyChan(ch chan *Response) { replyChanPool.Put(ch) }
+
 // Forget abandons a started exchange (context cancellation): the waiter
 // is deregistered so the reader releases the late response's frame, and
 // anything already delivered into the buffered channel is released
-// here.
+// here. The channel is not reused.
 func (mc *MuxConn) Forget(seq uint64, ch chan *Response) {
 	mc.mu.Lock()
 	delete(mc.wait, seq)
@@ -131,23 +139,23 @@ func (mc *MuxConn) Call(ctx context.Context, req *Request) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
+	var resp *Response
+	var ok bool
 	if ctx == nil || ctx.Done() == nil {
-		resp, ok := <-ch
-		if !ok {
-			return nil, fmt.Errorf("transport: connection lost")
+		resp, ok = <-ch
+	} else {
+		select {
+		case resp, ok = <-ch:
+		case <-ctx.Done():
+			mc.Forget(req.Seq, ch)
+			return nil, ctx.Err()
 		}
-		return resp, nil
 	}
-	select {
-	case resp, ok := <-ch:
-		if !ok {
-			return nil, fmt.Errorf("transport: connection lost")
-		}
-		return resp, nil
-	case <-ctx.Done():
-		mc.Forget(req.Seq, ch)
-		return nil, ctx.Err()
+	if !ok {
+		return nil, fmt.Errorf("transport: connection lost")
 	}
+	RecycleReplyChan(ch)
+	return resp, nil
 }
 
 // Send fires a request without expecting to wait on its response

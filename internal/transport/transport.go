@@ -406,9 +406,12 @@ type Conn struct {
 	// iov is the reusable iovec scratch of the write, owned by the flusher.
 	iov net.Buffers
 
-	// magicSeen is set once the peer's opening magic has been consumed;
-	// owned by the single reader goroutine.
+	// Receive state, owned by the single reader goroutine: magicSeen is
+	// set once the peer's opening magic has been consumed, hdr is where a
+	// length prefix is read, names the request decoder's string cache.
 	magicSeen bool
+	hdr       [4]byte
+	names     nameCache
 }
 
 // NewConn wraps a net.Conn, dial or accept side alike: the first frame
@@ -437,17 +440,31 @@ func (c *Conn) SendResponse(r *Response) error {
 		func(b []byte) []byte { return appendResponseTail(b, r) })
 }
 
-// RecvRequest reads a request frame (server side). A stream that does
-// not open with the codec magic fails here, before anything is decoded.
+// RecvRequest reads a request frame (server side) into a fresh message.
+// A stream that does not open with the codec magic fails here, before
+// anything is decoded.
 func (c *Conn) RecvRequest() (*Request, error) {
-	b, err := c.readFrameLeased()
-	if err != nil {
+	r := new(Request)
+	if err := c.RecvRequestInto(r); err != nil {
 		return nil, err
 	}
-	r := new(Request)
-	if err := decodeRequest(b, r); err != nil {
+	return r, nil
+}
+
+// RecvRequestInto is RecvRequest into a message the caller supplies —
+// a recycled one, on the server's request path. Every field of r is
+// overwritten; a frame r still holds is released first. The job and path
+// strings are the connection's cached ones when the frame repeats them.
+func (c *Conn) RecvRequestInto(r *Request) error {
+	r.Release()
+	b, err := c.readFrameLeased()
+	if err != nil {
+		return err
+	}
+	if err := decodeRequestNames(b, r, &c.names); err != nil {
+		r.Data = nil
 		Release(b)
-		return nil, err
+		return err
 	}
 	// The decoded Data aliases the leased frame; ownership rides with
 	// the request until its Release.
@@ -455,26 +472,37 @@ func (c *Conn) RecvRequest() (*Request, error) {
 	if c.stats != nil {
 		c.noteRecv(int(r.Type))
 	}
+	return nil
+}
+
+// RecvResponse reads a response frame (client side) into a fresh
+// message, with the same magic check as RecvRequest.
+func (c *Conn) RecvResponse() (*Response, error) {
+	r := new(Response)
+	if err := c.RecvResponseInto(r); err != nil {
+		return nil, err
+	}
 	return r, nil
 }
 
-// RecvResponse reads a response frame (client side), with the same
-// magic check as RecvRequest.
-func (c *Conn) RecvResponse() (*Response, error) {
+// RecvResponseInto is RecvResponse into a message the caller supplies;
+// same contract as RecvRequestInto.
+func (c *Conn) RecvResponseInto(r *Response) error {
+	r.Release()
 	b, err := c.readFrameLeased()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	r := new(Response)
 	if err := decodeResponse(b, r); err != nil {
+		r.Data = nil
 		Release(b)
-		return nil, err
+		return err
 	}
 	r.frame = b
 	if c.stats != nil {
 		c.noteRecv(respSlot)
 	}
-	return r, nil
+	return nil
 }
 
 // Close closes the underlying connection.
