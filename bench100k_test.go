@@ -7,7 +7,6 @@ package themisio
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"themisio/internal/jobtable"
 	"themisio/internal/metrics"
@@ -110,7 +109,7 @@ func BenchmarkLedgerRoll100k(b *testing.B) {
 			for k := 0; k < active; k++ {
 				delta[jobs[(i*active+k)%nJobs].JobID] = 1 << 20
 			}
-			l.Roll(time.Duration(i)*time.Second, delta, snap.Lookup, shareOf)
+			l.Roll(delta, snap.Lookup, shareOf)
 		}
 	})
 }

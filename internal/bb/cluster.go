@@ -2,9 +2,9 @@ package bb
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
+	"themisio/internal/control"
 	"themisio/internal/jobtable"
 	"themisio/internal/metrics"
 	"themisio/internal/policy"
@@ -43,14 +43,6 @@ type Config struct {
 
 	// HeartbeatTimeout is the job-table inactivity window.
 	HeartbeatTimeout time.Duration
-
-	// GossipFanout mirrors the live cluster fabric: when positive, the
-	// λ sync is an epidemic push-pull with this many random peers per
-	// server per round (converging in O(log N) rounds) instead of the
-	// all-to-all gather. Zero keeps the exact all-gather.
-	GossipFanout int
-	// GossipSeed fixes the peer-selection stream (sim determinism).
-	GossipSeed int64
 }
 
 func (c *Config) fill() {
@@ -90,7 +82,8 @@ type Cluster struct {
 	servers []*server
 	meter   *Meter
 	eff     float64
-	rng     *rand.Rand
+	// swaps numbers SwapPolicy calls: the simulated cluster policy epoch.
+	swaps uint64
 }
 
 // NewCluster builds a cluster. NewSched is required.
@@ -103,7 +96,6 @@ func NewCluster(cfg Config) *Cluster {
 		cfg:   cfg,
 		eng:   sim.New(),
 		meter: NewMeter(cfg.Bin),
-		rng:   rand.New(rand.NewSource(cfg.GossipSeed)),
 	}
 	alpha := cfg.ScaleAlpha
 	if alpha < 0 {
@@ -114,16 +106,12 @@ func NewCluster(cfg Config) *Cluster {
 	}
 	for i := 0; i < cfg.Servers; i++ {
 		id := fmt.Sprintf("bb%d", i)
+		sch := cfg.NewSched(i, cfg.DeviceBW*c.eff)
+		table := jobtable.New(id, cfg.HeartbeatTimeout)
 		c.servers = append(c.servers, &server{
-			c:     c,
-			idx:   i,
-			id:    id,
-			sch:   cfg.NewSched(i, cfg.DeviceBW*c.eff),
-			table: jobtable.New(id, cfg.HeartbeatTimeout),
+			c: c, id: id, sch: sch, table: table,
+			ctl: control.New(table, sch),
 		})
-	}
-	for _, s := range c.servers {
-		s.ledger = metrics.NewShareLedger(0)
 	}
 	// Service tick loop.
 	var tick func()
@@ -136,80 +124,39 @@ func NewCluster(cfg Config) *Cluster {
 	}
 	c.eng.At(0, tick)
 	// λ-delayed global fairness: all-gather the job status tables, then
-	// close each server's share-accounting window (mirroring the live
-	// controller's λ loop: recompiles happen before the window closes,
-	// so the compiled shares paired with it are the ones in force).
+	// run every live server's controller step — what themisd's controller
+	// goroutine does after its gossip round.
 	c.eng.Every(cfg.Lambda, func() {
 		c.SyncTables()
-		c.rollLedgers()
+		now := c.eng.Now()
+		for _, s := range c.servers {
+			if !s.failed {
+				s.ctl.Tick(now)
+			}
+		}
 	})
 	return c
 }
 
-// policyControl is the slice of core.Themis the simulator mirrors for
-// live policy hot-swap; shareAccounting the slice the λ share ledger
-// feeds from. Baseline schedulers (FIFO, GIFT, TBF) implement neither
-// and are simply skipped.
-type policyControl interface{ SetPolicy(policy.Policy) }
-
-type shareAccounting interface {
-	ServedBytesDelta() map[string]int64
-	Share(job string) float64
-}
-
-// deltaScheduler is the slice of core.Themis the simulator uses to
-// mirror the live controller's incremental recompile path; schedulers
-// without it fall back to full SetJobs.
-type deltaScheduler interface {
-	ApplyDelta(jobs []policy.JobInfo, d policy.Delta)
-}
-
-// SwapPolicy schedules a live policy hot-swap at virtual time at: each
-// live server's scheduler recompiles under pol at at + i·stagger. A
-// zero stagger is an instantaneous cluster-wide swap; a positive one
-// models the gossip rumor reaching members round by round (the
-// straggler scenario — the last server keeps arbitrating under the old
-// policy until the rumor lands, exactly like a live member that missed
-// the first fan-outs and learns via gossip catch-up).
+// SwapPolicy schedules a live policy hot-swap: server i is handed the new
+// policy version at virtual time at + i·stagger and applies it at its
+// next controller step, as a live member applies a gossiped version. A
+// zero stagger is a rumor that reached everyone within one round; a
+// positive one is the straggler scenario — the last server keeps
+// arbitrating under the old policy until the rumor lands.
 func (c *Cluster) SwapPolicy(at time.Duration, pol policy.Policy, stagger time.Duration) {
-	for i := range c.servers {
-		i := i
-		c.eng.At(at+time.Duration(i)*stagger, func() {
-			s := c.servers[i]
-			if s.failed {
-				return
-			}
-			if sw, ok := s.sch.(policyControl); ok {
-				sw.SetPolicy(pol)
-			}
-		})
+	c.swaps++
+	epoch := c.swaps
+	for i, s := range c.servers {
+		c.eng.At(at+time.Duration(i)*stagger, func() { s.ctl.OfferPolicy(pol, epoch) })
 	}
 }
 
-// rollLedgers closes one λ share-accounting window on every live
-// server whose scheduler exposes serviced-byte counters.
-func (c *Cluster) rollLedgers() {
-	now := c.eng.Now()
-	for _, s := range c.servers {
-		if s.failed {
-			continue
-		}
-		sa, ok := s.sch.(shareAccounting)
-		if !ok {
-			continue
-		}
-		// Refresh first so the lazy per-job attribution resolves against
-		// a snapshot current as of the window close.
-		s.table.Refresh(now)
-		s.ledger.Roll(now, sa.ServedBytesDelta(), s.table.ActiveSnapshot().Lookup, sa.Share)
-	}
-}
-
-// ShareReport returns server i's latest per-entity share report — the
-// sim mirror of MsgShareReport (nil for baseline schedulers or before
-// the first non-idle λ window).
+// ShareReport returns server i's latest per-entity share report — what
+// MsgShareReport answers on a live server (nil for baseline schedulers
+// or before the first non-idle λ window).
 func (c *Cluster) ShareReport(i int) []metrics.ShareEntry {
-	return c.servers[i].ledger.Report()
+	return c.servers[i].ctl.Ledger().Report()
 }
 
 // Engine exposes the discrete-event engine (for app traces and tests).
@@ -234,125 +181,42 @@ func (c *Cluster) Table(i int) *jobtable.Table { return c.servers[i].table }
 func (c *Cluster) Efficiency() float64 { return c.eff }
 
 // SyncTables performs one λ synchronization round (the λ loop calls
-// this on schedule; tests may call it directly): an all-gather by
-// default, or — with GossipFanout set — one epidemic push-pull round
-// mirroring the live fabric, where each live server exchanges tables
-// with k random live peers. With SyncDelay configured, peer snapshots
-// are captured now but merged and applied SyncDelay later.
+// this on schedule; tests may call it directly): an all-gather of the
+// live servers' job tables. With SyncDelay configured, peer snapshots
+// are captured now but merged SyncDelay later. A merge that moves a
+// table's generation is compiled by the server's next submit or λ step.
 func (c *Cluster) SyncTables() {
-	now := c.eng.Now()
-	apply := func() {
-		at := c.eng.Now()
-		if len(c.servers) > 1 {
-			if c.cfg.GossipFanout > 0 {
-				c.gossipRound(at)
-			} else {
-				tables := make([]*jobtable.Table, 0, len(c.servers))
-				for _, s := range c.servers {
-					if !s.failed {
-						tables = append(tables, s.table)
-					}
-				}
-				jobtable.AllGather(tables, at)
-			}
-		}
-		for _, s := range c.servers {
-			s.dirty = true
+	var tables []*jobtable.Table
+	for _, s := range c.servers {
+		if !s.failed {
+			tables = append(tables, s.table)
 		}
 	}
-	if c.cfg.SyncDelay > 0 {
-		// Capture peer snapshots at the boundary; merge after the
-		// control-plane delay.
-		snaps := make([][]jobtable.Entry, len(c.servers))
-		for i, s := range c.servers {
-			snaps[i] = s.table.Snapshot()
-		}
-		pairs := c.syncPairs()
-		c.eng.After(c.cfg.SyncDelay, func() {
-			at := c.eng.Now()
-			for _, p := range pairs {
-				c.servers[p[0]].table.Merge(snaps[p[1]], at)
-			}
-			for _, s := range c.servers {
-				s.dirty = true
-			}
-		})
-		_ = now
+	if c.cfg.SyncDelay <= 0 {
+		jobtable.AllGather(tables, c.eng.Now())
 		return
 	}
-	apply()
-}
-
-// syncPairs returns the (dst, src) merge pairs of one sync round: the
-// full bipartite set for the all-gather, or the push-pull pairs of one
-// gossip round.
-func (c *Cluster) syncPairs() [][2]int {
-	var pairs [][2]int
-	live := c.liveIdx()
-	if c.cfg.GossipFanout <= 0 {
-		for _, i := range live {
-			for _, j := range live {
+	snaps := make([][]jobtable.Entry, len(tables))
+	for i, t := range tables {
+		snaps[i] = t.Snapshot()
+	}
+	c.eng.After(c.cfg.SyncDelay, func() {
+		at := c.eng.Now()
+		for i, t := range tables {
+			for j, snap := range snaps {
 				if i != j {
-					pairs = append(pairs, [2]int{i, j})
+					t.Merge(snap, at)
 				}
 			}
 		}
-		return pairs
-	}
-	for _, i := range live {
-		for _, j := range c.pickPeers(i, live) {
-			pairs = append(pairs, [2]int{i, j}, [2]int{j, i})
-		}
-	}
-	return pairs
-}
-
-// gossipRound runs one push-pull epidemic round at virtual time at:
-// every live server exchanges fresh table snapshots with GossipFanout
-// random live peers (both directions, like the wire exchange).
-func (c *Cluster) gossipRound(at time.Duration) {
-	for _, p := range c.syncPairs() {
-		snap := c.servers[p[1]].table.Snapshot()
-		c.servers[p[0]].table.Merge(snap, at)
-	}
-}
-
-// liveIdx returns the indices of non-failed servers.
-func (c *Cluster) liveIdx() []int {
-	var out []int
-	for i, s := range c.servers {
-		if !s.failed {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// pickPeers samples up to GossipFanout random live peers of server i.
-func (c *Cluster) pickPeers(i int, live []int) []int {
-	var others []int
-	for _, j := range live {
-		if j != i {
-			others = append(others, j)
-		}
-	}
-	k := c.cfg.GossipFanout
-	if len(others) <= k {
-		return others
-	}
-	idx := c.rng.Perm(len(others))[:k]
-	out := make([]int, 0, k)
-	for _, x := range idx {
-		out = append(out, others[x])
-	}
-	return out
+	})
 }
 
 // FailServer marks server i failed, mirroring the live fabric's
 // failover: the server stops serving and syncing, its queued requests
-// are abandoned, and every survivor drops its sightings so the 1/k
-// presence deweighting shifts each affected job's tokens onto the
-// remaining servers.
+// are abandoned, and every survivor drops its sightings, so from the
+// survivors' next λ step the 1/k presence deweighting shifts each
+// affected job's tokens onto the remaining servers.
 func (c *Cluster) FailServer(i int) {
 	s := c.servers[i]
 	if s.failed {
@@ -360,12 +224,10 @@ func (c *Cluster) FailServer(i int) {
 	}
 	s.failed = true
 	s.parked = nil
-	for j, p := range c.servers {
-		if j == i || p.failed {
-			continue
+	for _, p := range c.servers {
+		if !p.failed {
+			p.table.DropServer(s.id)
 		}
-		p.table.DropServer(s.id)
-		p.dirty = true
 	}
 }
 
@@ -401,22 +263,12 @@ func (c *Cluster) Run(until time.Duration) {
 // total, DirBW·dt per direction, and OpsPerSec·dt requests — the §5.2
 // hardware envelope.
 type server struct {
-	c     *Cluster
-	idx   int
-	id    string
-	sch   sched.Scheduler
-	table *jobtable.Table
-	// lastGen is the job-table generation the scheduler was last
-	// compiled against — the sim mirror of the live controller's
-	// epoch gating: serve() recompiles only when the generation moves
-	// (or dirty forces it, e.g. after a failover scrub), never per
-	// submitted request.
-	lastGen uint64
-	dirty   bool
-	failed  bool
-	// ledger mirrors the live server's per-entity share accounting,
-	// rolled every λ from the scheduler's serviced-byte counters.
-	ledger *metrics.ShareLedger
+	c      *Cluster
+	id     string
+	sch    sched.Scheduler
+	table  *jobtable.Table
+	ctl    *control.Loop
+	failed bool
 
 	// parked holds requests whose service straddles tick boundaries
 	// (budget for their direction ran out); they are served ahead of the
@@ -430,14 +282,17 @@ type parkedReq struct {
 	start time.Duration
 }
 
+// submit is the communicator. It applies the controller's nudge rule in
+// place: the event loop owns the control loop, so the compile a live
+// reader would ask the controller goroutine for runs here.
 func (s *server) submit(now time.Duration, r *sched.Request) {
 	if r.Arrive == 0 {
 		r.Arrive = now
 	}
-	// Observe bumps the table generation when the active set changes;
-	// serve() picks that up. The submit path itself compiles nothing.
-	s.table.Observe(r.Job, now)
-	s.sch.Push(r)
+	s.ctl.Submit(r, now)
+	if s.ctl.Stale() {
+		s.ctl.Compile(now)
+	}
 }
 
 // parkCap bounds how many requests a server may park per tick. One park
@@ -449,20 +304,6 @@ const parkCap = 64
 func (s *server) serve(now time.Duration, dt time.Duration) {
 	if s.failed {
 		return
-	}
-	if g := s.table.Refresh(now); s.dirty || g != s.lastGen {
-		snap := s.table.ActiveSnapshot()
-		ds, canDelta := s.sch.(deltaScheduler)
-		if d, ok := s.table.DeltaSince(s.lastGen); ok && canDelta && !s.dirty {
-			// The live controller's incremental path, mirrored: patch
-			// the previous epoch's share tree with the generation delta
-			// instead of recompiling the whole job set.
-			ds.ApplyDelta(snap.Jobs, d)
-		} else {
-			s.sch.SetJobs(snap.Jobs)
-		}
-		s.lastGen = g
-		s.dirty = false
 	}
 	sec := dt.Seconds()
 	devB := s.c.cfg.DeviceBW * s.c.eff * sec

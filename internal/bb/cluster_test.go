@@ -1,7 +1,6 @@
 package bb
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -176,42 +175,6 @@ func TestStatStormIOPSBound(t *testing.T) {
 	}
 }
 
-// Gossip λ-sync mirror: with fan-out 2, sixteen servers each knowing
-// one distinct job converge to the full 16-job table in O(log N) sync
-// rounds — no all-gather.
-func TestGossipSyncConvergence(t *testing.T) {
-	const n = 16
-	c := NewCluster(Config{
-		Servers:      n,
-		NewSched:     themisFactory(policy.JobFair, 1),
-		GossipFanout: 2,
-		GossipSeed:   7,
-	})
-	for i := 0; i < n; i++ {
-		c.Submit(i, &sched.Request{
-			Job: job(fmt.Sprintf("j%02d", i), "u", "g", 1), Op: sched.OpWrite, Bytes: 1,
-		})
-	}
-	full := func() bool {
-		for i := 0; i < n; i++ {
-			if c.Table(i).Len() != n {
-				return false
-			}
-		}
-		return true
-	}
-	rounds := 0
-	for ; !full() && rounds < 12; rounds++ {
-		c.SyncTables()
-	}
-	if !full() {
-		t.Fatalf("tables not converged after %d gossip rounds", rounds)
-	}
-	if rounds > 8 { // log2(16)=4 with push-pull fan-out 2; allow slack
-		t.Fatalf("convergence took %d rounds, want O(log N)", rounds)
-	}
-}
-
 // FailServer mirrors the live failover: the failed server stops
 // serving, its sightings are scrubbed (presence deweighting shifts to
 // the survivors), and traffic aimed at it lands on a live server.
@@ -243,10 +206,10 @@ func TestFailServerShiftsLoad(t *testing.T) {
 	}
 }
 
-// SwapPolicy is the sim mirror of the live hot-swap: the scheduler
-// recompiles mid-run with queues intact, measured shares follow the
-// new policy, and the λ share ledger (the ShareReport mirror) pairs
-// measured shares with the compiled shares now in force.
+// SwapPolicy hands every server's control loop a new policy version:
+// the scheduler recompiles mid-run with queues intact, measured shares
+// follow the new policy, and the λ share ledger pairs measured shares
+// with the compiled shares now in force.
 func TestSwapPolicyAndShareReport(t *testing.T) {
 	const end = 8 * time.Second
 	c := NewCluster(Config{Servers: 1, NewSched: themisFactory(policy.JobFair, 3)})

@@ -30,11 +30,17 @@ func StageOutJobID(i int) string {
 // proc handle for completion accounting; meter the job under
 // StageOutJobID(i).
 func (c *Cluster) AddStageOut(i int, chunkBytes int64, depth int, start, stop time.Duration) *ProcHandle {
+	return c.addBackground(policy.StageOutJob(fmt.Sprintf("bb%d", i)), i, chunkBytes, depth, start, stop)
+}
+
+// addBackground registers a closed-loop writer of chunk-sized requests
+// pinned to server i under a synthetic background job identity.
+func (c *Cluster) addBackground(job policy.JobInfo, i int, chunkBytes int64, depth int, start, stop time.Duration) *ProcHandle {
 	if chunkBytes <= 0 {
 		chunkBytes = 1 << 20
 	}
 	return c.AddProc(Proc{
-		Job:        policy.StageOutJob(fmt.Sprintf("bb%d", i)),
+		Job:        job,
 		Stream:     workload.IORLoop(sched.OpWrite, chunkBytes),
 		Targets:    []int{i},
 		QueueDepth: depth,
@@ -56,15 +62,5 @@ func RebalanceJobID(i int) string {
 // stripes looks like to the scheduler. Meter the job under
 // RebalanceJobID(i).
 func (c *Cluster) AddRebalance(i int, chunkBytes int64, depth int, start, stop time.Duration) *ProcHandle {
-	if chunkBytes <= 0 {
-		chunkBytes = 1 << 20
-	}
-	return c.AddProc(Proc{
-		Job:        policy.RebalanceJob(fmt.Sprintf("bb%d", i)),
-		Stream:     workload.IORLoop(sched.OpWrite, chunkBytes),
-		Targets:    []int{i},
-		QueueDepth: depth,
-		Start:      start,
-		Stop:       stop,
-	})
+	return c.addBackground(policy.RebalanceJob(fmt.Sprintf("bb%d", i)), i, chunkBytes, depth, start, stop)
 }

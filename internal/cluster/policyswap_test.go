@@ -164,8 +164,16 @@ func TestFabricPolicySwap(t *testing.T) {
 	wgA := swapLoad(t, ca, "alice", stop, &errCount)
 	wgB := swapLoad(t, cb, "bob", stop, &errCount)
 
-	// Let the fabric settle into the saturated job-fair regime.
-	time.Sleep(5 * psLambda)
+	// Let the fabric settle into the saturated job-fair regime: every
+	// member has arbitrated a few hundred requests of each job.
+	waitFor(t, 20*time.Second, "both jobs served on every member", func() bool {
+		for _, s := range servers {
+			if n := s.Scheduler().Served(); n[alice.JobID] < 500 || n[bob.JobID] < 500 {
+				return false
+			}
+		}
+		return true
+	})
 
 	// The swap: one control message to one member.
 	canon, epoch, err := ca.SetPolicy("size-fair")

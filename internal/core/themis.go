@@ -245,9 +245,9 @@ func (t *Themis) SetPolicy(pol policy.Policy) {
 }
 
 // SetJobs installs the active job set from the controller and publishes
-// a new compiled epoch. This is the only path that compiles policy: the
-// controller calls it when the job table's generation moves (job
-// arrival/departure, presence change) or a λ sync lands — never per
+// a new compiled epoch. The controller (package control) calls it when
+// the job table's generation moves (job arrival/departure, presence
+// change, a merged peer table) and no delta bridges the gap — never per
 // request.
 func (t *Themis) SetJobs(jobs []policy.JobInfo) {
 	t.confMu.Lock()
@@ -442,9 +442,11 @@ func (t *Themis) popFromResolved(job string, st *jobState, sh *shard, allow sche
 // Pop implements sched.Scheduler: draw a statistical token conditioned on
 // eligible jobs — jobs with a backlog whose head request the serving
 // plane can start now (allow filter) — and serve the head of the chosen
-// job's queue. Jobs that have traffic but are not yet in the assignment
-// (e.g. first requests raced the controller) are served from leftover
-// draws so they are never starved.
+// job's queue. A job that has traffic but is not yet in the assignment
+// (its first requests raced the controller) is served only when no job
+// in the assignment has an eligible request — which, against a
+// saturating job, is never: such a job waits for the compile its
+// arrival asked the controller for (package control).
 //
 // Pop loads the current epoch once and touches only the shard locks of
 // the jobs it inspects; under contention a draw can lose the chosen head

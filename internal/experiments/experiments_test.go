@@ -8,8 +8,8 @@ import (
 
 // These tests assert the *shape* claims of each reproduced figure — the
 // ratios, orderings and convergence points the paper's evaluation rests
-// on. The slow application suite (fig1/fig13, ~2 minutes) has no shape
-// test; CI's fairness job runs it through `benchrun -exp all`.
+// on. fig1 (the FIFO half of fig13's application suite) has no shape
+// test of its own; CI's fairness job runs it through `benchrun -exp all`.
 
 func metricsOf(t *testing.T, r *Result) map[string]float64 {
 	t.Helper()
@@ -147,6 +147,27 @@ func TestFig12Shape(t *testing.T) {
 	// (independent draws gave 149 MB/s here).
 	if m["themisio_sigma_mbps"] > 20 {
 		t.Fatalf("σ(themisio) = %.1f MB/s, want <= 20", m["themisio_sigma_mbps"])
+	}
+}
+
+// The application study is the experiment most sensitive to when the
+// controller compiles: an application's I/O phases are short, so a
+// controller that admits a job only at the λ tick hands most of each
+// phase to the background job (compiling on the tick alone, size-fair
+// removed 4 % of BERT's FIFO slowdown and made SPECFEM3D's worse).
+func TestFig13Shape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fig13 runs six applications three times each, ~90s")
+	}
+	m := metricsOf(t, Fig13())
+	for _, app := range []string{"NAMD", "WRF", "BERT", "SPECFEM3D", "ResNet-50", "ResNet-50-sync"} {
+		fifo, fair := m[app+"_fifo_pct"], m[app+"_fair_pct"]
+		if fifo <= 0 {
+			t.Fatalf("%s: FIFO slowdown %+.1f%%, want the background job to hurt", app, fifo)
+		}
+		if red := (1 - fair/fifo) * 100; red < 85 {
+			t.Errorf("%s: size-fair removes %.1f%% of the FIFO slowdown (%+.1f%% → %+.1f%%), want >= 85%%", app, red, fifo, fair)
+		}
 	}
 }
 

@@ -171,10 +171,7 @@ func PolicySwap() *Result {
 			stagger = 2 * bb.DefaultLambda // server 1 recompiles 2λ after server 0
 			end     = 14 * time.Second
 		)
-		c := bb.NewCluster(bb.Config{
-			Servers: 2, NewSched: themisSched(policy.JobFair, 14),
-			GossipFanout: 1, GossipSeed: 7,
-		})
+		c := bb.NewCluster(bb.Config{Servers: 2, NewSched: themisSched(policy.JobFair, 14)})
 		flood(c, u1, 8, end)
 		flood(c, u2, 8, end)
 		c.SwapPolicy(swapAt, policy.SizeFair, stagger)

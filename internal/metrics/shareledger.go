@@ -15,7 +15,6 @@ package metrics
 import (
 	"sort"
 	"sync"
-	"time"
 
 	"themisio/internal/policy"
 )
@@ -66,7 +65,6 @@ type ShareLedger struct {
 	horizon int
 	windows []map[string]int64 // per-window serviced-byte deltas, oldest first
 	report  []ShareEntry
-	at      time.Duration
 }
 
 // NewShareLedger returns a ledger averaging over the given number of λ
@@ -78,7 +76,7 @@ func NewShareLedger(horizon int) *ShareLedger {
 	return &ShareLedger{horizon: horizon}
 }
 
-// Roll closes one λ window at time now: delta is the scheduler's
+// Roll closes one λ window: delta is the scheduler's
 // per-job serviced-byte delta for the window (ServedBytesDelta — only
 // jobs that actually serviced bytes appear), lookup lazily resolves a
 // job id to its active-set info (the snapshot's binary search; a miss
@@ -93,7 +91,7 @@ func NewShareLedger(horizon int) *ShareLedger {
 // its metadata left with it. A window in which nothing was serviced
 // leaves the previous report standing — an idle λ carries no fairness
 // evidence either way.
-func (l *ShareLedger) Roll(now time.Duration, delta map[string]int64, lookup func(job string) (policy.JobInfo, bool), shareOf func(job string) float64) []ShareEntry {
+func (l *ShareLedger) Roll(delta map[string]int64, lookup func(job string) (policy.JobInfo, bool), shareOf func(job string) float64) []ShareEntry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 
@@ -164,7 +162,6 @@ func (l *ShareLedger) Roll(now time.Duration, delta map[string]int64, lookup fun
 		return out[i].ID < out[k].ID
 	})
 	l.report = out
-	l.at = now
 	return append([]ShareEntry(nil), out...)
 }
 

@@ -3,7 +3,6 @@ package metrics
 import (
 	"math"
 	"testing"
-	"time"
 
 	"themisio/internal/policy"
 )
@@ -58,8 +57,8 @@ func TestShareLedgerAggregation(t *testing.T) {
 	l := NewShareLedger(4)
 	comp := map[string]float64{"j1": 0.75, "j2": 0.25}
 
-	l.Roll(time.Second, map[string]int64{"j1": 100, "j2": 100}, lookupOf(ledgerJobs()), shareOf(comp))
-	rep := l.Roll(2*time.Second, map[string]int64{"j1": 300, "j2": 100}, lookupOf(ledgerJobs()), shareOf(comp))
+	l.Roll(map[string]int64{"j1": 100, "j2": 100}, lookupOf(ledgerJobs()), shareOf(comp))
+	rep := l.Roll(map[string]int64{"j1": 300, "j2": 100}, lookupOf(ledgerJobs()), shareOf(comp))
 
 	// Horizon bytes: j1 = 100+300, j2 = 100+100 → measured 2/3 vs 1/3.
 	j1 := entry(t, rep, "job", "j1")
@@ -86,14 +85,14 @@ func TestShareLedgerIdleAndHorizon(t *testing.T) {
 	l := NewShareLedger(2)
 	comp := map[string]float64{"j1": 0.5, "j2": 0.5}
 
-	l.Roll(1, map[string]int64{"j1": 100}, lookupOf(ledgerJobs()), shareOf(comp))
-	idle := l.Roll(2, nil, lookupOf(ledgerJobs()), shareOf(comp))
+	l.Roll(map[string]int64{"j1": 100}, lookupOf(ledgerJobs()), shareOf(comp))
+	idle := l.Roll(nil, lookupOf(ledgerJobs()), shareOf(comp))
 	if e := entry(t, idle, "job", "j1"); e.Bytes != 100 {
 		t.Fatalf("idle window must keep the previous report, got %+v", e)
 	}
 	// Two more active windows push j1's window out of horizon 2.
-	l.Roll(3, map[string]int64{"j2": 50}, lookupOf(ledgerJobs()), shareOf(comp))
-	rep := l.Roll(4, map[string]int64{"j2": 50}, lookupOf(ledgerJobs()), shareOf(comp))
+	l.Roll(map[string]int64{"j2": 50}, lookupOf(ledgerJobs()), shareOf(comp))
+	rep := l.Roll(map[string]int64{"j2": 50}, lookupOf(ledgerJobs()), shareOf(comp))
 	if e := entry(t, rep, "job", "j2"); e.Bytes != 100 {
 		t.Fatalf("horizon should hold the last 2 windows only, got %+v", e)
 	}
@@ -109,7 +108,7 @@ func TestShareLedgerDepartedJob(t *testing.T) {
 	l := NewShareLedger(4)
 	comp := map[string]float64{"j1": 1}
 	present := []policy.JobInfo{{JobID: "j1", UserID: "alice", GroupID: "g1"}}
-	rep := l.Roll(1, map[string]int64{"j1": 100, "gone": 100}, lookupOf(present), shareOf(comp))
+	rep := l.Roll(map[string]int64{"j1": 100, "gone": 100}, lookupOf(present), shareOf(comp))
 	if e := entry(t, rep, "job", "gone"); e.Measured != 0.5 || e.Compiled != 0 {
 		t.Fatalf("departed job entry: %+v", e)
 	}
@@ -138,7 +137,7 @@ func TestShareLedgerRollupSums(t *testing.T) {
 	}
 	comp := map[string]float64{"a": 0.25, "b": 0.25, "c": 0.3, "d": 0.2}
 	l := NewShareLedger(4)
-	rep := l.Roll(1, map[string]int64{"a": 10, "b": 30, "c": 20, "d": 40}, lookupOf(jobs), shareOf(comp))
+	rep := l.Roll(map[string]int64{"a": 10, "b": 30, "c": 20, "d": 40}, lookupOf(jobs), shareOf(comp))
 
 	byKind := map[string]map[string]ShareEntry{}
 	for _, e := range rep {
@@ -186,7 +185,7 @@ func TestShareLedgerReportTop(t *testing.T) {
 	// Measured: a=0.5, b=0.3, c=0.2; residuals: a=+0.2, b=-0.1, c=+0.05.
 	comp := map[string]float64{"a": 0.3, "b": 0.4, "c": 0.15}
 	l := NewShareLedger(4)
-	l.Roll(1, map[string]int64{"a": 50, "b": 30, "c": 20}, lookupOf(jobs), shareOf(comp))
+	l.Roll(map[string]int64{"a": 50, "b": 30, "c": 20}, lookupOf(jobs), shareOf(comp))
 
 	top := l.ReportTop(2, "job")
 	if len(top) != 2 || top[0].ID != "a" || top[1].ID != "b" {

@@ -54,7 +54,9 @@ func startServersCompiles(t *testing.T, n int, pol policy.Policy) ([]*Server, []
 // the epoch refactor every message — data, heartbeat, gossip — called
 // sched.SetJobs, making compilation O(requests); now only the controller
 // compiles, when the job-table generation moves. The compile count must
-// therefore track job-set changes, not traffic volume.
+// therefore track job-set changes, not traffic volume. (The exact counts
+// are pinned on virtual time by control's
+// TestCompileCountFollowsJobSetChanges; this is the live half.)
 func TestCompileCountScalesWithJobSetChanges(t *testing.T) {
 	servers, addrs, stop := startServersCompiles(t, 2, policy.SizeFair)
 	defer stop()
@@ -75,10 +77,16 @@ func TestCompileCountScalesWithJobSetChanges(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The writes can outrun the first λ tick entirely; give the
-	// controllers a few ticks to publish the job's epoch before reading
-	// the counters.
-	time.Sleep(300 * time.Millisecond)
+	// The last write's reply can beat the controller goroutine to the
+	// compile its arrival asked for.
+	waitFor(t, 5*time.Second, "every controller to compile", func() bool {
+		for _, s := range servers {
+			if s.Scheduler().Compiles() == 0 {
+				return false
+			}
+		}
+		return true
+	})
 	var served, compiles int64
 	for _, s := range servers {
 		served += s.Served()
@@ -91,9 +99,6 @@ func TestCompileCountScalesWithJobSetChanges(t *testing.T) {
 	// of times across both servers; per-request compilation would be
 	// hundreds. Bound well below the request count and well above the
 	// legitimate epoch churn.
-	if compiles == 0 {
-		t.Fatal("controller never compiled — scheduler runs without a policy epoch")
-	}
 	if compiles > served/10 {
 		t.Fatalf("compiles = %d for %d served requests — compilation is on the hot path", compiles, served)
 	}
@@ -112,6 +117,95 @@ func TestCompileCountScalesWithJobSetChanges(t *testing.T) {
 	}
 	if after-before > 4 {
 		t.Fatalf("steady traffic recompiled %d times", after-before)
+	}
+}
+
+// A job that arrives mid-window against a saturating one is served its
+// share from its first requests: its arrival moves the table generation,
+// the reader that saw it nudges the controller, and the controller
+// compiles it in. λ is a minute so that no tick can come to the rescue —
+// with compiles only on the tick the newcomer was served nothing until
+// the next one (the fallback pop serves the oldest queue first, and a
+// saturating job's queue is never empty).
+func TestLateJoinerServedBeforeNextTick(t *testing.T) {
+	opDelay := 300 * time.Microsecond
+	if raceEnabled {
+		opDelay = 1500 * time.Microsecond // see TestLiveSizeFairService
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(ln, Config{
+		Policy:  policy.JobFair,
+		Workers: 2,
+		Lambda:  time.Minute,
+		OpDelay: opDelay,
+		Quiet:   true,
+	})
+	go srv.Serve()
+	defer srv.Close()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer close(stop)
+	flood := func(job string) {
+		c, err := client.Dial(jobInfo(job, 1), []string{srv.Addr()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w := 0; w < 8; w++ {
+			f, err := c.Open(fmt.Sprintf("/%s-%d", job, w), true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				buf := make([]byte, 512)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if _, err := f.Write(buf); err != nil {
+						return
+					}
+				}
+			}()
+		}
+		wg.Add(1)
+		go func() { defer wg.Done(); <-stop; c.Close() }()
+	}
+	served := func() (first, late int64) {
+		m := srv.Scheduler().Served()
+		return m["first"], m["late"]
+	}
+
+	flood("first")
+	waitFor(t, 10*time.Second, "the first job to saturate the server", func() bool {
+		f, _ := served()
+		return f >= 300
+	})
+	flood("late")
+	waitFor(t, 10*time.Second, "the late joiner's first served write", func() bool {
+		_, l := served()
+		return l > 20 // past its creates
+	})
+	f0, l0 := served()
+	var f1, l1 int64
+	waitFor(t, 20*time.Second, "1500 writes served with both jobs running", func() bool {
+		f1, l1 = served()
+		return (f1-f0)+(l1-l0) >= 1500
+	})
+	if rounds := srv.Cluster().GossipRounds(); rounds != 1 {
+		t.Fatalf("%d gossip rounds: a λ tick ran inside the test", rounds)
+	}
+	share := float64(l1-l0) / float64((f1-f0)+(l1-l0))
+	if share < 0.45 || share > 0.55 {
+		t.Fatalf("late joiner served %d of %d writes (%.3f), want its job-fair half ±0.05", l1-l0, (f1-f0)+(l1-l0), share)
 	}
 }
 

@@ -225,14 +225,14 @@ func newServerMetrics(reg *obsv.Registry, s *Server) *serverMetrics {
 	reg.GaugeVecFunc("themis_share_compiled",
 		"Compiled token share per entity in the last λ window.", shareLabels,
 		func(emit obsv.Emit) {
-			for _, e := range s.ledger.Report() {
+			for _, e := range s.ctl.Ledger().Report() {
 				emit([]string{e.Kind, e.ID}, e.Compiled)
 			}
 		})
 	reg.GaugeVecFunc("themis_share_measured",
 		"Measured serviced-byte share per entity in the last λ window.", shareLabels,
 		func(emit obsv.Emit) {
-			for _, e := range s.ledger.Report() {
+			for _, e := range s.ctl.Ledger().Report() {
 				emit([]string{e.Kind, e.ID}, e.Measured)
 			}
 		})
@@ -240,7 +240,7 @@ func newServerMetrics(reg *obsv.Registry, s *Server) *serverMetrics {
 		"measured − compiled share per entity (|residual| > 0.02 sustained means the share contract is drifting).",
 		shareLabels,
 		func(emit obsv.Emit) {
-			for _, e := range s.ledger.Report() {
+			for _, e := range s.ctl.Ledger().Report() {
 				emit([]string{e.Kind, e.ID}, e.Measured-e.Compiled)
 			}
 		})

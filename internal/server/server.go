@@ -6,10 +6,12 @@
 // drawing statistical tokens and executing requests against the
 // user-space file system.
 //
-// The live server shares the scheduler (package core), job table, policy
-// compiler and storage substrate with the discrete-event simulator; only
-// the serving plane differs (real goroutines and sockets instead of a
-// virtual clock).
+// The live server shares the scheduler (package core), the controller
+// step (package control), job table, policy compiler and storage
+// substrate with the discrete-event simulator. What differs is the
+// serving plane (goroutines and sockets instead of a fluid-service tick),
+// the clock, and how tables synchronize: gossip here, an exact all-gather
+// there.
 package server
 
 import (
@@ -25,6 +27,7 @@ import (
 
 	"themisio/internal/backing"
 	"themisio/internal/cluster"
+	"themisio/internal/control"
 	"themisio/internal/core"
 	"themisio/internal/fsys"
 	"themisio/internal/jobtable"
@@ -108,6 +111,7 @@ type Server struct {
 	cfg     Config
 	sched   *core.Themis
 	table   *jobtable.Table
+	ctl     *control.Loop
 	node    *cluster.Node
 	shard   *fsys.Shard
 	drain   *backing.Drainer
@@ -119,17 +123,6 @@ type Server struct {
 
 	// recoverPasses counts failover-reconciliation passes (metrics).
 	recoverPasses atomic.Int64
-
-	// applied is the policy the scheduler last recompiled under: the
-	// canonical string plus the cluster policy epoch it arrived at (0 =
-	// the boot policy, before any live `policy set`). The controller
-	// swaps it at λ when the gossiped version moves; MsgShareReport
-	// reads it — "every member reports the new policy epoch" is this
-	// value converging.
-	applied atomic.Pointer[appliedPolicy]
-	// ledger is the per-entity fairness accounting: serviced-byte
-	// windows rolled every λ from the scheduler's lock-free counters.
-	ledger *metrics.ShareLedger
 
 	// recovering serializes asynchronous failover-recovery passes (the
 	// backing I/O must not stall the controller's λ loop); stageMu
@@ -155,6 +148,10 @@ type Server struct {
 	// old cap-1 channel, concurrent pushes cannot collapse into a single
 	// token and leave a worker parked while queues are non-empty.
 	wake chan struct{}
+	// nudge asks the controller goroutine for a compile between λ ticks
+	// (see nudgeIfStale). One pending request covers any number of
+	// askers: the compile it buys reads the table's latest generation.
+	nudge chan struct{}
 
 	// connMu guards conns, the accepted connections still being served;
 	// Close force-closes them so communicator goroutines blocked in
@@ -196,10 +193,12 @@ func New(ln net.Listener, cfg Config) *Server {
 	addr := ln.Addr().String()
 	shard := fsys.NewShard(addr, cfg.Capacity)
 	table := jobtable.New(addr, cfg.HeartbeatTimeout)
+	themis := core.New(cfg.Policy, schedSeed(cfg.Seed, addr))
 	s := &Server{
 		cfg:   cfg,
-		sched: core.New(cfg.Policy, schedSeed(cfg.Seed, addr)),
+		sched: themis,
 		table: table,
+		ctl:   control.New(table, themis),
 		node: cluster.NewNode(cluster.Config{
 			Self:        addr,
 			Fanout:      cfg.GossipFanout,
@@ -210,11 +209,10 @@ func New(ln net.Listener, cfg Config) *Server {
 		start: time.Now(),
 		ln:    ln,
 		wake:  make(chan struct{}, wakeBuffer),
+		nudge: make(chan struct{}, 1),
 		conns: map[*transport.Conn]struct{}{},
 		gone:  map[string]int{},
 	}
-	s.applied.Store(&appliedPolicy{str: cfg.Policy.String()})
-	s.ledger = metrics.NewShareLedger(0)
 	base := cfg.Logger
 	if cfg.Quiet {
 		base = obsv.NopLogger()
@@ -261,24 +259,10 @@ func (s *Server) Ready() (bool, string) {
 	return true, ""
 }
 
-// appliedPolicy is one published (policy string, cluster policy epoch)
-// pair — what the scheduler is actually enforcing right now.
-type appliedPolicy struct {
-	str   string
-	epoch uint64
-}
-
 // AppliedPolicy returns the canonical policy string the scheduler is
 // enforcing and the cluster policy epoch it was applied under (0 means
 // the boot policy — no live set has reached this member yet).
-func (s *Server) AppliedPolicy() (string, uint64) {
-	ap := s.applied.Load()
-	return ap.str, ap.epoch
-}
-
-// ShareLedger exposes the per-entity fairness accounting (tests and
-// inspection; the wire path is MsgShareReport).
-func (s *Server) ShareLedger() *metrics.ShareLedger { return s.ledger }
+func (s *Server) AppliedPolicy() (string, uint64) { return s.ctl.AppliedPolicy() }
 
 // BootErr reports a fatal startup condition (a failed backing-store
 // re-hydration); Serve refuses to run while it is non-nil.
@@ -340,6 +324,12 @@ func (s *Server) Close() {
 		return
 	}
 	s.ln.Close()
+	// The controller may be parked for most of a λ; a nudge wakes it now
+	// (a full channel means it is waking already).
+	select {
+	case s.nudge <- struct{}{}:
+	default:
+	}
 	s.connMu.Lock()
 	for c := range s.conns {
 		c.Close()
@@ -365,10 +355,10 @@ func (s *Server) Leave() {
 // handleConn is the communicator: it decodes requests, feeds the job
 // monitor, and enqueues scheduler work tagged with the reply path.
 //
-// The data path performs no policy work: heartbeats and gossip only
-// update the job table / fabric state, and the controller — the sole
-// owner of recompilation — republishes the scheduler's epoch when the
-// table's generation moves (at most once per λ). A stream that does not
+// The data path performs no policy work: requests, heartbeats and gossip
+// only update the job table / fabric state, and ask the controller — the
+// sole owner of recompilation — for a compile when that moved the
+// table's generation (see nudgeIfStale). A stream that does not
 // open with the codec magic fails its first RecvRequest, so the
 // connection is closed before anything is decoded.
 func (s *Server) handleConn(c *transport.Conn) {
@@ -399,10 +389,12 @@ func (s *Server) handleConn(c *transport.Conn) {
 			return
 		case transport.MsgHeartbeat:
 			s.table.Heartbeat(req.Job, s.now())
+			s.nudgeIfStale()
 			continue
 		case transport.MsgGossip, transport.MsgJoin, transport.MsgLeave,
 			transport.MsgClusterStatus, transport.MsgDrain:
 			resp := s.node.Handle(req, s.now())
+			s.nudgeIfStale()
 			if err := s.sendResponse(c, resp); err != nil {
 				return
 			}
@@ -443,15 +435,16 @@ func (s *Server) handleConn(c *transport.Conn) {
 			// is applied server-side so a 100k-entity report never
 			// crosses the wire; a zero filter keeps the legacy
 			// full-report answer.
-			ap := s.applied.Load()
-			shares := s.ledger.Report()
+			ledger := s.ctl.Ledger()
+			shares := ledger.Report()
 			if req.ShareTopN > 0 || (req.ShareKind != "" && req.ShareKind != "all") {
-				shares = s.ledger.ReportTop(req.ShareTopN, req.ShareKind)
+				shares = ledger.ReportTop(req.ShareTopN, req.ShareKind)
 			}
+			polStr, polEpoch := s.ctl.AppliedPolicy()
 			resp := &transport.Response{
 				Seq:         req.Seq,
-				PolicyStr:   ap.str,
-				PolicyEpoch: ap.epoch,
+				PolicyStr:   polStr,
+				PolicyEpoch: polEpoch,
 				Epoch:       s.sched.EpochSeq(),
 				Shares:      shareRecords(shares),
 			}
@@ -483,7 +476,6 @@ func (s *Server) handleConn(c *transport.Conn) {
 		// Everything else is scheduled: the inflight value goes with the
 		// request to the worker that draws it, and the reader takes a
 		// fresh one for the next frame.
-		s.table.Observe(req.Job, s.now())
 		in.conn, in.replyFailed = c, &replyFailed
 		in.sched = sched.Request{
 			Job:    req.Job,
@@ -492,7 +484,7 @@ func (s *Server) handleConn(c *transport.Conn) {
 			Arrive: s.now(),
 			Tag:    in,
 		}
-		s.sched.Push(&in.sched)
+		s.submit(&in.sched)
 		in = getInflight()
 		select {
 		case s.wake <- struct{}{}:
@@ -771,13 +763,14 @@ func (s *Server) executeMigrate(req *transport.Request, resp *transport.Response
 	return resp
 }
 
-// controller owns policy recompilation — the paper's controller role:
-// every λ it expires stale heartbeats, runs the gossip round (join
-// retried until a seed answers, so start order is free; then an epidemic
-// push-pull exchange with k random peers), refreshes the job table's
-// published snapshot, and —
-// only if the snapshot generation moved — compiles the policy into a new
-// scheduler epoch. Steady-state traffic therefore compiles nothing:
+// controller is the goroutine that drives the control loop — the paper's
+// controller role. Every λ it runs the gossip round (join retried until
+// a seed answers, so start order is free; then an epidemic push-pull
+// exchange with k random peers) and the housekeeping, hands the loop the
+// gossiped policy version, and runs the loop's λ step: expire, compile,
+// close the share window. Between ticks it compiles when nudged, so a
+// job that arrives mid-window has its share by its next few requests,
+// not at the next tick. Steady-state traffic compiles nothing:
 // recompilation is O(job-set changes), not O(requests).
 func (s *Server) controller() {
 	defer s.wg.Done()
@@ -799,16 +792,19 @@ func (s *Server) controller() {
 	// Once before the first tick: the seeds are already listening, so a
 	// joiner need not stay invisible for a whole λ.
 	announce()
-	var lastGen uint64
 	for !s.closed.Load() {
-		<-tick.C
+		select {
+		case <-s.nudge:
+			s.ctl.Compile(s.now())
+			continue
+		case <-tick.C:
+		}
 		if s.closed.Load() {
 			break
 		}
-		s.table.Expire(s.now(), 0)
 		announce()
 		if s.drain != nil {
-			if n := s.drain.Pump(s.now(), s.pushDrain); n > 0 {
+			if n := s.drain.Pump(s.now(), s.submit); n > 0 {
 				s.wakeN(n)
 			}
 			s.recoverFailed()
@@ -822,42 +818,17 @@ func (s *Server) controller() {
 		}
 		s.shard.SweepMoved(movedRetention)
 		s.shard.SweepParked(parkedRetention)
-		s.applyPolicy()
-		if g := s.table.Refresh(s.now()); g != lastGen {
-			snap := s.table.ActiveSnapshot()
-			if d, ok := s.table.DeltaSince(lastGen); ok {
-				// The common case at scale: the generation moved by job
-				// churn, so patch the previous epoch's share tree in
-				// O(churn) instead of recompiling 100k jobs from scratch.
-				s.sched.ApplyDelta(snap.Jobs, d)
-			} else {
-				s.sched.SetJobs(snap.Jobs)
-			}
-			lastGen = g
-		}
-		// Close the λ accounting window after any recompile above, so
-		// the compiled shares paired with the window are the ones now in
-		// force. The roll drains only jobs that serviced bytes this
-		// window and materialises their entities lazily off the snapshot.
-		s.ledger.Roll(s.now(), s.sched.ServedBytesDelta(), s.table.ActiveSnapshot().Lookup, s.sched.Share)
+		s.offerPolicy()
+		s.ctl.Tick(s.now())
 	}
 }
 
-// applyPolicy recompiles the scheduler under the gossiped cluster
-// policy when its epoch has moved past the applied one — the λ-aligned
-// half of the live hot-swap, deliberately the same cadence as a
-// job-table generation move. The per-job queues are untouched: every
-// queued and in-flight request simply re-arbitrates under the freshly
-// compiled shares on its next token draw.
-func (s *Server) applyPolicy() {
+// offerPolicy hands the control loop the gossiped cluster policy version;
+// the loop's next step recompiles under it if it is news.
+func (s *Server) offerPolicy() {
 	str, epoch := s.node.PolicyVersion()
-	// The string is compared too, not just the epoch: two concurrent
-	// sets can land at the same epoch, and the gossip tie-break may
-	// replace the string this member already applied without moving the
-	// epoch — gating on the epoch alone would leave the member
-	// enforcing the losing policy forever.
-	if cur := s.applied.Load(); epoch == cur.epoch && (epoch == 0 || str == cur.str) {
-		return
+	if epoch == 0 {
+		return // no live set has reached this member
 	}
 	pol, err := policy.Parse(str)
 	if err != nil {
@@ -866,9 +837,30 @@ func (s *Server) applyPolicy() {
 		s.log.Warn("ignoring bad policy rumor", "policy", str, "err", err)
 		return
 	}
-	s.sched.SetPolicy(pol)
-	s.applied.Store(&appliedPolicy{str: pol.String(), epoch: epoch})
-	s.log.Info("policy hot-swap", "policy", pol.String(), "policy_epoch", epoch)
+	if s.ctl.OfferPolicy(pol, epoch) {
+		s.log.Info("policy hot-swap", "policy", pol.String(), "policy_epoch", epoch)
+	}
+}
+
+// submit enqueues one request stamped with its arrival time — a client's
+// from a connection reader, or a stage-out chunk from the drainer, which
+// enters by the same door so the controller compiles a share for the
+// stage-out job and the token draw arbitrates it like any contender.
+func (s *Server) submit(r *sched.Request) {
+	s.ctl.Submit(r, r.Arrive)
+	s.nudgeIfStale()
+}
+
+// nudgeIfStale is the nudge rule, for callers that have just fed the job
+// table: a table generation the scheduler was not compiled against earns
+// the controller goroutine a wake-up. No compile ever runs on the caller.
+func (s *Server) nudgeIfStale() {
+	if s.ctl.Stale() {
+		select {
+		case s.nudge <- struct{}{}:
+		default:
+		}
+	}
 }
 
 // shareRecords converts ledger entries to their wire form.
@@ -881,15 +873,6 @@ func shareRecords(entries []metrics.ShareEntry) []transport.ShareRecord {
 		}
 	}
 	return out
-}
-
-// pushDrain enqueues one stage-out request: same path as a foreground
-// request (job-table sighting + scheduler push), so the controller
-// compiles a share for the stage-out job and the token draw arbitrates
-// it like any other contender.
-func (s *Server) pushDrain(r *sched.Request) {
-	s.table.Observe(r.Job, s.now())
-	s.sched.Push(r)
 }
 
 // wakeN deposits up to n wake tokens for the workers.
@@ -917,7 +900,7 @@ func (s *Server) Flush() error {
 	}
 	s.stageMu.Lock()
 	defer s.stageMu.Unlock()
-	return s.drain.Flush(s.now, s.pushDrain, s.wakeN, flushTimeout)
+	return s.drain.Flush(s.now, s.submit, s.wakeN, flushTimeout)
 }
 
 // Drainer exposes the stage-out engine for inspection (nil without a

@@ -161,6 +161,16 @@ func TestVolatileServerDropsTombstones(t *testing.T) {
 	}
 }
 
+// waitFor polls cond until it holds or d passes.
+func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(d); !cond(); time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out after %v waiting for %s", d, what)
+		}
+	}
+}
+
 func jobInfo(id string, nodes int) policy.JobInfo {
 	return policy.JobInfo{JobID: id, UserID: "u-" + id, GroupID: "g", Nodes: nodes}
 }
@@ -322,7 +332,13 @@ func TestLiveSizeFairService(t *testing.T) {
 	wg.Add(2)
 	go func() { defer wg.Done(); run(jobInfo("big", 4), 8, stopCh, &bigN, &mu) }()
 	go func() { defer wg.Done(); run(jobInfo("small", 1), 8, stopCh, &smallN, &mu) }()
-	time.Sleep(1500 * time.Millisecond)
+	// Enough served requests to judge a 4:1 split, however long the box
+	// takes to serve them.
+	waitFor(t, 20*time.Second, "3000 writes served", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return bigN+smallN >= 3000
+	})
 	close(stopCh)
 	wg.Wait()
 
