@@ -115,7 +115,7 @@ func ExampleClient_Open() {
 	job := themisio.JobInfo{JobID: "analysis", UserID: "alice", Nodes: 2}
 	c, err := themisio.DialStriped(job, []string{ln.Addr().String()}, themisio.ClientOptions{
 		Stripes:        1,
-		ConnsPerServer: 2, // pooled connections to each server
+		ConnsPerServer: 2, // pooled connections to each server (default 1)
 	})
 	if errors.Is(err, themisio.ErrInvalidOptions) {
 		panic("malformed options are refused before any dial")

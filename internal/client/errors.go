@@ -98,13 +98,6 @@ func canceled(err error) error {
 // isCanceled reports whether err is the typed cancellation error.
 func isCanceled(err error) bool { return errors.Is(err, ErrCanceled) }
 
-// isCtxErr reports whether err stems from context cancellation or
-// expiry — outcomes that must not fail a server over (the server did
-// nothing wrong; the caller gave up).
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
 // budgetDeadline is the wall-clock bound for an internal retry budget:
 // now+d — today's hard-coded behavior — unless ctx carries an earlier
 // deadline of its own.

@@ -26,18 +26,28 @@ type chunkServer struct {
 
 	mu   sync.Mutex
 	seen []transport.Request // data requests, in arrival order (Data dropped)
+
+	// script, when set before the first connection, sees every request
+	// first, on the connection's reader: a non-nil reply is sent as it is
+	// (Seq stamped) in place of everything below. The request's Data is
+	// gone once script returns.
+	script func(req *transport.Request) *transport.Response
 }
 
 func patternByte(off int64) byte { return byte(off*7 + 3) }
 
 func startChunkServer(t *testing.T) *chunkServer {
+	return startScriptedServer(t, nil)
+}
+
+func startScriptedServer(t *testing.T, script func(req *transport.Request) *transport.Response) *chunkServer {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	s := &chunkServer{addr: ln.Addr().String(), release: make(chan struct{})}
+	s := &chunkServer{addr: ln.Addr().String(), release: make(chan struct{}), script: script}
 	go func() {
 		for {
 			raw, err := ln.Accept()
@@ -57,6 +67,14 @@ func (s *chunkServer) serve(conn *transport.Conn) {
 		req, err := conn.RecvRequest()
 		if err != nil {
 			return
+		}
+		if s.script != nil {
+			if resp := s.script(req); resp != nil {
+				resp.Seq = req.Seq
+				req.Release()
+				_ = conn.SendResponse(resp)
+				continue
+			}
 		}
 		resp := &transport.Response{Seq: req.Seq, Caps: transport.CapAppendAt}
 		if req.Type != transport.MsgWrite && req.Type != transport.MsgRead {

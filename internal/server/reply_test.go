@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"themisio/internal/backing"
 	"themisio/internal/policy"
 	"themisio/internal/transport"
 )
@@ -130,5 +131,54 @@ func TestUnknownRequestTypeRefused(t *testing.T) {
 			t.Errorf("type %v: reply seq %d err %q, want an error reply", typ, resp.Seq, resp.Err)
 		}
 		resp.Release()
+	}
+}
+
+// A flush waits on a goroutine of its own: the connection that asked for
+// it keeps answering control requests meanwhile — a client's membership
+// refresh rides it under a reply deadline.
+func TestFlushDoesNotParkTheConnection(t *testing.T) {
+	store, err := backing.OpenDir(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(ln, Config{Policy: policy.SizeFair, Lambda: 50 * time.Millisecond, Backing: store, Quiet: true})
+	go srv.Serve()
+	defer srv.Close()
+	raw, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := transport.NewConn(raw)
+	defer conn.Close()
+
+	srv.stageMu.Lock() // the flush cannot finish until the test lets it
+	held := true
+	defer func() {
+		if held {
+			srv.stageMu.Unlock()
+		}
+	}()
+	for i, typ := range []transport.MsgType{transport.MsgFlush, transport.MsgClusterStatus} {
+		if err := conn.SendRequest(&transport.Request{Type: typ, Seq: uint64(i + 1), Job: jobInfo("flush", 1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_ = raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+	resp, err := conn.RecvResponse()
+	if err != nil {
+		t.Fatalf("no reply while a flush waits (the reader is parked in it): %v", err)
+	}
+	if resp.Seq != 2 {
+		t.Fatalf("first reply has seq %d, want the membership answer (2) ahead of the held flush", resp.Seq)
+	}
+	srv.stageMu.Unlock()
+	held = false
+	if resp, err = conn.RecvResponse(); err != nil || resp.Seq != 1 || resp.Err != "" {
+		t.Fatalf("flush reply: %+v err=%v", resp, err)
 	}
 }

@@ -68,7 +68,11 @@ type Config struct {
 	// OpDelay emulates per-request device time (the RAM-backed store is
 	// otherwise far faster than any real device, so a saturated-queue
 	// regime — the only regime where fairness matters — would be
-	// unreachable in tests). Zero disables it.
+	// unreachable in tests). Zero disables it. It is a lower bound: the
+	// delay is a time.Sleep, and a sub-millisecond sleep on an idle
+	// processor returns at the runtime's idle-timer granularity — on the
+	// reference box 500 µs measured 1.2 ms and 100 µs measured 1.0 ms
+	// (EXPERIMENTS.md, "Sized and not pursued (PR 24)").
 	OpDelay time.Duration
 	// Join lists existing cluster members to join through; the join is
 	// attempted when Serve starts and retried each λ until one seed
@@ -400,17 +404,21 @@ func (s *Server) handleConn(c *transport.Conn) {
 			}
 			continue
 		case transport.MsgFlush:
-			// Forced full stage-out. Runs on this connection's goroutine:
-			// the drain chunks themselves go through the scheduler (the
-			// policy still arbitrates them); only the completeness wait
-			// blocks here.
+			// Forced full stage-out. The drain chunks themselves go through
+			// the scheduler (the policy still arbitrates them); only the
+			// completeness wait blocks, and it blocks a goroutine of its
+			// own: the client's membership refresh rides the same
+			// connection under a reply deadline, and a reader parked here
+			// for a long flush would get this server failed over.
 			resp := &transport.Response{Seq: req.Seq}
-			if err := s.Flush(); err != nil {
-				resp.Err = err.Error()
-			}
-			if err := s.sendResponse(c, resp); err != nil {
-				return
-			}
+			s.wg.Add(1)
+			go func() {
+				defer s.wg.Done()
+				if err := s.Flush(); err != nil {
+					resp.Err = err.Error()
+				}
+				_ = s.sendResponse(c, resp)
+			}()
 			continue
 		case transport.MsgPolicySet:
 			// Live policy hot-swap entry point: validate, canonicalize,

@@ -5,6 +5,8 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"themisio/internal/policy"
 )
 
 // sinkConn discards writes — the alloc-measurement target (a net.Pipe
@@ -86,6 +88,27 @@ func TestReleasePoison(t *testing.T) {
 	Release(big)
 	if big[0] != 1 {
 		t.Fatal("Release must not touch an above-class buffer")
+	}
+}
+
+// A frame is its payload plus a header, and payloads are powers of two:
+// every class has the head-room to hold its own payload's frame, so a
+// 1 MiB write occupies a 1 MiB buffer and not the 4 MiB one above it.
+func TestLeaseClassesHoldTheirFrames(t *testing.T) {
+	if c := cap(Lease(1<<20 + 64)); c >= 2<<20 {
+		t.Fatalf("a 1 MiB payload's frame leased %d bytes", c)
+	}
+	for _, payload := range []int{4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20} {
+		frame := AppendRequestFrame(nil, &Request{
+			Type: MsgWrite, Seq: 1 << 40, Path: "/scratch/run-0042/rank-00017/checkpoint.bin",
+			Job:  policy.JobInfo{JobID: "job-1234567", UserID: "some-user", GroupID: "some-group", Nodes: 64},
+			Data: make([]byte, payload), AppendAt: true, AppendOff: 1 << 40, LayoutGen: 1 << 20,
+		})
+		b := Lease(len(frame))
+		if c := cap(b); c >= 2*payload {
+			t.Errorf("the %d-byte frame of a %d-byte payload leased %d bytes", len(frame), payload, c)
+		}
+		Release(b)
 	}
 }
 

@@ -33,9 +33,17 @@ import (
 )
 
 // leaseClasses are the payload size classes, spanning a heartbeat frame
-// up to a 4 MiB stripe unit. Above the top class Lease
-// falls back to a plain allocation (Release ignores it).
-var leaseClasses = [...]int{4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20}
+// up to a 4 MiB stripe unit, each with head-room for the frame header: a
+// received frame is its payload plus some fifty bytes, and payloads are
+// powers of two, so a class of exactly 2^k would send every one of them
+// to the next class up — a 1 MiB write into a 4 MiB buffer. Above the
+// top class Lease falls back to a plain allocation (Release ignores it).
+var leaseClasses = [...]int{
+	4<<10 + leaseHeadroom, 16<<10 + leaseHeadroom, 64<<10 + leaseHeadroom,
+	256<<10 + leaseHeadroom, 1<<20 + leaseHeadroom, 4<<20 + leaseHeadroom,
+}
+
+const leaseHeadroom = 512
 
 // leasePools hold each class's free backing arrays as pointers to their
 // first byte: a pointer rides in the pool's interface value as it is,

@@ -143,5 +143,5 @@ const (
 )
 
 // DefaultConnsPerServer is the pool size used when
-// ClientOptions.ConnsPerServer is zero.
+// ClientOptions.ConnsPerServer is zero: one connection per server.
 const DefaultConnsPerServer = client.DefaultConnsPerServer
