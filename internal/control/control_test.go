@@ -94,7 +94,7 @@ func TestCompileCountFollowsJobSetChanges(t *testing.T) {
 	if got := th.Compiles(); got != 3 {
 		t.Fatalf("both jobs timed out: %d compiles, want 3", got)
 	}
-	if n := len(th.Assignment().Jobs()); n != 0 {
+	if n := th.Assignment().Len(); n != 0 {
 		t.Fatalf("%d jobs still hold tokens after timing out", n)
 	}
 }
@@ -209,7 +209,7 @@ func TestConcurrentSubmittersOneOwner(t *testing.T) {
 	if l.Stale() {
 		t.Fatal("stale after the owner's last compile")
 	}
-	if n := len(th.Assignment().Jobs()); n != readers*jobsEach {
+	if n := th.Assignment().Len(); n != readers*jobsEach {
 		t.Fatalf("%d jobs hold tokens, want %d", n, readers*jobsEach)
 	}
 }

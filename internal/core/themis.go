@@ -28,7 +28,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -89,22 +88,15 @@ func (s *jobState) backlogged() bool {
 type epoch struct {
 	seq      uint64
 	compiled *policy.Compiled
-	// The draw tables, derived from the assignment's scope blocks once
-	// at publication: blocks[b] with cum[b] (raw weight mass before
-	// block b; cum[len] equals total) for the two-level token search,
-	// and offs[b] (flat segment index of the block's first job) for the
-	// conditioned draw's eligibility mask. states[b][j] and shards[b][j]
-	// are blocks[b].Jobs[j]'s counter block and lock stripe, resolved
-	// per block so the per-pop path does no hashing and no map lookups
-	// outside the queue itself — and reused pointer-identical from the
-	// previous epoch for every block a delta recompile structurally
-	// shared, which keeps steady-state publication O(churn + scopes)
-	// rather than O(jobs).
-	blocks []*token.Block
-	cum    []float64
-	offs   []int
-	total  float64
-	n      int
+	// assign is compiled.Assignment, which computes every draw; a draw
+	// yields block/index coordinates (b, j). states[b][j] and
+	// shards[b][j] are that job's counter block and lock stripe,
+	// resolved per block so the per-pop path does no hashing and no map
+	// lookups outside the queue itself — and reused pointer-identical
+	// from the previous epoch for every block a delta recompile
+	// structurally shared, which keeps steady-state publication
+	// O(churn + scopes) rather than O(jobs).
+	assign *token.Assignment
 	states [][]*jobState
 	shards [][]*shard
 }
@@ -293,29 +285,25 @@ func (t *Themis) ApplyDelta(jobs []policy.JobInfo, d policy.Delta) {
 	t.compilesDelta.Add(1)
 }
 
-// publishCompiledLocked derives the new epoch's draw tables from the
-// compiled assignment's scope blocks and swaps it in. Blocks carried
-// over unchanged from the previous epoch (a delta recompile shares
-// them pointer-identical) reuse their resolved state and stripe
-// arrays, so only churned scopes pay the per-job resolution.
+// publishCompiledLocked resolves the compiled assignment's jobs to
+// their state and stripe tables and swaps the new epoch in. Blocks
+// carried over unchanged from the previous epoch (a delta recompile
+// shares them pointer-identical) reuse their resolved tables, so only
+// churned scopes pay the per-job resolution.
 func (t *Themis) publishCompiledLocked(c *policy.Compiled) {
 	blocks := c.Assignment.Blocks()
 	prev := t.epoch.Load()
 	var prevIdx map[*token.Block]int
-	if prev != nil && len(prev.blocks) > 0 {
-		prevIdx = make(map[*token.Block]int, len(prev.blocks))
-		for i, b := range prev.blocks {
+	if prev != nil && len(prev.assign.Blocks()) > 0 {
+		prevIdx = make(map[*token.Block]int, len(prev.assign.Blocks()))
+		for i, b := range prev.assign.Blocks() {
 			prevIdx[b] = i
 		}
 	}
 	e := &epoch{
 		seq:      1,
 		compiled: c,
-		blocks:   blocks,
-		cum:      make([]float64, len(blocks)+1),
-		offs:     make([]int, len(blocks)+1),
-		total:    c.Assignment.Total(),
-		n:        c.Assignment.Len(),
+		assign:   c.Assignment,
 		states:   make([][]*jobState, len(blocks)),
 		shards:   make([][]*shard, len(blocks)),
 	}
@@ -323,8 +311,6 @@ func (t *Themis) publishCompiledLocked(c *policy.Compiled) {
 		e.seq = prev.seq + 1
 	}
 	for bi, b := range blocks {
-		e.cum[bi+1] = e.cum[bi] + b.Sum
-		e.offs[bi+1] = e.offs[bi] + len(b.Jobs)
 		if pi, ok := prevIdx[b]; ok {
 			e.states[bi] = prev.states[pi]
 			e.shards[bi] = prev.shards[pi]
@@ -383,7 +369,7 @@ func (t *Themis) EpochSeq() uint64 {
 }
 
 // Assignment returns the current token assignment (nil before the first
-// SetJobs). Exposed for tests and for themisctl introspection.
+// SetJobs), for tests.
 func (t *Themis) Assignment() *token.Assignment {
 	e := t.epoch.Load()
 	if e == nil {
@@ -471,11 +457,11 @@ func (t *Themis) Pop(now time.Duration, allow sched.AllowFunc) *sched.Request {
 // uninstrumented path).
 func (t *Themis) pop(now time.Duration, allow sched.AllowFunc) *sched.Request {
 	e := t.epoch.Load()
-	if e != nil && e.n > 0 {
+	if e != nil && e.assign.Len() > 0 {
 		if t.strict.Load() {
 			// Ablation mode: unconditioned draw; a miss wastes the cycle.
-			if b, j := e.segIdx(t.draws.next()); b >= 0 {
-				if r := t.popFromResolved(e.blocks[b].Jobs[j], e.states[b][j], e.shards[b][j], allow); r != nil {
+			if b, j := e.assign.Locate(t.draws.next()); b >= 0 {
+				if r := t.popFromResolved(e.assign.Blocks()[b].Jobs[j], e.states[b][j], e.shards[b][j], allow); r != nil {
 					return r
 				}
 			}
@@ -490,8 +476,8 @@ func (t *Themis) pop(now time.Duration, allow sched.AllowFunc) *sched.Request {
 		// binary searches (block, then segment within it), one counter
 		// load, one shard lock.
 		if allow == nil {
-			if b, j := e.segIdx(t.draws.next()); b >= 0 && e.states[b][j].backlogged() {
-				if r := t.popFromResolved(e.blocks[b].Jobs[j], e.states[b][j], e.shards[b][j], nil); r != nil {
+			if b, j := e.assign.Locate(t.draws.next()); b >= 0 && e.states[b][j].backlogged() {
+				if r := t.popFromResolved(e.assign.Blocks()[b].Jobs[j], e.states[b][j], e.shards[b][j], nil); r != nil {
 					return r
 				}
 			}
@@ -512,110 +498,41 @@ func (t *Themis) pop(now time.Duration, allow sched.AllowFunc) *sched.Request {
 // as uncontended locks.
 func (t *Themis) popCompiled(e *epoch, allow sched.AllowFunc) *sched.Request {
 	var buf [64]bool
-	var elig []bool
-	if e.n <= len(buf) {
-		elig = buf[:e.n]
-	} else {
-		elig = make([]bool, e.n)
+	elig := buf[:0]
+	if e.assign.Len() > len(buf) {
+		elig = make([]bool, 0, e.assign.Len())
 	}
-	// Eligible mass accumulates in raw weight space — conditioning on it
-	// is identical to normalised segment widths (both divide out at the
-	// draw), without a per-segment division.
-	total := 0.0
 	n := 0
-	for bi, blk := range e.blocks {
-		base := e.offs[bi]
-		for j := range blk.Jobs {
+	for bi, blk := range e.assign.Blocks() {
+		for j, job := range blk.Jobs {
 			ok := false
 			if allow == nil {
 				ok = e.states[bi][j].backlogged()
 			} else {
-				ok = t.peek(blk.Jobs[j], allow)
+				ok = t.peek(job, allow)
 			}
 			if ok {
-				elig[base+j] = true
-				total += blk.Ws[j]
 				n++
 			}
+			elig = append(elig, ok)
 		}
 	}
 	for ; n > 0; n-- {
-		b, j := e.pickIdx(elig, total, t.redraws.next())
+		b, j := e.assign.PickEligible(elig, e.assign.Mass(elig), t.redraws.next())
 		if b < 0 {
 			return nil
 		}
-		if r := t.popFromResolved(e.blocks[b].Jobs[j], e.states[b][j], e.shards[b][j], allow); r != nil {
+		if r := t.popFromResolved(e.assign.Blocks()[b].Jobs[j], e.states[b][j], e.shards[b][j], allow); r != nil {
 			return r
 		}
 		// A concurrent worker drained the job between peek and pop:
 		// recondition without it and redraw.
-		elig[e.offs[b]+j] = false
-		total -= e.blocks[b].Ws[j]
+		for _, sts := range e.states[:b] {
+			j += len(sts)
+		}
+		elig[j] = false
 	}
 	return nil
-}
-
-// segIdx returns the block/segment coordinates containing draw
-// x ∈ [0,1) over the full (unconditioned) assignment: the draw is
-// scaled into raw weight space, binary-searched over the block prefix
-// masses, then over the chosen block's prefix sums. Returns (-1, -1)
-// on an empty assignment.
-func (e *epoch) segIdx(x float64) (int, int) {
-	if e.n == 0 {
-		return -1, -1
-	}
-	xm := x * e.total
-	nb := len(e.blocks)
-	b := sort.Search(nb, func(i int) bool { return e.cum[i+1] > xm })
-	if b >= nb {
-		b = nb - 1
-	}
-	blk := e.blocks[b]
-	if len(blk.Jobs) == 0 {
-		return -1, -1
-	}
-	r := xm - e.cum[b]
-	j := sort.Search(len(blk.Cum), func(i int) bool { return blk.Cum[i] > r })
-	if j >= len(blk.Jobs) {
-		j = len(blk.Jobs) - 1
-	}
-	return b, j
-}
-
-// pickIdx returns the coordinates of the segment containing draw x
-// conditioned on the eligible set (total is the eligible raw mass), or
-// the first eligible segment when the eligible mass is zero
-// (zero-share jobs — e.g. just-arrived jobs the controller has not
-// weighted yet — are served from leftover cycles, mirroring
-// token.Assignment.PickEligible). Returns (-1, -1) if nothing is
-// eligible.
-func (e *epoch) pickIdx(elig []bool, total, x float64) (int, int) {
-	if total > 0 {
-		x *= total
-		acc := 0.0
-		for bi, blk := range e.blocks {
-			base := e.offs[bi]
-			for j := range blk.Jobs {
-				if !elig[base+j] {
-					continue
-				}
-				acc += blk.Ws[j]
-				if x < acc {
-					return bi, j
-				}
-			}
-		}
-	}
-	// Zero eligible mass, or floating-point residue: first eligible.
-	for bi, blk := range e.blocks {
-		base := e.offs[bi]
-		for j := range blk.Jobs {
-			if elig[base+j] {
-				return bi, j
-			}
-		}
-	}
-	return -1, -1
 }
 
 // popAny serves the first-seen eligible job's oldest request — the

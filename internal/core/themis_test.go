@@ -162,7 +162,7 @@ func TestAssignmentAndString(t *testing.T) {
 	}
 	th.SetJobs(jobs("a", "b"))
 	a := th.Assignment()
-	if a == nil || len(a.Segments()) != 2 {
+	if a == nil || a.Len() != 2 {
 		t.Fatalf("assignment = %+v", a)
 	}
 	if th.String() == "" || th.PendingOf("a") != 0 {
@@ -188,6 +188,69 @@ func TestDeterminism(t *testing.T) {
 	for i := range x {
 		if x[i] != y[i] {
 			t.Fatalf("diverged at %d: %s vs %s", i, x[i], y[i])
+		}
+	}
+}
+
+// The pinned draw order: a fixed seed and push sequence pop the same
+// jobs in the same order on all three draw paths — Pop(nil) (the live
+// server: optimistic draw, conditioned redraw), Pop(allow) (the
+// simulator: conditioned draw over peeked heads) and strict mode (the
+// ablation: a miss is "-") — under a flat and a two-block layout. Job c
+// runs dry after four requests, so every path also renormalises. The
+// strings were recorded before the draw moved into package token;
+// TestDeterminism compares two runs of one build, this compares builds.
+func TestDrawOrderGolden(t *testing.T) {
+	golden := []struct {
+		pol  policy.Policy
+		mode string
+		want string
+	}{
+		{policy.SizeFair, "nil", "adbadbacadbadaacadbadadbadbacadbadadcadbaaadbadaaaadbadadbadbabadbadadaadbadadbadbadadbadadbadba"},
+		{policy.SizeFair, "allow", "bacadbadadcadbacadbadaacadbadadbadaadadbadadbadbadadbadaabadbadadbadbadadbadaabadbadadbadaabadba"},
+		{policy.SizeFair, "strict", "adbadbacadbadaacadbadadbadbacadbadadcadba-adbadaa-adbadadbadba-adbadad-adbadadbadba-adbadadbadba"},
+		{policy.UserThenSizeFair, "nil", "bdcadbadadcadbacadbadadcadbadadbadbdaadbadaddadbadadbadbdaadbadaddadbdbadbadadaadbadaddadbdaadba"},
+		{policy.UserThenSizeFair, "allow", "badadcadbdcadbadadcadbadadbadbdcadbadadbadaddadbadadbadbadadbadaddadbadadbadbadadbadadbadbadadba"},
+		{policy.UserThenSizeFair, "strict", "bdcadbadadcadbacadbadadcadbadad-adbd-adbadad-adbadadbadbd-adbadad-adbd-adbadad-adbadad-adbd-adba"},
+	}
+	for _, g := range golden {
+		th := New(g.pol, 2024)
+		th.SetJobs([]policy.JobInfo{
+			{JobID: "a", UserID: "u1", Nodes: 4},
+			{JobID: "b", UserID: "u1", Nodes: 2},
+			{JobID: "c", UserID: "u2", Nodes: 1},
+			{JobID: "d", UserID: "u2", Nodes: 3},
+		})
+		th.SetStrict(g.mode == "strict")
+		push := func(job string, n int, op func(i int) sched.Op) {
+			for i := 0; i < n; i++ {
+				th.Push(&sched.Request{Job: policy.JobInfo{JobID: job}, Op: op(i), Bytes: 1})
+			}
+		}
+		write := func(int) sched.Op { return sched.OpWrite }
+		push("a", 60, write)
+		push("b", 60, func(i int) sched.Op {
+			if i%3 == 0 {
+				return sched.OpStat // held back by the allow filter
+			}
+			return sched.OpWrite
+		})
+		push("c", 4, write)
+		push("d", 60, write)
+		var allow sched.AllowFunc
+		if g.mode == "allow" {
+			allow = func(op sched.Op) bool { return op != sched.OpStat }
+		}
+		got := make([]byte, 0, len(g.want))
+		for range g.want {
+			if r := th.Pop(0, allow); r != nil {
+				got = append(got, r.Job.JobID[0])
+			} else {
+				got = append(got, '-')
+			}
+		}
+		if string(got) != g.want {
+			t.Errorf("%v %s:\n got %s\nwant %s", g.pol, g.mode, got, g.want)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package policy
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"themisio/internal/token"
@@ -63,9 +64,9 @@ func randomDelta(rng *rand.Rand, jobs *[]JobInfo, nextID *int) Delta {
 
 // The delta-compile contract: Recompile(prev, delta) is share-for-share
 // BIT-identical to a from-scratch Compile of the post-delta job set —
-// same segment layout, same bounds, same Share answers — over 500+
-// random churn sequences per policy, with recompiles chained so errors
-// would accumulate.
+// same blocks job by job and weight by weight, same total, same Share
+// answers — over 500+ random churn sequences per policy, with
+// recompiles chained so errors would accumulate.
 func TestRecompileMatchesCompileProperty(t *testing.T) {
 	pols := []Policy{JobFair, SizeFair, PriorityFair, UserFair, UserThenSizeFair, GroupUserSizeFair}
 	const seqs = 100 // ×6 policies = 600 churn sequences
@@ -95,15 +96,19 @@ func TestRecompileMatchesCompileProperty(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%v seq %d step %d: full compile: %v", p, s, st, err)
 				}
-				fs, is := full.Assignment.Segments(), inc.Assignment.Segments()
-				if len(fs) != len(is) {
-					t.Fatalf("%v seq %d step %d: %d segments incremental, %d full", p, s, st, len(is), len(fs))
+				fb, ib := full.Assignment.Blocks(), inc.Assignment.Blocks()
+				if len(fb) != len(ib) {
+					t.Fatalf("%v seq %d step %d: %d blocks incremental, %d full", p, s, st, len(ib), len(fb))
 				}
-				for i := range fs {
-					if fs[i] != is[i] {
-						t.Fatalf("%v seq %d step %d: segment %d diverged: inc %+v full %+v",
-							p, s, st, i, is[i], fs[i])
+				for bi := range fb {
+					if !slices.Equal(fb[bi].Jobs, ib[bi].Jobs) || !bitsEqual(fb[bi].Ws, ib[bi].Ws) {
+						t.Fatalf("%v seq %d step %d: block %d diverged: inc %v %v full %v %v",
+							p, s, st, bi, ib[bi].Jobs, ib[bi].Ws, fb[bi].Jobs, fb[bi].Ws)
 					}
+				}
+				if fa, ia := full.Assignment, inc.Assignment; math.Float64bits(fa.Total()) != math.Float64bits(ia.Total()) || fa.Len() != ia.Len() {
+					t.Fatalf("%v seq %d step %d: total/len inc %v/%d full %v/%d",
+						p, s, st, ia.Total(), ia.Len(), fa.Total(), fa.Len())
 				}
 				for _, j := range jobs {
 					if iw, fw := inc.Share(j.JobID), full.Share(j.JobID); iw != fw {
@@ -118,6 +123,11 @@ func TestRecompileMatchesCompileProperty(t *testing.T) {
 			}
 		}
 	}
+}
+
+// bitsEqual compares two weight slices bit for bit.
+func bitsEqual(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 // Removing every job leaves a recompilable empty tree, and adding into
@@ -140,8 +150,8 @@ func TestRecompileThroughEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(c.Assignment.Segments()) != 0 || c.JobCount() != 0 {
-		t.Fatalf("emptied tree: %d segments, %d jobs", len(c.Assignment.Segments()), c.JobCount())
+	if c.Assignment.Len() != 0 || c.JobCount() != 0 {
+		t.Fatalf("emptied tree: %d segments, %d jobs", c.Assignment.Len(), c.JobCount())
 	}
 	if _, err := Recompile(nil, Delta{}); err == nil {
 		t.Fatal("nil base must refuse")

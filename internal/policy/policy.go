@@ -248,7 +248,7 @@ type Compiled struct {
 
 // Share returns the job's compiled token share, 0 if absent. Lookups
 // resolve through the share tree, so they work identically for full
-// and delta compiles (the latter skip the assignment's index map).
+// and delta compiles.
 func (c *Compiled) Share(job string) float64 {
 	if c == nil || c.tree == nil {
 		return 0
@@ -322,11 +322,7 @@ type scope struct {
 func Compile(jobs []JobInfo, p Policy) (*Compiled, error) {
 	c := &Compiled{Policy: p}
 	if p.FIFO {
-		a, err := token.FromWeights(nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		c.Assignment = a
+		c.Assignment = &token.Assignment{}
 		return c, nil
 	}
 	sorted := make([]JobInfo, len(jobs))
@@ -336,11 +332,8 @@ func Compile(jobs []JobInfo, p Policy) (*Compiled, error) {
 	for _, j := range sorted {
 		tr.insertLocked(j)
 	}
-	a, err := tr.assignmentLocked(true)
+	a, err := tr.assignmentLocked()
 	if err != nil {
-		return nil, err
-	}
-	if err := a.Validate(); err != nil {
 		return nil, err
 	}
 	c.Assignment, c.tree = a, tr

@@ -230,11 +230,11 @@ func TestCompilePresenceDeweighting(t *testing.T) {
 
 func TestCompileFIFOAndEmpty(t *testing.T) {
 	c, err := Compile(nil, SizeFair)
-	if err != nil || len(c.Assignment.Segments()) != 0 {
+	if err != nil || c.Assignment.Len() != 0 {
 		t.Fatalf("empty job set: %v %v", c, err)
 	}
 	c, err = Compile([]JobInfo{j("a", "u", "g", 1)}, FIFO)
-	if err != nil || len(c.Assignment.Segments()) != 0 {
+	if err != nil || c.Assignment.Len() != 0 {
 		t.Fatalf("FIFO policy: %v %v", c, err)
 	}
 }
@@ -274,12 +274,18 @@ func TestCompileChainInvariantsProperty(t *testing.T) {
 					return false
 				}
 			}
-			if c.Assignment.Validate() != nil {
+			a := c.Assignment
+			if a.Len() != len(jobs) {
 				return false
 			}
 			total := 0.0
-			for _, s := range c.Assignment.Segments() {
-				total += s.Width()
+			for _, b := range a.Blocks() {
+				for _, w := range b.Ws {
+					if w < 0 {
+						return false
+					}
+					total += w / a.Total()
+				}
 			}
 			if math.Abs(total-1) > 1e-9 {
 				return false

@@ -180,11 +180,8 @@ func (t *shareTree) removeLocked(jobID string) {
 // cached block pointer-identical — the structural sharing that makes a
 // delta recompile O(churn + scopes): only scopes whose leaves or path
 // factor changed re-read their leaves, allocate a fresh immutable
-// block, and re-publish their jobs' raw weights for Share. withIndex
-// selects whether the assignment carries the job→share map (full
-// compiles keep it; the delta path skips the O(n) map rebuild because
-// incremental epochs answer Share from this tree).
-func (t *shareTree) assignmentLocked(withIndex bool) (*token.Assignment, error) {
+// block, and re-publish their jobs' raw weights for Share.
+func (t *shareTree) assignmentLocked() (*token.Assignment, error) {
 	n := len(t.index)
 	blocks := make([]*token.Block, 0, 64)
 	terminal := t.pol.Levels[len(t.pol.Levels)-1]
@@ -231,7 +228,7 @@ func (t *shareTree) assignmentLocked(withIndex bool) (*token.Assignment, error) 
 	if walkErr != nil {
 		return nil, walkErr
 	}
-	a, err := token.FromBlocks(blocks, withIndex)
+	a, err := token.FromBlocks(blocks)
 	if err != nil {
 		return nil, err
 	}
@@ -281,7 +278,7 @@ func Recompile(prev *Compiled, d Delta) (*Compiled, error) {
 	for _, j := range d.Added {
 		t.insertLocked(j)
 	}
-	a, err := t.assignmentLocked(false)
+	a, err := t.assignmentLocked()
 	t.mu.Unlock()
 	if err != nil {
 		return nil, err

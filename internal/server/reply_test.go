@@ -105,9 +105,9 @@ func TestReplyFailedLoggedOncePerConn(t *testing.T) {
 	}
 }
 
-// A frame whose type no handler is assigned to — the retired MsgOpen and
-// MsgClose, the reserved slot, a number past the last constant — is
-// answered with an error reply, never with an empty success.
+// A frame whose type no handler is assigned to — the reserved slots 0
+// (once open), 4 (once close) and 11, a number past the last constant —
+// is answered with an error reply, never with an empty success.
 func TestUnknownRequestTypeRefused(t *testing.T) {
 	addrs, stop := startServers(t, 1, policy.SizeFair)
 	defer stop()
@@ -117,7 +117,7 @@ func TestUnknownRequestTypeRefused(t *testing.T) {
 	}
 	conn := transport.NewConn(raw)
 	defer conn.Close()
-	for i, typ := range []transport.MsgType{transport.MsgOpen, transport.MsgClose, 11, 200} {
+	for i, typ := range []transport.MsgType{0, 4, 11, 200} {
 		if err := conn.SendRequest(&transport.Request{
 			Type: typ, Seq: uint64(i + 1), Job: jobInfo("raw", 1), Path: "/",
 		}); err != nil {

@@ -1,22 +1,17 @@
 // Package token implements the statistical token design of ThemisIO (§3 of
 // the paper). A sharing policy is compiled into a probability segment on
 // [0, 1) per job by multiplying a chain of transition matrices, one per
-// sharing-entity level. An I/O worker draws a uniform random number and
-// serves the job whose segment contains it; draws over jobs with empty
-// queues are renormalised away, which is what makes the design
-// work-conserving ("opportunity fairness").
+// sharing-entity level. An I/O worker takes the next point of its token
+// sequence and serves the job whose segment contains it (Locate); draws
+// over jobs with empty queues are renormalised away (PickEligible), which
+// is what makes the design work-conserving ("opportunity fairness").
 package token
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 )
-
-// Epsilon is the tolerance used when validating that matrix rows are
-// stochastic and that segment bounds tile [0, 1).
-const Epsilon = 1e-9
 
 // Matrix is a transition matrix T^i as defined in §3 of the paper. Each row
 // represents a token queue (a sharing scope at level i) and each column an
@@ -26,8 +21,7 @@ type Matrix struct {
 	Rows, Cols int
 	// V is row-major: V[r*Cols + c].
 	V []float64
-	// RowLabels and ColLabels name the scopes/entities, for debugging and
-	// for the tree rendering used by the fig10/11 experiment.
+	// RowLabels and ColLabels name the scopes/entities, for debugging.
 	RowLabels []string
 	ColLabels []string
 }
@@ -111,22 +105,12 @@ func ChainProduct(chain []*Matrix) (*Matrix, error) {
 	return acc, nil
 }
 
-// Segment is one job's slice of [0, 1).
-type Segment struct {
-	Lo, Hi float64
-	Job    string
-}
-
-// Width returns the probability mass of the segment.
-func (s Segment) Width() float64 { return s.Hi - s.Lo }
-
 // Block is one contiguous run of the assignment: the jobs of a single
 // terminal sharing scope with their raw (unnormalised) token weights
 // and the prefix sums a draw needs to binary-search within the run.
 // A Block is immutable once it is part of an Assignment — that is what
 // lets a delta recompile share the blocks of untouched scopes
-// pointer-identical across epochs instead of re-deriving a flat
-// segment array per generation.
+// pointer-identical across epochs.
 type Block struct {
 	Jobs []string
 	Ws   []float64 // raw weights, parallel to Jobs
@@ -153,64 +137,33 @@ func NewBlock(jobs []string, ws []float64) (*Block, error) {
 	return b, nil
 }
 
-// Assignment is the statistical token assignment: a tiling of [0, 1) by
-// job segments, in ascending order, held as a sequence of scope blocks.
-// The flat []Segment view is materialised lazily (Segments) — the
-// steady-state draw path works off the blocks directly, so an
-// incrementally recompiled epoch never pays the O(jobs) flatten.
+// Assignment is the statistical token assignment: one segment per job,
+// tiling [0, 1) in block order, and the one implementation of the draw
+// over it. Segment bounds are never materialised — a draw scales x into
+// raw weight space and searches the block prefix masses, then the
+// chosen block's own prefix sums — so an incrementally recompiled epoch
+// never pays an O(jobs) flatten.
 type Assignment struct {
 	blocks []*Block
-	n      int     // total job count across blocks
-	total  float64 // Σ Block.Sum, in block order — the normaliser
-	index  map[string]float64
-	flat   atomic.Pointer[[]Segment]
+	cum    []float64 // cum[b] is the raw mass before block b; cum[len(blocks)] is the total
+	n      int       // total job count across blocks
 }
 
 // FromBlocks builds an assignment from scope blocks, taking ownership
-// of the slice. withIndex controls whether the O(jobs) job→share map is
-// built (Share answers 0 without it; the delta-recompile path skips it
-// because incremental epochs answer shares from the policy share tree).
-func FromBlocks(blocks []*Block, withIndex bool) (*Assignment, error) {
-	n := 0
-	total := 0.0
-	for _, b := range blocks {
-		n += len(b.Jobs)
-		total += b.Sum
+// of the slice.
+func FromBlocks(blocks []*Block) (*Assignment, error) {
+	a := &Assignment{blocks: blocks, cum: make([]float64, len(blocks)+1)}
+	for i, b := range blocks {
+		a.n += len(b.Jobs)
+		a.cum[i+1] = a.cum[i] + b.Sum
 	}
-	if n == 0 {
+	if a.n == 0 {
 		return &Assignment{}, nil
 	}
-	if total <= 0 {
+	if a.Total() <= 0 {
 		return nil, fmt.Errorf("token: all weights are zero")
 	}
-	a := &Assignment{blocks: blocks, n: n, total: total}
-	if withIndex {
-		a.index = make(map[string]float64, n)
-		for _, b := range blocks {
-			for i, j := range b.Jobs {
-				a.index[j] = b.Ws[i] / total
-			}
-		}
-	}
 	return a, nil
-}
-
-// FromWeights builds a single-block assignment from per-job weights
-// (not necessarily normalised). Jobs with non-positive weight receive
-// an empty segment. The job order is preserved so that segment layout
-// is deterministic. The input slices are copied.
-func FromWeights(jobs []string, weights []float64) (*Assignment, error) {
-	if len(jobs) != len(weights) {
-		return nil, fmt.Errorf("token: %d jobs but %d weights", len(jobs), len(weights))
-	}
-	if len(jobs) == 0 {
-		return &Assignment{}, nil
-	}
-	b, err := NewBlock(append([]string(nil), jobs...), append([]float64(nil), weights...))
-	if err != nil {
-		return nil, err
-	}
-	return FromBlocks([]*Block{b}, true)
 }
 
 // Blocks returns the assignment's scope blocks in segment order. The
@@ -218,137 +171,88 @@ func FromWeights(jobs []string, weights []float64) (*Assignment, error) {
 func (a *Assignment) Blocks() []*Block { return a.blocks }
 
 // Total returns the raw weight mass the segments are normalised by.
-func (a *Assignment) Total() float64 { return a.total }
+func (a *Assignment) Total() float64 {
+	if len(a.cum) == 0 {
+		return 0
+	}
+	return a.cum[len(a.cum)-1]
+}
 
 // Len returns the number of job segments in the assignment.
 func (a *Assignment) Len() int { return a.n }
 
-// Segments materialises the flat segment view of the assignment:
-// hi = lo + w/total per job in block order, with the final bound
-// clamped to 1.0 to absorb floating-point residue. The view is built
-// on first use and cached; reporting, validation, and the experiment
-// harness use it — the scheduler's draw path never does.
-func (a *Assignment) Segments() []Segment {
-	if p := a.flat.Load(); p != nil {
-		return *p
+// Locate returns the coordinates — block, then index within it — of the
+// job whose segment contains x ∈ [0, 1): the unconditioned draw.
+// Floating-point residue past the last bound goes to the last job.
+// Returns (-1, -1) on an empty assignment.
+func (a *Assignment) Locate(x float64) (int, int) {
+	if a.n == 0 {
+		return -1, -1
 	}
-	segs := make([]Segment, 0, a.n)
-	lo := 0.0
-	for _, b := range a.blocks {
-		for i, j := range b.Jobs {
-			hi := lo + b.Ws[i]/a.total
-			segs = append(segs, Segment{Lo: lo, Hi: hi, Job: j})
-			lo = hi
+	xm := x * a.Total()
+	nb := len(a.blocks)
+	b := sort.Search(nb, func(i int) bool { return a.cum[i+1] > xm })
+	if b >= nb {
+		b = nb - 1
+	}
+	blk := a.blocks[b]
+	if len(blk.Jobs) == 0 {
+		return -1, -1
+	}
+	r := xm - a.cum[b]
+	j := sort.Search(len(blk.Cum), func(i int) bool { return blk.Cum[i] > r })
+	if j >= len(blk.Jobs) {
+		j = len(blk.Jobs) - 1
+	}
+	return b, j
+}
+
+// Mass returns the raw weight of the jobs elig marks — one flag per job
+// in segment order — which is what PickEligible conditions on.
+func (a *Assignment) Mass(elig []bool) float64 {
+	m, i := 0.0, 0
+	for _, blk := range a.blocks {
+		for _, w := range blk.Ws {
+			if elig[i] {
+				m += w
+			}
+			i++
 		}
 	}
-	if len(segs) > 0 {
-		segs[len(segs)-1].Hi = 1.0 // absorb floating-point residue
-	}
-	a.flat.Store(&segs)
-	return segs
+	return m
 }
 
-// Validate checks that segments tile [0, 1) without gaps or overlaps.
-func (a *Assignment) Validate() error {
-	segs := a.Segments()
-	if len(segs) == 0 {
-		return nil
-	}
-	if math.Abs(segs[0].Lo) > Epsilon {
-		return fmt.Errorf("token: first segment starts at %g", segs[0].Lo)
-	}
-	for i := 1; i < len(segs); i++ {
-		if math.Abs(segs[i].Lo-segs[i-1].Hi) > Epsilon {
-			return fmt.Errorf("token: gap between segment %d and %d", i-1, i)
-		}
-	}
-	last := segs[len(segs)-1]
-	if math.Abs(last.Hi-1) > Epsilon {
-		return fmt.Errorf("token: last segment ends at %g", last.Hi)
-	}
-	return nil
-}
-
-// Share returns the probability mass assigned to the given job, 0 if
-// absent or if the assignment was built without an index.
-func (a *Assignment) Share(job string) float64 {
-	return a.index[job]
-}
-
-// Jobs returns the job ids in segment order.
-func (a *Assignment) Jobs() []string {
-	out := make([]string, 0, a.n)
-	for _, b := range a.blocks {
-		out = append(out, b.Jobs...)
-	}
-	return out
-}
-
-// Lookup returns the job whose segment contains x ∈ [0, 1).
-func (a *Assignment) Lookup(x float64) (string, bool) {
-	segs := a.Segments()
-	if len(segs) == 0 {
-		return "", false
-	}
-	i := sort.Search(len(segs), func(i int) bool { return segs[i].Hi > x })
-	if i >= len(segs) {
-		i = len(segs) - 1
-	}
-	return segs[i].Job, true
-}
-
-// PickEligible draws the statistical token conditioned on the eligible set:
-// jobs whose queues are non-empty. This implements opportunity fairness —
-// unused probability mass is, in effect, reassigned proportionally to jobs
-// that have work. rnd must return a uniform value in [0, 1).
+// PickEligible is the draw conditioned on the eligible set: the
+// coordinates of the job whose segment contains x ∈ [0, 1) once the mass
+// of every job elig does not mark is removed and the rest rescaled
+// (opportunity fairness). mass is the eligible raw weight (Mass); the
+// draw runs in raw weight space, which conditions exactly as
+// renormalised widths on [0, 1) would. Residue — x·mass reaching the
+// summed eligible weight, or a mass above it — goes to the last
+// eligible job, as in Locate.
 //
-// Zero-share eligible jobs (for example, a job that just appeared and has
-// not been through a λ-sync yet) are served only when no positive-share job
-// is eligible, which mirrors ThemisIO's behaviour of serving unknown jobs
-// from leftover cycles rather than starving them.
-func (a *Assignment) PickEligible(eligible func(job string) bool, rnd func() float64) (string, bool) {
-	// The draw runs in raw weight space — eligible mass and the scaled
-	// draw both use the unnormalised block weights, which conditions the
-	// distribution identically to widths on [0, 1).
-	total := 0.0
-	for _, b := range a.blocks {
-		for i, j := range b.Jobs {
-			if eligible(j) {
-				total += b.Ws[i]
-			}
-		}
-	}
-	if total <= 0 {
-		for _, b := range a.blocks {
-			for _, j := range b.Jobs {
-				if eligible(j) {
-					return j, true
+// With zero eligible mass the first eligible job is served: zero-share
+// jobs (one that has not been through a λ-sync yet) take only the
+// cycles no positive-share job wants. Returns (-1, -1) if nothing is
+// eligible.
+func (a *Assignment) PickEligible(elig []bool, mass, x float64) (int, int) {
+	lastB, lastJ := -1, -1
+	x *= mass
+	acc, i := 0.0, 0
+	for bi, blk := range a.blocks {
+		for j, w := range blk.Ws {
+			if elig[i] {
+				if mass <= 0 {
+					return bi, j
 				}
+				acc += w
+				if x < acc {
+					return bi, j
+				}
+				lastB, lastJ = bi, j
 			}
-		}
-		return "", false
-	}
-	x := rnd() * total
-	acc := 0.0
-	for _, b := range a.blocks {
-		for i, j := range b.Jobs {
-			if !eligible(j) {
-				continue
-			}
-			acc += b.Ws[i]
-			if x < acc {
-				return j, true
-			}
+			i++
 		}
 	}
-	// Floating point residue: fall back to the last eligible segment.
-	for bi := len(a.blocks) - 1; bi >= 0; bi-- {
-		b := a.blocks[bi]
-		for i := len(b.Jobs) - 1; i >= 0; i-- {
-			if eligible(b.Jobs[i]) {
-				return b.Jobs[i], true
-			}
-		}
-	}
-	return "", false
+	return lastB, lastJ
 }

@@ -76,65 +76,133 @@ func TestMulDimensionMismatchPanics(t *testing.T) {
 	NewMatrix(1, 2).Mul(NewMatrix(3, 1))
 }
 
-func TestFromWeightsBasic(t *testing.T) {
-	a, err := FromWeights([]string{"a", "b", "c"}, []float64{1, 2, 1})
+// fromWeights builds a one-block assignment over the given weights.
+func fromWeights(jobs []string, weights []float64) (*Assignment, error) {
+	b, err := NewBlock(jobs, weights)
+	if err != nil {
+		return nil, err
+	}
+	return FromBlocks([]*Block{b})
+}
+
+// layout builds a multi-block assignment: one block per inner slice,
+// jobs named "a", "b", … in segment order.
+func layout(t *testing.T, weights ...[]float64) *Assignment {
+	t.Helper()
+	var blocks []*Block
+	name := 'a'
+	for _, ws := range weights {
+		jobs := make([]string, len(ws))
+		for i := range jobs {
+			jobs[i] = string(name)
+			name++
+		}
+		b, err := NewBlock(jobs, append([]float64(nil), ws...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks = append(blocks, b)
+	}
+	a, err := FromBlocks(blocks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Validate(); err != nil {
+	return a
+}
+
+// names returns the namer of a's draw coordinates: the job at (b, j),
+// "" for (-1, -1).
+func names(a *Assignment) func(b, j int) string {
+	return func(b, j int) string {
+		if b < 0 {
+			return ""
+		}
+		return a.Blocks()[b].Jobs[j]
+	}
+}
+
+// all marks every job of a eligible.
+func all(a *Assignment) []bool {
+	elig := make([]bool, a.Len())
+	for i := range elig {
+		elig[i] = true
+	}
+	return elig
+}
+
+func TestFromWeightsBasic(t *testing.T) {
+	a, err := fromWeights([]string{"a", "b", "c"}, []float64{1, 2, 1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := a.Share("b"); math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("share(b) = %g, want 0.5", got)
+	if a.Len() != 3 || a.Total() != 4 || len(a.Blocks()) != 1 {
+		t.Fatalf("len %d total %g blocks %d, want 3 4 1", a.Len(), a.Total(), len(a.Blocks()))
 	}
-	if got := a.Share("missing"); got != 0 {
-		t.Fatalf("share(missing) = %g, want 0", got)
+	if got := a.Mass(all(a)); got != 4 {
+		t.Fatalf("mass of everything = %g, want 4", got)
+	}
+	if got := a.Mass([]bool{false, true, false}); got != 2 {
+		t.Fatalf("mass of b = %g, want 2", got)
 	}
 }
 
 func TestFromWeightsErrors(t *testing.T) {
-	if _, err := FromWeights([]string{"a"}, []float64{1, 2}); err == nil {
+	if _, err := fromWeights([]string{"a"}, []float64{1, 2}); err == nil {
 		t.Fatal("want length-mismatch error")
 	}
-	if _, err := FromWeights([]string{"a"}, []float64{-1}); err == nil {
+	if _, err := fromWeights([]string{"a"}, []float64{-1}); err == nil {
 		t.Fatal("want negative-weight error")
 	}
-	if _, err := FromWeights([]string{"a", "b"}, []float64{0, 0}); err == nil {
+	if _, err := fromWeights([]string{"a", "b"}, []float64{0, 0}); err == nil {
 		t.Fatal("want all-zero error")
 	}
-	a, err := FromWeights(nil, nil)
-	if err != nil || len(a.Segments()) != 0 {
-		t.Fatalf("empty input should give empty assignment, got %v %v", a, err)
+	for _, a := range []*Assignment{{}, layout(t)} {
+		if a.Len() != 0 || a.Total() != 0 {
+			t.Fatalf("empty assignment: len %d total %g", a.Len(), a.Total())
+		}
+		if b, _ := a.Locate(0.5); b != -1 {
+			t.Fatal("locate on an empty assignment should fail")
+		}
+		if b, _ := a.PickEligible(nil, 0, 0.5); b != -1 {
+			t.Fatal("pick on an empty assignment should fail")
+		}
 	}
 }
 
-func TestLookup(t *testing.T) {
-	a, _ := FromWeights([]string{"a", "b"}, []float64{1, 3})
+func TestLocate(t *testing.T) {
+	a, _ := fromWeights([]string{"a", "b"}, []float64{1, 3})
 	cases := []struct {
 		x    float64
 		want string
 	}{{0, "a"}, {0.2, "a"}, {0.25, "b"}, {0.7, "b"}, {0.999999, "b"}}
 	for _, c := range cases {
-		got, ok := a.Lookup(c.x)
-		if !ok || got != c.want {
-			t.Fatalf("Lookup(%g) = %q, want %q", c.x, got, c.want)
+		if got := names(a)(a.Locate(c.x)); got != c.want {
+			t.Fatalf("Locate(%g) = %q, want %q", c.x, got, c.want)
 		}
 	}
-	empty := &Assignment{}
-	if _, ok := empty.Lookup(0.5); ok {
-		t.Fatal("lookup on empty assignment should fail")
+	// Three blocks: a b | c | d e, weights 1 1 | 2 | 3 1 over a total of 8.
+	m := layout(t, []float64{1, 1}, []float64{2}, []float64{3, 1})
+	cases = []struct {
+		x    float64
+		want string
+	}{{0, "a"}, {0.124, "a"}, {0.125, "b"}, {0.25, "c"}, {0.49, "c"}, {0.5, "d"}, {0.874, "d"}, {0.875, "e"}, {math.Nextafter(1, 0), "e"}}
+	for _, c := range cases {
+		if got := names(m)(m.Locate(c.x)); got != c.want {
+			t.Fatalf("multi-block Locate(%g) = %q, want %q", c.x, got, c.want)
+		}
 	}
 }
 
 // PickEligible over all-eligible jobs converges to segment shares.
 func TestPickEligibleFrequencies(t *testing.T) {
-	a, _ := FromWeights([]string{"a", "b", "c"}, []float64{1, 2, 5})
+	a := layout(t, []float64{1}, []float64{2, 5})
+	elig := all(a)
 	rng := rand.New(rand.NewSource(42))
 	counts := map[string]int{}
 	const n = 200000
 	for i := 0; i < n; i++ {
-		j, ok := a.PickEligible(func(string) bool { return true }, rng.Float64)
-		if !ok {
+		j := names(a)(a.PickEligible(elig, a.Mass(elig), rng.Float64()))
+		if j == "" {
 			t.Fatal("pick failed")
 		}
 		counts[j]++
@@ -150,15 +218,15 @@ func TestPickEligibleFrequencies(t *testing.T) {
 // Opportunity fairness: with one job ineligible its mass is redistributed
 // proportionally among the rest.
 func TestPickEligibleRenormalizes(t *testing.T) {
-	a, _ := FromWeights([]string{"a", "b", "c"}, []float64{1, 1, 2})
+	a := layout(t, []float64{1}, []float64{2}, []float64{1})
+	elig := []bool{true, false, true}
 	rng := rand.New(rand.NewSource(7))
 	counts := map[string]int{}
 	const n = 100000
 	for i := 0; i < n; i++ {
-		j, _ := a.PickEligible(func(s string) bool { return s != "c" }, rng.Float64)
-		counts[j]++
+		counts[names(a)(a.PickEligible(elig, a.Mass(elig), rng.Float64()))]++
 	}
-	if counts["c"] != 0 {
+	if counts["b"] != 0 {
 		t.Fatal("ineligible job was picked")
 	}
 	got := float64(counts["a"]) / n
@@ -168,40 +236,70 @@ func TestPickEligibleRenormalizes(t *testing.T) {
 }
 
 func TestPickEligibleNoneEligible(t *testing.T) {
-	a, _ := FromWeights([]string{"a"}, []float64{1})
-	if _, ok := a.PickEligible(func(string) bool { return false }, func() float64 { return 0 }); ok {
+	a := layout(t, []float64{1}, []float64{0, 2})
+	if b, _ := a.PickEligible([]bool{false, false, false}, 0, 0.5); b != -1 {
 		t.Fatal("pick should fail with no eligible jobs")
+	}
+	// Zero eligible mass: the first eligible job takes the leftover cycle.
+	if got := names(a)(a.PickEligible([]bool{false, true, false}, 0, 0.9)); got != "b" {
+		t.Fatalf("zero-mass pick = %q, want b", got)
 	}
 }
 
-// Property: any set of positive weights yields a valid tiling of [0,1)
-// whose shares match the normalised weights.
+// Residue — the scaled draw reaching the summed eligible weight, or a
+// caller's mass above it — goes to the last eligible job, as Locate
+// gives it to the last job.
+func TestPickEligibleResidue(t *testing.T) {
+	a := layout(t, []float64{0.1, 0.2}, []float64{0.3}, []float64{0.4})
+	elig := []bool{true, true, true, false}
+	mass := a.Mass(elig)
+	last := math.Nextafter(1, 0)
+	if got := names(a)(a.PickEligible(elig, mass, last)); got != "c" {
+		t.Fatalf("pick at the top of the eligible mass = %q, want c", got)
+	}
+	// A mass that drifted above the eligible sum (the weight of a drained
+	// job subtracted from a larger total) puts the excess past c's bound.
+	drifted := mass * (1 + 1e-12)
+	if got := names(a)(a.PickEligible(elig, drifted, last)); got != "c" {
+		t.Fatalf("pick past the eligible mass = %q, want c (last eligible)", got)
+	}
+	if got := names(a)(a.PickEligible(elig, drifted, 0)); got != "a" {
+		t.Fatalf("pick at 0 = %q, want a", got)
+	}
+	if got := names(a)(a.Locate(last)); got != "d" {
+		t.Fatalf("Locate at the top = %q, want d (last job)", got)
+	}
+}
+
+// Property: any set of non-negative weights, split into any blocks,
+// yields an assignment whose every positive-weight job is drawn at its
+// own segment's midpoint, and whose total is the weights' sum.
 func TestFromWeightsProperty(t *testing.T) {
-	f := func(raw []uint16) bool {
+	f := func(raw []uint16, cuts []uint8) bool {
 		if len(raw) == 0 {
 			return true
 		}
-		jobs := make([]string, len(raw))
-		weights := make([]float64, len(raw))
-		total := 0.0
+		var weights [][]float64
+		sum := 0.0
 		for i, r := range raw {
-			jobs[i] = string(rune('A' + i%26))
-			// rune collisions are fine: FromWeights keys by position for
-			// layout; Share sums only the last index, so make ids unique.
-			jobs[i] = jobs[i] + "-" + string(rune('0'+i%10)) + "-" + itoa(i)
-			weights[i] = float64(r%1000) + 1
-			total += weights[i]
+			if i == 0 || (i < len(cuts) && cuts[i]%3 == 0) {
+				weights = append(weights, nil)
+			}
+			w := float64(r%1000) + 1
+			weights[len(weights)-1] = append(weights[len(weights)-1], w)
+			sum += w
 		}
-		a, err := FromWeights(jobs, weights)
-		if err != nil {
+		a := layout(t, weights...)
+		if a.Len() != len(raw) || math.Abs(a.Total()-sum) > 1e-9*sum {
 			return false
 		}
-		if a.Validate() != nil {
-			return false
-		}
-		for i, j := range jobs {
-			if math.Abs(a.Share(j)-weights[i]/total) > 1e-9 {
-				return false
+		lo := 0.0
+		for bi, b := range a.Blocks() {
+			for j, w := range b.Ws {
+				if gb, gj := a.Locate(lo + w/a.Total()/2); gb != bi || gj != j {
+					return false
+				}
+				lo += w / a.Total()
 			}
 		}
 		return true
@@ -211,18 +309,26 @@ func TestFromWeightsProperty(t *testing.T) {
 	}
 }
 
-// Property: Lookup(x) always lands in the segment containing x.
-func TestLookupProperty(t *testing.T) {
-	a, _ := FromWeights([]string{"a", "b", "c", "d"}, []float64{3, 1, 4, 2})
+// Property: Locate(x) and the all-eligible PickEligible(x) land in the
+// segment containing x, over a multi-block layout.
+func TestLocateProperty(t *testing.T) {
+	a := layout(t, []float64{3, 1}, []float64{4}, []float64{2, 0, 5})
+	elig := all(a)
+	mass := a.Mass(elig)
 	f := func(xr uint32) bool {
 		x := float64(xr) / float64(math.MaxUint32+1.0)
-		job, ok := a.Lookup(x)
-		if !ok {
+		b, j := a.Locate(x)
+		if pb, pj := a.PickEligible(elig, mass, x); pb != b || pj != j {
 			return false
 		}
-		for _, s := range a.Segments() {
-			if s.Job == job {
-				return x >= s.Lo-Epsilon && x < s.Hi+Epsilon
+		lo := 0.0
+		for bi, blk := range a.Blocks() {
+			for k, w := range blk.Ws {
+				hi := lo + w/a.Total()
+				if bi == b && k == j {
+					return x >= lo-1e-9 && x < hi+1e-9
+				}
+				lo = hi
 			}
 		}
 		return false
@@ -230,16 +336,4 @@ func TestLookupProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	var b []byte
-	for i > 0 {
-		b = append([]byte{byte('0' + i%10)}, b...)
-		i /= 10
-	}
-	return string(b)
 }

@@ -34,11 +34,11 @@ type MsgType uint8
 
 // Protocol message types.
 const (
-	MsgOpen MsgType = iota
+	_ MsgType = iota // retired open; reserved so later types keep their numbers
 	MsgCreate
 	MsgRead
 	MsgWrite
-	MsgClose
+	_ // retired close, reserved likewise
 	MsgStat
 	MsgMkdir
 	MsgReaddir
@@ -121,7 +121,7 @@ const (
 
 // String names the message type.
 func (m MsgType) String() string {
-	names := []string{"open", "create", "read", "write", "close", "stat",
+	names := []string{"reserved", "create", "read", "write", "reserved", "stat",
 		"mkdir", "readdir", "unlink", "heartbeat", "bye", "reserved",
 		"gossip", "join", "leave", "cluster-status", "drain", "flush",
 		"migrate", "rebalance-status", "policy-set", "share-report"}

@@ -37,7 +37,7 @@ func TestResponseRoundTripAndError(t *testing.T) {
 
 func TestMsgTypeStrings(t *testing.T) {
 	for m, want := range map[MsgType]string{
-		MsgOpen: "open", MsgCreate: "create", MsgRead: "read",
+		MsgCreate: "create", MsgRead: "read",
 		MsgWrite: "write", MsgHeartbeat: "heartbeat",
 	} {
 		if m.String() != want {
