@@ -1,180 +1,90 @@
-// Package chash implements the consistent hash ring ThemisIO's user-space
-// file system uses to spread files and metadata across servers (§4.3):
-// "files and metadata are spread across ThemisIO servers using a
-// consistent hash function".
+// Package chash places files and metadata on servers (§4.3) by rendezvous
+// hashing: a key lives on the servers scoring highest for it, so a join or
+// a removal moves only keys the server joining or leaving wins or held.
 package chash
 
 import (
-	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
 	"sync"
 )
 
-// DefaultReplicas is the number of virtual nodes per server; enough to
-// keep the per-server load imbalance within a few percent for the server
-// counts in the paper (1–128).
-const DefaultReplicas = 128
-
-// Ring is a consistent hash ring over string node names. It is safe for
-// concurrent use.
+// Ring is the set of servers keys are placed on; safe for concurrent use.
 type Ring struct {
-	mu       sync.RWMutex
-	replicas int
-	keys     []uint64 // sorted virtual-node hashes
-	owner    map[uint64]string
-	nodes    map[string]bool
+	mu    sync.RWMutex
+	names []string // sorted, so a tie in score goes to the lower name
+	h     []uint64 // h[i] is hash64(names[i])
 }
 
-// New returns a ring with the given number of virtual nodes per server.
-// replicas <= 0 selects DefaultReplicas.
-func New(replicas int) *Ring {
-	if replicas <= 0 {
-		replicas = DefaultReplicas
-	}
-	return &Ring{
-		replicas: replicas,
-		owner:    make(map[uint64]string),
-		nodes:    make(map[string]bool),
-	}
-}
+// New returns an empty ring. The argument, once a virtual-node count, is ignored.
+func New(int) *Ring { return &Ring{} }
 
+// hash64 is FNV-1a, which clusters on similar strings, through the splitmix64 finalizer.
 func hash64(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s))
-	x := h.Sum64()
-	// FNV alone clusters badly on short, similar strings (server
-	// addresses differing in one digit), which skews the ring's
-	// virtual-node spacing to a ~2× max/mean shard imbalance. The
-	// splitmix64 finalizer avalanches the bits, bringing occupancy
-	// within the balls-in-boxes bound the placement design assumes.
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+	return mix(h.Sum64())
 }
 
-// Add inserts a node into the ring. Adding an existing node is a no-op.
-func (r *Ring) Add(node string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.nodes[node] {
-		return
-	}
-	r.nodes[node] = true
-	for i := 0; i < r.replicas; i++ {
-		k := hash64(fmt.Sprintf("%s#%d", node, i))
-		// On the vanishingly-rare collision, keep the first owner; the
-		// node still has replicas-1 other points.
-		if _, exists := r.owner[k]; exists {
-			continue
-		}
-		r.owner[k] = node
-		r.keys = append(r.keys, k)
-	}
-	sort.Slice(r.keys, func(i, j int) bool { return r.keys[i] < r.keys[j] })
+func mix(x uint64) uint64 {
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
-// Remove deletes a node and its virtual points from the ring.
-func (r *Ring) Remove(node string) {
+// Add inserts a node. Adding an existing node is a no-op.
+func (r *Ring) Add(name string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.nodes[node] {
-		return
+	if i, found := slices.BinarySearch(r.names, name); !found {
+		r.names, r.h = slices.Insert(r.names, i, name), slices.Insert(r.h, i, hash64(name))
 	}
-	delete(r.nodes, node)
-	kept := r.keys[:0]
-	for _, k := range r.keys {
-		if r.owner[k] == node {
-			delete(r.owner, k)
-			continue
-		}
-		kept = append(kept, k)
+}
+
+// Remove deletes a node.
+func (r *Ring) Remove(name string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if i, found := slices.BinarySearch(r.names, name); found {
+		r.names, r.h = slices.Delete(r.names, i, i+1), slices.Delete(r.h, i, i+1)
 	}
-	r.keys = kept
 }
 
 // Nodes returns the current node set, sorted.
 func (r *Ring) Nodes() []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.nodes))
-	for n := range r.nodes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return append([]string{}, r.names...)
 }
 
 // Len returns the number of nodes.
-func (r *Ring) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.nodes)
-}
+func (r *Ring) Len() int { return len(r.Nodes()) }
 
-// Lookup returns the node owning key. ok is false if the ring is empty.
+// Lookup returns LookupN(key, 1)[0]; ok is false if the ring is empty.
 func (r *Ring) Lookup(key string) (node string, ok bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if len(r.keys) == 0 {
-		return "", false
-	}
-	h := hash64(key)
-	i := sort.Search(len(r.keys), func(i int) bool { return r.keys[i] >= h })
-	if i == len(r.keys) {
-		i = 0
-	}
-	return r.owner[r.keys[i]], true
+	return r.best(hash64(key), nil), len(r.h) > 0
 }
 
-// Loads distributes the keys over the ring and returns how many land
-// on each node — the balls-in-boxes occupancy check (arXiv:2203.08918)
-// behind the virtual-node count: with enough replicas the max/mean
-// ratio stays within a small constant of 1, so no server's shard is
-// pathologically hot.
-func (r *Ring) Loads(keys []string) map[string]int {
-	out := make(map[string]int)
-	r.mu.RLock()
-	for n := range r.nodes {
-		out[n] = 0
-	}
-	r.mu.RUnlock()
-	for _, k := range keys {
-		if n, ok := r.Lookup(k); ok {
-			out[n]++
-		}
-	}
-	return out
-}
-
-// LookupN returns up to n distinct nodes for the key, walking the ring
-// clockwise — used to pick the stripe set of a striped file.
-func (r *Ring) LookupN(key string, n int) []string {
+// LookupN returns the min(n, Len()) nodes scoring highest for key, best
+// first: a file's stripe set. A larger n only appends.
+func (r *Ring) LookupN(key string, n int) (out []string) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if len(r.keys) == 0 || n <= 0 {
-		return nil
-	}
-	if n > len(r.nodes) {
-		n = len(r.nodes)
-	}
-	h := hash64(key)
-	i := sort.Search(len(r.keys), func(i int) bool { return r.keys[i] >= h })
-	seen := make(map[string]bool, n)
-	var out []string
-	for len(out) < n {
-		if i >= len(r.keys) {
-			i = 0
-		}
-		node := r.owner[r.keys[i]]
-		if !seen[node] {
-			seen[node] = true
-			out = append(out, node)
-		}
-		i++
+	for hk := hash64(key); len(out) < min(n, len(r.h)); {
+		out = append(out, r.best(hk, out))
 	}
 	return out
+}
+
+// best is the node not in out with the highest score mix(h[i] ^ hk).
+func (r *Ring) best(hk uint64, out []string) (node string) {
+	found, top := false, uint64(0)
+	for i, h := range r.h {
+		if s := mix(h ^ hk); (!found || s > top) && !slices.Contains(out, r.names[i]) {
+			node, found, top = r.names[i], true, s
+		}
+	}
+	return node
 }

@@ -10,7 +10,7 @@ import (
 	"themisio/internal/transport"
 )
 
-// createSet picks the stripe servers for a new file: the ring walk,
+// createSet picks the stripe servers for a new file: the ring's ranking,
 // skipping draining members when enough non-draining servers remain.
 // The chosen set is recorded in the file metadata, so every later
 // reader follows it regardless of how the ring drifts afterwards.

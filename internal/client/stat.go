@@ -44,7 +44,9 @@ type layoutInfo struct {
 
 // layoutOf is the stripe geometry a stat, create or unlink reply
 // describes, with what a legacy entry leaves unrecorded filled in: width
-// 1, the configured unit, the ring walk for the set.
+// 1, the configured unit, the ring's placement for the set. Servers
+// refuse a multi-stripe create with no set, so only width-1 and restored
+// legacy entries reach that fallback.
 func (c *Client) layoutOf(path string, r *transport.Response) layoutInfo {
 	lay := layoutInfo{stripes: max(r.Stripes, 1), unit: r.StripeUnit, set: r.StripeSet, gen: r.LayoutGen}
 	if lay.unit <= 0 {

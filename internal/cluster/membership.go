@@ -2,9 +2,9 @@
 // membership manager (join/leave/drain/fail, driven by the same
 // timeout idiom as the job table's heartbeat expiry), an epidemic
 // push-pull gossip engine that replaces the O(N²) λ-interval job-table
-// all-gather with k random peer exchanges per round, and the consistent
-// hash ring that placement (client striping, server fsys) follows as
-// membership changes.
+// all-gather with k random peer exchanges per round, and the placement
+// ring (rendezvous hashing, internal/chash) that client striping and the
+// server's fsys follow as membership changes.
 //
 // The paper runs ThemisIO as a remote-shared burst buffer — many
 // servers, one global fairness contract, with the λ-interval job-table
@@ -162,7 +162,7 @@ func (m *Membership) Epoch() uint64 {
 
 // newEntryLocked registers a previously-unknown member. The placeholder
 // state is StateLeft — out of the ring — so the setLocked that follows
-// sees the ring-ownership flip and inserts the member's virtual nodes.
+// sees the ring-ownership flip and adds the member to the ring.
 // Caller holds m.mu.
 func (m *Membership) newEntryLocked(addr string) *entry {
 	e := &entry{m: Member{Addr: addr, State: StateLeft}}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -137,6 +138,12 @@ func TestFabricRebalance(t *testing.T) {
 		}
 	}
 	ws.Close()
+	before := map[string][]string{}
+	for p := range files {
+		if before[p], _, err = w.Layout(p); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	// A handle opened before the join survives the layout rewrite: the
 	// stale-layout answer makes it re-stat and retry (satellite fix for
@@ -232,7 +239,7 @@ func TestFabricRebalance(t *testing.T) {
 	// members own exactly their ring share of stripes, which is ≥ the
 	// share the acceptance bar asks for.
 	ring := servers[0].Cluster().Membership().Ring()
-	newOwned := 0
+	newOwned, movedFiles, movedStripes := 0, 0, 0
 	for p := range files {
 		_, _, err := fresh.Stat(p)
 		if err != nil {
@@ -258,12 +265,24 @@ func TestFabricRebalance(t *testing.T) {
 			if set[i] == newAddrs[0] || set[i] == newAddrs[1] {
 				newOwned++
 			}
+			if set[i] != before[p][i] {
+				movedStripes++
+			}
+		}
+		if !slices.Equal(set, before[p]) {
+			movedFiles++
 		}
 	}
 	if newOwned == 0 {
 		t.Fatal("joined servers own zero stripes after rebalance")
 	}
-	t.Logf("joined servers own %d stripes across %d files", newOwned, len(files))
+	migrated := int64(0)
+	for _, s := range all {
+		f, _, _, _ := s.Migrator().Stats()
+		migrated += f
+	}
+	t.Logf("joined servers own %d stripes across %d files; the join re-homed %d files and %d stripes, in %d file migrations",
+		newOwned, len(files), movedFiles, movedStripes, migrated)
 
 	// The pre-join handle reads the full migrated file through its old
 	// f (stale-layout → re-stat → retry), then appends through it and

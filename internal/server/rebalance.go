@@ -20,7 +20,7 @@ import (
 
 // Join-time stripe rebalancing: when the membership ring's epoch moves
 // because a member joined, file layouts pinned at creation no longer
-// match the ring walk, so the new member serves none of the existing
+// match the ring's placement, so the new member serves none of the existing
 // bytes. The migrator closes that gap: the file's recorded set[0]
 // server (the coordinator — for a join, every recorded holder is still
 // alive, so it always exists) detects the divergence, copies the

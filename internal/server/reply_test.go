@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"fmt"
 	"log/slog"
 	"net"
 	"strings"
@@ -129,6 +130,65 @@ func TestUnknownRequestTypeRefused(t *testing.T) {
 		}
 		if resp.Seq != uint64(i+1) || !strings.Contains(resp.Err, "no handler") {
 			t.Errorf("type %v: reply seq %d err %q, want an error reply", typ, resp.Seq, resp.Err)
+		}
+		resp.Release()
+	}
+}
+
+// A create whose layout placement could strand is refused and leaves no
+// entry: a multi-stripe file with no recorded set (its other holders
+// would be re-derived from whatever the placement is at read time), a
+// set of the wrong width, one naming a server twice, or one that leaves
+// out the receiving server. A width-1 create needs no set.
+func TestStrandableCreateRefused(t *testing.T) {
+	addrs, stop := startServers(t, 1, policy.SizeFair)
+	defer stop()
+	raw, err := net.Dial("tcp", addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := transport.NewConn(raw)
+	defer conn.Close()
+	self := addrs[0]
+	seq := uint64(0)
+	send := func(req *transport.Request) *transport.Response {
+		t.Helper()
+		seq++
+		req.Seq, req.Job = seq, jobInfo("raw", 1)
+		if err := conn.SendRequest(req); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := conn.RecvResponse()
+		if err != nil || resp.Seq != seq {
+			t.Fatalf("%+v: reply %+v, err %v", req, resp, err)
+		}
+		return resp
+	}
+	for i, tc := range []struct {
+		stripes int
+		set     []string
+		ok      bool
+	}{
+		{stripes: 2},
+		{stripes: 2, set: []string{self}},
+		{stripes: 1, set: []string{self, "127.0.0.1:1"}},
+		{stripes: 2, set: []string{self, self}},
+		{stripes: 1, set: []string{"127.0.0.1:1"}},
+		{stripes: 2, set: []string{"127.0.0.1:1", "127.0.0.1:2"}},
+		{stripes: 1, ok: true},
+		{stripes: 0, ok: true},
+		{stripes: 1, set: []string{self}, ok: true},
+		{stripes: 2, set: []string{"127.0.0.1:1", self}, ok: true},
+	} {
+		p := fmt.Sprintf("/create%d", i)
+		resp := send(&transport.Request{Type: transport.MsgCreate, Path: p, Stripes: tc.stripes, StripeSet: tc.set})
+		if (resp.Err == "") != tc.ok {
+			t.Errorf("create %d stripes, set %v: err %q, want accepted %v", tc.stripes, tc.set, resp.Err, tc.ok)
+		}
+		resp.Release()
+		resp = send(&transport.Request{Type: transport.MsgStat, Path: p})
+		if (resp.Err == "") != tc.ok {
+			t.Errorf("stat after create %d stripes, set %v: err %q, want an entry %v", tc.stripes, tc.set, resp.Err, tc.ok)
 		}
 		resp.Release()
 	}

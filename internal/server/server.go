@@ -144,6 +144,7 @@ type Server struct {
 	gone   map[string]int
 
 	ln     net.Listener
+	addr   string // ln's address, the name membership and stripe sets know
 	wg     sync.WaitGroup
 	closed atomic.Bool
 	// wake is a counting wake channel: every Push deposits one token
@@ -212,6 +213,7 @@ func New(ln net.Listener, cfg Config) *Server {
 		shard: shard,
 		start: time.Now(),
 		ln:    ln,
+		addr:  addr,
 		wake:  make(chan struct{}, wakeBuffer),
 		nudge: make(chan struct{}, 1),
 		conns: map[*transport.Conn]struct{}{},
@@ -273,7 +275,7 @@ func (s *Server) AppliedPolicy() (string, uint64) { return s.ctl.AppliedPolicy()
 func (s *Server) BootErr() error { return s.bootErr }
 
 // Addr returns the server's listen address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *Server) Addr() string { return s.addr }
 
 // Served returns the number of requests executed.
 func (s *Server) Served() int64 { return s.served.Load() }
@@ -667,15 +669,18 @@ func (s *Server) execute(req *transport.Request, resp *transport.Response) *tran
 	case transport.MsgMigrate:
 		return s.executeMigrate(req, resp, fail)
 	case transport.MsgCreate:
+		if err := s.checkCreate(req); err != nil {
+			return fail(err)
+		}
 		if describe(s.shard.CreateStriped(req.Path, req.Stripes, req.StripeUnit, req.StripeSet)).Err != "" {
 			return resp
 		}
-		// A create whose recorded set diverges from the ring walk came
-		// from a client with a stale membership view (it dialed before
+		// A create whose recorded set diverges from the ring's placement
+		// came from a client with a stale membership view (it dialed before
 		// the last join). No epoch move will ever revisit it, so the
 		// creation itself is the rebalance trigger — on the recorded
 		// set[0] only, since only the coordinator's plan can act on it.
-		if len(req.StripeSet) > 0 && req.StripeSet[0] == s.Addr() && !s.cfg.RebalanceDisabled {
+		if len(req.StripeSet) > 0 && req.StripeSet[0] == s.addr && !s.cfg.RebalanceDisabled {
 			ring := s.node.Membership().Ring()
 			if want := ring.LookupN(req.Path, max(1, req.Stripes)); !slices.Equal(req.StripeSet, want) {
 				s.migr.MarkDirty()
@@ -727,6 +732,32 @@ func (s *Server) execute(req *transport.Request, resp *transport.Response) *tran
 		return fail(fmt.Errorf("server: no handler for request type %v", req.Type))
 	}
 	return resp
+}
+
+// checkCreate refuses a create whose layout placement could strand: a
+// multi-stripe entry with no recorded set is read, after the next join,
+// from servers that never held it, and the rebalance planner cannot move
+// it. A recorded set names each stripe server once, this one among them.
+func (s *Server) checkCreate(req *transport.Request) error {
+	set, width := req.StripeSet, max(req.Stripes, 1)
+	switch {
+	case len(set) == 0 && width > 1:
+		return fmt.Errorf("server: create %s: %d stripes and no stripe set", req.Path, width)
+	case len(set) == 0:
+		return nil
+	case len(set) != width:
+		return fmt.Errorf("server: create %s: %d stripes but a stripe set of %d", req.Path, width, len(set))
+	case !slices.Contains(set, s.addr):
+		return fmt.Errorf("server: create %s: stripe set does not name %s", req.Path, s.addr)
+	case width == 1:
+		return nil
+	}
+	sorted := slices.Clone(set)
+	slices.Sort(sorted)
+	if len(slices.Compact(sorted)) != width {
+		return fmt.Errorf("server: create %s: stripe set names a server twice", req.Path)
+	}
+	return nil
 }
 
 // executeMigrate runs one stripe-migration sub-op on the local shard.
