@@ -89,6 +89,29 @@ func TestAddRemoveIdempotent(t *testing.T) {
 	}
 }
 
+func TestDistributionRoughlyUniform(t *testing.T) {
+	r := New(0)
+	const nodes = 8
+	for i := 0; i < nodes; i++ {
+		r.Add(fmt.Sprintf("node%d", i))
+	}
+	counts := map[string]int{}
+	const keys = 20000
+	for i := 0; i < keys; i++ {
+		n, _ := r.Lookup(fmt.Sprintf("/fs/data/file-%d", i))
+		counts[n]++
+	}
+	if len(counts) != nodes {
+		t.Fatalf("%d of %d nodes own keys", len(counts), nodes)
+	}
+	want := keys / nodes
+	for n, c := range counts {
+		if c < want/2 || c > want*2 {
+			t.Fatalf("node %s owns %d keys, want within [%d, %d]", n, c, want/2, want*2)
+		}
+	}
+}
+
 // LookupN is a ranking: its first node is Lookup's, a set names no
 // server twice, a wider set extends a narrower one, and n is clipped to
 // the server count.
@@ -183,6 +206,42 @@ func TestLookupMembershipProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Occupancy: spreading many keys over 4, 8 and 16 servers keeps the
+// hottest shard within 1.35× the mean, with every server holding keys
+// and every key counted once — the acceptance check for
+// membership-driven rebalancing.
+func TestOccupancyBalance(t *testing.T) {
+	all := jobKeys()
+	for _, servers := range []int{4, 8, 16} {
+		r := New(0)
+		for i := 0; i < servers; i++ {
+			r.Add(fmt.Sprintf("srv%02d", i))
+		}
+		loads := map[string]int{}
+		for _, k := range all {
+			n, _ := r.Lookup(k)
+			loads[n]++
+		}
+		if len(loads) != servers {
+			t.Fatalf("loads cover %d servers, want %d", len(loads), servers)
+		}
+		max, total := 0, 0
+		for _, n := range loads {
+			total += n
+			if n > max {
+				max = n
+			}
+		}
+		if total != len(all) {
+			t.Fatalf("loads accounted %d keys, want %d", total, len(all))
+		}
+		mean := float64(total) / float64(servers)
+		if ratio := float64(max) / mean; ratio > 1.35 {
+			t.Fatalf("%d servers: max/mean = %.3f, want <= 1.35", servers, ratio)
+		}
 	}
 }
 
