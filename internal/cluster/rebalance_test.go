@@ -29,19 +29,25 @@ func joinServers(t testing.TB, n int, seed string) []*server.Server {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[i] = server.New(ln, server.Config{
-			Policy:       policy.SizeFair,
-			Lambda:       itLambda,
-			FailTimeout:  6 * itLambda,
-			GossipFanout: 1,
-			Seed:         int64(100 + i),
-			Join:         []string{seed},
-			Quiet:        true,
-		})
-		go out[i].Serve()
-		t.Cleanup(out[i].Close)
+		out[i] = joinOn(t, ln, int64(100+i), seed)
 	}
 	return out
+}
+
+// joinOn boots a server on ln that joins the fabric through seed.
+func joinOn(t testing.TB, ln net.Listener, rngSeed int64, seed string) *server.Server {
+	s := server.New(ln, server.Config{
+		Policy:       policy.SizeFair,
+		Lambda:       itLambda,
+		FailTimeout:  6 * itLambda,
+		GossipFanout: 1,
+		Seed:         rngSeed,
+		Join:         []string{seed},
+		Quiet:        true,
+	})
+	go s.Serve()
+	t.Cleanup(s.Close)
+	return s
 }
 
 // waitConverged waits until every server sees want alive members.
