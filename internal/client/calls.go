@@ -1,11 +1,13 @@
 // The four ways the client sends a request. callAddr asks one server,
 // fanOut asks many at once, call asks a path's ring owner and re-routes
-// when it fails, and pipeline streams one stripe's chunks through a
-// window. Everything else in the package is built from these.
+// when it fails, and readStripe/writeStripe stream one stripe's chunks
+// through transport's stripe pipeline. Everything else in the package is
+// built from these.
 package client
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -179,116 +181,16 @@ func strict(resps []*transport.Response, err error) ([]*transport.Response, erro
 	return resps, err
 }
 
-// pipeline is the one windowed issue/collect/cancel loop behind striped
-// I/O: it starts the requests next yields (nil ends the stream) on the
-// connections pick chooses, keeping as many in flight as win allows,
-// and hands each successful reply to land (nil for writes, whose
-// replies carry nothing). The budget is the pool's shared window, not a
-// per-call constant: tokens are taken per chunk and returned per reply,
-// so concurrent stripes to one server share it. An application error
-// stops the stream and is returned once the in-flight replies are in; a
-// transport failure additionally fails the server over; cancellation
-// abandons the in-flight chunks (their frames still return to the lease
-// pool) and returns promptly.
-//
-// The requests next yields come from transport.GetRequest and belong to
-// the pipeline from then on: a chunk whose reply was collected gives its
-// request, its reply and its reply channel back to their pools (land
-// must not keep either message), and an abandoned chunk gives back
-// nothing — the connection's reader may still deliver into its channel.
-func (c *Client) pipeline(ctx context.Context, addr string, win *transport.Window,
-	pick func() (*transport.MuxConn, error), next func() *transport.Request,
-	land func(req *transport.Request, resp *transport.Response) error) error {
-	type pending struct {
-		req *transport.Request
-		mc  *transport.MuxConn
-		ch  chan *transport.Response
-	}
-	var inflight []pending
-	var appErr, netErr error
-	// collect consumes the oldest in-flight reply; false means ctx ended
-	// first and the reply is still owed.
-	collect := func() bool {
-		pd := inflight[0]
-		var resp *transport.Response
-		var ok bool
-		select {
-		case resp, ok = <-pd.ch:
-		case <-ctx.Done():
-			return false
-		}
-		inflight = inflight[1:]
-		win.Release()
-		if !ok {
-			if netErr == nil {
-				netErr = fmt.Errorf("client: connection to %s lost", addr)
-			}
-			return true
-		}
-		transport.RecycleReplyChan(pd.ch)
-		switch {
-		case appErr != nil: // the stream already failed; only drain
-		case resp.Err != "":
-			appErr = wireErr(resp.Error())
-		case land != nil:
-			appErr = land(pd.req, resp)
-		}
-		pd.req.Recycle()
-		resp.Recycle()
-		return true
-	}
-	// acquire takes one window token, draining our own in-flight chunks
-	// while the window is full — progress never depends on a token this
-	// call itself is sitting on.
-	acquire := func() bool {
-		for !win.TryAcquire() {
-			if len(inflight) == 0 {
-				// Every token is held by other calls, which release
-				// independently of us; block (honoring ctx).
-				return win.Acquire(ctx) == nil
-			}
-			if !collect() || appErr != nil || netErr != nil {
-				return false
-			}
-		}
-		return true
-	}
-	complete := false
-	for appErr == nil && netErr == nil && ctx.Err() == nil {
-		req := next()
-		if req == nil {
-			complete = true
-			break
-		}
-		if !acquire() {
-			break
-		}
-		mc, err := pick()
-		if err == nil {
-			req.Seq, req.Job = c.seq.Add(1), c.job
-			var ch chan *transport.Response
-			if ch, err = mc.Start(req); err == nil {
-				inflight = append(inflight, pending{req, mc, ch})
-				continue
-			}
-		}
-		win.Release()
-		netErr = err
-	}
-	for len(inflight) > 0 && collect() {
-	}
-	if len(inflight) > 0 || (!complete && appErr == nil && netErr == nil) {
-		// ctx ended mid-stream. Abandon the waiters instead of draining
-		// them: the reader releases the late frames.
-		for _, pd := range inflight {
-			pd.mc.Forget(pd.req.Seq, pd.ch)
-			win.Release()
-		}
-		appErr = canceled(ctx.Err())
-	}
-	if netErr != nil {
+// stripeErr classifies what the stripe pipeline returned for addr: a
+// cut link fails the server over, the end of ctx is ErrCanceled, and
+// anything else is the server's refusal, classified as a wire error.
+func (c *Client) stripeErr(ctx context.Context, addr string, err error) error {
+	switch {
+	case errors.Is(err, transport.ErrLink):
 		c.markFailed(addr)
-		return netErr
+		return err
+	case err != nil && errors.Is(err, ctx.Err()):
+		return canceled(err)
 	}
-	return appErr
+	return wireErr(err)
 }

@@ -36,6 +36,9 @@ type chunkServer struct {
 
 func patternByte(off int64) byte { return byte(off*7 + 3) }
 
+// chunkBytes is the payload of one pipelined stripe request.
+const chunkBytes = transport.ChunkBytes
+
 func startChunkServer(t *testing.T) *chunkServer {
 	return startScriptedServer(t, nil)
 }

@@ -78,38 +78,18 @@ func (c *Client) readOnce(ctx context.Context, h *fileHandle, p []byte) (int, er
 	return int(want), nil
 }
 
-// readStripe fetches one server's locally-contiguous byte range
-// [lo,hi) of a striped read as pipelined chunk RPCs — readahead that
-// needs no round trip between chunks (reads at explicit offsets are
-// idempotent) — and scatters each arriving chunk's units straight into
-// p. Chunks spread over every pool connection (PickSpread): explicit
-// offsets make order irrelevant, so the pool's paths carry the socket
-// reads and frame decodes in parallel.
+// readStripe fetches one server's locally-contiguous byte range [lo,hi)
+// of a striped read through the stripe pipeline (transport.ReadStripe)
+// and scatters each arriving chunk's units straight into p.
 func (c *Client) readStripe(ctx context.Context, addr, path string, idx, nStripes int, unit int64, lo, hi int64, layoutGen uint64, p []byte, g0, g1 int64) error {
 	pool, err := c.ensurePool(addr)
 	if err != nil {
 		return err
 	}
-	off := lo
-	next := func() *transport.Request {
-		if off >= hi {
-			return nil
-		}
-		req := transport.GetRequest(transport.Request{
-			Type: transport.MsgRead, Path: path,
-			Offset: off, Size: min(hi-off, chunkBytes), LayoutGen: layoutGen,
-		})
-		off += req.Size
-		return req
-	}
-	land := func(req *transport.Request, resp *transport.Response) error {
-		if resp.N < req.Size {
-			return fmt.Errorf("client: short stripe read from %s: %d < %d", addr, resp.N, req.Size)
-		}
-		scatterLocal(p, g0, g1, idx, nStripes, unit, req.Offset, resp.Data[:req.Size])
-		return nil
-	}
-	return c.pipeline(ctx, addr, &pool.Reads, pool.PickSpread, next, land)
+	head := transport.Request{Job: c.job, Path: path, LayoutGen: layoutGen}
+	return c.stripeErr(ctx, addr, transport.ReadStripe(ctx, pool, &c.seq, &head, lo, hi, func(off int64, data []byte) {
+		scatterLocal(p, g0, g1, idx, nStripes, unit, off, data)
+	}))
 }
 
 // scatterLocal copies one stripe-local contiguous chunk (starting at

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"hash/fnv"
 	"time"
 
 	"themisio/internal/fsys"
@@ -175,58 +174,16 @@ func (c *Client) writeOnce(ctx context.Context, h *fileHandle, p []byte) error {
 	return nil
 }
 
-// chunkBytes is the payload one pipelined stripe RPC aims for: write
-// segments are grouped up to it (whole segments are never split) and
-// read ranges are cut into it.
-const chunkBytes = 512 << 10
-
-// affinityKey maps a (path, stripe index) pair into the pool's slot
-// space: the same stripe of the same file always picks the same slot
-// (per-stripe send order rides one connection), while consecutive
-// stripes of one file land on consecutive slots (the stripes of a file
-// that shares servers spread over the pool's paths).
-func affinityKey(path string, stripe int) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(path))
-	return h.Sum64() + uint64(stripe)
-}
-
-// writeStripe sends one server's span of a striped write over the
-// stripe's affinity connection in its pool, as pipelined positional
-// appends: chunk RPCs that need no round trip between them, with
-// explicit offsets keeping landing order-independent under the server's
-// multiplexed worker pool. Chunks are groups of whole segments
-// (subslices of segs: still zero-copy).
+// writeStripe appends one server's span of a striped write at local
+// offset off through the stripe pipeline (transport.WriteStripe), as
+// positional appends on the stripe's affinity connection.
 func (c *Client) writeStripe(ctx context.Context, addr, path string, stripeIdx int, segs [][]byte, off int64, layoutGen uint64) error {
 	pool, err := c.ensurePool(addr)
 	if err != nil {
 		return err
 	}
-	mc, err := pool.SlotFor(affinityKey(path, stripeIdx))
-	if err != nil {
-		c.markFailed(addr)
-		return err
-	}
-	lo := 0
-	next := func() *transport.Request {
-		if lo == len(segs) {
-			return nil
-		}
-		hi, glen := lo+1, int64(len(segs[lo]))
-		for hi < len(segs) && glen+int64(len(segs[hi])) <= chunkBytes {
-			glen += int64(len(segs[hi]))
-			hi++
-		}
-		req := transport.GetRequest(transport.Request{
-			Type: transport.MsgWrite, Path: path, DataSegs: segs[lo:hi],
-			AppendAt: true, AppendOff: off, LayoutGen: layoutGen,
-		})
-		off += glen
-		lo = hi
-		return req
-	}
-	pick := func() (*transport.MuxConn, error) { return mc, nil }
-	return c.pipeline(ctx, addr, &pool.Writes, pick, next, nil)
+	head := transport.Request{Job: c.job, Path: path, LayoutGen: layoutGen}
+	return c.stripeErr(ctx, addr, transport.WriteStripe(ctx, pool, &c.seq, &head, stripeIdx, segs, off))
 }
 
 // spanLen is the byte length of a segment list.

@@ -6,11 +6,13 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"themisio/internal/chash"
 	"themisio/internal/client"
@@ -240,4 +242,148 @@ func readsAs(c *client.Client, p string, want []byte) error {
 		return fmt.Errorf("read %s: content differs from the model", p)
 	}
 	return nil
+}
+
+// TestMigrationHeapBounded holds the migrator's memory to one segment:
+// moving three 64 MiB width-2 files from two servers onto a third streams
+// each moved stripe through the stripe pipeline, so between the join and
+// the settle the process allocates less than half the bytes it copies
+// and the heap in use grows by no more than 64 MiB.
+func TestMigrationHeapBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const fileBytes = 64 << 20
+	servers, addrs := startFabric(t, 2)
+	waitConverged(t, servers, 2)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Three files the join moves, named once the joiner's address is known.
+	before, after := chash.New(0), chash.New(0)
+	for _, a := range addrs {
+		before.Add(a)
+		after.Add(a)
+	}
+	after.Add(ln.Addr().String())
+	var paths []string
+	for k := 0; len(paths) < 3; k++ {
+		if p := fmt.Sprintf("/heap%d.bin", k); !slices.Equal(before.LookupN(p, 2), after.LookupN(p, 2)) {
+			paths = append(paths, p)
+		}
+	}
+	fill := func(b []byte, file, off int) {
+		for j := range b {
+			b[j] = byte((uint64(off+j)*0x9E3779B97F4A7C15 + uint64(file)) >> 56)
+		}
+	}
+	w, err := client.DialOpts(jobInfo("heap-writer"), addrs, client.Options{Stripes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	buf := make([]byte, 4<<20)
+	for i, p := range paths {
+		f, err := w.Open(p, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := 0; off < fileBytes; off += len(buf) {
+			fill(buf, i, off)
+			if n, err := f.Write(buf); err != nil || n != len(buf) {
+				t.Fatalf("write %s: n=%d err=%v", p, n, err)
+			}
+		}
+		f.Close()
+	}
+	layouts := func(c *client.Client) (sets [][]string) {
+		for _, p := range paths {
+			set, _, err := c.Layout(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sets = append(sets, set)
+		}
+		return sets
+	}
+	old := layouts(w)
+
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	var peak atomic.Uint64
+	peak.Store(m0.HeapInuse)
+	done := make(chan struct{})
+	sampled := make(chan struct{})
+	go func() {
+		defer close(sampled)
+		var m runtime.MemStats
+		for tick := time.NewTicker(5 * time.Millisecond); ; {
+			select {
+			case <-done:
+				tick.Stop()
+				return
+			case <-tick.C:
+			}
+			runtime.ReadMemStats(&m)
+			if m.HeapInuse > peak.Load() {
+				peak.Store(m.HeapInuse)
+			}
+		}
+	}()
+	start := time.Now()
+	all := append(append([]*server.Server{}, servers...), joinOn(t, ln, 100, addrs[0]))
+	waitConverged(t, all, 3)
+	waitRebalanced(t, all)
+	wall := time.Since(start)
+	close(done)
+	<-sampled
+	runtime.ReadMemStats(&m1)
+
+	var copied int64
+	for _, s := range all {
+		_, b, _, _ := s.Migrator().Stats()
+		copied += b
+	}
+	fresh, err := client.Dial(jobInfo("heap-reader"), append(addrs, ln.Addr().String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	stripes := 0
+	for i, set := range layouts(fresh) {
+		for j := range set {
+			if set[j] != old[i][j] {
+				stripes++
+			}
+		}
+	}
+	alloc, grown := int64(m1.TotalAlloc-m0.TotalAlloc), int64(peak.Load())-int64(m0.HeapInuse)
+	t.Logf("copied %d MiB (%d stripes re-homed) in %v; allocated %d MiB, peak HeapInuse %+d MiB",
+		copied>>20, stripes, wall.Round(time.Millisecond), alloc>>20, grown>>20)
+	if copied == 0 {
+		t.Fatal("the join copied nothing")
+	}
+	if alloc > copied/2 {
+		t.Errorf("allocated %d MiB to copy %d MiB; want at most half", alloc>>20, copied>>20)
+	}
+	if grown > 64<<20 {
+		t.Errorf("peak HeapInuse grew by %d MiB; want at most 64", grown>>20)
+	}
+
+	want := make([]byte, len(buf))
+	for i, p := range paths {
+		f, err := fresh.Open(p, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := 0; off < fileBytes; off += len(buf) {
+			fill(want, i, off)
+			if _, err := io.ReadFull(f, buf); err != nil || !bytes.Equal(buf, want) {
+				t.Fatalf("%s at %d: err %v, equal %v", p, off, err, bytes.Equal(buf, want))
+			}
+		}
+		f.Close()
+	}
 }

@@ -132,7 +132,7 @@ func TestSealClearsParked(t *testing.T) {
 	if _, err := s.AppendAtGen("/f", 100, pattern(100, 100), 0); !errors.Is(err, ErrStaleLayout) {
 		t.Fatalf("append to sealed entry: %v", err)
 	}
-	s.Unseal("/f")
+	s.Unseal("/f", -1, 0)
 	// The orphan is gone: closing the gap lands only the new bytes.
 	if size, err := s.AppendAtGen("/f", 100, pattern(100, 100), 0); err != nil || size != 200 {
 		t.Fatalf("post-unseal: size=%d err=%v", size, err)

@@ -17,6 +17,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 	"unicode/utf8"
 
@@ -120,6 +121,10 @@ type node struct {
 	parked      map[int64][]byte
 	parkedBytes int64
 	parkedAt    time.Time
+	// touched is, on a pending entry (see migrate.go), when its last
+	// chunk arrived (unix nanoseconds): the sweep releases an entry whose
+	// coordinator went quiet.
+	touched atomic.Int64
 }
 
 // Shard is the per-server piece of the file system: the namespace
@@ -145,9 +150,9 @@ type Shard struct {
 	// retention far exceeding every client retry window, so the map
 	// cannot grow with lifetime migration count.
 	moved map[string]time.Time
-	// pending holds migration install buffers not yet committed (see
-	// migrate.go).
-	pending map[string]*pendingInstall
+	// pending holds the migrating-in stripes not yet committed, by path
+	// (see migrate.go).
+	pending map[string]*node
 }
 
 // NewShard returns a shard named name with a device of the given
@@ -159,7 +164,7 @@ func NewShard(name string, capacity int64) *Shard {
 		store:   storage.NewStore(capacity),
 		nodes:   map[string]*node{},
 		moved:   map[string]time.Time{},
-		pending: map[string]*pendingInstall{},
+		pending: map[string]*node{},
 	}
 	s.nodes["/"] = &node{isDir: true, children: map[string]bool{}}
 	return s
@@ -318,7 +323,7 @@ func (s *Shard) removeLocked(p string, n *node) error {
 		}
 	}
 	delete(s.nodes, p)
-	s.tombstones = append(s.tombstones, Tombstone{Path: p, Stripe: s.stripeOf(n)})
+	s.tombstones = append(s.tombstones, Tombstone{Path: p, Stripe: s.stripeIndex(n)})
 	return nil
 }
 
@@ -342,17 +347,29 @@ func (s *Shard) StatGen(p string, layoutGen uint64) (FileInfo, error) {
 // statLocked resolves the entry at the cleaned path p and describes it.
 // Caller holds s.mu.
 func (s *Shard) statLocked(p string, layoutGen uint64) (*node, FileInfo, error) {
+	n, err := s.entry(p, layoutGen)
+	if err != nil {
+		return nil, FileInfo{}, err
+	}
+	return n, describe(p, n), nil
+}
+
+// entry resolves the entry at the cleaned path p, checked against an
+// expected layout generation (0 skips the check). A path whose stripe
+// migrated away answers ErrStaleLayout, not ErrNotExist. Caller holds
+// s.mu.
+func (s *Shard) entry(p string, layoutGen uint64) (*node, error) {
 	n, ok := s.nodes[p]
 	if !ok {
 		if _, mv := s.moved[p]; mv {
-			return nil, FileInfo{}, ErrStaleLayout
+			return nil, ErrStaleLayout
 		}
-		return nil, FileInfo{}, ErrNotExist
+		return nil, ErrNotExist
 	}
 	if layoutGen != 0 && n.layoutGen != 0 && n.layoutGen != layoutGen {
-		return nil, FileInfo{}, ErrStaleLayout
+		return nil, ErrStaleLayout
 	}
-	return n, describe(p, n), nil
+	return n, nil
 }
 
 // describe is the stat result of entry n at p. Caller holds s.mu.
@@ -405,24 +422,9 @@ func (s *Shard) AppendGen(p string, data []byte, layoutGen uint64) (int64, error
 	p = clean(p)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	n, ok := s.nodes[p]
-	if !ok {
-		if _, mv := s.moved[p]; mv {
-			return 0, ErrStaleLayout
-		}
-		return 0, ErrNotExist
-	}
-	if n.isDir {
-		return 0, ErrIsDir
-	}
-	if n.sealed {
-		// Write-frozen mid-migration: refusing (instead of accepting a
-		// byte the cutover copy has already passed) is what makes "no
-		// acknowledged write is ever lost" hold through a rebalance.
-		return 0, ErrStaleLayout
-	}
-	if layoutGen != 0 && n.layoutGen != 0 && n.layoutGen != layoutGen {
-		return 0, ErrStaleLayout
+	n, err := s.writable(p, layoutGen)
+	if err != nil {
+		return 0, err
 	}
 	if len(data) == 0 {
 		return n.index.Size(), nil
@@ -438,6 +440,27 @@ func (s *Shard) AppendGen(p string, data []byte, layoutGen uint64) (int64, error
 		return 0, err
 	}
 	return n.index.Size(), nil
+}
+
+// file is entry for a file. Caller holds s.mu.
+func (s *Shard) file(p string, layoutGen uint64) (*node, error) {
+	n, err := s.entry(p, layoutGen)
+	if err == nil && n.isDir {
+		return nil, ErrIsDir
+	}
+	return n, err
+}
+
+// writable is file for a write: a sealed entry is write-frozen
+// mid-migration, and refusing (instead of accepting a byte the cutover
+// copy has already passed) is what makes "no acknowledged write is ever
+// lost" hold through a rebalance. Caller holds s.mu.
+func (s *Shard) writable(p string, layoutGen uint64) (*node, error) {
+	n, err := s.file(p, layoutGen)
+	if err == nil && n.sealed {
+		return nil, ErrStaleLayout
+	}
+	return n, err
 }
 
 // maxParkedBytes bounds the per-entry positional-append reorder buffer.
@@ -473,22 +496,16 @@ func (s *Shard) AppendAtGen(p string, off int64, data []byte, layoutGen uint64) 
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	n, ok := s.nodes[p]
-	if !ok {
-		if _, mv := s.moved[p]; mv {
-			return 0, ErrStaleLayout
-		}
-		return 0, ErrNotExist
+	n, err := s.writable(p, layoutGen)
+	if err != nil {
+		return 0, err
 	}
-	if n.isDir {
-		return 0, ErrIsDir
-	}
-	if n.sealed {
-		return 0, ErrStaleLayout
-	}
-	if layoutGen != 0 && n.layoutGen != 0 && n.layoutGen != layoutGen {
-		return 0, ErrStaleLayout
-	}
+	return s.appendAt(n, off, data)
+}
+
+// appendAt lands data at offset off of n's local stripe by AppendAtGen's
+// rules. Caller holds s.mu (read).
+func (s *Shard) appendAt(n *node, off int64, data []byte) (int64, error) {
 	n.appendMu.Lock()
 	defer n.appendMu.Unlock()
 	size := n.index.Size()
@@ -606,18 +623,9 @@ func (s *Shard) ReadAtGen(p string, off int64, buf []byte, layoutGen uint64) (in
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	n, ok := s.nodes[p]
-	if !ok {
-		if _, mv := s.moved[p]; mv {
-			return 0, ErrStaleLayout
-		}
-		return 0, ErrNotExist
-	}
-	if n.isDir {
-		return 0, ErrIsDir
-	}
-	if layoutGen != 0 && n.layoutGen != 0 && n.layoutGen != layoutGen {
-		return 0, ErrStaleLayout
+	n, err := s.file(p, layoutGen)
+	if err != nil {
+		return 0, err
 	}
 	total := 0
 	for _, sl := range n.index.Resolve(off, int64(len(buf))) {

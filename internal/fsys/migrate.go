@@ -13,23 +13,18 @@ import (
 // rebalancing. A migration coordinator (the file's recorded set[0]
 // server, see internal/server) moves a file to its new ring placement
 // in two phases: it seals every current stripe (write-freeze, reads
-// keep serving), copies the sealed bytes, installs each new local
-// stripe into a pending buffer on its target server, then commits —
-// atomically replacing the live entry under the new layout — and drops
-// the stale stripes, generation-checked so a concurrent unlink or
-// recreate of the path is never clobbered. Dropped paths leave a moved
-// marker so clients still holding the old layout get ErrStaleLayout
-// (re-stat and retry) instead of ErrNotExist.
-
-// pendingInstall accumulates a migrating-in stripe before its commit.
-// The buffer is invisible to every read path until MigrateCommit, so a
-// client can never observe a half-copied stripe. at is the last
-// install's arrival, for the sweep: a coordinator that dies between
-// install and commit/abort would otherwise strand the buffer forever.
-type pendingInstall struct {
-	buf []byte
-	at  time.Time
-}
+// keep serving) and streams each stripe that changes holder into a
+// pending entry on its new holder, then commits — making each new local
+// stripe live under the new layout — and drops the stale stripes,
+// generation-checked so a concurrent unlink or recreate of the path is
+// never clobbered. Dropped paths leave a moved marker so clients still
+// holding the old layout get ErrStaleLayout (re-stat and retry) instead
+// of ErrNotExist.
+//
+// A pending entry is a file node kept beside the namespace, in
+// Shard.pending: its bytes live in store extents like any stripe's, but
+// no client operation — write, read, stat, readdir or unlink — can reach
+// it until the commit swaps it in.
 
 // Seal write-freezes the local stripe of p and reports its frozen local
 // size and creation generation. Idempotent; reads keep working. Sealing
@@ -44,16 +39,12 @@ func (s *Shard) Seal(p string, expectLayoutGen uint64) (size int64, gen uint64, 
 	p = clean(p)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n, ok := s.nodes[p]
-	if !ok {
-		if _, mv := s.moved[p]; mv {
-			return 0, 0, ErrStaleLayout
-		}
-		return 0, 0, ErrNotExist
+	n, err := s.file(p, 0)
+	if err != nil {
+		return 0, 0, err
 	}
-	if n.isDir {
-		return 0, 0, ErrIsDir
-	}
+	// Stricter than file's check: a legacy entry (generation zero) is not
+	// the committed holder a non-zero expectation looks for.
 	if expectLayoutGen != 0 && n.layoutGen != expectLayoutGen {
 		return 0, 0, ErrStaleLayout
 	}
@@ -71,209 +62,162 @@ func (s *Shard) Seal(p string, expectLayoutGen uint64) (size int64, gen uint64, 
 	return n.index.Size(), n.gen, nil
 }
 
-// Unseal lifts a seal (the abort path of a failed migration). Missing
-// entries are a no-op: the path may have been unlinked while sealed.
-func (s *Shard) Unseal(p string) {
-	p = clean(p)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n, ok := s.nodes[p]; ok {
-		n.sealed = false
-	}
-}
-
-// UnsealTrim lifts a seal after truncating the local stripe to keep
-// bytes — the abort path of a migration whose seal phase raced a
-// striped write: a chunk that landed on a not-yet-sealed holder while
-// an already-sealed one refused was never acknowledged, and on an
+// Unseal lifts a seal — the abort path of a failed migration — after
+// trimming the local stripe to keep bytes, unless keep is negative. The
+// trim removes the torn tail of a striped write that raced the seal
+// phase: a chunk that landed on a not-yet-sealed holder while an
+// already-sealed one refused was never acknowledged, and on an
 // append-structured stripe it would misplace every later append. The
 // coordinator computes keep as this stripe's share of the consistent
-// round-robin prefix; acknowledged bytes are always inside it. A trim
-// tombstones this server's staged object and re-marks the entry fully
-// dirty, so the backing store restages the trimmed content instead of
-// resurrecting the tail.
-func (s *Shard) UnsealTrim(p string, keep int64) error {
+// round-robin prefix; acknowledged bytes are always inside it. An entry
+// no longer at layoutGen (0 skips the check) is left alone: a commit of
+// the same migration already made it live under the new layout, and
+// client bytes may have landed past keep since. Missing entries are a
+// no-op too: the path may have been unlinked while sealed.
+func (s *Shard) Unseal(p string, keep int64, layoutGen uint64) {
 	p = clean(p)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n, ok := s.nodes[p]
-	if !ok {
-		return nil
-	}
-	if n.isDir || keep < 0 || n.index.Size() <= keep {
+	if n, err := s.file(p, layoutGen); err == nil {
+		s.trimLocked(p, n, keep)
 		n.sealed = false
-		return nil
 	}
-	// On any failure the seal stays: lifting it with the torn tail in
-	// place would let appends land misplaced — the exact corruption
-	// this trim exists to prevent. The caller's pass stays dirty and
-	// retries.
-	prefix := make([]byte, keep)
-	got := 0
-	for _, sl := range n.index.Resolve(0, keep) {
-		m, err := s.store.ReadAt(sl.Ext, sl.Off, prefix[got:got+int(sl.Len)])
-		got += m
-		if err != nil {
-			return err
-		}
+}
+
+// trimLocked cuts file node n at p to keep bytes, releasing the tail's
+// extents; a negative keep, or a stripe no longer than keep, cuts
+// nothing. A trim tombstones this server's staged object and re-marks
+// the entry fully dirty, so the backing store restages the trimmed
+// content instead of resurrecting the tail. Caller holds s.mu.
+func (s *Shard) trimLocked(p string, n *node, keep int64) {
+	cut := n.index.Truncate(keep)
+	if len(cut) == 0 {
+		return
 	}
-	var ext storage.Extent
-	if got > 0 {
-		var err error
-		ext, err = s.store.Alloc(int64(got))
-		if err != nil {
-			return err
-		}
-		if _, err := s.store.WriteAt(ext, 0, prefix[:got]); err != nil {
-			_ = s.store.Release(ext)
-			return err
-		}
-	}
-	// The replacement is staged; from here the swap must complete —
-	// continue past a release error (allocator inconsistency; the
-	// extents are merely leaked) rather than abort.
-	_ = s.store.ReleaseAll(n.index.Extents())
-	n.index = storage.NewIndex()
+	// Releasing extents the index allocated cannot fail; if the allocator
+	// were inconsistent the tail would only leak capacity.
+	_ = s.store.ReleaseAll(cut)
 	n.dirty = storage.NewRangeSet()
-	if got > 0 {
-		n.index.Append(ext)
-		n.dirty.Mark(0, int64(got))
-	}
+	n.dirty.Mark(0, keep)
 	n.metaDirty = true
-	s.tombstones = append(s.tombstones, Tombstone{Path: p, Stripe: s.stripeOf(n)})
-	n.sealed = false
-	return nil
+	s.tombstones = append(s.tombstones, Tombstone{Path: p, Stripe: s.stripeIndex(n)})
 }
 
-// MigrateInstall appends a chunk of p's new local stripe to the pending
-// (not yet visible) migration buffer. Chunks must arrive in order —
-// off is the write position already accumulated — so a lost or
-// duplicated frame surfaces as an error instead of a torn stripe.
-func (s *Shard) MigrateInstall(p string, off int64, data []byte) error {
+// Install lands one chunk of a migrating-in stripe at offset off of p's
+// pending entry for layout generation layoutGen, by AppendAtGen's rules:
+// chunks may arrive out of order and a duplicate acks again. The first
+// chunk for a generation creates the entry, discarding one left behind
+// for another. Returns the size the entry has (or will have, for a
+// parked chunk) once every acked byte lands.
+func (s *Shard) Install(p string, off int64, data []byte, layoutGen uint64) (int64, error) {
 	p = clean(p)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	pi := s.pending[p]
-	if pi == nil {
-		if off != 0 {
-			return ErrBadOffset
+	if off < 0 {
+		return 0, ErrBadOffset
+	}
+	for {
+		s.mu.RLock()
+		if n := s.pending[p]; n != nil && n.layoutGen == layoutGen {
+			defer s.mu.RUnlock()
+			n.touched.Store(time.Now().UnixNano())
+			return s.appendAt(n, off, data)
 		}
-		pi = &pendingInstall{}
-		s.pending[p] = pi
+		s.mu.RUnlock()
+		s.mu.Lock()
+		if n := s.pending[p]; n == nil || n.layoutGen != layoutGen {
+			s.abortLocked(p)
+			s.pending[p] = &node{layoutGen: layoutGen, index: storage.NewIndex(), dirty: storage.NewRangeSet()}
+		}
+		s.mu.Unlock()
 	}
-	if off != int64(len(pi.buf)) {
-		return ErrBadOffset
-	}
-	pi.buf = append(pi.buf, data...)
-	pi.at = time.Now()
-	return nil
 }
 
-// MigrateAbort discards p's pending migration buffer.
+// MigrateAbort discards p's pending entry and releases its extents.
 func (s *Shard) MigrateAbort(p string) {
 	p = clean(p)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.pending, p)
+	s.abortLocked(p)
 }
 
-// MigrateCommit atomically makes p's pending buffer the live local
-// stripe under the new layout, replacing any existing entry (this
-// server may have held a stripe under the old layout too). The whole
-// swap happens under one critical section, so no concurrent read can
-// observe the path as missing mid-commit. The committed entry is fully
-// dirty — its bytes must restage to the backing store under the new
-// layout — and carries the coordinator's layout generation, so
-// old-layout reads and writes are detectably stale.
-//
-// The commit is idempotent by that generation: a retried commit whose
-// first delivery executed (the reply was lost) finds the entry already
-// at layoutGen and succeeds without touching it. A commit with neither
-// a pending buffer nor a matching entry is refused — installing an
-// empty stripe on a bare retry would destroy the bytes the first
-// delivery landed. (Files shorter than the stripe set still commit
-// empty trailing stripes: the install phase always sends at least one
-// chunk, so a pending buffer exists even for zero bytes.)
-func (s *Shard) MigrateCommit(p string, stripes int, unit int64, set []string, layoutGen uint64) error {
-	p = clean(p)
-	s.mu.Lock()
-	old, hadOld := s.nodes[p]
-	if hadOld {
-		if old.isDir {
-			s.mu.Unlock()
-			return ErrIsDir
-		}
-		// Duplicate delivery: the first commit landed (it consumed the
-		// pending buffer) and only the reply was lost. The absence of a
-		// pending buffer is part of the test — an aborted earlier
-		// attempt can reuse the same generation on its next try, and
-		// that retry arrives with freshly installed pending content
-		// that must replace, not be discarded as a duplicate.
-		if old.layoutGen == layoutGen && slices.Equal(old.set, set) && s.pending[p] == nil {
-			s.mu.Unlock()
-			return nil
-		}
+// abortLocked is MigrateAbort. Caller holds s.mu.
+func (s *Shard) abortLocked(p string) {
+	if n := s.pending[p]; n != nil {
+		_ = s.store.ReleaseAll(n.index.Extents())
+		delete(s.pending, p)
 	}
-	pi := s.pending[p]
-	if pi == nil {
-		s.mu.Unlock()
-		return fmt.Errorf("fsys: migrate commit %s: no pending install", p)
+}
+
+// MigrateCommit makes p's new local stripe live under the layout fi
+// records (Stripes, StripeUnit, StripeSet, LayoutGen), in one critical
+// section that copies no byte, so no concurrent request can observe the
+// path missing or half-committed. fi.Size is the stripe's length in the
+// migrated content, and gen says where its bytes are:
+//
+//   - gen == 0: streamed into p's pending entry, which must hold exactly
+//     fi.Size bytes (a zero-length stripe needs none). It replaces any
+//     live entry — this server may have held another stripe of the old
+//     layout, whose staged object is tombstoned — and it is fully dirty,
+//     so it restages under the new layout.
+//   - gen != 0: already here. This server keeps the stripe index it
+//     held, in the entry of creation generation gen, which is trimmed to
+//     fi.Size (as Unseal trims), re-labelled and unsealed.
+//
+// The commit is idempotent: a retried commit whose first delivery landed
+// (only the reply was lost) finds the entry already at the new layout
+// with no pending entry beside it, and only unseals it.
+func (s *Shard) MigrateCommit(fi FileInfo, gen uint64) error {
+	p := clean(fi.Path)
+	s.mu.Lock()
+	err := s.commitLocked(p, fi, gen)
+	s.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	s.ensureParents(p)
+	return nil
+}
+
+// commitLocked is MigrateCommit's critical section. Caller holds s.mu.
+func (s *Shard) commitLocked(p string, fi FileInfo, gen uint64) error {
+	old, pend := s.nodes[p], s.pending[p]
+	switch {
+	case old != nil && old.isDir:
+		return ErrIsDir
+	case old != nil && old.layoutGen == fi.LayoutGen && slices.Equal(old.set, fi.StripeSet) && pend == nil:
+		// A duplicate. With a pending entry beside it, the commit is the
+		// retry of an aborted attempt at the same generation, whose
+		// freshly streamed stripe must replace the entry.
+		old.sealed = false
+		return nil
+	case gen != 0:
+		if old == nil || old.gen != gen {
+			return fmt.Errorf("fsys: migrate commit %s: no local stripe of generation %d", p, gen)
+		}
+		s.abortLocked(p) // a kept stripe needs no pending entry; one here is left from an aborted attempt
+		s.trimLocked(p, old, fi.Size)
+		old.stripes, old.unit, old.set, old.layoutGen = fi.Stripes, fi.StripeUnit, fi.StripeSet, fi.LayoutGen
+		old.metaDirty, old.sealed = true, false
+		return nil
+	case pend == nil && fi.Size == 0:
+		pend = &node{layoutGen: fi.LayoutGen, index: storage.NewIndex(), dirty: storage.NewRangeSet()}
+	case pend == nil || pend.layoutGen != fi.LayoutGen || pend.index.Size() != fi.Size || len(pend.parked) > 0:
+		return fmt.Errorf("fsys: migrate commit %s: no pending %d-byte stripe at layout generation %d", p, fi.Size, fi.LayoutGen)
+	}
+	if old != nil {
+		if err := s.store.ReleaseAll(old.index.Extents()); err != nil {
+			return err // allocator inconsistency; nothing changed, so the commit stays retryable
+		}
+		// The stripe index (and content) changed, so the old row would
+		// otherwise squat in the backing store — and a stale row sharing a
+		// (path, stripe) key with a new owner's row could mislead a later
+		// failover reassembly.
+		s.tombstones = append(s.tombstones, Tombstone{Path: p, Stripe: s.stripeIndex(old)})
 	}
 	delete(s.pending, p)
-	// Stage the new extent before touching the old entry, so an
-	// allocation failure leaves the previous state fully intact.
-	var ext storage.Extent
-	if len(pi.buf) > 0 {
-		var err error
-		ext, err = s.store.Alloc(int64(len(pi.buf)))
-		if err != nil {
-			s.pending[p] = pi
-			s.mu.Unlock()
-			return err
-		}
-		if _, err := s.store.WriteAt(ext, 0, pi.buf); err != nil {
-			_ = s.store.Release(ext)
-			s.pending[p] = pi
-			s.mu.Unlock()
-			return err
-		}
-	}
-	if hadOld {
-		if err := s.store.ReleaseAll(old.index.Extents()); err != nil {
-			// Keep the commit retryable: restore the pending buffer and
-			// free the staged extent. (ReleaseAll fails only on allocator
-			// inconsistency, and then releases nothing.)
-			if len(pi.buf) > 0 {
-				_ = s.store.Release(ext)
-			}
-			s.pending[p] = pi
-			s.mu.Unlock()
-			return err
-		}
-		delete(s.nodes, p)
-		// Tombstone the replaced entry's own staged object: the stripe
-		// index (and content) changed, so the old row would otherwise
-		// squat in the backing store — and a stale row sharing a (path,
-		// stripe) key with a new owner's row could mislead a later
-		// failover reassembly. The committed entry is fully dirty, so
-		// the same drain pump that processes the delete restages the
-		// fresh bytes (the unlink-then-recreate precedent).
-		s.tombstones = append(s.tombstones, Tombstone{Path: p, Stripe: s.stripeOf(old)})
-	}
-	s.genCtr++
 	delete(s.moved, p)
-	n := &node{
-		stripes: stripes, unit: unit, set: set,
-		gen: s.genCtr, layoutGen: layoutGen, metaDirty: true,
-		index: storage.NewIndex(), dirty: storage.NewRangeSet(),
-	}
-	if len(pi.buf) > 0 {
-		off := n.index.Append(ext)
-		n.dirty.Mark(off, ext.Len)
-	}
-	s.nodes[p] = n
-	s.mu.Unlock()
-	s.ensureParents(p)
+	s.genCtr++
+	pend.gen, pend.stripes, pend.unit, pend.set, pend.metaDirty = s.genCtr, fi.Stripes, fi.StripeUnit, fi.StripeSet, true
+	s.nodes[p] = pend
 	return nil
 }
 
@@ -319,7 +263,7 @@ func (s *Shard) MigrateDrop(p string, gen uint64) bool {
 	// only cost capacity.
 	_ = s.store.ReleaseAll(n.index.Extents())
 	delete(s.nodes, p)
-	s.tombstones = append(s.tombstones, Tombstone{Path: p, Stripe: s.stripeOf(n)})
+	s.tombstones = append(s.tombstones, Tombstone{Path: p, Stripe: s.stripeIndex(n)})
 	s.moved[p] = time.Now()
 	return true
 }
@@ -334,16 +278,15 @@ func (s *Shard) Moved(p string) bool {
 	return mv
 }
 
-// SweepMoved drops moved markers older than retention, and pending
-// install buffers whose coordinator has gone silent for as long (a
-// live migration refreshes the buffer's timestamp on every chunk, and
-// commits or aborts it within a round trip of the last one — a buffer
-// idle for the whole retention belongs to a coordinator that died
-// mid-migration and would otherwise strand a stripe of memory
-// forever). Markers only matter while stale-layout clients are still
-// retrying (seconds); the controller sweeps with a retention orders of
-// magnitude above every client retry window, bounding both maps
-// regardless of how many files ever migrated.
+// SweepMoved drops moved markers older than retention, and releases
+// pending entries no chunk has reached for as long (a live migration
+// lands a chunk every round trip and commits or aborts within one of the
+// last, so an entry idle for the whole retention belongs to a
+// coordinator that died mid-stream and would otherwise strand a stripe
+// of store capacity forever). Markers only matter while stale-layout
+// clients are still retrying (seconds); the controller sweeps with a
+// retention orders of magnitude above every client retry window,
+// bounding both maps regardless of how many files ever migrated.
 func (s *Shard) SweepMoved(retention time.Duration) {
 	cutoff := time.Now().Add(-retention)
 	s.mu.Lock()
@@ -353,9 +296,9 @@ func (s *Shard) SweepMoved(retention time.Duration) {
 			delete(s.moved, p)
 		}
 	}
-	for p, pi := range s.pending {
-		if !pi.at.IsZero() && pi.at.Before(cutoff) {
-			delete(s.pending, p)
+	for p, n := range s.pending {
+		if n.touched.Load() < cutoff.UnixNano() {
+			s.abortLocked(p)
 		}
 	}
 }

@@ -67,10 +67,10 @@ func (s *Shard) MarkDirtyAll(p string) {
 	}
 }
 
-// stripeOf returns this shard's stripe index within n's recorded
-// stripe set (0 when unstriped or unrecorded). The set is immutable
-// after creation, so no lock is needed.
-func (s *Shard) stripeOf(n *node) int {
+// stripeIndex returns this shard's stripe index within n's recorded
+// stripe set (0 when unstriped or unrecorded). Caller holds s.mu: a
+// migration commit re-labels the set.
+func (s *Shard) stripeIndex(n *node) int {
 	for i, addr := range n.set {
 		if addr == s.name {
 			return i
@@ -125,7 +125,7 @@ type harvest struct {
 func (s *Shard) takeLocked(p string, n *node, budget int64) (harvest, int64) {
 	h := harvest{n: n, zero: n.metaDirty, base: DirtyChunk{
 		Path: p, Gen: n.gen,
-		Stripe: s.stripeOf(n), Stripes: n.stripes, Unit: n.unit,
+		Stripe: s.stripeIndex(n), Stripes: n.stripes, Unit: n.unit,
 		Set:       append([]string(nil), n.set...),
 		LayoutGen: n.layoutGen,
 	}}

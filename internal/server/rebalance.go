@@ -23,24 +23,24 @@ import (
 // match the ring's placement, so the new member serves none of the existing
 // bytes. The migrator closes that gap: the file's recorded set[0]
 // server (the coordinator — for a join, every recorded holder is still
-// alive, so it always exists) detects the divergence, copies the
-// sealed stripes, and re-installs the file under the ring's current
-// placement, two-phase like failover recovery:
+// alive, so it always exists) detects the divergence and moves the file
+// to the ring's current placement, two-phase like failover recovery:
 //
 //  1. Seal every current holder (write-freeze; reads keep serving) and
-//     fetch each frozen stripe — directly from the live holders, or
-//     from the backing store's append-only staged objects when a
-//     holder stops answering mid-copy.
-//  2. Install the re-striped content into pending (invisible) buffers
-//     on the target servers, then commit — atomically rewriting the
-//     layout metadata under a bumped layout generation — and drop the
+//     stream each stripe whose holder changes into a pending entry on
+//     its new holder, through the stripe pipeline: read from the sealed
+//     holder — or from its staged object when it stops answering — and
+//     written as positional appends, one segment at a time.
+//  2. Commit the new layout on every new holder under a bumped layout
+//     generation — the pending entry swapped in, or a stripe whose
+//     holder and index both survive re-labelled in place — and drop the
 //     stale stripes, generation-checked so a concurrent unlink or
 //     recreate is never clobbered. Dropped stripes leave moved markers
-//     and tombstone their staged objects; committed stripes are fully
-//     dirty, so the ordinary drain engine converges the backing store
-//     on the new layout.
+//     and tombstone their staged objects; committed stripes are dirty,
+//     so the ordinary drain engine converges the backing store on the
+//     new layout.
 //
-// All peer traffic (seal, stripe fetches, installs, commits, drops)
+// All peer traffic (seals, stripe reads, installs, commits, drops)
 // carries the synthetic rebalance job (policy.RebalanceJob), and data
 // messages go through each receiving server's token scheduler — the
 // compiled sharing policy arbitrates migration bandwidth against
@@ -50,8 +50,13 @@ import (
 
 // migChunk is the migration transfer granularity: the same 1 MiB grain
 // as foreground striped writes and drain chunks, so the policy
-// interleaves all three equally.
-const migChunk = 1 << 20
+// interleaves all three equally. migSegment is what the coordinator
+// holds of a stripe at once: a segment is read into one buffer and
+// written out again, migChunk per install.
+const (
+	migChunk   = 1 << 20
+	migSegment = 4 * migChunk
+)
 
 // Migrator plans and executes stripe migrations for one server.
 type Migrator struct {
@@ -110,7 +115,8 @@ func NewMigrator(self string, shard *fsys.Shard, node *cluster.Node, store backi
 		store: store,
 		job:   policy.RebalanceJob(self),
 		log:   logger,
-		peers: transport.NewPeers(1, 1, 2*time.Second, 0),
+		// One segment's installs in flight per peer.
+		peers: transport.NewPeers(1, migSegment/migChunk, 2*time.Second, 0),
 	}
 }
 
@@ -334,6 +340,12 @@ func (m *Migrator) migrateFile(mem *cluster.Membership, fi fsys.FileInfo) error 
 	if len(target) == 0 || slices.Equal(set, target) {
 		return nil
 	}
+	if len(target) != len(set) {
+		// The ring shrank below the file's width since the plan: leave
+		// the file where it is and let a later pass move it.
+		m.dirty.Store(true)
+		return nil
+	}
 	unit := fi.StripeUnit
 	if unit <= 0 {
 		unit = fsys.DefaultStripeUnit
@@ -352,12 +364,12 @@ func (m *Migrator) migrateFile(mem *cluster.Membership, fi fsys.FileInfo) error 
 	// A stale answer from a holder means it already carries the NEW
 	// layout — this pass is resuming a cutover an earlier pass started
 	// but could not finish (a commit executed whose reply was lost).
-	// Width-preserving migration maps new stripe i to old stripe i
-	// byte-for-byte, so the committed holder of stripe i — target[i] —
-	// serves the same content; seal it under the new generation and
-	// fetch from there instead. Without the generation check, a resumed
-	// pass would copy a committed holder's re-indexed stripe under its
-	// old index and corrupt the reassembly.
+	// Migration maps new stripe i to old stripe i byte-for-byte, so the
+	// committed holder of stripe i — target[i] — serves the same content;
+	// seal it under the new generation and read from there instead.
+	// Without the generation check, a resumed pass would copy a committed
+	// holder's re-indexed stripe under its old index and corrupt the
+	// reassembly.
 	seals := sealState{
 		srcs:  make([]string, len(set)), // who serves stripe i's frozen bytes
 		sizes: make([]int64, len(set)),
@@ -372,7 +384,7 @@ func (m *Migrator) migrateFile(mem *cluster.Membership, fi fsys.FileInfo) error 
 			seals.srcs[i], seals.sizes[i], seals.gens[i], seals.held[i] = addr, size, gen, true
 			continue
 		}
-		if staleErr(err) && len(target) == len(set) && i < len(target) {
+		if staleErr(err) {
 			if size, _, rerr := m.sealOn(target[i], fi.Path, newGen); rerr == nil {
 				seals.srcs[i], seals.sizes[i], seals.held[i], seals.sub[i] = target[i], size, true, true
 				continue
@@ -381,8 +393,9 @@ func (m *Migrator) migrateFile(mem *cluster.Membership, fi fsys.FileInfo) error 
 		sealErr = err
 		break
 	}
+	release := func() { m.releaseSeals(fi.Path, unit, fi.LayoutGen, newGen, set, seals) }
 	if sealErr != nil {
-		m.releaseSeals(fi.Path, unit, set, seals)
+		release()
 		if isGone(sealErr) || staleErr(sealErr) {
 			return nil // unlinked, or moved on in a way this pass cannot resume
 		}
@@ -399,80 +412,71 @@ func (m *Migrator) migrateFile(mem *cluster.Membership, fi fsys.FileInfo) error 
 	// "surviving prefix" arithmetic would then resume at the wrong
 	// offset.
 	total := fsys.ConsistentTotal(seals.sizes, unit)
+	// Copy: stream every stripe whose holder changes into its new
+	// holder's pending entry, from the old holder sealed above. A stripe
+	// already on its new holder — the same server at the same index, or
+	// a committed target being resumed — is not copied; its commit
+	// re-labels it in place.
 	var moved int64
-	// Copy: fetch each frozen stripe, trimmed to the consistent prefix.
-	parts := make([][]byte, len(set))
-	for i := range set {
-		want := fsys.LocalLen(total, i, len(set), unit)
-		data, err := m.fetchStripe(seals.srcs[i], fi.Path, i, want)
-		if err != nil {
-			m.releaseSeals(fi.Path, unit, set, seals)
-			return err
-		}
-		parts[i] = data
-		moved += int64(len(data))
-	}
-	// Project the new local stripes. Migration preserves width and unit
-	// (only the server set shifts), and the round-robin projection
-	// depends on nothing else — so new stripe j is old stripe j,
-	// byte-for-byte, with no intermediate full-content copy. The
-	// general re-stripe path (via backing.Interleave, shared with
-	// failover reassembly) stays for a future width change.
-	var stripes [][]byte
-	if len(target) == len(set) {
-		stripes = parts
-	} else {
-		full := backing.Interleave(parts, unit)
-		stripes = make([][]byte, len(target))
-		for j := range target {
-			stripes[j] = stripeOf(full, j, len(target), unit)
-		}
-	}
-
-	// Generation guard: the coordinator is always a current holder, so
-	// its local creation generation moving means the path was unlinked
-	// or recreated while we copied — the new incarnation owns the name.
-	selfIdx := slices.Index(set, m.self)
-	if selfIdx < 0 || m.shard.GenOf(fi.Path) != seals.gens[selfIdx] {
-		m.releaseSeals(fi.Path, unit, set, seals)
-		m.shard.MigrateAbort(fi.Path)
-		return nil
-	}
-
-	// Phase two: install each new local stripe into a pending buffer on
-	// its target, commit the new layout everywhere (remote targets
-	// first, self last, so an interrupted cutover leaves this
-	// coordinator's old layout in place and the next pass resumes),
-	// then drop the stale stripes.
-	for j, addr := range target {
-		if err := m.installOn(addr, fi.Path, stripes[j]); err != nil {
-			m.abortAll(target[:j+1], fi.Path)
-			m.releaseSeals(fi.Path, unit, set, seals)
-			return err
-		}
-	}
-	// Re-check the unlink guard at the cutover edge: the installs are
-	// policy-throttled and can take a while, and a commit after an
-	// unlink would resurrect the file on the targets. (The residual
-	// window — an unlink landing between this check and the commit
-	// deliveries — is one round trip, the same bounded-async exposure
-	// as failover recovery's adoption.)
-	if m.shard.GenOf(fi.Path) != seals.gens[selfIdx] {
-		m.abortAll(target, fi.Path)
-		m.releaseSeals(fi.Path, unit, set, seals)
-		return nil
-	}
-	for _, addr := range target {
-		if addr == m.self {
+	var buf []byte
+	for j, dst := range target {
+		size := fsys.LocalLen(total, j, len(target), unit)
+		if seals.srcs[j] == dst || size == 0 {
 			continue
 		}
+		if int64(len(buf)) < min(size, migSegment) {
+			buf = make([]byte, min(size, migSegment))
+		}
+		if err := m.stream(seals.srcs[j], dst, fi.Path, j, size, fi.LayoutGen, newGen, buf); err != nil {
+			m.abortAll(target[:j+1], fi.Path)
+			release()
+			return err
+		}
+		moved += size
+	}
+
+	// Generation guard at the cutover edge: the coordinator is always a
+	// current holder, so its local creation generation moving means the
+	// path was unlinked or recreated while we copied — the new
+	// incarnation owns the name, and a commit would resurrect the file on
+	// the targets. (The residual window — an unlink landing between this
+	// check and the commit deliveries — is one round trip, the same
+	// bounded-async exposure as failover recovery's adoption.)
+	selfIdx := slices.Index(set, m.self)
+	if selfIdx < 0 || m.shard.GenOf(fi.Path) != seals.gens[selfIdx] {
+		m.abortAll(target, fi.Path)
+		release()
+		return nil
+	}
+
+	// Phase two: commit the new layout everywhere (remote targets first,
+	// self last, so an interrupted cutover leaves this coordinator's old
+	// layout in place and the next pass resumes), then drop the stale
+	// stripes.
+	commit := func(j int) error {
+		layout := fsys.FileInfo{
+			Path: fi.Path, Size: fsys.LocalLen(total, j, len(target), unit),
+			Stripes: len(target), StripeUnit: unit, StripeSet: target, LayoutGen: newGen,
+		}
+		gen := uint64(0)
+		if seals.srcs[j] == target[j] {
+			gen = seals.gens[j] // kept in place (zero on a resumed target, which is committed already)
+		}
+		return m.commitOn(target[j], layout, gen)
+	}
+	order := slices.DeleteFunc(slices.Clone(target), func(addr string) bool { return addr == m.self })
+	if len(order) < len(target) {
+		order = append(order, m.self)
+	}
+	for _, addr := range order {
+		j := slices.Index(target, addr)
 		// Commits are idempotent (layout-generation-checked on the
 		// receiver), so transport failures retry in place — the
 		// alternative, abandoning a partially committed cutover, leaves
 		// a mixed-generation file for the resume path to repair.
 		var cerr error
 		for attempt := 0; attempt < 3; attempt++ {
-			if cerr = m.commitOn(addr, fi.Path, len(target), unit, target, newGen); cerr == nil {
+			if cerr = commit(j); cerr == nil {
 				break
 			}
 			if staleErr(cerr) || isGone(cerr) {
@@ -486,14 +490,8 @@ func (m *Migrator) migrateFile(mem *cluster.Membership, fi fsys.FileInfo) error 
 			// old set, and the generation-checked seal resumes the
 			// partial cutover) or through failover recovery.
 			m.abortAll(target, fi.Path)
-			m.releaseSeals(fi.Path, unit, set, seals)
+			release()
 			return cerr
-		}
-	}
-	if slices.Index(target, m.self) >= 0 {
-		if err := m.shard.MigrateCommit(fi.Path, len(target), unit, target, newGen); err != nil {
-			m.releaseSeals(fi.Path, unit, set, seals)
-			return err
 		}
 	}
 	// Cutover done: retire the stale stripes. A failed drop does not
@@ -503,7 +501,7 @@ func (m *Migrator) migrateFile(mem *cluster.Membership, fi fsys.FileInfo) error 
 	// unretired stripe leaks its device extents and staged object.
 	for i, addr := range set {
 		if slices.Index(target, addr) >= 0 {
-			continue // replaced by its commit
+			continue // replaced or re-labelled by its commit
 		}
 		if err := m.dropOn(addr, fi.Path, seals.gens[i]); err != nil {
 			m.fail(fmt.Errorf("rebalance %s: dropping stale stripe on %s (will retry): %w", fi.Path, addr, err))
@@ -518,22 +516,71 @@ func (m *Migrator) migrateFile(mem *cluster.Membership, fi fsys.FileInfo) error 
 	return nil
 }
 
-// stripeOf projects the round-robin local stripe j of a width-n layout
-// out of the full content.
-func stripeOf(full []byte, j, n int, unit int64) []byte {
-	if n <= 1 {
-		return full
-	}
-	var out []byte
-	total := int64(len(full))
-	for off := int64(j) * unit; off < total; off += unit * int64(n) {
-		end := off + unit
-		if end > total {
-			end = total
+// stream copies the stripe-local bytes [0, size) of path from src into
+// dst's pending entry for layout generation newGen (src serves them
+// under srcGen), one segment of buf at a time: each segment is read with
+// transport.ReadStripe and written with transport.WriteStripe, so the
+// coordinator holds one segment and every chunk crosses the receiving
+// server's token draw as the rebalance job. When src stops answering
+// and a backing store is configured, src's own staged object stands in:
+// the store is append-structured, so any prefix src staged under this
+// stripe index is byte-identical to the live stripe. The lookup is
+// owner-scoped — an any-owner match could return a not-yet-tombstoned
+// row from an older layout whose bytes interleave differently.
+func (m *Migrator) stream(src, dst, path string, idx int, size int64, srcGen, newGen uint64, buf []byte) error {
+	var staged []byte
+	var segs [][]byte
+	for off := int64(0); off < size; {
+		seg := buf[:min(int64(len(buf)), size-off)]
+		if staged == nil {
+			err := m.pipe(src, func(ctx context.Context, pool *transport.Pool) error {
+				head := transport.Request{Job: m.job, Path: path, LayoutGen: srcGen}
+				return transport.ReadStripe(ctx, pool, m.peers.Seq(), &head, off, off+int64(len(seg)),
+					func(at int64, data []byte) { copy(seg[at-off:], data) })
+			})
+			if err != nil {
+				if m.store == nil {
+					return err
+				}
+				data, _, serr := m.store.ReadObject(src, path, idx)
+				if serr != nil || int64(len(data)) < size {
+					return err
+				}
+				staged = data
+			}
 		}
-		out = append(out, full[off:end]...)
+		if staged != nil {
+			seg = staged[off : off+int64(len(seg))]
+		}
+		segs = segs[:0]
+		for c := 0; c < len(seg); c += migChunk {
+			segs = append(segs, seg[c:min(c+migChunk, len(seg))])
+		}
+		if err := m.pipe(dst, func(ctx context.Context, pool *transport.Pool) error {
+			head := transport.Request{Job: m.job, Path: path, LayoutGen: newGen, From: m.self}
+			return transport.WriteStripe(ctx, pool, m.peers.Seq(), &head, idx, segs, off)
+		}); err != nil {
+			return err
+		}
+		off += int64(len(seg))
 	}
-	return out
+	return nil
+}
+
+// pipe runs one stripe-pipeline call to addr under callBudget. A cut
+// link drops the cached connection, so the next attempt dials afresh.
+func (m *Migrator) pipe(addr string, run func(ctx context.Context, pool *transport.Pool) error) error {
+	pool, _, err := m.peers.Get(addr)
+	if err != nil {
+		return err
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), callBudget)
+	defer cancel()
+	err = run(ctx, pool)
+	if errors.Is(err, transport.ErrLink) {
+		m.peers.Drop(addr)
+	}
+	return err
 }
 
 // isGone matches the missing-entry condition across the local
@@ -548,12 +595,9 @@ func staleErr(err error) bool {
 	return err != nil && (errors.Is(err, fsys.ErrStaleLayout) || transport.IsStaleLayout(err))
 }
 
-// --- per-holder operations (local fast path + remote RPC) ---------------
+// --- per-holder operations: one round trip each, this server included ----
 
 func (m *Migrator) sealOn(addr, path string, expectLayoutGen uint64) (int64, uint64, error) {
-	if addr == m.self {
-		return m.shard.Seal(path, expectLayoutGen)
-	}
 	resp, err := m.call(addr, &transport.Request{
 		Type: transport.MsgMigrate, MigrateOp: transport.MigrateSeal, Path: path,
 		LayoutGen: expectLayoutGen,
@@ -579,17 +623,17 @@ type sealState struct {
 // old-layout holders are first trimmed back to their share of the
 // consistent round-robin prefix: a striped write racing the sequential
 // seal phase can land a chunk on a not-yet-sealed holder while an
-// already-sealed one refuses — bytes the client was never acked for
+// already-sealed one refused — bytes the client was never acked for
 // and, on an append-structured stripe, a permanent off-by-a-unit for
-// every later append. (The cutover path needs no trim-on-release: its
-// installs are cut from the consistent prefix and the commit replaces
-// the entries wholesale.) Holders whose sizes the failed seal phase
-// never learned are completed with a direct stat; if even that fails,
-// the seal lifts untrimmed and the next pass — or the eventual
-// cutover, which always trims — converges. Committed-target seals (the
-// resume path) are released untrimmed: their content was installed
+// every later append. (The cutover path needs no trim-on-release: every
+// commit cuts its stripe to the consistent prefix.) The unseals are
+// generation-checked (oldGen), so a holder a commit of this pass already
+// moved on keeps what clients wrote to it since. Holders whose sizes the
+// failed seal phase never learned are completed with a direct stat; if
+// even that fails, the seals stay (see below). Committed-target seals
+// (the resume path) are released untrimmed: their content was copied
 // from a consistent prefix and is not writable under the old layout.
-func (m *Migrator) releaseSeals(path string, unit int64, set []string, seals sealState) {
+func (m *Migrator) releaseSeals(path string, unit int64, oldGen, newGen uint64, set []string, seals sealState) {
 	known := true
 	for i := range set {
 		if seals.held[i] || seals.sub[i] {
@@ -618,7 +662,7 @@ func (m *Migrator) releaseSeals(path string, unit int64, set []string, seals sea
 	for i := range set {
 		if seals.sub[i] {
 			if seals.held[i] {
-				m.unsealOn(seals.srcs[i], path, -1)
+				m.unsealOn(seals.srcs[i], path, -1, newGen)
 			}
 			continue
 		}
@@ -633,46 +677,22 @@ func (m *Migrator) releaseSeals(path string, unit int64, set []string, seals sea
 			keep = fsys.LocalLen(total, i, len(set), unit)
 		}
 		if seals.held[i] || keep >= 0 {
-			addr := set[i]
-			if seals.held[i] {
-				addr = seals.srcs[i]
-			}
-			m.unsealOn(addr, path, keep)
+			m.unsealOn(set[i], path, keep, oldGen)
 		}
 	}
 }
 
-// unsealOn lifts one seal; keep >= 0 additionally trims the stripe to
-// keep bytes first.
-func (m *Migrator) unsealOn(addr, path string, keep int64) {
-	if addr == m.self {
-		if keep >= 0 {
-			if err := m.shard.UnsealTrim(path, keep); err != nil {
-				m.fail(fmt.Errorf("rebalance %s: trimming local stripe: %w", path, err))
-			}
-			return
-		}
-		m.shard.Unseal(path)
-		return
-	}
-	op, size := transport.MigrateUnseal, int64(0)
-	if keep >= 0 {
-		op, size = transport.MigrateUnsealTrim, keep
-	}
+// unsealOn lifts one seal placed under layoutGen; keep >= 0 first trims
+// the stripe to keep bytes.
+func (m *Migrator) unsealOn(addr, path string, keep int64, layoutGen uint64) {
 	_ = m.send(addr, &transport.Request{
-		Type: transport.MsgMigrate, MigrateOp: op, Path: path, Size: size,
+		Type: transport.MsgMigrate, MigrateOp: transport.MigrateUnseal, Path: path,
+		Size: keep, LayoutGen: layoutGen,
 	})
 }
 
 // statStripe reads one holder's local stripe size.
 func (m *Migrator) statStripe(addr, path string) (int64, error) {
-	if addr == m.self {
-		fi, err := m.shard.Stat(path)
-		if err != nil {
-			return 0, err
-		}
-		return fi.Size, nil
-	}
 	resp, err := m.call(addr, &transport.Request{Type: transport.MsgStat, Path: path})
 	if err != nil {
 		return 0, err
@@ -683,107 +703,21 @@ func (m *Migrator) statStripe(addr, path string) (int64, error) {
 
 func (m *Migrator) abortAll(targets []string, path string) {
 	for _, addr := range targets {
-		if addr == m.self {
-			m.shard.MigrateAbort(path)
-			continue
-		}
 		_ = m.send(addr, &transport.Request{
 			Type: transport.MsgMigrate, MigrateOp: transport.MigrateAbort, Path: path,
 		})
 	}
 }
 
-// fetchStripe reads the frozen local stripe of path on addr. When the
-// holder stops answering mid-copy and a backing store is configured,
-// the holder's own staged object stands in: the store is
-// append-structured, so any prefix that holder staged under this
-// stripe index is byte-identical to the live stripe. The lookup is
-// owner-scoped — an any-owner match could return a not-yet-tombstoned
-// row from an older layout whose bytes interleave differently.
-func (m *Migrator) fetchStripe(addr, path string, stripe int, size int64) ([]byte, error) {
-	if size == 0 {
-		return nil, nil
-	}
-	buf := make([]byte, 0, size)
-	if addr == m.self {
-		buf = buf[:size]
-		n, err := m.shard.ReadAt(path, 0, buf)
-		if err != nil || int64(n) != size {
-			return nil, fmt.Errorf("local stripe read: n=%d err=%v", n, err)
-		}
-		return buf, nil
-	}
-	var ferr error
-	for off := int64(0); off < size; {
-		want := int64(migChunk)
-		if want > size-off {
-			want = size - off
-		}
-		resp, err := m.call(addr, &transport.Request{
-			Type: transport.MsgRead, Path: path, Offset: off, Size: want,
-		})
-		if err != nil {
-			ferr = err
-			break
-		}
-		if resp.N < want {
-			ferr = fmt.Errorf("short stripe read from %s: %d < %d", addr, resp.N, want)
-			resp.Release()
-			break
-		}
-		buf = append(buf, resp.Data[:want]...)
-		resp.Release()
-		off += want
-	}
-	if ferr == nil {
-		return buf, nil
-	}
-	if m.store != nil {
-		if data, _, err := m.store.ReadObject(addr, path, stripe); err == nil && int64(len(data)) >= size {
-			return data[:size], nil
-		}
-	}
-	return nil, ferr
-}
-
-func (m *Migrator) installOn(addr, path string, data []byte) error {
-	for off := int64(0); ; {
-		end := off + migChunk
-		if end > int64(len(data)) {
-			end = int64(len(data))
-		}
-		if addr == m.self {
-			if err := m.shard.MigrateInstall(path, off, data[off:end]); err != nil {
-				return err
-			}
-		} else {
-			if err := m.send(addr, &transport.Request{
-				Type: transport.MsgMigrate, MigrateOp: transport.MigrateInstall,
-				Path: path, Offset: off, Data: data[off:end],
-			}); err != nil {
-				return err
-			}
-		}
-		off = end
-		if off >= int64(len(data)) {
-			return nil
-		}
-	}
-}
-
-func (m *Migrator) commitOn(addr, path string, stripes int, unit int64, set []string, layoutGen uint64) error {
+func (m *Migrator) commitOn(addr string, layout fsys.FileInfo, gen uint64) error {
 	return m.send(addr, &transport.Request{
 		Type: transport.MsgMigrate, MigrateOp: transport.MigrateCommit,
-		Path: path, Stripes: stripes, StripeUnit: unit, StripeSet: set,
-		LayoutGen: layoutGen,
+		Path: layout.Path, Size: layout.Size, Stripes: layout.Stripes, StripeUnit: layout.StripeUnit,
+		StripeSet: layout.StripeSet, LayoutGen: layout.LayoutGen, Gen: gen,
 	})
 }
 
 func (m *Migrator) dropOn(addr, path string, gen uint64) error {
-	if addr == m.self {
-		m.shard.MigrateDrop(path, gen)
-		return nil
-	}
 	return m.send(addr, &transport.Request{
 		Type: transport.MsgMigrate, MigrateOp: transport.MigrateDrop,
 		Path: path, Gen: gen,
@@ -799,11 +733,10 @@ const callBudget = 30 * time.Second
 // rebalance job identity. A stale cached connection re-sends once over
 // a fresh dial (transport.Peers.Call); the first delivery may have
 // executed, which is safe because every migrate sub-op is idempotent —
-// seal/unseal/abort by nature, install by its in-order offset check,
-// commit by the layout-generation check, drop by the creation-generation
-// check. An application-level refusal (the peer answered, but said no)
-// surfaces as an error without touching the connection. The caller
-// releases the response after its last touch.
+// seal/unseal/abort by nature, commit by the layout-generation check,
+// drop by the creation-generation check. An application-level refusal
+// (the peer answered, but said no) surfaces as an error without touching
+// the connection. The caller releases the response after its last touch.
 func (m *Migrator) call(addr string, req *transport.Request) (*transport.Response, error) {
 	req.Job = m.job
 	ctx, cancel := context.WithTimeout(context.Background(), callBudget)

@@ -242,3 +242,77 @@ func TestFlushDoesNotParkTheConnection(t *testing.T) {
 		t.Fatalf("flush reply: %+v err=%v", resp, err)
 	}
 }
+
+// A migration install lands in a pending entry that no client request
+// reaches: a client's positional append at the new layout generation is
+// refused, and stat, read, readdir and unlink answer as if the entry
+// were not there — beside an old-layout stripe of the same path, or with
+// nothing beside it — until the commit swaps it in.
+func TestPendingEntryUnreachable(t *testing.T) {
+	addrs, stop := startServers(t, 1, policy.SizeFair)
+	defer stop()
+	raw, err := net.Dial("tcp", addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := transport.NewConn(raw)
+	defer conn.Close()
+	self, seq := addrs[0], uint64(0)
+	send := func(req *transport.Request) *transport.Response {
+		t.Helper()
+		seq++
+		req.Seq, req.Job = seq, jobInfo("raw", 1)
+		if err := conn.SendRequest(req); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := conn.RecvResponse()
+		if err != nil || resp.Seq != seq {
+			t.Fatalf("%v %s: reply %+v, err %v", req.Type, req.Path, resp, err)
+		}
+		return resp
+	}
+	mustOK := func(resp *transport.Response) {
+		t.Helper()
+		if resp.Err != "" {
+			t.Fatal(resp.Err)
+		}
+	}
+	mustOK(send(&transport.Request{Type: transport.MsgMkdir, Path: "/d"}))
+	mustOK(send(&transport.Request{Type: transport.MsgCreate, Path: "/d/held", Stripes: 1, StripeSet: []string{self}}))
+	for _, p := range []string{"/d/held", "/d/new"} {
+		mustOK(send(&transport.Request{Type: transport.MsgWrite, Path: p, Data: []byte("moved"),
+			AppendAt: true, LayoutGen: 2, From: "127.0.0.1:1"}))
+		resp := send(&transport.Request{Type: transport.MsgWrite, Path: p, Data: []byte("client"),
+			AppendAt: true, AppendOff: 5, LayoutGen: 2})
+		if !transport.IsStaleLayout(resp.Error()) && !transport.IsNotExist(resp.Error()) {
+			t.Errorf("a client append at the pending generation of %s: err %q, want it refused", p, resp.Err)
+		}
+		stat := send(&transport.Request{Type: transport.MsgStat, Path: p})
+		read := send(&transport.Request{Type: transport.MsgRead, Path: p, Size: 5})
+		if p == "/d/new" && (!transport.IsNotExist(stat.Error()) || !transport.IsNotExist(read.Error())) {
+			t.Errorf("stat and read of %s: %q, %q, want not-exist", p, stat.Err, read.Err)
+		}
+		if p == "/d/held" && (stat.Err != "" || stat.Size != 0 || stat.LayoutGen != 1 || read.Err != "" || read.N != 0) {
+			t.Errorf("stat and read of %s: %+v, %+v, want the empty old-layout stripe", p, stat, read)
+		}
+		read.Release()
+	}
+	if resp := send(&transport.Request{Type: transport.MsgReaddir, Path: "/d"}); resp.Err != "" || strings.Join(resp.Names, ",") != "held" {
+		t.Errorf("readdir lists %v (err %q), want only the live entry", resp.Names, resp.Err)
+	}
+	if resp := send(&transport.Request{Type: transport.MsgUnlink, Path: "/d/new"}); !transport.IsNotExist(resp.Error()) {
+		t.Errorf("unlink of a pending entry: err %q, want not-exist", resp.Err)
+	}
+	for _, p := range []string{"/d/held", "/d/new"} {
+		mustOK(send(&transport.Request{Type: transport.MsgMigrate, MigrateOp: transport.MigrateCommit, Path: p,
+			Size: 5, Stripes: 1, StripeSet: []string{self}, LayoutGen: 2}))
+		resp := send(&transport.Request{Type: transport.MsgRead, Path: p, Size: 5, LayoutGen: 2})
+		if resp.Err != "" || string(resp.Data) != "moved" {
+			t.Errorf("read %s after the commit: %q err %q", p, resp.Data, resp.Err)
+		}
+		resp.Release()
+	}
+	if resp := send(&transport.Request{Type: transport.MsgReaddir, Path: "/d"}); strings.Join(resp.Names, ",") != "held,new" {
+		t.Errorf("readdir after the commits lists %v", resp.Names)
+	}
+}

@@ -691,14 +691,22 @@ func (s *Server) execute(req *transport.Request, resp *transport.Response) *tran
 	// resolves the entry — a separate check could pass against the old
 	// entry and then operate on the one a migration commit swapped in.
 	case transport.MsgWrite:
-		if req.AppendAt {
+		var err error
+		switch {
+		case req.From != "":
+			// A migration install: a coordinator streaming a moved stripe
+			// into the pending entry of the new layout generation, which
+			// no client request reaches.
+			_, err = s.shard.Install(req.Path, req.AppendOff, req.Data, req.LayoutGen)
+		case req.AppendAt:
 			// Pipelined positional append: the worker pool may execute a
 			// stripe's chunks out of order, and the offset makes landing
 			// order-independent (park/drain inside the shard).
-			if _, err := s.shard.AppendAtGen(req.Path, req.AppendOff, req.Data, req.LayoutGen); err != nil {
-				return fail(err)
-			}
-		} else if _, err := s.shard.AppendGen(req.Path, req.Data, req.LayoutGen); err != nil {
+			_, err = s.shard.AppendAtGen(req.Path, req.AppendOff, req.Data, req.LayoutGen)
+		default:
+			_, err = s.shard.AppendGen(req.Path, req.Data, req.LayoutGen)
+		}
+		if err != nil {
 			return fail(err)
 		}
 		resp.N = int64(len(req.Data))
@@ -772,12 +780,11 @@ func (s *Server) executeMigrate(req *transport.Request, resp *transport.Response
 			return fail(err)
 		}
 		resp.Size, resp.Gen = size, gen
-	case transport.MigrateInstall:
-		if err := s.shard.MigrateInstall(req.Path, req.Offset, req.Data); err != nil {
-			return fail(err)
-		}
 	case transport.MigrateCommit:
-		if err := s.shard.MigrateCommit(req.Path, req.Stripes, req.StripeUnit, req.StripeSet, req.LayoutGen); err != nil {
+		if err := s.shard.MigrateCommit(fsys.FileInfo{
+			Path: req.Path, Size: req.Size, Stripes: req.Stripes, StripeUnit: req.StripeUnit,
+			StripeSet: req.StripeSet, LayoutGen: req.LayoutGen,
+		}, req.Gen); err != nil {
 			return fail(err)
 		}
 		// The commit may have made this server the coordinator of a
@@ -787,11 +794,7 @@ func (s *Server) executeMigrate(req *transport.Request, resp *transport.Response
 	case transport.MigrateAbort:
 		s.shard.MigrateAbort(req.Path)
 	case transport.MigrateUnseal:
-		s.shard.Unseal(req.Path)
-	case transport.MigrateUnsealTrim:
-		if err := s.shard.UnsealTrim(req.Path, req.Size); err != nil {
-			return fail(err)
-		}
+		s.shard.Unseal(req.Path, req.Size, req.LayoutGen)
 	case transport.MigrateDrop:
 		if s.shard.MigrateDrop(req.Path, req.Gen) {
 			resp.N = 1

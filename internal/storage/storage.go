@@ -255,6 +255,32 @@ func (ix *Index) Append(ext Extent) int64 {
 	return off
 }
 
+// Truncate cuts the file to its first n bytes and returns the device
+// extents that backed the rest — whole runs past n, and the tail of the
+// run n falls inside — for the caller to release.
+func (ix *Index) Truncate(n int64) []Extent {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	if n < 0 || n >= ix.size {
+		return nil
+	}
+	i := sort.Search(len(ix.runs), func(i int) bool {
+		return ix.runs[i].FileOff+ix.runs[i].Ext.Len > n
+	})
+	var cut []Extent
+	if keep := n - ix.runs[i].FileOff; keep > 0 {
+		r := &ix.runs[i].Ext
+		cut = append(cut, Extent{Off: r.Off + keep, Len: r.Len - keep})
+		r.Len = keep
+		i++
+	}
+	for _, r := range ix.runs[i:] {
+		cut = append(cut, r.Ext)
+	}
+	ix.runs, ix.size = ix.runs[:i], n
+	return cut
+}
+
 // Runs returns the number of extents in the index.
 func (ix *Index) Runs() int {
 	ix.mu.RLock()

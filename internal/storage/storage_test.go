@@ -127,6 +127,38 @@ func TestIndexAppendResolve(t *testing.T) {
 	}
 }
 
+// Truncate hands back exactly the device bytes past the cut: releasing
+// them returns the store to what the kept prefix allocated.
+func TestIndexTruncate(t *testing.T) {
+	s := NewStore(1 << 20)
+	ix := NewIndex()
+	for _, n := range []int64{100, 200, 50} {
+		e, err := s.Alloc(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix.Append(e)
+	}
+	if cut := ix.Truncate(350); cut != nil {
+		t.Fatalf("a cut at the size released %v", cut)
+	}
+	if err := s.ReleaseAll(ix.Truncate(130)); err != nil {
+		t.Fatal(err)
+	}
+	if ix.Size() != 130 || ix.Runs() != 2 || s.Used() != 130 {
+		t.Fatalf("after a mid-run cut: size %d runs %d used %d, want 130 2 130", ix.Size(), ix.Runs(), s.Used())
+	}
+	if err := s.ReleaseAll(ix.Truncate(100)); err != nil {
+		t.Fatal(err)
+	}
+	if ix.Size() != 100 || ix.Runs() != 1 || s.Used() != 100 {
+		t.Fatalf("after a cut on a run boundary: size %d runs %d used %d, want 100 1 100", ix.Size(), ix.Runs(), s.Used())
+	}
+	if err := s.ReleaseAll(ix.Truncate(0)); err != nil || ix.Size() != 0 || s.Used() != 0 || ix.Resolve(0, 1) != nil {
+		t.Fatalf("after a cut to zero: err %v size %d used %d", err, ix.Size(), s.Used())
+	}
+}
+
 // Property: random alloc/release sequences never corrupt the free list:
 // used+free == capacity, free list stays sorted, disjoint, coalesced.
 func TestAllocatorInvariantsProperty(t *testing.T) {

@@ -159,6 +159,11 @@ func (ps *Peers) Call(ctx context.Context, addr string, req *Request) (*Response
 	}
 }
 
+// Seq is the counter Call numbers requests with. A caller streaming
+// through the set's pools (ReadStripe, WriteStripe) numbers its chunks
+// from it too, so no two requests on one connection share a number.
+func (ps *Peers) Seq() *atomic.Uint64 { return &ps.seq }
+
 // Pools snapshots the live pools in address order.
 func (ps *Peers) Pools() []*Pool {
 	ps.mu.Lock()

@@ -38,8 +38,8 @@ const SlotCooldown = 3 * time.Second
 
 // MuxConn multiplexes concurrent request/response exchanges over one
 // connection: one reader goroutine, waiters keyed by Seq. It is the
-// per-connection half of a Pool, split out so the client's pipelined
-// stripe I/O can start requests without waiting.
+// per-connection half of a Pool, split out so the stripe pipeline
+// (stripe.go) can start requests without waiting.
 type MuxConn struct {
 	conn *Conn
 	dead atomic.Bool

@@ -10,9 +10,9 @@
 //
 //   - the server, for the request and response of one inflight value,
 //     after the reply is on the wire (internal/server);
-//   - the client's pipeline, for the requests it built and the replies
+//   - the stripe pipeline, for the requests it built and the replies
 //     it collected, and never for an exchange it abandoned on
-//     cancellation (internal/client);
+//     cancellation (stripe.go);
 //   - MuxConn, for the reply channel of an exchange whose single reply
 //     was received, and for a reply nobody was waiting for.
 //

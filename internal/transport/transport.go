@@ -60,12 +60,13 @@ const (
 	// stage-out job — a flush forces completeness, not priority.
 	MsgFlush
 
-	// MsgMigrate is the server↔server stripe-migration protocol of
-	// join-time rebalancing. The MigrateOp field selects the sub-op
-	// (seal/install/commit/abort/drop); the frames carry the rebalance
-	// job identity and are scheduled through the receiving server's
-	// token draw like any write, so the sharing policy arbitrates
-	// migration bandwidth against foreground I/O.
+	// MsgMigrate is the server↔server control protocol of join-time
+	// rebalancing. The MigrateOp field selects the sub-op (seal, unseal,
+	// commit, abort, drop); the moved bytes themselves travel as MsgWrite
+	// installs (see Request.From). The frames carry the rebalance job
+	// identity and are scheduled through the receiving server's token
+	// draw like any write, so the sharing policy arbitrates migration
+	// bandwidth against foreground I/O.
 	MsgMigrate
 
 	// MsgRebalanceStatus is the operator query for a server's migration
@@ -90,33 +91,38 @@ const (
 	MsgShareReport
 )
 
-// Migration sub-ops carried in Request.MigrateOp for MsgMigrate.
+// Migration sub-ops carried in Request.MigrateOp for MsgMigrate. The
+// retired slots stay reserved, so an older coordinator's frame is refused
+// instead of read as something else: 1 was the install (now a MsgWrite,
+// see Request.From), 5 the plain unseal, whose zero Size would read as a
+// trim to nothing.
 const (
 	// MigrateSeal write-freezes the local stripe of a file about to
 	// move; reads keep working. The reply reports the frozen local size
 	// (Size) and the entry's creation generation (Gen).
 	MigrateSeal uint8 = iota
-	// MigrateInstall appends a chunk of the file's new local stripe to
-	// the receiving server's pending (not yet visible) migration buffer.
-	MigrateInstall
-	// MigrateCommit atomically replaces/creates the live entry from the
-	// pending buffer under the new layout (Stripes/StripeUnit/StripeSet/
-	// LayoutGen), marking it dirty so it restages.
+	_
+	// MigrateCommit makes the new local stripe live under the new layout
+	// (Stripes/StripeUnit/StripeSet/LayoutGen) without copying a byte:
+	// Size is the stripe's length, and Gen is zero when it was streamed
+	// into the pending entry or the creation generation of the entry
+	// that already holds it (re-labelled in place).
 	MigrateCommit
-	// MigrateAbort discards the pending buffer (failed migration).
+	// MigrateAbort releases the pending entry (failed migration).
 	MigrateAbort
 	// MigrateDrop removes a stale local stripe after cutover,
 	// generation-checked (Gen) so a concurrent unlink/recreate of the
 	// path is never clobbered, and leaves a moved marker so late
 	// old-layout clients get ErrStaleLayout instead of ErrNotExist.
 	MigrateDrop
-	// MigrateUnseal lifts a seal after an aborted migration.
+	_
+	// MigrateUnseal lifts a seal after an aborted migration, first
+	// truncating the local stripe to Size bytes when Size is not
+	// negative — the seal phase raced a striped write and left
+	// unacknowledged torn bytes beyond the consistent round-robin prefix.
+	// A non-zero LayoutGen is the generation the seal was placed under;
+	// an entry that has moved on is left alone.
 	MigrateUnseal
-	// MigrateUnsealTrim lifts a seal after truncating the local stripe
-	// to Size bytes — the abort path when the seal phase raced a
-	// striped write and left unacknowledged torn bytes beyond the
-	// consistent round-robin prefix.
-	MigrateUnsealTrim
 )
 
 // String names the message type.
@@ -196,15 +202,16 @@ type Request struct {
 	// MigrateOp selects the MsgMigrate sub-op (MigrateSeal & friends).
 	MigrateOp uint8
 	// Gen is the expected creation generation for generation-checked
-	// migration ops (MigrateDrop): a concurrent unlink/recreate bumps
-	// the entry's generation and the stale op becomes a no-op.
+	// migration ops (MigrateDrop, and a MigrateCommit that re-labels): a
+	// concurrent unlink/recreate bumps the entry's generation and the
+	// stale op becomes a no-op or a refusal.
 	Gen uint64
 	// LayoutGen is, on MsgRead/MsgWrite, the client's cached layout
 	// generation of the file (zero = unchecked, the legacy behaviour):
 	// a server whose entry has a different layout generation answers
 	// ErrStaleLayout so the client re-stats instead of silently reading
-	// or writing re-striped bytes. On MigrateCommit it is the new
-	// layout generation being installed.
+	// or writing re-striped bytes. On MigrateCommit and on a migration
+	// install it is the new layout generation being installed.
 	LayoutGen uint64
 
 	// Table carries job status entries for MsgGossip.
@@ -212,7 +219,9 @@ type Request struct {
 
 	// From is the sender's advertised address for cluster control
 	// messages (the accepted socket's remote port is ephemeral, so the
-	// listen address must ride in the frame).
+	// listen address must ride in the frame). On a MsgWrite it marks a
+	// migration install: the chunk lands in the pending entry at
+	// LayoutGen, which no client write can reach.
 	From string
 	// Members carries the membership digest for MsgGossip/MsgJoin/
 	// MsgLeave.
