@@ -1,7 +1,8 @@
 // Control-plane-at-scale benchmarks. At 100k active jobs the
 // steady-state controller cost must be O(churn), not O(jobs): delta
-// recompilation against from-scratch compilation, and one λ roll of the
-// hierarchical lazy share ledger. CI runs them at -benchtime 1x.
+// recompilation against from-scratch compilation, one λ roll of the
+// hierarchical lazy share ledger, and a job's arrival in the job table.
+// CI runs them at -benchtime 1x.
 package themisio
 
 import (
@@ -112,4 +113,63 @@ func BenchmarkLedgerRoll100k(b *testing.B) {
 			l.Roll(delta, snap.Lookup, shareOf)
 		}
 	})
+}
+
+// BenchmarkArrival measures what a job's arrival costs the job table at
+// 1k, 20k and 100k registered jobs, pre-filled by one Merge + Refresh.
+// "observe" is the new job's first sighting, which the connection reader
+// that saw it pays; "publish" is the controller's Refresh folding 20
+// such arrivals into the next generation. Off the clock the arrivals are
+// removed again (every 100 sightings, or before each publish), so the
+// table stays within 10 % of its size.
+func BenchmarkArrival(b *testing.B) {
+	const batch = 100
+	arrivals := make([]policy.JobInfo, batch)
+	for i := range arrivals {
+		arrivals[i] = policy.JobInfo{JobID: fmt.Sprintf("new%06d", i), UserID: "u", GroupID: "g", Nodes: 1}
+	}
+	retire := func(t *jobtable.Table, k int) {
+		for _, j := range arrivals[:k] {
+			t.Remove(j.JobID)
+		}
+	}
+	for _, n := range []int{1_000, 20_000, 100_000} {
+		peer := make([]jobtable.Entry, n)
+		for i, j := range makeJobsWide(n) {
+			peer[i] = jobtable.Entry{Info: j}
+		}
+		filled := func() *jobtable.Table {
+			t := jobtable.New("s0", 0)
+			t.Merge(peer, 0)
+			t.Refresh(0)
+			return t
+		}
+		b.Run(fmt.Sprintf("observe/jobs=%d", n), func(b *testing.B) {
+			t := filled()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t.Observe(arrivals[i%batch], 0)
+				if i%batch == batch-1 {
+					b.StopTimer()
+					retire(t, batch)
+					b.StartTimer()
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("publish/jobs=%d", n), func(b *testing.B) {
+			const k = 20
+			t := filled()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				retire(t, k)
+				t.Refresh(0)
+				for _, j := range arrivals[:k] {
+					t.Observe(j, 0)
+				}
+				b.StartTimer()
+				t.Refresh(0)
+			}
+		})
+	}
 }

@@ -183,8 +183,8 @@ func (c *Cluster) Efficiency() float64 { return c.eff }
 // SyncTables performs one λ synchronization round (the λ loop calls
 // this on schedule; tests may call it directly): an all-gather of the
 // live servers' job tables. With SyncDelay configured, peer snapshots
-// are captured now but merged SyncDelay later. A merge that moves a
-// table's generation is compiled by the server's next submit or λ step.
+// are captured now but merged SyncDelay later. What a merge changes is
+// published and compiled by the server's next submit or λ step.
 func (c *Cluster) SyncTables() {
 	var tables []*jobtable.Table
 	for _, s := range c.servers {
@@ -214,9 +214,9 @@ func (c *Cluster) SyncTables() {
 
 // FailServer marks server i failed, mirroring the live fabric's
 // failover: the server stops serving and syncing, its queued requests
-// are abandoned, and every survivor drops its sightings, so from the
-// survivors' next λ step the 1/k presence deweighting shifts each
-// affected job's tokens onto the remaining servers.
+// are abandoned, and every survivor drops its sightings, so from its next
+// submit or λ step the 1/k presence deweighting shifts each affected
+// job's tokens onto the remaining servers.
 func (c *Cluster) FailServer(i int) {
 	s := c.servers[i]
 	if s.failed {

@@ -193,27 +193,20 @@ func (n *Node) Join(seeds []string, now time.Duration) error {
 }
 
 // Gossip runs one λ round at time now: failure-detection tick, then a
-// push-pull exchange with up to Fanout random gossipable peers. It
-// returns true if the job table or membership changed (the caller
-// recompiles token assignments).
-func (n *Node) Gossip(now time.Duration) bool {
+// push-pull exchange with up to Fanout random gossipable peers. What it
+// merges into the job table is published by the owner's next compile.
+func (n *Node) Gossip(now time.Duration) {
 	n.rounds.Add(1)
-	changed := len(n.mem.Tick(now)) > 0
-	peers := n.mem.Peers()
-	for _, addr := range n.sample(peers, n.cfg.Fanout) {
+	n.mem.Tick(now)
+	for _, addr := range n.sample(n.mem.Peers(), n.cfg.Fanout) {
 		resp, err := n.exchange(addr, n.digest(transport.MsgGossip))
 		if err != nil {
 			n.mem.ReportFailure(addr, now)
 			continue
 		}
-		if n.absorb(addr, resp, now) {
-			changed = true
-		}
+		n.absorb(addr, resp, now)
 	}
-	if n.scrub() {
-		changed = true
-	}
-	return changed
+	n.scrub()
 }
 
 // sample picks up to k distinct elements of peers uniformly at random.
@@ -254,20 +247,13 @@ func (n *Node) exchange(addr string, req *transport.Request) (*transport.Respons
 
 // absorb merges a pull reply from addr into the local view and
 // releases it.
-func (n *Node) absorb(addr string, resp *transport.Response, now time.Duration) bool {
+func (n *Node) absorb(addr string, resp *transport.Response, now time.Duration) {
 	defer resp.Release()
 	n.mem.Sighting(addr, now)
-	changed := len(n.mem.Merge(FromRecords(resp.Members), now)) > 0
-	if n.tab.Merge(resp.Table, now) {
-		changed = true
-	}
-	if n.MergePolicy(resp.PolicyStr, resp.PolicyEpoch) {
-		changed = true
-	}
-	if n.scrub() {
-		changed = true
-	}
-	return changed
+	n.mem.Merge(FromRecords(resp.Members), now)
+	n.tab.Merge(resp.Table, now)
+	n.MergePolicy(resp.PolicyStr, resp.PolicyEpoch)
+	n.scrub()
 }
 
 // Handle services an incoming cluster control request (the server's
@@ -314,17 +300,13 @@ func (n *Node) Handle(req *transport.Request, now time.Duration) *transport.Resp
 // token-count reconciliation). It runs after every merge, not just on
 // the failure transition, because a merge from a peer that has not yet
 // learned of the failure would otherwise resurrect the dead server in
-// the union of observed-server sets. Reports whether anything changed.
-func (n *Node) scrub() bool {
-	changed := false
+// the union of observed-server sets.
+func (n *Node) scrub() {
 	for _, m := range n.mem.Snapshot() {
 		if m.State == StateFailed || m.State == StateLeft {
-			if n.tab.DropServer(m.Addr) {
-				changed = true
-			}
+			n.tab.DropServer(m.Addr)
 		}
 	}
-	return changed
 }
 
 // Leave gossips a final departure digest to up to Fanout peers and

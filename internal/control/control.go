@@ -6,11 +6,13 @@
 // step.
 //
 // The rule that keeps the scheduler current between λ ticks is stated
-// once, here: whoever has just fed the job table (Submit, a heartbeat, a
-// merged peer snapshot) and finds Stale() true asks the loop's owner for
-// a Compile. The owner — the daemon's controller goroutine, the
-// simulator's event loop — is the only caller of OfferPolicy, Compile and
-// Tick; Submit, Stale, AppliedPolicy and Ledger are safe from anywhere.
+// once, here: the job table's writers (Submit, a heartbeat, a merged peer
+// snapshot, a failover scrub) only record their edits, and whoever has
+// just fed the table and finds Stale() true asks the loop's owner for a
+// Compile, whose Refresh is the table's one publisher. The owner — the
+// daemon's controller goroutine, the simulator's event loop — is the
+// only caller of OfferPolicy, Compile and Tick; Submit, Stale,
+// AppliedPolicy and Ledger are safe from anywhere.
 package control
 
 import (
@@ -86,9 +88,11 @@ func (l *Loop) Submit(r *sched.Request, now time.Duration) {
 	l.sched.Push(r)
 }
 
-// Stale reports whether the job table has published a generation the
-// scheduler has not been compiled against.
-func (l *Loop) Stale() bool { return l.table.Generation() != l.compiled.Load() }
+// Stale reports whether the job table holds unpublished edits or a
+// newer generation than the scheduler was compiled against.
+func (l *Loop) Stale() bool {
+	return l.table.Unpublished() || l.table.Generation() != l.compiled.Load()
+}
 
 // OfferPolicy hands the loop the cluster's policy version; the next
 // Compile applies it. It reports whether the version is news. The string
@@ -118,11 +122,11 @@ func (l *Loop) AppliedPolicy() (string, uint64) {
 // Compile brings the scheduler up to date: a policy version handed over
 // since the last step is applied (queues are untouched — every queued
 // request re-arbitrates under the new shares on its next draw), the
-// table's snapshot is refreshed as of now, and if its generation moved
-// the scheduler's epoch is rebuilt — patched with the generation delta
-// in O(churn) when the table's ring still bridges the gap, from scratch
-// otherwise. With nothing moved it costs two atomic loads and an O(1)
-// Refresh, so steady traffic compiles nothing.
+// table publishes its pending edits as of now, and if its generation
+// moved the scheduler's epoch is rebuilt — patched with the generation
+// delta in O(churn) when the table's ring still bridges the gap, from
+// scratch otherwise. With nothing moved it costs an atomic load and an
+// O(1) Refresh, so steady traffic compiles nothing.
 func (l *Loop) Compile(now time.Duration) {
 	if v := l.offered; v != nil {
 		l.offered = nil
@@ -135,10 +139,7 @@ func (l *Loop) Compile(now time.Duration) {
 	if snap.Gen == last {
 		return
 	}
-	// The delta runs from last to the table's generation when it is
-	// taken; it patches last's epoch into snap's only if no writer
-	// published in between.
-	if d, ok := l.table.DeltaSince(last); ok && l.delta != nil && l.table.Generation() == snap.Gen {
+	if d, ok := l.table.DeltaSince(last); ok && l.delta != nil {
 		l.delta.ApplyDelta(snap.Jobs, d)
 	} else {
 		l.sched.SetJobs(snap.Jobs)

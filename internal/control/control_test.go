@@ -154,14 +154,24 @@ func TestTickRollsLedgerAfterCompile(t *testing.T) {
 	}
 }
 
-// The daemon's shape: readers submit and apply the nudge rule from many
-// goroutines while one owner compiles, ticks and swaps policy. Every
-// job a reader introduced is in the assignment once the owner has
-// answered the last nudge.
+// The daemon's shape: readers submit, heartbeat and merge peer snapshots
+// and apply the nudge rule from many goroutines while one owner compiles,
+// ticks and swaps policy. Every job a reader introduced, by any of the
+// three, is in the assignment once the owner has answered the last nudge.
 func TestConcurrentSubmittersOneOwner(t *testing.T) {
-	l, th := newLoop(policy.JobFair)
+	th := core.New(policy.JobFair, 1)
+	tab := jobtable.New("s0", 0)
+	l := New(tab, th)
 	const readers, jobsEach = 4, 25
 	nudge := make(chan struct{}, 1)
+	nudgeIfStale := func() {
+		if l.Stale() {
+			select {
+			case nudge <- struct{}{}:
+			default:
+			}
+		}
+	}
 	done := make(chan struct{})
 	var owner sync.WaitGroup
 	owner.Add(1)
@@ -187,15 +197,15 @@ func TestConcurrentSubmittersOneOwner(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			for i := 0; i < jobsEach; i++ {
+				tab.Heartbeat(job(fmt.Sprintf("r%d-h%d", r, i), "u", 1), 0)
+				nudgeIfStale()
+				peer := jobtable.Entry{Info: job(fmt.Sprintf("r%d-p%d", r, i), "u", 1), Servers: map[string]bool{"s1": true}}
+				tab.Merge([]jobtable.Entry{peer}, 0)
+				nudgeIfStale()
 				j := job(fmt.Sprintf("r%d-j%d", r, i), "u", 1)
 				for k := 0; k < 4; k++ {
 					l.Submit(&sched.Request{Job: j, Op: sched.OpWrite, Bytes: 1}, 0)
-					if l.Stale() {
-						select {
-						case nudge <- struct{}{}:
-						default:
-						}
-					}
+					nudgeIfStale()
 					l.AppliedPolicy()
 					l.Ledger().Report()
 					th.Pop(0, nil)
@@ -209,8 +219,8 @@ func TestConcurrentSubmittersOneOwner(t *testing.T) {
 	if l.Stale() {
 		t.Fatal("stale after the owner's last compile")
 	}
-	if n := th.Assignment().Len(); n != readers*jobsEach {
-		t.Fatalf("%d jobs hold tokens, want %d", n, readers*jobsEach)
+	if n := th.Assignment().Len(); n != 3*readers*jobsEach {
+		t.Fatalf("%d jobs hold tokens, want %d", n, 3*readers*jobsEach)
 	}
 }
 

@@ -34,17 +34,21 @@ func TestRefreshIdleReturnsCachedSnapshot(t *testing.T) {
 func TestDeltaSince(t *testing.T) {
 	tb := New("s1", time.Second)
 	tb.Observe(info("a", 4), 0)
-	g1 := tb.Generation()
+	g1 := tb.Refresh(0)
 	if d, ok := tb.DeltaSince(g1); !ok || !d.Empty() {
 		t.Fatalf("up-to-date consumer: got %+v/%v, want empty/true", d, ok)
 	}
 
-	tb.Observe(info("b", 2), 10*time.Millisecond) // gen+1: add b
-	tb.Observe(info("b", 8), 20*time.Millisecond) // gen+2: update b (nodes)
-	tb.Observe(info("c", 1), 30*time.Millisecond) // gen+3: add c
+	tb.Observe(info("b", 2), 10*time.Millisecond)
+	tb.Refresh(10 * time.Millisecond) // gen+1: add b
+	tb.Observe(info("b", 8), 20*time.Millisecond)
+	tb.Refresh(20 * time.Millisecond) // gen+2: update b (nodes)
+	tb.Observe(info("c", 1), 30*time.Millisecond)
+	tb.Refresh(30 * time.Millisecond) // gen+3: add c
 	tb.Remove("c")
 	tb.Refresh(40 * time.Millisecond) // gen+4: remove c
 	tb.Observe(info("a", 16), 50*time.Millisecond)
+	tb.Refresh(50 * time.Millisecond) // gen+5: update a
 
 	d, ok := tb.DeltaSince(g1)
 	if !ok {
@@ -70,9 +74,11 @@ func TestDeltaSince(t *testing.T) {
 func TestDeltaSinceRingEviction(t *testing.T) {
 	tb := New("s1", time.Second)
 	tb.Observe(info("a", 4), 0)
-	g := tb.Generation()
+	g := tb.Refresh(0)
 	for i := 0; i < deltaRing+2; i++ {
-		tb.Observe(info("a", 5+i), time.Duration(i+1)*time.Millisecond)
+		now := time.Duration(i+1) * time.Millisecond
+		tb.Observe(info("a", 5+i), now)
+		tb.Refresh(now)
 	}
 	if _, ok := tb.DeltaSince(g); ok {
 		t.Fatalf("consumer %d generations behind must fall back to full compile", deltaRing+2)
@@ -110,6 +116,7 @@ func TestActiveSetLookup(t *testing.T) {
 	tb := New("s1", time.Second)
 	tb.Observe(info("a", 4), 0)
 	tb.Observe(info("c", 2), 0)
+	tb.Refresh(0)
 	snap := tb.ActiveSnapshot()
 	if j, ok := snap.Lookup("c"); !ok || j.Nodes != 2 {
 		t.Fatalf("Lookup(c) = %+v/%v", j, ok)

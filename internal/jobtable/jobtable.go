@@ -105,23 +105,24 @@ type Table struct {
 	entries map[string]*Entry
 	timeout time.Duration
 
-	// gen and active publish the epoch snapshot: writers that change the
-	// active membership republish under mu; readers load the pointer with
-	// no lock. gen moves only when the published snapshot really differs,
-	// so a controller can gate recompilation on Generation() alone.
+	// gen and active are the published epoch snapshot. Refresh is the one
+	// publisher; readers load the pointer with no lock. gen moves only
+	// when the published snapshot really differs.
 	gen    atomic.Uint64
 	active atomic.Pointer[ActiveSet]
 
-	// pending/dirty accumulate the job ids touched since the last
-	// publish so a republish patches the snapshot incrementally
-	// (O(pending·log n) merge against the published slice) instead of
-	// re-sorting all entries; minLast conservatively lower-bounds the
-	// heartbeat of any published job, so an idle Refresh proves "no
-	// decay possible" in O(1) and returns the cached snapshot. deltas
-	// is a ring of the last published generation transitions, serving
+	// The writers (Observe, Heartbeat, Merge, Expire, DropServer, Remove)
+	// only record the job ids whose row changed in pending and raise
+	// dirty, so a sighting costs O(1) whatever the table's size; Refresh
+	// patches the snapshot with them (O(pending·log n) merge against the
+	// published slice) instead of re-sorting all entries. dirty is read
+	// without the lock (Unpublished). minLast conservatively lower-bounds
+	// the heartbeat of any published job, so an idle Refresh proves "no
+	// decay possible" in O(1) and returns the cached snapshot. deltas is a
+	// ring of the last published generation transitions, serving
 	// DeltaSince for the scheduler's incremental recompile.
 	pending map[string]struct{}
-	dirty   bool
+	dirty   atomic.Bool
 	minLast time.Duration
 	deltas  []genDelta
 }
@@ -167,33 +168,21 @@ func (t *Table) Timeout() time.Duration { return t.timeout }
 
 // Heartbeat records a liveness sighting of the job at time now, inserting
 // the job if it is new. Heartbeats assert liveness but not I/O activity on
-// this server, so they do not extend Servers. Returns true if the active
-// job set changed (new job, or stale job revived).
-func (t *Table) Heartbeat(info policy.JobInfo, now time.Duration) bool {
+// this server, so they do not extend Servers.
+func (t *Table) Heartbeat(info policy.JobInfo, now time.Duration) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	changed := t.touch(info, now, false)
-	if changed {
-		t.notePendingLocked(info.JobID, now)
-		t.republishLocked(now)
-	}
-	return changed
+	t.touch(info, now, false)
 }
 
 // Observe records that an I/O request from the job arrived at time now on
 // this server. Embedded job metadata counts as a liveness signal, exactly
 // as in the paper where servers learn job state "purely based on real-time
-// I/O behavior". Returns true if the active set changed.
-func (t *Table) Observe(info policy.JobInfo, now time.Duration) bool {
+// I/O behavior".
+func (t *Table) Observe(info policy.JobInfo, now time.Duration) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	changed := t.touch(info, now, true)
-	t.entries[info.JobID].Demand++
-	if changed {
-		t.notePendingLocked(info.JobID, now)
-		t.republishLocked(now)
-	}
-	return changed
+	t.touch(info, now, true).Demand++
 }
 
 // notePendingLocked marks the job id as touched since the last publish
@@ -202,38 +191,42 @@ func (t *Table) Observe(info policy.JobInfo, now time.Duration) bool {
 // so it cannot decay out of it).
 func (t *Table) notePendingLocked(id string, now time.Duration) {
 	t.pending[id] = struct{}{}
-	t.dirty = true
+	t.dirty.Store(true)
 	if e, ok := t.entries[id]; ok && now-e.Last <= t.timeout && e.Last < t.minLast {
 		t.minLast = e.Last
 	}
 }
 
-// touch implements Heartbeat/Observe under t.mu.
-func (t *Table) touch(info policy.JobInfo, now time.Duration, io bool) bool {
+// touch implements Heartbeat/Observe under t.mu: it records the sighting,
+// marks the job pending if the active set could change (new job, stale
+// job revived, attributes or this server's presence moved), and returns
+// the entry.
+func (t *Table) touch(info policy.JobInfo, now time.Duration, io bool) *Entry {
 	e, ok := t.entries[info.JobID]
+	changed := !ok
 	if !ok {
 		e = &Entry{Info: info, Last: now, Servers: map[string]bool{}}
-		if io {
-			e.Servers[t.owner] = true
-		}
 		t.entries[info.JobID] = e
-		return true
-	}
-	changed := now-e.Last > t.timeout // stale → active counts as a change
-	next := info
-	next.Presence = e.Info.Presence // presence is derived, not client-supplied
-	if e.Info != next {
-		changed = true // policy-relevant metadata moved (nodes, user, …)
-	}
-	e.Info = next
-	if now > e.Last {
-		e.Last = now
+	} else {
+		changed = now-e.Last > t.timeout // stale → active counts as a change
+		next := info
+		next.Presence = e.Info.Presence // presence is derived, not client-supplied
+		if e.Info != next {
+			changed = true // policy-relevant metadata moved (nodes, user, …)
+		}
+		e.Info = next
+		if now > e.Last {
+			e.Last = now
+		}
 	}
 	if io && !e.Servers[t.owner] {
 		e.Servers[t.owner] = true
 		changed = true
 	}
-	return changed
+	if changed {
+		t.notePendingLocked(info.JobID, now)
+	}
+	return e
 }
 
 // Active returns the jobs whose last heartbeat is within the timeout as of
@@ -271,39 +264,6 @@ func (t *Table) activeAndMinLocked(now time.Duration) ([]policy.JobInfo, time.Du
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].JobID < out[j].JobID })
 	return out, min
-}
-
-// republishLocked folds the accumulated pending edits into a new
-// snapshot — bumping the generation and recording the delta — only if
-// the published set really changes. When minLast proves no published
-// job can have decayed, the new sorted slice is produced by a single
-// merge of the pending ids against the current snapshot (O(pending·
-// log n + n) with no map walk and no sort); otherwise — decay possible,
-// or bootstrap — it falls back to the full rebuild and diffs the two
-// sorted slices. Callers hold t.mu for writing.
-func (t *Table) republishLocked(now time.Duration) uint64 {
-	cur := t.active.Load()
-	var jobs []policy.JobInfo
-	var d Delta
-	if now-t.minLast <= t.timeout {
-		jobs, d = t.applyPendingLocked(cur.Jobs, now)
-	} else {
-		jobs, t.minLast = t.activeAndMinLocked(now)
-		d = diffJobs(cur.Jobs, jobs)
-	}
-	t.dirty = false
-	clear(t.pending)
-	if d.Empty() {
-		return cur.Gen
-	}
-	gen := t.gen.Add(1)
-	t.active.Store(&ActiveSet{Gen: gen, Jobs: jobs})
-	if len(t.deltas) == deltaRing {
-		copy(t.deltas, t.deltas[1:])
-		t.deltas = t.deltas[:deltaRing-1]
-	}
-	t.deltas = append(t.deltas, genDelta{gen: gen, d: d})
-	return gen
 }
 
 // applyPendingLocked merges the pending job ids into the published
@@ -390,23 +350,54 @@ func (t *Table) Generation() uint64 { return t.gen.Load() }
 // returned value — including its Jobs slice — must not be mutated.
 func (t *Table) ActiveSnapshot() *ActiveSet { return t.active.Load() }
 
-// Refresh recomputes the active set as of now and republishes the
-// snapshot if membership decayed (heartbeats aged past the timeout) or a
-// clockless mutation (DropServer, Remove) changed it. It returns the
-// current generation. The controller calls this once per λ; activeness
-// is a function of time, so pure decay is otherwise invisible to the
-// write-triggered republishes.
+// Unpublished reports whether a writer has recorded an edit that the
+// next Refresh has yet to fold in. It takes no lock.
+func (t *Table) Unpublished() bool { return t.dirty.Load() }
+
+// Refresh is the table's one publisher. It folds the writers' pending
+// edits, and any decay (heartbeats aged past the timeout as of now), into
+// a new snapshot — bumping the generation and recording the delta — only
+// if the published set really changes, and returns the current
+// generation. The controller's compile is its only caller, so no
+// generation moves between its Refresh and its DeltaSince.
 //
 // The idle pass is O(1): with no pending edits and minLast proving no
 // published job can have aged out, Refresh returns the cached
 // snapshot's generation without allocating or walking the entries.
+// Otherwise, when minLast proves no published job can have decayed, the
+// new sorted slice is a single merge of the pending ids against the
+// current snapshot (O(pending·log n + n), no map walk and no sort); when
+// decay is possible, or at bootstrap, it is the full rebuild, diffed
+// against the current slice.
 func (t *Table) Refresh(now time.Duration) uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !t.dirty && now-t.minLast <= t.timeout {
-		return t.active.Load().Gen
+	cur := t.active.Load()
+	fresh := now-t.minLast <= t.timeout
+	if !t.dirty.Load() && fresh {
+		return cur.Gen
 	}
-	return t.republishLocked(now)
+	var jobs []policy.JobInfo
+	var d Delta
+	if fresh {
+		jobs, d = t.applyPendingLocked(cur.Jobs, now)
+	} else {
+		jobs, t.minLast = t.activeAndMinLocked(now)
+		d = diffJobs(cur.Jobs, jobs)
+	}
+	t.dirty.Store(false)
+	clear(t.pending)
+	if d.Empty() {
+		return cur.Gen
+	}
+	gen := t.gen.Add(1)
+	t.active.Store(&ActiveSet{Gen: gen, Jobs: jobs})
+	if len(t.deltas) == deltaRing {
+		copy(t.deltas, t.deltas[1:])
+		t.deltas = t.deltas[:deltaRing-1]
+	}
+	t.deltas = append(t.deltas, genDelta{gen: gen, d: d})
+	return gen
 }
 
 // DeltaSince returns the squashed job-set change from generation g to
@@ -523,23 +514,21 @@ func (t *Table) Expire(now, keep time.Duration) int {
 		if now-e.Last > keep {
 			delete(t.entries, id)
 			t.pending[id] = struct{}{}
-			t.dirty = true
+			t.dirty.Store(true)
 			n++
 		}
 	}
-	t.republishLocked(now)
 	return n
 }
 
-// Remove deletes the job outright (client notified exit, §4.2). The
-// published snapshot is not touched here (no clock); the id is marked
-// pending so the next Refresh folds the departure in.
+// Remove deletes the job outright (client notified exit, §4.2); the next
+// Refresh folds the departure in.
 func (t *Table) Remove(jobID string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	delete(t.entries, jobID)
 	t.pending[jobID] = struct{}{}
-	t.dirty = true
+	t.dirty.Store(true)
 }
 
 // Len returns the number of entries (active or not).
@@ -564,69 +553,55 @@ func (t *Table) Snapshot() []Entry {
 
 // Merge folds a peer snapshot into the table: new jobs are learned,
 // fresher heartbeats win, and server sets are unioned (the token-count
-// addition of Figure 5). Returns true if the active set or any presence
-// changed as of now.
-func (t *Table) Merge(snap []Entry, now time.Duration) bool {
+// addition of Figure 5). Each job whose activeness or presence changed
+// as of now is marked pending for the next Refresh.
+func (t *Table) Merge(snap []Entry, now time.Duration) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	changed := false
 	for i := range snap {
 		in := &snap[i]
 		e, ok := t.entries[in.Info.JobID]
-		entryChanged := false
+		changed := !ok
 		if !ok {
 			cp := in.clone()
 			t.entries[in.Info.JobID] = &cp
-			entryChanged = true
 		} else {
 			if in.Last > e.Last {
 				wasStale := now-e.Last > t.timeout
 				e.Last = in.Last
-				if wasStale && now-e.Last <= t.timeout {
-					entryChanged = true
-				}
+				changed = wasStale && now-e.Last <= t.timeout
 			}
 			for s := range in.Servers {
 				if !e.Servers[s] {
 					e.Servers[s] = true
-					entryChanged = true
+					changed = true
 				}
 			}
 			if in.Demand > e.Demand {
 				e.Demand = in.Demand
 			}
 		}
-		if entryChanged {
+		if changed {
 			t.notePendingLocked(in.Info.JobID, now)
-			changed = true
 		}
 	}
-	if changed {
-		t.republishLocked(now)
-	}
-	return changed
 }
 
 // DropServer removes a server from every entry's observed-server set —
 // the failover path: when the cluster fabric declares a member failed,
 // each job that was present on it sheds that presence, so the 1/k token
-// deweighting (Figure 5) shifts the job's share onto the survivors.
-// Returns true if any entry changed. DropServer has no clock, so the
-// published snapshot is not touched here; the next Refresh (the
-// controller's λ tick) folds the presence change into a new generation.
-func (t *Table) DropServer(server string) bool {
+// deweighting (Figure 5) shifts the job's share onto the survivors once
+// the next Refresh folds the change in.
+func (t *Table) DropServer(server string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	changed := false
 	for id, e := range t.entries {
 		if e.Servers[server] {
 			delete(e.Servers, server)
 			t.pending[id] = struct{}{}
-			t.dirty = true
-			changed = true
+			t.dirty.Store(true)
 		}
 	}
-	return changed
 }
 
 // AllGather performs the λ-interval synchronization across a set of

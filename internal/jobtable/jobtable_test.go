@@ -1,6 +1,7 @@
 package jobtable
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -14,11 +15,14 @@ func info(id string, nodes int) policy.JobInfo {
 
 func TestHeartbeatInsertAndRefresh(t *testing.T) {
 	tb := New("s1", time.Second)
-	if !tb.Heartbeat(info("a", 4), 0) {
-		t.Fatal("first heartbeat should report a new job")
+	tb.Heartbeat(info("a", 4), 0)
+	if !tb.Unpublished() {
+		t.Fatal("first heartbeat should record a new job")
 	}
-	if tb.Heartbeat(info("a", 4), 500*time.Millisecond) {
-		t.Fatal("refresh within timeout should not report change")
+	tb.Refresh(0)
+	tb.Heartbeat(info("a", 4), 500*time.Millisecond)
+	if tb.Unpublished() {
+		t.Fatal("refresh within timeout should not record a change")
 	}
 	if st, ok := tb.StatusOf("a", 700*time.Millisecond); !ok || st != Active {
 		t.Fatalf("status = %v/%v, want active", st, ok)
@@ -27,8 +31,9 @@ func TestHeartbeatInsertAndRefresh(t *testing.T) {
 		t.Fatal("job should be inactive after timeout")
 	}
 	// A heartbeat after going stale counts as a change (job revived).
-	if !tb.Heartbeat(info("a", 4), 3*time.Second) {
-		t.Fatal("revival should report change")
+	tb.Heartbeat(info("a", 4), 3*time.Second)
+	if !tb.Unpublished() {
+		t.Fatal("revival should record a change")
 	}
 }
 
@@ -219,10 +224,14 @@ func TestDropServerShiftsPresence(t *testing.T) {
 	if act := a.Active(0); act[0].Presence != 2 {
 		t.Fatalf("presence = %d before drop, want 2", act[0].Presence)
 	}
-	if !a.DropServer("s2") {
-		t.Fatal("DropServer should report a change")
+	a.Refresh(0)
+	a.DropServer("s2")
+	if !a.Unpublished() {
+		t.Fatal("DropServer should record a change")
 	}
-	if a.DropServer("s2") {
+	a.Refresh(0)
+	a.DropServer("s2")
+	if a.Unpublished() {
 		t.Fatal("second DropServer should be a no-op")
 	}
 	if act := a.Active(0); act[0].Presence != 1 {
@@ -233,17 +242,17 @@ func TestDropServerShiftsPresence(t *testing.T) {
 	}
 }
 
-// The epoch snapshot: Observe/Heartbeat bump the generation only when
-// membership (or a policy-relevant attribute) of the active set actually
-// changes — never per request — and the published snapshot matches
-// Active().
+// The epoch snapshot: Observe/Heartbeat sightings move the generation at
+// the next Refresh only when membership (or a policy-relevant attribute)
+// of the active set actually changes — never per request — and the
+// published snapshot matches Active().
 func TestGenerationMovesOnlyOnActiveSetChanges(t *testing.T) {
 	tb := New("s1", time.Second)
 	if tb.Generation() != 0 {
 		t.Fatalf("fresh table generation = %d, want 0", tb.Generation())
 	}
 	tb.Observe(info("a", 4), 0)
-	g1 := tb.Generation()
+	g1 := tb.Refresh(0)
 	if g1 == 0 {
 		t.Fatal("new job must bump the generation")
 	}
@@ -252,8 +261,8 @@ func TestGenerationMovesOnlyOnActiveSetChanges(t *testing.T) {
 		tb.Observe(info("a", 4), time.Duration(i)*time.Millisecond)
 		tb.Heartbeat(info("a", 4), time.Duration(i)*time.Millisecond)
 	}
-	if tb.Generation() != g1 {
-		t.Fatalf("steady traffic moved the generation %d → %d", g1, tb.Generation())
+	if g := tb.Refresh(500 * time.Millisecond); g != g1 {
+		t.Fatalf("steady traffic moved the generation %d → %d", g1, g)
 	}
 	snap := tb.ActiveSnapshot()
 	if snap.Gen != g1 || len(snap.Jobs) != 1 || snap.Jobs[0].JobID != "a" {
@@ -261,29 +270,110 @@ func TestGenerationMovesOnlyOnActiveSetChanges(t *testing.T) {
 	}
 	// A policy-relevant attribute change (job resized) is a new epoch.
 	tb.Observe(info("a", 8), 600*time.Millisecond)
-	g2 := tb.Generation()
+	g2 := tb.Refresh(600 * time.Millisecond)
 	if g2 == g1 {
 		t.Fatal("node-count change must bump the generation")
 	}
 	// Second job arrival bumps; its steady heartbeats do not.
 	tb.Heartbeat(info("b", 1), 700*time.Millisecond)
-	g3 := tb.Generation()
+	g3 := tb.Refresh(700 * time.Millisecond)
 	if g3 == g2 {
 		t.Fatal("new job via heartbeat must bump the generation")
 	}
 	tb.Heartbeat(info("b", 1), 800*time.Millisecond)
-	if tb.Generation() != g3 {
+	if tb.Refresh(800*time.Millisecond) != g3 {
 		t.Fatal("repeat heartbeat must not bump the generation")
 	}
 }
 
-// Pure decay — a job going silent — is invisible to write-triggered
-// republishes; Refresh (the controller's λ tick) catches it.
+// Refresh is the table's one publisher: every writer only records its
+// edit — the generation and the snapshot stay put and Unpublished turns
+// true — and one Refresh then publishes all of them as one generation.
+func TestOnlyRefreshPublishes(t *testing.T) {
+	const at = 5 * time.Second
+	setup := func() (*Table, uint64, *ActiveSet) {
+		tb := New("s1", time.Second)
+		tb.Observe(info("old", 1), 0)       // silent since 0: revived below
+		tb.Heartbeat(info("ancient", 1), 0) // past 4× the timeout at `at`
+		for _, id := range []string{"big", "gone", "shared"} {
+			tb.Observe(info(id, 2), at)
+		}
+		tb.Merge([]Entry{{Info: info("shared", 2), Last: at, Servers: map[string]bool{"s2": true}}}, at)
+		g := tb.Refresh(at)
+		return tb, g, tb.ActiveSnapshot()
+	}
+	writers := []struct {
+		name  string
+		write func(*Table)
+	}{
+		{"Observe of a new job", func(tb *Table) { tb.Observe(info("new", 1), at) }},
+		{"Observe of a revived job", func(tb *Table) { tb.Observe(info("old", 1), at) }},
+		{"Observe of a resized job", func(tb *Table) { tb.Observe(info("big", 8), at) }},
+		{"Heartbeat of a new job", func(tb *Table) { tb.Heartbeat(info("beat", 1), at) }},
+		{"Merge adding a job and a server", func(tb *Table) {
+			tb.Merge([]Entry{
+				{Info: info("peer", 1), Last: at, Servers: map[string]bool{"s3": true}},
+				{Info: info("gone", 2), Last: at, Servers: map[string]bool{"s3": true}},
+			}, at)
+		}},
+		{"Expire", func(tb *Table) { tb.Expire(at, 0) }},
+		{"DropServer", func(tb *Table) { tb.DropServer("s2") }},
+		{"Remove", func(tb *Table) { tb.Remove("gone") }},
+	}
+	check := func(tb *Table, name string, g uint64, prev *ActiveSet) {
+		t.Helper()
+		if tb.Generation() != g || tb.ActiveSnapshot() != prev || !tb.Unpublished() {
+			t.Fatalf("%s: generation %d → %d, snapshot replaced %v, unpublished %v",
+				name, g, tb.Generation(), tb.ActiveSnapshot() != prev, tb.Unpublished())
+		}
+	}
+	// Each writer alone, from a freshly published table.
+	for _, w := range writers {
+		tb, g, prev := setup()
+		if tb.Unpublished() {
+			t.Fatal("unpublished right after Refresh")
+		}
+		w.write(tb)
+		check(tb, w.name, g, prev)
+	}
+	// All of them in turn, then the one publication.
+	tb, g, prev := setup()
+	for _, w := range writers {
+		w.write(tb)
+		check(tb, w.name, g, prev)
+	}
+	if gen := tb.Refresh(at); gen != g+1 || tb.Unpublished() {
+		t.Fatalf("Refresh published generation %d (want %d), unpublished %v", gen, g+1, tb.Unpublished())
+	}
+	snap := tb.ActiveSnapshot()
+	if !reflect.DeepEqual(snap.Jobs, tb.Active(at)) {
+		t.Fatalf("snapshot %+v, Active %+v", snap.Jobs, tb.Active(at))
+	}
+	one := func(id string, nodes int) policy.JobInfo {
+		j := info(id, nodes)
+		j.Presence = 1
+		return j
+	}
+	want := Delta{
+		Added:   []policy.JobInfo{one("beat", 1), one("new", 1), one("old", 1), one("peer", 1)},
+		Updated: []policy.JobInfo{one("big", 8), one("shared", 2)},
+		Removed: []string{"gone"},
+	}
+	if d, ok := tb.DeltaSince(g); !ok || !reflect.DeepEqual(d, want) {
+		t.Fatalf("DeltaSince(%d) = %+v/%v, want %+v", g, d, ok, want)
+	}
+	if len(prev.Jobs) != 3 || len(snap.Jobs) != 6 {
+		t.Fatalf("published %d jobs then %d, want 3 then 6", len(prev.Jobs), len(snap.Jobs))
+	}
+}
+
+// Pure decay — a job going silent — has no writer to record it; Refresh
+// (the controller's λ tick) catches it.
 func TestRefreshCatchesDecayAndDropServer(t *testing.T) {
 	tb := New("s1", time.Second)
 	tb.Observe(info("a", 4), 0)
 	tb.Observe(info("b", 1), 0)
-	g := tb.Generation()
+	g := tb.Refresh(0)
 	// Nothing written after t=0; job "b"... both decay at 2s.
 	if got := tb.Refresh(500 * time.Millisecond); got != g {
 		t.Fatalf("refresh inside the window moved generation %d → %d", g, got)
@@ -301,10 +391,10 @@ func TestRefreshCatchesDecayAndDropServer(t *testing.T) {
 	a.Observe(info("j", 4), 0)
 	b.Observe(info("j", 4), 0)
 	AllGather([]*Table{a, b}, 0)
-	gd := a.Generation()
+	gd := a.Refresh(0)
 	a.DropServer("s2")
 	if a.Generation() != gd {
-		t.Fatal("DropServer itself must not republish (it has no clock)")
+		t.Fatal("DropServer itself must not publish")
 	}
 	if a.Refresh(0) == gd {
 		t.Fatal("Refresh after DropServer must publish the presence change")

@@ -894,8 +894,9 @@ func (s *Server) submit(r *sched.Request) {
 }
 
 // nudgeIfStale is the nudge rule, for callers that have just fed the job
-// table: a table generation the scheduler was not compiled against earns
-// the controller goroutine a wake-up. No compile ever runs on the caller.
+// table: unpublished edits, or a generation the scheduler was not
+// compiled against, earn the controller goroutine a wake-up. No compile
+// (and no publication) ever runs on the caller.
 func (s *Server) nudgeIfStale() {
 	if s.ctl.Stale() {
 		select {
