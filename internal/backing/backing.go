@@ -26,16 +26,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 )
 
 // FileMeta describes one staged object: which entry it belongs to, which
 // stripe of the entry it holds, and the stripe layout recorded at
-// creation so recovery can reassemble the full file.
+// creation so recovery can rebuild the full file.
 type FileMeta struct {
 	// Owner is the server (listen address) that staged the object.
 	// Directory entries are replicated on every server, so the owner is
@@ -70,11 +70,12 @@ type Store interface {
 	// by meta (owner, path, stripe), creating or extending it as needed
 	// and updating the manifest entry's layout metadata.
 	WriteRange(meta FileMeta, off int64, data []byte) error
-	// ReadObject returns the full content and metadata of the object for
-	// (owner, path, stripe). An empty owner matches any — file stripes
-	// are unique per (path, stripe) in steady state, and for replicated
-	// directory entries any owner's copy is equivalent.
-	ReadObject(owner, path string, stripe int) ([]byte, FileMeta, error)
+	// ReadRange reads len(buf) bytes at byte offset off of the object
+	// identified by meta (owner, path, stripe) — WriteRange's mirror, so
+	// stage-in holds one buffer of an object at a time, never the whole
+	// object. It returns fewer bytes only with an error: io.EOF past the
+	// staged size, ErrNotStaged when the store holds no such object.
+	ReadRange(meta FileMeta, off int64, buf []byte) (int, error)
 	// DeleteObject removes the single object (owner, path, stripe).
 	// Deliberately the only delete in the interface: unlink write-back
 	// and recovery cleanup each remove exactly the rows they own — a
@@ -164,43 +165,27 @@ func (d *Dir) saveRow(key string, m FileMeta) error {
 }
 
 // rows loads every metadata row in the store.
-func (d *Dir) rows() ([]FileMeta, []string, error) {
+func (d *Dir) rows() ([]FileMeta, error) {
 	paths, err := filepath.Glob(filepath.Join(d.root, "meta", "*.json"))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var metas []FileMeta
-	var keys []string
 	for _, p := range paths {
 		raw, err := os.ReadFile(p)
 		if err != nil {
 			if os.IsNotExist(err) {
 				continue // row deleted under the glob
 			}
-			return nil, nil, fmt.Errorf("backing: reading row: %w", err)
+			return nil, fmt.Errorf("backing: reading row: %w", err)
 		}
 		var m FileMeta
 		if err := json.Unmarshal(raw, &m); err != nil {
-			return nil, nil, fmt.Errorf("backing: parsing %s: %w", filepath.Base(p), err)
+			return nil, fmt.Errorf("backing: parsing %s: %w", filepath.Base(p), err)
 		}
 		metas = append(metas, m)
-		keys = append(keys, strings.TrimSuffix(filepath.Base(p), ".json"))
 	}
-	return metas, keys, nil
-}
-
-// removeObjectLocked deletes one row and its content file. Caller holds
-// d.mu.
-func (d *Dir) removeObjectLocked(key string, isDir bool) error {
-	if err := os.Remove(d.rowPath(key)); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("backing: %w", err)
-	}
-	if !isDir {
-		if err := os.Remove(d.objectPath(key)); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("backing: %w", err)
-		}
-	}
-	return nil
+	return metas, nil
 }
 
 // WriteRange implements Store.
@@ -235,87 +220,62 @@ func (d *Dir) WriteRange(meta FileMeta, off int64, data []byte) error {
 	return d.saveRow(key, meta)
 }
 
-// ReadObject implements Store.
-func (d *Dir) ReadObject(owner, path string, stripe int) ([]byte, FileMeta, error) {
-	d.mu.Lock()
-	var meta FileMeta
-	var key string
-	found := false
-	var err error
-	if owner != "" {
-		key = objKey(owner, path, stripe)
-		meta, found, err = d.loadRow(key)
-	} else {
-		var metas []FileMeta
-		var keys []string
-		metas, keys, err = d.rows()
-		for i, m := range metas {
-			if m.Path == path && m.Stripe == stripe {
-				meta, key, found = m, keys[i], true
-				break
-			}
-		}
+// ReadRange implements Store. The row's recorded size bounds the read:
+// an object file longer than its row holds no staged bytes past it.
+func (d *Dir) ReadRange(meta FileMeta, off int64, buf []byte) (int, error) {
+	if off < 0 {
+		return 0, fmt.Errorf("backing: negative offset %d", off)
 	}
+	key := objKey(meta.Owner, meta.Path, meta.Stripe)
+	d.mu.Lock()
+	row, ok, err := d.loadRow(key)
 	d.mu.Unlock()
 	if err != nil {
-		return nil, FileMeta{}, err
+		return 0, err
 	}
-	if !found {
-		return nil, FileMeta{}, fmt.Errorf("%w: %s stripe %d", ErrNotStaged, path, stripe)
+	if !ok {
+		return 0, fmt.Errorf("%w: %s stripe %d", ErrNotStaged, meta.Path, meta.Stripe)
 	}
-	if meta.IsDir || meta.Size == 0 {
-		return nil, meta, nil
-	}
-	data, err := os.ReadFile(d.objectPath(key))
-	if err != nil {
-		return nil, meta, fmt.Errorf("backing: reading %s: %w", path, err)
-	}
-	if int64(len(data)) > meta.Size {
-		data = data[:meta.Size]
-	}
-	return data, meta, nil
-}
-
-// Delete removes every staged object of path (all stripes, all owners)
-// — an operator/GC helper and test utility, intentionally NOT part of
-// the Store interface (see DeleteObject's comment).
-func (d *Dir) Delete(path string) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	metas, keys, err := d.rows()
-	if err != nil {
-		return err
-	}
-	for i, m := range metas {
-		if m.Path != path {
-			continue
+	n := 0
+	if want := min(int64(len(buf)), row.Size-off); want > 0 {
+		f, err := os.Open(d.objectPath(key))
+		if err != nil {
+			return 0, fmt.Errorf("backing: reading %s: %w", meta.Path, err)
 		}
-		if err := d.removeObjectLocked(keys[i], m.IsDir); err != nil {
-			return err
+		n, err = f.ReadAt(buf[:want], off)
+		f.Close()
+		if err != nil {
+			return n, fmt.Errorf("backing: reading %s: %w", meta.Path, err)
 		}
 	}
-	return nil
+	if n < len(buf) {
+		return n, io.EOF
+	}
+	return n, nil
 }
 
-// DeleteObject implements Store.
+// DeleteObject implements Store: the row, then its content file, if any
+// (a directory row has none).
 func (d *Dir) DeleteObject(owner, path string, stripe int) error {
 	key := objKey(owner, path, stripe)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	meta, ok, err := d.loadRow(key)
-	if err != nil {
+	if _, ok, err := d.loadRow(key); err != nil || !ok {
 		return err
 	}
-	if !ok {
-		return nil
+	if err := os.Remove(d.rowPath(key)); err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("backing: %w", err)
 	}
-	return d.removeObjectLocked(key, meta.IsDir)
+	if err := os.Remove(d.objectPath(key)); err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("backing: %w", err)
+	}
+	return nil
 }
 
 // Manifest implements Store.
 func (d *Dir) Manifest() ([]FileMeta, error) {
 	d.mu.Lock()
-	out, _, err := d.rows()
+	out, err := d.rows()
 	d.mu.Unlock()
 	if err != nil {
 		return nil, err
@@ -330,93 +290,4 @@ func (d *Dir) Manifest() ([]FileMeta, error) {
 		return out[i].Owner < out[j].Owner
 	})
 	return out, nil
-}
-
-// Reassemble stitches a striped file back together from its staged
-// stripe objects: global unit u lives on stripe u mod stripes, so the
-// full content interleaves each stripe object in unit-sized chunks.
-// Reassembly is best-effort — it stops at the first missing byte (an
-// unstaged stripe truncates the file at the gap), which is the inherent
-// contract of asynchronous write-back; a flush before the failure makes
-// it exact.
-func Reassemble(store Store, path string, stripes int, unit int64) ([]byte, error) {
-	// One manifest scan maps stripes to owners; the per-stripe reads are
-	// then direct row lookups.
-	manifest, err := store.Manifest()
-	if err != nil {
-		return nil, err
-	}
-	rowOwner := map[int]string{}
-	for _, m := range manifest {
-		if m.Path == path && !m.IsDir {
-			rowOwner[m.Stripe] = m.Owner
-		}
-	}
-	return reassembleRows(store, path, stripes, unit, rowOwner)
-}
-
-// reassembleRows interleaves the stripe objects named by rowOwner
-// (stripe index → staging owner); stripes without a row truncate the
-// file at their first unit.
-func reassembleRows(store Store, path string, stripes int, unit int64, rowOwner map[int]string) ([]byte, error) {
-	if stripes <= 1 {
-		owner, ok := rowOwner[0]
-		if !ok {
-			return nil, fmt.Errorf("%w: %s stripe 0", ErrNotStaged, path)
-		}
-		data, _, err := store.ReadObject(owner, path, 0)
-		return data, err
-	}
-	if unit <= 0 {
-		return nil, fmt.Errorf("backing: reassemble %s: no stripe unit", path)
-	}
-	parts := make([][]byte, stripes)
-	for i := 0; i < stripes; i++ {
-		owner, ok := rowOwner[i]
-		if !ok {
-			continue // missing stripe: truncate at its first unit
-		}
-		data, _, err := store.ReadObject(owner, path, i)
-		if err != nil {
-			continue
-		}
-		parts[i] = data
-	}
-	return Interleave(parts, unit), nil
-}
-
-// Interleave stitches per-stripe local contents back into the global
-// byte stream of a round-robin layout: global unit u lives on stripe
-// u mod len(parts). It stops at the first exhausted stripe that was
-// expected to contribute a full unit — the longest prefix every stripe
-// agrees on — so a straggling stripe can truncate but never corrupt.
-// Join-time rebalancing shares this with failover reassembly: both
-// rebuild a file from its stripes, one from live servers, one from
-// staged objects.
-func Interleave(parts [][]byte, unit int64) []byte {
-	if len(parts) == 0 {
-		return nil
-	}
-	if len(parts) == 1 {
-		return parts[0]
-	}
-	cursors := make([]int64, len(parts))
-	var out []byte
-	for u := int64(0); ; u++ {
-		i := int(u % int64(len(parts)))
-		avail := int64(len(parts[i])) - cursors[i]
-		if avail <= 0 {
-			return out
-		}
-		take := unit
-		if take > avail {
-			take = avail
-		}
-		out = append(out, parts[i][cursors[i]:cursors[i]+take]...)
-		cursors[i] += take
-		if take < unit {
-			// A partial unit is the file's tail.
-			return out
-		}
-	}
 }

@@ -1,9 +1,27 @@
 package backing
 
 import (
-	"bytes"
+	"errors"
+	"io"
 	"testing"
 )
+
+// readStaged reads the whole object (owner, path, stripe) and its row;
+// an empty owner matches any.
+func readStaged(s Store, owner, path string, stripe int) ([]byte, FileMeta, error) {
+	manifest, err := s.Manifest()
+	if err != nil {
+		return nil, FileMeta{}, err
+	}
+	for _, m := range manifest {
+		if m.Path == path && m.Stripe == stripe && (owner == "" || m.Owner == owner) {
+			data := make([]byte, m.Size)
+			_, err := s.ReadRange(m, 0, data)
+			return data, m, err
+		}
+	}
+	return nil, FileMeta{}, ErrNotStaged
+}
 
 func TestDirWriteReadDelete(t *testing.T) {
 	d, err := OpenDir(t.TempDir())
@@ -17,26 +35,34 @@ func TestDirWriteReadDelete(t *testing.T) {
 	if err := d.WriteRange(meta, 6, []byte("world")); err != nil {
 		t.Fatal(err)
 	}
-	data, m, err := d.ReadObject("", "/a", 0)
+	data, m, err := readStaged(d, "", "/a", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(data) != "hello world" || m.Size != 11 {
 		t.Fatalf("read %q size %d", data, m.Size)
 	}
+	// Positional reads: a middle range, then one that runs past the size.
+	buf := make([]byte, 5)
+	if n, err := d.ReadRange(meta, 3, buf); err != nil || string(buf[:n]) != "lo wo" {
+		t.Fatalf("ReadRange(3) = %q, %v", buf[:n], err)
+	}
+	if n, err := d.ReadRange(meta, 8, buf); err != io.EOF || string(buf[:n]) != "rld" {
+		t.Fatalf("ReadRange(8) = %q, %v; want \"rld\", EOF", buf[:n], err)
+	}
 	// Overwrite inside the object must not shrink it.
 	if err := d.WriteRange(meta, 0, []byte("HELLO")); err != nil {
 		t.Fatal(err)
 	}
-	data, _, _ = d.ReadObject("s1", "/a", 0)
+	data, _, _ = readStaged(d, "s1", "/a", 0)
 	if string(data) != "HELLO world" {
 		t.Fatalf("after overwrite: %q", data)
 	}
-	if err := d.Delete("/a"); err != nil {
+	if err := d.DeleteObject("s1", "/a", 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := d.ReadObject("", "/a", 0); err == nil {
-		t.Fatal("read after delete should fail")
+	if _, err := d.ReadRange(meta, 0, buf); !errors.Is(err, ErrNotStaged) {
+		t.Fatalf("read after delete: %v, want ErrNotStaged", err)
 	}
 }
 
@@ -58,52 +84,15 @@ func TestDirManifestPersists(t *testing.T) {
 	if err != nil || len(manifest) != 2 {
 		t.Fatalf("manifest = %v err=%v", manifest, err)
 	}
-	data, m, err := d2.ReadObject("", "/x", 1)
+	data, m, err := readStaged(d2, "", "/x", 1)
 	if err != nil || string(data) != "bbbb" {
 		t.Fatalf("reopened read: %q err=%v", data, err)
 	}
 	if m.Stripes != 2 || m.StripeUnit != 8 || len(m.StripeSet) != 2 {
 		t.Fatalf("layout metadata lost: %+v", m)
 	}
-	_, dm, err := d2.ReadObject("", "/dir", 0)
+	_, dm, err := readStaged(d2, "", "/dir", 0)
 	if err != nil || !dm.IsDir || len(dm.Children) != 1 {
 		t.Fatalf("dir entry lost: %+v err=%v", dm, err)
-	}
-}
-
-func TestReassemble(t *testing.T) {
-	d, _ := OpenDir(t.TempDir())
-	// File of 10 bytes striped over 3 servers, unit 3:
-	// units: [0,3)->s0  [3,6)->s1  [6,9)->s2  [9,10)->s0
-	full := []byte("0123456789")
-	stripes := [][]byte{
-		append(append([]byte{}, full[0:3]...), full[9:10]...), // s0
-		full[3:6], // s1
-		full[6:9], // s2
-	}
-	owners := []string{"s0", "s1", "s2"}
-	for i, part := range stripes {
-		meta := FileMeta{Owner: owners[i], Path: "/f", Stripe: i, Stripes: 3, StripeUnit: 3, StripeSet: owners}
-		if err := d.WriteRange(meta, 0, part); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := Reassemble(d, "/f", 3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, full) {
-		t.Fatalf("reassembled %q, want %q", got, full)
-	}
-	// Missing stripe truncates at the gap rather than corrupting.
-	if err := d.DeleteObject("s1", "/f", 1); err != nil {
-		t.Fatal(err)
-	}
-	got, err = Reassemble(d, "/f", 3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, full[:3]) {
-		t.Fatalf("truncated reassembly %q, want %q", got, full[:3])
 	}
 }

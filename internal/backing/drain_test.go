@@ -99,7 +99,7 @@ func TestDrainAndRehydrate(t *testing.T) {
 		t.Fatal(err)
 	}
 	pumpAll(t, d)
-	if _, _, err := store.ReadObject("", "/ckpt/a", 0); err == nil {
+	if _, _, err := readStaged(store, "", "/ckpt/a", 0); err == nil {
 		t.Fatal("object should be deleted after unlink drain")
 	}
 }
@@ -167,7 +167,7 @@ func TestRecoverSegmentKeepsUnstagedLocalBytes(t *testing.T) {
 	if string(got) != want {
 		t.Fatalf("adopted %q, want %q (un-staged tail lost)", got, want)
 	}
-	if data, _, err := store.ReadObject("", "/f", 0); err != nil || string(data) != want {
+	if data, _, err := readStaged(store, "", "/f", 0); err != nil || string(data) != want {
 		t.Fatalf("restaged object %q err=%v, want %q", data, err, want)
 	}
 }
@@ -191,7 +191,7 @@ func TestRecoverSegmentTruncatesShrunkObject(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The file truncates at the gap: only unit A survives.
-	data, meta, err := store.ReadObject("", "/f", 0)
+	data, meta, err := readStaged(store, "", "/f", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestRecoverSegmentAdoptsNeverStagedFile(t *testing.T) {
 	if err != nil || n != 4 || string(got[:n]) != "AAAA" {
 		t.Fatalf("adopted prefix: %q n=%d err=%v", got[:n], n, err)
 	}
-	if data, _, err := store.ReadObject("s1", "/f", 0); err != nil || string(data) != "AAAA" {
+	if data, _, err := readStaged(store, "s1", "/f", 0); err != nil || string(data) != "AAAA" {
 		t.Fatalf("restaged object: %q err=%v", data, err)
 	}
 }
@@ -298,17 +298,17 @@ func TestRecoverSegment(t *testing.T) {
 	}
 	// The backing store converged on the new layout: exactly one object
 	// remains for /f, owned by s0, holding the full bytes.
-	data, m, err := store.ReadObject("", "/f", 0)
+	data, m, err := readStaged(store, "", "/f", 0)
 	if err != nil || !bytes.Equal(data, full) {
 		t.Fatalf("backing after recovery: %q err=%v", data, err)
 	}
 	if m.Owner != "s0" || m.Stripes != 1 {
 		t.Fatalf("backing meta after recovery: %+v", m)
 	}
-	if _, _, err := store.ReadObject("", "/f", 1); err == nil {
+	if _, _, err := readStaged(store, "", "/f", 1); err == nil {
 		t.Fatal("stale stripe 1 object should be deleted")
 	}
-	if _, _, err := store.ReadObject("", "/f", 2); err == nil {
+	if _, _, err := readStaged(store, "", "/f", 2); err == nil {
 		t.Fatal("stale stripe 2 object should be deleted")
 	}
 }

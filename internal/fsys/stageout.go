@@ -1,6 +1,7 @@
 package fsys
 
 import (
+	"io"
 	"sort"
 
 	"themisio/internal/storage"
@@ -138,12 +139,14 @@ func (s *Shard) takeLocked(p string, n *node, budget int64) (harvest, int64) {
 	return h, taken
 }
 
-// chunksOf materializes a harvest into chunks of at most chunkBytes.
-// Called without the shard lock. Spans beyond the file's current size
-// (stale marks from a raced repair) are discarded; a short read inside
-// the size (a store error) re-marks the unread remainder so taken bytes
-// never silently leave the write-back bookkeeping.
-func (s *Shard) chunksOf(h harvest, chunkBytes int64, out []DirtyChunk) []DirtyChunk {
+// chunksOf materializes a harvest into chunks of at most chunkBytes,
+// carved from into when it is non-nil (the caller sized it to the
+// harvest) and allocated otherwise. Called without the shard lock. Spans
+// beyond the file's current size (stale marks from a raced repair) are
+// discarded; a short read inside the size (a store error) re-marks the
+// unread remainder so taken bytes never silently leave the write-back
+// bookkeeping.
+func (s *Shard) chunksOf(h harvest, chunkBytes int64, into []byte, out []DirtyChunk) []DirtyChunk {
 	n, base := h.n, h.base
 	emitted := false
 	size := n.index.Size()
@@ -159,7 +162,12 @@ func (s *Shard) chunksOf(h harvest, chunkBytes int64, out []DirtyChunk) []DirtyC
 			if end > span.End() {
 				end = span.End()
 			}
-			buf := make([]byte, end-off)
+			var buf []byte
+			if into != nil {
+				buf, into = into[:end-off], into[end-off:]
+			} else {
+				buf = make([]byte, end-off)
+			}
 			got := 0
 			for _, sl := range n.index.Resolve(off, int64(len(buf))) {
 				m, err := s.store.ReadAt(sl.Ext, sl.Off, buf[got:got+int(sl.Len)])
@@ -240,19 +248,18 @@ func (s *Shard) CollectDirty(maxBytes, chunkBytes int64) []DirtyChunk {
 	s.mu.Unlock()
 	// Data copies happen outside the shard lock.
 	for _, h := range files {
-		out = s.chunksOf(h, chunkBytes, out)
+		out = s.chunksOf(h, chunkBytes, nil, out)
 	}
 	return out
 }
 
-// CollectDirtyPath removes and returns all of one file's dirty data as
-// chunks — the synchronous pre-stage recovery performs before dropping
-// or adopting an entry, so no acknowledged write is lost to a copy
-// staler than the live shard.
-func (s *Shard) CollectDirtyPath(p string, chunkBytes int64) []DirtyChunk {
-	if chunkBytes <= 0 {
-		chunkBytes = 1 << 20
-	}
+// CollectDirtyPath removes up to len(buf) bytes of one file's dirty data
+// and returns them as chunks backed by buf — one segment of the
+// synchronous pre-stage recovery performs before dropping or adopting an
+// entry, so no acknowledged write is lost to a copy staler than the live
+// shard. The caller stages the chunks before reusing buf; nil means the
+// file has nothing left to stage.
+func (s *Shard) CollectDirtyPath(p string, buf []byte) []DirtyChunk {
 	p = clean(p)
 	s.mu.Lock()
 	n, ok := s.nodes[p]
@@ -260,9 +267,9 @@ func (s *Shard) CollectDirtyPath(p string, chunkBytes int64) []DirtyChunk {
 		s.mu.Unlock()
 		return nil
 	}
-	h, _ := s.takeLocked(p, n, 0)
+	h, _ := s.takeLocked(p, n, int64(len(buf)))
 	s.mu.Unlock()
-	return s.chunksOf(h, chunkBytes, nil)
+	return s.chunksOf(h, int64(len(buf)), buf, nil)
 }
 
 // MarkDirty re-marks a byte range of p as un-staged — the failure path
@@ -343,56 +350,68 @@ func (s *Shard) FilesWithServer(addr string) []string {
 	return out
 }
 
-// RestoreFile installs p with the given full content and layout,
-// replacing any existing local entry (recovery reconstructs the whole
-// file, so a stale local stripe is superseded). The restored entry is
-// clean; the caller marks it dirty when it should restage under the new
-// layout. layoutGen is the layout generation to install (0 selects the
-// creation default): a crash-restart re-hydration preserves the staged
-// generation, while failover adoption passes one past the highest
-// staged generation so clients still holding the pre-failure layout
-// are detectably stale. The child entry is recorded in the local
+// RestoreFile installs the file fi describes — fi.Size bytes of local
+// content under its layout — replacing any local entry at fi.Path. fill
+// writes the content into a fresh extent at its offsets, in any order,
+// and only when it succeeds does the entry swap in, in one critical
+// section: a failed fill leaves the shard as it was, and no request sees
+// a half-restored file. The restored entry is clean; the caller restages
+// it when it should. fi.LayoutGen is the layout generation to install (0
+// selects the creation default): a crash-restart re-hydration preserves
+// the staged generation, while failover adoption passes one past the
+// highest staged generation so clients still holding the pre-failure
+// layout are detectably stale. The child entry is recorded in the local
 // parent directory if this shard holds it.
-func (s *Shard) RestoreFile(p string, data []byte, stripes int, unit int64, set []string, layoutGen uint64) error {
-	p = clean(p)
-	s.mu.Lock()
-	if old, ok := s.nodes[p]; ok {
-		if old.isDir {
-			s.mu.Unlock()
-			return ErrIsDir
-		}
-		if err := s.store.ReleaseAll(old.index.Extents()); err != nil {
-			s.mu.Unlock()
+func (s *Shard) RestoreFile(fi FileInfo, fill func(dst io.WriterAt) error) error {
+	p := clean(fi.Path)
+	var ext storage.Extent
+	if fi.Size > 0 {
+		var err error
+		if ext, err = s.store.Alloc(fi.Size); err != nil {
 			return err
 		}
-		delete(s.nodes, p)
+		if err := fill(extentWriter{s.store, ext}); err != nil {
+			_ = s.store.Release(ext)
+			return err
+		}
 	}
-	s.mu.Unlock()
-	if err := s.CreateEntry(p, false, stripes, unit, set); err != nil {
+	s.mu.Lock()
+	var err error
+	if old, ok := s.nodes[p]; ok && old.isDir {
+		err = ErrIsDir
+	} else if ok {
+		err = s.store.ReleaseAll(old.index.Extents())
+	}
+	if err != nil {
+		s.mu.Unlock()
+		if fi.Size > 0 {
+			_ = s.store.Release(ext)
+		}
 		return err
 	}
-	if len(data) > 0 {
-		if _, err := s.Append(p, data); err != nil {
-			return err
-		}
+	n := s.insertLocked(p, false, fi.Stripes, fi.StripeUnit, fi.StripeSet)
+	n.metaDirty = false
+	if fi.LayoutGen > 0 {
+		n.layoutGen = fi.LayoutGen
 	}
-	s.mu.Lock()
-	if n := s.nodes[p]; n != nil {
-		// Restored content came from (or is immediately restaged to) the
-		// backing store; it starts clean.
-		n.metaDirty = false
-		if n.dirty != nil {
-			n.dirty.Take(0)
-		}
-		if layoutGen > 0 {
-			n.layoutGen = layoutGen
-		}
+	if fi.Size > 0 {
+		n.index.Append(ext)
 	}
 	s.mu.Unlock()
 	if parent, name := split(p); parent != p {
 		_ = s.AddChild(parent, name) // parent may live on another shard
 	}
 	return nil
+}
+
+// extentWriter writes into one store extent, at offsets within it.
+type extentWriter struct {
+	store *storage.Store
+	ext   storage.Extent
+}
+
+func (w extentWriter) WriteAt(p []byte, off int64) (int, error) {
+	return w.store.WriteAt(w.ext, off, p)
 }
 
 // RestoreDir installs a directory entry with the given children (a

@@ -18,8 +18,8 @@ import (
 type brokenStore struct{}
 
 func (brokenStore) WriteRange(backing.FileMeta, int64, []byte) error { return nil }
-func (brokenStore) ReadObject(string, string, int) ([]byte, backing.FileMeta, error) {
-	return nil, backing.FileMeta{}, backing.ErrNotStaged
+func (brokenStore) ReadRange(backing.FileMeta, int64, []byte) (int, error) {
+	return 0, backing.ErrNotStaged
 }
 func (brokenStore) DeleteObject(string, string, int) error { return nil }
 func (brokenStore) Manifest() ([]backing.FileMeta, error) {

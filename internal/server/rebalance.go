@@ -522,35 +522,31 @@ func (m *Migrator) migrateFile(mem *cluster.Membership, fi fsys.FileInfo) error 
 // transport.ReadStripe and written with transport.WriteStripe, so the
 // coordinator holds one segment and every chunk crosses the receiving
 // server's token draw as the rebalance job. When src stops answering
-// and a backing store is configured, src's own staged object stands in:
-// the store is append-structured, so any prefix src staged under this
-// stripe index is byte-identical to the live stripe. The lookup is
-// owner-scoped — an any-owner match could return a not-yet-tombstoned
-// row from an older layout whose bytes interleave differently.
+// and a backing store is configured, src's own staged object stands in
+// for the rest of the stripe, read into the same buffer: the store is
+// append-structured, so any prefix src staged under this stripe index is
+// byte-identical to the live stripe. The lookup is owner-scoped — an
+// any-owner match could return a not-yet-tombstoned row from an older
+// layout whose bytes interleave differently.
 func (m *Migrator) stream(src, dst, path string, idx int, size int64, srcGen, newGen uint64, buf []byte) error {
-	var staged []byte
+	var srcErr error // src stopped answering: read its staged object
 	var segs [][]byte
 	for off := int64(0); off < size; {
 		seg := buf[:min(int64(len(buf)), size-off)]
-		if staged == nil {
-			err := m.pipe(src, func(ctx context.Context, pool *transport.Pool) error {
+		if srcErr == nil {
+			srcErr = m.pipe(src, func(ctx context.Context, pool *transport.Pool) error {
 				head := transport.Request{Job: m.job, Path: path, LayoutGen: srcGen}
 				return transport.ReadStripe(ctx, pool, m.peers.Seq(), &head, off, off+int64(len(seg)),
 					func(at int64, data []byte) { copy(seg[at-off:], data) })
 			})
-			if err != nil {
-				if m.store == nil {
-					return err
-				}
-				data, _, serr := m.store.ReadObject(src, path, idx)
-				if serr != nil || int64(len(data)) < size {
-					return err
-				}
-				staged = data
-			}
 		}
-		if staged != nil {
-			seg = staged[off : off+int64(len(seg))]
+		if srcErr != nil {
+			if m.store == nil {
+				return srcErr
+			}
+			if _, err := m.store.ReadRange(backing.FileMeta{Owner: src, Path: path, Stripe: idx}, off, seg); err != nil {
+				return srcErr
+			}
 		}
 		segs = segs[:0]
 		for c := 0; c < len(seg); c += migChunk {
