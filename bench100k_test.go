@@ -31,8 +31,8 @@ func makeJobsWide(n int) []policy.JobInfo {
 
 // BenchmarkCompile100kJobs measures one controller recompile at 100k
 // active jobs under the three-tier composite policy. "full" is the
-// from-scratch Compile the controller used to pay on every generation
-// move; "delta" is the incremental Recompile over a churn of 10 jobs
+// from-scratch Compile the controller used to pay on every job-set
+// change; "delta" is the incremental Recompile over a churn of 10 jobs
 // (10 departures + 10 arrivals per op, the paper's per-λ churn scale),
 // chained so each op patches the previous op's epoch exactly as the
 // live controller does. The PR 9 acceptance bar is delta ≥ 50× full.
@@ -98,7 +98,7 @@ func BenchmarkLedgerRoll100k(b *testing.B) {
 	const nJobs = 100_000
 	const active = 1_000
 	jobs := makeJobsWide(nJobs)
-	snap := &jobtable.ActiveSet{Gen: 1, Jobs: jobs}
+	set := jobtable.ActiveSet(jobs)
 	shareOf := func(string) float64 { return 1.0 / nJobs }
 
 	b.Run("hier", func(b *testing.B) {
@@ -110,7 +110,7 @@ func BenchmarkLedgerRoll100k(b *testing.B) {
 			for k := 0; k < active; k++ {
 				delta[jobs[(i*active+k)%nJobs].JobID] = 1 << 20
 			}
-			l.Roll(delta, snap.Lookup, shareOf)
+			l.Roll(delta, set.Lookup, shareOf)
 		}
 	})
 }
@@ -119,7 +119,7 @@ func BenchmarkLedgerRoll100k(b *testing.B) {
 // 1k, 20k and 100k registered jobs, pre-filled by one Merge + Refresh.
 // "observe" is the new job's first sighting, which the connection reader
 // that saw it pays; "publish" is the controller's Refresh folding 20
-// such arrivals into the next generation. Off the clock the arrivals are
+// such arrivals into one delta. Off the clock the arrivals are
 // removed again (every 100 sightings, or before each publish), so the
 // table stays within 10 % of its size.
 func BenchmarkArrival(b *testing.B) {

@@ -69,8 +69,7 @@ func TestMuteServerDoesNotStopHeartbeats(t *testing.T) {
 	}
 	defer c.Close()
 	registered := func() bool {
-		_, ok := live.Table().ActiveSnapshot().Lookup(job.JobID)
-		return ok
+		return live.Scheduler().Share(job.JobID) > 0
 	}
 	for deadline := time.Now().Add(5 * time.Second); !registered(); time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {

@@ -9,7 +9,8 @@
 // once, here: the job table's writers (Submit, a heartbeat, a merged peer
 // snapshot, a failover scrub) only record their edits, and whoever has
 // just fed the table and finds Stale() true asks the loop's owner for a
-// Compile, whose Refresh is the table's one publisher. The owner — the
+// Compile, whose Refresh is the table's one publisher and hands that
+// Compile the change since the previous one. The owner — the
 // daemon's controller goroutine, the simulator's event loop — is the
 // only caller of OfferPolicy, Compile and Tick; Submit, Stale,
 // AppliedPolicy and Ledger are safe from anywhere.
@@ -59,12 +60,12 @@ type Loop struct {
 	policy policyScheduler
 	shares shareScheduler
 
-	// compiled is the table generation the scheduler's epoch was built
-	// from; applied the policy version it enforces; offered a version
-	// handed over by OfferPolicy that the next Compile applies.
-	compiled atomic.Uint64
-	applied  atomic.Pointer[version]
-	offered  *version
+	// jobs is the active set the scheduler was last compiled from;
+	// applied the policy version it enforces; offered a version handed
+	// over by OfferPolicy that the next Compile applies.
+	jobs    jobtable.ActiveSet
+	applied atomic.Pointer[version]
+	offered *version
 }
 
 // New returns the controller of the scheduler s over table t.
@@ -88,11 +89,10 @@ func (l *Loop) Submit(r *sched.Request, now time.Duration) {
 	l.sched.Push(r)
 }
 
-// Stale reports whether the job table holds unpublished edits or a
-// newer generation than the scheduler was compiled against.
-func (l *Loop) Stale() bool {
-	return l.table.Unpublished() || l.table.Generation() != l.compiled.Load()
-}
+// Stale reports whether the job table holds edits the scheduler has not
+// been compiled with. A Compile already past its Refresh carries the
+// edits it folded in, so Stale turns false before that compile lands.
+func (l *Loop) Stale() bool { return l.table.Unpublished() }
 
 // OfferPolicy hands the loop the cluster's policy version; the next
 // Compile applies it. It reports whether the version is news. The string
@@ -121,30 +121,28 @@ func (l *Loop) AppliedPolicy() (string, uint64) {
 
 // Compile brings the scheduler up to date: a policy version handed over
 // since the last step is applied (queues are untouched — every queued
-// request re-arbitrates under the new shares on its next draw), the
-// table publishes its pending edits as of now, and if its generation
-// moved the scheduler's epoch is rebuilt — patched with the generation
-// delta in O(churn) when the table's ring still bridges the gap, from
-// scratch otherwise. With nothing moved it costs an atomic load and an
-// O(1) Refresh, so steady traffic compiles nothing.
+// request re-arbitrates under the new shares on its next draw), and the
+// table's Refresh folds its pending edits in as of now and hands over
+// the change since the previous Compile, which patches the scheduler's
+// epoch in O(churn); a baseline scheduler is handed the whole set. With
+// nothing moved it costs an O(1) Refresh, so steady traffic compiles
+// nothing.
 func (l *Loop) Compile(now time.Duration) {
 	if v := l.offered; v != nil {
 		l.offered = nil
 		l.policy.SetPolicy(v.pol)
 		l.applied.Store(v)
 	}
-	last := l.compiled.Load()
-	l.table.Refresh(now)
-	snap := l.table.ActiveSnapshot()
-	if snap.Gen == last {
+	var d jobtable.Delta
+	l.jobs, d = l.table.Refresh(now)
+	if d.Empty() {
 		return
 	}
-	if d, ok := l.table.DeltaSince(last); ok && l.delta != nil {
-		l.delta.ApplyDelta(snap.Jobs, d)
+	if l.delta != nil {
+		l.delta.ApplyDelta(l.jobs, d)
 	} else {
-		l.sched.SetJobs(snap.Jobs)
+		l.sched.SetJobs(l.jobs)
 	}
-	l.compiled.Store(snap.Gen)
 }
 
 // Tick is the λ step, run after the table synchronization: entries long
@@ -155,7 +153,7 @@ func (l *Loop) Tick(now time.Duration) {
 	l.table.Expire(now, 0)
 	l.Compile(now)
 	if l.shares != nil {
-		l.ledger.Roll(l.shares.ServedBytesDelta(), l.table.ActiveSnapshot().Lookup, l.shares.Share)
+		l.ledger.Roll(l.shares.ServedBytesDelta(), l.jobs.Lookup, l.shares.Share)
 	}
 }
 

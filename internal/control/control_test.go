@@ -3,6 +3,7 @@ package control
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -83,19 +84,69 @@ func TestCompileCountFollowsJobSetChanges(t *testing.T) {
 	if got := th.Compiles(); got != 1 {
 		t.Fatalf("steady traffic and five Ticks recompiled: %d compiles, want 1", got)
 	}
-	// A second job is one more compile, and a delta one: the ring bridges
-	// a single generation.
+	// A second job is one more compile, and a delta one: Refresh hands
+	// over just the arrival.
 	submit(l, job("b", "ub", 1), 1, 3*time.Second)
 	if full, delta := th.CompilesFull(), th.CompilesDelta(); full != 1 || delta != 1 {
 		t.Fatalf("second job: %d full + %d delta compiles, want 1 + 1", full, delta)
 	}
-	// Decay has no writer to move the generation; the λ step finds it.
+	// Decay has no writer to record it; the λ step's Refresh finds it.
 	l.Tick(3*time.Second + 2*jobtable.DefaultTimeout)
 	if got := th.Compiles(); got != 3 {
 		t.Fatalf("both jobs timed out: %d compiles, want 3", got)
 	}
 	if n := th.Assignment().Len(); n != 0 {
 		t.Fatalf("%d jobs still hold tokens after timing out", n)
+	}
+}
+
+// Every change reaches the scheduler exactly once. Over seeded random
+// churn through the loop — submits, heartbeats, merged peer rows,
+// failover scrubs, removals, and λ steps with their expiry and decay —
+// the delta-compiled scheduler's shares equal those of a from-scratch
+// compile of the table's active set after every step, bit for bit.
+func TestDeltaCompilesMatchFullCompile(t *testing.T) {
+	ids := make([]string, 16)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("j%d", i)
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tab := jobtable.New("s0", time.Second)
+		th := core.New(policy.UserThenSizeFair, 1)
+		l := New(tab, th)
+		var now time.Duration
+		for step := 0; step < 200; step++ {
+			now += time.Duration(rng.Intn(200)) * time.Millisecond
+			j := job(ids[rng.Intn(len(ids))], fmt.Sprintf("u%d", rng.Intn(3)), 1+rng.Intn(4))
+			switch rng.Intn(6) {
+			case 0, 1:
+				l.Submit(&sched.Request{Job: j, Op: sched.OpWrite, Bytes: 1}, now)
+			case 2:
+				tab.Heartbeat(j, now)
+			case 3:
+				tab.Merge([]jobtable.Entry{{Info: j, Last: now, Servers: map[string]bool{"s1": true}}}, now)
+			case 4:
+				tab.DropServer("s1")
+			case 5:
+				tab.Remove(j.JobID)
+			}
+			switch {
+			case rng.Intn(4) == 0:
+				l.Tick(now)
+			case l.Stale():
+				l.Compile(now)
+			default:
+				continue
+			}
+			full := core.New(policy.UserThenSizeFair, 1)
+			full.SetJobs(tab.Active(now))
+			for _, id := range ids {
+				if got, want := th.Share(id), full.Share(id); got != want {
+					t.Fatalf("seed %d step %d: %s holds share %v, a full compile gives %v", seed, step, id, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -236,11 +236,10 @@ func (t *Themis) SetPolicy(pol policy.Policy) {
 	t.republishLocked()
 }
 
-// SetJobs installs the active job set from the controller and publishes
-// a new compiled epoch. The controller (package control) calls it when
-// the job table's generation moves (job arrival/departure, presence
-// change, a merged peer table) and no delta bridges the gap — never per
-// request.
+// SetJobs installs the active job set and publishes a new compiled epoch
+// from scratch. The controller (package control) patches this scheduler
+// through ApplyDelta instead; SetJobs is for callers that hold a whole
+// set, and never runs per request.
 func (t *Themis) SetJobs(jobs []policy.JobInfo) {
 	t.confMu.Lock()
 	defer t.confMu.Unlock()

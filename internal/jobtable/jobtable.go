@@ -25,8 +25,8 @@ import (
 	"themisio/internal/policy"
 )
 
-// Delta is the job-set change between two published generations, in the
-// form the policy compiler's incremental entry point consumes.
+// Delta is the job-set change between two Refreshes, in the form the
+// policy compiler's incremental entry point consumes.
 type Delta = policy.Delta
 
 // Status of a job as seen by one server.
@@ -70,27 +70,17 @@ func (e *Entry) clone() Entry {
 	return cp
 }
 
-// ActiveSet is an immutable snapshot of the active job set. It is
-// published atomically by the table so that readers on the request hot
-// path (the server controller, scheduler epochs) never take the table
-// lock and never allocate; Gen increases by one every time the
-// membership — or any policy-relevant job attribute — of the active set
-// actually changes.
-type ActiveSet struct {
-	Gen  uint64
-	Jobs []policy.JobInfo
-}
+// ActiveSet is the active job set as Refresh hands it over: sorted by
+// JobID, Presence filled in, and never mutated — a change is a new
+// slice, so a holder may keep it across later Refreshes.
+type ActiveSet []policy.JobInfo
 
-// Lookup returns the snapshot's info for the job, resolved by binary
-// search over the sorted Jobs slice — the ledger's lazy materialiser,
-// so a λ roll never walks the full set.
-func (s *ActiveSet) Lookup(job string) (policy.JobInfo, bool) {
-	if s == nil {
-		return policy.JobInfo{}, false
-	}
-	i := sort.Search(len(s.Jobs), func(i int) bool { return s.Jobs[i].JobID >= job })
-	if i < len(s.Jobs) && s.Jobs[i].JobID == job {
-		return s.Jobs[i], true
+// Lookup returns the set's info for the job, resolved by binary search —
+// the ledger's lazy materialiser, so a λ roll never walks the full set.
+func (s ActiveSet) Lookup(job string) (policy.JobInfo, bool) {
+	i := sort.Search(len(s), func(i int) bool { return s[i].JobID >= job })
+	if i < len(s) && s[i].JobID == job {
+		return s[i], true
 	}
 	return policy.JobInfo{}, false
 }
@@ -105,38 +95,19 @@ type Table struct {
 	entries map[string]*Entry
 	timeout time.Duration
 
-	// gen and active are the published epoch snapshot. Refresh is the one
-	// publisher; readers load the pointer with no lock. gen moves only
-	// when the published snapshot really differs.
-	gen    atomic.Uint64
-	active atomic.Pointer[ActiveSet]
-
 	// The writers (Observe, Heartbeat, Merge, Expire, DropServer, Remove)
 	// only record the job ids whose row changed in pending and raise
-	// dirty, so a sighting costs O(1) whatever the table's size; Refresh
-	// patches the snapshot with them (O(pending·log n) merge against the
-	// published slice) instead of re-sorting all entries. dirty is read
-	// without the lock (Unpublished). minLast conservatively lower-bounds
-	// the heartbeat of any published job, so an idle Refresh proves "no
-	// decay possible" in O(1) and returns the cached snapshot. deltas is a
-	// ring of the last published generation transitions, serving
-	// DeltaSince for the scheduler's incremental recompile.
+	// dirty, so a sighting costs O(1) whatever the table's size. Refresh
+	// folds them into pub, the set it last handed over, with one merge
+	// instead of re-sorting all entries, and the same merge yields the
+	// delta. dirty is read without the lock (Unpublished). minLast
+	// lower-bounds the heartbeat of every job in pub, so an idle Refresh
+	// proves "no decay possible" in O(1).
+	pub     ActiveSet
 	pending map[string]struct{}
 	dirty   atomic.Bool
 	minLast time.Duration
-	deltas  []genDelta
 }
-
-// genDelta records the change that produced generation gen from gen-1.
-type genDelta struct {
-	gen uint64
-	d   Delta
-}
-
-// deltaRing bounds the generations DeltaSince can bridge; a consumer
-// further behind gets (Delta, false) and full-compiles. The controller
-// reads every λ, so 8 generations of slack is plenty.
-const deltaRing = 8
 
 // DefaultTimeout is the heartbeat expiry used when none is configured;
 // the paper uses "a predefined period of time", and production heartbeat
@@ -149,15 +120,13 @@ func New(owner string, timeout time.Duration) *Table {
 	if timeout <= 0 {
 		timeout = DefaultTimeout
 	}
-	t := &Table{
+	return &Table{
 		owner:   owner,
 		entries: make(map[string]*Entry),
 		timeout: timeout,
 		pending: make(map[string]struct{}),
 		minLast: time.Duration(math.MaxInt64),
 	}
-	t.active.Store(&ActiveSet{})
-	return t
 }
 
 // Owner returns the server id that owns this table.
@@ -185,10 +154,10 @@ func (t *Table) Observe(info policy.JobInfo, now time.Duration) {
 	t.touch(info, now, true).Demand++
 }
 
-// notePendingLocked marks the job id as touched since the last publish
+// notePendingLocked marks the job id as touched since the last Refresh
 // and folds its heartbeat into the conservative minLast bound (only
-// active entries matter: an inactive one is not in the published set,
-// so it cannot decay out of it).
+// active entries matter: an inactive one is not in pub, so it cannot
+// decay out of it).
 func (t *Table) notePendingLocked(id string, now time.Duration) {
 	t.pending[id] = struct{}{}
 	t.dirty.Store(true)
@@ -235,28 +204,18 @@ func (t *Table) touch(info policy.JobInfo, now time.Duration, io bool) *Entry {
 func (t *Table) Active(now time.Duration) []policy.JobInfo {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.activeLocked(now)
-}
-
-// activeLocked computes the active job list under t.mu (either mode).
-func (t *Table) activeLocked(now time.Duration) []policy.JobInfo {
 	jobs, _ := t.activeAndMinLocked(now)
 	return jobs
 }
 
 // activeAndMinLocked is the full O(n log n) rebuild, also returning the
 // exact minimum heartbeat among active entries (MaxInt64 if none).
-func (t *Table) activeAndMinLocked(now time.Duration) ([]policy.JobInfo, time.Duration) {
-	var out []policy.JobInfo
+func (t *Table) activeAndMinLocked(now time.Duration) (ActiveSet, time.Duration) {
+	var out ActiveSet
 	min := time.Duration(math.MaxInt64)
 	for _, e := range t.entries {
 		if now-e.Last <= t.timeout {
-			info := e.Info
-			info.Presence = len(e.Servers)
-			if info.Presence < 1 {
-				info.Presence = 1
-			}
-			out = append(out, info)
+			out = append(out, e.active())
 			if e.Last < min {
 				min = e.Last
 			}
@@ -266,37 +225,41 @@ func (t *Table) activeAndMinLocked(now time.Duration) ([]policy.JobInfo, time.Du
 	return out, min
 }
 
-// applyPendingLocked merges the pending job ids into the published
-// sorted slice, producing the next snapshot and its delta. Only valid
-// when no non-pending member can have decayed (minLast-guarded by the
-// caller).
-func (t *Table) applyPendingLocked(curJobs []policy.JobInfo, now time.Duration) ([]policy.JobInfo, Delta) {
+// active is the entry's row in an active set: its info with Presence
+// set to the size of its observed server set, minimum 1.
+func (e *Entry) active() policy.JobInfo {
+	info := e.Info
+	info.Presence = max(len(e.Servers), 1)
+	return info
+}
+
+// applyPendingLocked merges the pending job ids into pub, producing the
+// next active set and its delta. Only valid when no job outside pending
+// can have decayed (minLast-guarded by the caller).
+func (t *Table) applyPendingLocked(now time.Duration) (ActiveSet, Delta) {
 	ids := make([]string, 0, len(t.pending))
 	for id := range t.pending {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	out := make([]policy.JobInfo, 0, len(curJobs)+len(ids))
+	cur := t.pub
+	out := make(ActiveSet, 0, len(cur)+len(ids))
 	var d Delta
 	i := 0
 	for _, id := range ids {
-		for i < len(curJobs) && curJobs[i].JobID < id {
-			out = append(out, curJobs[i])
+		for i < len(cur) && cur[i].JobID < id {
+			out = append(out, cur[i])
 			i++
 		}
 		var old policy.JobInfo
-		had := i < len(curJobs) && curJobs[i].JobID == id
+		had := i < len(cur) && cur[i].JobID == id
 		if had {
-			old = curJobs[i]
+			old = cur[i]
 			i++
 		}
 		e, ok := t.entries[id]
 		if ok && now-e.Last <= t.timeout {
-			in := e.Info
-			in.Presence = len(e.Servers)
-			if in.Presence < 1 {
-				in.Presence = 1
-			}
+			in := e.active()
 			out = append(out, in)
 			switch {
 			case !had:
@@ -308,12 +271,12 @@ func (t *Table) applyPendingLocked(curJobs []policy.JobInfo, now time.Duration) 
 			d.Removed = append(d.Removed, id)
 		}
 	}
-	out = append(out, curJobs[i:]...)
+	out = append(out, cur[i:]...)
 	return out, d
 }
 
 // diffJobs computes the delta between two sorted job slices.
-func diffJobs(old, new []policy.JobInfo) Delta {
+func diffJobs(old, new ActiveSet) Delta {
 	var d Delta
 	i, j := 0, 0
 	for i < len(old) && j < len(new) {
@@ -341,148 +304,47 @@ func diffJobs(old, new []policy.JobInfo) Delta {
 	return d
 }
 
-// Generation returns the published snapshot's generation without taking
-// the table lock. A controller that caches the last generation it
-// compiled against can skip recompilation entirely while it is unchanged.
-func (t *Table) Generation() uint64 { return t.gen.Load() }
-
-// ActiveSnapshot returns the current immutable active-set snapshot. The
-// returned value — including its Jobs slice — must not be mutated.
-func (t *Table) ActiveSnapshot() *ActiveSet { return t.active.Load() }
-
 // Unpublished reports whether a writer has recorded an edit that the
 // next Refresh has yet to fold in. It takes no lock.
 func (t *Table) Unpublished() bool { return t.dirty.Load() }
 
 // Refresh is the table's one publisher. It folds the writers' pending
 // edits, and any decay (heartbeats aged past the timeout as of now), into
-// a new snapshot — bumping the generation and recording the delta — only
-// if the published set really changes, and returns the current
-// generation. The controller's compile is its only caller, so no
-// generation moves between its Refresh and its DeltaSince.
+// the active set, and returns that set with its change since the
+// previous Refresh: each job in at most one of the delta's lists, with
+// its latest attributes, however many edits it saw in between. The
+// delta is empty when nothing changed, and the set is then the one
+// handed over last time. The controller's compile is the only caller, so
+// the delta is exactly what its scheduler has not yet seen.
 //
 // The idle pass is O(1): with no pending edits and minLast proving no
-// published job can have aged out, Refresh returns the cached
-// snapshot's generation without allocating or walking the entries.
-// Otherwise, when minLast proves no published job can have decayed, the
-// new sorted slice is a single merge of the pending ids against the
-// current snapshot (O(pending·log n + n), no map walk and no sort); when
-// decay is possible, or at bootstrap, it is the full rebuild, diffed
-// against the current slice.
-func (t *Table) Refresh(now time.Duration) uint64 {
+// job in the set can have aged out, Refresh returns the set it holds
+// without allocating or walking the entries. Otherwise, when minLast
+// proves no job can have decayed, the new set is a single merge of the
+// pending ids against the current one (no map walk and no full sort);
+// when decay is possible it is the full rebuild, diffed against the
+// current set.
+func (t *Table) Refresh(now time.Duration) (ActiveSet, Delta) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	cur := t.active.Load()
 	fresh := now-t.minLast <= t.timeout
 	if !t.dirty.Load() && fresh {
-		return cur.Gen
+		return t.pub, Delta{}
 	}
-	var jobs []policy.JobInfo
+	var jobs ActiveSet
 	var d Delta
 	if fresh {
-		jobs, d = t.applyPendingLocked(cur.Jobs, now)
+		jobs, d = t.applyPendingLocked(now)
 	} else {
 		jobs, t.minLast = t.activeAndMinLocked(now)
-		d = diffJobs(cur.Jobs, jobs)
+		d = diffJobs(t.pub, jobs)
 	}
 	t.dirty.Store(false)
 	clear(t.pending)
-	if d.Empty() {
-		return cur.Gen
+	if !d.Empty() {
+		t.pub = jobs
 	}
-	gen := t.gen.Add(1)
-	t.active.Store(&ActiveSet{Gen: gen, Jobs: jobs})
-	if len(t.deltas) == deltaRing {
-		copy(t.deltas, t.deltas[1:])
-		t.deltas = t.deltas[:deltaRing-1]
-	}
-	t.deltas = append(t.deltas, genDelta{gen: gen, d: d})
-	return gen
-}
-
-// DeltaSince returns the squashed job-set change from generation g to
-// the current one, and whether the delta ring could bridge the gap. A
-// false return (consumer too far behind, or g from the future) means
-// the caller must fall back to a full recompile from ActiveSnapshot.
-// The returned delta aliases ring storage and must not be mutated.
-func (t *Table) DeltaSince(g uint64) (Delta, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	cur := t.gen.Load()
-	if g == cur {
-		return Delta{}, true
-	}
-	if g > cur || len(t.deltas) == 0 || t.deltas[0].gen > g+1 {
-		return Delta{}, false
-	}
-	start := int(g + 1 - t.deltas[0].gen)
-	if start == len(t.deltas)-1 {
-		return t.deltas[start].d, true
-	}
-	return squashDeltas(t.deltas[start:]), true
-}
-
-// squashDeltas folds a contiguous run of generation deltas into one
-// well-formed delta (each job in at most one list): add∘remove cancels,
-// update∘add stays an add, add∘remove-then-re-add nets to an update.
-func squashDeltas(ds []genDelta) Delta {
-	const (
-		opAdded = iota
-		opUpdated
-		opRemoved
-	)
-	type state struct {
-		op   int
-		info policy.JobInfo
-	}
-	m := make(map[string]*state)
-	apply := func(id string, op int, info policy.JobInfo) {
-		s, ok := m[id]
-		if !ok {
-			m[id] = &state{op: op, info: info}
-			return
-		}
-		switch {
-		case op == opRemoved && s.op == opAdded:
-			delete(m, id) // arrived and left within the window: net nothing
-		case op == opRemoved:
-			s.op = opRemoved
-		case s.op == opAdded:
-			s.info = info // still net-new; keep the freshest attributes
-		case s.op == opRemoved:
-			s.op, s.info = opUpdated, info // left and came back: net attr change
-		default:
-			s.info = info
-		}
-	}
-	for _, gd := range ds {
-		for _, j := range gd.d.Added {
-			apply(j.JobID, opAdded, j)
-		}
-		for _, j := range gd.d.Updated {
-			apply(j.JobID, opUpdated, j)
-		}
-		for _, id := range gd.d.Removed {
-			apply(id, opRemoved, policy.JobInfo{})
-		}
-	}
-	ids := make([]string, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	var d Delta
-	for _, id := range ids {
-		switch s := m[id]; s.op {
-		case opAdded:
-			d.Added = append(d.Added, s.info)
-		case opUpdated:
-			d.Updated = append(d.Updated, s.info)
-		default:
-			d.Removed = append(d.Removed, id)
-		}
-	}
-	return d
+	return t.pub, d
 }
 
 // StatusOf returns the job's status as of now and whether it is known.

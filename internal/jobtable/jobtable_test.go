@@ -2,6 +2,7 @@ package jobtable
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -242,56 +243,52 @@ func TestDropServerShiftsPresence(t *testing.T) {
 	}
 }
 
-// The epoch snapshot: Observe/Heartbeat sightings move the generation at
-// the next Refresh only when membership (or a policy-relevant attribute)
-// of the active set actually changes — never per request — and the
-// published snapshot matches Active().
-func TestGenerationMovesOnlyOnActiveSetChanges(t *testing.T) {
+// Observe/Heartbeat sightings yield a delta at the next Refresh only when
+// membership (or a policy-relevant attribute) of the active set actually
+// changes — never per request.
+func TestDeltaOnlyOnActiveSetChanges(t *testing.T) {
 	tb := New("s1", time.Second)
-	if tb.Generation() != 0 {
-		t.Fatalf("fresh table generation = %d, want 0", tb.Generation())
+	if jobs, d := tb.Refresh(0); len(jobs) != 0 || !d.Empty() {
+		t.Fatalf("fresh table handed over %+v / %+v", jobs, d)
 	}
 	tb.Observe(info("a", 4), 0)
-	g1 := tb.Refresh(0)
-	if g1 == 0 {
-		t.Fatal("new job must bump the generation")
+	if _, d := tb.Refresh(0); len(d.Added) != 1 {
+		t.Fatalf("new job: delta %+v, want it added", d)
 	}
 	// A hot request path: hundreds of sightings of the same job.
 	for i := 0; i < 500; i++ {
 		tb.Observe(info("a", 4), time.Duration(i)*time.Millisecond)
 		tb.Heartbeat(info("a", 4), time.Duration(i)*time.Millisecond)
 	}
-	if g := tb.Refresh(500 * time.Millisecond); g != g1 {
-		t.Fatalf("steady traffic moved the generation %d → %d", g1, g)
+	jobs, d := tb.Refresh(500 * time.Millisecond)
+	if !d.Empty() {
+		t.Fatalf("steady traffic handed over %+v", d)
 	}
-	snap := tb.ActiveSnapshot()
-	if snap.Gen != g1 || len(snap.Jobs) != 1 || snap.Jobs[0].JobID != "a" {
-		t.Fatalf("snapshot = %+v", snap)
+	if len(jobs) != 1 || jobs[0].JobID != "a" {
+		t.Fatalf("set = %+v", jobs)
 	}
-	// A policy-relevant attribute change (job resized) is a new epoch.
+	// A policy-relevant attribute change (job resized) is an update.
 	tb.Observe(info("a", 8), 600*time.Millisecond)
-	g2 := tb.Refresh(600 * time.Millisecond)
-	if g2 == g1 {
-		t.Fatal("node-count change must bump the generation")
+	if _, d := tb.Refresh(600 * time.Millisecond); len(d.Updated) != 1 || d.Updated[0].Nodes != 8 {
+		t.Fatalf("node-count change: delta %+v, want a@8 updated", d)
 	}
-	// Second job arrival bumps; its steady heartbeats do not.
+	// Second job arrival is an add; its steady heartbeats are nothing.
 	tb.Heartbeat(info("b", 1), 700*time.Millisecond)
-	g3 := tb.Refresh(700 * time.Millisecond)
-	if g3 == g2 {
-		t.Fatal("new job via heartbeat must bump the generation")
+	if _, d := tb.Refresh(700 * time.Millisecond); len(d.Added) != 1 {
+		t.Fatalf("new job via heartbeat: delta %+v, want it added", d)
 	}
 	tb.Heartbeat(info("b", 1), 800*time.Millisecond)
-	if tb.Refresh(800*time.Millisecond) != g3 {
-		t.Fatal("repeat heartbeat must not bump the generation")
+	if _, d := tb.Refresh(800 * time.Millisecond); !d.Empty() {
+		t.Fatalf("repeat heartbeat handed over %+v", d)
 	}
 }
 
 // Refresh is the table's one publisher: every writer only records its
-// edit — the generation and the snapshot stay put and Unpublished turns
-// true — and one Refresh then publishes all of them as one generation.
+// edit — Unpublished turns true and the set handed over last stays as it
+// was — and one Refresh then hands all of them over as one delta.
 func TestOnlyRefreshPublishes(t *testing.T) {
 	const at = 5 * time.Second
-	setup := func() (*Table, uint64, *ActiveSet) {
+	setup := func() (*Table, ActiveSet) {
 		tb := New("s1", time.Second)
 		tb.Observe(info("old", 1), 0)       // silent since 0: revived below
 		tb.Heartbeat(info("ancient", 1), 0) // past 4× the timeout at `at`
@@ -299,8 +296,8 @@ func TestOnlyRefreshPublishes(t *testing.T) {
 			tb.Observe(info(id, 2), at)
 		}
 		tb.Merge([]Entry{{Info: info("shared", 2), Last: at, Servers: map[string]bool{"s2": true}}}, at)
-		g := tb.Refresh(at)
-		return tb, g, tb.ActiveSnapshot()
+		set, _ := tb.Refresh(at)
+		return tb, set
 	}
 	writers := []struct {
 		name  string
@@ -320,34 +317,35 @@ func TestOnlyRefreshPublishes(t *testing.T) {
 		{"DropServer", func(tb *Table) { tb.DropServer("s2") }},
 		{"Remove", func(tb *Table) { tb.Remove("gone") }},
 	}
-	check := func(tb *Table, name string, g uint64, prev *ActiveSet) {
+	check := func(tb *Table, name string, prev, kept ActiveSet) {
 		t.Helper()
-		if tb.Generation() != g || tb.ActiveSnapshot() != prev || !tb.Unpublished() {
-			t.Fatalf("%s: generation %d → %d, snapshot replaced %v, unpublished %v",
-				name, g, tb.Generation(), tb.ActiveSnapshot() != prev, tb.Unpublished())
+		if !tb.Unpublished() || !reflect.DeepEqual(prev, kept) {
+			t.Fatalf("%s: unpublished %v, handed-over set changed %v", name, tb.Unpublished(), !reflect.DeepEqual(prev, kept))
 		}
 	}
 	// Each writer alone, from a freshly published table.
 	for _, w := range writers {
-		tb, g, prev := setup()
+		tb, prev := setup()
+		kept := slices.Clone(prev)
 		if tb.Unpublished() {
 			t.Fatal("unpublished right after Refresh")
 		}
 		w.write(tb)
-		check(tb, w.name, g, prev)
+		check(tb, w.name, prev, kept)
 	}
 	// All of them in turn, then the one publication.
-	tb, g, prev := setup()
+	tb, prev := setup()
+	kept := slices.Clone(prev)
 	for _, w := range writers {
 		w.write(tb)
-		check(tb, w.name, g, prev)
+		check(tb, w.name, prev, kept)
 	}
-	if gen := tb.Refresh(at); gen != g+1 || tb.Unpublished() {
-		t.Fatalf("Refresh published generation %d (want %d), unpublished %v", gen, g+1, tb.Unpublished())
+	set, d := tb.Refresh(at)
+	if tb.Unpublished() {
+		t.Fatal("unpublished after Refresh")
 	}
-	snap := tb.ActiveSnapshot()
-	if !reflect.DeepEqual(snap.Jobs, tb.Active(at)) {
-		t.Fatalf("snapshot %+v, Active %+v", snap.Jobs, tb.Active(at))
+	if !reflect.DeepEqual([]policy.JobInfo(set), tb.Active(at)) {
+		t.Fatalf("handed over %+v, Active %+v", set, tb.Active(at))
 	}
 	one := func(id string, nodes int) policy.JobInfo {
 		j := info(id, nodes)
@@ -359,11 +357,11 @@ func TestOnlyRefreshPublishes(t *testing.T) {
 		Updated: []policy.JobInfo{one("big", 8), one("shared", 2)},
 		Removed: []string{"gone"},
 	}
-	if d, ok := tb.DeltaSince(g); !ok || !reflect.DeepEqual(d, want) {
-		t.Fatalf("DeltaSince(%d) = %+v/%v, want %+v", g, d, ok, want)
+	if !reflect.DeepEqual(d, want) {
+		t.Fatalf("Refresh handed over %+v, want %+v", d, want)
 	}
-	if len(prev.Jobs) != 3 || len(snap.Jobs) != 6 {
-		t.Fatalf("published %d jobs then %d, want 3 then 6", len(prev.Jobs), len(snap.Jobs))
+	if len(prev) != 3 || len(set) != 6 || !reflect.DeepEqual(prev, kept) {
+		t.Fatalf("handed over %d jobs then %d, want 3 then 6, the first set untouched", len(prev), len(set))
 	}
 }
 
@@ -373,17 +371,17 @@ func TestRefreshCatchesDecayAndDropServer(t *testing.T) {
 	tb := New("s1", time.Second)
 	tb.Observe(info("a", 4), 0)
 	tb.Observe(info("b", 1), 0)
-	g := tb.Refresh(0)
-	// Nothing written after t=0; job "b"... both decay at 2s.
-	if got := tb.Refresh(500 * time.Millisecond); got != g {
-		t.Fatalf("refresh inside the window moved generation %d → %d", g, got)
+	tb.Refresh(0)
+	// Nothing written after t=0: both decay once the timeout has passed.
+	if _, d := tb.Refresh(500 * time.Millisecond); !d.Empty() {
+		t.Fatalf("refresh inside the window handed over %+v", d)
 	}
-	g2 := tb.Refresh(3 * time.Second)
-	if g2 == g {
-		t.Fatal("refresh past the timeout must republish the shrunken set")
+	jobs, d := tb.Refresh(3 * time.Second)
+	if len(d.Removed) != 2 {
+		t.Fatalf("refresh past the timeout handed over %+v, want both removed", d)
 	}
-	if snap := tb.ActiveSnapshot(); len(snap.Jobs) != 0 {
-		t.Fatalf("decayed snapshot still lists %v", snap.Jobs)
+	if len(jobs) != 0 {
+		t.Fatalf("decayed set still lists %v", jobs)
 	}
 	// DropServer has no clock: the change lands at the next Refresh.
 	a := New("s1", time.Second)
@@ -391,34 +389,25 @@ func TestRefreshCatchesDecayAndDropServer(t *testing.T) {
 	a.Observe(info("j", 4), 0)
 	b.Observe(info("j", 4), 0)
 	AllGather([]*Table{a, b}, 0)
-	gd := a.Refresh(0)
+	a.Refresh(0)
 	a.DropServer("s2")
-	if a.Generation() != gd {
-		t.Fatal("DropServer itself must not publish")
+	if !a.Unpublished() {
+		t.Fatal("DropServer must record its edit for the next Refresh")
 	}
-	if a.Refresh(0) == gd {
-		t.Fatal("Refresh after DropServer must publish the presence change")
-	}
-	if snap := a.ActiveSnapshot(); snap.Jobs[0].Presence != 1 {
-		t.Fatalf("presence = %d after drop+refresh, want 1", snap.Jobs[0].Presence)
+	jobs, d = a.Refresh(0)
+	if len(d.Updated) != 1 || jobs[0].Presence != 1 {
+		t.Fatalf("after drop+refresh: delta %+v, presence %d, want j updated to 1", d, jobs[0].Presence)
 	}
 }
 
-// The snapshot is immutable and consistent with Active() at publish time.
+// The set Refresh hands over is consistent with Active() at that time.
 func TestActiveSnapshotMatchesActive(t *testing.T) {
 	tb := New("s1", time.Second)
 	for i := 0; i < 10; i++ {
 		tb.Observe(info("job-"+itoa(i), i+1), time.Duration(i))
 	}
-	tb.Refresh(time.Duration(9))
-	snap := tb.ActiveSnapshot()
-	act := tb.Active(time.Duration(9))
-	if len(snap.Jobs) != len(act) {
-		t.Fatalf("snapshot %d jobs, Active %d", len(snap.Jobs), len(act))
-	}
-	for i := range act {
-		if snap.Jobs[i] != act[i] {
-			t.Fatalf("snapshot[%d] = %+v, Active[%d] = %+v", i, snap.Jobs[i], i, act[i])
-		}
+	set, _ := tb.Refresh(time.Duration(9))
+	if act := tb.Active(time.Duration(9)); !sameJobs(set, act) {
+		t.Fatalf("handed over %+v, Active %+v", set, act)
 	}
 }

@@ -11,8 +11,8 @@ import (
 
 // randomDelta mutates the model job list in place and returns the
 // matching Delta: a mix of arrivals, departures and attribute changes
-// drawn from rng. Like jobtable.DeltaSince's squashed deltas, each job
-// appears in at most one of the three lists.
+// drawn from rng. Like the deltas jobtable's Refresh hands over, each
+// job appears in at most one of the three lists.
 func randomDelta(rng *rand.Rand, jobs *[]JobInfo, nextID *int) Delta {
 	var d Delta
 	touched := map[string]bool{}

@@ -26,12 +26,12 @@ import (
 	"themisio/internal/token"
 )
 
-// Delta describes the job-set change between two job-table generations:
+// Delta describes the job-set change between two job-table Refreshes:
 // jobs that joined the active set, jobs whose policy-relevant attributes
 // (nodes, user, group, priority, presence) changed, and jobs that left.
-// jobtable produces deltas (DeltaSince) and Recompile consumes them.
+// jobtable produces deltas (Table.Refresh) and Recompile consumes them.
 // A well-formed delta names each job in at most one of the three lists
-// (DeltaSince squashes multi-generation histories down to that form).
+// (Refresh folds any number of edits to a job down to that form).
 type Delta struct {
 	Added   []JobInfo
 	Updated []JobInfo

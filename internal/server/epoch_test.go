@@ -53,7 +53,7 @@ func startServersCompiles(t *testing.T, n int, pol policy.Policy) ([]*Server, []
 // Regression: the per-request hot path must not recompile policy. Before
 // the epoch refactor every message — data, heartbeat, gossip — called
 // sched.SetJobs, making compilation O(requests); now only the controller
-// compiles, when the job-table generation moves. The compile count must
+// compiles, when the job table's active set changes. The compile count must
 // therefore track job-set changes, not traffic volume. (The exact counts
 // are pinned on virtual time by control's
 // TestCompileCountFollowsJobSetChanges; this is the live half.)
@@ -121,7 +121,7 @@ func TestCompileCountScalesWithJobSetChanges(t *testing.T) {
 }
 
 // A job that arrives mid-window against a saturating one is served its
-// share from its first requests: its arrival moves the table generation,
+// share from its first requests: its arrival is an edit in the job table,
 // the reader that saw it nudges the controller, and the controller
 // compiles it in. λ is a minute so that no tick can come to the rescue —
 // with compiles only on the tick the newcomer was served nothing until

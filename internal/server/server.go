@@ -155,7 +155,7 @@ type Server struct {
 	wake chan struct{}
 	// nudge asks the controller goroutine for a compile between λ ticks
 	// (see nudgeIfStale). One pending request covers any number of
-	// askers: the compile it buys reads the table's latest generation.
+	// askers: the compile it buys folds in every edit recorded so far.
 	nudge chan struct{}
 
 	// connMu guards conns, the accepted connections still being served;
@@ -363,8 +363,8 @@ func (s *Server) Leave() {
 //
 // The data path performs no policy work: requests, heartbeats and gossip
 // only update the job table / fabric state, and ask the controller — the
-// sole owner of recompilation — for a compile when that moved the
-// table's generation (see nudgeIfStale). A stream that does not
+// sole owner of recompilation — for a compile when that left the table
+// with unpublished edits (see nudgeIfStale). A stream that does not
 // open with the codec magic fails its first RecvRequest, so the
 // connection is closed before anything is decoded.
 func (s *Server) handleConn(c *transport.Conn) {
@@ -894,9 +894,9 @@ func (s *Server) submit(r *sched.Request) {
 }
 
 // nudgeIfStale is the nudge rule, for callers that have just fed the job
-// table: unpublished edits, or a generation the scheduler was not
-// compiled against, earn the controller goroutine a wake-up. No compile
-// (and no publication) ever runs on the caller.
+// table: edits the scheduler was not compiled with earn the controller
+// goroutine a wake-up. No compile (and no publication) ever runs on the
+// caller.
 func (s *Server) nudgeIfStale() {
 	if s.ctl.Stale() {
 		select {
