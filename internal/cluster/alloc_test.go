@@ -41,6 +41,22 @@ func TestRequestAllocationBudget(t *testing.T) {
 	for i := 0; i < 512; i++ { // warm-up: pools, maps, the index's backing array
 		appendOne()
 	}
+	wide, err := c.Open("/budget-64k", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := make([]byte, 64<<10)
+	for i := range big {
+		big[i] = byte(i * 13)
+	}
+	appendWide := func() {
+		if _, err := wide.Write(big); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		appendWide()
+	}
 	r, err := c.Open("/budget", false)
 	if err != nil {
 		t.Fatal(err)
@@ -82,6 +98,11 @@ func TestRequestAllocationBudget(t *testing.T) {
 		// client's per-call bookkeeping (span and error slices, the file
 		// handle), replies the caller keeps, and the entry a create makes.
 		{"4 KiB append", appendOne, 8},
+		// A payload of 8 KiB or more is read straight into a reserved
+		// extent and adopted there, which allocates nothing: 5, as on the
+		// commit before placement. The ceiling leaves one, not three: a
+		// placement must not box its token into an interface per request.
+		{"64 KiB append", appendWide, 6},
 		{"4 KiB read", readOne, 9},
 		{"stat", statOne, 7},
 		{"create and unlink", churnOne, 28},

@@ -147,7 +147,7 @@ func TestPlainAppendDrainsParked(t *testing.T) {
 	if _, err := s.AppendAtGen("/f", 100, pattern(100, 100), 0); err != nil {
 		t.Fatal(err)
 	}
-	if size, err := s.AppendGen("/f", pattern(0, 100), 0); err != nil || size != 200 {
+	if size, err := s.AppendGen("/f", pattern(0, 100), nil, 0); err != nil || size != 200 {
 		t.Fatalf("plain append must drain parked: size=%d err=%v", size, err)
 	}
 	buf := make([]byte, 200)

@@ -409,7 +409,7 @@ func (s *Shard) Readdir(p string) ([]string, error) {
 // DropStale, which release the node's extents) cannot interleave and
 // orphan an acknowledged write.
 func (s *Shard) Append(p string, data []byte) (int64, error) {
-	return s.AppendGen(p, data, 0)
+	return s.AppendGen(p, data, nil, 0)
 }
 
 // AppendGen is Append with a layout-generation expectation checked
@@ -418,7 +418,12 @@ func (s *Shard) Append(p string, data []byte) (int64, error) {
 // against the old entry and then append to the one a migration commit
 // swapped in, landing an old-layout chunk the trim machinery never
 // sees.
-func (s *Shard) AppendGen(p string, data []byte, layoutGen uint64) (int64, error) {
+//
+// A non-nil placed is the reserved extent data already sits in (see
+// Reserve): a write whose bytes land adopts it and empties *placed, and
+// any other outcome leaves it for the caller to Unreserve. With nothing
+// placed, data is copied into a fresh extent.
+func (s *Shard) AppendGen(p string, data []byte, placed *storage.Extent, layoutGen uint64) (int64, error) {
 	p = clean(p)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -431,7 +436,7 @@ func (s *Shard) AppendGen(p string, data []byte, layoutGen uint64) (int64, error
 	}
 	n.appendMu.Lock()
 	defer n.appendMu.Unlock()
-	if err := s.appendLocked(n, data); err != nil {
+	if err := s.landLocked(n, data, placed); err != nil {
 		return 0, err
 	}
 	// A repair append can close the gap a parked positional chunk was
@@ -440,6 +445,28 @@ func (s *Shard) AppendGen(p string, data []byte, layoutGen uint64) (int64, error
 		return 0, err
 	}
 	return n.index.Size(), nil
+}
+
+// Reserve reserves n bytes of device for a write payload that is read
+// straight into them before its write reaches the shard, and returns the
+// extent with its bytes. The reservation counts in Used until a write
+// adopts it (AppendGen, AppendAt, Install) or Unreserve returns it.
+func (s *Shard) Reserve(n int) (storage.Extent, []byte, error) {
+	ext, err := s.store.Alloc(int64(n))
+	if err != nil {
+		return storage.Extent{}, nil, err
+	}
+	return ext, s.store.View(ext), nil
+}
+
+// Unreserve returns a reservation no write adopted. The extent must come
+// from Reserve and go back once: the store refusing it means two owners
+// believed they held it, a bug that would hand one file's bytes to
+// another, so it panics.
+func (s *Shard) Unreserve(ext storage.Extent) {
+	if err := s.store.Release(ext); err != nil {
+		panic(fmt.Sprintf("fsys: unreserve %+v: %v", ext, err))
+	}
 }
 
 // file is entry for a file. Caller holds s.mu.
@@ -468,7 +495,13 @@ func (s *Shard) writable(p string, layoutGen uint64) (*node, error) {
 // this bound is lost frames or a misbehaving peer, not normal reordering.
 const maxParkedBytes = 32 << 20
 
-// AppendAtGen is AppendGen with an explicit target offset into the local
+// AppendAtGen is AppendAt with nothing placed, kept under its old name
+// for the benchmark module, which compiles against it.
+func (s *Shard) AppendAtGen(p string, off int64, data []byte, layoutGen uint64) (int64, error) {
+	return s.AppendAt(p, off, data, nil, layoutGen)
+}
+
+// AppendAt is AppendGen with an explicit target offset into the local
 // stripe: the server side of pipelined striped writes. A multiplexed
 // connection's worker pool may execute a stripe's chunks out of order;
 // the offset makes landing order-independent:
@@ -487,9 +520,10 @@ const maxParkedBytes = 32 << 20
 //     that failure and repairs. Parked chunks stranded by a dead client
 //     are dropped by SweepParked.
 //
-// Returns the local size the stripe has (or will have, for a parked
-// chunk) once every acked byte lands.
-func (s *Shard) AppendAtGen(p string, off int64, data []byte, layoutGen uint64) (int64, error) {
+// Only the first case adopts a placed extent (see AppendGen). Returns
+// the local size the stripe has (or will have, for a parked chunk) once
+// every acked byte lands.
+func (s *Shard) AppendAt(p string, off int64, data []byte, placed *storage.Extent, layoutGen uint64) (int64, error) {
 	p = clean(p)
 	if off < 0 {
 		return 0, ErrBadOffset
@@ -500,12 +534,12 @@ func (s *Shard) AppendAtGen(p string, off int64, data []byte, layoutGen uint64) 
 	if err != nil {
 		return 0, err
 	}
-	return s.appendAt(n, off, data)
+	return s.appendAt(n, off, data, placed)
 }
 
-// appendAt lands data at offset off of n's local stripe by AppendAtGen's
+// appendAt lands data at offset off of n's local stripe by AppendAt's
 // rules. Caller holds s.mu (read).
-func (s *Shard) appendAt(n *node, off int64, data []byte) (int64, error) {
+func (s *Shard) appendAt(n *node, off int64, data []byte, placed *storage.Extent) (int64, error) {
 	n.appendMu.Lock()
 	defer n.appendMu.Unlock()
 	size := n.index.Size()
@@ -526,8 +560,9 @@ func (s *Shard) appendAt(n *node, off int64, data []byte) (int64, error) {
 			n.parked = map[int64][]byte{}
 		}
 		if _, dup := n.parked[off]; !dup {
-			// Copy: the request frame backing data is released as soon
-			// as the worker sends this (successful) response.
+			// Copy: the request frame (or placed extent) backing data is
+			// given back as soon as the worker sends this (successful)
+			// response.
 			cp := make([]byte, len(data))
 			copy(cp, data)
 			n.parked[off] = cp
@@ -538,7 +573,7 @@ func (s *Shard) appendAt(n *node, off int64, data []byte) (int64, error) {
 		}
 		return end, nil
 	}
-	if err := s.appendLocked(n, data); err != nil {
+	if err := s.landLocked(n, data, placed); err != nil {
 		return 0, err
 	}
 	if err := s.drainParked(n); err != nil {
@@ -547,21 +582,33 @@ func (s *Shard) appendAt(n *node, off int64, data []byte) (int64, error) {
 	return n.index.Size(), nil
 }
 
-// appendLocked writes data as a fresh extent at the end of n's local
-// stripe. Caller holds s.mu (read) and n.appendMu.
-func (s *Shard) appendLocked(n *node, data []byte) error {
+// landLocked puts data at the end of n's local stripe: it adopts the
+// placed extent data already sits in and empties *placed, or, with
+// nothing placed, reserves an extent and copies data into it. Caller
+// holds s.mu (read) and n.appendMu.
+func (s *Shard) landLocked(n *node, data []byte, placed *storage.Extent) error {
+	if placed != nil && placed.Len > 0 {
+		s.adoptLocked(n, *placed)
+		*placed = storage.Extent{}
+		return nil
+	}
 	ext, err := s.store.Alloc(int64(len(data)))
 	if err != nil {
 		return err
 	}
-	if _, err := s.store.WriteAt(ext, 0, data); err != nil {
-		return err
-	}
+	copy(s.store.View(ext), data)
+	s.adoptLocked(n, ext)
+	return nil
+}
+
+// adoptLocked makes the filled extent ext the next bytes of n's local
+// stripe and marks them dirty: the one place bytes join a file. Caller
+// holds s.mu, and n.appendMu when n is reachable by writers.
+func (s *Shard) adoptLocked(n *node, ext storage.Extent) {
 	off := n.index.Append(ext)
 	if n.dirty != nil {
 		n.dirty.Mark(off, ext.Len)
 	}
-	return nil
 }
 
 // drainParked lands every parked chunk whose offset has become the
@@ -575,7 +622,7 @@ func (s *Shard) drainParked(n *node) error {
 		}
 		delete(n.parked, size)
 		n.parkedBytes -= int64(len(d))
-		if err := s.appendLocked(n, d); err != nil {
+		if err := s.landLocked(n, d, nil); err != nil {
 			return err
 		}
 	}

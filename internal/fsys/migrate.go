@@ -104,12 +104,13 @@ func (s *Shard) trimLocked(p string, n *node, keep int64) {
 }
 
 // Install lands one chunk of a migrating-in stripe at offset off of p's
-// pending entry for layout generation layoutGen, by AppendAtGen's rules:
-// chunks may arrive out of order and a duplicate acks again. The first
+// pending entry for layout generation layoutGen, by AppendAt's rules:
+// chunks may arrive out of order, a duplicate acks again, and a placed
+// extent is adopted only when its bytes land (see AppendGen). The first
 // chunk for a generation creates the entry, discarding one left behind
 // for another. Returns the size the entry has (or will have, for a
 // parked chunk) once every acked byte lands.
-func (s *Shard) Install(p string, off int64, data []byte, layoutGen uint64) (int64, error) {
+func (s *Shard) Install(p string, off int64, data []byte, placed *storage.Extent, layoutGen uint64) (int64, error) {
 	p = clean(p)
 	if off < 0 {
 		return 0, ErrBadOffset
@@ -119,7 +120,7 @@ func (s *Shard) Install(p string, off int64, data []byte, layoutGen uint64) (int
 		if n := s.pending[p]; n != nil && n.layoutGen == layoutGen {
 			defer s.mu.RUnlock()
 			n.touched.Store(time.Now().UnixNano())
-			return s.appendAt(n, off, data)
+			return s.appendAt(n, off, data, placed)
 		}
 		s.mu.RUnlock()
 		s.mu.Lock()

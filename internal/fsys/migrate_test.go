@@ -108,7 +108,7 @@ func TestUnsealTrim(t *testing.T) {
 func installAll(t *testing.T, s *Shard, p string, data []byte, chunk int, layoutGen uint64) {
 	t.Helper()
 	for off := (len(data) - 1) / chunk * chunk; off >= 0; off -= chunk {
-		if _, err := s.Install(p, int64(off), data[off:min(off+chunk, len(data))], layoutGen); err != nil {
+		if _, err := s.Install(p, int64(off), data[off:min(off+chunk, len(data))], nil, layoutGen); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -116,15 +116,15 @@ func installAll(t *testing.T, s *Shard, p string, data []byte, chunk int, layout
 
 func TestInstallCommit(t *testing.T) {
 	s := NewShard("b", 1<<20)
-	if _, err := s.Install("/g", -1, []byte("x"), 7); !errors.Is(err, ErrBadOffset) {
+	if _, err := s.Install("/g", -1, []byte("x"), nil, 7); !errors.Is(err, ErrBadOffset) {
 		t.Fatalf("negative offset err = %v", err)
 	}
 	installAll(t, s, "/g", []byte("abcdefgh"), 4, 7)
 	// A chunk that straddles the landed size is torn; a duplicate acks.
-	if _, err := s.Install("/g", 6, []byte("ghXY"), 7); !errors.Is(err, ErrTornAppend) {
+	if _, err := s.Install("/g", 6, []byte("ghXY"), nil, 7); !errors.Is(err, ErrTornAppend) {
 		t.Fatalf("torn chunk err = %v", err)
 	}
-	if _, err := s.Install("/g", 0, []byte("abcd"), 7); err != nil {
+	if _, err := s.Install("/g", 0, []byte("abcd"), nil, 7); err != nil {
 		t.Fatalf("duplicate chunk: %v", err)
 	}
 	// Pending is invisible until commit.
@@ -251,7 +251,7 @@ func TestPendingReleased(t *testing.T) {
 	s := newMigShard(t, "b", []string{"b"}, []byte("live"))
 	used := s.Used()
 	installAll(t, s, "/g", make([]byte, 10), 4, 2)
-	if _, err := s.Install("/g", 20, []byte("parked"), 2); err != nil {
+	if _, err := s.Install("/g", 20, []byte("parked"), nil, 2); err != nil {
 		t.Fatal(err)
 	}
 	if s.Used() != used+10 {
@@ -323,7 +323,7 @@ func TestRelabelCommit(t *testing.T) {
 	if ts := s.TakeTombstones(); len(ts) != 0 {
 		t.Fatalf("a re-sent commit tombstoned %+v", ts)
 	}
-	if _, err := s.AppendGen("/f", []byte("!"), 2); err != nil {
+	if _, err := s.AppendGen("/f", []byte("!"), nil, 2); err != nil {
 		t.Fatalf("append after the commit: %v", err)
 	}
 	// A late release of the old layout's seal leaves the committed entry,
@@ -376,13 +376,13 @@ func TestMigrateDropGenChecked(t *testing.T) {
 // commit swapping the entry between the two.
 func TestGenCheckedOps(t *testing.T) {
 	s := newMigShard(t, "a", []string{"a"}, []byte("abc"))
-	if _, err := s.AppendGen("/f", []byte("d"), 0); err != nil {
+	if _, err := s.AppendGen("/f", []byte("d"), nil, 0); err != nil {
 		t.Fatalf("zero gen must be unchecked: %v", err)
 	}
-	if _, err := s.AppendGen("/f", []byte("e"), 1); err != nil {
+	if _, err := s.AppendGen("/f", []byte("e"), nil, 1); err != nil {
 		t.Fatalf("matching gen append: %v", err)
 	}
-	if _, err := s.AppendGen("/f", []byte("x"), 9); !errors.Is(err, ErrStaleLayout) {
+	if _, err := s.AppendGen("/f", []byte("x"), nil, 9); !errors.Is(err, ErrStaleLayout) {
 		t.Fatalf("mismatched gen append err = %v", err)
 	}
 	buf := make([]byte, 8)

@@ -395,7 +395,8 @@ func (s *Shard) RestoreFile(fi FileInfo, fill func(dst io.WriterAt) error) error
 		n.layoutGen = fi.LayoutGen
 	}
 	if fi.Size > 0 {
-		n.index.Append(ext)
+		s.adoptLocked(n, ext)
+		n.dirty = storage.NewRangeSet() // the staged object already holds these bytes
 	}
 	s.mu.Unlock()
 	if parent, name := split(p); parent != p {

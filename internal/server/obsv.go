@@ -286,11 +286,15 @@ func (m *serverMetrics) observeRequest(op sched.Op, d time.Duration) {
 	}
 }
 
-// newConn wraps an accepted connection with transport accounting when
-// metrics are enabled.
+// newConn wraps an accepted connection, with transport accounting when
+// metrics are enabled, and makes the shard its sink: large write
+// payloads are read straight into the store.
 func (s *Server) newConn(raw net.Conn) *transport.Conn {
+	var st *transport.Stats
 	if s.met != nil {
-		return transport.NewConnStats(raw, s.met.transport)
+		st = s.met.transport
 	}
-	return transport.NewConn(raw)
+	c := transport.NewConnStats(raw, st)
+	c.SetSink(s.shard)
+	return c
 }

@@ -622,11 +622,11 @@ func (s *Server) worker() {
 					s.log.Warn("reply failed", "err", err)
 				}
 				s.met.observeRequest(r.Op, s.now()-r.Arrive)
-				// Both frames go back to the payload pool, and the inflight
-				// value (r is part of it) to its own, only after the reply
-				// is on the wire: the request's Data fed the extent write
-				// (copied there), the response's Data just rode out as an
-				// iovec.
+				// Both frames go back to the payload pool, an unadopted
+				// placement to the shard, and the inflight value (r is part
+				// of it) to its own, only after the reply is on the wire:
+				// the request's Data is in the store or was refused, the
+				// response's Data just rode out as an iovec.
 				p.recycle()
 			case *backing.Task:
 				// A stage-out chunk the token draw selected: the sharing
@@ -691,20 +691,25 @@ func (s *Server) execute(req *transport.Request, resp *transport.Response) *tran
 	// resolves the entry — a separate check could pass against the old
 	// entry and then operate on the one a migration commit swapped in.
 	case transport.MsgWrite:
+		// A payload the connection read straight into a reserved extent
+		// is adopted where it lies when it lands; a refused, parked or
+		// duplicate one goes back to the shard when the request is
+		// released.
+		placed := req.Placed()
 		var err error
 		switch {
 		case req.From != "":
 			// A migration install: a coordinator streaming a moved stripe
 			// into the pending entry of the new layout generation, which
 			// no client request reaches.
-			_, err = s.shard.Install(req.Path, req.AppendOff, req.Data, req.LayoutGen)
+			_, err = s.shard.Install(req.Path, req.AppendOff, req.Data, placed, req.LayoutGen)
 		case req.AppendAt:
 			// Pipelined positional append: the worker pool may execute a
 			// stripe's chunks out of order, and the offset makes landing
 			// order-independent (park/drain inside the shard).
-			_, err = s.shard.AppendAtGen(req.Path, req.AppendOff, req.Data, req.LayoutGen)
+			_, err = s.shard.AppendAt(req.Path, req.AppendOff, req.Data, placed, req.LayoutGen)
 		default:
-			_, err = s.shard.AppendGen(req.Path, req.Data, req.LayoutGen)
+			_, err = s.shard.AppendGen(req.Path, req.Data, placed, req.LayoutGen)
 		}
 		if err != nil {
 			return fail(err)

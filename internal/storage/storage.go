@@ -198,6 +198,14 @@ func (s *Store) WriteAt(e Extent, off int64, p []byte) (int, error) {
 	return n, nil
 }
 
+// View returns the device bytes of the allocated extent e, for a caller
+// that fills them in place (a payload read straight off a socket) instead
+// of handing WriteAt a copy. The view is valid while the extent stays
+// allocated and the store reachable: the finalizer unmaps the device.
+func (s *Store) View(e Extent) []byte {
+	return s.data[e.Off:e.End():e.End()]
+}
+
 // ReadAt copies from the extent at offset off within the extent into p.
 func (s *Store) ReadAt(e Extent, off int64, p []byte) (int, error) {
 	if off < 0 || off+int64(len(p)) > e.Len {

@@ -13,7 +13,9 @@
 // and zero payload copies. On decode the frame buffer is leased from
 // the payload pool and the decoded Data aliases it — no copy-out;
 // ownership travels with the message until its Release (see lease.go
-// for the contract).
+// for the contract). A large write arriving on a connection with a sink
+// skips the frame buffer: its payload is read straight into the device
+// extent it will live in (recvPlaced).
 package transport
 
 import (
@@ -28,6 +30,7 @@ import (
 	"time"
 
 	"themisio/internal/jobtable"
+	"themisio/internal/storage"
 )
 
 // maxFrame bounds a frame payload; anything larger is a corrupt or
@@ -204,31 +207,37 @@ func (c *Conn) flush(mid int, data []byte, segs [][]byte) error {
 	return c.werr
 }
 
-// readFrameLeased reads one length-prefixed frame into a buffer leased
-// from the payload pool and returns it. Ownership passes to the caller
-// — normally to the decoded message, whose byte-slice Data aliases the
-// frame and whose Release returns it (see Lease/Release).
-func (c *Conn) readFrameLeased() ([]byte, error) {
+// readLen reads the next frame's length prefix, after the stream's
+// opening magic when that is still owed.
+func (c *Conn) readLen() (int, error) {
 	hdr := c.hdr[:] // a local array would escape into ReadFull: one allocation per frame
 	if !c.magicSeen {
 		if _, err := io.ReadFull(c.br, hdr); err != nil {
-			return nil, err
+			return 0, err
 		}
 		if c.hdr != binMagic {
-			return nil, errBadMagic
+			return 0, errBadMagic
 		}
 		c.magicSeen = true
 	}
 	if _, err := io.ReadFull(c.br, hdr); err != nil {
-		return nil, err
+		return 0, err
 	}
 	n := binary.LittleEndian.Uint32(hdr)
 	if n > maxFrame {
-		return nil, fmt.Errorf("transport: frame of %d bytes", n)
+		return 0, fmt.Errorf("transport: frame of %d bytes", n)
 	}
+	return int(n), nil
+}
+
+// readBody reads an n-byte frame body into a buffer leased from the
+// payload pool and returns it. Ownership passes to the caller —
+// normally to the decoded message, whose byte-slice Data aliases the
+// frame and whose Release returns it (see Lease/Release).
+func (c *Conn) readBody(n int) ([]byte, error) {
 	top := leaseClasses[len(leaseClasses)-1]
-	if int(n) <= top {
-		b := Lease(int(n))
+	if n <= top {
+		b := Lease(n)
 		if _, err := io.ReadFull(c.br, b); err != nil {
 			Release(b)
 			return nil, err
@@ -240,14 +249,86 @@ func (c *Conn) readFrameLeased() ([]byte, error) {
 	// bytes actually received, so a hostile header followed by silence
 	// commits one class, not maxFrame.
 	b := make([]byte, 0, top)
-	for len(b) < int(n) {
-		step := min(top, int(n)-len(b))
+	for len(b) < n {
+		step := min(top, n-len(b))
 		b = slices.Grow(b, step)[:len(b)+step]
 		if _, err := io.ReadFull(c.br, b[len(b)-step:]); err != nil {
 			return nil, err
 		}
 	}
 	return b, nil
+}
+
+// placeHeadMax bounds the request head recvPlaced decodes where it lies
+// in the receive buffer: the fixed fields, the job's three names and the
+// path. A write whose head is longer takes the leased path.
+const placeHeadMax = 1 << 10
+
+// recvPlaced receives the n-byte frame whose length prefix was just read
+// into r when it is a write the connection's sink can place: its head is
+// decoded where it lies in the receive buffer, its payload read straight
+// into an extent the sink reserves, and its tail decoded from the buffer
+// — the frame is never assembled anywhere. It reports false with
+// nothing consumed when the frame takes the leased path instead: no
+// sink, not a write, a payload under sgMinPayload, a frame above the top
+// lease class (the length is still a claim, and a claim must not reserve
+// device), a head or tail too long for the buffer, or no room in the
+// store (the write then meets the store's refusal after its token draw,
+// as it did before placement). A frame cut short or failing to decode
+// gives its reservation back.
+func (c *Conn) recvPlaced(r *Request, n int) (bool, error) {
+	if c.sink == nil || n < sgMinPayload || n > leaseClasses[len(leaseClasses)-1] {
+		return false, nil
+	}
+	head, _ := c.br.Peek(min(n, placeHeadMax)) // a short peek fails the decode below
+	if len(head) == 0 || MsgType(head[0]) != MsgWrite {
+		return false, nil
+	}
+	d := reader{b: head}
+	decodeRequestHead(&d, r, &c.names)
+	plen := d.uvarint()
+	hlen := len(head) - len(d.b)
+	if d.err != nil || plen < sgMinPayload || plen > uint64(n-hlen) || n-hlen-int(plen) > c.br.Size() {
+		return false, nil
+	}
+	tlen := n - hlen - int(plen)
+	ext, dst, err := c.sink.Reserve(int(plen))
+	if err != nil {
+		return false, nil
+	}
+	_, _ = c.br.Discard(hlen) // peeked: cannot fail
+	// What the buffer already holds of the payload is copied out; the rest
+	// is read off the socket straight into place, where reading through
+	// the buffer would stage its last 64 KiB there first.
+	k, _ := c.br.Read(dst[:min(len(dst), c.br.Buffered())]) // buffered bytes only; a latched read error recurs below
+	if _, err := io.ReadFull(c.rd, dst[k:]); err != nil {
+		unplace(c.sink, ext, dst)
+		return true, err
+	}
+	tail, err := c.br.Peek(tlen)
+	if err == nil {
+		d = reader{b: tail}
+		decodeRequestTail(&d, r)
+		_, _ = c.br.Discard(tlen)
+		err = d.err
+	}
+	if err != nil {
+		unplace(c.sink, ext, dst)
+		return true, err
+	}
+	r.Data, r.sink, r.placed = dst, c.sink, ext
+	return true, nil
+}
+
+// unplace gives a placement nothing adopted back to its sink, scribbled
+// first under SetLeasePoison like a released frame.
+func unplace(k Sink, ext storage.Extent, view []byte) {
+	if leasePoison.Load() {
+		for i := range view {
+			view[i] = leasePoisonByte
+		}
+	}
+	k.Unreserve(ext)
 }
 
 // --- primitive writers ---------------------------------------------------
@@ -660,6 +741,15 @@ func decodeRequest(b []byte, r *Request) error { return decodeRequestNames(b, r,
 // Every field of r is overwritten, so r may be a recycled message.
 func decodeRequestNames(b []byte, r *Request, nc *nameCache) error {
 	d := reader{b: b}
+	decodeRequestHead(&d, r, nc)
+	r.Data = d.alias()
+	decodeRequestTail(&d, r)
+	return d.err
+}
+
+// decodeRequestHead decodes the fields appendRequestHead wrote before
+// the payload length.
+func decodeRequestHead(d *reader, r *Request, nc *nameCache) {
 	r.Type = MsgType(d.u8())
 	r.Seq = d.uvarint()
 	r.Job.JobID = d.name(nc, nameJob)
@@ -671,7 +761,11 @@ func decodeRequestNames(b []byte, r *Request, nc *nameCache) error {
 	r.Path = d.name(nc, namePath)
 	r.Offset = d.svarint()
 	r.Size = d.svarint()
-	r.Data = d.alias()
+}
+
+// decodeRequestTail decodes the fields appendRequestTail wrote. Nothing
+// it returns aliases the frame.
+func decodeRequestTail(d *reader, r *Request) {
 	r.Stripes = int(d.svarint())
 	r.StripeUnit = d.svarint()
 	r.StripeSet = d.strs()
@@ -697,7 +791,6 @@ func decodeRequestNames(b []byte, r *Request, nc *nameCache) error {
 			r.ShareKind = d.str()
 		}
 	}
-	return d.err
 }
 
 // appendResponseHead appends the fields up to and including the payload

@@ -7,7 +7,7 @@
 //   - SlotFor(key) is the stripe-affinity pick: a stable key (the
 //     client hashes path and stripe index) always lands on the same
 //     slot, so one file's chunk stream for one stripe rides one
-//     connection in send order. The server's AppendAtGen reorder buffer
+//     connection in send order. The server's AppendAt reorder buffer
 //     then never parks a copy for pool-induced reordering.
 //   - PickSpread() rotates over every slot: reads at explicit offsets
 //     are idempotent and order-free, so read chunks fan out across all

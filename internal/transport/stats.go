@@ -99,7 +99,7 @@ func NewConnStats(raw net.Conn, st *Stats) *Conn {
 		c.cr = &countReader{r: raw}
 		r = c.cr
 	}
-	c.br = bufio.NewReaderSize(r, recvBuf)
+	c.rd, c.br = r, bufio.NewReaderSize(r, recvBuf)
 	return c
 }
 

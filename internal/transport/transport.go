@@ -20,12 +20,14 @@ package transport
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
 
 	"themisio/internal/jobtable"
 	"themisio/internal/policy"
+	"themisio/internal/storage"
 )
 
 // MsgType enumerates the protocol operations, mirroring the intercepted
@@ -243,8 +245,12 @@ type Request struct {
 	ShareKind string
 
 	// frame is the leased receive buffer a decoded request's
-	// Data aliases; Release returns it to the payload pool.
-	frame []byte
+	// Data aliases; Release returns it to the payload pool. placed is,
+	// instead, the device extent the connection's sink reserved and Data
+	// views; Release returns it to sink unless a write adopted it.
+	frame  []byte
+	sink   Sink
+	placed storage.Extent
 }
 
 // payloadLen is the request's wire payload length: Data, or the scatter
@@ -261,12 +267,14 @@ func (r *Request) payloadLen() int {
 }
 
 // Release returns the leased frame buffer this request's Data aliases
-// to the payload pool (no-op for locally built requests). After Release
+// to the payload pool, and a placed payload no write adopted to its
+// connection's sink (no-op for locally built requests). After Release
 // neither r.Data nor any alias of it may be used; Data is nilled so a
-// stale use fails loudly. Releasing is
-// optional — an unreleased frame is garbage-collected — but the hot
-// paths (server workers, the client's response consumers) release so
-// steady-state traffic recycles instead of allocating.
+// stale use fails loudly. Releasing is optional — an unreleased frame is
+// garbage-collected, an unreleased placement holds its device space
+// until the server stops — but the hot paths (server workers, the
+// client's response consumers) release so steady-state traffic recycles
+// instead of allocating.
 func (r *Request) Release() {
 	if r.frame != nil {
 		b := r.frame
@@ -274,7 +282,19 @@ func (r *Request) Release() {
 		r.Data = nil
 		Release(b)
 	}
+	if r.sink != nil {
+		if r.placed.Len > 0 {
+			unplace(r.sink, r.placed, r.Data)
+		}
+		r.sink, r.placed, r.Data = nil, storage.Extent{}, nil
+	}
 }
+
+// Placed is the device extent the connection's sink reserved and Data
+// was read into; it is empty when Data sits in a leased frame or in the
+// caller's memory. A write that adopts the extent empties it (see
+// fsys.Shard.AppendGen); Release gives back whatever is left.
+func (r *Request) Placed() *storage.Extent { return &r.placed }
 
 // Response answers a Request, matched by Seq.
 type Response struct {
@@ -393,6 +413,7 @@ var errBadMagic = fmt.Errorf("transport: stream does not open with the codec mag
 type Conn struct {
 	raw net.Conn
 	br  *bufio.Reader
+	rd  io.Reader // what br reads from: raw, or the counter in front of it
 
 	// Accounting state (nil/zero without Stats — see NewConnStats).
 	// cr/lastRecvPos are owned by the reader goroutine.
@@ -421,7 +442,27 @@ type Conn struct {
 	magicSeen bool
 	hdr       [4]byte
 	names     nameCache
+	// sink, when set, places large write payloads (see SetSink).
+	sink Sink
 }
+
+// A Sink reserves the memory a write payload will live in, so a
+// connection reads the payload straight there and the store adopts it
+// without a copy: the server's shard is the sink of every connection it
+// accepts.
+type Sink interface {
+	// Reserve returns n bytes of reserved device and the extent naming
+	// them, or an error when there is no room.
+	Reserve(n int) (storage.Extent, []byte, error)
+	// Unreserve returns a reservation nothing adopted.
+	Unreserve(storage.Extent)
+}
+
+// SetSink makes k the connection's sink: from the next frame on, a
+// write whose payload is at least sgMinPayload and whose frame fits the
+// top lease class is read into an extent k reserves (Request.Placed).
+// Receive side only; call it before the reader starts.
+func (c *Conn) SetSink(k Sink) { c.sink = k }
 
 // NewConn wraps a net.Conn, dial or accept side alike: the first frame
 // sent is preceded by the codec magic and the first frame received must
@@ -466,7 +507,17 @@ func (c *Conn) RecvRequest() (*Request, error) {
 // strings are the connection's cached ones when the frame repeats them.
 func (c *Conn) RecvRequestInto(r *Request) error {
 	r.Release()
-	b, err := c.readFrameLeased()
+	n, err := c.readLen()
+	if err != nil {
+		return err
+	}
+	if placed, err := c.recvPlaced(r, n); placed || err != nil {
+		if err == nil && c.stats != nil {
+			c.noteRecv(int(r.Type))
+		}
+		return err
+	}
+	b, err := c.readBody(n)
 	if err != nil {
 		return err
 	}
@@ -498,7 +549,11 @@ func (c *Conn) RecvResponse() (*Response, error) {
 // same contract as RecvRequestInto.
 func (c *Conn) RecvResponseInto(r *Response) error {
 	r.Release()
-	b, err := c.readFrameLeased()
+	n, err := c.readLen()
+	if err != nil {
+		return err
+	}
+	b, err := c.readBody(n)
 	if err != nil {
 		return err
 	}
