@@ -22,9 +22,10 @@
 // With -backing, the server stages dirty data out to the given
 // directory (the stand-in for the parallel file system behind the burst
 // buffer) in the background — under the sharing policy, as a synthetic
-// stage-out job — re-hydrates its shard from it on start, and adopts a
-// failed peer's files from it during failover. A graceful shutdown
-// flushes before leaving. See docs/OPERATIONS.md.
+// stage-out job — re-hydrates its shard from it on start, and reads a
+// failed peer's stripes from it while the survivors re-stripe that
+// peer's files over themselves. A graceful shutdown flushes before
+// leaving. See docs/OPERATIONS.md.
 //
 // When a member joins, existing file layouts are migrated onto the
 // grown ring (-rebalance, on by default): migration traffic runs as a

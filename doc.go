@@ -23,7 +23,7 @@
 //     (join/leave/drain/fail), gossip-based λ-sync, failover, and the
 //     epoch-versioned cluster-wide policy rumor behind live hot-swap
 //   - internal/backing  — stage-out durability: the backing-store
-//     interface, the policy-governed drain engine, and crash/failover
+//     interface, the policy-governed drain engine, and crash-restart
 //     re-hydration
 //   - internal/fsys, internal/storage, internal/chash — the user-space
 //     file system substrate (shards, extent store, dirty-range maps,

@@ -1,8 +1,8 @@
 // Package backing implements the stage-out half of the burst-buffer
 // lifecycle: a backing-store interface over which servers write dirty
 // data back asynchronously (stage-out), and from which a server restores
-// its shard after a restart (stage-in) or survivors re-hydrate a failed
-// member's ring segment (failover recovery).
+// its shard after a restart (stage-in) and from which survivors read a
+// failed member's stripes when they move its files (failover).
 //
 // The paper's conclusion names persistence — "log-structure
 // byte-addressable file system designs and persistent data structure
@@ -18,8 +18,8 @@
 // unlink, so the concurrent server processes of one cluster — which
 // all open the same directory — never clobber each other: each row has
 // exactly one writer (the owner server), and cross-owner deletes
-// (unlink propagation, recovery cleanup) remove whole rows instead of
-// rewriting shared state.
+// (unlink propagation, a failover's retirement of a dead member's
+// objects) remove whole rows instead of rewriting shared state.
 package backing
 
 import (
@@ -35,7 +35,7 @@ import (
 
 // FileMeta describes one staged object: which entry it belongs to, which
 // stripe of the entry it holds, and the stripe layout recorded at
-// creation so recovery can rebuild the full file.
+// creation so stage-in and failover can rebuild the file.
 type FileMeta struct {
 	// Owner is the server (listen address) that staged the object.
 	// Directory entries are replicated on every server, so the owner is
@@ -53,9 +53,9 @@ type FileMeta struct {
 	Stripes    int      `json:"stripes,omitempty"`
 	StripeUnit int64    `json:"stripe_unit,omitempty"`
 	StripeSet  []string `json:"stripe_set,omitempty"`
-	// LayoutGen is the layout generation recorded with the stripes (so
-	// failover adoption can install a generation newer than any client
-	// cached before the failure).
+	// LayoutGen is the layout generation recorded with the stripes (so a
+	// restart restores the generation clients cached, and a failover can
+	// tell which layout a row belongs to).
 	LayoutGen uint64 `json:"layout_gen,omitempty"`
 	// Size is the object's content length in bytes (the local stripe
 	// size, not the global file size).
@@ -64,7 +64,7 @@ type FileMeta struct {
 
 // Store is the backing-store interface. Implementations must be safe
 // for concurrent use: the drain engine writes from worker goroutines
-// while recovery reads the manifest.
+// while the migrator reads the manifest.
 type Store interface {
 	// WriteRange stages data at byte offset off of the object identified
 	// by meta (owner, path, stripe), creating or extending it as needed
@@ -78,9 +78,10 @@ type Store interface {
 	ReadRange(meta FileMeta, off int64, buf []byte) (int, error)
 	// DeleteObject removes the single object (owner, path, stripe).
 	// Deliberately the only delete in the interface: unlink write-back
-	// and recovery cleanup each remove exactly the rows they own — a
-	// path-wide, all-owners delete could destroy rows another server
-	// (or a newer incarnation of the path) staged concurrently.
+	// and a failover's retirement of a dead member's objects each remove
+	// exactly the rows they name — a path-wide, all-owners delete could
+	// destroy rows another server (or a newer incarnation of the path)
+	// staged concurrently.
 	DeleteObject(owner, path string, stripe int) error
 	// Manifest returns a copy of all staged-object metadata, sorted by
 	// (path, stripe, owner).

@@ -109,8 +109,8 @@ func (t *Task) Run() error {
 		// The entry was unlinked, recreated, or replaced between the
 		// check and the write: our write may have polluted the (possibly
 		// new) object. Undo our own object — only our own; an unlink's
-		// tombstone covers the other stripes, and a recovery adopter's
-		// fresh object must survive — and re-mark any live incarnation
+		// tombstone covers the other stripes, and another holder's fresh
+		// object must survive — and re-mark any live incarnation
 		// so a future pump restages it from scratch.
 		_ = d.store.DeleteObject(d.self, c.Path, c.Stripe)
 		d.shard.MarkDirtyAll(c.Path)

@@ -323,18 +323,6 @@ func (m *Membership) Peers() []string {
 	return out
 }
 
-// IsAlive reports whether addr is a known member in StateAlive — the
-// eligibility check rebalancing applies to every source and target of
-// a planned stripe migration (moving data toward or away from a
-// suspect, draining or failed member is failover recovery's job, not
-// the planner's).
-func (m *Membership) IsAlive(addr string) bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	e, ok := m.entries[addr]
-	return ok && e.m.State == StateAlive
-}
-
 // Lookup returns the member record for addr.
 func (m *Membership) Lookup(addr string) (Member, bool) {
 	m.mu.RLock()

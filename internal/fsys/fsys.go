@@ -235,7 +235,7 @@ func split(p string) (parent, name string) {
 
 // CreateEntry records a namespace entry (file or directory) on this
 // shard without touching the parent directory (Mkdir and CreateStriped
-// add the parent check and the child link; recovery and migration install
+// add the parent check and the child link; stage-in and migration install
 // entries directly).
 func (s *Shard) CreateEntry(p string, dir bool, stripes int, unit int64, set []string) error {
 	p = clean(p)
@@ -405,9 +405,9 @@ func (s *Shard) Readdir(p string) ([]string, error) {
 // returns the new local size. The shard read-lock is held for the whole
 // operation: concurrent appends and reads still proceed in parallel
 // (shared lock, and extent allocation serializes only on the store's
-// own mutex, §4.3), but an entry replacement (recovery's RestoreFile /
-// DropStale, which release the node's extents) cannot interleave and
-// orphan an acknowledged write.
+// own mutex, §4.3), but an entry replacement (a migration commit or
+// drop, which releases the node's extents) cannot interleave and orphan
+// an acknowledged write.
 func (s *Shard) Append(p string, data []byte) (int64, error) {
 	return s.AppendGen(p, data, nil, 0)
 }

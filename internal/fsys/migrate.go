@@ -211,7 +211,7 @@ func (s *Shard) commitLocked(p string, fi FileInfo, gen uint64) error {
 		// The stripe index (and content) changed, so the old row would
 		// otherwise squat in the backing store — and a stale row sharing a
 		// (path, stripe) key with a new owner's row could mislead a later
-		// failover reassembly.
+		// failover copy.
 		s.tombstones = append(s.tombstones, Tombstone{Path: p, Stripe: s.stripeIndex(old)})
 	}
 	delete(s.pending, p)
@@ -321,6 +321,22 @@ func LocalLen(total int64, i, nStripes int, unit int64) int64 {
 		n += rem
 	}
 	return n
+}
+
+// FileOff returns the file offset of byte off of stripe i in a
+// round-robin layout of w stripes and unit-sized chunks; StripeOf is its
+// inverse. Together with LocalLen they are the one copy of the layout
+// map: stage-in scatters staged stripes through FileOff, and a migration
+// that narrows a file gathers each new stripe through both.
+func FileOff(off int64, i, w int, unit int64) int64 {
+	return (off/unit*int64(w)+int64(i))*unit + off%unit
+}
+
+// StripeOf returns the stripe holding file offset g in a round-robin
+// layout of w stripes and the offset within it.
+func StripeOf(g int64, w int, unit int64) (i int, off int64) {
+	u := g / unit
+	return int(u % int64(w)), u/int64(w)*unit + g%unit
 }
 
 // ConsistentTotal returns the longest global length every stripe of a

@@ -11,12 +11,12 @@ import (
 // lifecycle. Writes mark per-file dirty ranges (see Append); the drain
 // engine (internal/backing) harvests them here as coalesced chunks,
 // stages them to the backing store, and re-marks them on failure.
-// Recovery re-hydrates entries with RestoreFile/RestoreDir.
+// A restart re-hydrates entries with RestoreFile/RestoreDir.
 
 // DirtyChunk is one harvested unit of stage-out work: a coalesced byte
 // range of one file's local stripe (or a directory's child set, or a
 // zero-byte file-creation record), plus the layout metadata the backing
-// store records so recovery can reassemble the file.
+// store records so stage-in and failover can rebuild the file.
 type DirtyChunk struct {
 	Path     string
 	IsDir    bool
@@ -30,9 +30,8 @@ type DirtyChunk struct {
 	Data []byte
 	// Stripe is this shard's position in the file's stripe set; Stripes,
 	// Unit, Set and LayoutGen are the recorded layout (LayoutGen rides
-	// to the backing store so failover adoption can bump past it — an
-	// adopted layout must be detectably newer than any client's cached
-	// generation).
+	// to the backing store so a restart restores the generation clients
+	// cached).
 	Stripe    int
 	Stripes   int
 	Unit      int64
@@ -253,28 +252,8 @@ func (s *Shard) CollectDirty(maxBytes, chunkBytes int64) []DirtyChunk {
 	return out
 }
 
-// CollectDirtyPath removes up to len(buf) bytes of one file's dirty data
-// and returns them as chunks backed by buf — one segment of the
-// synchronous pre-stage recovery performs before dropping or adopting an
-// entry, so no acknowledged write is lost to a copy staler than the live
-// shard. The caller stages the chunks before reusing buf; nil means the
-// file has nothing left to stage.
-func (s *Shard) CollectDirtyPath(p string, buf []byte) []DirtyChunk {
-	p = clean(p)
-	s.mu.Lock()
-	n, ok := s.nodes[p]
-	if !ok || n.isDir || ((n.dirty == nil || n.dirty.Empty()) && !n.metaDirty) {
-		s.mu.Unlock()
-		return nil
-	}
-	h, _ := s.takeLocked(p, n, int64(len(buf)))
-	s.mu.Unlock()
-	return s.chunksOf(h, int64(len(buf)), buf, nil)
-}
-
 // MarkDirty re-marks a byte range of p as un-staged — the failure path
-// of the drain engine, and the restage trigger after a recovery. A
-// non-positive length re-marks the entry's existence (directories and
+// of the drain engine. A non-positive length re-marks the entry's existence (directories and
 // zero-byte file records).
 func (s *Shard) MarkDirty(p string, off, n int64) {
 	p = clean(p)
@@ -328,40 +307,17 @@ func (s *Shard) TakeTombstones() []Tombstone {
 	return out
 }
 
-// FilesWithServer returns the file paths whose recorded stripe set
-// includes addr — the entries failover recovery must reconcile when
-// addr fails.
-func (s *Shard) FilesWithServer(addr string) []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []string
-	for p, n := range s.nodes {
-		if n.isDir {
-			continue
-		}
-		for _, a := range n.set {
-			if a == addr {
-				out = append(out, p)
-				break
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // RestoreFile installs the file fi describes — fi.Size bytes of local
-// content under its layout — replacing any local entry at fi.Path. fill
-// writes the content into a fresh extent at its offsets, in any order,
-// and only when it succeeds does the entry swap in, in one critical
-// section: a failed fill leaves the shard as it was, and no request sees
-// a half-restored file. The restored entry is clean; the caller restages
-// it when it should. fi.LayoutGen is the layout generation to install (0
-// selects the creation default): a crash-restart re-hydration preserves
-// the staged generation, while failover adoption passes one past the
-// highest staged generation so clients still holding the pre-failure
-// layout are detectably stale. The child entry is recorded in the local
-// parent directory if this shard holds it.
+// content under its layout — replacing any local entry at fi.Path: the
+// crash-restart stage-in of one staged stripe. fill writes the content
+// into a fresh extent at its offsets, in any order, and only when it
+// succeeds does the entry swap in, in one critical section: a failed
+// fill leaves the shard as it was, and no request sees a half-restored
+// file. The restored entry is clean (its bytes came from the backing
+// store). fi.LayoutGen is the staged layout generation (0 selects the
+// creation default), so clients that cached it before the restart stay
+// current. The child entry is recorded in the local parent directory if
+// this shard holds it.
 func (s *Shard) RestoreFile(fi FileInfo, fill func(dst io.WriterAt) error) error {
 	p := clean(fi.Path)
 	var ext storage.Extent
@@ -440,23 +396,4 @@ func (s *Shard) RestoreDir(p string, children []string) error {
 		_ = s.AddChild(parent, name)
 	}
 	return nil
-}
-
-// DropStale removes a local file entry without recording a tombstone —
-// the cleanup a surviving stripe holder performs when recovery has moved
-// the file to a new owner under a new layout (the backing objects must
-// outlive the local copy). Reports whether an entry was dropped.
-func (s *Shard) DropStale(p string) bool {
-	p = clean(p)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n, ok := s.nodes[p]
-	if !ok || n.isDir {
-		return false
-	}
-	if s.store.ReleaseAll(n.index.Extents()) != nil {
-		return false
-	}
-	delete(s.nodes, p)
-	return true
 }

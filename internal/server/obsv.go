@@ -177,9 +177,6 @@ func newServerMetrics(reg *obsv.Registry, s *Server) *serverMetrics {
 	reg.CounterFunc("themis_backing_drain_errors_total",
 		"Stage-out chunk failures (each is retried).",
 		func() float64 { return float64(drainErrs(s)) })
-	reg.CounterFunc("themis_backing_recovery_passes_total",
-		"Failover-reconciliation passes run (two-phase recovery).",
-		func() float64 { return float64(s.recoverPasses.Load()) })
 
 	// --- rebalance --------------------------------------------------------
 	reg.CounterFunc("themis_rebalance_files_migrated_total",

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log/slog"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,27 +19,38 @@ import (
 	"themisio/internal/transport"
 )
 
-// Join-time stripe rebalancing: when the membership ring's epoch moves
-// because a member joined, file layouts pinned at creation no longer
-// match the ring's placement, so the new member serves none of the existing
-// bytes. The migrator closes that gap: the file's recorded set[0]
-// server (the coordinator — for a join, every recorded holder is still
-// alive, so it always exists) detects the divergence and moves the file
-// to the ring's current placement, two-phase like failover recovery:
+// Stripe migration: the one way a file's layout changes. The migrator
+// moves a file whose recorded stripe set differs from the ring's
+// placement, ring.LookupN(path, width), onto that placement. Two events
+// make them differ: a member joins, and the ring ranks it above a recorded
+// holder; or a member fails or leaves, and the ring no longer holds it.
+// Either way the file keeps its recorded width, unless fewer servers
+// remain than the width: then it narrows to all of them.
 //
-//  1. Seal every current holder (write-freeze; reads keep serving) and
-//     stream each stripe whose holder changes into a pending entry on
-//     its new holder, through the stripe pipeline: read from the sealed
-//     holder — or from its staged object when it stops answering — and
-//     written as positional appends, one segment at a time.
+// The coordinator is the first living member of the recorded set (alive,
+// or draining and still serving). It holds the entry, so its own shard
+// scan finds the file. A file no living member holds has no such entry:
+// the path's ring owner finds it in the backing store's rows, in the one
+// manifest scan a pass makes while a dead member is not yet reconciled.
+// The move has two phases:
+//
+//  1. Seal every living holder (write-freeze; reads keep serving) and
+//     stream each new stripe whose holder changes into a pending entry on
+//     its new holder, through the stripe pipeline, one segment at a time.
+//     A living holder's stripe is read live, falling back to its staged
+//     object if it stops answering; a dead holder's stripe is read from
+//     its staged object alone and sized by that object's row.
 //  2. Commit the new layout on every new holder under a bumped layout
-//     generation — the pending entry swapped in, or a stripe whose
-//     holder and index both survive re-labelled in place — and drop the
-//     stale stripes, generation-checked so a concurrent unlink or
-//     recreate is never clobbered. Dropped stripes leave moved markers
-//     and tombstone their staged objects; committed stripes are dirty,
-//     so the ordinary drain engine converges the backing store on the
-//     new layout.
+//     generation — the pending entry swapped in, or a stripe whose holder
+//     and index both survive re-labelled in place — and drop the living
+//     holders' stale stripes, generation-checked so a concurrent unlink or
+//     recreate is never clobbered. Dropped stripes leave moved markers and
+//     tombstone their staged objects; committed stripes are dirty, so the
+//     drain engine stages the new layout. A dead holder's object is
+//     deleted only once the stripes that replaced it are staged.
+//
+// Without a backing store a dead holder's stripe is gone, and moving the
+// file would truncate acknowledged bytes: such a file stays where it is.
 //
 // All peer traffic (seals, stripe reads, installs, commits, drops)
 // carries the synthetic rebalance job (policy.RebalanceJob), and data
@@ -67,14 +79,22 @@ type Migrator struct {
 	job   policy.JobInfo
 	log   *slog.Logger
 
+	// failoverOnly plans only files with a dead holder: join-time moves
+	// are off (Config.RebalanceDisabled), failover is not.
+	failoverOnly bool
+
 	// running admits one pass at a time (the controller ticks every λ;
 	// a tick that finds a pass in flight changes nothing). planned is
 	// the ring epoch the shard was last fully reconciled against: the
 	// pass is a no-op until the epoch moves again or a previous pass
-	// left errors behind.
-	running atomic.Bool
-	planned atomic.Uint64
-	dirty   atomic.Bool // a pass failed; retry even at the same epoch
+	// left errors behind. reconciled names the dead members (deadKey)
+	// the last settled pass moved every file off; only a pass that finds
+	// one it has not reads the backing store's manifest. It is touched by
+	// the pass alone.
+	running    atomic.Bool
+	planned    atomic.Uint64
+	dirty      atomic.Bool // a pass failed; retry even at the same epoch
+	reconciled string
 
 	// peers reaches the other holders: one cached connection each.
 	peers *transport.Peers
@@ -95,11 +115,30 @@ type Migrator struct {
 	// object forever (no epoch move revisits it), so they are retried
 	// every pass until they land or the generation check voids them.
 	drops []pendingDrop
+	// deletes are dead holders' staged objects whose file moved: each is
+	// the only durable copy of its stripe until the new layout's rows are
+	// staged, so it is deleted only then (see retire).
+	deletes []pendingDelete
 }
 
 type pendingDrop struct {
 	addr, path string
 	gen        uint64
+}
+
+// pendingDelete is the dead holders' objects of one moved file, owed
+// deletion once the stripes of set at layout generation gen are staged.
+type pendingDelete struct {
+	path string
+	gen  uint64
+	set  []string
+	objs []rowKey
+}
+
+// rowKey names one staged object.
+type rowKey struct {
+	owner, path string
+	stripe      int
 }
 
 // NewMigrator builds a migration coordinator for the shard owned by
@@ -172,11 +211,25 @@ func (m *Migrator) Pass() {
 	}
 	m.dirty.Store(false)
 	m.retryDrops()
-	plan, skipped := m.plan(mem)
+	dead := deadKey(mem)
+	m.mu.Lock()
+	owed := len(m.deletes)
+	m.mu.Unlock()
+	var rows map[rowKey]backing.FileMeta
+	if m.store != nil && ((dead != "" && dead != m.reconciled) || owed > 0) {
+		var err error
+		if rows, err = loadRows(m.store); err != nil {
+			m.fail(fmt.Errorf("rebalance: reading the backing manifest: %w", err))
+			m.dirty.Store(true)
+			return
+		}
+		m.retire(mem, rows)
+	}
+	plan, skipped := m.plan(mem, rows)
 	m.pending.Store(int64(len(plan)))
 	ok := true
 	for _, fi := range plan {
-		if err := m.migrateFile(mem, fi); err != nil {
+		if err := m.migrateFile(mem, fi, rows); err != nil {
 			m.fail(fmt.Errorf("rebalance %s: %w", fi.Path, err))
 			ok = false
 		}
@@ -184,19 +237,113 @@ func (m *Migrator) Pass() {
 	}
 	m.pending.Store(0)
 	m.mu.Lock()
-	dropsLeft := len(m.drops)
+	owing := len(m.drops) + len(m.deletes)
 	m.mu.Unlock()
 	// Advance the reconciled epoch only if every candidate settled, no
 	// candidate was skipped for a transiently non-alive member (a
 	// suspect recovering to alive moves no epoch, so only the dirty
-	// flag would ever revisit it), no stale-stripe drop is still owed,
-	// and the ring did not move mid-pass; otherwise the next λ tick
-	// replans.
-	if ok && skipped == 0 && dropsLeft == 0 && mem.Epoch() == epoch {
+	// flag would ever revisit it), no stale-stripe drop or dead object's
+	// delete is still owed, and the ring did not move mid-pass; otherwise
+	// the next λ tick replans.
+	if ok && skipped == 0 && owing == 0 && mem.Epoch() == epoch {
 		m.planned.Store(epoch)
-	} else if !ok || skipped > 0 || dropsLeft > 0 {
+		m.reconciled = dead
+	} else if !ok || skipped > 0 || owing > 0 {
 		m.dirty.Store(true)
 	}
+}
+
+// deadKey names the members the fabric gave up on — failed or left —
+// each with the incarnation it died at, so a member that rejoins and
+// fails again is news. Empty when every member is living.
+func deadKey(mem *cluster.Membership) string {
+	var b strings.Builder
+	for _, e := range mem.Snapshot() {
+		if gone(e.State) {
+			fmt.Fprintf(&b, "%s@%d ", e.Addr, e.Incarnation)
+		}
+	}
+	return b.String()
+}
+
+// gone reports whether a member in state st is dead to the fabric: its
+// stripes are read from their staged objects, and it is never dialed.
+func gone(st cluster.State) bool { return st == cluster.StateFailed || st == cluster.StateLeft }
+
+// loadRows indexes the backing store's file rows by identity — the one
+// manifest scan a pass makes, shared by the sizing of dead holders'
+// stripes, the search for files no living member holds, and the owed
+// deletes.
+func loadRows(store backing.Store) (map[rowKey]backing.FileMeta, error) {
+	manifest, err := store.Manifest()
+	if err != nil {
+		return nil, err
+	}
+	rows := make(map[rowKey]backing.FileMeta, len(manifest))
+	for _, r := range manifest {
+		if !r.IsDir {
+			rows[rowKey{r.Owner, r.Path, r.Stripe}] = r
+		}
+	}
+	return rows, nil
+}
+
+// retire deletes the dead holders' objects of moved files whose new
+// stripes are all accounted for: staged at the new layout's generation,
+// held by a member that died since (its own failover reads its row), or
+// no longer held at that generation (unlinked, or moved on). Until then a
+// dead object is the only durable copy of its stripe — new objects
+// first, stale deletes after — so it stays owed, and so does one whose
+// delete failed.
+func (m *Migrator) retire(mem *cluster.Membership, rows map[rowKey]backing.FileMeta) {
+	m.mu.Lock()
+	owed := m.deletes
+	m.deletes = nil
+	m.mu.Unlock()
+	var keep []pendingDelete
+	for _, d := range owed {
+		if !m.replaced(mem, d, rows) {
+			keep = append(keep, d)
+			continue
+		}
+		for i, k := range d.objs {
+			if err := m.store.DeleteObject(k.owner, k.path, k.stripe); err != nil {
+				m.fail(fmt.Errorf("rebalance %s: deleting %s's stripe %d (will retry): %w", k.path, k.owner, k.stripe, err))
+				d.objs = d.objs[i:]
+				keep = append(keep, d)
+				break
+			}
+		}
+	}
+	m.mu.Lock()
+	m.deletes = append(m.deletes, keep...)
+	m.mu.Unlock()
+}
+
+// replaced reports whether every stripe of d's layout is accounted for
+// (see retire). A holder that cannot be asked holds the delete back.
+func (m *Migrator) replaced(mem *cluster.Membership, d pendingDelete, rows map[rowKey]backing.FileMeta) bool {
+	for j, addr := range d.set {
+		if r, ok := rows[rowKey{addr, d.path, j}]; ok && r.LayoutGen >= d.gen {
+			continue
+		}
+		if e, _ := mem.Lookup(addr); gone(e.State) {
+			continue
+		}
+		resp, err := m.call(addr, &transport.Request{Type: transport.MsgStat, Path: d.path})
+		if err != nil {
+			if isGone(err) {
+				continue
+			}
+			return false
+		}
+		held := resp.LayoutGen == d.gen
+		resp.Release()
+		if held {
+			return false
+		}
+	}
+	return true
 }
 
 // retryDrops re-delivers stale-stripe retirements left over from
@@ -278,20 +425,40 @@ func (m *Migrator) ZombieSweep() {
 	}
 }
 
-// plan scans the shard for files whose recorded layout diverges from
-// the ring's current placement and that this server coordinates
-// (self == recorded set[0]; unrecorded legacy layouts are coordinated
-// by their holder). Files touching any non-alive member are counted
-// as skipped, not planned — failure reconciliation belongs to failover
-// recovery, and a transient suspect resolves within a few λ — and a
+// plan returns the files this server coordinates whose recorded layout
+// differs from the ring's placement: files it holds and is the first
+// living holder of (an unrecorded legacy layout is coordinated by its
+// holder), and, when rows are loaded, files only dead members hold whose
+// ring owner it is. A file whose set or target names a suspect or unknown
+// member is counted as skipped, not planned — a suspect resolves within a
+// few λ, back to alive or on to failed — and so is a file with a dead
+// holder when there are no rows to read that holder's stripe from. A
 // non-zero skip count keeps the pass from settling.
-func (m *Migrator) plan(mem *cluster.Membership) ([]fsys.FileInfo, int) {
+func (m *Migrator) plan(mem *cluster.Membership, rows map[rowKey]backing.FileMeta) ([]fsys.FileInfo, int) {
 	ring := mem.Ring()
 	var out []fsys.FileInfo
 	skipped := 0
+	consider := func(fi fsys.FileInfo, dead, wait bool) {
+		target := ring.LookupN(fi.Path, max(1, fi.Stripes))
+		if len(target) == 0 || slices.Equal(fi.StripeSet, target) || (m.failoverOnly && !dead) {
+			return
+		}
+		_, _, twait := classify(mem, target)
+		switch {
+		case wait || twait:
+			skipped++
+		case dead && rows == nil:
+			// Without a store the dead stripe is lost, and moving the file
+			// would truncate acknowledged bytes; with one, the next pass
+			// reads the manifest.
+			skipped++
+			m.reconciled = ""
+		default:
+			out = append(out, fi)
+		}
+	}
 	for _, fi := range m.shard.FileLayouts() {
-		set := fi.StripeSet
-		if len(set) == 0 {
+		if len(fi.StripeSet) == 0 {
 			if fi.Stripes > 1 {
 				// A legacy multi-stripe layout with no recorded set: the
 				// other holders are underivable (the creating ring is
@@ -300,66 +467,92 @@ func (m *Migrator) plan(mem *cluster.Membership) ([]fsys.FileInfo, int) {
 				// where the hash put it.
 				continue
 			}
-			set = []string{m.self}
+			fi.StripeSet = []string{m.self}
 		}
-		if set[0] != m.self {
-			continue
+		if coord, dead, wait := classify(mem, fi.StripeSet); coord == m.self {
+			consider(fi, dead, wait)
 		}
-		width := fi.Stripes
-		if width < 1 {
-			width = 1
+	}
+	for _, fi := range stagedLayouts(rows) {
+		coord, dead, wait := classify(mem, fi.StripeSet)
+		if owner, _ := ring.Lookup(fi.Path); coord == "" && dead && owner == m.self && !m.shard.Exists(fi.Path) {
+			consider(fi, dead, wait)
 		}
-		target := ring.LookupN(fi.Path, width)
-		if len(target) == 0 || slices.Equal(set, target) {
-			continue
-		}
-		alive := true
-		for _, a := range append(append([]string{}, set...), target...) {
-			if !mem.IsAlive(a) {
-				alive = false
-				break
-			}
-		}
-		if !alive {
-			skipped++
-			continue
-		}
-		fi.StripeSet = set
-		out = append(out, fi)
 	}
 	return out, skipped
+}
+
+// classify reads a recorded stripe set against the membership: coord is
+// its first living member (alive, or draining and still serving), dead
+// says a member failed or left, and wait says a member is suspect or
+// unknown.
+func classify(mem *cluster.Membership, set []string) (coord string, dead, wait bool) {
+	for _, addr := range set {
+		e, ok := mem.Lookup(addr)
+		switch {
+		case !ok || e.State == cluster.StateSuspect:
+			wait = true
+		case gone(e.State):
+			dead = true
+		case coord == "":
+			coord = addr
+		}
+	}
+	return coord, dead, wait
+}
+
+// stagedLayouts returns each staged file's layout as its newest rows
+// record it, sorted by path.
+func stagedLayouts(rows map[rowKey]backing.FileMeta) []fsys.FileInfo {
+	newest := map[string]backing.FileMeta{}
+	for _, r := range rows {
+		if n, ok := newest[r.Path]; !ok || r.LayoutGen > n.LayoutGen {
+			newest[r.Path] = r
+		}
+	}
+	out := make([]fsys.FileInfo, 0, len(newest))
+	for _, r := range newest {
+		set := r.StripeSet
+		if len(set) == 0 && r.Stripes <= 1 {
+			set = []string{r.Owner}
+		}
+		if len(set) > 0 {
+			out = append(out, fsys.FileInfo{Path: r.Path, Stripes: len(set), StripeUnit: r.StripeUnit, StripeSet: set, LayoutGen: r.LayoutGen})
+		}
+	}
+	slices.SortFunc(out, func(a, b fsys.FileInfo) int { return strings.Compare(a.Path, b.Path) })
+	return out
 }
 
 // migrateFile moves one file from its recorded layout to the ring's
 // current placement. A nil return means settled: migrated, found
 // already gone, or skipped because the path changed under us (the next
-// pass re-plans).
-func (m *Migrator) migrateFile(mem *cluster.Membership, fi fsys.FileInfo) error {
+// pass re-plans). rows sizes a dead holder's stripe (nil when the set
+// holds none).
+func (m *Migrator) migrateFile(mem *cluster.Membership, fi fsys.FileInfo, rows map[rowKey]backing.FileMeta) error {
 	set := fi.StripeSet
 	target := mem.Ring().LookupN(fi.Path, max(1, fi.Stripes))
 	if len(target) == 0 || slices.Equal(set, target) {
-		return nil
-	}
-	if len(target) != len(set) {
-		// The ring shrank below the file's width since the plan: leave
-		// the file where it is and let a later pass move it.
-		m.dirty.Store(true)
 		return nil
 	}
 	unit := fi.StripeUnit
 	if unit <= 0 {
 		unit = fsys.DefaultStripeUnit
 	}
+	// A narrowed file re-interleaves every byte; otherwise new stripe j is
+	// old stripe j byte for byte, and stays in place when its holder does.
+	narrow := len(target) != len(set)
 
 	newGen := fi.LayoutGen + 1
 	if newGen < 2 {
 		newGen = 2 // legacy entries may report generation zero
 	}
-	// Phase one: seal every current holder, generation-checked against
-	// the recorded layout. The seal freezes each local stripe (writes
-	// answer stale-layout and the client retries against the new layout
-	// after cutover), so the sizes reported here are final and the copy
-	// can never miss an acknowledged byte.
+	// Phase one: seal every living holder, generation-checked against the
+	// recorded layout. The seal freezes each local stripe (writes answer
+	// stale-layout and the client retries against the new layout after
+	// cutover), so the sizes reported here are final and the copy can
+	// never miss an acknowledged byte. A dead holder is not dialed: its
+	// stripe is its staged object, as long as its row says.
 	//
 	// A stale answer from a holder means it already carries the NEW
 	// layout — this pass is resuming a cutover an earlier pass started
@@ -369,22 +562,27 @@ func (m *Migrator) migrateFile(mem *cluster.Membership, fi fsys.FileInfo) error 
 	// seal it under the new generation and read from there instead.
 	// Without the generation check, a resumed pass would copy a committed
 	// holder's re-indexed stripe under its old index and corrupt the
-	// reassembly.
+	// reassembly. A narrowing cutover has no such map and cannot resume.
 	seals := sealState{
 		srcs:  make([]string, len(set)), // who serves stripe i's frozen bytes
 		sizes: make([]int64, len(set)),
 		gens:  make([]uint64, len(set)), // old holders' creation gens (for drops)
 		held:  make([]bool, len(set)),   // a seal this pass placed
 		sub:   make([]bool, len(set)),   // src is the committed target (resume)
+		dead:  make([]bool, len(set)),   // the holder is dead: read its staged object
 	}
 	var sealErr error
 	for i, addr := range set {
+		if e, _ := mem.Lookup(addr); gone(e.State) {
+			seals.dead[i], seals.sizes[i] = true, rows[rowKey{addr, fi.Path, i}].Size
+			continue
+		}
 		size, gen, err := m.sealOn(addr, fi.Path, fi.LayoutGen)
 		if err == nil {
 			seals.srcs[i], seals.sizes[i], seals.gens[i], seals.held[i] = addr, size, gen, true
 			continue
 		}
-		if staleErr(err) {
+		if staleErr(err) && !narrow {
 			if size, _, rerr := m.sealOn(target[i], fi.Path, newGen); rerr == nil {
 				seals.srcs[i], seals.sizes[i], seals.held[i], seals.sub[i] = target[i], size, true, true
 				continue
@@ -396,11 +594,12 @@ func (m *Migrator) migrateFile(mem *cluster.Membership, fi fsys.FileInfo) error 
 	release := func() { m.releaseSeals(fi.Path, unit, fi.LayoutGen, newGen, set, seals) }
 	if sealErr != nil {
 		release()
-		if isGone(sealErr) || staleErr(sealErr) {
+		if isGone(sealErr) || (staleErr(sealErr) && !narrow) {
 			return nil // unlinked, or moved on in a way this pass cannot resume
 		}
 		return sealErr
 	}
+	kept := func(j int) bool { return !narrow && seals.srcs[j] == target[j] }
 
 	// The migrated content is the longest round-robin-consistent prefix
 	// of the sealed stripes. Anything past it is the torn tail of a
@@ -410,24 +609,25 @@ func (m *Migrator) migrateFile(mem *cluster.Membership, fi fsys.FileInfo) error 
 	// unit over verbatim would make the re-stat size include bytes that
 	// are not a prefix of the interrupted write, and the client's
 	// "surviving prefix" arithmetic would then resume at the wrong
-	// offset.
+	// offset. A dead holder's stripe counts at its staged size, so bytes
+	// it never staged end the file at its first missing unit.
 	total := fsys.ConsistentTotal(seals.sizes, unit)
-	// Copy: stream every stripe whose holder changes into its new
-	// holder's pending entry, from the old holder sealed above. A stripe
-	// already on its new holder — the same server at the same index, or
-	// a committed target being resumed — is not copied; its commit
-	// re-labels it in place.
+	// Copy: stream every new stripe whose holder changes into its new
+	// holder's pending entry. A stripe already on its new holder — the
+	// same server at the same index, or a committed target being resumed
+	// — is not copied; its commit re-labels it in place.
+	src := &source{m: m, path: fi.Path, gen: fi.LayoutGen, unit: unit, addrs: seals.srcs, owners: set, errs: make([]error, len(set))}
 	var moved int64
 	var buf []byte
 	for j, dst := range target {
 		size := fsys.LocalLen(total, j, len(target), unit)
-		if seals.srcs[j] == dst || size == 0 {
+		if kept(j) || size == 0 {
 			continue
 		}
 		if int64(len(buf)) < min(size, migSegment) {
 			buf = make([]byte, min(size, migSegment))
 		}
-		if err := m.stream(seals.srcs[j], dst, fi.Path, j, size, fi.LayoutGen, newGen, buf); err != nil {
+		if err := m.stream(src, dst, j, len(target), size, newGen, buf); err != nil {
 			m.abortAll(target[:j+1], fi.Path)
 			release()
 			return err
@@ -435,15 +635,13 @@ func (m *Migrator) migrateFile(mem *cluster.Membership, fi fsys.FileInfo) error 
 		moved += size
 	}
 
-	// Generation guard at the cutover edge: the coordinator is always a
-	// current holder, so its local creation generation moving means the
-	// path was unlinked or recreated while we copied — the new
-	// incarnation owns the name, and a commit would resurrect the file on
-	// the targets. (The residual window — an unlink landing between this
-	// check and the commit deliveries — is one round trip, the same
-	// bounded-async exposure as failover recovery's adoption.)
-	selfIdx := slices.Index(set, m.self)
-	if selfIdx < 0 || m.shard.GenOf(fi.Path) != seals.gens[selfIdx] {
+	// Generation guard at the cutover edge: a coordinator that holds the
+	// file seeing its local creation generation move means the path was
+	// unlinked or recreated while we copied — the new incarnation owns the
+	// name, and a commit would resurrect the file on the targets. (The
+	// residual window — an unlink landing between this check and the
+	// commit deliveries — is one round trip.)
+	if selfIdx := slices.Index(set, m.self); selfIdx >= 0 && m.shard.GenOf(fi.Path) != seals.gens[selfIdx] {
 		m.abortAll(target, fi.Path)
 		release()
 		return nil
@@ -459,7 +657,7 @@ func (m *Migrator) migrateFile(mem *cluster.Membership, fi fsys.FileInfo) error 
 			Stripes: len(target), StripeUnit: unit, StripeSet: target, LayoutGen: newGen,
 		}
 		gen := uint64(0)
-		if seals.srcs[j] == target[j] {
+		if kept(j) {
 			gen = seals.gens[j] // kept in place (zero on a resumed target, which is committed already)
 		}
 		return m.commitOn(target[j], layout, gen)
@@ -488,7 +686,8 @@ func (m *Migrator) migrateFile(mem *cluster.Membership, fi fsys.FileInfo) error 
 			// A persistently dying peer: the layouts re-converge through
 			// the next pass (this coordinator's entry still records the
 			// old set, and the generation-checked seal resumes the
-			// partial cutover) or through failover recovery.
+			// partial cutover) or, once the peer is declared failed, through
+			// the failover pass that moves the file off it.
 			m.abortAll(target, fi.Path)
 			release()
 			return cerr
@@ -499,7 +698,12 @@ func (m *Migrator) migrateFile(mem *cluster.Membership, fi fsys.FileInfo) error 
 	// retry on every subsequent pass: nothing else ever revisits the
 	// holder (the entry is already off the recorded layout), and an
 	// unretired stripe leaks its device extents and staged object.
+	var dead []rowKey
 	for i, addr := range set {
+		if seals.dead[i] {
+			dead = append(dead, rowKey{addr, fi.Path, i})
+			continue
+		}
 		if slices.Index(target, addr) >= 0 {
 			continue // replaced or re-labelled by its commit
 		}
@@ -511,50 +715,88 @@ func (m *Migrator) migrateFile(mem *cluster.Membership, fi fsys.FileInfo) error 
 			m.dirty.Store(true)
 		}
 	}
+	if len(dead) > 0 {
+		m.mu.Lock()
+		m.deletes = append(m.deletes, pendingDelete{path: fi.Path, gen: newGen, set: target, objs: dead})
+		m.mu.Unlock()
+		m.dirty.Store(true)
+	}
 	m.files.Add(1)
 	m.bytes.Add(moved)
 	return nil
 }
 
-// stream copies the stripe-local bytes [0, size) of path from src into
-// dst's pending entry for layout generation newGen (src serves them
-// under srcGen), one segment of buf at a time: each segment is read with
-// transport.ReadStripe and written with transport.WriteStripe, so the
-// coordinator holds one segment and every chunk crosses the receiving
-// server's token draw as the rebalance job. When src stops answering
-// and a backing store is configured, src's own staged object stands in
-// for the rest of the stripe, read into the same buffer: the store is
-// append-structured, so any prefix src staged under this stripe index is
-// byte-identical to the live stripe. The lookup is owner-scoped — an
-// any-owner match could return a not-yet-tombstoned row from an older
-// layout whose bytes interleave differently.
-func (m *Migrator) stream(src, dst, path string, idx int, size int64, srcGen, newGen uint64, buf []byte) error {
-	var srcErr error // src stopped answering: read its staged object
+// source reads the old layout's stripes for one migration. Stripe i is
+// read from addrs[i], the holder sealed for it, or from owners[i]'s
+// staged object: at once when addrs[i] is empty (a dead holder), and for
+// the rest of the copy once the holder stops answering (errs[i] keeps why).
+// The store is append-structured, so any prefix a holder staged under its
+// stripe index is byte-identical to the live stripe. The lookup is
+// owner-scoped — an any-owner match could return a not-yet-tombstoned row
+// from an older layout whose bytes interleave differently.
+type source struct {
+	m             *Migrator
+	path          string
+	gen           uint64 // the old layout's generation
+	unit          int64
+	addrs, owners []string
+	errs          []error
+}
+
+// read fills buf with old stripe i's bytes at off.
+func (s *source) read(i int, off int64, buf []byte) error {
+	if s.addrs[i] != "" && s.errs[i] == nil {
+		s.errs[i] = s.m.pipe(s.addrs[i], func(ctx context.Context, pool *transport.Pool) error {
+			head := transport.Request{Job: s.m.job, Path: s.path, LayoutGen: s.gen}
+			return transport.ReadStripe(ctx, pool, s.m.peers.Seq(), &head, off, off+int64(len(buf)),
+				func(at int64, data []byte) { copy(buf[at-off:], data) })
+		})
+		if s.errs[i] == nil {
+			return nil
+		}
+	}
+	if s.m.store == nil {
+		return s.errs[i]
+	}
+	if _, err := s.m.store.ReadRange(backing.FileMeta{Owner: s.owners[i], Path: s.path, Stripe: i}, off, buf); err != nil {
+		if s.errs[i] != nil {
+			return s.errs[i] // the holder's failure is the cause
+		}
+		return fmt.Errorf("reading %s's staged stripe %d: %w", s.owners[i], i, err)
+	}
+	return nil
+}
+
+// stream copies new stripe j's local bytes [0, size) of a w-stripe
+// layout into dst's pending entry for layout generation newGen, one
+// segment of buf at a time: each segment is filled from src and written
+// with transport.WriteStripe, so the coordinator holds one segment and
+// every chunk crosses the receiving server's token draw as the rebalance
+// job. At the old width the segment is old stripe j's bytes at the same
+// offsets, one read; narrowed, it is gathered a unit at a time through
+// the round-robin map.
+func (m *Migrator) stream(src *source, dst string, j, w int, size int64, newGen uint64, buf []byte) error {
 	var segs [][]byte
 	for off := int64(0); off < size; {
 		seg := buf[:min(int64(len(buf)), size-off)]
-		if srcErr == nil {
-			srcErr = m.pipe(src, func(ctx context.Context, pool *transport.Pool) error {
-				head := transport.Request{Job: m.job, Path: path, LayoutGen: srcGen}
-				return transport.ReadStripe(ctx, pool, m.peers.Seq(), &head, off, off+int64(len(seg)),
-					func(at int64, data []byte) { copy(seg[at-off:], data) })
-			})
-		}
-		if srcErr != nil {
-			if m.store == nil {
-				return srcErr
+		for done := int64(0); done < int64(len(seg)); {
+			i, at, n := j, off+done, int64(len(seg))-done
+			if len(src.addrs) != w {
+				i, at = fsys.StripeOf(fsys.FileOff(off+done, j, w, src.unit), len(src.addrs), src.unit)
+				n = min(n, src.unit-at%src.unit)
 			}
-			if _, err := m.store.ReadRange(backing.FileMeta{Owner: src, Path: path, Stripe: idx}, off, seg); err != nil {
-				return srcErr
+			if err := src.read(i, at, seg[done:done+n]); err != nil {
+				return err
 			}
+			done += n
 		}
 		segs = segs[:0]
 		for c := 0; c < len(seg); c += migChunk {
 			segs = append(segs, seg[c:min(c+migChunk, len(seg))])
 		}
 		if err := m.pipe(dst, func(ctx context.Context, pool *transport.Pool) error {
-			head := transport.Request{Job: m.job, Path: path, LayoutGen: newGen, From: m.self}
-			return transport.WriteStripe(ctx, pool, m.peers.Seq(), &head, idx, segs, off)
+			head := transport.Request{Job: m.job, Path: src.path, LayoutGen: newGen, From: m.self}
+			return transport.WriteStripe(ctx, pool, m.peers.Seq(), &head, j, segs, off)
 		}); err != nil {
 			return err
 		}
@@ -613,6 +855,7 @@ type sealState struct {
 	gens  []uint64
 	held  []bool // a seal this pass placed on srcs[i]
 	sub   []bool // srcs[i] is the committed target (a resumed cutover)
+	dead  []bool // set[i] is dead; its staged row sized it
 }
 
 // releaseSeals lifts every seal an abandoned migration placed. Sealed
@@ -630,6 +873,24 @@ type sealState struct {
 // (the resume path) are released untrimmed: their content was copied
 // from a consistent prefix and is not writable under the old layout.
 func (m *Migrator) releaseSeals(path string, unit int64, oldGen, newGen uint64, set []string, seals sealState) {
+	if slices.Contains(seals.dead, true) {
+		// A failover pass that did not cut over changes no stripe: the
+		// seals lift untrimmed, and the pass that does cut over commits
+		// every stripe cut to the consistent prefix. A chunk torn off a
+		// write meanwhile is a positional append the client re-sends at
+		// the same offset.
+		for i, held := range seals.held {
+			if !held {
+				continue
+			}
+			gen := oldGen
+			if seals.sub[i] {
+				gen = newGen
+			}
+			m.unsealOn(seals.srcs[i], path, -1, gen)
+		}
+		return
+	}
 	known := true
 	for i := range set {
 		if seals.held[i] || seals.sub[i] {
@@ -649,7 +910,7 @@ func (m *Migrator) releaseSeals(path string, unit int64, oldGen, newGen uint64, 
 		// strictly safer: writes answer stale-layout (the client keeps
 		// retrying inside its budget), the pass stays dirty, and the
 		// retry completes the trim once the unreachable holder answers
-		// — or failover recovery replaces the entries wholesale.
+		// — or is declared failed, and the failover pass moves the file.
 		m.fail(fmt.Errorf("rebalance %s: holder sizes unknown; keeping seals until the next pass", path))
 		m.dirty.Store(true)
 		return

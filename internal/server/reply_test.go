@@ -206,9 +206,23 @@ func TestFlushDoesNotParkTheConnection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(ln, Config{Policy: policy.SizeFair, Lambda: 50 * time.Millisecond, Backing: store, Quiet: true})
+	gate := make(chan struct{})
+	srv := New(ln, Config{Policy: policy.SizeFair, Lambda: 50 * time.Millisecond, Backing: gatedStore{Store: store, gate: gate}, Quiet: true})
 	go srv.Serve()
 	defer srv.Close()
+	held := true
+	defer func() {
+		if held {
+			close(gate)
+		}
+	}()
+	// Bytes the flush cannot stage until the test opens the store.
+	if _, err := srv.Shard().CreateStriped("/held", 1, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Shard().Append("/held", []byte("unstaged")); err != nil {
+		t.Fatal(err)
+	}
 	raw, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -216,13 +230,6 @@ func TestFlushDoesNotParkTheConnection(t *testing.T) {
 	conn := transport.NewConn(raw)
 	defer conn.Close()
 
-	srv.stageMu.Lock() // the flush cannot finish until the test lets it
-	held := true
-	defer func() {
-		if held {
-			srv.stageMu.Unlock()
-		}
-	}()
 	for i, typ := range []transport.MsgType{transport.MsgFlush, transport.MsgClusterStatus} {
 		if err := conn.SendRequest(&transport.Request{Type: typ, Seq: uint64(i + 1), Job: jobInfo("flush", 1)}); err != nil {
 			t.Fatal(err)
@@ -236,7 +243,7 @@ func TestFlushDoesNotParkTheConnection(t *testing.T) {
 	if resp.Seq != 2 {
 		t.Fatalf("first reply has seq %d, want the membership answer (2) ahead of the held flush", resp.Seq)
 	}
-	srv.stageMu.Unlock()
+	close(gate)
 	held = false
 	if resp, err = conn.RecvResponse(); err != nil || resp.Seq != 1 || resp.Err != "" {
 		t.Fatalf("flush reply: %+v err=%v", resp, err)

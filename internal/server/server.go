@@ -88,12 +88,14 @@ type Config struct {
 	// buffer). When set, the server re-hydrates its shard from it at
 	// start, drains dirty data back asynchronously — through the token
 	// scheduler, under the sharing policy, as a synthetic background
-	// job — and re-hydrates failed peers' ring segments. Nil disables
+	// job — and moves failed peers' files onto the survivors, reading
+	// the dead stripes from their staged objects. Nil disables
 	// durability (the seed behaviour).
 	Backing backing.Store
 	// RebalanceDisabled turns off join-time stripe rebalancing (on by
 	// default): with it set, a newly joined member receives new
-	// placements but existing files never migrate toward it.
+	// placements but existing files never migrate toward it. Files a
+	// failed member held still move.
 	RebalanceDisabled bool
 	// Logger receives the server's structured log output; the server
 	// adds component and addr attributes. Nil selects slog.Default()
@@ -124,24 +126,6 @@ type Server struct {
 	start   time.Time
 	log     *slog.Logger
 	met     *serverMetrics
-
-	// recoverPasses counts failover-reconciliation passes (metrics).
-	recoverPasses atomic.Int64
-
-	// recovering serializes asynchronous failover-recovery passes (the
-	// backing I/O must not stall the controller's λ loop); stageMu
-	// additionally excludes a Flush from overlapping a recovery pass —
-	// recovery harvests dirty ranges outside the drainer's accounting,
-	// so a flush racing it could report durable too early.
-	recovering atomic.Bool
-	stageMu    sync.Mutex
-
-	// gone tracks failure-recovery progress per departed member: how
-	// many λ ticks it has been seen failed (recovery adopts only after
-	// recoverDelayTicks, giving every survivor's pre-stage time to
-	// land), or goneDone once reconciled. Cleared when a member rejoins.
-	goneMu sync.Mutex
-	gone   map[string]int
 
 	ln     net.Listener
 	addr   string // ln's address, the name membership and stripe sets know
@@ -217,7 +201,6 @@ func New(ln net.Listener, cfg Config) *Server {
 		wake:  make(chan struct{}, wakeBuffer),
 		nudge: make(chan struct{}, 1),
 		conns: map[*transport.Conn]struct{}{},
-		gone:  map[string]int{},
 	}
 	base := cfg.Logger
 	if cfg.Quiet {
@@ -246,6 +229,7 @@ func New(ln net.Listener, cfg Config) *Server {
 		}
 	}
 	s.migr = NewMigrator(addr, shard, s.node, cfg.Backing, base.With("component", "rebalance"))
+	s.migr.failoverOnly = cfg.RebalanceDisabled
 	if cfg.Metrics != nil {
 		s.met = newServerMetrics(cfg.Metrics, s)
 	}
@@ -854,15 +838,12 @@ func (s *Server) controller() {
 			if n := s.drain.Pump(s.now(), s.submit); n > 0 {
 				s.wakeN(n)
 			}
-			s.recoverFailed()
 		} else {
 			// No backing store to delete staged objects from: the unlink
 			// tombstones have no consumer and would grow with every unlink.
 			s.shard.TakeTombstones()
 		}
-		if !s.cfg.RebalanceDisabled {
-			s.rebalanceTick()
-		}
+		s.rebalanceTick()
 		s.shard.SweepMoved(movedRetention)
 		s.shard.SweepParked(parkedRetention)
 		s.offerPolicy()
@@ -939,15 +920,11 @@ const flushTimeout = 30 * time.Second
 
 // Flush forces a full stage-out: every dirty byte, changed directory,
 // and pending unlink reaches the backing store before it returns. The
-// themisctl `flush` command and graceful shutdown both land here. A
-// concurrent recovery pass completes first (stageMu), so the durability
-// barrier also covers bytes recovery harvested outside the drainer.
+// themisctl `flush` command and graceful shutdown both land here.
 func (s *Server) Flush() error {
 	if s.drain == nil {
 		return nil
 	}
-	s.stageMu.Lock()
-	defer s.stageMu.Unlock()
 	return s.drain.Flush(s.now, s.submit, s.wakeN, flushTimeout)
 }
 
@@ -959,9 +936,9 @@ func (s *Server) Drainer() *backing.Drainer { return s.drain }
 func (s *Server) Migrator() *Migrator { return s.migr }
 
 // rebalanceTick launches one asynchronous rebalance pass if none is in
-// flight — like failover recovery, migration does real network and
-// device I/O and must not stall the controller's gossip/λ loop. The
-// pass itself returns immediately when the ring epoch has not moved.
+// flight — migration does real network, device and backing-store I/O
+// and must not stall the controller's gossip/λ loop. The pass itself
+// returns immediately when the ring epoch has not moved.
 func (s *Server) rebalanceTick() {
 	if s.migr.running.Swap(true) {
 		return
@@ -986,88 +963,3 @@ const movedRetention = 5 * time.Minute
 // beyond any live pipeline's round trip, so only chunks stranded by a
 // dead client are ever dropped.
 const parkedRetention = time.Minute
-
-// goneDone marks a departed member fully reconciled; recoverDelayTicks
-// is how many λ ticks a failure must age before adoption, so every
-// survivor's first-sighting pre-stage (phase one) can land first.
-const (
-	goneDone          = -1
-	recoverDelayTicks = 3
-)
-
-// recoverFailed is the two-phase failover reconciliation, run every λ.
-// Phase one, at first sighting of a departed member: synchronously
-// stage this shard's un-staged bytes of every affected file, so no
-// survivor's acknowledged writes are missing when an adopter
-// reassembles. Phase two, recoverDelayTicks later: the new ring owner
-// of each affected path adopts the reassembled file and stale local
-// stripes are dropped. A member is marked reconciled only when its
-// phase-two pass succeeds (errors retry next λ), and the mark clears if
-// the member rejoins, so its next failure recovers again.
-//
-// The pass runs on its own goroutine — recovery does real backing-store
-// I/O and must not stall the controller's gossip/λ loop — with at most
-// one pass in flight; a tick that finds one running changes nothing, so
-// no phase is skipped.
-func (s *Server) recoverFailed() {
-	if s.recovering.Swap(true) {
-		return
-	}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		defer s.recovering.Store(false)
-		s.stageMu.Lock()
-		defer s.stageMu.Unlock()
-		s.recoverPass()
-	}()
-}
-
-// recoverPass is one reconciliation pass (see recoverFailed).
-func (s *Server) recoverPass() {
-	s.recoverPasses.Add(1)
-	var dead []string
-	for _, m := range s.node.Membership().Snapshot() {
-		if m.State != cluster.StateFailed && m.State != cluster.StateLeft {
-			s.goneMu.Lock()
-			delete(s.gone, m.Addr)
-			s.goneMu.Unlock()
-			continue
-		}
-		s.goneMu.Lock()
-		ticks := s.gone[m.Addr]
-		if ticks != goneDone {
-			ticks++
-			s.gone[m.Addr] = ticks
-		}
-		s.goneMu.Unlock()
-		switch {
-		case ticks == goneDone:
-		case ticks == 1:
-			if err := backing.StageAffected(s.shard, s.cfg.Backing, s.Addr(), []string{m.Addr}); err != nil {
-				s.log.Warn("pre-staging failed", "member", m.Addr, "err", err)
-			}
-		case ticks >= recoverDelayTicks:
-			dead = append(dead, m.Addr)
-		}
-	}
-	if len(dead) == 0 {
-		return
-	}
-	ring := s.node.Membership().Ring()
-	adopted, dropped, err := backing.RecoverSegment(s.shard, s.cfg.Backing, s.Addr(), dead,
-		func(path string) (string, bool) { return ring.Lookup(path) })
-	if err != nil {
-		s.log.Warn("recovery failed, will retry", "dead", fmt.Sprint(dead), "err", err)
-		return
-	}
-	s.goneMu.Lock()
-	for _, a := range dead {
-		s.gone[a] = goneDone
-	}
-	s.goneMu.Unlock()
-	if adopted > 0 || dropped > 0 {
-		s.log.Info("recovered ring segment",
-			"dead", fmt.Sprint(dead), "adopted_files", adopted, "dropped_stripes", dropped)
-	}
-}

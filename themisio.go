@@ -45,8 +45,8 @@ type (
 	// ClusterNode is a server's fabric endpoint (membership + gossip).
 	ClusterNode = cluster.Node
 	// BackingStore is the stage-out backing store behind the burst
-	// buffer (stage-in at start, asynchronous dirty write-back,
-	// failover re-hydration).
+	// buffer (stage-in at start, asynchronous dirty write-back, a
+	// failed member's stripes for the failover migration).
 	BackingStore = backing.Store
 	// ClusterProc is one simulated client process (a closed-loop request
 	// stream against the simulated cluster).
