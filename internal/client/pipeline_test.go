@@ -157,7 +157,9 @@ func TestStripePipeline(t *testing.T) {
 		}},
 		{"read", transport.MsgRead, func(ctx context.Context, c *Client, addr string) error {
 			n := int64(len(payload))
-			return c.readStripe(ctx, addr, "/r", 0, 1, DefaultStripeUnit, 0, n, 0, payload, 0, n)
+			return c.readStripe(ctx, addr, "/r", 0, 0, n, func(off, n int64) [][]byte {
+				return localSpans(payload, 0, 0, 1, DefaultStripeUnit, off, n)
+			})
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

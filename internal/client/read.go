@@ -10,7 +10,7 @@ import (
 
 // read reads up to len(p) bytes from the handle's offset. A striped
 // read touches each stripe server's locally-contiguous range once, in
-// parallel, and reassembles the units into p. A stale-layout answer
+// parallel, its units landing straight in p. A stale-layout answer
 // (the file was rebalanced under this handle) re-stats the path and
 // retries against the migrated layout; the retry budget is
 // statRetryTimeout, tightened to ctx's own deadline when that is sooner.
@@ -48,28 +48,12 @@ func (c *Client) readOnce(ctx context.Context, h *fileHandle, p []byte) (int, er
 	if want <= 0 {
 		return 0, nil
 	}
-	g0, g1 := h.off, h.off+want
-	// Each server's touched units are consecutive multiples of the unit
-	// in its local stripe, so its byte range is contiguous: track the
-	// local [lo,hi) per server, fetch it in chunks, and scatter the units
-	// of each arriving chunk back (the identity on a one-stripe file).
-	lo := make([]int64, len(set))
-	hi := make([]int64, len(set))
-	for i := range lo {
-		lo[i] = -1
-	}
-	for u := g0 / unit; u <= (g1-1)/unit; u++ {
-		idx := int(u) % len(set)
-		segStart, segEnd := max(u*unit, g0), min((u+1)*unit, g1)
-		base := (u / int64(len(set))) * unit
-		if lo[idx] < 0 {
-			lo[idx] = base + segStart - u*unit
-		}
-		hi[idx] = base + segEnd - u*unit
-	}
+	g0 := h.off
+	lo, hi := localRanges(g0, g0+want, unit, len(set))
 	errs := fan(len(set), func(i int) bool { return lo[i] >= 0 }, func(i int) error {
-		return c.readStripe(ctx, set[i], h.path, i, len(set), unit,
-			lo[i], hi[i], h.layoutGen, p, g0, g1)
+		return c.readStripe(ctx, set[i], h.path, h.layoutGen, lo[i], hi[i], func(off, n int64) [][]byte {
+			return localSpans(p, g0, i, len(set), unit, off, n)
+		})
 	})
 	if err := decisive(errs); err != nil {
 		return 0, err
@@ -78,49 +62,56 @@ func (c *Client) readOnce(ctx context.Context, h *fileHandle, p []byte) (int, er
 	return int(want), nil
 }
 
+// localRanges returns the local byte range [lo[i],hi[i]) of each of
+// nStripes stripes that the global range [g0,g1) touches (lo[i] = -1:
+// none). A stripe's touched units are consecutive multiples of the unit
+// in its local stripe, so the range is contiguous, and every byte of it
+// lies in [g0,g1): only the first and last touched units are partial.
+func localRanges(g0, g1, unit int64, nStripes int) (lo, hi []int64) {
+	lo = make([]int64, nStripes)
+	hi = make([]int64, nStripes)
+	for i := range lo {
+		lo[i] = -1
+	}
+	for u := g0 / unit; u <= (g1-1)/unit; u++ {
+		idx := int(u) % nStripes
+		segStart, segEnd := max(u*unit, g0), min((u+1)*unit, g1)
+		base := (u / int64(nStripes)) * unit
+		if lo[idx] < 0 {
+			lo[idx] = base + segStart - u*unit
+		}
+		hi[idx] = base + segEnd - u*unit
+	}
+	return lo, hi
+}
+
+// localSpans returns the spans of p, whose first byte is global offset
+// g0, that the n bytes at local offset off of stripe idx fill, in order:
+// the round-robin inverse, local unit l/unit being global unit
+// (l/unit)*nStripes+idx. The bytes must lie in localRanges' range.
+func localSpans(p []byte, g0 int64, idx, nStripes int, unit, off, n int64) [][]byte {
+	if nStripes == 1 { // the identity: one span
+		return [][]byte{p[off-g0 : off-g0+n]}
+	}
+	spans := make([][]byte, 0, (off+n-1)/unit-off/unit+1)
+	for l := off; l < off+n; {
+		end := min((l/unit+1)*unit, off+n)
+		at := (l/unit*int64(nStripes)+int64(idx))*unit + l%unit - g0
+		spans = append(spans, p[at:at+end-l])
+		l = end
+	}
+	return spans
+}
+
 // readStripe fetches one server's locally-contiguous byte range [lo,hi)
-// of a striped read through the stripe pipeline (transport.ReadStripe)
-// and scatters each arriving chunk's units straight into p.
-func (c *Client) readStripe(ctx context.Context, addr, path string, idx, nStripes int, unit int64, lo, hi int64, layoutGen uint64, p []byte, g0, g1 int64) error {
+// of a read through the stripe pipeline (transport.ReadStripe), whose
+// connection readers land each chunk's bytes in the spans of the
+// caller's buffer dst names.
+func (c *Client) readStripe(ctx context.Context, addr, path string, layoutGen uint64, lo, hi int64, dst func(off, n int64) [][]byte) error {
 	pool, err := c.ensurePool(addr)
 	if err != nil {
 		return err
 	}
 	head := transport.Request{Job: c.job, Path: path, LayoutGen: layoutGen}
-	return c.stripeErr(ctx, addr, transport.ReadStripe(ctx, pool, &c.seq, &head, lo, hi, func(off int64, data []byte) {
-		scatterLocal(p, g0, g1, idx, nStripes, unit, off, data)
-	}))
-}
-
-// scatterLocal copies one stripe-local contiguous chunk (starting at
-// local offset a on stripe idx) into its global positions in p, whose
-// first byte is global offset g0. The round-robin inverse: local unit
-// l/unit is global unit (l/unit)*nStripes+idx.
-func scatterLocal(p []byte, g0, g1 int64, idx, nStripes int, unit, a int64, data []byte) {
-	for l := a; l < a+int64(len(data)); {
-		lu := l / unit
-		unitEnd := (lu + 1) * unit
-		end := a + int64(len(data))
-		if end > unitEnd {
-			end = unitEnd
-		}
-		g := (lu*int64(nStripes)+int64(idx))*unit + l%unit
-		// Clamp to the requested global window (the first and last
-		// touched units may be partial; a unit wholly outside the
-		// window is dropped, not sliced out of range).
-		src := data[l-a : end-a]
-		if g >= g1 || g+int64(len(src)) <= g0 {
-			l = end
-			continue
-		}
-		if g < g0 {
-			src = src[g0-g:]
-			g = g0
-		}
-		if g+int64(len(src)) > g1 {
-			src = src[:g1-g]
-		}
-		copy(p[g-g0:], src)
-		l = end
-	}
+	return c.stripeErr(ctx, addr, transport.ReadStripe(ctx, pool, &c.seq, &head, lo, hi, dst))
 }

@@ -282,13 +282,15 @@ func (c *Client) repairWrite(ctx context.Context, h *fileHandle, set []string, s
 
 // verifySpan reads back the local span this write addressed on one
 // stripe server and compares it to the bytes sent — the over-landed
-// repair check. The span is read as a one-stripe file would be, where
-// readStripe's scatter is the identity.
+// repair check. The span is read as a one-stripe file would be, into one
+// span of got.
 func (c *Client) verifySpan(ctx context.Context, h *fileHandle, addr string, i, nStripes int, unit int64, want [][]byte) error {
 	start := localLen(h.size, i, nStripes, unit)
 	end := start + spanLen(want)
 	got := make([]byte, end-start)
-	if err := c.readStripe(ctx, addr, h.path, 0, 1, unit, start, end, h.layoutGen, got, start, end); err != nil {
+	if err := c.readStripe(ctx, addr, h.path, h.layoutGen, start, end, func(off, n int64) [][]byte {
+		return localSpans(got, start, 0, 1, unit, off, n)
+	}); err != nil {
 		return err
 	}
 	for _, seg := range want {

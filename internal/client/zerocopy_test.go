@@ -111,15 +111,16 @@ func TestZeroCopyHammer(t *testing.T) {
 	}
 }
 
-// scatterLocal is the inverse of the round-robin split: reconstructing
-// a random global window from random per-stripe chunks must reproduce
-// the original bytes exactly.
-func TestScatterLocalProperty(t *testing.T) {
+// localRanges and localSpans are the inverse of the round-robin split:
+// landing every stripe's touched local range, in randomly sized chunks,
+// in the spans they name must rebuild a random global window exactly,
+// each byte written once.
+func TestLocalSpansProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
 		nStripes := 1 + rng.Intn(5)
 		unit := int64(1 + rng.Intn(200))
-		total := int64(rng.Intn(5000))
+		total := int64(1 + rng.Intn(5000))
 		global := make([]byte, total)
 		for i := range global {
 			global[i] = byte(rng.Int())
@@ -131,24 +132,35 @@ func TestScatterLocalProperty(t *testing.T) {
 			idx := int(gu % int64(nStripes))
 			locals[idx] = append(locals[idx], global[off])
 		}
-		// Pick a random global window and rebuild it via scatterLocal
-		// from randomly sized local chunks.
-		g0 := int64(rng.Intn(int(total + 1)))
-		g1 := g0 + int64(rng.Intn(int(total-g0+1)))
+		g0 := int64(rng.Intn(int(total)))
+		g1 := g0 + 1 + int64(rng.Intn(int(total-g0)))
 		got := make([]byte, g1-g0)
+		for i := range got { // nothing may stay unwritten
+			got[i] = ^global[g0+int64(i)]
+		}
+		lo, hi := localRanges(g0, g1, unit, nStripes)
+		landed := int64(0)
 		for idx := 0; idx < nStripes; idx++ {
-			for a := int64(0); a < int64(len(locals[idx])); {
-				n := int64(1 + rng.Intn(300))
-				if a+n > int64(len(locals[idx])) {
-					n = int64(len(locals[idx])) - a
+			if lo[idx] < 0 {
+				continue
+			}
+			for a := lo[idx]; a < hi[idx]; {
+				n := min(int64(1+rng.Intn(300)), hi[idx]-a)
+				src, sum := locals[idx][a:a+n], int64(0)
+				for _, span := range localSpans(got, g0, idx, nStripes, unit, a, n) {
+					src = src[copy(span, src):]
+					sum += int64(len(span))
 				}
-				scatterLocal(got, g0, g1, idx, nStripes, unit, a, locals[idx][a:a+n])
+				if sum != n {
+					t.Fatalf("trial %d: the spans of a %d-byte chunk hold %d", trial, n, sum)
+				}
+				landed += n
 				a += n
 			}
 		}
-		if !bytes.Equal(got, global[g0:g1]) {
-			t.Fatalf("trial %d (stripes=%d unit=%d total=%d window=[%d,%d)): scatter mismatch",
-				trial, nStripes, unit, total, g0, g1)
+		if landed != g1-g0 || !bytes.Equal(got, global[g0:g1]) {
+			t.Fatalf("trial %d (stripes=%d unit=%d total=%d window=[%d,%d)): %d bytes landed, window differs",
+				trial, nStripes, unit, total, g0, g1, landed)
 		}
 	}
 }

@@ -70,6 +70,19 @@ func TestRequestAllocationBudget(t *testing.T) {
 			t.Fatalf("read: n=%d err=%v", n, err)
 		}
 	}
+	wr, err := c.Open("/budget-64k", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotWide := make([]byte, 64<<10)
+	readWide := func() {
+		if _, err := wr.Seek(0, io.SeekStart); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := wr.Read(gotWide); err != nil || n != len(gotWide) {
+			t.Fatalf("read: n=%d err=%v", n, err)
+		}
+	}
 	statOne := func() {
 		if _, _, err := c.Stat("/budget"); err != nil {
 			t.Fatal(err)
@@ -103,7 +116,12 @@ func TestRequestAllocationBudget(t *testing.T) {
 		// commit before placement. The ceiling leaves one, not three: a
 		// placement must not box its token into an interface per request.
 		{"64 KiB append", appendWide, 6},
+		// A read's reply lands straight in the caller's buffer: no frame is
+		// leased, and the one allocation added to the 4 KiB read (6 on the
+		// commit before) is the span list naming where it lands. 7 at
+		// 64 KiB too; the ceiling leaves one.
 		{"4 KiB read", readOne, 9},
+		{"64 KiB read", readWide, 8},
 		{"stat", statOne, 7},
 		{"create and unlink", churnOne, 28},
 		{"lease and release", func() { transport.Release(transport.Lease(4096)) }, 0},

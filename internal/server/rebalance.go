@@ -749,7 +749,7 @@ func (s *source) read(i int, off int64, buf []byte) error {
 		s.errs[i] = s.m.pipe(s.addrs[i], func(ctx context.Context, pool *transport.Pool) error {
 			head := transport.Request{Job: s.m.job, Path: s.path, LayoutGen: s.gen}
 			return transport.ReadStripe(ctx, pool, s.m.peers.Seq(), &head, off, off+int64(len(buf)),
-				func(at int64, data []byte) { copy(buf[at-off:], data) })
+				func(at, n int64) [][]byte { return [][]byte{buf[at-off : at-off+n]} })
 		})
 		if s.errs[i] == nil {
 			return nil

@@ -15,15 +15,19 @@
 // ownership travels with the message until its Release (see lease.go
 // for the contract). A large write arriving on a connection with a sink
 // skips the frame buffer: its payload is read straight into the device
-// extent it will live in (recvPlaced).
+// extent it will live in (recvPlaced). So does a read reply whose
+// request registered caller memory: its payload is read straight into
+// the caller's buffer (recvReply).
 package transport
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/maphash"
 	"io"
 	"math"
+	"os"
 	"runtime"
 	"slices"
 	"sync/atomic"
@@ -296,28 +300,117 @@ func (c *Conn) recvPlaced(r *Request, n int) (bool, error) {
 	if err != nil {
 		return false, nil
 	}
-	_, _ = c.br.Discard(hlen) // peeked: cannot fail
-	// What the buffer already holds of the payload is copied out; the rest
-	// is read off the socket straight into place, where reading through
-	// the buffer would stage its last 64 KiB there first.
-	k, _ := c.br.Read(dst[:min(len(dst), c.br.Buffered())]) // buffered bytes only; a latched read error recurs below
-	if _, err := io.ReadFull(c.rd, dst[k:]); err != nil {
-		unplace(c.sink, ext, dst)
-		return true, err
-	}
-	tail, err := c.br.Peek(tlen)
-	if err == nil {
-		d = reader{b: tail}
+	if err := c.recvInPlace(hlen, [][]byte{dst}, tlen, nil, func(b []byte) error {
+		d := reader{b: b}
 		decodeRequestTail(&d, r)
-		_, _ = c.br.Discard(tlen)
-		err = d.err
-	}
-	if err != nil {
+		return d.err
+	}); err != nil {
 		unplace(c.sink, ext, dst)
 		return true, err
 	}
 	r.Data, r.sink, r.placed = dst, c.sink, ext
 	return true, nil
+}
+
+// recvInPlace receives the rest of a frame whose head, hlen bytes, was
+// peeked and decoded: it consumes the head, reads the payload into the
+// spans of dst in order — what the receive buffer already holds is
+// copied out, the rest read off the socket straight into place, where
+// reading through the buffer would stage its last 64 KiB there first —
+// and hands the tlen-byte tail to decodeTail where it lies in the buffer.
+// A non-nil filled is told how many payload bytes landed and how the
+// payload read ended before anything else is read; its error ends the
+// receive there.
+func (c *Conn) recvInPlace(hlen int, dst [][]byte, tlen int,
+	filled func(landed int, err error) error, decodeTail func(b []byte) error) error {
+	_, _ = c.br.Discard(hlen) // peeked: cannot fail
+	landed := 0
+	var err error
+	for _, s := range dst {
+		k, _ := c.br.Read(s[:min(len(s), c.br.Buffered())]) // buffered bytes only; a latched read error recurs below
+		m := 0
+		m, err = io.ReadFull(c.rd, s[k:])
+		landed += k + m
+		if err != nil {
+			break
+		}
+	}
+	if filled != nil {
+		err = filled(landed, err)
+	}
+	if err != nil {
+		return err
+	}
+	tail, err := c.br.Peek(tlen)
+	if err != nil {
+		return err
+	}
+	err = decodeTail(tail)
+	_, _ = c.br.Discard(tlen)
+	return err
+}
+
+// A replyDst hands a connection reader the caller memory a reply's
+// payload lands in: MuxConn, whose waiters registered it
+// (Request.ReplyInto).
+type replyDst interface {
+	// claim returns the spans registered for the exchange seq when their
+	// lengths sum to exactly n, and holds them for the fill; nil leaves
+	// the reply to the leased decode.
+	claim(seq uint64, n int) [][]byte
+	// filled ends the fill claim began and reports whether the exchange
+	// was abandoned meanwhile: its spans are then the caller's again.
+	filled() (abandoned bool)
+}
+
+// errAbandoned is recvReply's report of a reply read to its end into
+// nothing because its exchange was abandoned mid-payload.
+var errAbandoned = errors.New("transport: reply abandoned")
+
+// recvReply receives the n-byte reply frame whose length prefix was just
+// read into r when dst holds caller memory for its payload: the head is
+// decoded where it lies in the receive buffer, the payload read into the
+// registered spans (recvInPlace) and the tail decoded from the buffer —
+// no frame is leased and nothing is copied after. It reports false with
+// nothing consumed when the reply takes the leased path instead: no
+// spans registered, a payload that is not exactly their length, or a
+// head or tail too long for the buffer. A reply whose exchange was
+// abandoned while it landed is read to its end into nothing and
+// reported as errAbandoned; the stream stays in step.
+func (c *Conn) recvReply(r *Response, n int, dst replyDst) (bool, error) {
+	head, _ := c.br.Peek(min(n, placeHeadMax)) // a short peek fails the decode below
+	d := reader{b: head}
+	decodeResponseHead(&d, r)
+	plen := d.uvarint()
+	hlen := len(head) - len(d.b)
+	if d.err != nil || plen == 0 || plen > uint64(n-hlen) || n-hlen-int(plen) > c.br.Size() {
+		return false, nil
+	}
+	tlen := n - hlen - int(plen)
+	spans := dst.claim(r.Seq, int(plen))
+	if spans == nil {
+		return false, nil
+	}
+	err := c.recvInPlace(hlen, spans, tlen, func(landed int, err error) error {
+		if !dst.filled() {
+			return err
+		}
+		if err != nil && !errors.Is(err, os.ErrDeadlineExceeded) {
+			return err
+		}
+		if _, err := c.br.Discard(int(plen) - landed + tlen); err != nil {
+			return err
+		}
+		return errAbandoned
+	}, func(b []byte) error {
+		d := reader{b: b}
+		decodeResponseTail(&d, r)
+		return d.err
+	})
+	if err == nil {
+		r.Data, r.placed = nil, true
+	}
+	return true, err
 }
 
 // unplace gives a placement nothing adopted back to its sink, scribbled
@@ -777,7 +870,7 @@ func decodeRequestTail(d *reader, r *Request) {
 	r.Table = d.table()
 	r.PolicyStr = d.str()
 	r.PolicyEpoch = d.uvarint()
-	r.DataSegs = nil
+	r.DataSegs, r.ReplyInto = nil, nil
 	r.AppendAt, r.AppendOff, r.ShareTopN, r.ShareKind = false, 0, 0, ""
 	// Optional trailing group: present only when a flagged field is set.
 	if d.err == nil && len(d.b) > 0 {
@@ -836,10 +929,23 @@ func appendResponse(b []byte, r *Response) []byte {
 // message.
 func decodeResponse(b []byte, r *Response) error {
 	d := reader{b: b}
+	decodeResponseHead(&d, r)
+	r.Data = d.alias()
+	decodeResponseTail(&d, r)
+	return d.err
+}
+
+// decodeResponseHead decodes the fields appendResponseHead wrote before
+// the payload length.
+func decodeResponseHead(d *reader, r *Response) {
 	r.Seq = d.uvarint()
 	r.Err = d.str()
 	r.N = d.svarint()
-	r.Data = d.alias()
+}
+
+// decodeResponseTail decodes the fields appendResponseTail wrote. Nothing
+// it returns aliases the frame.
+func decodeResponseTail(d *reader, r *Response) {
 	r.Size = d.svarint()
 	r.IsDir = d.bool()
 	r.Names = d.strs()
@@ -854,10 +960,9 @@ func decodeResponse(b []byte, r *Response) error {
 	r.PolicyStr = d.str()
 	r.PolicyEpoch = d.uvarint()
 	r.Shares = d.shares()
-	r.Caps = 0
+	r.Caps, r.placed = 0, false
 	// Optional trailing capability word.
 	if d.err == nil && len(d.b) > 0 {
 		r.Caps = d.uvarint()
 	}
-	return d.err
 }

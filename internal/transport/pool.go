@@ -45,12 +45,27 @@ type MuxConn struct {
 	dead atomic.Bool
 
 	mu   sync.Mutex
-	wait map[uint64]chan *Response
+	wait map[uint64]waiter
 	err  error
+
+	// The fill in progress: the reader is writing the reply to fillSeq
+	// into the spans its waiter registered. Forget of that exchange sets
+	// abandoned and waits on fillDone until filling ends.
+	filling, abandoned bool
+	fillSeq            uint64
+	fillDone           sync.Cond
+}
+
+// waiter is one started exchange: the channel its reply is delivered on
+// and the caller memory the reply's payload lands in (Request.ReplyInto).
+type waiter struct {
+	ch   chan *Response
+	into [][]byte
 }
 
 func newMuxConn(conn *Conn) *MuxConn {
-	mc := &MuxConn{conn: conn, wait: map[uint64]chan *Response{}}
+	mc := &MuxConn{conn: conn, wait: map[uint64]waiter{}}
+	mc.fillDone.L = &mc.mu
 	go mc.reader()
 	return mc
 }
@@ -58,23 +73,23 @@ func newMuxConn(conn *Conn) *MuxConn {
 func (mc *MuxConn) reader() {
 	for {
 		resp := responsePool.Get().(*Response)
-		if err := mc.conn.RecvResponseInto(resp); err != nil {
+		if err := mc.conn.recvResponse(resp, mc); err != nil {
 			mc.dead.Store(true)
 			mc.mu.Lock()
 			mc.err = err
-			for _, ch := range mc.wait {
-				close(ch)
+			for _, w := range mc.wait {
+				close(w.ch)
 			}
-			mc.wait = map[uint64]chan *Response{}
+			mc.wait = map[uint64]waiter{}
 			mc.mu.Unlock()
 			return
 		}
 		mc.mu.Lock()
-		ch, ok := mc.wait[resp.Seq]
+		w, ok := mc.wait[resp.Seq]
 		delete(mc.wait, resp.Seq)
 		mc.mu.Unlock()
 		if ok {
-			ch <- resp
+			w.ch <- resp
 		} else {
 			// No waiter (caller torn down mid-exchange): frame and
 			// message go straight back to their pools.
@@ -83,11 +98,46 @@ func (mc *MuxConn) reader() {
 	}
 }
 
-// Start registers req's response channel and puts the request on the
-// wire without waiting — the building block of pipelined stripe I/O.
-// The caller must receive exactly once from the returned channel; a
-// closed channel means the connection died. A caller that did receive
-// its reply may hand the channel to RecycleReplyChan.
+// claim is the reader's half of placement (replyDst): the spans the
+// exchange seq registered, held for the fill, when they sum to n.
+func (mc *MuxConn) claim(seq uint64, n int) [][]byte {
+	mc.mu.Lock()
+	defer mc.mu.Unlock()
+	w, ok := mc.wait[seq]
+	if !ok {
+		return nil
+	}
+	for _, s := range w.into {
+		n -= len(s)
+	}
+	if n != 0 { // n > 0 on entry: no spans never match
+		return nil
+	}
+	mc.filling, mc.fillSeq = true, seq
+	return w.into
+}
+
+// filled ends the fill claim began. An abandoned fill was cut short by
+// Forget's read deadline, which is lifted here: the reader goes on to
+// read the rest of the frame into nothing.
+func (mc *MuxConn) filled() bool {
+	mc.mu.Lock()
+	abandoned := mc.abandoned
+	mc.filling, mc.abandoned = false, false
+	mc.fillDone.Broadcast()
+	mc.mu.Unlock()
+	if abandoned {
+		_ = mc.conn.raw.SetReadDeadline(time.Time{})
+	}
+	return abandoned
+}
+
+// Start registers req's response channel, and the memory its reply's
+// payload lands in (req.ReplyInto), and puts the request on the wire
+// without waiting — the building block of pipelined stripe I/O. The
+// caller must receive exactly once from the returned channel; a closed
+// channel means the connection died. A caller that did receive its reply
+// may hand the channel to RecycleReplyChan.
 func (mc *MuxConn) Start(req *Request) (chan *Response, error) {
 	ch := replyChanPool.Get().(chan *Response)
 	mc.mu.Lock()
@@ -96,7 +146,7 @@ func (mc *MuxConn) Start(req *Request) (chan *Response, error) {
 		mc.mu.Unlock()
 		return nil, err
 	}
-	mc.wait[req.Seq] = ch
+	mc.wait[req.Seq] = waiter{ch, req.ReplyInto}
 	mc.mu.Unlock()
 	if err := mc.conn.SendRequest(req); err != nil {
 		mc.mu.Lock()
@@ -114,13 +164,30 @@ func (mc *MuxConn) Start(req *Request) (chan *Response, error) {
 // be about to send into it) must never come here.
 func RecycleReplyChan(ch chan *Response) { replyChanPool.Put(ch) }
 
+// aLongTimeAgo is the read deadline that cuts a stalled fill short.
+var aLongTimeAgo = time.Unix(1, 0)
+
 // Forget abandons a started exchange (context cancellation): the waiter
 // is deregistered so the reader releases the late response's frame, and
 // anything already delivered into the buffered channel is released
-// here. The channel is not reused.
+// here. The channel is not reused. When Forget returns the reader writes
+// nothing more into the exchange's ReplyInto spans: a reply landing in
+// them is cut short with a past read deadline — a stalled peer cannot
+// hold Forget up — and the reader reads the rest of its frame into
+// nothing, so the connection stays usable. A connection that cannot take
+// a deadline is closed instead.
 func (mc *MuxConn) Forget(seq uint64, ch chan *Response) {
 	mc.mu.Lock()
 	delete(mc.wait, seq)
+	if mc.filling && mc.fillSeq == seq {
+		mc.abandoned = true
+		if mc.conn.raw.SetReadDeadline(aLongTimeAgo) != nil {
+			mc.conn.raw.Close()
+		}
+		for mc.filling {
+			mc.fillDone.Wait()
+		}
+	}
 	mc.mu.Unlock()
 	select {
 	case resp, ok := <-ch:

@@ -26,14 +26,17 @@ var ErrLink = errors.New("transport: connection lost")
 
 // ReadStripe fetches the byte range [lo,hi) of one server's local stripe
 // as pipelined chunk reads — readahead that needs no round trip between
-// chunks (reads at explicit offsets are idempotent) — and hands each
-// chunk to land with its local offset. land must copy what it keeps: the
-// chunk's frame goes back to the lease pool when land returns. Chunks
-// spread over every pool connection (PickSpread): explicit offsets make
-// order irrelevant, so the pool's paths carry the socket reads and frame
-// decodes in parallel. Every chunk carries head's fields (Job, Path,
-// LayoutGen).
-func ReadStripe(ctx context.Context, pool *Pool, seq *atomic.Uint64, head *Request, lo, hi int64, land func(off int64, data []byte)) error {
+// chunks (reads at explicit offsets are idempotent) — straight into the
+// caller's memory: dst(off, n) returns the spans the n bytes at local
+// offset off fill, in order, and the connection reader reads each chunk's
+// reply payload off the socket into them (Request.ReplyInto). A chunk
+// whose reply carries anything but exactly its bytes fails the stripe.
+// The spans are written until ReadStripe returns and not after, on
+// success, error and cancellation alike. Chunks spread over every pool
+// connection (PickSpread): explicit offsets make order irrelevant, so the
+// pool's paths carry the socket reads in parallel. Every chunk carries
+// head's fields (Job, Path, LayoutGen).
+func ReadStripe(ctx context.Context, pool *Pool, seq *atomic.Uint64, head *Request, lo, hi int64, dst func(off, n int64) [][]byte) error {
 	off := lo
 	next := func() *Request {
 		if off >= hi {
@@ -41,17 +44,20 @@ func ReadStripe(ctx context.Context, pool *Pool, seq *atomic.Uint64, head *Reque
 		}
 		req := GetRequest(*head)
 		req.Type, req.Offset, req.Size = MsgRead, off, min(hi-off, ChunkBytes)
+		req.ReplyInto = dst(off, req.Size)
 		off += req.Size
 		return req
 	}
-	got := func(req *Request, resp *Response) error {
-		if resp.N < req.Size {
+	check := func(req *Request, resp *Response) error {
+		switch {
+		case resp.N < req.Size:
 			return fmt.Errorf("transport: short stripe read from %s: %d < %d", pool.addr, resp.N, req.Size)
+		case !resp.placed:
+			return fmt.Errorf("transport: stripe read from %s: reply carries %d payload bytes for a %d-byte chunk", pool.addr, len(resp.Data), req.Size)
 		}
-		land(req.Offset, resp.Data[:req.Size])
 		return nil
 	}
-	return pipeline(ctx, pool.addr, seq, &pool.Reads, pool.PickSpread, next, got)
+	return pipeline(ctx, pool.addr, seq, &pool.Reads, pool.PickSpread, next, check)
 }
 
 // WriteStripe appends segs to one server's local stripe from offset off
@@ -101,7 +107,7 @@ func affinityKey(path string, stripe int) uint64 {
 // pipeline is the one windowed issue/collect/cancel loop behind striped
 // I/O: it starts the requests next yields (nil ends the stream) on the
 // connections pick chooses, keeping as many in flight as win allows,
-// and hands each successful reply to land (nil for writes, whose
+// and hands each successful reply to check (nil for writes, whose
 // replies carry nothing). The budget is the pool's shared window, not a
 // per-call constant: tokens are taken per chunk and returned per reply,
 // so concurrent stripes to one server share it. An application error
@@ -112,12 +118,12 @@ func affinityKey(path string, stripe int) uint64 {
 //
 // The requests next yields come from GetRequest and belong to the
 // pipeline from then on: a chunk whose reply was collected gives its
-// request, its reply and its reply channel back to their pools (land
+// request, its reply and its reply channel back to their pools (check
 // must not keep either message), and an abandoned chunk gives back
 // nothing — the connection's reader may still deliver into its channel.
 func pipeline(ctx context.Context, addr string, seq *atomic.Uint64, win *Window,
 	pick func() (*MuxConn, error), next func() *Request,
-	land func(req *Request, resp *Response) error) error {
+	check func(req *Request, resp *Response) error) error {
 	type pending struct {
 		req *Request
 		mc  *MuxConn
@@ -149,8 +155,8 @@ func pipeline(ctx context.Context, addr string, seq *atomic.Uint64, win *Window,
 		case appErr != nil: // the stream already failed; only drain
 		case resp.Err != "":
 			appErr = resp.Error()
-		case land != nil:
-			appErr = land(pd.req, resp)
+		case check != nil:
+			appErr = check(pd.req, resp)
 		}
 		pd.req.Recycle()
 		resp.Recycle()

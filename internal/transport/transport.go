@@ -183,6 +183,13 @@ type Request struct {
 	// copy. The wire form is identical to Data (one contiguous payload
 	// field); DataSegs never appears on the receive side.
 	DataSegs [][]byte
+	// ReplyInto, when non-nil, is the caller memory a read's reply payload
+	// lands in, span after span: the connection reader reads the payload
+	// off the socket straight into it when its length is
+	// exactly theirs. Registered by MuxConn.Start and never encoded; the
+	// caller must not touch the spans until the exchange ends — its reply
+	// received, or MuxConn.Forget returned.
+	ReplyInto [][]byte
 
 	// AppendAt marks a write as offset-checked: the server appends only
 	// if the local stripe length equals AppendOff, parking early
@@ -340,8 +347,11 @@ type Response struct {
 
 	// frame is the leased buffer this response's Data aliases: the
 	// receive frame (binary decode), or the server read path's reply
-	// payload (AttachLease). Release returns it.
-	frame []byte
+	// payload (AttachLease). Release returns it. placed reports that the
+	// payload was read into the request's ReplyInto spans instead, and
+	// Data is nil.
+	frame  []byte
+	placed bool
 }
 
 // Capability bits for Response.Caps.
@@ -547,26 +557,46 @@ func (c *Conn) RecvResponse() (*Response, error) {
 
 // RecvResponseInto is RecvResponse into a message the caller supplies;
 // same contract as RecvRequestInto.
-func (c *Conn) RecvResponseInto(r *Response) error {
+func (c *Conn) RecvResponseInto(r *Response) error { return c.recvResponse(r, nil) }
+
+// recvResponse is RecvResponseInto on a connection whose reader finds the
+// caller memory of read replies through dst (nil: every reply is leased).
+// A reply abandoned while it landed leaves no message: the next frame is
+// read into r instead.
+func (c *Conn) recvResponse(r *Response, dst replyDst) error {
 	r.Release()
-	n, err := c.readLen()
-	if err != nil {
-		return err
+	for {
+		n, err := c.readLen()
+		if err != nil {
+			return err
+		}
+		if dst != nil {
+			placed, err := c.recvReply(r, n, dst)
+			if err == errAbandoned {
+				continue
+			}
+			if placed || err != nil {
+				if err == nil && c.stats != nil {
+					c.noteRecv(respSlot)
+				}
+				return err
+			}
+		}
+		b, err := c.readBody(n)
+		if err != nil {
+			return err
+		}
+		if err := decodeResponse(b, r); err != nil {
+			r.Data = nil
+			Release(b)
+			return err
+		}
+		r.frame = b
+		if c.stats != nil {
+			c.noteRecv(respSlot)
+		}
+		return nil
 	}
-	b, err := c.readBody(n)
-	if err != nil {
-		return err
-	}
-	if err := decodeResponse(b, r); err != nil {
-		r.Data = nil
-		Release(b)
-		return err
-	}
-	r.frame = b
-	if c.stats != nil {
-		c.noteRecv(respSlot)
-	}
-	return nil
 }
 
 // Close closes the underlying connection.
