@@ -35,7 +35,8 @@
 //   - internal/metrics  — binned throughput series and summary statistics
 //     behind every measurement, plus the λ-windowed per-entity share
 //     ledger (compiled vs measured shares) behind `policy status`
-//   - internal/sim      — the discrete-event engine under the simulator
+//   - internal/sim      — the discrete-event engine under the simulator: a
+//     virtual clock and a heap of (time, handler) events
 //   - internal/apptrace — the §5 application I/O traces (NAMD, WRF, ...)
 //   - internal/experiments — one runner per paper table/figure
 //

@@ -81,8 +81,8 @@ func Run(c *bb.Cluster, app App, job policy.JobInfo) *Handle {
 	// Poll completion cheaply on the engine: phases end on request
 	// completions, so checking at a coarse period loses at most one
 	// period of precision — refine by checking at every bin boundary.
-	var watch func()
-	watch = func() {
+	var watch func(time.Duration)
+	watch = func(time.Duration) {
 		if bb.AllFinished(handles) {
 			h.Finished = true
 			h.DoneAt = bb.LastDone(handles)
@@ -170,17 +170,17 @@ func runAsync(c *bb.Cluster, app App, job policy.JobInfo, h *Handle) {
 		}
 		buffered--
 		issueBatches()
-		eng.After(app.Compute, func() {
+		eng.After(app.Compute, func(now time.Duration) {
 			step++
 			if step >= app.Phases {
 				h.Finished = true
-				h.DoneAt = eng.Now()
+				h.DoneAt = now
 				return
 			}
 			startStep()
 		})
 	}
-	eng.At(0, func() {
+	eng.At(0, func(time.Duration) {
 		issueBatches()
 		startStep()
 	})

@@ -108,15 +108,16 @@ func NewCluster(cfg Config) *Cluster {
 		id := fmt.Sprintf("bb%d", i)
 		sch := cfg.NewSched(i, cfg.DeviceBW*c.eff)
 		table := jobtable.New(id, cfg.HeartbeatTimeout)
-		c.servers = append(c.servers, &server{
+		s := &server{
 			c: c, id: id, sch: sch, table: table,
 			ctl: control.New(table, sch),
-		})
+		}
+		s.allow = s.hasBudget
+		c.servers = append(c.servers, s)
 	}
 	// Service tick loop.
-	var tick func()
-	tick = func() {
-		now := c.eng.Now()
+	var tick func(now time.Duration)
+	tick = func(now time.Duration) {
 		for _, s := range c.servers {
 			s.serve(now, cfg.Tick)
 		}
@@ -126,15 +127,17 @@ func NewCluster(cfg Config) *Cluster {
 	// λ-delayed global fairness: all-gather the job status tables, then
 	// run every live server's controller step — what themisd's controller
 	// goroutine does after its gossip round.
-	c.eng.Every(cfg.Lambda, func() {
+	var lambda func(now time.Duration)
+	lambda = func(now time.Duration) {
 		c.SyncTables()
-		now := c.eng.Now()
 		for _, s := range c.servers {
 			if !s.failed {
 				s.ctl.Tick(now)
 			}
 		}
-	})
+		c.eng.At(now+cfg.Lambda, lambda)
+	}
+	c.eng.At(cfg.Lambda, lambda)
 	return c
 }
 
@@ -148,7 +151,7 @@ func (c *Cluster) SwapPolicy(at time.Duration, pol policy.Policy, stagger time.D
 	c.swaps++
 	epoch := c.swaps
 	for i, s := range c.servers {
-		c.eng.At(at+time.Duration(i)*stagger, func() { s.ctl.OfferPolicy(pol, epoch) })
+		c.eng.At(at+time.Duration(i)*stagger, func(time.Duration) { s.ctl.OfferPolicy(pol, epoch) })
 	}
 }
 
@@ -200,8 +203,7 @@ func (c *Cluster) SyncTables() {
 	for i, t := range tables {
 		snaps[i] = t.Snapshot()
 	}
-	c.eng.After(c.cfg.SyncDelay, func() {
-		at := c.eng.Now()
+	c.eng.After(c.cfg.SyncDelay, func(at time.Duration) {
 		for i, t := range tables {
 			for j, snap := range snaps {
 				if i != j {
@@ -274,6 +276,12 @@ type server struct {
 	// (budget for their direction ran out); they are served ahead of the
 	// scheduler next tick, preserving their position.
 	parked []parkedReq
+
+	// The current tick's remaining byte budgets and its end; allow is
+	// hasBudget, bound once so Pop is not handed a fresh closure per tick.
+	devB, readB, writeB float64
+	end                 time.Duration
+	allow               sched.AllowFunc
 }
 
 type parkedReq struct {
@@ -306,59 +314,17 @@ func (s *server) serve(now time.Duration, dt time.Duration) {
 		return
 	}
 	sec := dt.Seconds()
-	devB := s.c.cfg.DeviceBW * s.c.eff * sec
-	readB := s.c.cfg.DirBW * s.c.eff * sec
-	writeB := s.c.cfg.DirBW * s.c.eff * sec
+	s.devB = s.c.cfg.DeviceBW * s.c.eff * sec
+	s.readB = s.c.cfg.DirBW * s.c.eff * sec
+	s.writeB = s.c.cfg.DirBW * s.c.eff * sec
 	ops := s.c.cfg.OpsPerSec * s.c.eff * sec
-	end := now + dt
-
-	// attempt services as much of p as budgets allow; returns the leftover
-	// (rem > 0) if the request must stay parked. Metadata operations hit
-	// in-memory structures, not the data device: they are bounded by the
-	// IOPS envelope alone and never charge byte budgets.
-	attempt := func(p parkedReq) (parkedReq, bool) {
-		if !p.r.Op.IsData() {
-			s.complete(p.r, p.start, end)
-			return p, true
-		}
-		avail := devB
-		switch p.r.Op {
-		case sched.OpRead:
-			if readB < avail {
-				avail = readB
-			}
-		case sched.OpWrite:
-			if writeB < avail {
-				avail = writeB
-			}
-		}
-		if avail < 1 {
-			return p, false
-		}
-		take := p.rem
-		if take > avail {
-			take = avail
-		}
-		devB -= take
-		switch p.r.Op {
-		case sched.OpRead:
-			readB -= take
-		case sched.OpWrite:
-			writeB -= take
-		}
-		p.rem -= take
-		if p.rem >= 1 {
-			return p, false
-		}
-		s.complete(p.r, p.start, end)
-		return p, true
-	}
+	s.end = now + dt
 
 	// Serve carried-over requests first, preserving order.
-	var still []parkedReq
+	still := s.parked[:0]
 	for _, p := range s.parked {
-		if left, done := attempt(p); !done {
-			still = append(still, left)
+		if !s.attempt(&p) {
+			still = append(still, p)
 		}
 	}
 	// Then drain the scheduler while budget remains. The allow filter
@@ -368,32 +334,71 @@ func (s *server) serve(now time.Duration, dt time.Duration) {
 	// requests that can actually run. FIFO ignores the filter (strict
 	// order), so its popped requests may still park — head-of-line
 	// blocking, faithfully reproduced.
-	allow := func(op sched.Op) bool {
-		switch op {
-		case sched.OpRead:
-			return devB >= 1 && readB >= 1
-		case sched.OpWrite:
-			return devB >= 1 && writeB >= 1
-		}
-		return true // metadata rides the IOPS envelope only
-	}
 	for ops >= 1 && len(still) < parkCap {
-		r := s.sch.Pop(now, allow)
+		r := s.sch.Pop(now, s.allow)
 		if r == nil {
 			break // empty, all heads disallowed, or throttled (GIFT/TBF)
 		}
 		ops--
-		if left, done := attempt(parkedReq{r: r, rem: float64(r.Cost()), start: now}); !done {
-			still = append(still, left)
+		p := parkedReq{r: r, rem: float64(r.Cost()), start: now}
+		if !s.attempt(&p) {
+			still = append(still, p)
 		}
 	}
 	s.parked = still
 }
 
+// attempt services as much of p as the tick's budgets allow and reports
+// whether it completed; otherwise p keeps its leftover and stays parked.
+// Metadata operations hit in-memory structures, not the data device:
+// they are bounded by the IOPS envelope alone and never charge byte
+// budgets.
+func (s *server) attempt(p *parkedReq) bool {
+	if !p.r.Op.IsData() {
+		s.complete(p.r, p.start, s.end)
+		return true
+	}
+	avail := s.devB
+	switch p.r.Op {
+	case sched.OpRead:
+		avail = min(avail, s.readB)
+	case sched.OpWrite:
+		avail = min(avail, s.writeB)
+	}
+	if avail < 1 {
+		return false
+	}
+	take := min(p.rem, avail)
+	s.devB -= take
+	switch p.r.Op {
+	case sched.OpRead:
+		s.readB -= take
+	case sched.OpWrite:
+		s.writeB -= take
+	}
+	p.rem -= take
+	if p.rem >= 1 {
+		return false
+	}
+	s.complete(p.r, p.start, s.end)
+	return true
+}
+
+// hasBudget is the scheduler's allow filter: a data request may be
+// popped only while its direction and the device have budget left.
+func (s *server) hasBudget(op sched.Op) bool {
+	switch op {
+	case sched.OpRead:
+		return s.devB >= 1 && s.readB >= 1
+	case sched.OpWrite:
+		return s.devB >= 1 && s.writeB >= 1
+	}
+	return true // metadata rides the IOPS envelope only
+}
+
 func (s *server) complete(r *sched.Request, start, end time.Duration) {
 	s.c.meter.Record(r.Job.JobID, r.Op, r.Bytes, start, end)
 	if r.Done != nil {
-		done := r.Done
-		s.c.eng.At(end, func() { done(end) })
+		s.c.eng.At(end, r.Done)
 	}
 }

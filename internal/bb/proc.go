@@ -59,10 +59,11 @@ func (c *Cluster) AddProc(p Proc) *ProcHandle {
 	}
 	h := &ProcHandle{}
 	ps := &procState{c: c, spec: p, h: h}
-	c.eng.At(p.Start, func() {
+	ps.done = ps.completed
+	c.eng.At(p.Start, func(now time.Duration) {
 		h.alive = p.QueueDepth
 		for i := 0; i < p.QueueDepth; i++ {
-			ps.issue()
+			ps.issue(now)
 		}
 	})
 	return h
@@ -125,53 +126,52 @@ type procState struct {
 	spec Proc
 	h    *ProcHandle
 	rr   int
+	// done is the method value ps.completed, made once per process: the
+	// Done handler of every request the process issues.
+	done func(now time.Duration)
 }
 
 // issue advances one in-flight chain: take the next stream item, wait out
 // its think time, submit, and re-issue on completion.
-func (ps *procState) issue() {
-	now := ps.c.eng.Now()
+func (ps *procState) issue(now time.Duration) {
 	if ps.spec.Stop > 0 && now >= ps.spec.Stop {
-		ps.chainDone()
+		ps.chainDone(now)
 		return
 	}
 	it, ok := ps.spec.Stream.Next()
 	if !ok {
-		ps.chainDone()
+		ps.chainDone(now)
 		return
 	}
-	fire := func() {
-		t := ps.c.eng.Now()
-		if ps.spec.Stop > 0 && t >= ps.spec.Stop {
-			ps.chainDone()
-			return
-		}
-		r := &sched.Request{
-			Job:    ps.spec.Job,
-			Op:     it.Op,
-			Bytes:  it.Bytes,
-			Arrive: t,
-			Done: func(at time.Duration) {
-				ps.h.Completed++
-				ps.issue()
-			},
-		}
-		ps.h.Issued++
-		target := ps.spec.Targets[ps.rr%len(ps.spec.Targets)]
-		ps.rr++
-		ps.c.servers[target].submit(t, r)
-	}
 	if it.Think > 0 {
-		ps.c.eng.After(it.Think, fire)
-	} else {
-		fire()
+		ps.c.eng.After(it.Think, func(t time.Duration) { ps.fire(t, it) })
+		return
 	}
+	ps.fire(now, it)
 }
 
-func (ps *procState) chainDone() {
+// fire submits the request for stream item it at time t.
+func (ps *procState) fire(t time.Duration, it workload.Item) {
+	if ps.spec.Stop > 0 && t >= ps.spec.Stop {
+		ps.chainDone(t)
+		return
+	}
+	r := &sched.Request{Job: ps.spec.Job, Op: it.Op, Bytes: it.Bytes, Arrive: t, Done: ps.done}
+	ps.h.Issued++
+	target := ps.spec.Targets[ps.rr%len(ps.spec.Targets)]
+	ps.rr++
+	ps.c.servers[target].submit(t, r)
+}
+
+func (ps *procState) completed(now time.Duration) {
+	ps.h.Completed++
+	ps.issue(now)
+}
+
+func (ps *procState) chainDone(now time.Duration) {
 	ps.h.alive--
 	if ps.h.alive == 0 {
 		ps.h.Finished = true
-		ps.h.DoneAt = ps.c.eng.Now()
+		ps.h.DoneAt = now
 	}
 }

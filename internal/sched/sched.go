@@ -72,9 +72,10 @@ type Request struct {
 	Op     Op
 	Bytes  int64
 	Arrive time.Duration
-	// Done, if non-nil, is invoked by the serving plane when the request
-	// completes (the simulator's client loop and the live server's worker
-	// both use it).
+	// Done, if non-nil, is invoked by the simulator (internal/bb) at the
+	// virtual time the request completes: the simulated client processes
+	// and the application traces (internal/apptrace) chain their next
+	// request on it. The live server dispatches on Tag and never sets it.
 	Done func(now time.Duration)
 	// Tag carries plane-specific payload (e.g. the live server's decoded
 	// message) through the scheduler untouched.

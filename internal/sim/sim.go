@@ -7,62 +7,28 @@
 // The engine is single-threaded: events fire in timestamp order (FIFO
 // among equal timestamps, by sequence number), and each event handler runs
 // to completion before the next fires. No goroutines, no locks, no races.
+// An event is a value — a handler and its firing time — and cannot be
+// cancelled; a handler that may go stale checks its own state when it
+// fires, and a periodic loop reschedules itself.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
 
-// Event is a scheduled callback.
+// event is a scheduled handler, ordered by (at, seq).
 type event struct {
-	at   time.Duration
-	seq  uint64
-	fn   func()
-	idx  int
-	dead bool
+	at  time.Duration
+	seq uint64
+	fn  func(now time.Duration)
 }
 
-// eventHeap orders events by (time, sequence).
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*event)
-	e.idx = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.idx = -1
-	*h = old[:n-1]
-	return e
-}
-
-// Timer is a handle to a scheduled event, usable to cancel it.
-type Timer struct{ ev *event }
-
-// Stop cancels the timer; the callback will not fire. Safe to call after
-// the event has fired (it becomes a no-op).
-func (t *Timer) Stop() {
-	if t != nil && t.ev != nil {
-		t.ev.dead = true
-	}
+	return a.seq < b.seq
 }
 
 // Engine is a discrete-event executor over a virtual clock that starts
@@ -70,8 +36,7 @@ func (t *Timer) Stop() {
 type Engine struct {
 	now    time.Duration
 	seq    uint64
-	events eventHeap
-	nRun   uint64
+	events []event // binary min-heap by (at, seq)
 }
 
 // New returns an engine with the clock at zero and no pending events.
@@ -82,93 +47,70 @@ func New() *Engine {
 // Now returns the current virtual time.
 func (e *Engine) Now() time.Duration { return e.now }
 
-// Processed returns the number of events executed so far.
-func (e *Engine) Processed() uint64 { return e.nRun }
-
-// Pending returns the number of events still scheduled.
-func (e *Engine) Pending() int { return len(e.events) }
-
-// At schedules fn at absolute virtual time t. Scheduling in the past
-// panics: it would silently reorder causality.
-func (e *Engine) At(t time.Duration, fn func()) *Timer {
+// At schedules fn at absolute virtual time t; fn receives t. Scheduling
+// in the past panics: it would silently reorder causality.
+func (e *Engine) At(t time.Duration, fn func(now time.Duration)) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, e.now))
 	}
 	e.seq++
-	ev := &event{at: t, seq: e.seq, fn: fn}
-	heap.Push(&e.events, ev)
-	return &Timer{ev: ev}
+	h := append(e.events, event{at: t, seq: e.seq, fn: fn})
+	// Sift up.
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h[i].before(&h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	e.events = h
 }
 
 // After schedules fn d from now. Negative d panics.
-func (e *Engine) After(d time.Duration, fn func()) *Timer {
-	return e.At(e.now+d, fn)
+func (e *Engine) After(d time.Duration, fn func(now time.Duration)) {
+	e.At(e.now+d, fn)
 }
 
-// Every schedules fn at now+d, then repeatedly every d, until the returned
-// timer is stopped. fn observes the clock via Engine.Now.
-func (e *Engine) Every(d time.Duration, fn func()) *Timer {
-	if d <= 0 {
-		panic("sim: Every with non-positive period")
-	}
-	ev := &event{}
-	t := &Timer{ev: ev}
-	var tick func()
-	tick = func() {
-		if ev.dead {
-			return
+// pop removes and returns the earliest event.
+func (e *Engine) pop() event {
+	h := e.events
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h[n] = event{} // drop the handler reference
+	h = h[:n]
+	// Sift down.
+	i := 0
+	for {
+		m := i
+		if l := 2*i + 1; l < n && h[l].before(&h[m]) {
+			m = l
 		}
-		fn()
-		if ev.dead {
-			return
+		if r := 2*i + 2; r < n && h[r].before(&h[m]) {
+			m = r
 		}
-		inner := e.After(d, tick)
-		*ev = *inner.ev // keep the same handle pointing at the new event
-	}
-	first := e.After(d, tick)
-	*ev = *first.ev
-	return t
-}
-
-// Step executes the next event, advancing the clock. Returns false when no
-// events remain.
-func (e *Engine) Step() bool {
-	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(*event)
-		if ev.dead {
-			continue
+		if m == i {
+			break
 		}
-		e.now = ev.at
-		e.nRun++
-		ev.fn()
-		return true
+		h[i], h[m] = h[m], h[i]
+		i = m
 	}
-	return false
+	e.events = h
+	return top
 }
 
 // RunUntil executes events until the clock would pass deadline; the clock
 // is left exactly at deadline. Events scheduled at the deadline itself are
 // executed.
 func (e *Engine) RunUntil(deadline time.Duration) {
-	for len(e.events) > 0 {
-		// Peek.
-		next := e.events[0]
-		if next.dead {
-			heap.Pop(&e.events)
-			continue
-		}
-		if next.at > deadline {
-			break
-		}
-		e.Step()
+	for len(e.events) > 0 && e.events[0].at <= deadline {
+		ev := e.pop()
+		e.now = ev.at
+		ev.fn(ev.at)
 	}
 	if e.now < deadline {
 		e.now = deadline
-	}
-}
-
-// Run drains the event queue completely.
-func (e *Engine) Run() {
-	for e.Step() {
 	}
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 	"time"
 )
@@ -8,10 +10,10 @@ import (
 func TestEventOrdering(t *testing.T) {
 	e := New()
 	var got []int
-	e.At(2*time.Second, func() { got = append(got, 2) })
-	e.At(1*time.Second, func() { got = append(got, 1) })
-	e.At(3*time.Second, func() { got = append(got, 3) })
-	e.Run()
+	e.At(2*time.Second, func(time.Duration) { got = append(got, 2) })
+	e.At(1*time.Second, func(time.Duration) { got = append(got, 1) })
+	e.At(3*time.Second, func(time.Duration) { got = append(got, 3) })
+	e.RunUntil(3 * time.Second)
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("order = %v", got)
 	}
@@ -25,9 +27,9 @@ func TestFIFOAmongEqualTimestamps(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(time.Second, func() { got = append(got, i) })
+		e.At(time.Second, func(time.Duration) { got = append(got, i) })
 	}
-	e.Run()
+	e.RunUntil(time.Second)
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("equal-timestamp events reordered: %v", got)
@@ -37,82 +39,90 @@ func TestFIFOAmongEqualTimestamps(t *testing.T) {
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	e := New()
-	e.At(time.Second, func() {
+	e.At(time.Second, func(time.Duration) {
 		defer func() {
 			if recover() == nil {
 				t.Error("want panic scheduling in the past")
 			}
 		}()
-		e.At(0, func() {})
+		e.At(0, func(time.Duration) {})
 	})
-	e.Run()
+	e.RunUntil(time.Second)
 }
 
 func TestAfterNesting(t *testing.T) {
 	e := New()
 	var fired time.Duration
-	e.After(time.Second, func() {
-		e.After(2*time.Second, func() { fired = e.Now() })
+	e.After(time.Second, func(time.Duration) {
+		e.After(2*time.Second, func(now time.Duration) { fired = now })
 	})
-	e.Run()
+	e.RunUntil(10 * time.Second)
 	if fired != 3*time.Second {
 		t.Fatalf("nested After fired at %v, want 3s", fired)
 	}
 }
 
-func TestTimerStop(t *testing.T) {
-	e := New()
-	fired := false
-	tm := e.At(time.Second, func() { fired = true })
-	tm.Stop()
-	e.Run()
-	if fired {
-		t.Fatal("stopped timer fired")
-	}
-	// Stopping after firing is a no-op.
-	tm2 := e.At(2*time.Second, func() {})
-	e.Run()
-	tm2.Stop()
-}
-
-func TestEvery(t *testing.T) {
-	e := New()
-	var times []time.Duration
-	tm := e.Every(time.Second, func() { times = append(times, e.Now()) })
-	e.RunUntil(3500 * time.Millisecond)
-	tm.Stop()
-	e.RunUntil(10 * time.Second)
-	if len(times) != 3 {
-		t.Fatalf("Every fired %d times (%v), want 3", len(times), times)
-	}
-	for i, at := range times {
-		if at != time.Duration(i+1)*time.Second {
-			t.Fatalf("tick %d at %v", i, at)
-		}
-	}
-}
-
 func TestRunUntilLeavesClockAtDeadline(t *testing.T) {
 	e := New()
-	e.At(10*time.Second, func() {})
+	fired := false
+	e.At(10*time.Second, func(time.Duration) { fired = true })
 	e.RunUntil(5 * time.Second)
 	if e.Now() != 5*time.Second {
 		t.Fatalf("now = %v, want 5s", e.Now())
 	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", e.Pending())
+	if fired {
+		t.Fatal("event past the deadline fired")
 	}
 	e.RunUntil(10 * time.Second)
-	if e.Pending() != 0 || e.Processed() != 1 {
-		t.Fatalf("pending/processed = %d/%d", e.Pending(), e.Processed())
+	if !fired || e.Now() != 10*time.Second {
+		t.Fatalf("fired=%v now=%v, want true at 10s", fired, e.Now())
 	}
 }
 
-func TestEveryNonPositivePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic")
+// TestEventOrderMatchesStableSort pins the hand-written heap against the
+// order it must reproduce: by time, ties broken by scheduling order. A
+// quarter of the events are scheduled from inside handlers, some at the
+// handler's own time (a tie with events already queued).
+func TestEventOrderMatchesStableSort(t *testing.T) {
+	const n = 10000
+	rng := rand.New(rand.NewSource(34))
+	e := New()
+	type sched struct {
+		id int
+		at time.Duration
+	}
+	var scheduled []sched // in scheduling order
+	var fired []int
+	var fire func(id int) func(time.Duration)
+	add := func(at time.Duration) {
+		id := len(scheduled)
+		scheduled = append(scheduled, sched{id, at})
+		e.At(at, fire(id))
+	}
+	fire = func(id int) func(time.Duration) {
+		return func(now time.Duration) {
+			if now != scheduled[id].at || e.Now() != now {
+				t.Fatalf("event %d fired at %v (clock %v), scheduled for %v", id, now, e.Now(), scheduled[id].at)
+			}
+			fired = append(fired, id)
+			if len(scheduled) < n {
+				add(now + time.Duration(rng.Intn(8))) // 0: ties with now
+			}
 		}
-	}()
-	New().Every(0, func() {})
+	}
+	for len(scheduled) < n*3/4 {
+		add(time.Duration(rng.Intn(64))) // 64 distinct times: many ties
+	}
+	e.RunUntil(time.Hour)
+
+	want := append([]sched(nil), scheduled...)
+	sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
+	if len(fired) != n {
+		t.Fatalf("fired %d of %d events", len(fired), n)
+	}
+	for i := range want {
+		if fired[i] != want[i].id {
+			t.Fatalf("position %d: fired event %d, stable sort says %d", i, fired[i], want[i].id)
+		}
+	}
 }
