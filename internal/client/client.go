@@ -58,7 +58,8 @@ const DefaultStripeUnit = 1 << 20
 // DefaultConnsPerServer is the pool width when Options.ConnsPerServer
 // is zero: one connection, on which concurrent small requests share
 // writes (group commit) — what the benchmark measures. Large striped
-// reads may gain from a wider pool; EXPERIMENTS.md has the sweep.
+// reads may gain from a wider pool; the sweep is the first "Sized and
+// not pursued" section of docs/PERFLOG.md.
 const DefaultConnsPerServer = 1
 
 // validateOptions refuses nonsense option values with typed usage
@@ -95,28 +96,6 @@ type Client struct {
 
 	hbStop chan struct{}
 	hbDone chan struct{}
-}
-
-type fileHandle struct {
-	path string
-	off  int64
-	// size is the known global size — the append position for striped
-	// writes and the clamp for reads. It is set at Open and advanced by
-	// Write; extensions made through other handles become visible on
-	// reopen.
-	size    int64
-	stripes int      // the file's stripe width (from metadata, not config)
-	unit    int64    // the file's stripe unit (from metadata, not config)
-	set     []string // the file's recorded stripe servers, in order
-	// layoutGen is the layout generation the cached set was read under;
-	// every read and write echoes it, so a server that rebalanced the
-	// file answers stale-layout instead of serving re-striped bytes, and
-	// the handle re-stats and retries (see refreshHandle).
-	layoutGen uint64
-	// damaged marks a handle whose striped write could not be completed
-	// or repaired; further writes would interleave wrongly, so they are
-	// refused instead of silently corrupting the file.
-	damaged bool
 }
 
 // The client's peer-set parameters: pipelineWindow in-flight chunk RPCs

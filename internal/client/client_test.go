@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"themisio/internal/fsys"
 	"themisio/internal/policy"
 	"themisio/internal/server"
 )
@@ -336,7 +337,7 @@ func TestLseekNegative(t *testing.T) {
 	}
 }
 
-// localLen is the invariant the write-repair path leans on: the local
+// fsys.LocalLen is the invariant the write-repair path leans on: the local
 // stripe lengths of a round-robin layout must always sum to the total
 // and match a brute-force unit walk.
 func TestLocalLen(t *testing.T) {
@@ -361,15 +362,15 @@ func TestLocalLen(t *testing.T) {
 			off += n
 		}
 		for i := 0; i < tc.n; i++ {
-			got := localLen(tc.total, i, tc.n, tc.unit)
+			got := fsys.LocalLen(tc.total, i, tc.n, tc.unit)
 			if got != brute[i] {
-				t.Fatalf("localLen(%d,%d,%d,%d) = %d, want %d",
+				t.Fatalf("LocalLen(%d,%d,%d,%d) = %d, want %d",
 					tc.total, i, tc.n, tc.unit, got, brute[i])
 			}
 			sum += got
 		}
 		if sum != tc.total {
-			t.Fatalf("localLen over %+v sums to %d", tc, sum)
+			t.Fatalf("LocalLen over %+v sums to %d", tc, sum)
 		}
 	}
 }
@@ -392,7 +393,7 @@ func bruteLocalLens(total int64, n int, unit int64) []int64 {
 
 // Property test over randomized (total, nStripes, unit): the
 // rebalancer's migration planner and the write-repair path both lean
-// on localLen agreeing with the brute-force unit walk for arbitrary
+// on fsys.LocalLen agreeing with the brute-force unit walk for arbitrary
 // geometries, including totals far from cycle boundaries and units
 // down to a single byte.
 func TestLocalLenProperty(t *testing.T) {
@@ -414,9 +415,9 @@ func TestLocalLenProperty(t *testing.T) {
 		brute := bruteLocalLens(total, n, unit)
 		var sum int64
 		for i := 0; i < n; i++ {
-			got := localLen(total, i, n, unit)
+			got := fsys.LocalLen(total, i, n, unit)
 			if got != brute[i] {
-				t.Fatalf("iter %d: localLen(%d,%d,%d,%d) = %d, want %d",
+				t.Fatalf("iter %d: LocalLen(%d,%d,%d,%d) = %d, want %d",
 					iter, total, i, n, unit, got, brute[i])
 			}
 			if got < 0 {

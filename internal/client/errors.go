@@ -108,3 +108,35 @@ func budgetDeadline(ctx context.Context, d time.Duration) time.Time {
 	}
 	return dl
 }
+
+// retry is the client's one retry loop, for the transient answers of a
+// file whose layout is moving: try runs once, then again after
+// retryBackoff while it reports its error transient, until budget —
+// tightened to ctx's deadline when that is sooner — has passed. The
+// budget starts when the first attempt returns, so a first attempt
+// slower than the budget (a large striped I/O under a small policy
+// share) still gets its retry. again is false on the first attempt
+// only. The last attempt's error is returned (nil on success);
+// cancellation between attempts returns ErrCanceled.
+func retry(ctx context.Context, budget time.Duration, try func(again bool) (transient bool, err error)) error {
+	var deadline time.Time
+	for again := false; ; again = true {
+		transient, err := try(again)
+		if !again {
+			deadline = budgetDeadline(ctx, budget)
+		}
+		if err == nil || !transient || time.Now().After(deadline) {
+			return err
+		}
+		// The backoff keeps a crowd of handles on one migrating file from
+		// turning the cutover window into a stat storm against the servers
+		// the policy is throttling.
+		time.Sleep(retryBackoff)
+		if cerr := ctx.Err(); cerr != nil {
+			return canceled(cerr)
+		}
+	}
+}
+
+// retryBackoff is the pause between two attempts of a retry.
+const retryBackoff = 10 * time.Millisecond

@@ -15,16 +15,31 @@ import (
 // the path again for a second independent handle. After Close every
 // method returns an error matching fs.ErrClosed.
 type File struct {
-	c      *Client
-	h      *fileHandle
-	closed bool
+	c    *Client
+	path string
+	off  int64
+	// size is the known global size — the append position for striped
+	// writes and the clamp for reads. It is set at Open and advanced by
+	// Write; extensions made through other handles become visible on
+	// reopen.
+	size int64
+	// lay is the file's recorded layout as last read. Every read and
+	// write echoes its generation, so a server that rebalanced the file
+	// answers stale-layout instead of serving re-striped bytes, and the
+	// call re-stats and retries.
+	lay layoutInfo
+	// damaged marks a handle whose striped write could not be completed
+	// or repaired; further writes would interleave wrongly, so they are
+	// refused instead of silently corrupting the file.
+	damaged bool
+	closed  bool
 }
 
 // Path returns the path the handle was opened on.
-func (f *File) Path() string { return f.h.path }
+func (f *File) Path() string { return f.path }
 
 func (f *File) errClosed() error {
-	return fmt.Errorf("client: %s: %w", f.h.path, fs.ErrClosed)
+	return fmt.Errorf("client: %s: %w", f.path, fs.ErrClosed)
 }
 
 // Read reads up to len(p) bytes from the handle's offset, returning
@@ -39,7 +54,7 @@ func (f *File) ReadContext(ctx context.Context, p []byte) (int, error) {
 	if f.closed {
 		return 0, f.errClosed()
 	}
-	n, err := f.c.read(ctx, f.h, p)
+	n, err := f.c.read(ctx, f, p)
 	if err == nil && n == 0 && len(p) > 0 {
 		return 0, io.EOF
 	}
@@ -59,7 +74,7 @@ func (f *File) WriteContext(ctx context.Context, p []byte) (int, error) {
 	if f.closed {
 		return 0, f.errClosed()
 	}
-	return f.c.write(ctx, f.h, p)
+	return f.c.write(ctx, f, p)
 }
 
 // Seek repositions the handle (io.Seeker whence values). Seeking
@@ -78,9 +93,9 @@ func (f *File) SeekContext(ctx context.Context, offset int64, whence int) (int64
 	switch whence {
 	case io.SeekStart:
 	case io.SeekCurrent:
-		next += f.h.off
+		next += f.off
 	case io.SeekEnd:
-		size, _, _, err := f.c.statFull(ctx, f.h.path)
+		size, _, _, err := f.c.statFull(ctx, f.path)
 		if err != nil {
 			return 0, err
 		}
@@ -91,7 +106,7 @@ func (f *File) SeekContext(ctx context.Context, offset int64, whence int) (int64
 	if next < 0 {
 		return 0, fmt.Errorf("client: invalid seek to negative offset %d (EINVAL)", next)
 	}
-	f.h.off = next
+	f.off = next
 	return next, nil
 }
 

@@ -66,22 +66,14 @@ func (c *Client) OpenContext(ctx context.Context, path string, create bool) (*Fi
 			return nil, err
 		}
 		if size, lay, ok := c.createdLayout(path, set, resps); ok {
-			return c.newFile(path, size, lay), nil
+			return &File{c: c, path: path, size: size, lay: lay}, nil
 		}
 	}
 	size, _, lay, err := c.statFull(ctx, path)
 	if err != nil {
 		return nil, err
 	}
-	return c.newFile(path, size, lay), nil
-}
-
-// newFile is a handle on path at the given size and layout.
-func (c *Client) newFile(path string, size int64, lay layoutInfo) *File {
-	return &File{c: c, h: &fileHandle{
-		path: path, size: size,
-		stripes: lay.stripes, unit: lay.unit, set: lay.set, layoutGen: lay.gen,
-	}}
+	return &File{c: c, path: path, size: size, lay: lay}, nil
 }
 
 // createdLayout reads the file's size and layout off the replies of a

@@ -263,9 +263,9 @@ func TestWidthOneReadIsChunked(t *testing.T) {
 	}
 	defer c.Close()
 	const size = 3 << 20
-	h := &fileHandle{path: "/one", size: size, stripes: 1, unit: DefaultStripeUnit, set: []string{srv.addr}}
+	f := &File{path: "/one", size: size, lay: layoutInfo{stripes: 1, unit: DefaultStripeUnit, set: []string{srv.addr}}}
 	buf := make([]byte, size+4096) // asks past EOF
-	n, err := c.read(context.Background(), h, buf)
+	n, err := c.read(context.Background(), f, buf)
 	if err != nil || n != size {
 		t.Fatalf("read: n=%d err=%v, want %d (clamped to the handle's size)", n, err, size)
 	}
@@ -283,7 +283,7 @@ func TestWidthOneReadIsChunked(t *testing.T) {
 			t.Fatalf("chunk %d: %d bytes at %d, want %d at %d", i, r.Size, r.Offset, chunkBytes, i*chunkBytes)
 		}
 	}
-	if n, err := c.read(context.Background(), h, buf); n != 0 || err != nil {
+	if n, err := c.read(context.Background(), f, buf); n != 0 || err != nil {
 		t.Fatalf("read at EOF: n=%d err=%v, want 0, nil", n, err)
 	}
 }

@@ -2,8 +2,6 @@ package client
 
 import (
 	"context"
-	"fmt"
-	"time"
 
 	"themisio/internal/transport"
 )
@@ -12,53 +10,42 @@ import (
 // read touches each stripe server's locally-contiguous range once, in
 // parallel, its units landing straight in p. A stale-layout answer
 // (the file was rebalanced under this handle) re-stats the path and
-// retries against the migrated layout; the retry budget is
-// statRetryTimeout, tightened to ctx's own deadline when that is sooner.
-func (c *Client) read(ctx context.Context, h *fileHandle, p []byte) (int, error) {
-	n, err := c.readOnce(ctx, h, p)
-	for deadline := budgetDeadline(ctx, statRetryTimeout); err != nil && retryableLayout(err) && !time.Now().After(deadline); {
-		// A cutover can land between the re-stat and the retry (the
-		// refresh may still see the old layout while the old holders
-		// serve sealed reads); a bounded loop rides the window out. The
-		// backoff keeps a crowd of handles on one migrating file from
-		// turning the window into a stat storm against the servers the
-		// policy is throttling.
-		time.Sleep(10 * time.Millisecond)
-		if cerr := ctx.Err(); cerr != nil {
-			return 0, canceled(cerr)
+// retries against the migrated layout, within statRetryTimeout: a
+// cutover can land between the re-stat and the retry (the re-stat may
+// still see the old layout while the old holders serve sealed reads).
+func (c *Client) read(ctx context.Context, f *File, p []byte) (n int, err error) {
+	err = retry(ctx, statRetryTimeout, func(again bool) (bool, error) {
+		if again {
+			if transient, err := c.restat(ctx, f); err != nil {
+				return transient, err
+			}
 		}
-		if rerr := c.refreshHandle(ctx, h); rerr != nil {
-			return 0, fmt.Errorf("client: %s: layout changed and re-stat failed: %w", h.path, rerr)
-		}
-		n, err = c.readOnce(ctx, h, p)
-	}
+		n, err = c.readOnce(ctx, f, p)
+		return retryableLayout(err), err
+	})
 	return n, err
 }
 
 // readOnce performs one read attempt at the handle's current layout.
-func (c *Client) readOnce(ctx context.Context, h *fileHandle, p []byte) (int, error) {
-	set, unit, err := c.geometry(h)
-	if err != nil {
-		return 0, err
-	}
+func (c *Client) readOnce(ctx context.Context, f *File, p []byte) (int, error) {
 	// The handle's tracked size clamps the read (no per-read stat storm
 	// on the path that exists to scale bandwidth); writes through other
 	// handles become visible on reopen.
-	want := min(int64(len(p)), h.size-h.off)
+	want := min(int64(len(p)), f.size-f.off)
 	if want <= 0 {
 		return 0, nil
 	}
-	g0 := h.off
+	set, unit, g0 := f.lay.set, f.lay.unit, f.off
 	lo, hi := localRanges(g0, g0+want, unit, len(set))
 	errs := fan(len(set), func(i int) bool { return lo[i] >= 0 }, func(i int) error {
-		return c.readStripe(ctx, set[i], h.path, h.layoutGen, lo[i], hi[i], func(off, n int64) [][]byte {
+		return c.readStripe(ctx, set[i], f.path, f.lay.gen, lo[i], hi[i], func(off, n int64) [][]byte {
 			return localSpans(p, g0, i, len(set), unit, off, n)
 		})
 	})
 	if err := decisive(errs); err != nil {
 		return 0, err
 	}
-	h.off += want
+	f.off += want
 	return int(want), nil
 }
 

@@ -83,7 +83,7 @@ func TestWriteRepair(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		stripe [2]*fakeStripe
-		check  func(t *testing.T, err error, h *fileHandle, s [2]*fakeStripe)
+		check  func(t *testing.T, err error, f *File, s [2]*fakeStripe)
 	}{
 		{
 			// Stripe 1 lands two of its four chunks and refuses the rest:
@@ -91,12 +91,12 @@ func TestWriteRepair(t *testing.T) {
 			// the length the server reported.
 			name:   "tops up the missing tail",
 			stripe: [2]*fakeStripe{{refuseAfter: -1}, {refuseAfter: 2}},
-			check: func(t *testing.T, err error, h *fileHandle, s [2]*fakeStripe) {
+			check: func(t *testing.T, err error, f *File, s [2]*fakeStripe) {
 				if err != nil {
 					t.Fatalf("write: %v", err)
 				}
-				if h.size != int64(len(payload)) || h.off != h.size || h.damaged {
-					t.Fatalf("handle after repair: size %d off %d damaged %v, want %d", h.size, h.off, h.damaged, len(payload))
+				if f.size != int64(len(payload)) || f.off != f.size || f.damaged {
+					t.Fatalf("handle after repair: size %d off %d damaged %v, want %d", f.size, f.off, f.damaged, len(payload))
 				}
 				for i := range s {
 					if !bytes.Equal(s[i].data, stripeBytes(i)) {
@@ -124,9 +124,9 @@ func TestWriteRepair(t *testing.T) {
 			// write's span. The span reads back identical: accepted.
 			name:   "accepts an over-landed stripe with identical bytes",
 			stripe: [2]*fakeStripe{{refuseAfter: 3}, {refuseAfter: -1, surplus: []byte("another writer")}},
-			check: func(t *testing.T, err error, h *fileHandle, s [2]*fakeStripe) {
-				if err != nil || h.damaged || h.size != int64(len(payload)) {
-					t.Fatalf("write: %v (size %d, damaged %v), want the surplus tolerated", err, h.size, h.damaged)
+			check: func(t *testing.T, err error, f *File, s [2]*fakeStripe) {
+				if err != nil || f.damaged || f.size != int64(len(payload)) {
+					t.Fatalf("write: %v (size %d, damaged %v), want the surplus tolerated", err, f.size, f.damaged)
 				}
 				if !bytes.Equal(s[0].data, stripeBytes(0)) {
 					t.Fatal("stripe 0 holds the wrong bytes after repair")
@@ -136,9 +136,9 @@ func TestWriteRepair(t *testing.T) {
 		{
 			name:   "refuses an over-landed stripe with different bytes",
 			stripe: [2]*fakeStripe{{refuseAfter: 3}, {refuseAfter: -1, surplus: []byte("another writer"), flip: unit + 7}},
-			check: func(t *testing.T, err error, h *fileHandle, s [2]*fakeStripe) {
-				if err == nil || !h.damaged || h.size != 0 {
-					t.Fatalf("write: %v (size %d, damaged %v), want a refusal and a poisoned handle", err, h.size, h.damaged)
+			check: func(t *testing.T, err error, f *File, s [2]*fakeStripe) {
+				if err == nil || !f.damaged || f.size != 0 {
+					t.Fatalf("write: %v (size %d, damaged %v), want a refusal and a poisoned handle", err, f.size, f.damaged)
 				}
 				if retryableLayout(err) {
 					t.Fatalf("a content mismatch must not read as a layout transient: %v", err)
@@ -152,9 +152,9 @@ func TestWriteRepair(t *testing.T) {
 			// poison.
 			name:   "surfaces a stale layout as retryable",
 			stripe: [2]*fakeStripe{{refuseAfter: 3, stale: true}, {refuseAfter: -1, stale: true}},
-			check: func(t *testing.T, err error, h *fileHandle, s [2]*fakeStripe) {
-				if !errors.Is(err, ErrStaleLayout) || !retryableLayout(err) || h.damaged || h.size != 0 {
-					t.Fatalf("write: %v (size %d, damaged %v), want ErrStaleLayout on a clean handle", err, h.size, h.damaged)
+			check: func(t *testing.T, err error, f *File, s [2]*fakeStripe) {
+				if !errors.Is(err, ErrStaleLayout) || !retryableLayout(err) || f.damaged || f.size != 0 {
+					t.Fatalf("write: %v (size %d, damaged %v), want ErrStaleLayout on a clean handle", err, f.size, f.damaged)
 				}
 				if n := len(s[0].writes) + len(s[1].writes); n != 2*perStripe {
 					t.Fatalf("%d writes in all, want %d: nothing is topped up across layouts", n, 2*perStripe)
@@ -170,13 +170,13 @@ func TestWriteRepair(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			h := &fileHandle{path: "/f", stripes: 2, unit: unit, set: set, layoutGen: 7}
-			err = c.writeOnce(context.Background(), h, payload)
+			f := &File{path: "/f", lay: layoutInfo{stripes: 2, unit: unit, set: set, gen: 7}}
+			err = c.writeOnce(context.Background(), f, payload)
 			for i := range s {
 				s[i].mu.Lock()
 				defer s[i].mu.Unlock()
 			}
-			tc.check(t, err, h, s)
+			tc.check(t, err, f, s)
 		})
 	}
 }

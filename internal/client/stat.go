@@ -75,22 +75,10 @@ func (c *Client) layoutOf(path string, r *transport.Response) layoutInfo {
 // rebalance cutover lands within a couple of round trips; the first
 // retry refreshes membership so freshly joined owners are dialed).
 func (c *Client) statFull(ctx context.Context, path string) (size int64, isDir bool, lay layoutInfo, err error) {
-	staleDeadline := budgetDeadline(ctx, statRetryTimeout)
-	goneDeadline := budgetDeadline(ctx, statGoneRetryTimeout)
-	for attempt := 0; ; attempt++ {
-		if cerr := ctx.Err(); cerr != nil {
-			return 0, false, lay, canceled(cerr)
-		}
-		var transient bool
+	gone := budgetDeadline(ctx, statGoneRetryTimeout)
+	err = retry(ctx, statRetryTimeout, func(again bool) (transient bool, err error) {
 		size, isDir, lay, transient, err = c.statOnce(ctx, path, false)
-		if err == nil || !transient {
-			return size, isDir, lay, err
-		}
-		if transport.IsStaleLayout(err) {
-			if time.Now().After(staleDeadline) {
-				return size, isDir, lay, err
-			}
-		} else if time.Now().After(goneDeadline) {
+		if transient && !transport.IsStaleLayout(err) && time.Now().After(gone) {
 			// A stripe member still answering not-exist past every
 			// cutover window holds a genuinely lost stripe (a volatile
 			// member crash-restarted empty, say): fall back to summing
@@ -99,13 +87,14 @@ func (c *Client) statFull(ctx context.Context, path string) (size int64, isDir b
 			// because the recorded layout names it, or Unlink could
 			// never clean such files up.
 			size, isDir, lay, _, err = c.statOnce(ctx, path, true)
-			return size, isDir, lay, err
+			return false, err
 		}
-		if attempt == 0 {
+		if transient && !again {
 			c.refreshMembership()
 		}
-		time.Sleep(5 * time.Millisecond)
-	}
+		return transient, err
+	})
+	return size, isDir, lay, err
 }
 
 // statRetryTimeout bounds how long a stat chases a moving layout — the
@@ -143,7 +132,10 @@ func (c *Client) statOnce(ctx context.Context, path string, tolerateMissing bool
 		return 0, true, layoutInfo{stripes: 1}, false, nil
 	}
 	lay = c.layoutOf(path, resp)
-	if len(lay.set) == 1 {
+	switch len(lay.set) {
+	case 0: // a legacy entry, and the ring has lost every server
+		return 0, false, lay, false, fmt.Errorf("client: no servers left")
+	case 1:
 		return resp.Size, false, lay, false, nil
 	}
 	// Sum sizes over the reachable stripe servers only: a stripe lost
@@ -229,18 +221,18 @@ func (c *Client) statAny(ctx context.Context, path, asked string) (hit *transpor
 	return nil, moving, nil
 }
 
-// refreshHandle re-learns a file's layout and size after a
-// stale-layout answer: the cutover of a stripe migration rewrote the
-// metadata, and the handle's cached stripe set predates it.
-func (c *Client) refreshHandle(ctx context.Context, h *fileHandle) error {
-	size, isDir, lay, err := c.statFull(ctx, h.path)
-	if err != nil {
-		return err
+// restat re-learns an open file's size and layout with one stat
+// attempt — a read or write retry's step after a stale-layout answer: the
+// cutover of a stripe migration rewrote the metadata, and the handle's
+// layout predates it. transient is statOnce's.
+func (c *Client) restat(ctx context.Context, f *File) (transient bool, err error) {
+	size, isDir, lay, transient, err := c.statOnce(ctx, f.path, false)
+	switch {
+	case err != nil:
+		return transient, fmt.Errorf("client: %s: layout changed and re-stat failed: %w", f.path, err)
+	case isDir:
+		return false, fmt.Errorf("client: %s: replaced by a directory", f.path)
 	}
-	if isDir {
-		return fmt.Errorf("client: %s: replaced by a directory", h.path)
-	}
-	h.size = size
-	h.stripes, h.unit, h.set, h.layoutGen = lay.stripes, lay.unit, lay.set, lay.gen
-	return nil
+	f.size, f.lay = size, lay
+	return false, nil
 }

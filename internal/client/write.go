@@ -25,63 +25,54 @@ import (
 // layout. While the file is still sealed — the copy phase, before any
 // cutover — the re-stat returns the old layout and the retry is
 // refused again, so the write keeps retrying until the cutover lands
-// or writeRetryTimeout passes; on giving up it reports how much of p
-// is durably in the file (the handle's size already accounts for it),
-// so a POSIX-style short-write retry of the remainder is correct.
+// or writeRetryTimeout passes (tightened to ctx's own deadline when that
+// is sooner).
 //
-// The seal-window retry budget is writeRetryTimeout, tightened to ctx's
-// own deadline when that is sooner; cancellation mid-retry returns
-// ErrCanceled with the durable prefix reported like any short write.
-func (c *Client) write(ctx context.Context, h *fileHandle, p []byte) (int, error) {
-	if h.damaged {
-		return 0, fmt.Errorf("client: %s: earlier striped write failed mid-stripe; reopen after repair", h.path)
+// Whatever ends the write — giving up, a failed re-stat, cancellation —
+// it reports how much of p is durably in the file, which the handle's
+// size already counts, so a POSIX-style short-write retry of the
+// remainder is correct. Only a size the write cannot account for
+// poisons the handle and reports nothing.
+func (c *Client) write(ctx context.Context, f *File, p []byte) (int, error) {
+	if f.damaged {
+		return 0, fmt.Errorf("client: %s: earlier striped write failed mid-stripe; reopen after repair", f.path)
 	}
-	err := c.writeOnce(ctx, h, p)
-	if err == nil {
-		return len(p), nil
-	}
-	if !retryableLayout(err) {
+	prev := f.size
+	var landed int64 // the durable prefix of p: f.size - prev
+	err := retry(ctx, writeRetryTimeout, func(again bool) (bool, error) {
+		if again {
+			if transient, err := c.restat(ctx, f); err != nil {
+				return transient, err
+			}
+			landed = f.size - prev
+			switch {
+			case landed < 0:
+				// A degraded stat during a stalled partial cutover can
+				// under-report the size (an uncommitted target's bytes sit
+				// in its invisible pending buffer); that heals when the
+				// cutover lands, so keep re-statting until the budget ends.
+				return true, fmt.Errorf("client: %s: size fell by %d during layout change; reopen", f.path, -landed)
+			case landed > int64(len(p)):
+				// The size moved by more than this write — another writer
+				// raced the handle, which the offset bookkeeping cannot
+				// survive.
+				return false, fmt.Errorf("client: %s: size moved by %d during layout change; reopen", f.path, landed)
+			case landed == int64(len(p)):
+				f.off = f.size
+				return false, nil
+			}
+		}
+		err := c.writeOnce(ctx, f, p[landed:])
+		if err == nil {
+			landed = int64(len(p))
+		}
+		return retryableLayout(err), err
+	})
+	if landed < 0 || landed > int64(len(p)) {
+		f.damaged = true
 		return 0, err
 	}
-	prev := h.size
-	deadline := budgetDeadline(ctx, writeRetryTimeout)
-	for {
-		if cerr := ctx.Err(); cerr != nil {
-			return 0, canceled(cerr)
-		}
-		if rerr := c.refreshHandle(ctx, h); rerr != nil {
-			return 0, fmt.Errorf("client: %s: layout changed and re-stat failed: %w", h.path, rerr)
-		}
-		landed := h.size - prev
-		if landed < 0 && !time.Now().After(deadline) {
-			// A degraded stat during a stalled partial cutover can
-			// under-report the size (an uncommitted target's bytes sit
-			// in its invisible pending buffer); that heals when the
-			// cutover lands, so keep re-statting instead of condemning
-			// the handle.
-			time.Sleep(20 * time.Millisecond)
-			continue
-		}
-		if landed < 0 || landed > int64(len(p)) {
-			// The size moved by more than this write — another writer
-			// raced the handle, which the offset bookkeeping cannot
-			// survive (true before this change too).
-			h.damaged = true
-			return 0, fmt.Errorf("client: %s: size moved by %d during layout change; reopen", h.path, landed)
-		}
-		if landed == int64(len(p)) {
-			h.off = h.size
-			return len(p), nil
-		}
-		err = c.writeOnce(ctx, h, p[landed:])
-		if err == nil {
-			return len(p), nil
-		}
-		if !retryableLayout(err) || time.Now().After(deadline) {
-			return int(landed), err
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	return int(landed), err
 }
 
 // retryableLayout matches the transient conditions of a mid-migration
@@ -101,16 +92,6 @@ func retryableLayout(err error) bool {
 // while).
 const writeRetryTimeout = 10 * time.Second
 
-// geometry is the handle's stripe servers and unit (normalised by
-// layoutOf when the handle was built); an empty set means the ring had
-// no server left to place a legacy file on.
-func (c *Client) geometry(h *fileHandle) (set []string, unit int64, err error) {
-	if len(h.set) == 0 {
-		return nil, 0, fmt.Errorf("client: no servers left")
-	}
-	return h.set, h.unit, nil
-}
-
 // writeOnce performs one striped append attempt at the handle's
 // current layout, advancing the handle bookkeeping on success.
 //
@@ -118,15 +99,12 @@ func (c *Client) geometry(h *fileHandle) (set []string, unit int64, err error) {
 // LISTS (segments referencing p directly — never concatenated), each
 // segment rides the wire as its own iovec, and each stripe's span goes
 // out pipelined as a window of positional-append chunk RPCs.
-func (c *Client) writeOnce(ctx context.Context, h *fileHandle, p []byte) error {
-	set, unit, err := c.geometry(h)
-	if err != nil {
-		return err
-	}
+func (c *Client) writeOnce(ctx context.Context, f *File, p []byte) error {
+	set, unit := f.lay.set, f.lay.unit
 	// Slice p into per-server span lists, preserving order within a
 	// server. Each entry aliases p — no copy is made on the client side.
 	spans := make([][][]byte, len(set))
-	off := h.size
+	off := f.size
 	for done := 0; done < len(p); {
 		idx := int(off/unit) % len(set)
 		n := int(unit - off%unit)
@@ -138,8 +116,8 @@ func (c *Client) writeOnce(ctx context.Context, h *fileHandle, p []byte) error {
 		off += int64(n)
 	}
 	errs := fan(len(set), func(i int) bool { return len(spans[i]) > 0 }, func(i int) error {
-		return c.writeStripe(ctx, set[i], h.path, i, spans[i],
-			localLen(h.size, i, len(set), unit), h.layoutGen)
+		return c.writeStripe(ctx, set[i], f.path, i, spans[i],
+			fsys.LocalLen(f.size, i, len(set), unit), f.lay.gen)
 	})
 	for _, e := range errs {
 		if e != nil && isCanceled(e) {
@@ -147,7 +125,7 @@ func (c *Client) writeOnce(ctx context.Context, h *fileHandle, p []byte) error {
 			// and repairing under a dead ctx cannot work; poison the
 			// handle (reopen re-learns the durable size) and surface the
 			// typed error.
-			h.damaged = true
+			f.damaged = true
 			return e
 		}
 	}
@@ -161,16 +139,16 @@ func (c *Client) writeOnce(ctx context.Context, h *fileHandle, p []byte) error {
 		// would re-append the landed chunks and silently corrupt the
 		// round-robin layout. Repair instead: top each stripe up to its
 		// exact target length, and poison the handle if that fails.
-		if rerr := c.repairWrite(ctx, h, set, spans, unit); rerr != nil {
+		if rerr := c.repairWrite(ctx, f, spans); rerr != nil {
 			if retryableLayout(rerr) {
 				return rerr
 			}
-			h.damaged = true
+			f.damaged = true
 			return fmt.Errorf("client: striped write failed and could not be repaired: %w", rerr)
 		}
 	}
-	h.size += int64(len(p))
-	h.off = h.size
+	f.size += int64(len(p))
+	f.off = f.size
 	return nil
 }
 
@@ -219,14 +197,6 @@ func spanTail(segs [][]byte, need int64) [][]byte {
 	return out
 }
 
-// localLen returns how many bytes of a total-byte file laid round-robin
-// in unit-sized chunks over nStripes servers land on stripe i. The one
-// implementation lives in fsys (the migration planner trims sealed
-// stripes with it too); the property test here covers that shared copy.
-func localLen(total int64, i, nStripes int, unit int64) int64 {
-	return fsys.LocalLen(total, i, nStripes, unit)
-}
-
 // repairWrite completes a partially-landed striped write: each stripe
 // server reports its local length, and only the missing tail of its
 // span is re-sent — through writeStripe, as positional appends from that
@@ -246,32 +216,33 @@ func localLen(total int64, i, nStripes int, unit int64) int64 {
 // means every chunk of this write is correctly placed and the surplus
 // is not this write's corruption to report; a mismatch is refused as
 // before.
-func (c *Client) repairWrite(ctx context.Context, h *fileHandle, set []string, spans [][][]byte, unit int64) error {
-	target := h.size
+func (c *Client) repairWrite(ctx context.Context, f *File, spans [][][]byte) error {
+	set, unit := f.lay.set, f.lay.unit
+	target := f.size
 	for _, segs := range spans {
 		target += spanLen(segs)
 	}
 	// The lengths are read under the handle's layout generation: a file
 	// rebalanced since the write began answers stale-layout, and the
 	// caller re-stats instead of topping up stripes that have moved.
-	resps, err := strict(c.fanOut(ctx, set, h.path, func(int) *transport.Request {
-		return &transport.Request{Type: transport.MsgStat, LayoutGen: h.layoutGen}
+	resps, err := strict(c.fanOut(ctx, set, f.path, func(int) *transport.Request {
+		return &transport.Request{Type: transport.MsgStat, LayoutGen: f.lay.gen}
 	}))
 	if err != nil {
 		return fmt.Errorf("stripe lengths: %w", err)
 	}
 	for i, addr := range set {
 		have := resps[i].Size
-		need := localLen(target, i, len(set), unit) - have
+		need := fsys.LocalLen(target, i, len(set), unit) - have
 		switch {
 		case need > spanLen(spans[i]):
 			err = fmt.Errorf("unexpected length %d", have)
 		case need < 0:
-			if err = c.verifySpan(ctx, h, addr, i, len(set), unit, spans[i]); err != nil {
+			if err = c.verifySpan(ctx, f, addr, i, spans[i]); err != nil {
 				err = fmt.Errorf("over-landed to %d: %w", have, err)
 			}
 		case need > 0:
-			err = c.writeStripe(ctx, addr, h.path, i, spanTail(spans[i], need), have, h.layoutGen)
+			err = c.writeStripe(ctx, addr, f.path, i, spanTail(spans[i], need), have, f.lay.gen)
 		}
 		if err != nil {
 			return fmt.Errorf("stripe %s: %w", addr, err)
@@ -284,12 +255,12 @@ func (c *Client) repairWrite(ctx context.Context, h *fileHandle, set []string, s
 // stripe server and compares it to the bytes sent — the over-landed
 // repair check. The span is read as a one-stripe file would be, into one
 // span of got.
-func (c *Client) verifySpan(ctx context.Context, h *fileHandle, addr string, i, nStripes int, unit int64, want [][]byte) error {
-	start := localLen(h.size, i, nStripes, unit)
+func (c *Client) verifySpan(ctx context.Context, f *File, addr string, i int, want [][]byte) error {
+	start := fsys.LocalLen(f.size, i, len(f.lay.set), f.lay.unit)
 	end := start + spanLen(want)
 	got := make([]byte, end-start)
-	if err := c.readStripe(ctx, addr, h.path, h.layoutGen, start, end, func(off, n int64) [][]byte {
-		return localSpans(got, start, 0, 1, unit, off, n)
+	if err := c.readStripe(ctx, addr, f.path, f.lay.gen, start, end, func(off, n int64) [][]byte {
+		return localSpans(got, start, 0, 1, f.lay.unit, off, n)
 	}); err != nil {
 		return err
 	}

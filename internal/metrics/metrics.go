@@ -5,7 +5,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -159,51 +158,4 @@ func Stddev(xs []float64) float64 {
 		v += d * d
 	}
 	return math.Sqrt(v / float64(len(xs)))
-}
-
-// Percentile returns the p-th percentile (0..100) using nearest-rank.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	if p <= 0 {
-		return cp[0]
-	}
-	if p >= 100 {
-		return cp[len(cp)-1]
-	}
-	rank := int(math.Ceil(p/100*float64(len(cp)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return cp[rank]
-}
-
-// JainFairness returns Jain's fairness index of the allocation xs:
-// (Σx)² / (n·Σx²). 1.0 is perfectly fair; 1/n is maximally unfair.
-func JainFairness(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 1
-	}
-	var sum, sq float64
-	for _, x := range xs {
-		sum += x
-		sq += x * x
-	}
-	if sq == 0 {
-		return 1
-	}
-	return sum * sum / (float64(len(xs)) * sq)
-}
-
-// GBps formats a bytes/second value in the paper's GB/s units (decimal).
-func GBps(bytesPerSec float64) string {
-	return fmt.Sprintf("%.1f GB/s", bytesPerSec/1e9)
-}
-
-// MBps formats a bytes/second value in MB/s.
-func MBps(bytesPerSec float64) string {
-	return fmt.Sprintf("%.0f MB/s", bytesPerSec/1e6)
 }

@@ -85,41 +85,6 @@ func TestMedianMeanStddev(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if Percentile(xs, 50) != 5 {
-		t.Fatalf("p50 = %g", Percentile(xs, 50))
-	}
-	if Percentile(xs, 0) != 1 || Percentile(xs, 100) != 10 {
-		t.Fatal("extremes")
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Fatal("empty")
-	}
-}
-
-func TestJainFairness(t *testing.T) {
-	if JainFairness([]float64{5, 5, 5}) != 1 {
-		t.Fatal("equal allocation should be 1")
-	}
-	got := JainFairness([]float64{1, 0, 0, 0})
-	if math.Abs(got-0.25) > 1e-12 {
-		t.Fatalf("max unfairness = %g, want 0.25", got)
-	}
-	if JainFairness(nil) != 1 || JainFairness([]float64{0, 0}) != 1 {
-		t.Fatal("degenerate inputs")
-	}
-}
-
-func TestFormatting(t *testing.T) {
-	if got := GBps(21.8e9); got != "21.8 GB/s" {
-		t.Fatalf("GBps = %q", got)
-	}
-	if got := MBps(504e6); got != "504 MB/s" {
-		t.Fatalf("MBps = %q", got)
-	}
-}
-
 func TestRatesBetween(t *testing.T) {
 	s := NewSeries(time.Second)
 	for i := 0; i < 5; i++ {

@@ -72,7 +72,7 @@ type Config struct {
 	// delay is a time.Sleep, and a sub-millisecond sleep on an idle
 	// processor returns at the runtime's idle-timer granularity — on the
 	// reference box 500 µs measured 1.2 ms and 100 µs measured 1.0 ms
-	// (EXPERIMENTS.md, "Sized and not pursued (PR 24)").
+	// (docs/PERFLOG.md, the first "Sized and not pursued" section).
 	OpDelay time.Duration
 	// Join lists existing cluster members to join through; the join is
 	// attempted when Serve starts and retried each λ until one seed

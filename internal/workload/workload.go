@@ -111,31 +111,6 @@ func StatStorm() Stream {
 	})
 }
 
-// WriteRead1MB is the iops_write_read mode: "writes a small (1 MB) file
-// then reads the same file repeatedly".
-func WriteRead1MB() Stream {
-	wrote := false
-	return Func(func() (Item, bool) {
-		if !wrote {
-			wrote = true
-			return Item{Op: sched.OpWrite, Bytes: MB}, true
-		}
-		return Item{Op: sched.OpRead, Bytes: MB}, true
-	})
-}
-
-// Limited truncates a stream after n items.
-func Limited(s Stream, n int) Stream {
-	left := n
-	return Func(func() (Item, bool) {
-		if left <= 0 {
-			return Item{}, false
-		}
-		left--
-		return s.Next()
-	})
-}
-
 // WithThink inserts a fixed think time before every item of s — the
 // simplest compute/I-O interleave.
 func WithThink(s Stream, d time.Duration) Stream {
@@ -146,21 +121,6 @@ func WithThink(s Stream, d time.Duration) Stream {
 		}
 		it.Think += d
 		return it, true
-	})
-}
-
-// Concat runs streams back to back.
-func Concat(streams ...Stream) Stream {
-	i := 0
-	return Func(func() (Item, bool) {
-		for i < len(streams) {
-			it, ok := streams[i].Next()
-			if ok {
-				return it, true
-			}
-			i++
-		}
-		return Item{}, false
 	})
 }
 

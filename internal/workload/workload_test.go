@@ -77,29 +77,11 @@ func TestIORLoopInfinite(t *testing.T) {
 	}
 }
 
-func TestStatStormAndWriteRead1MB(t *testing.T) {
+func TestStatStorm(t *testing.T) {
 	s := StatStorm()
 	it, ok := s.Next()
 	if !ok || it.Op != sched.OpStat || it.Bytes != 0 {
 		t.Fatalf("stat storm item: %+v", it)
-	}
-	w := WriteRead1MB()
-	first, _ := w.Next()
-	if first.Op != sched.OpWrite || first.Bytes != MB {
-		t.Fatalf("first item: %+v", first)
-	}
-	for i := 0; i < 10; i++ {
-		it, _ := w.Next()
-		if it.Op != sched.OpRead {
-			t.Fatal("subsequent items should be reads")
-		}
-	}
-}
-
-func TestLimited(t *testing.T) {
-	s := Limited(IORLoop(sched.OpWrite, MB), 5)
-	if got := len(drain(s, 100)); got != 5 {
-		t.Fatalf("limited yielded %d items", got)
 	}
 }
 
@@ -113,14 +95,6 @@ func TestWithThink(t *testing.T) {
 		if it.Think != 100*time.Millisecond {
 			t.Fatalf("think = %v", it.Think)
 		}
-	}
-}
-
-func TestConcat(t *testing.T) {
-	s := Concat(IOR(sched.OpWrite, 2*MB, MB), IOR(sched.OpRead, MB, MB))
-	items := drain(s, 10)
-	if len(items) != 3 || items[2].Op != sched.OpRead {
-		t.Fatalf("concat items: %+v", items)
 	}
 }
 
