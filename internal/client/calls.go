@@ -76,8 +76,8 @@ func (c *Client) callAddr(ctx context.Context, addr, path string, req *transport
 // call routes a request to the path's owner server, retrying on the
 // reassigned owner when the first choice has failed, and reports which
 // server answered. Application errors (ErrNotExist and friends) surface
-// immediately; only transport-level failures trigger re-routing, and
-// cancellation stops the retries.
+// immediately, with the reply that carried them; only transport-level
+// failures trigger re-routing, and cancellation stops the retries.
 func (c *Client) call(ctx context.Context, path string, req *transport.Request) (*transport.Response, string, error) {
 	var lastErr error
 	var addr string
@@ -87,17 +87,12 @@ func (c *Client) call(ctx context.Context, path string, req *transport.Request) 
 			return nil, "", fmt.Errorf("client: no servers left")
 		}
 		resp, err := c.callAddr(ctx, addr, path, req)
-		if err != nil {
-			if isCanceled(err) {
-				return nil, addr, err
-			}
-			lastErr = err
-			continue
+		if err == nil {
+			return resp, addr, wireErr(resp.Error())
 		}
-		if resp.Err != "" {
-			return nil, addr, wireErr(resp.Error())
+		if lastErr = err; isCanceled(err) {
+			return nil, addr, err
 		}
-		return resp, addr, nil
 	}
 	return nil, addr, lastErr
 }

@@ -181,7 +181,7 @@ func TestStatOfMissingPathHonorsCancellation(t *testing.T) {
 	// Under a dead ctx the sweep sends nothing.
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := c.statAny(dead, "/missing", own); !errors.Is(err, ErrCanceled) {
+	if _, err := c.statAny(dead, "/missing", own, nil); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("statAny under a dead ctx: %v, want ErrCanceled", err)
 	}
 	if got := counts(); got != [n]int64{1, 1, 1} {

@@ -17,6 +17,7 @@
 package client
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -126,15 +127,9 @@ func DialOpts(job policy.JobInfo, servers []string, opts Options) (*Client, erro
 	if err := validateOptions(opts); err != nil {
 		return nil, err
 	}
-	if opts.Stripes == 0 {
-		opts.Stripes = 1
-	}
-	if opts.StripeUnit == 0 {
-		opts.StripeUnit = DefaultStripeUnit
-	}
-	if opts.ConnsPerServer == 0 {
-		opts.ConnsPerServer = DefaultConnsPerServer
-	}
+	opts.Stripes = cmp.Or(opts.Stripes, 1)
+	opts.StripeUnit = cmp.Or(opts.StripeUnit, DefaultStripeUnit)
+	opts.ConnsPerServer = cmp.Or(opts.ConnsPerServer, DefaultConnsPerServer)
 	c := &Client{
 		job:      job,
 		ring:     chash.New(0),

@@ -14,9 +14,10 @@ import (
 // cutover can land between the re-stat and the retry (the re-stat may
 // still see the old layout while the old holders serve sealed reads).
 func (c *Client) read(ctx context.Context, f *File, p []byte) (n int, err error) {
-	err = retry(ctx, statRetryTimeout, func(again bool) (bool, error) {
+	var at layoutInfo // where the next re-stat starts
+	err = retry(ctx, statRetryTimeout, func(again bool) (transient bool, err error) {
 		if again {
-			if transient, err := c.restat(ctx, f); err != nil {
+			if at, transient, err = c.restat(ctx, f, at); err != nil {
 				return transient, err
 			}
 		}

@@ -38,10 +38,11 @@ func (c *Client) write(ctx context.Context, f *File, p []byte) (int, error) {
 		return 0, fmt.Errorf("client: %s: earlier striped write failed mid-stripe; reopen after repair", f.path)
 	}
 	prev := f.size
-	var landed int64 // the durable prefix of p: f.size - prev
-	err := retry(ctx, writeRetryTimeout, func(again bool) (bool, error) {
+	var landed int64  // the durable prefix of p: f.size - prev
+	var at layoutInfo // where the next re-stat starts
+	err := retry(ctx, writeRetryTimeout, func(again bool) (transient bool, err error) {
 		if again {
-			if transient, err := c.restat(ctx, f); err != nil {
+			if at, transient, err = c.restat(ctx, f, at); err != nil {
 				return transient, err
 			}
 			landed = f.size - prev
@@ -62,7 +63,7 @@ func (c *Client) write(ctx context.Context, f *File, p []byte) (int, error) {
 				return false, nil
 			}
 		}
-		err := c.writeOnce(ctx, f, p[landed:])
+		err = c.writeOnce(ctx, f, p[landed:])
 		if err == nil {
 			landed = int64(len(p))
 		}
@@ -176,25 +177,15 @@ func spanLen(segs [][]byte) int64 {
 // spanTail returns the last need bytes of a segment list, as a segment
 // list still referencing the original backing bytes.
 func spanTail(segs [][]byte, need int64) [][]byte {
-	if need <= 0 {
+	skip := max(spanLen(segs)-need, 0)
+	for len(segs) > 0 && skip >= int64(len(segs[0])) {
+		skip -= int64(len(segs[0]))
+		segs = segs[1:]
+	}
+	if len(segs) == 0 {
 		return nil
 	}
-	var out [][]byte
-	for i := len(segs) - 1; i >= 0 && need > 0; i-- {
-		s := segs[i]
-		if int64(len(s)) >= need {
-			s = s[int64(len(s))-need:]
-			need = 0
-		} else {
-			need -= int64(len(s))
-		}
-		out = append(out, s)
-	}
-	// Reverse into span order.
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
-	}
-	return out
+	return append([][]byte{segs[0][skip:]}, segs[1:]...)
 }
 
 // repairWrite completes a partially-landed striped write: each stripe

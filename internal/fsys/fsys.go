@@ -142,17 +142,25 @@ type Shard struct {
 	// the drain engine propagates them as backing-store deletes of this
 	// server's own staged objects.
 	tombstones []Tombstone
-	// moved marks paths whose local stripe rebalancing migrated away
-	// (value: when): operations from clients still holding the old
-	// layout answer ErrStaleLayout (re-stat and retry) instead of
-	// ErrNotExist (which would read as an unlink). Cleared when the
-	// path is created or restored here again, and swept after a
-	// retention far exceeding every client retry window, so the map
-	// cannot grow with lifetime migration count.
-	moved map[string]time.Time
+	// moved marks paths whose local stripe rebalancing migrated away:
+	// operations from clients still holding the old layout, or whose
+	// ring still names this server, answer ErrStaleLayout instead of
+	// ErrNotExist (which would read as an unlink), and a stat's answer
+	// names the layout the file went to, so the client follows it.
+	// Cleared when the path is created or restored here again, and
+	// swept after a retention far exceeding every client retry window,
+	// so the map cannot grow with lifetime migration count.
+	moved map[string]movedTo
 	// pending holds the migrating-in stripes not yet committed, by path
 	// (see migrate.go).
 	pending map[string]*node
+}
+
+// movedTo is a moved marker: when the local stripe was dropped, and the
+// committed layout it was dropped for.
+type movedTo struct {
+	at time.Time
+	to FileInfo
 }
 
 // NewShard returns a shard named name with a device of the given
@@ -163,7 +171,7 @@ func NewShard(name string, capacity int64) *Shard {
 		name:    name,
 		store:   storage.NewStore(capacity),
 		nodes:   map[string]*node{},
-		moved:   map[string]time.Time{},
+		moved:   map[string]movedTo{},
 		pending: map[string]*node{},
 	}
 	s.nodes["/"] = &node{isDir: true, children: map[string]bool{}}
@@ -344,12 +352,13 @@ func (s *Shard) StatGen(p string, layoutGen uint64) (FileInfo, error) {
 	return fi, err
 }
 
-// statLocked resolves the entry at the cleaned path p and describes it.
-// Caller holds s.mu.
+// statLocked resolves the entry at the cleaned path p and describes it;
+// a path whose stripe migrated away is described by the layout it went
+// to, with ErrStaleLayout. Caller holds s.mu.
 func (s *Shard) statLocked(p string, layoutGen uint64) (*node, FileInfo, error) {
 	n, err := s.entry(p, layoutGen)
 	if err != nil {
-		return nil, FileInfo{}, err
+		return nil, s.moved[p].to, err
 	}
 	return n, describe(p, n), nil
 }

@@ -18,8 +18,8 @@ import (
 // stripe live under the new layout — and drops the stale stripes,
 // generation-checked so a concurrent unlink or recreate of the path is
 // never clobbered. Dropped paths leave a moved marker so clients still
-// holding the old layout get ErrStaleLayout (re-stat and retry) instead
-// of ErrNotExist.
+// holding the old layout get ErrStaleLayout instead of ErrNotExist, and
+// a stat learns the new layout from it.
 //
 // A pending entry is a file node kept beside the namespace, in
 // Shard.pending: its bytes live in store extents like any stripe's, but
@@ -245,12 +245,13 @@ func (s *Shard) ensureParents(p string) {
 
 // MigrateDrop removes p's now-stale local stripe after a cutover,
 // records an unlink tombstone for this server's staged object (the
-// drain engine propagates it), and leaves a moved marker. The drop is
-// generation-checked: if the entry's creation generation no longer
-// matches gen, the path was unlinked or recreated while the migration
-// ran and the drop is a no-op — the new incarnation owns the name.
-// Reports whether the stripe was dropped.
-func (s *Shard) MigrateDrop(p string, gen uint64) bool {
+// drain engine propagates it), and leaves a moved marker naming to, the
+// committed layout (Stripes, StripeUnit, StripeSet, LayoutGen) the
+// stripe was dropped for. The drop is generation-checked: if the entry's
+// creation generation no longer matches gen, the path was unlinked or
+// recreated while the migration ran and the drop is a no-op — the new
+// incarnation owns the name. Reports whether the stripe was dropped.
+func (s *Shard) MigrateDrop(p string, gen uint64, to FileInfo) bool {
 	p = clean(p)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -265,18 +266,9 @@ func (s *Shard) MigrateDrop(p string, gen uint64) bool {
 	_ = s.store.ReleaseAll(n.index.Extents())
 	delete(s.nodes, p)
 	s.tombstones = append(s.tombstones, Tombstone{Path: p, Stripe: s.stripeIndex(n)})
-	s.moved[p] = time.Now()
+	to.Path = p
+	s.moved[p] = movedTo{at: time.Now(), to: to}
 	return true
-}
-
-// Moved reports whether p's local stripe was migrated away (and not
-// since recreated here).
-func (s *Shard) Moved(p string) bool {
-	p = clean(p)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, mv := s.moved[p]
-	return mv
 }
 
 // SweepMoved drops moved markers older than retention, and releases
@@ -284,16 +276,18 @@ func (s *Shard) Moved(p string) bool {
 // lands a chunk every round trip and commits or aborts within one of the
 // last, so an entry idle for the whole retention belongs to a
 // coordinator that died mid-stream and would otherwise strand a stripe
-// of store capacity forever). Markers only matter while stale-layout
-// clients are still retrying (seconds); the controller sweeps with a
-// retention orders of magnitude above every client retry window,
-// bounding both maps regardless of how many files ever migrated.
+// of store capacity forever). A marker forwards the clients still
+// holding the old layout, and those whose ring still names this server
+// as the path's owner, to the new one; the controller sweeps with a
+// retention orders of magnitude above every client retry window and
+// membership refresh, bounding both maps regardless of how many files
+// ever migrated.
 func (s *Shard) SweepMoved(retention time.Duration) {
 	cutoff := time.Now().Add(-retention)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for p, t := range s.moved {
-		if t.Before(cutoff) {
+	for p, m := range s.moved {
+		if m.at.Before(cutoff) {
 			delete(s.moved, p)
 		}
 	}

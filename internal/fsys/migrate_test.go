@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -337,26 +338,30 @@ func TestRelabelCommit(t *testing.T) {
 func TestMigrateDropGenChecked(t *testing.T) {
 	s := newMigShard(t, "a", []string{"a", "b"}, []byte("data"))
 	gen := s.GenOf("/f")
+	to := FileInfo{Stripes: 2, StripeUnit: 4, StripeSet: []string{"b", "c"}, LayoutGen: 2}
 	// A recreate bumps the generation; the stale drop must be a no-op.
-	if s.MigrateDrop("/f", gen+99) {
+	if s.MigrateDrop("/f", gen+99, to) {
 		t.Fatal("gen-mismatched drop should refuse")
 	}
-	if !s.MigrateDrop("/f", gen) {
+	if !s.MigrateDrop("/f", gen, to) {
 		t.Fatal("matching drop should land")
 	}
-	// Dropped paths answer stale-layout, not not-exist, and tombstone
-	// their staged object.
-	if _, err := s.Stat("/f"); !errors.Is(err, ErrStaleLayout) {
-		t.Fatalf("moved stat err = %v", err)
+	// Dropped paths answer stale-layout, not not-exist, a stat names the
+	// layout the file went to, and the drop tombstones the staged object.
+	forwards := func() {
+		t.Helper()
+		fi, err := s.StatGen("/f", 1)
+		if !errors.Is(err, ErrStaleLayout) || fi.Path != "/f" || fi.Stripes != 2 || fi.StripeUnit != 4 ||
+			fi.LayoutGen != 2 || strings.Join(fi.StripeSet, ",") != "b,c" {
+			t.Fatalf("moved stat = %+v, %v; want stale-layout forwarding to %+v", fi, err, to)
+		}
 	}
+	forwards()
 	if _, err := s.Append("/f", []byte("x")); !errors.Is(err, ErrStaleLayout) {
 		t.Fatalf("moved append err = %v", err)
 	}
 	if _, err := s.ReadAt("/f", 0, make([]byte, 1)); !errors.Is(err, ErrStaleLayout) {
 		t.Fatalf("moved read err = %v", err)
-	}
-	if !s.Moved("/f") {
-		t.Fatal("Moved should report the migrated path")
 	}
 	ts := s.TakeTombstones()
 	if len(ts) != 1 || ts[0].Path != "/f" {
@@ -366,8 +371,18 @@ func TestMigrateDropGenChecked(t *testing.T) {
 	if err := s.CreateEntry("/f", false, 1, 4, []string{"a"}); err != nil {
 		t.Fatal(err)
 	}
-	if s.Moved("/f") {
-		t.Fatal("recreate should clear the moved marker")
+	if fi, err := s.StatGen("/f", 1); err != nil || fi.Stripes != 1 || fi.LayoutGen != 1 {
+		t.Fatalf("stat of the recreated entry = %+v, %v; want it, not the forward", fi, err)
+	}
+	// The sweep keeps a marker inside the retention and drops it past.
+	if !s.MigrateDrop("/f", s.GenOf("/f"), to) {
+		t.Fatal("drop of the recreated entry refused")
+	}
+	s.SweepMoved(time.Hour)
+	forwards()
+	s.SweepMoved(0)
+	if fi, err := s.StatGen("/f", 1); !errors.Is(err, ErrNotExist) || fi.LayoutGen != 0 || fi.StripeSet != nil {
+		t.Fatalf("stat after the sweep = %+v, %v; want not-exist and no forward", fi, err)
 	}
 }
 

@@ -121,9 +121,12 @@ type Migrator struct {
 	deletes []pendingDelete
 }
 
+// pendingDrop is a stale stripe owed its drop: addr's entry of creation
+// generation gen, dropped for the committed layout to.
 type pendingDrop struct {
-	addr, path string
-	gen        uint64
+	addr string
+	gen  uint64
+	to   fsys.FileInfo
 }
 
 // pendingDelete is the dead holders' objects of one moved file, owed
@@ -354,7 +357,7 @@ func (m *Migrator) retryDrops() {
 	m.drops = nil
 	m.mu.Unlock()
 	for _, d := range drops {
-		if err := m.dropOn(d.addr, d.path, d.gen); err != nil {
+		if err := m.migrateOn(d.addr, transport.MigrateDrop, d.to, d.gen); err != nil {
 			m.mu.Lock()
 			m.drops = append(m.drops, d)
 			m.mu.Unlock()
@@ -418,7 +421,8 @@ func (m *Migrator) ZombieSweep() {
 		}
 		superseded := !resp.IsDir && resp.LayoutGen > fi.LayoutGen && !slices.Contains(resp.StripeSet, m.self)
 		resp.Release()
-		if superseded && m.shard.MigrateDrop(p, gen) {
+		to := fsys.FileInfo{Stripes: resp.Stripes, StripeUnit: resp.StripeUnit, StripeSet: resp.StripeSet, LayoutGen: resp.LayoutGen}
+		if superseded && m.shard.MigrateDrop(p, gen, to) {
 			m.log.Info("retired zombie stripe",
 				"path", p, "superseded_gen", resp.LayoutGen, "owner", owner)
 		}
@@ -651,16 +655,15 @@ func (m *Migrator) migrateFile(mem *cluster.Membership, fi fsys.FileInfo, rows m
 	// self last, so an interrupted cutover leaves this coordinator's old
 	// layout in place and the next pass resumes), then drop the stale
 	// stripes.
+	to := fsys.FileInfo{Path: fi.Path, Stripes: len(target), StripeUnit: unit, StripeSet: target, LayoutGen: newGen}
 	commit := func(j int) error {
-		layout := fsys.FileInfo{
-			Path: fi.Path, Size: fsys.LocalLen(total, j, len(target), unit),
-			Stripes: len(target), StripeUnit: unit, StripeSet: target, LayoutGen: newGen,
-		}
+		layout := to
+		layout.Size = fsys.LocalLen(total, j, len(target), unit)
 		gen := uint64(0)
 		if kept(j) {
 			gen = seals.gens[j] // kept in place (zero on a resumed target, which is committed already)
 		}
-		return m.commitOn(target[j], layout, gen)
+		return m.migrateOn(target[j], transport.MigrateCommit, layout, gen)
 	}
 	order := slices.DeleteFunc(slices.Clone(target), func(addr string) bool { return addr == m.self })
 	if len(order) < len(target) {
@@ -707,10 +710,10 @@ func (m *Migrator) migrateFile(mem *cluster.Membership, fi fsys.FileInfo, rows m
 		if slices.Index(target, addr) >= 0 {
 			continue // replaced or re-labelled by its commit
 		}
-		if err := m.dropOn(addr, fi.Path, seals.gens[i]); err != nil {
+		if err := m.migrateOn(addr, transport.MigrateDrop, to, seals.gens[i]); err != nil {
 			m.fail(fmt.Errorf("rebalance %s: dropping stale stripe on %s (will retry): %w", fi.Path, addr, err))
 			m.mu.Lock()
-			m.drops = append(m.drops, pendingDrop{addr: addr, path: fi.Path, gen: seals.gens[i]})
+			m.drops = append(m.drops, pendingDrop{addr: addr, gen: seals.gens[i], to: to})
 			m.mu.Unlock()
 			m.dirty.Store(true)
 		}
@@ -966,18 +969,14 @@ func (m *Migrator) abortAll(targets []string, path string) {
 	}
 }
 
-func (m *Migrator) commitOn(addr string, layout fsys.FileInfo, gen uint64) error {
+// migrateOn sends addr the layout-carrying sub-op op — a commit of
+// layout, or a drop of the stripe of creation generation gen for it,
+// which the dropped path then names to the clients it still answers.
+func (m *Migrator) migrateOn(addr string, op uint8, layout fsys.FileInfo, gen uint64) error {
 	return m.send(addr, &transport.Request{
-		Type: transport.MsgMigrate, MigrateOp: transport.MigrateCommit,
+		Type: transport.MsgMigrate, MigrateOp: op,
 		Path: layout.Path, Size: layout.Size, Stripes: layout.Stripes, StripeUnit: layout.StripeUnit,
 		StripeSet: layout.StripeSet, LayoutGen: layout.LayoutGen, Gen: gen,
-	})
-}
-
-func (m *Migrator) dropOn(addr, path string, gen uint64) error {
-	return m.send(addr, &transport.Request{
-		Type: transport.MsgMigrate, MigrateOp: transport.MigrateDrop,
-		Path: path, Gen: gen,
 	})
 }
 

@@ -640,13 +640,15 @@ func (s *Server) execute(req *transport.Request, resp *transport.Response) *tran
 	// describe answers with the entry a stat found or a namespace mutation
 	// left behind (create: the file now at the path; unlink: the entry it
 	// removed), read inside the critical section that did the work — so a
-	// client needs no stat after the one nor before the other.
+	// client needs no stat after the one nor before the other. A stat of
+	// a path migrated away answers stale-layout naming the layout the file
+	// went to.
 	describe := func(fi fsys.FileInfo, err error) *transport.Response {
+		resp.Size, resp.IsDir, resp.LayoutGen = fi.Size, fi.IsDir, fi.LayoutGen
+		resp.Stripes, resp.StripeUnit, resp.StripeSet = fi.Stripes, fi.StripeUnit, fi.StripeSet
 		if err != nil {
 			return fail(err)
 		}
-		resp.Size, resp.IsDir, resp.LayoutGen = fi.Size, fi.IsDir, fi.LayoutGen
-		resp.Stripes, resp.StripeUnit, resp.StripeSet = fi.Stripes, fi.StripeUnit, fi.StripeSet
 		return resp
 	}
 	switch req.Type {
@@ -762,6 +764,9 @@ func (s *Server) checkCreate(req *transport.Request) error {
 // rebalance job, so the sharing policy has already arbitrated them
 // against foreground traffic by the time they land here.
 func (s *Server) executeMigrate(req *transport.Request, resp *transport.Response, fail func(error) *transport.Response) *transport.Response {
+	// The layout a commit installs, or a drop names as where the file went.
+	lay := fsys.FileInfo{Path: req.Path, Size: req.Size, Stripes: req.Stripes, StripeUnit: req.StripeUnit,
+		StripeSet: req.StripeSet, LayoutGen: req.LayoutGen}
 	switch req.MigrateOp {
 	case transport.MigrateSeal:
 		size, gen, err := s.shard.Seal(req.Path, req.LayoutGen)
@@ -770,10 +775,7 @@ func (s *Server) executeMigrate(req *transport.Request, resp *transport.Response
 		}
 		resp.Size, resp.Gen = size, gen
 	case transport.MigrateCommit:
-		if err := s.shard.MigrateCommit(fsys.FileInfo{
-			Path: req.Path, Size: req.Size, Stripes: req.Stripes, StripeUnit: req.StripeUnit,
-			StripeSet: req.StripeSet, LayoutGen: req.LayoutGen,
-		}, req.Gen); err != nil {
+		if err := s.shard.MigrateCommit(lay, req.Gen); err != nil {
 			return fail(err)
 		}
 		// The commit may have made this server the coordinator of a
@@ -785,7 +787,7 @@ func (s *Server) executeMigrate(req *transport.Request, resp *transport.Response
 	case transport.MigrateUnseal:
 		s.shard.Unseal(req.Path, req.Size, req.LayoutGen)
 	case transport.MigrateDrop:
-		if s.shard.MigrateDrop(req.Path, req.Gen) {
+		if s.shard.MigrateDrop(req.Path, req.Gen, lay) {
 			resp.N = 1
 		}
 	default:
@@ -953,9 +955,10 @@ func (s *Server) rebalanceTick() {
 }
 
 // movedRetention is how long a migrated-away path keeps answering
-// stale-layout before its marker is swept — far beyond every client
-// retry window, so the marker map stays bounded without ever cutting a
-// live retry short.
+// stale-layout, naming where the file went, before its marker is swept —
+// far beyond every client retry window and membership refresh, so the
+// marker map stays bounded without ever cutting a live retry short or
+// losing a client whose ring still names this server.
 const movedRetention = 5 * time.Minute
 
 // parkedRetention is how long an out-of-order positional-append chunk
