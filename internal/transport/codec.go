@@ -10,14 +10,14 @@
 // Frames are encoded into their connection's pending buffer (Conn.send)
 // and payloads at or above sgMinPayload ride as their own iovecs
 // (writev), so a steady-state write frame encodes with zero allocations
-// and zero payload copies. On decode the frame buffer is leased from
-// the payload pool and the decoded Data aliases it — no copy-out;
-// ownership travels with the message until its Release (see lease.go
-// for the contract). A large write arriving on a connection with a sink
-// skips the frame buffer: its payload is read straight into the device
-// extent it will live in (recvPlaced). So does a read reply whose
-// request registered caller memory: its payload is read straight into
-// the caller's buffer (recvReply).
+// and zero payload copies. Every frame is received one way (recv): its
+// head is decoded where it lies in the receive buffer, its payload read
+// off the socket into the memory the direction's destination chooses —
+// the device extent a large write will live in (the connection's sink),
+// the caller's buffer a read registered, or else a lease from the
+// payload pool that the decoded Data is, owned by the message until its
+// Release (see lease.go) — and its tail decoded from the buffer. A frame
+// with no payload is leased whole and decoded where it lies.
 package transport
 
 import (
@@ -27,7 +27,6 @@ import (
 	"hash/maphash"
 	"io"
 	"math"
-	"os"
 	"runtime"
 	"slices"
 	"sync/atomic"
@@ -234,120 +233,126 @@ func (c *Conn) readLen() (int, error) {
 	return int(n), nil
 }
 
-// readBody reads an n-byte frame body into a buffer leased from the
-// payload pool and returns it. Ownership passes to the caller —
-// normally to the decoded message, whose byte-slice Data aliases the
-// frame and whose Release returns it (see Lease/Release).
-func (c *Conn) readBody(n int) ([]byte, error) {
-	top := leaseClasses[len(leaseClasses)-1]
-	if n <= top {
-		b := Lease(n)
-		if _, err := io.ReadFull(c.br, b); err != nil {
-			Release(b)
-			return nil, err
-		}
-		return b, nil
-	}
-	// Above the top lease class the length prefix is a claim, not yet a
-	// fact: read in top-class steps into a buffer that grows with the
-	// bytes actually received, so a hostile header followed by silence
-	// commits one class, not maxFrame.
-	b := make([]byte, 0, top)
-	for len(b) < n {
-		step := min(top, n-len(b))
-		b = slices.Grow(b, step)[:len(b)+step]
-		if _, err := io.ReadFull(c.br, b[len(b)-step:]); err != nil {
-			return nil, err
-		}
-	}
-	return b, nil
-}
-
-// placeHeadMax bounds the request head recvPlaced decodes where it lies
-// in the receive buffer: the fixed fields, the job's three names and the
-// path. A write whose head is longer takes the leased path.
+// placeHeadMax bounds the head recv decodes where it lies in the receive
+// buffer: a request's fixed fields, the job's three names and the path,
+// or a reply's error string. A frame whose head is longer is received
+// whole.
 const placeHeadMax = 1 << 10
 
-// recvPlaced receives the n-byte frame whose length prefix was just read
-// into r when it is a write the connection's sink can place: its head is
-// decoded where it lies in the receive buffer, its payload read straight
-// into an extent the sink reserves, and its tail decoded from the buffer
-// — the frame is never assembled anywhere. It reports false with
-// nothing consumed when the frame takes the leased path instead: no
-// sink, not a write, a payload under sgMinPayload, a frame above the top
-// lease class (the length is still a claim, and a claim must not reserve
-// device), a head or tail too long for the buffer, or no room in the
-// store (the write then meets the store's refusal after its token draw,
-// as it did before placement). A frame cut short or failing to decode
-// gives its reservation back.
-func (c *Conn) recvPlaced(r *Request, n int) (bool, error) {
-	if c.sink == nil || n < sgMinPayload || n > leaseClasses[len(leaseClasses)-1] {
-		return false, nil
-	}
-	head, _ := c.br.Peek(min(n, placeHeadMax)) // a short peek fails the decode below
-	if len(head) == 0 || MsgType(head[0]) != MsgWrite {
-		return false, nil
-	}
-	d := reader{b: head}
-	decodeRequestHead(&d, r, &c.names)
-	plen := d.uvarint()
-	hlen := len(head) - len(d.b)
-	if d.err != nil || plen < sgMinPayload || plen > uint64(n-hlen) || n-hlen-int(plen) > c.br.Size() {
-		return false, nil
-	}
-	tlen := n - hlen - int(plen)
-	ext, dst, err := c.sink.Reserve(int(plen))
-	if err != nil {
-		return false, nil
-	}
-	if err := c.recvInPlace(hlen, [][]byte{dst}, tlen, nil, func(b []byte) error {
-		d := reader{b: b}
-		decodeRequestTail(&d, r)
-		return d.err
-	}); err != nil {
-		unplace(c.sink, ext, dst)
-		return true, err
-	}
-	r.Data, r.sink, r.placed = dst, c.sink, ext
-	return true, nil
-}
+// errAbandoned is recv's report of a reply read to its end into nothing
+// because its exchange was abandoned mid-payload.
+var errAbandoned = errors.New("transport: reply abandoned")
 
-// recvInPlace receives the rest of a frame whose head, hlen bytes, was
-// peeked and decoded: it consumes the head, reads the payload into the
-// spans of dst in order — what the receive buffer already holds is
-// copied out, the rest read off the socket straight into place, where
-// reading through the buffer would stage its last 64 KiB there first —
-// and hands the tlen-byte tail to decodeTail where it lies in the buffer.
-// A non-nil filled is told how many payload bytes landed and how the
-// payload read ended before anything else is read; its error ends the
-// receive there.
-func (c *Conn) recvInPlace(hlen int, dst [][]byte, tlen int,
-	filled func(landed int, err error) error, decodeTail func(b []byte) error) error {
-	_, _ = c.br.Discard(hlen) // peeked: cannot fail
-	landed := 0
-	var err error
-	for _, s := range dst {
-		k, _ := c.br.Read(s[:min(len(s), c.br.Buffered())]) // buffered bytes only; a latched read error recurs below
-		m := 0
-		m, err = io.ReadFull(c.rd, s[k:])
-		landed += k + m
-		if err != nil {
-			break
+// recv receives the n-byte frame whose length prefix was just read — the
+// one receive, both directions. The head is peeked and decoded where it
+// lies in the receive buffer (head, which returns the frame's Stats row);
+// place, the direction's destination choice, returns the memory the
+// payload lands in, nil for a lease of the payload; recvInPlace fills it;
+// and the tail is decoded from the buffer (tail). The frame is never
+// assembled anywhere. Decided before a byte is consumed, a frame with no
+// payload, a head that does not decode within placeHeadMax or a tail
+// longer than the receive buffer is instead leased whole and decoded
+// where it lies. A non-nil filled is told how a fill into memory place
+// chose ended before anything else is read, and its error ends the
+// receive there: errAbandoned (the memory was taken back mid-fill) reads
+// the rest of the frame into nothing, so the stream stays in step.
+//
+// recv returns the lease the message now owns and the Data it decodes
+// to: a view of the lease, or nil when the payload lies in memory place
+// chose. On error the lease is already released.
+func (c *Conn) recv(n int, head func(*reader) (slot int), tail func(*reader),
+	place func(plen int) [][]byte, filled func(error) error) (lease, data []byte, err error) {
+	b, _ := c.br.Peek(min(n, placeHeadMax)) // a short peek fails the decode below, or the read after it
+	// The connection's decoder: a local would escape into head and tail,
+	// one allocation per frame.
+	d := &c.dec
+	*d = reader{b: b}
+	slot := head(d)
+	plen := d.uvarint()
+	hlen := len(b) - len(d.b)
+	tlen := 0
+	// The whole-frame receive: no payload, a head the peek does not hold,
+	// or a tail the receive buffer cannot.
+	if d.err != nil || plen == 0 || plen > uint64(n-hlen) || n-hlen-int(plen) > c.br.Size() {
+		if lease, _, err = c.recvInPlace(nil, n); err == nil {
+			*d = reader{b: lease}
+			slot = head(d)
+			data = d.alias()
+			b, err = d.b, d.err
+		}
+	} else {
+		tlen = n - hlen - int(plen)
+		_, _ = c.br.Discard(hlen) // peeked: cannot fail
+		spans := place(int(plen))
+		var landed int
+		lease, landed, err = c.recvInPlace(spans, int(plen))
+		if spans != nil && filled != nil {
+			err = filled(err)
+		}
+		if err == errAbandoned {
+			if _, derr := c.br.Discard(int(plen) - landed + tlen); derr != nil {
+				err = derr
+			}
+			return nil, nil, err
+		}
+		data = lease
+		if err == nil {
+			b, err = c.br.Peek(tlen)
 		}
 	}
-	if filled != nil {
-		err = filled(landed, err)
+	if err == nil {
+		*d = reader{b: b}
+		tail(d)
+		err = d.err
+		_, _ = c.br.Discard(tlen)
 	}
+	*d = reader{} // holds no frame past its receive
 	if err != nil {
+		Release(lease)
+		return nil, nil, err
+	}
+	if c.stats != nil {
+		c.noteRecv(slot)
+	}
+	return lease, data, nil
+}
+
+// recvInPlace reads the next n bytes of the stream into dst's spans, in
+// order, or — dst nil — into a buffer it leases from the payload pool and
+// returns. What the receive buffer already holds is copied out and the
+// rest read off the socket straight into place, where reading through the
+// buffer would stage its last 64 KiB there first. Above the top lease
+// class a lease grows in top-class steps as the bytes arrive: a length is
+// a claim, not yet a fact, and a hostile one followed by silence commits
+// one class, not maxFrame. landed counts the bytes that arrived; a lease
+// the stream failed is released.
+func (c *Conn) recvInPlace(dst [][]byte, n int) (lease []byte, landed int, err error) {
+	fill := func(s []byte) error {
+		k, _ := c.br.Read(s[:min(len(s), c.br.Buffered())]) // buffered bytes only; a latched read error recurs below
+		m, err := io.ReadFull(c.rd, s[k:])
+		landed += k + m
 		return err
 	}
-	tail, err := c.br.Peek(tlen)
-	if err != nil {
-		return err
+	if top := leaseClasses[len(leaseClasses)-1]; dst == nil && n > top {
+		for lease = make([]byte, 0, top); len(lease) < n && err == nil; {
+			step := min(top, n-len(lease))
+			lease = slices.Grow(lease, step)[:len(lease)+step]
+			err = fill(lease[len(lease)-step:])
+		}
+	} else {
+		if dst == nil {
+			lease = Lease(n)
+			dst = [][]byte{lease}
+		}
+		for i := 0; i < len(dst) && err == nil; i++ {
+			err = fill(dst[i])
+		}
 	}
-	err = decodeTail(tail)
-	_, _ = c.br.Discard(tlen)
-	return err
+	if err != nil {
+		Release(lease)
+		return nil, landed, err
+	}
+	return lease, landed, nil
 }
 
 // A replyDst hands a connection reader the caller memory a reply's
@@ -356,61 +361,13 @@ func (c *Conn) recvInPlace(hlen int, dst [][]byte, tlen int,
 type replyDst interface {
 	// claim returns the spans registered for the exchange seq when their
 	// lengths sum to exactly n, and holds them for the fill; nil leaves
-	// the reply to the leased decode.
+	// the reply to a lease.
 	claim(seq uint64, n int) [][]byte
-	// filled ends the fill claim began and reports whether the exchange
-	// was abandoned meanwhile: its spans are then the caller's again.
-	filled() (abandoned bool)
-}
-
-// errAbandoned is recvReply's report of a reply read to its end into
-// nothing because its exchange was abandoned mid-payload.
-var errAbandoned = errors.New("transport: reply abandoned")
-
-// recvReply receives the n-byte reply frame whose length prefix was just
-// read into r when dst holds caller memory for its payload: the head is
-// decoded where it lies in the receive buffer, the payload read into the
-// registered spans (recvInPlace) and the tail decoded from the buffer —
-// no frame is leased and nothing is copied after. It reports false with
-// nothing consumed when the reply takes the leased path instead: no
-// spans registered, a payload that is not exactly their length, or a
-// head or tail too long for the buffer. A reply whose exchange was
-// abandoned while it landed is read to its end into nothing and
-// reported as errAbandoned; the stream stays in step.
-func (c *Conn) recvReply(r *Response, n int, dst replyDst) (bool, error) {
-	head, _ := c.br.Peek(min(n, placeHeadMax)) // a short peek fails the decode below
-	d := reader{b: head}
-	decodeResponseHead(&d, r)
-	plen := d.uvarint()
-	hlen := len(head) - len(d.b)
-	if d.err != nil || plen == 0 || plen > uint64(n-hlen) || n-hlen-int(plen) > c.br.Size() {
-		return false, nil
-	}
-	tlen := n - hlen - int(plen)
-	spans := dst.claim(r.Seq, int(plen))
-	if spans == nil {
-		return false, nil
-	}
-	err := c.recvInPlace(hlen, spans, tlen, func(landed int, err error) error {
-		if !dst.filled() {
-			return err
-		}
-		if err != nil && !errors.Is(err, os.ErrDeadlineExceeded) {
-			return err
-		}
-		if _, err := c.br.Discard(int(plen) - landed + tlen); err != nil {
-			return err
-		}
-		return errAbandoned
-	}, func(b []byte) error {
-		d := reader{b: b}
-		decodeResponseTail(&d, r)
-		return d.err
-	})
-	if err == nil {
-		r.Data, r.placed = nil, true
-	}
-	return true, err
+	// filled ends the fill claim began, given the error the payload's
+	// read ended with, and returns the error the receive goes on with:
+	// errAbandoned when the exchange was abandoned meanwhile, its spans
+	// the caller's again.
+	filled(err error) error
 }
 
 // unplace gives a placement nothing adopted back to its sink, scribbled
@@ -592,7 +549,9 @@ func (d *reader) str() string {
 // time when the bytes match, where it would allocate an equal one. The
 // job fields have one slot each (the last frame's); paths share a
 // direct-mapped table, where a collision costs the allocation the cache
-// exists to save and nothing else. Owned by the connection's reader.
+// exists to save and nothing else. A reply's error string shares the
+// path table: recv decodes the head of a reply with no payload twice.
+// Owned by the connection's reader.
 type nameCache [namePath + pathSlots]string
 
 // nameCache slots.
@@ -743,7 +702,7 @@ func AppendRequestFrame(b []byte, r *Request) []byte { return appendRequest(b, r
 
 // DecodeRequestFrame decodes a payload produced by AppendRequestFrame.
 // The decoded Data aliases b — the caller owns the lifetime (on the
-// wire path the alias is a leased frame released via Request.Release).
+// wire path Data is a lease released via Request.Release).
 func DecodeRequestFrame(b []byte, r *Request) error { return decodeRequest(b, r) }
 
 // AppendResponseFrame appends the binary encoding of r to b.
@@ -929,17 +888,17 @@ func appendResponse(b []byte, r *Response) []byte {
 // message.
 func decodeResponse(b []byte, r *Response) error {
 	d := reader{b: b}
-	decodeResponseHead(&d, r)
+	decodeResponseHead(&d, r, nil)
 	r.Data = d.alias()
 	decodeResponseTail(&d, r)
 	return d.err
 }
 
 // decodeResponseHead decodes the fields appendResponseHead wrote before
-// the payload length.
-func decodeResponseHead(d *reader, r *Response) {
+// the payload length, the error string through nc when it is not nil.
+func decodeResponseHead(d *reader, r *Response, nc *nameCache) {
 	r.Seq = d.uvarint()
-	r.Err = d.str()
+	r.Err = d.name(nc, namePath)
 	r.N = d.svarint()
 }
 

@@ -16,7 +16,7 @@ type sinkConn struct{ net.Conn }
 func (sinkConn) Write(p []byte) (int, error)      { return len(p), nil }
 func (sinkConn) SetWriteDeadline(time.Time) error { return nil }
 
-// The receive path leases the frame and the decoded Data aliases it —
+// The receive path leases the payload and the decoded Data aliases it —
 // both directions, both payload sizes (folded flat and vectored).
 func TestLeasedAliasRoundTrip(t *testing.T) {
 	for _, size := range []int{64, sgMinPayload, 1 << 20} {
@@ -36,7 +36,7 @@ func TestLeasedAliasRoundTrip(t *testing.T) {
 			t.Fatalf("size %d: request payload corrupted", size)
 		}
 		if req.frame == nil {
-			t.Fatalf("size %d: decoded request should own a leased frame", size)
+			t.Fatalf("size %d: decoded request should own a lease", size)
 		}
 		req.Release()
 		if req.Data != nil {

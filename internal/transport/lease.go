@@ -1,10 +1,13 @@
 // Payload buffer leasing: the tiered sync.Pool behind the zero-copy
-// receive path. A binary-decoded message's Data no longer copies out of
-// the frame scratch — the frame buffer itself is leased from this pool,
-// the decoded byte-slice fields alias it, and ownership rides with the
-// message until its Release. The server's read path leases its reply
-// payloads from the same pool, so a steady read/write workload recycles
-// stripe-unit-sized buffers instead of allocating one per data message.
+// receive path. A received payload that lands neither in a sink extent
+// nor in caller memory is read into a buffer leased from this pool — the
+// payload only, its frame's head and tail decoded from the receive
+// buffer — and the decoded Data is that buffer; a frame with no payload
+// is leased whole and its fields decoded from the lease. Ownership rides
+// with the message until its Release. The server's read path leases its
+// reply payloads from the same pool, so a steady read/write workload
+// recycles stripe-unit-sized buffers instead of allocating one per data
+// message.
 //
 // Ownership contract (see ARCHITECTURE.md "The zero-copy data plane"):
 //
@@ -34,9 +37,9 @@ import (
 
 // leaseClasses are the payload size classes, spanning a heartbeat frame
 // up to a 4 MiB stripe unit, each with head-room for the frame header: a
-// received frame is its payload plus some fifty bytes, and payloads are
-// powers of two, so a class of exactly 2^k would send every one of them
-// to the next class up — a 1 MiB write into a 4 MiB buffer. Above the
+// frame leased whole is its payload plus some fifty bytes, and payloads
+// are powers of two, so a class of exactly 2^k would send every one of
+// them to the next class up — a 1 MiB write into a 4 MiB buffer. Above the
 // top class Lease falls back to a plain allocation (Release ignores it).
 var leaseClasses = [...]int{
 	4<<10 + leaseHeadroom, 16<<10 + leaseHeadroom, 64<<10 + leaseHeadroom,

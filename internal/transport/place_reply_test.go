@@ -42,19 +42,21 @@ func spanned(n int, fill byte, lens ...int) ([]byte, [][]byte) {
 	return buf, append(spans, rest)
 }
 
-// A read reply whose payload is exactly the length of the spans its
-// request registered lands in them and decodes to the same reply as on
-// the leased path; every other reply takes the leased path and leaves
-// the spans alone.
-func TestPlacedReplyDecodesLikeLeased(t *testing.T) {
-	for _, c := range []struct {
-		name   string
-		resp   Response
-		n      int   // span memory
-		lens   []int // all but the last span's length
-		noSpan bool
-		placed bool
-	}{
+// replyRow is a read reply, the spans its request registers and whether
+// the reply lands in them.
+type replyRow struct {
+	name   string
+	resp   Response
+	n      int   // span memory
+	lens   []int // all but the last span's length
+	noSpan bool
+	placed bool
+}
+
+// replyRows are TestPlacedReplyDecodesLikeLeased's rows; they seed
+// FuzzRecvResponse too.
+func replyRows() []replyRow {
+	return []replyRow{
 		{"4 KiB", Response{N: 4 << 10, Data: patterned(4 << 10), Caps: CapAppendAt}, 4 << 10, nil, false, true},
 		{"512 KiB", Response{N: 512 << 10, Data: patterned(512 << 10), Caps: CapAppendAt}, 512 << 10, nil, false, true},
 		{"a reply split over three spans", Response{N: 96 << 10, Data: patterned(96 << 10)}, 96 << 10, []int{10000, 50000}, false, true},
@@ -63,7 +65,15 @@ func TestPlacedReplyDecodesLikeLeased(t *testing.T) {
 		{"spans too short", Response{N: 64 << 10, Data: patterned(64 << 10)}, 60 << 10, nil, false, false},
 		{"spans too long", Response{N: 64 << 10, Data: patterned(60 << 10)}, 64 << 10, nil, false, false},
 		{"a head longer than placeHeadMax", Response{Err: strings.Repeat("e", placeHeadMax), N: 4 << 10, Data: patterned(4 << 10)}, 4 << 10, nil, false, false},
-	} {
+	}
+}
+
+// A read reply whose payload is exactly the length of the spans its
+// request registered lands in them and decodes to the same reply as on
+// the leased path; every other reply is leased and leaves the spans
+// alone.
+func TestPlacedReplyDecodesLikeLeased(t *testing.T) {
+	for _, c := range replyRows() {
 		t.Run(c.name, func(t *testing.T) {
 			cli, srv := pipePair()
 			defer srv.Close()
@@ -105,6 +115,63 @@ func TestPlacedReplyDecodesLikeLeased(t *testing.T) {
 			got.Recycle()
 		})
 	}
+}
+
+// everyThirdLeased is a replyDst that registers, for every exchange
+// whose Seq is not a multiple of three, two spans of exactly the
+// payload's length.
+type everyThirdLeased struct{ buf []byte }
+
+func (e *everyThirdLeased) claim(seq uint64, n int) [][]byte {
+	if seq%3 == 0 {
+		return nil
+	}
+	e.buf = make([]byte, n)
+	return [][]byte{e.buf[:n/2], e.buf[n/2:]}
+}
+
+func (*everyThirdLeased) filled(err error) error { return err }
+
+// FuzzRecvResponse: the stream receive a client's connection reader runs
+// refuses exactly the frame bodies decodeResponse refuses and otherwise
+// yields the same reply, its payload in the registered spans or in a
+// lease.
+func FuzzRecvResponse(f *testing.F) {
+	for _, b := range fuzzSeedResponses() {
+		f.Add(b)
+	}
+	for _, c := range replyRows() {
+		r := c.resp
+		r.Seq = 5
+		f.Add(appendResponse(nil, &r))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		dst := new(everyThirdLeased)
+		want, got := new(Response), new(Response)
+		wantErr := decodeResponse(body, want)
+		err := recvRaw(body, func(c *Conn) error { return c.recvResponse(got, dst) })
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("receive: %v, decode: %v", err, wantErr)
+		}
+		if err != nil {
+			return
+		}
+		payload := got.Data
+		if got.placed {
+			payload = dst.buf
+		}
+		if !bytes.Equal(payload, want.Data) || got.placed && got.Data != nil {
+			t.Fatalf("payload differs from the whole-frame decode (placed=%v)", got.placed)
+		}
+		g, w := *got, *want
+		g.Data, w.Data, g.frame, g.placed = nil, nil, nil, false
+		scrubNaN(g.Shares)
+		scrubNaN(w.Shares)
+		if !reflect.DeepEqual(g, w) {
+			t.Fatalf("receive differs from the whole-frame decode:\n got %+v\nwant %+v", g, w)
+		}
+		got.Release()
+	})
 }
 
 // stripePool is a one-connection pool whose server is reply.
@@ -252,7 +319,7 @@ func (o oneSpan) claim(_ uint64, n int) [][]byte {
 	return [][]byte{o.p}
 }
 
-func (oneSpan) filled() bool { return false }
+func (oneSpan) filled(err error) error { return err }
 
 // BenchmarkRecvRead receives one 1 MiB read reply over loopback TCP into
 // the caller's buffer: placed, read straight into it, against leased,
@@ -287,7 +354,7 @@ func BenchmarkRecvRead(b *testing.B) {
 					}
 					continue
 				}
-				if err := rx.RecvResponseInto(resp); err != nil {
+				if err := rx.recvResponse(resp, nil); err != nil {
 					b.Fatal(err)
 				}
 				copy(p, resp.Data)

@@ -2,6 +2,8 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"net"
 	"reflect"
 	"strings"
@@ -56,27 +58,48 @@ func patterned(n int) []byte {
 	return p
 }
 
+// placementRow is a request and where its payload lands on a connection
+// with a sink: placed in an extent the sink reserves, or in a lease —
+// of the whole frame (whole) or of the payload only.
+type placementRow struct {
+	name          string
+	req           Request
+	placed, whole bool
+}
+
+// placementRows are TestPlacedWriteDecodesLikeLeased's rows; they seed
+// FuzzRecvRequest too.
+func placementRows() []placementRow {
+	job := policy.JobInfo{JobID: "job-7", UserID: "alice", GroupID: "g1", Nodes: 4}
+	wide := make([]string, 2048) // 2048 × 40 bytes: a tail longer than the receive buffer
+	for i := range wide {
+		wide[i] = fmt.Sprintf("server-%04d.burst-buffer.example:7000", i)
+	}
+	return []placementRow{
+		{"64 KiB positional append", Request{Type: MsgWrite, Seq: 9, Job: job, Path: "/ckpt/r0", Data: patterned(64 << 10),
+			LayoutGen: 3, AppendAt: true, AppendOff: 1 << 20}, true, false},
+		{"8 KiB migration install", Request{Type: MsgWrite, Seq: 10, Job: job, Path: "/m", Data: patterned(sgMinPayload),
+			From: "127.0.0.1:7001", StripeSet: []string{"a", "b"}, LayoutGen: 2, AppendAt: true}, true, false},
+		{"4 MiB plain append", Request{Type: MsgWrite, Seq: 11, Job: job, Path: "/big", Data: patterned(4 << 20)}, true, false},
+		{"payload under sgMinPayload", Request{Type: MsgWrite, Seq: 12, Job: job, Path: "/s", Data: patterned(sgMinPayload - 1)}, false, false},
+		{"frame above the top class", Request{Type: MsgWrite, Seq: 13, Job: job, Path: "/huge", Data: patterned(4<<20 + 1024)}, false, false},
+		{"head too long to peek", Request{Type: MsgWrite, Seq: 14, Job: job, Path: "/" + strings.Repeat("p", placeHeadMax), Data: patterned(64 << 10)}, false, true},
+		{"not a write", Request{Type: MsgGossip, Seq: 15, Job: job, PolicyStr: strings.Repeat("x", 64<<10)}, false, true},
+		{"no room in the store", Request{Type: MsgWrite, Seq: 16, Job: job, Path: "/full", Data: patterned(64 << 10)}, false, false},
+		{"a write whose tail is longer than the receive buffer", Request{Type: MsgWrite, Seq: 17, Job: job, Path: "/wide",
+			Data: patterned(64 << 10), Stripes: len(wide), StripeSet: wide}, false, true},
+		{"a non-write request with a payload on a sink connection", Request{Type: MsgRead, Seq: 18, Job: job, Path: "/r",
+			Data: patterned(64 << 10)}, false, false},
+	}
+}
+
 // A write at or above sgMinPayload is read into an extent the sink
 // reserves and decodes to the same request as on the leased path; every
-// other frame takes the leased path with nothing reserved.
+// other frame is leased with nothing reserved: its payload alone, or the
+// whole frame when it has no payload, a head too long to peek or a tail
+// longer than the receive buffer.
 func TestPlacedWriteDecodesLikeLeased(t *testing.T) {
-	job := policy.JobInfo{JobID: "job-7", UserID: "alice", GroupID: "g1", Nodes: 4}
-	for _, c := range []struct {
-		name   string
-		req    Request
-		placed bool
-	}{
-		{"64 KiB positional append", Request{Type: MsgWrite, Seq: 9, Job: job, Path: "/ckpt/r0", Data: patterned(64 << 10),
-			LayoutGen: 3, AppendAt: true, AppendOff: 1 << 20}, true},
-		{"8 KiB migration install", Request{Type: MsgWrite, Seq: 10, Job: job, Path: "/m", Data: patterned(sgMinPayload),
-			From: "127.0.0.1:7001", StripeSet: []string{"a", "b"}, LayoutGen: 2, AppendAt: true}, true},
-		{"4 MiB plain append", Request{Type: MsgWrite, Seq: 11, Job: job, Path: "/big", Data: patterned(4 << 20)}, true},
-		{"payload under sgMinPayload", Request{Type: MsgWrite, Seq: 12, Job: job, Path: "/s", Data: patterned(sgMinPayload - 1)}, false},
-		{"frame above the top class", Request{Type: MsgWrite, Seq: 13, Job: job, Path: "/huge", Data: patterned(4<<20 + 1024)}, false},
-		{"head too long to peek", Request{Type: MsgWrite, Seq: 14, Job: job, Path: "/" + strings.Repeat("p", placeHeadMax), Data: patterned(64 << 10)}, false},
-		{"not a write", Request{Type: MsgGossip, Seq: 15, Job: job, PolicyStr: strings.Repeat("x", 64<<10)}, false},
-		{"no room in the store", Request{Type: MsgWrite, Seq: 16, Job: job, Path: "/full", Data: patterned(64 << 10)}, false},
-	} {
+	for _, c := range placementRows() {
 		t.Run(c.name, func(t *testing.T) {
 			shard := fsys.NewShard("place", 16<<20)
 			if c.req.Path == "/full" { // leave less free than the payload
@@ -86,8 +109,9 @@ func TestPlacedWriteDecodesLikeLeased(t *testing.T) {
 			}
 			base := shard.Used()
 			k := &countingSink{Shard: shard}
+			frame := appendRequest(nil, &c.req)
 			want := new(Request)
-			if err := decodeRequest(appendRequest(nil, &c.req), want); err != nil {
+			if err := decodeRequest(frame, want); err != nil {
 				t.Fatal(err)
 			}
 			got := recvWith(t, k, &c.req)
@@ -96,6 +120,9 @@ func TestPlacedWriteDecodesLikeLeased(t *testing.T) {
 			}
 			if c.placed && shard.Used()-base != int64(len(c.req.Data)) {
 				t.Fatalf("Used %d with a %d-byte placement", shard.Used(), len(c.req.Data))
+			}
+			if whole := len(got.frame) == len(frame); !c.placed && (whole != c.whole || !whole && len(got.frame) != len(got.Data)) {
+				t.Fatalf("leased %d bytes for a %d-byte frame carrying %d, want whole=%v", len(got.frame), len(frame), len(got.Data), c.whole)
 			}
 			if !bytes.Equal(got.Data, want.Data) {
 				t.Fatal("payload differs from the leased decode")
@@ -113,6 +140,63 @@ func TestPlacedWriteDecodesLikeLeased(t *testing.T) {
 			}
 		})
 	}
+}
+
+// recvRaw writes body to a connection as one frame — the stream's magic,
+// the length prefix and the body — and receives it with recv.
+func recvRaw(body []byte, recv func(c *Conn) error) error {
+	a, b := net.Pipe()
+	go func() {
+		_, _ = a.Write(binary.LittleEndian.AppendUint32(binMagic[:], uint32(len(body))))
+		_, _ = a.Write(body)
+		a.Close()
+	}()
+	c := NewConn(b)
+	defer c.Close()
+	return recv(c)
+}
+
+// FuzzRecvRequest: the stream receive the server runs refuses exactly
+// the frame bodies decodeRequest refuses and otherwise yields the same
+// request, whichever way the payload landed; and after Release every
+// extent the sink reserved is back.
+func FuzzRecvRequest(f *testing.F) {
+	for _, b := range fuzzSeedRequests() {
+		f.Add(b)
+	}
+	for _, c := range placementRows() {
+		f.Add(appendRequest(nil, &c.req))
+	}
+	shard := fsys.NewShard("fuzz", 1<<20)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		k := &countingSink{Shard: shard}
+		base := k.Used()
+		want, got := new(Request), new(Request)
+		wantErr := decodeRequest(body, want)
+		err := recvRaw(body, func(c *Conn) error {
+			c.SetSink(k)
+			return c.RecvRequestInto(got)
+		})
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("receive: %v, decode: %v", err, wantErr)
+		}
+		if err == nil {
+			if !bytes.Equal(got.Data, want.Data) {
+				t.Fatal("payload differs from the whole-frame decode")
+			}
+			g, w := *got, *want
+			g.Data, w.Data = nil, nil
+			g.frame, g.sink, g.placed = nil, nil, storage.Extent{}
+			if !reflect.DeepEqual(g, w) {
+				t.Fatalf("receive differs from the whole-frame decode:\n got %+v\nwant %+v", g, w)
+			}
+		}
+		got.Release()
+		if k.reserves-k.refused != k.unreserves || k.Used() != base {
+			t.Fatalf("after Release: %d reserves, %d refused, %d unreserves, Used %d (base %d)",
+				k.reserves, k.refused, k.unreserves, k.Used(), base)
+		}
+	})
 }
 
 func b2i(b bool) int {

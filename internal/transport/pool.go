@@ -26,7 +26,9 @@ package transport
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -118,18 +120,23 @@ func (mc *MuxConn) claim(seq uint64, n int) [][]byte {
 }
 
 // filled ends the fill claim began. An abandoned fill was cut short by
-// Forget's read deadline, which is lifted here: the reader goes on to
-// read the rest of the frame into nothing.
-func (mc *MuxConn) filled() bool {
+// Forget's read deadline, which is lifted here: unless the read failed
+// otherwise, it reports errAbandoned and the reader goes on to read the
+// rest of the frame into nothing.
+func (mc *MuxConn) filled(err error) error {
 	mc.mu.Lock()
 	abandoned := mc.abandoned
 	mc.filling, mc.abandoned = false, false
 	mc.fillDone.Broadcast()
 	mc.mu.Unlock()
-	if abandoned {
-		_ = mc.conn.raw.SetReadDeadline(time.Time{})
+	if !abandoned {
+		return err
 	}
-	return abandoned
+	_ = mc.conn.raw.SetReadDeadline(time.Time{})
+	if err != nil && !errors.Is(err, os.ErrDeadlineExceeded) {
+		return err
+	}
+	return errAbandoned
 }
 
 // Start registers req's response channel, and the memory its reply's

@@ -2,7 +2,7 @@
 // channel values come from pools and go back to them, so a steady stream
 // of small calls allocates (almost) nothing between arrival and reply.
 //
-// Recycling is never implied. Release returns a message's leased frame
+// Recycling is never implied. Release returns a message's lease
 // and leaves every other field readable; Recycle (or Reset, for a message
 // embedded in a pooled value of the caller's own) additionally gives the
 // message itself up, and is called only where ownership is linear — by

@@ -251,8 +251,9 @@ type Request struct {
 	ShareTopN int
 	ShareKind string
 
-	// frame is the leased receive buffer a decoded request's
-	// Data aliases; Release returns it to the payload pool. placed is,
+	// frame is the lease a received request's Data aliases — its payload,
+	// or the whole frame when it has none; Release returns it to the
+	// payload pool. placed is,
 	// instead, the device extent the connection's sink reserved and Data
 	// views; Release returns it to sink unless a write adopted it.
 	frame  []byte
@@ -273,11 +274,11 @@ func (r *Request) payloadLen() int {
 	return n
 }
 
-// Release returns the leased frame buffer this request's Data aliases
-// to the payload pool, and a placed payload no write adopted to its
-// connection's sink (no-op for locally built requests). After Release
-// neither r.Data nor any alias of it may be used; Data is nilled so a
-// stale use fails loudly. Releasing is optional — an unreleased frame is
+// Release returns the lease this request's Data aliases to the payload
+// pool, and a placed payload no write adopted to its connection's sink
+// (no-op for locally built requests). After Release neither r.Data nor
+// any alias of it may be used; Data is nilled so a stale use fails
+// loudly. Releasing is optional — an unreleased lease is
 // garbage-collected, an unreleased placement holds its device space
 // until the server stops — but the hot paths (server workers, the
 // client's response consumers) release so steady-state traffic recycles
@@ -298,7 +299,7 @@ func (r *Request) Release() {
 }
 
 // Placed is the device extent the connection's sink reserved and Data
-// was read into; it is empty when Data sits in a leased frame or in the
+// was read into; it is empty when Data sits in a lease or in the
 // caller's memory. A write that adopts the extent empties it (see
 // fsys.Shard.AppendGen); Release gives back whatever is left.
 func (r *Request) Placed() *storage.Extent { return &r.placed }
@@ -346,7 +347,7 @@ type Response struct {
 	Caps uint64
 
 	// frame is the leased buffer this response's Data aliases: the
-	// receive frame (binary decode), or the server read path's reply
+	// received payload (or whole frame), or the server read path's reply
 	// payload (AttachLease). Release returns it. placed reports that the
 	// payload was read into the request's ReplyInto spans instead, and
 	// Data is nil.
@@ -448,18 +449,23 @@ type Conn struct {
 
 	// Receive state, owned by the single reader goroutine: magicSeen is
 	// set once the peer's opening magic has been consumed, hdr is where a
-	// length prefix is read, names the request decoder's string cache.
+	// length prefix is read, dec the frame's decoder, names the request
+	// decoder's string cache.
 	magicSeen bool
 	hdr       [4]byte
+	dec       reader
 	names     nameCache
-	// sink, when set, places large write payloads (see SetSink).
+	// sink, when set, places large write payloads (see SetSink); span
+	// is the one-span list a placement is filled through.
 	sink Sink
+	span [1][]byte
 }
 
 // A Sink reserves the memory a write payload will live in, so a
 // connection reads the payload straight there and the store adopts it
 // without a copy: the server's shard is the sink of every connection it
-// accepts.
+// accepts. It is the first choice of a request's destination (recv);
+// every other request payload lands in a lease.
 type Sink interface {
 	// Reserve returns n bytes of reserved device and the extent naming
 	// them, or an error when there is no room.
@@ -470,8 +476,9 @@ type Sink interface {
 
 // SetSink makes k the connection's sink: from the next frame on, a
 // write whose payload is at least sgMinPayload and whose frame fits the
-// top lease class is read into an extent k reserves (Request.Placed).
-// Receive side only; call it before the reader starts.
+// top lease class is read into an extent k reserves (Request.Placed),
+// and a write k has no room for into a lease of its payload. Receive
+// side only; call it before the reader starts.
 func (c *Conn) SetSink(k Sink) { c.sink = k }
 
 // NewConn wraps a net.Conn, dial or accept side alike: the first frame
@@ -521,26 +528,30 @@ func (c *Conn) RecvRequestInto(r *Request) error {
 	if err != nil {
 		return err
 	}
-	if placed, err := c.recvPlaced(r, n); placed || err != nil {
-		if err == nil && c.stats != nil {
-			c.noteRecv(int(r.Type))
+	// A sink extent for a large write whose frame fits the top lease class
+	// (a longer length is still a claim, and a claim reserves no device);
+	// with no room the write takes a lease and meets the store's refusal
+	// after its token draw.
+	place := func(plen int) [][]byte {
+		if c.sink == nil || r.Type != MsgWrite || plen < sgMinPayload || n > leaseClasses[len(leaseClasses)-1] {
+			return nil
 		}
-		return err
+		ext, view, err := c.sink.Reserve(plen)
+		if err != nil {
+			return nil
+		}
+		r.Data, r.sink, r.placed = view, c.sink, ext
+		c.span[0] = view
+		return c.span[:]
 	}
-	b, err := c.readBody(n)
+	lease, data, err := c.recv(n, func(d *reader) int { decodeRequestHead(d, r, &c.names); return int(r.Type) },
+		func(d *reader) { decodeRequestTail(d, r) }, place, nil)
 	if err != nil {
+		r.Release() // a placement the frame failed goes back to the sink
 		return err
 	}
-	if err := decodeRequestNames(b, r, &c.names); err != nil {
-		r.Data = nil
-		Release(b)
-		return err
-	}
-	// The decoded Data aliases the leased frame; ownership rides with
-	// the request until its Release.
-	r.frame = b
-	if c.stats != nil {
-		c.noteRecv(int(r.Type))
+	if r.sink == nil {
+		r.frame, r.Data = lease, data
 	}
 	return nil
 }
@@ -549,52 +560,45 @@ func (c *Conn) RecvRequestInto(r *Request) error {
 // message, with the same magic check as RecvRequest.
 func (c *Conn) RecvResponse() (*Response, error) {
 	r := new(Response)
-	if err := c.RecvResponseInto(r); err != nil {
+	if err := c.recvResponse(r, nil); err != nil {
 		return nil, err
 	}
 	return r, nil
 }
 
-// RecvResponseInto is RecvResponse into a message the caller supplies;
-// same contract as RecvRequestInto.
-func (c *Conn) RecvResponseInto(r *Response) error { return c.recvResponse(r, nil) }
-
-// recvResponse is RecvResponseInto on a connection whose reader finds the
-// caller memory of read replies through dst (nil: every reply is leased).
-// A reply abandoned while it landed leaves no message: the next frame is
-// read into r instead.
+// recvResponse is RecvResponse into a message the caller supplies — a
+// recycled one, on a MuxConn's reader — whose read replies land in the
+// caller memory dst finds (nil: every payload is leased). Every field of
+// r is overwritten. A reply abandoned while it landed leaves no message:
+// the next frame is read into r instead.
 func (c *Conn) recvResponse(r *Response, dst replyDst) error {
 	r.Release()
+	var spans [][]byte
+	place := func(plen int) [][]byte {
+		if dst != nil {
+			spans = dst.claim(r.Seq, plen)
+		}
+		return spans
+	}
+	var filled func(error) error
+	if dst != nil {
+		filled = dst.filled
+	}
 	for {
+		spans = nil
 		n, err := c.readLen()
 		if err != nil {
 			return err
 		}
-		if dst != nil {
-			placed, err := c.recvReply(r, n, dst)
-			if err == errAbandoned {
-				continue
-			}
-			if placed || err != nil {
-				if err == nil && c.stats != nil {
-					c.noteRecv(respSlot)
-				}
-				return err
-			}
+		lease, data, err := c.recv(n, func(d *reader) int { decodeResponseHead(d, r, &c.names); return respSlot },
+			func(d *reader) { decodeResponseTail(d, r) }, place, filled)
+		if err == errAbandoned {
+			continue
 		}
-		b, err := c.readBody(n)
 		if err != nil {
 			return err
 		}
-		if err := decodeResponse(b, r); err != nil {
-			r.Data = nil
-			Release(b)
-			return err
-		}
-		r.frame = b
-		if c.stats != nil {
-			c.noteRecv(respSlot)
-		}
+		r.frame, r.Data, r.placed = lease, data, spans != nil
 		return nil
 	}
 }

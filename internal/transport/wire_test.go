@@ -141,9 +141,9 @@ func FuzzDecodeRequest(f *testing.F) {
 	})
 }
 
-// FuzzDecodeResponse: the same three properties for responses.
-func FuzzDecodeResponse(f *testing.F) {
+func fuzzSeedResponses() [][]byte {
 	g := gossipRequest()
+	var out [][]byte
 	for _, r := range []*Response{
 		{},
 		{Seq: 7, Err: "fsys: no such file or directory"},
@@ -152,7 +152,15 @@ func FuzzDecodeResponse(f *testing.F) {
 			Names: []string{"a", "b"}, StripeSet: []string{"s1", "s2"},
 			Shares: []ShareRecord{{Kind: "job", ID: "j1", Compiled: 0.75, Measured: 0.743, Bytes: 1 << 30}}},
 	} {
-		f.Add(appendResponse(nil, r))
+		out = append(out, appendResponse(nil, r))
+	}
+	return out
+}
+
+// FuzzDecodeResponse: the same three properties for responses.
+func FuzzDecodeResponse(f *testing.F) {
+	for _, b := range fuzzSeedResponses() {
+		f.Add(b)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var r, again Response
