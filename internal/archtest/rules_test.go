@@ -255,6 +255,27 @@ var rules = []rule{
 		},
 	},
 	{
+		name:  "one serve",
+		doc:   cite{"ARCHITECTURE.md", "**One serve** (`Server.serve`) runs what a draw selects on the goroutine that drew"},
+		scope: scope{dirs: []string{"internal/server/"}},
+		check: func(_ *tree, files []*goFile) (hits []string) {
+			const why = "execute a request only in Server.serve, on the goroutine whose PopBatch drew it"
+			in := map[string]func(string) bool{
+				"execute":  anyOf("Server.serve"),
+				"serve":    anyOf("Server.worker", "Server.drawOnReader"),
+				"PopBatch": anyOf("Server.worker", "Server.drawOnReader"),
+			}
+			for _, f := range files {
+				f.calls(func(c *ast.CallExpr, x ast.Expr, name string, fn *ast.FuncDecl) {
+					if ok, ruled := in[name]; ruled && x != nil && !ok(funcName(fn)) {
+						hits = append(hits, f.at(c, "%s called in %s: %s", name, funcName(fn), why))
+					}
+				})
+			}
+			return hits
+		},
+	},
+	{
 		name: "docs hygiene",
 		doc:  cite{"ARCHITECTURE.md", "every relative link in a Markdown file resolves"},
 		check: func(t *tree, _ []*goFile) (hits []string) {

@@ -22,6 +22,7 @@
 package obsv
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"math"
@@ -345,13 +346,16 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 	}
 	r.mu.Unlock()
 
-	cw := &countWriter{w: w}
+	// Rendering makes several small writes per sample; they reach w in
+	// buffer-fulls, not one call each.
+	bw := bufio.NewWriterSize(w, 32<<10)
+	cw := &countWriter{w: bw}
 	for _, f := range fams {
 		if err := f.render(cw); err != nil {
 			return cw.n, err
 		}
 	}
-	return cw.n, nil
+	return cw.n, bw.Flush()
 }
 
 type countWriter struct {

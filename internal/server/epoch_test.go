@@ -295,3 +295,64 @@ func TestFloodFromFewConnsDrainsManyWorkers(t *testing.T) {
 		t.Fatalf("drain took %v — workers are parking with work queued", e)
 	}
 }
+
+// At most Workers requests execute at once, whichever goroutine drew
+// them: a connection reader draws only on a slot a parked worker left
+// spare. Every execution sleeps at least OpDelay, so a flood of n requests
+// cannot drain in less than n·OpDelay/Workers of wall time — a sleep only
+// overshoots, so the bound cannot flake. The eight connections keep one
+// request in flight each, so every reader finds its buffer empty after
+// every frame: readers executing beside the workers would beat the bound.
+func TestWorkersBoundHoldsWithReaderDraws(t *testing.T) {
+	const workers, conns, perConn = 2, 8, 50
+	const delay = time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(ln, Config{Policy: policy.SizeFair, Workers: workers, OpDelay: delay, Lambda: 50 * time.Millisecond, Quiet: true})
+	go srv.Serve()
+	defer srv.Close()
+
+	cs := make([]*transport.Conn, conns)
+	for i := range cs {
+		raw, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs[i] = transport.NewConn(raw)
+		defer cs[i].Close()
+	}
+	errs := make(chan error, conns)
+	start := time.Now()
+	for ci, conn := range cs {
+		go func() {
+			job := jobInfo(fmt.Sprintf("bound-%d", ci), 1)
+			for i := 0; i < perConn; i++ {
+				// One request in flight per connection: its reader's buffer
+				// is empty after every frame, so it always asks for a slot.
+				err := conn.SendRequest(&transport.Request{Type: transport.MsgStat, Seq: uint64(i + 1), Job: job, Path: "/"})
+				var resp *transport.Response
+				if err == nil {
+					resp, err = conn.RecvResponse()
+				}
+				if err != nil {
+					errs <- fmt.Errorf("conn %d request %d: %w", ci, i, err)
+					return
+				}
+				resp.Release()
+			}
+			errs <- nil
+		}()
+	}
+	for range cs {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	elapsed, floor := time.Since(start), conns*perConn*delay/workers
+	t.Logf("%d requests in %v (floor %v), %d drawn by readers", conns*perConn, elapsed, floor, srv.readerServed.Load())
+	if elapsed < floor {
+		t.Fatalf("%d requests of %v each drained in %v on %d workers: more than %d executed at once", conns*perConn, delay, elapsed, workers, workers)
+	}
+}

@@ -16,17 +16,23 @@ import (
 // is a scrape-time callback over counters the fabric already maintains
 // lock-free — the request path pays nothing for them. The only hot-path
 // instruments are the transport frame accounting (two atomic adds per
-// frame), the per-op request-latency histograms, and the draw-latency
-// histogram, all gated on Config.Metrics being set.
+// frame), the per-op request-latency and queue-wait histograms, and the
+// draw-latency histogram, all gated on Config.Metrics being set.
 
 // numOps is the number of sched.Op values (OpSeek is the last).
 const numOps = int(sched.OpSeek) + 1
+
+// waitBuckets is the latency ladder extended down to 1 µs: on a server
+// with a worker to spare a request waits a few µs between its arrival and
+// its draw, under LatencyBuckets' first bound.
+var waitBuckets = append([]float64{.000001, .0000025, .000005, .00001, .000025, .00005}, obsv.LatencyBuckets...)
 
 // serverMetrics holds the hot-path instrument handles; the scrape-time
 // callbacks are registered once and never referenced again.
 type serverMetrics struct {
 	transport *transport.Stats
 	reqLat    [numOps]*obsv.Histogram
+	queueWait [numOps]*obsv.Histogram
 	drawLat   *obsv.Histogram
 }
 
@@ -76,13 +82,20 @@ func newServerMetrics(reg *obsv.Registry, s *Server) *serverMetrics {
 
 	// --- server workers ---------------------------------------------------
 	reg.CounterFunc("themis_server_requests_served_total",
-		"Client requests executed by the worker pool.",
+		"Client requests executed, by workers and by connection readers.",
 		func() float64 { return float64(s.served.Load()) })
+	reg.CounterFunc("themis_server_reader_served_total",
+		"Client requests executed by the connection reader that drew them instead of a worker.",
+		func() float64 { return float64(s.readerServed.Load()) })
 	lat := reg.HistogramVec("themis_server_request_latency_seconds",
 		"Request latency from communicator arrival to reply sent, by operation.",
 		obsv.LatencyBuckets, "op")
+	wait := reg.HistogramVec("themis_server_queue_wait_seconds",
+		"Time from communicator arrival to the start of execution (the token draw, plus the batch drawn ahead of it), by operation; stage-out chunks included.",
+		waitBuckets, "op")
 	for op := 0; op < numOps; op++ {
 		m.reqLat[op] = lat.With(sched.Op(op).String())
+		m.queueWait[op] = wait.With(sched.Op(op).String())
 	}
 
 	// --- transport --------------------------------------------------------
@@ -280,6 +293,14 @@ func (m *serverMetrics) observeRequest(op sched.Op, d time.Duration) {
 	}
 	if i := int(op); i >= 0 && i < numOps {
 		m.reqLat[i].Observe(d.Seconds())
+	}
+}
+
+// observeQueueWait records how long one drawn request waited between
+// its arrival and the start of its execution. The caller checks m.
+func (m *serverMetrics) observeQueueWait(op sched.Op, d time.Duration) {
+	if i := int(op); i >= 0 && i < numOps {
+		m.queueWait[i].Observe(d.Seconds())
 	}
 }
 

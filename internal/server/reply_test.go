@@ -250,6 +250,60 @@ func TestFlushDoesNotParkTheConnection(t *testing.T) {
 	}
 }
 
+// A stage-out chunk a connection reader draws runs on a goroutine of its
+// own, which keeps the reader's slot until the backing store has it: the
+// reader is back at its socket at once, for the same reason as a flush
+// (TestFlushDoesNotParkTheConnection).
+func TestReaderDrawnChunkDoesNotParkTheReader(t *testing.T) {
+	store, err := backing.OpenDir(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := make(chan struct{})
+	srv := New(ln, Config{Policy: policy.SizeFair, Workers: 1, Backing: gatedStore{Store: store, gate: gate}, Quiet: true})
+	defer srv.Close()
+	if _, err := srv.Shard().CreateStriped("/held", 1, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Shard().Append("/held", []byte("unstaged")); err != nil {
+		t.Fatal(err)
+	}
+	// Unserved, the server has no worker: the queue holds stage-out
+	// chunks only and the reader's draw is one of them.
+	if srv.drain.Pump(srv.now(), srv.submit) == 0 {
+		t.Fatal("nothing to stage out")
+	}
+	if !srv.takeSlot() {
+		t.Fatal("no spare slot on an idle server")
+	}
+	returned := make(chan struct{})
+	go func() {
+		srv.drawOnReader()
+		close(returned)
+	}()
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		close(gate)
+		t.Fatal("the reader is parked in the chunk's backing-store write")
+	}
+	if n := srv.spare.Load(); n != 0 {
+		t.Errorf("%d spare slots while the chunk waits on the store, want 0: the chunk's goroutine keeps the slot", n)
+	}
+	close(gate)
+	srv.wg.Wait()
+	if n := srv.spare.Load(); n != 1 {
+		t.Errorf("%d spare slots after the chunk, want it given back", n)
+	}
+	if chunks, _, errs := srv.drain.Stats(); chunks != 1 || errs != 0 {
+		t.Errorf("%d chunks staged, %d errors, want the one drawn staged", chunks, errs)
+	}
+}
+
 // A migration install lands in a pending entry that no client request
 // reaches: a client's positional append at the new layout generation is
 // refused, and stat, read, readdir and unlink answer as if the entry

@@ -4,7 +4,8 @@
 // heartbeats, a controller recompiling token assignments and
 // synchronizing job tables with peer servers every λ, and a worker pool
 // drawing statistical tokens and executing requests against the
-// user-space file system.
+// user-space file system. A connection reader with nothing more to
+// decode draws too, on a slot an idle worker left spare.
 //
 // The live server shares the scheduler (package core), the controller
 // step (package control), job table, policy compiler and storage
@@ -149,7 +150,14 @@ type Server struct {
 	connMu sync.Mutex
 	conns  map[*transport.Conn]struct{}
 
-	served atomic.Int64
+	// spare counts the Workers execution slots no goroutine holds. A
+	// worker holds one from before its draw until a draw finds nothing; a
+	// connection reader takes a spare one to draw on its own (see
+	// drawOnReader). So at most Workers requests execute at once.
+	spare atomic.Int64
+
+	served       atomic.Int64
+	readerServed atomic.Int64
 }
 
 // schedSeed derives the scheduler's seed from the configured one and the
@@ -202,6 +210,7 @@ func New(ln net.Listener, cfg Config) *Server {
 		nudge: make(chan struct{}, 1),
 		conns: map[*transport.Conn]struct{}{},
 	}
+	s.spare.Store(int64(cfg.Workers))
 	base := cfg.Logger
 	if cfg.Quiet {
 		base = obsv.NopLogger()
@@ -343,7 +352,9 @@ func (s *Server) Leave() {
 }
 
 // handleConn is the communicator: it decodes requests, feeds the job
-// monitor, and enqueues scheduler work tagged with the reply path.
+// monitor, and enqueues scheduler work tagged with the reply path. When
+// its receive buffer is empty it may draw and serve one request itself
+// (drawOnReader) rather than wake a worker.
 //
 // The data path performs no policy work: requests, heartbeats and gossip
 // only update the job table / fabric state, and ask the controller — the
@@ -468,8 +479,8 @@ func (s *Server) handleConn(c *transport.Conn) {
 			continue
 		}
 		// Everything else is scheduled: the inflight value goes with the
-		// request to the worker that draws it, and the reader takes a
-		// fresh one for the next frame.
+		// request to whoever draws it, and the reader takes a fresh one
+		// for the next frame.
 		in.conn, in.replyFailed = c, &replyFailed
 		in.sched = sched.Request{
 			Job:    req.Job,
@@ -480,19 +491,25 @@ func (s *Server) handleConn(c *transport.Conn) {
 		}
 		s.submit(&in.sched)
 		in = getInflight()
-		select {
-		case s.wake <- struct{}{}:
-		default:
+		// With no further byte buffered the reader would park in read now.
+		// If a parked worker left its slot spare, the reader draws a token
+		// itself instead of waking that worker: one goroutine hand-off
+		// fewer, and the draw, not the goroutine, decides what runs.
+		if c.Buffered() == 0 && s.takeSlot() {
+			s.drawOnReader()
+			continue
 		}
+		s.wakeN(1)
 	}
 }
 
 // inflight is everything one scheduled request owns between its arrival
 // and its reply: the decoded frame, the scheduler's view of it, the
 // reply path and the reply. Ownership is linear — the connection reader
-// fills it and pushes it, exactly one worker draws it, executes it,
-// sends resp and recycles it — so the value comes from a pool and a
-// steady stream of requests allocates none of its five parts.
+// fills it and pushes it, exactly one goroutine (a worker or a reader)
+// draws it, executes it, sends resp and recycles it — so the value comes
+// from a pool and a steady stream of requests allocates none of its five
+// parts.
 type inflight struct {
 	req   transport.Request
 	sched sched.Request
@@ -563,9 +580,10 @@ func reqBytes(r *transport.Request) int64 {
 // that under shallow closed-loop traffic requests are not hoarded in
 // worker-local buffers (which would empty the queues and void the
 // conditioned draw), while deep backlogs amortize the park/unpark cost
-// over up to workerBatch draws. A worker that drains its batch keeps
-// popping without parking; one that finds nothing parks on the counting
-// wake channel with a timeout backstop.
+// over up to workerBatch draws. A worker takes a slot before it draws
+// and keeps popping without parking until a draw finds nothing; then it
+// gives the slot back and parks on the counting wake channel with a
+// timeout backstop. A worker woken while every slot is held parks again.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	batch := make([]*sched.Request, workerBatch)
@@ -574,51 +592,113 @@ func (s *Server) worker() {
 	park := time.NewTimer(time.Hour)
 	park.Stop()
 	for !s.closed.Load() {
-		k := s.sched.Pending() / (2 * s.cfg.Workers)
-		if k < 1 {
-			k = 1
-		} else if k > workerBatch {
-			k = workerBatch
+		if s.takeSlot() {
+			for !s.closed.Load() {
+				k := s.sched.Pending() / (2 * s.cfg.Workers)
+				if k < 1 {
+					k = 1
+				} else if k > workerBatch {
+					k = workerBatch
+				}
+				n := s.sched.PopBatch(s.now(), nil, batch[:k])
+				if n == 0 {
+					break
+				}
+				for _, r := range batch[:n] {
+					s.serve(r)
+				}
+			}
+			s.spare.Add(1)
 		}
-		n := s.sched.PopBatch(s.now(), nil, batch[:k])
-		if n == 0 {
-			park.Reset(5 * time.Millisecond)
-			select {
-			case <-s.wake:
-				if !park.Stop() {
-					<-park.C
-				}
-			case <-park.C:
+		park.Reset(5 * time.Millisecond)
+		select {
+		case <-s.wake:
+			if !park.Stop() {
+				<-park.C
 			}
-			continue
+		case <-park.C:
 		}
-		for _, r := range batch[:n] {
-			if s.cfg.OpDelay > 0 {
-				time.Sleep(s.cfg.OpDelay)
-			}
-			switch p := r.Tag.(type) {
-			case *inflight:
-				resp := s.execute(&p.req, &p.resp)
-				s.served.Add(1)
-				// A failed send latches on the connection and fails every
-				// reply after it: one warning per connection says it all.
-				if err := s.sendResponse(p.conn, resp); err != nil && !p.replyFailed.Swap(true) {
-					s.log.Warn("reply failed", "err", err)
-				}
-				s.met.observeRequest(r.Op, s.now()-r.Arrive)
-				// Both frames go back to the payload pool, an unadopted
-				// placement to the shard, and the inflight value (r is part
-				// of it) to its own, only after the reply is on the wire:
-				// the request's Data is in the store or was refused, the
-				// response's Data just rode out as an iovec.
-				p.recycle()
-			case *backing.Task:
-				// A stage-out chunk the token draw selected: the sharing
-				// policy has already arbitrated it against foreground I/O.
-				if err := p.Run(); err != nil {
-					s.log.Warn("stage-out chunk failed", "err", err)
-				}
-			}
+	}
+}
+
+// drawOnReader is a connection reader's draw, made holding a slot it
+// took: one token, and whatever it selects, from any connection, runs
+// here. A stage-out chunk is the exception. A backing-store write must
+// not park a connection that carries a client's membership refresh under
+// a reply deadline, so the chunk runs on a goroutine of its own that
+// keeps the slot. The slot goes back when the request is done.
+func (s *Server) drawOnReader() {
+	var one [1]*sched.Request
+	if s.sched.PopBatch(s.now(), nil, one[:]) == 1 {
+		r := one[0]
+		if _, ok := r.Tag.(*backing.Task); ok {
+			s.wg.Add(1)
+			go func() {
+				defer s.wg.Done()
+				s.serve(r)
+				s.giveSlot()
+			}()
+			return
+		}
+		s.serve(r)
+		s.readerServed.Add(1)
+	}
+	s.giveSlot()
+}
+
+// takeSlot claims a spare execution slot, if there is one.
+func (s *Server) takeSlot() bool {
+	for {
+		n := s.spare.Load()
+		if n <= 0 {
+			return false
+		}
+		if s.spare.CompareAndSwap(n, n-1) {
+			return true
+		}
+	}
+}
+
+// giveSlot returns a slot a reader took and, if requests still wait,
+// wakes a worker to take it.
+func (s *Server) giveSlot() {
+	s.spare.Add(1)
+	if s.sched.Pending() > 0 {
+		s.wakeN(1)
+	}
+}
+
+// serve runs one drawn request on the goroutine that drew it, a worker or
+// a connection reader: the emulated device time, then a client request's
+// operation, reply and books, or a stage-out chunk's write.
+func (s *Server) serve(r *sched.Request) {
+	if s.met != nil {
+		s.met.observeQueueWait(r.Op, s.now()-r.Arrive)
+	}
+	if s.cfg.OpDelay > 0 {
+		time.Sleep(s.cfg.OpDelay)
+	}
+	switch p := r.Tag.(type) {
+	case *inflight:
+		resp := s.execute(&p.req, &p.resp)
+		s.served.Add(1)
+		// A failed send latches on the connection and fails every
+		// reply after it: one warning per connection says it all.
+		if err := s.sendResponse(p.conn, resp); err != nil && !p.replyFailed.Swap(true) {
+			s.log.Warn("reply failed", "err", err)
+		}
+		s.met.observeRequest(r.Op, s.now()-r.Arrive)
+		// Both frames go back to the payload pool, an unadopted
+		// placement to the shard, and the inflight value (r is part
+		// of it) to its own, only after the reply is on the wire:
+		// the request's Data is in the store or was refused, the
+		// response's Data just rode out as an iovec.
+		p.recycle()
+	case *backing.Task:
+		// A stage-out chunk the token draw selected: the sharing
+		// policy has already arbitrated it against foreground I/O.
+		if err := p.Run(); err != nil {
+			s.log.Warn("stage-out chunk failed", "err", err)
 		}
 	}
 }

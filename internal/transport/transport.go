@@ -603,5 +603,9 @@ func (c *Conn) recvResponse(r *Response, dst replyDst) error {
 	}
 }
 
+// Buffered returns the bytes received and not yet decoded: zero means the
+// next receive reads the socket. Reader goroutine only.
+func (c *Conn) Buffered() int { return c.br.Buffered() }
+
 // Close closes the underlying connection.
 func (c *Conn) Close() error { return c.raw.Close() }
