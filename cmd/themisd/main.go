@@ -35,7 +35,7 @@
 //
 // With -metrics-addr, the server exposes its operator endpoint there:
 // GET /metrics in the Prometheus text format (every fabric layer —
-// scheduler, transport, workers, backing, rebalance, cluster, and the
+// scheduler, transport, execution, backing, rebalance, cluster, and the
 // per-entity share ledger), GET /healthz for readiness (503 while
 // re-hydrating or after a failed boot), and /debug/pprof for profiles.
 // Logs are structured (-log-level debug|info|warn|error). See
@@ -62,7 +62,7 @@ import (
 func main() {
 	listen := flag.String("listen", "127.0.0.1:7000", "listen address")
 	polStr := flag.String("policy", "size-fair", "sharing policy")
-	workers := flag.Int("workers", 4, "worker pool size")
+	workers := flag.Int("workers", 4, "execution slots: the most requests executed at once")
 	capacity := flag.Int64("capacity", 256<<20, "storage device bytes")
 	join := flag.String("join", "", "comma-separated addresses of existing cluster members")
 	fanout := flag.Int("gossip-fanout", 0, "random peers gossiped with per λ round (0 = default)")

@@ -262,8 +262,8 @@ var rules = []rule{
 			const why = "execute a request only in Server.serve, on the goroutine whose PopBatch drew it"
 			in := map[string]func(string) bool{
 				"execute":  anyOf("Server.serve"),
-				"serve":    anyOf("Server.worker", "Server.drawOnReader"),
-				"PopBatch": anyOf("Server.worker", "Server.drawOnReader"),
+				"serve":    anyOf("Server.drainer", "Server.drawOnReader"),
+				"PopBatch": anyOf("Server.drainer", "Server.drawOnReader"),
 			}
 			for _, f := range files {
 				f.calls(func(c *ast.CallExpr, x ast.Expr, name string, fn *ast.FuncDecl) {

@@ -1,12 +1,10 @@
 package server
 
-// worker executes what it draws itself, beside serve.
-func (s *Server) worker() {
-	for !s.closed.Load() {
-		n := s.sched.PopBatch(s.now(), nil, s.batch)
-		for _, r := range s.batch[:n] {
-			in := r.Tag.(*inflight)
-			s.sendResponse(in.conn, s.execute(&in.req, &in.resp))
-		}
+// drainer executes what it draws itself, beside serve.
+func (s *Server) drainer() {
+	var one [1]*sched.Request
+	for s.sched.PopBatch(s.now(), nil, one[:]) == 1 {
+		in := one[0].Tag.(*inflight)
+		s.sendResponse(in.conn, s.execute(&in.req, &in.resp))
 	}
 }

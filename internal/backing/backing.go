@@ -63,8 +63,8 @@ type FileMeta struct {
 }
 
 // Store is the backing-store interface. Implementations must be safe
-// for concurrent use: the drain engine writes from worker goroutines
-// while the migrator reads the manifest.
+// for concurrent use: the drain engine's chunks are written from several
+// goroutines at once while the migrator reads the manifest.
 type Store interface {
 	// WriteRange stages data at byte offset off of the object identified
 	// by meta (owner, path, stripe), creating or extending it as needed

@@ -15,8 +15,8 @@ import (
 // chunks from the shard and submits them to the token scheduler as
 // requests of a synthetic background job, so the sharing policy
 // arbitrates stage-out bandwidth against foreground I/O exactly like
-// any other contending job. The serving plane's workers execute the
-// chunks (Task.Run) when the token draw selects the stage-out job.
+// any other contending job. The serving plane executes the chunks
+// (Task.Run) when the token draw selects the stage-out job.
 type Drainer struct {
 	self  string
 	shard *fsys.Shard
@@ -69,7 +69,7 @@ func NewDrainer(self string, shard *fsys.Shard, store Store) *Drainer {
 func (d *Drainer) Job() policy.JobInfo { return d.job }
 
 // Task is one scheduled stage-out unit, carried through the scheduler in
-// Request.Tag. The worker that pops the request calls Run.
+// Request.Tag. Whoever draws the request calls Run.
 type Task struct {
 	d     *Drainer
 	chunk fsys.DirtyChunk
@@ -191,17 +191,14 @@ func (d *Drainer) Dirty() bool {
 }
 
 // Flush pumps and waits until the shard is fully staged out or the
-// timeout passes. push and wake are the serving plane's scheduler
-// injection and worker wake-up; wait polls because execution happens on
-// the workers (through the policy, like all drain traffic — a flush
-// forces completeness, not priority).
-func (d *Drainer) Flush(now func() time.Duration, push func(*sched.Request), wake func(int), timeout time.Duration) error {
+// timeout passes. push is the serving plane's door for one chunk, which
+// must see it executed; wait polls because execution happens there
+// (through the policy, like all drain traffic — a flush forces
+// completeness, not priority).
+func (d *Drainer) Flush(now func() time.Duration, push func(*sched.Request), timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
-		n := d.Pump(now(), push)
-		if n > 0 {
-			wake(n)
-		}
+		d.Pump(now(), push)
 		if !d.Dirty() {
 			return nil
 		}

@@ -10,7 +10,7 @@ import (
 )
 
 // runAll executes submitted drain tasks inline — a stand-in for the
-// server's workers in unit tests.
+// server's execution slots in unit tests.
 func runAll(t *testing.T, reqs []*sched.Request) {
 	t.Helper()
 	for _, r := range reqs {
@@ -118,7 +118,7 @@ func TestFlushTimeoutAndSuccess(t *testing.T) {
 	now := func() time.Duration { return 0 }
 	err := d.Flush(now, func(rq *sched.Request) {
 		_ = rq.Tag.(*Task).Run()
-	}, func(int) {}, time.Second)
+	}, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestFlushTimeoutAndSuccess(t *testing.T) {
 	if _, err := sh.Append("/f", []byte("more")); err != nil {
 		t.Fatal(err)
 	}
-	err = d.Flush(now, func(rq *sched.Request) {}, func(int) {}, 20*time.Millisecond)
+	err = d.Flush(now, func(rq *sched.Request) {}, 20*time.Millisecond)
 	if err == nil {
 		t.Fatal("flush with a dead sink should time out")
 	}

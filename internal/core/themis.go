@@ -551,11 +551,10 @@ func (t *Themis) popAny(allow sched.AllowFunc) *sched.Request {
 	return nil
 }
 
-// PopBatch pops up to len(out) requests in one call — the worker's
-// per-wake batch: K independent draws against the current epoch,
-// amortizing the wake/park transition. It fills out from the front and
-// returns the count; fewer than len(out) (possibly zero) means the
-// eligible backlog ran dry.
+// PopBatch pops up to len(out) requests in one call: K independent
+// draws against the current epoch (the live server draws one at a time).
+// It fills out from the front and returns the count; fewer than
+// len(out) (possibly zero) means the eligible backlog ran dry.
 func (t *Themis) PopBatch(now time.Duration, allow sched.AllowFunc, out []*sched.Request) int {
 	n := 0
 	for n < len(out) {

@@ -511,8 +511,8 @@ func (s *Shard) AppendAtGen(p string, off int64, data []byte, layoutGen uint64) 
 }
 
 // AppendAt is AppendGen with an explicit target offset into the local
-// stripe: the server side of pipelined striped writes. A multiplexed
-// connection's worker pool may execute a stripe's chunks out of order;
+// stripe: the server side of pipelined striped writes. The server's
+// execution slots may run a multiplexed connection's chunks out of order;
 // the offset makes landing order-independent:
 //
 //   - off == local size: the chunk lands now, then any parked successors

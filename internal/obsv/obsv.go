@@ -401,6 +401,11 @@ func (f *family) render(w *countWriter) error {
 		case func() float64:
 			writeSample(w, f.name, f.labelNames, c.labelValues, "", m())
 		case *Histogram:
+			// A labeled child that has observed nothing is left out: a
+			// per-op family pre-creates every op, and most never run.
+			if len(f.labelNames) > 0 && m.Count() == 0 {
+				continue
+			}
 			renderHistogram(w, f, c, m)
 		}
 	}

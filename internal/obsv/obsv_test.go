@@ -265,6 +265,40 @@ func TestRenderDeterministic(t *testing.T) {
 	}
 }
 
+// TestQuietHistogramChildrenLeftOut pins that a labeled histogram renders
+// only the children that have observed something — the server pre-creates
+// one per op and a workload uses a few — with buckets still cumulative,
+// and that a quiet registry still scrapes byte-identically.
+func TestQuietHistogramChildrenLeftOut(t *testing.T) {
+	r := NewRegistry()
+	hv := r.HistogramVec("op_seconds", "per-op", []float64{0.001, 0.1}, "op")
+	for i := 0; i < 9; i++ {
+		hv.With(fmt.Sprintf("op%d", i))
+	}
+	hv.With("op4").Observe(0.05)
+	hv.With("op4").Observe(0.0005)
+	out := render(t, r)
+	if b := render(t, r); b != out {
+		t.Fatalf("non-deterministic render:\n%s\n---\n%s", out, b)
+	}
+	_, samples := parseExposition(t, out)
+	want := map[string]float64{
+		`op_seconds_bucket{op="op4",le="0.001"}`: 1,
+		`op_seconds_bucket{op="op4",le="0.1"}`:   2,
+		`op_seconds_bucket{op="op4",le="+Inf"}`:  2,
+		`op_seconds_sum{op="op4"}`:               0.0505,
+		`op_seconds_count{op="op4"}`:             2,
+	}
+	if len(samples) != len(want) {
+		t.Fatalf("%d series, want the one observed child's %d:\n%s", len(samples), len(want), out)
+	}
+	for k, v := range want {
+		if got, ok := samples[k]; !ok || math.Abs(got-v) > 1e-12 {
+			t.Errorf("%s = %v (present %v), want %v", k, got, ok, v)
+		}
+	}
+}
+
 // TestHistogramBucketEdges pins the le boundary convention: a sample
 // exactly on an upper bound lands in that bucket (le is <=).
 func TestHistogramBucketEdges(t *testing.T) {

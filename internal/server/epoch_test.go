@@ -3,12 +3,15 @@ package server
 import (
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"themisio/internal/client"
+	"themisio/internal/obsv"
 	"themisio/internal/policy"
+	"themisio/internal/sched"
 	"themisio/internal/transport"
 )
 
@@ -297,12 +300,12 @@ func TestFloodFromFewConnsDrainsManyWorkers(t *testing.T) {
 }
 
 // At most Workers requests execute at once, whichever goroutine drew
-// them: a connection reader draws only on a slot a parked worker left
-// spare. Every execution sleeps at least OpDelay, so a flood of n requests
-// cannot drain in less than n·OpDelay/Workers of wall time — a sleep only
-// overshoots, so the bound cannot flake. The eight connections keep one
+// them: a connection reader draws only on a spare slot. Every execution
+// sleeps at least OpDelay, so a flood of n requests cannot drain in less
+// than n·OpDelay/Workers of wall time — a sleep only overshoots, so the
+// bound cannot flake. The eight connections keep one
 // request in flight each, so every reader finds its buffer empty after
-// every frame: readers executing beside the workers would beat the bound.
+// every frame: readers executing beside the drainers would beat the bound.
 func TestWorkersBoundHoldsWithReaderDraws(t *testing.T) {
 	const workers, conns, perConn = 2, 8, 50
 	const delay = time.Millisecond
@@ -354,5 +357,73 @@ func TestWorkersBoundHoldsWithReaderDraws(t *testing.T) {
 	t.Logf("%d requests in %v (floor %v), %d drawn by readers", conns*perConn, elapsed, floor, srv.readerServed.Load())
 	if elapsed < floor {
 		t.Fatalf("%d requests of %v each drained in %v on %d workers: more than %d executed at once", conns*perConn, delay, elapsed, workers, workers)
+	}
+}
+
+// No request is left waiting with a slot free, and no timer covers for
+// one. In each round eight submitters push through enqueue while two
+// holders keep taking a slot and giving it back, as drainers and readers
+// do, so submitters keep finding every slot held and leave their request
+// to a holder's re-check. The server is never served: slots need no
+// goroutine, and once a round's submitters, holders and drainers are
+// done the queues must be empty and every request served exactly once
+// (serve observes each one's queue wait).
+func TestEverySubmitServedWithoutATimer(t *testing.T) {
+	const submitters, holders, rounds, each = 8, 2, 100, 50
+	for _, workers := range []int{1, 2} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := New(ln, Config{Policy: policy.SizeFair, Workers: workers, Metrics: obsv.NewRegistry(), Quiet: true})
+		served := func() (n int64) {
+			for _, h := range srv.met.queueWait {
+				n += h.Count()
+			}
+			return n
+		}
+		for round := 1; round <= rounds; round++ {
+			var subs, held sync.WaitGroup
+			stop := make(chan struct{})
+			for range holders {
+				held.Add(1)
+				go func() {
+					defer held.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						if srv.takeSlot() {
+							runtime.Gosched()
+							srv.giveSlot()
+						}
+						runtime.Gosched()
+					}
+				}()
+			}
+			for i := range submitters {
+				subs.Add(1)
+				go func() {
+					defer subs.Done()
+					job := jobInfo(fmt.Sprintf("stress-%d", i), 1)
+					for range each {
+						srv.enqueue(&sched.Request{Job: job, Op: sched.OpStat, Arrive: srv.now()})
+					}
+				}()
+			}
+			subs.Wait()
+			close(stop)
+			held.Wait()
+			srv.wg.Wait()
+			if p, n := srv.sched.Pending(), served(); p != 0 || n != int64(round*submitters*each) {
+				t.Fatalf("%d workers, round %d: %d requests left queued with every slot free, %d of %d served", workers, round, p, n, round*submitters*each)
+			}
+			if n := srv.spare.Load(); n != int64(workers) {
+				t.Fatalf("%d workers, round %d: %d slots spare after every holder left", workers, round, n)
+			}
+		}
+		srv.Close()
 	}
 }

@@ -23,7 +23,7 @@ import (
 const numOps = int(sched.OpSeek) + 1
 
 // waitBuckets is the latency ladder extended down to 1 µs: on a server
-// with a worker to spare a request waits a few µs between its arrival and
+// with a slot to spare a request waits a few µs between its arrival and
 // its draw, under LatencyBuckets' first bound.
 var waitBuckets = append([]float64{.000001, .0000025, .000005, .00001, .000025, .00005}, obsv.LatencyBuckets...)
 
@@ -80,18 +80,18 @@ func newServerMetrics(reg *obsv.Registry, s *Server) *serverMetrics {
 		obsv.LatencyBuckets)
 	s.sched.SetDrawObserver(func(d time.Duration) { m.drawLat.Observe(d.Seconds()) })
 
-	// --- server workers ---------------------------------------------------
+	// --- server execution -------------------------------------------------
 	reg.CounterFunc("themis_server_requests_served_total",
-		"Client requests executed, by workers and by connection readers.",
+		"Client requests executed, by drainers and by connection readers.",
 		func() float64 { return float64(s.served.Load()) })
 	reg.CounterFunc("themis_server_reader_served_total",
-		"Client requests executed by the connection reader that drew them instead of a worker.",
+		"Client requests executed by the connection reader that drew them on a spare slot instead of starting a drainer.",
 		func() float64 { return float64(s.readerServed.Load()) })
 	lat := reg.HistogramVec("themis_server_request_latency_seconds",
 		"Request latency from communicator arrival to reply sent, by operation.",
 		obsv.LatencyBuckets, "op")
 	wait := reg.HistogramVec("themis_server_queue_wait_seconds",
-		"Time from communicator arrival to the start of execution (the token draw, plus the batch drawn ahead of it), by operation; stage-out chunks included.",
+		"Time from communicator arrival to the start of execution (the token draw), by operation; stage-out chunks included.",
 		waitBuckets, "op")
 	for op := 0; op < numOps; op++ {
 		m.reqLat[op] = lat.With(sched.Op(op).String())

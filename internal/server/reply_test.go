@@ -34,8 +34,8 @@ func (l *lockedBuffer) String() string {
 }
 
 // A client that hangs up with replies outstanding fails every one of
-// them — the first write error latches on the connection. The workers
-// warn once per connection, not once per reply.
+// them — the first write error latches on the connection. The server
+// warns once per connection, not once per reply.
 func TestReplyFailedLoggedOncePerConn(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -80,7 +80,7 @@ func TestReplyFailedLoggedOncePerConn(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Hang up once the workers sit blocked on the full socket with
+	// Hang up once the slot holders sit blocked on the full socket with
 	// replies still queued behind them.
 	deadline := time.Now().Add(10 * time.Second)
 	for stalled := false; !stalled; {
@@ -100,7 +100,7 @@ func TestReplyFailedLoggedOncePerConn(t *testing.T) {
 		drained = len(srv.conns) == 0 && srv.sched.Pending() == 0
 		srv.connMu.Unlock()
 	}
-	srv.Close() // waits for the workers' last sends
+	srv.Close() // waits for the drainers' last sends
 	if n := strings.Count(logs.String(), "reply failed"); n != 1 {
 		t.Fatalf("%d \"reply failed\" warnings for one dropped connection, want 1:\n%s", n, logs.String())
 	}
@@ -272,9 +272,11 @@ func TestReaderDrawnChunkDoesNotParkTheReader(t *testing.T) {
 	if _, err := srv.Shard().Append("/held", []byte("unstaged")); err != nil {
 		t.Fatal(err)
 	}
-	// Unserved, the server has no worker: the queue holds stage-out
-	// chunks only and the reader's draw is one of them.
-	if srv.drain.Pump(srv.now(), srv.submit) == 0 {
+	// Unserved, the server has no controller and no connection, and submit
+	// starts no drainer: the queue holds stage-out chunks only and the
+	// reader's draw is one of them.
+	pumped := srv.drain.Pump(srv.now(), srv.submit)
+	if pumped == 0 {
 		t.Fatal("nothing to stage out")
 	}
 	if !srv.takeSlot() {
@@ -299,8 +301,10 @@ func TestReaderDrawnChunkDoesNotParkTheReader(t *testing.T) {
 	if n := srv.spare.Load(); n != 1 {
 		t.Errorf("%d spare slots after the chunk, want it given back", n)
 	}
-	if chunks, _, errs := srv.drain.Stats(); chunks != 1 || errs != 0 {
-		t.Errorf("%d chunks staged, %d errors, want the one drawn staged", chunks, errs)
+	// The drainer that took the chunk and the slot goes on to draw the
+	// rest of the pump.
+	if chunks, _, errs := srv.drain.Stats(); chunks != int64(pumped) || errs != 0 {
+		t.Errorf("%d chunks staged, %d errors, want all %d pumped staged", chunks, errs, pumped)
 	}
 }
 

@@ -2,10 +2,12 @@
 // server of §4.1: a communicator accepting client connections and
 // grouping requests into per-job queues, a job monitor tracking
 // heartbeats, a controller recompiling token assignments and
-// synchronizing job tables with peer servers every λ, and a worker pool
-// drawing statistical tokens and executing requests against the
-// user-space file system. A connection reader with nothing more to
-// decode draws too, on a slot an idle worker left spare.
+// synchronizing job tables with peer servers every λ, and Workers
+// execution slots: whoever holds one draws statistical tokens and
+// executes the requests they select against the user-space file system
+// until the queues are empty. A connection reader with nothing more to
+// decode holds a slot for one draw of its own; a backlog gets a drainer
+// goroutine per free slot, which exits when its draw finds nothing.
 //
 // The live server shares the scheduler (package core), the controller
 // step (package control), job table, policy compiler and storage
@@ -39,23 +41,14 @@ import (
 	"themisio/internal/transport"
 )
 
-// wakeBuffer is the capacity of the counting wake channel. It only needs
-// to exceed the deepest burst the workers could fail to observe; beyond
-// that, a dropped token is provably redundant (wakeBuffer wakeups are
-// already banked).
-const wakeBuffer = 4096
-
-// workerBatch is how many statistical tokens a worker draws per wake —
-// small enough that fairness granularity is unaffected (each draw is
-// still its own token), large enough to amortize the park/unpark cost.
-const workerBatch = 8
-
 // Config parameterizes a live server.
 type Config struct {
 	// Policy is the sharing policy (default size-fair, the paper's
 	// recommended production setting).
 	Policy policy.Policy
-	// Workers is the worker-pool size (default 4).
+	// Workers is the number of execution slots, the most requests that
+	// execute at once (default 4). A slot is not a goroutine: an idle
+	// server runs none.
 	Workers int
 	// Capacity is the storage device size in bytes (default 256 MiB).
 	Capacity int64
@@ -104,7 +97,7 @@ type Config struct {
 	// package no longer hardcodes a "themisd:" prefix).
 	Logger *slog.Logger
 	// Metrics, when set, wires the full fabric instrumentation —
-	// scheduler, transport, workers, backing, rebalance, cluster, and
+	// scheduler, transport, execution, backing, rebalance, cluster, and
 	// the per-entity share ledger — into this registry. One registry
 	// per server: families are registered once in New. Nil disables
 	// instrumentation entirely (the hot path pays only nil checks).
@@ -132,12 +125,6 @@ type Server struct {
 	addr   string // ln's address, the name membership and stripe sets know
 	wg     sync.WaitGroup
 	closed atomic.Bool
-	// wake is a counting wake channel: every Push deposits one token
-	// (dropped only when wakeBuffer tokens are already banked, i.e. the
-	// workers have far more wakeups than they can consume). Unlike the
-	// old cap-1 channel, concurrent pushes cannot collapse into a single
-	// token and leave a worker parked while queues are non-empty.
-	wake chan struct{}
 	// nudge asks the controller goroutine for a compile between λ ticks
 	// (see nudgeIfStale). One pending request covers any number of
 	// askers: the compile it buys folds in every edit recorded so far.
@@ -151,9 +138,9 @@ type Server struct {
 	conns  map[*transport.Conn]struct{}
 
 	// spare counts the Workers execution slots no goroutine holds. A
-	// worker holds one from before its draw until a draw finds nothing; a
-	// connection reader takes a spare one to draw on its own (see
-	// drawOnReader). So at most Workers requests execute at once.
+	// drainer holds one from before its first draw until a draw finds
+	// nothing; a connection reader takes a spare one to draw on its own
+	// (see drawOnReader). So at most Workers requests execute at once.
 	spare atomic.Int64
 
 	served       atomic.Int64
@@ -206,7 +193,6 @@ func New(ln net.Listener, cfg Config) *Server {
 		start: time.Now(),
 		ln:    ln,
 		addr:  addr,
-		wake:  make(chan struct{}, wakeBuffer),
 		nudge: make(chan struct{}, 1),
 		conns: map[*transport.Conn]struct{}{},
 	}
@@ -288,16 +274,12 @@ func (s *Server) Shard() *fsys.Shard { return s.shard }
 // now returns time since server start (the jobtable clock domain).
 func (s *Server) now() time.Duration { return time.Since(s.start) }
 
-// Serve runs the accept loop, workers, and controller until Close. It
+// Serve runs the accept loop and the controller until Close. It
 // refuses to serve after a failed boot (see BootErr).
 func (s *Server) Serve() {
 	if s.bootErr != nil {
 		s.log.Error("refusing to serve", "err", s.bootErr)
 		return
-	}
-	for i := 0; i < s.cfg.Workers; i++ {
-		s.wg.Add(1)
-		go s.worker()
 	}
 	s.wg.Add(1)
 	go s.controller()
@@ -354,7 +336,7 @@ func (s *Server) Leave() {
 // handleConn is the communicator: it decodes requests, feeds the job
 // monitor, and enqueues scheduler work tagged with the reply path. When
 // its receive buffer is empty it may draw and serve one request itself
-// (drawOnReader) rather than wake a worker.
+// (drawOnReader) rather than start a drainer.
 //
 // The data path performs no policy work: requests, heartbeats and gossip
 // only update the job table / fabric state, and ask the controller — the
@@ -492,21 +474,21 @@ func (s *Server) handleConn(c *transport.Conn) {
 		s.submit(&in.sched)
 		in = getInflight()
 		// With no further byte buffered the reader would park in read now.
-		// If a parked worker left its slot spare, the reader draws a token
-		// itself instead of waking that worker: one goroutine hand-off
-		// fewer, and the draw, not the goroutine, decides what runs.
+		// If a slot is spare, the reader draws a token itself instead of
+		// starting a drainer: one goroutine hand-off fewer, and the draw,
+		// not the goroutine, decides what runs.
 		if c.Buffered() == 0 && s.takeSlot() {
 			s.drawOnReader()
 			continue
 		}
-		s.wakeN(1)
+		s.startDrainer()
 	}
 }
 
 // inflight is everything one scheduled request owns between its arrival
 // and its reply: the decoded frame, the scheduler's view of it, the
 // reply path and the reply. Ownership is linear — the connection reader
-// fills it and pushes it, exactly one goroutine (a worker or a reader)
+// fills it and pushes it, exactly one goroutine (a drainer or a reader)
 // draws it, executes it, sends resp and recycles it — so the value comes
 // from a pool and a steady stream of requests allocates none of its five
 // parts.
@@ -572,52 +554,37 @@ func reqBytes(r *transport.Request) int64 {
 	return 0
 }
 
-// worker draws statistical tokens in small batches per wake (§4.1's
-// worker loop, amortized: each draw is still its own token, so
-// fairness is identical to one-at-a-time popping) and executes the
-// chosen requests. The batch size adapts to the instantaneous backlog —
-// a worker never claims more than its share of the pending queue — so
-// that under shallow closed-loop traffic requests are not hoarded in
-// worker-local buffers (which would empty the queues and void the
-// conditioned draw), while deep backlogs amortize the park/unpark cost
-// over up to workerBatch draws. A worker takes a slot before it draws
-// and keeps popping without parking until a draw finds nothing; then it
-// gives the slot back and parks on the counting wake channel with a
-// timeout backstop. A worker woken while every slot is held parks again.
-func (s *Server) worker() {
+// drainer holds one execution slot, taken by whoever started it. It
+// serves first, if it has one, then draws one token at a time and serves
+// what each selects until a draw finds nothing, and gives the slot back.
+func (s *Server) drainer(first *sched.Request) {
 	defer s.wg.Done()
-	batch := make([]*sched.Request, workerBatch)
-	// The park backstop: one timer per worker, stopped and drained
-	// whenever the loop is not parked on it.
-	park := time.NewTimer(time.Hour)
-	park.Stop()
-	for !s.closed.Load() {
-		if s.takeSlot() {
-			for !s.closed.Load() {
-				k := s.sched.Pending() / (2 * s.cfg.Workers)
-				if k < 1 {
-					k = 1
-				} else if k > workerBatch {
-					k = workerBatch
-				}
-				n := s.sched.PopBatch(s.now(), nil, batch[:k])
-				if n == 0 {
-					break
-				}
-				for _, r := range batch[:n] {
-					s.serve(r)
-				}
-			}
-			s.spare.Add(1)
-		}
-		park.Reset(5 * time.Millisecond)
-		select {
-		case <-s.wake:
-			if !park.Stop() {
-				<-park.C
-			}
-		case <-park.C:
-		}
+	if first != nil {
+		s.serve(first)
+	}
+	var one [1]*sched.Request
+	for !s.closed.Load() && s.sched.PopBatch(s.now(), nil, one[:]) == 1 {
+		s.serve(one[0])
+	}
+	s.giveSlot()
+}
+
+// giveSlot gives a held slot back, then starts a drainer if requests
+// wait. A submitter that found every slot held relies on this re-check:
+// it pushed before it looked at the slots, and the holder gave its slot
+// back before it looks at the queues, so one of the two sees the other
+// (Go's atomics are sequentially consistent) and no request is left
+// waiting with a slot free.
+func (s *Server) giveSlot() {
+	s.spare.Add(1)
+	s.startDrainer()
+}
+
+// startDrainer starts a drainer on a spare slot if requests wait.
+func (s *Server) startDrainer() {
+	if !s.closed.Load() && s.sched.Pending() > 0 && s.takeSlot() {
+		s.wg.Add(1)
+		go s.drainer(nil)
 	}
 }
 
@@ -625,19 +592,15 @@ func (s *Server) worker() {
 // took: one token, and whatever it selects, from any connection, runs
 // here. A stage-out chunk is the exception. A backing-store write must
 // not park a connection that carries a client's membership refresh under
-// a reply deadline, so the chunk runs on a goroutine of its own that
-// keeps the slot. The slot goes back when the request is done.
+// a reply deadline, so the chunk and the slot go to a drainer. Otherwise
+// the slot goes back when the request is done.
 func (s *Server) drawOnReader() {
 	var one [1]*sched.Request
 	if s.sched.PopBatch(s.now(), nil, one[:]) == 1 {
 		r := one[0]
 		if _, ok := r.Tag.(*backing.Task); ok {
 			s.wg.Add(1)
-			go func() {
-				defer s.wg.Done()
-				s.serve(r)
-				s.giveSlot()
-			}()
+			go s.drainer(r)
 			return
 		}
 		s.serve(r)
@@ -659,17 +622,8 @@ func (s *Server) takeSlot() bool {
 	}
 }
 
-// giveSlot returns a slot a reader took and, if requests still wait,
-// wakes a worker to take it.
-func (s *Server) giveSlot() {
-	s.spare.Add(1)
-	if s.sched.Pending() > 0 {
-		s.wakeN(1)
-	}
-}
-
-// serve runs one drawn request on the goroutine that drew it, a worker or
-// a connection reader: the emulated device time, then a client request's
+// serve runs one drawn request on the goroutine that drew it, a drainer
+// or a connection reader: the emulated device time, then a client request's
 // operation, reply and books, or a stage-out chunk's write.
 func (s *Server) serve(r *sched.Request) {
 	if s.met != nil {
@@ -770,7 +724,7 @@ func (s *Server) execute(req *transport.Request, resp *transport.Response) *tran
 			// no client request reaches.
 			_, err = s.shard.Install(req.Path, req.AppendOff, req.Data, placed, req.LayoutGen)
 		case req.AppendAt:
-			// Pipelined positional append: the worker pool may execute a
+			// Pipelined positional append: the execution slots may run a
 			// stripe's chunks out of order, and the offset makes landing
 			// order-independent (park/drain inside the shard).
 			_, err = s.shard.AppendAt(req.Path, req.AppendOff, req.Data, placed, req.LayoutGen)
@@ -783,7 +737,7 @@ func (s *Server) execute(req *transport.Request, resp *transport.Response) *tran
 		resp.N = int64(len(req.Data))
 	case transport.MsgRead:
 		// The reply payload is leased, not allocated: it rides out as its
-		// own iovec and the worker returns it to the pool after the send.
+		// own iovec and serve returns it to the pool after the send.
 		buf := transport.Lease(int(req.Size))
 		n, err := s.shard.ReadAtGen(req.Path, req.Offset, buf, req.LayoutGen)
 		if err != nil {
@@ -917,9 +871,7 @@ func (s *Server) controller() {
 		}
 		announce()
 		if s.drain != nil {
-			if n := s.drain.Pump(s.now(), s.submit); n > 0 {
-				s.wakeN(n)
-			}
+			s.drain.Pump(s.now(), s.enqueue)
 		} else {
 			// No backing store to delete staged objects from: the unlink
 			// tombstones have no consumer and would grow with every unlink.
@@ -953,12 +905,20 @@ func (s *Server) offerPolicy() {
 }
 
 // submit enqueues one request stamped with its arrival time — a client's
-// from a connection reader, or a stage-out chunk from the drainer, which
-// enters by the same door so the controller compiles a share for the
-// stage-out job and the token draw arbitrates it like any contender.
+// from a connection reader, or a stage-out chunk from the stage-out
+// engine, which enters by the same door so the controller compiles a
+// share for the stage-out job and the token draw arbitrates it like any
+// contender.
 func (s *Server) submit(r *sched.Request) {
 	s.ctl.Submit(r, r.Arrive)
 	s.nudgeIfStale()
+}
+
+// enqueue submits a stage-out chunk and starts a drainer for it if a slot
+// is spare: a pump of n chunks can fill n slots.
+func (s *Server) enqueue(r *sched.Request) {
+	s.submit(r)
+	s.startDrainer()
 }
 
 // nudgeIfStale is the nudge rule, for callers that have just fed the job
@@ -986,17 +946,6 @@ func shareRecords(entries []metrics.ShareEntry) []transport.ShareRecord {
 	return out
 }
 
-// wakeN deposits up to n wake tokens for the workers.
-func (s *Server) wakeN(n int) {
-	for i := 0; i < n; i++ {
-		select {
-		case s.wake <- struct{}{}:
-		default:
-			return
-		}
-	}
-}
-
 // flushTimeout bounds a forced full stage-out.
 const flushTimeout = 30 * time.Second
 
@@ -1007,7 +956,7 @@ func (s *Server) Flush() error {
 	if s.drain == nil {
 		return nil
 	}
-	return s.drain.Flush(s.now, s.submit, s.wakeN, flushTimeout)
+	return s.drain.Flush(s.now, s.enqueue, flushTimeout)
 }
 
 // Drainer exposes the stage-out engine for inspection (nil without a

@@ -63,7 +63,7 @@ func ReadStripe(ctx context.Context, pool *Pool, seq *atomic.Uint64, head *Reque
 // WriteStripe appends segs to one server's local stripe from offset off
 // as pipelined positional appends (AppendAt): chunk requests that need
 // no round trip between them, with explicit offsets keeping landing
-// order-independent under the server's multiplexed worker pool. The
+// order-independent under the server's concurrent execution slots. The
 // chunks ride the stripe's affinity connection (SlotFor) and are groups
 // of whole segments up to ChunkBytes — subslices of segs, so nothing is
 // copied. Every chunk carries head's fields (Job, Path, LayoutGen, and
