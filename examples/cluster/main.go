@@ -37,7 +37,6 @@ func main() {
 		cfg := server.Config{
 			Policy:       policy.SizeFair,
 			Lambda:       lambda,
-			FailTimeout:  6 * lambda,
 			GossipFanout: 1, // strictly less than n-1: no all-to-all
 			Seed:         int64(i + 1),
 			Quiet:        true,

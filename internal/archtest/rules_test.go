@@ -20,7 +20,7 @@ var module = []string{""}
 // maxTestSleeps holds the test files' time.Sleep calls where they are: a
 // check that waits on a clock is slow and flaky where one that waits on an
 // event is neither. A change that removes sleeps lowers it.
-const maxTestSleeps = 26
+const maxTestSleeps = 13
 
 // maxArchitectureLines is ARCHITECTURE.md's budget: one page on the
 // design, with per-change history in docs/PERFLOG.md.
@@ -270,6 +270,29 @@ var rules = []rule{
 					if ok, ruled := in[name]; ruled && x != nil && !ok(funcName(fn)) {
 						hits = append(hits, f.at(c, "%s called in %s: %s", name, funcName(fn), why))
 					}
+				})
+			}
+			return hits
+		},
+	},
+	{
+		name:  "one fabric harness",
+		doc:   cite{"ARCHITECTURE.md", "the cluster, server and client tests boot live servers in `startFabric` alone"},
+		scope: scope{dirs: []string{"internal/cluster/", "internal/server/", "internal/client/"}, tests: true},
+		check: func(_ *tree, files []*goFile) (hits []string) {
+			const why = "boot a live test server through the package's startFabric"
+			for _, f := range files {
+				f.inspect(func(n ast.Node, fn *ast.FuncDecl) {
+					g, ok := n.(*ast.GoStmt)
+					if !ok || !f.test || funcName(fn) == "startFabric" {
+						return
+					}
+					ast.Inspect(g.Call, func(n ast.Node) bool {
+						if c, ok := n.(*ast.CallExpr); ok && last(bare(c.Fun)) == "Serve" {
+							hits = append(hits, f.at(c, "Serve started in %s: %s", funcName(fn), why))
+						}
+						return true
+					})
 				})
 			}
 			return hits

@@ -117,7 +117,7 @@ func TestContextCancellation(t *testing.T) {
 	// have gone back to a pool.
 	transport.SetLeasePoison(true)
 	defer transport.SetLeasePoison(false)
-	addrs := startServers(t, 2)
+	_, addrs := startFabric(t, listen(t, 2))
 	c, err := DialOpts(testJob("ctx"), addrs, Options{Stripes: 2, StripeUnit: 1024})
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +182,7 @@ func TestContextCancellation(t *testing.T) {
 func TestFileHandle(t *testing.T) {
 	transport.SetLeasePoison(true)
 	defer transport.SetLeasePoison(false)
-	addrs := startServers(t, 2)
+	_, addrs := startFabric(t, listen(t, 2))
 	c, err := DialOpts(testJob("file"), addrs, Options{Stripes: 2, StripeUnit: 1024})
 	if err != nil {
 		t.Fatal(err)

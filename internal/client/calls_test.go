@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"themisio/internal/policy"
 	"themisio/internal/server"
 	"themisio/internal/transport"
 )
@@ -35,14 +34,7 @@ func TestMuteServerDoesNotStopHeartbeats(t *testing.T) {
 	shortHeartbeat(t)
 	// The refresh asks the first server in address order: that one is the
 	// mute one.
-	lns := make([]net.Listener, 2)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i] = ln
-	}
+	lns := listen(t, 2)
 	slices.SortFunc(lns, func(a, b net.Listener) int { return cmp.Compare(a.Addr().String(), b.Addr().String()) })
 	mute := lns[0]
 	defer mute.Close()
@@ -56,11 +48,8 @@ func TestMuteServerDoesNotStopHeartbeats(t *testing.T) {
 		}
 	}()
 	const timeout = 250 * time.Millisecond // ten heartbeats
-	live := server.New(lns[1], server.Config{
-		Policy: policy.SizeFair, Lambda: 10 * time.Millisecond, HeartbeatTimeout: timeout, Quiet: true,
-	})
-	go live.Serve()
-	defer live.Close()
+	servers, _ := startFabric(t, lns[1:], func(c *server.Config) { c.Lambda, c.HeartbeatTimeout = 10*time.Millisecond, timeout })
+	live := servers[0]
 
 	job := testJob("idle")
 	c, err := DialOpts(job, []string{mute.Addr().String(), live.Addr()}, Options{ConnsPerServer: 1})
@@ -71,11 +60,7 @@ func TestMuteServerDoesNotStopHeartbeats(t *testing.T) {
 	registered := func() bool {
 		return live.Scheduler().Share(job.JobID) > 0
 	}
-	for deadline := time.Now().Add(5 * time.Second); !registered(); time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the live server never saw the job")
-		}
-	}
+	waitFor(t, 5*time.Second, "the live server to see the job", registered)
 	// The job does no I/O: only heartbeats keep it in the live server's
 	// table, and four timeouts are forty of them.
 	for end := time.Now().Add(4 * timeout); time.Now().Before(end); time.Sleep(time.Millisecond) {

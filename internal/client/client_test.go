@@ -15,27 +15,47 @@ import (
 	"themisio/internal/server"
 )
 
-// startServers launches n standalone live servers (client-side striping
-// needs no server fabric: placement is the client's ring).
-func startServers(t *testing.T, n int) []string {
+// listen opens n loopback listeners for startFabric.
+func listen(t *testing.T, n int) (lns []net.Listener) {
 	t.Helper()
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
+	for range n {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := server.New(ln, server.Config{
-			Policy: policy.SizeFair,
-			Lambda: 50 * time.Millisecond,
-			Seed:   int64(i + 1),
-			Quiet:  true,
-		})
-		go s.Serve()
-		t.Cleanup(s.Close)
-		addrs[i] = s.Addr()
+		lns = append(lns, ln)
 	}
-	return addrs
+	return lns
+}
+
+// startFabric boots a live server on each of lns, closed at cleanup:
+// size-fair at λ = 50 ms, server i with Seed i+1, and no join — client-side
+// striping needs no server fabric, placement is the client's ring. Each
+// tweak edits every server's config before it boots.
+func startFabric(t *testing.T, lns []net.Listener, tweaks ...func(*server.Config)) ([]*server.Server, []string) {
+	t.Helper()
+	servers := make([]*server.Server, len(lns))
+	addrs := make([]string, len(lns))
+	for i, ln := range lns {
+		cfg := server.Config{Lambda: 50 * time.Millisecond, Seed: int64(i + 1), Quiet: true}
+		for _, f := range tweaks {
+			f(&cfg)
+		}
+		servers[i], addrs[i] = server.New(ln, cfg), ln.Addr().String()
+		go servers[i].Serve()
+		t.Cleanup(servers[i].Close)
+	}
+	return servers, addrs
+}
+
+// waitFor polls cond until it holds or d passes.
+func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(d); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out after %v waiting for %s", d, what)
+		}
+	}
 }
 
 func testJob(id string) policy.JobInfo {
@@ -59,7 +79,7 @@ func TestDialErrors(t *testing.T) {
 }
 
 func TestPerServerRouting(t *testing.T) {
-	addrs := startServers(t, 3)
+	servers, addrs := startFabric(t, listen(t, 3))
 	c, err := Dial(testJob("route"), addrs)
 	if err != nil {
 		t.Fatal(err)
@@ -68,10 +88,20 @@ func TestPerServerRouting(t *testing.T) {
 	if err := c.Mkdir("/d"); err != nil {
 		t.Fatal(err)
 	}
-	// Paths spread over servers by the consistent hash; every file must
-	// land on exactly one server and read back from it.
+	// Six paths, two the ring gives each server (six fixed names all hash
+	// to one server for 0.4 % of port draws). Every file must land on its
+	// ring owner alone and read back from it.
+	var names []string
+	perOwner := map[string]int{}
+	for k := 0; len(names) < 6; k++ {
+		name := fmt.Sprintf("/d/f%d", k)
+		if owner, _ := c.ring.Lookup(name); perOwner[owner] < 2 {
+			perOwner[owner]++
+			names = append(names, name)
+		}
+	}
 	owners := map[string]bool{}
-	for _, name := range []string{"/d/a", "/d/b", "/d/c", "/d/e", "/d/f", "/d/g"} {
+	for _, name := range names {
 		f, err := c.Open(name, true)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -80,6 +110,11 @@ func TestPerServerRouting(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		owner, _ := c.ring.Lookup(name)
+		for _, s := range servers {
+			if s.Shard().Exists(name) != (s.Addr() == owner) {
+				t.Fatalf("%s: held on %s is %v, its ring owner is %s", name, s.Addr(), s.Shard().Exists(name), owner)
+			}
+		}
 		owners[owner] = true
 		got := make([]byte, 64)
 		if _, err := f.Seek(0, 0); err != nil {
@@ -94,14 +129,13 @@ func TestPerServerRouting(t *testing.T) {
 		t.Fatalf("6 paths all routed to %d server(s)", len(owners))
 	}
 	// Readdir merges every server's children.
-	names, err := c.Readdir("/d")
-	if err != nil || len(names) != 6 {
-		t.Fatalf("Readdir = %v err=%v", names, err)
+	if got, err := c.Readdir("/d"); err != nil || len(got) != 6 {
+		t.Fatalf("Readdir = %v err=%v", got, err)
 	}
 }
 
 func TestClientErrorPaths(t *testing.T) {
-	addrs := startServers(t, 2)
+	_, addrs := startFabric(t, listen(t, 2))
 	c, err := Dial(testJob("errs"), addrs)
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +163,7 @@ func TestClientErrorPaths(t *testing.T) {
 }
 
 func TestStripedRoundTrip(t *testing.T) {
-	addrs := startServers(t, 3)
+	_, addrs := startFabric(t, listen(t, 3))
 	c, err := DialOpts(testJob("stripe"), addrs, Options{Stripes: 3, StripeUnit: 1024})
 	if err != nil {
 		t.Fatal(err)
@@ -205,15 +239,10 @@ func TestStripedRoundTrip(t *testing.T) {
 }
 
 func TestClientFailover(t *testing.T) {
-	addrs := startServers(t, 2)
-	// A third, doomed server.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	doomed := server.New(ln, server.Config{Policy: policy.SizeFair, Quiet: true})
-	go doomed.Serve()
-	c, err := Dial(testJob("fo"), append(addrs, doomed.Addr()))
+	_, addrs := startFabric(t, listen(t, 2))
+	// A third, doomed server, at the default λ.
+	doomed, last := startFabric(t, listen(t, 1), func(c *server.Config) { c.Lambda = 500 * time.Millisecond })
+	c, err := Dial(testJob("fo"), append(addrs, last...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +250,7 @@ func TestClientFailover(t *testing.T) {
 	if got := len(c.Servers()); got != 3 {
 		t.Fatalf("client sees %d servers, want 3", got)
 	}
-	doomed.Close()
+	doomed[0].Close()
 	// Every path stays writable: the client reroutes to the reassigned
 	// ring owner after the dead connection errors out. Enough distinct
 	// paths guarantees some hash to the dead server's segment.
@@ -254,7 +283,7 @@ func TestClientFailover(t *testing.T) {
 // client with a different (or default) striping configuration must see
 // the right size and read the right bytes.
 func TestStripeWidthInterop(t *testing.T) {
-	addrs := startServers(t, 3)
+	_, addrs := startFabric(t, listen(t, 3))
 	w, err := DialOpts(testJob("writer"), addrs, Options{Stripes: 3, StripeUnit: 1024})
 	if err != nil {
 		t.Fatal(err)
@@ -303,7 +332,7 @@ func TestStripeWidthInterop(t *testing.T) {
 // for the whence 0/1 arithmetic; whence 2 keeps resolving end-of-file
 // through Stat and refuses a negative result the same way.
 func TestLseekNegative(t *testing.T) {
-	addrs := startServers(t, 1)
+	_, addrs := startFabric(t, listen(t, 1))
 	c, err := Dial(testJob("seek"), addrs)
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package client
 import (
 	"context"
 	"errors"
-	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -39,16 +38,9 @@ func patternByte(off int64) byte { return byte(off*7 + 3) }
 // chunkBytes is the payload of one pipelined stripe request.
 const chunkBytes = transport.ChunkBytes
 
-func startChunkServer(t *testing.T) *chunkServer {
-	return startScriptedServer(t, nil)
-}
-
 func startScriptedServer(t *testing.T, script func(req *transport.Request) *transport.Response) *chunkServer {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ln := listen(t, 1)[0]
 	t.Cleanup(func() { ln.Close() })
 	s := &chunkServer{addr: ln.Addr().String(), release: make(chan struct{}), script: script}
 	go func() {
@@ -163,7 +155,7 @@ func TestStripePipeline(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			srv := startChunkServer(t)
+			srv := startScriptedServer(t, nil)
 			c, err := DialOpts(testJob("pipe"), []string{srv.addr}, Options{ConnsPerServer: 1})
 			if err != nil {
 				t.Fatal(err)
@@ -200,11 +192,7 @@ func TestStripePipeline(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			done := make(chan error, 1)
 			go func() { done <- tc.run(ctx, c, srv.addr) }()
-			for deadline := time.Now().Add(2 * time.Second); srv.outstanding.Load() < pipelineWindow; time.Sleep(time.Millisecond) {
-				if time.Now().After(deadline) {
-					t.Fatalf("only %d chunks in flight, want a full window", srv.outstanding.Load())
-				}
-			}
+			waitFor(t, 2*time.Second, "a full window of chunks in flight", func() bool { return srv.outstanding.Load() >= pipelineWindow })
 			cancel()
 			select {
 			case err := <-done:
@@ -225,11 +213,7 @@ func TestStripePipeline(t *testing.T) {
 			// The abandoned requests and reply channels went to no pool (the
 			// reader may still have been delivering into them), so the same
 			// client runs the stream again, whole and in order.
-			for deadline := time.Now().Add(2 * time.Second); srv.outstanding.Load() > 0; time.Sleep(time.Millisecond) {
-				if time.Now().After(deadline) {
-					t.Fatalf("%d held chunks never answered", srv.outstanding.Load())
-				}
-			}
+			waitFor(t, 2*time.Second, "every held chunk answered", func() bool { return srv.outstanding.Load() == 0 })
 			before := len(srv.requests())
 			if err := tc.run(context.Background(), c, srv.addr); err != nil {
 				t.Fatalf("run after a canceled one: %v", err)
@@ -256,7 +240,7 @@ func TestStripePipeline(t *testing.T) {
 func TestWidthOneReadIsChunked(t *testing.T) {
 	transport.SetLeasePoison(true)
 	defer transport.SetLeasePoison(false)
-	srv := startChunkServer(t)
+	srv := startScriptedServer(t, nil)
 	c, err := DialOpts(testJob("w1"), []string{srv.addr}, Options{ConnsPerServer: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -24,7 +24,7 @@ import (
 func TestZeroCopyHammer(t *testing.T) {
 	transport.SetLeasePoison(true)
 	defer transport.SetLeasePoison(false)
-	addrs := startServers(t, 4)
+	_, addrs := startFabric(t, listen(t, 4))
 
 	const (
 		writers   = 4

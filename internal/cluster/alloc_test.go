@@ -18,7 +18,7 @@ func TestRequestAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own and sync.Pool drops Puts under it")
 	}
-	servers, addrs := startFabric(t, 1, func(c *server.Config) { c.RebalanceDisabled = true })
+	servers, addrs := startFabric(t, listen(t, 1), func(c *server.Config) { c.RebalanceDisabled = true })
 	waitConverged(t, servers, 1)
 	c, err := client.DialOpts(jobInfo("budget"), addrs, client.Options{Stripes: 1, StripeUnit: 64 << 10, ConnsPerServer: 1})
 	if err != nil {

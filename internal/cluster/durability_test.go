@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"net"
 	"slices"
 	"testing"
 	"time"
@@ -14,49 +13,8 @@ import (
 	"themisio/internal/client"
 	"themisio/internal/cluster"
 	"themisio/internal/fsys"
-	"themisio/internal/policy"
-	"themisio/internal/server"
 	"themisio/internal/transport"
 )
-
-// startBackedFabric launches n live servers sharing one backing store —
-// the deployment shape of a real burst buffer in front of a PFS.
-func startBackedFabric(t testing.TB, n int, store backing.Store) ([]*server.Server, []string) {
-	t.Helper()
-	servers := make([]*server.Server, n)
-	addrs := make([]string, n)
-	lns := make([]net.Listener, n)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	for i := range lns {
-		cfg := server.Config{
-			Policy:       policy.SizeFair,
-			Lambda:       itLambda,
-			FailTimeout:  6 * itLambda,
-			GossipFanout: 1,
-			Seed:         int64(i + 1),
-			Backing:      store,
-			Quiet:        true,
-		}
-		if i > 0 {
-			cfg.Join = []string{addrs[0]}
-		}
-		servers[i] = server.New(lns[i], cfg)
-		go servers[i].Serve()
-	}
-	t.Cleanup(func() {
-		for _, s := range servers {
-			s.Close()
-		}
-	})
-	return servers, addrs
-}
 
 // TestFabricDurability is the acceptance walkthrough of the stage-out
 // subsystem: a 4-server cluster over one backing store, files written
@@ -72,22 +30,9 @@ func TestFabricDurability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	servers, addrs := startBackedFabric(t, 4, store)
-
-	waitFor(t, 5*time.Second, "membership convergence", func() bool {
-		for _, s := range servers {
-			n := 0
-			for _, m := range s.Cluster().Membership().Snapshot() {
-				if m.State == cluster.StateAlive {
-					n++
-				}
-			}
-			if n != len(servers) {
-				return false
-			}
-		}
-		return true
-	})
+	// The deployment shape of a real burst buffer in front of a PFS.
+	servers, addrs := startFabric(t, listen(t, 4), backed(store))
+	waitFor(t, 5*time.Second, "membership convergence", converged(servers, 4))
 
 	// Unstriped files spread over the ring (some land on every server),
 	// plus one file striped across all four — the dead server will hold
@@ -198,7 +143,7 @@ func TestFabricFailoverKeepsWidth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	servers, addrs := startBackedFabric(t, 4, store)
+	servers, addrs := startFabric(t, listen(t, 4), backed(store))
 	waitConverged(t, servers, 4)
 	c, err := client.DialOpts(jobInfo("striper"), addrs, client.Options{Stripes: width, StripeUnit: unit})
 	if err != nil {
@@ -324,11 +269,14 @@ func TestFabricFailoverKeepsWidth(t *testing.T) {
 		}
 		return ""
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for diff := rowDiff(); diff != ""; diff = rowDiff() {
-		if time.Now().After(deadline) {
-			t.Fatalf("the backing store never held exactly the new layouts' rows: %s", diff)
+	var diff string
+	defer func() {
+		if diff != "" {
+			t.Log(diff) // what the store held when the wait gave up
 		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	}()
+	waitFor(t, 10*time.Second, "the backing store to hold exactly the new layouts' rows", func() bool {
+		diff = rowDiff()
+		return diff == ""
+	})
 }

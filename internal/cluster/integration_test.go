@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"themisio/internal/backing"
 	"themisio/internal/client"
 	"themisio/internal/cluster"
 	"themisio/internal/policy"
@@ -15,47 +16,59 @@ import (
 
 const itLambda = 25 * time.Millisecond
 
-// startFabric launches n live servers joined into one cluster through
-// server 0, with gossip fan-out strictly below n-1 so no server ever
-// holds all-to-all connections. Each tweak edits every server's config
-// before it boots.
-func startFabric(t testing.TB, n int, tweak ...func(*server.Config)) ([]*server.Server, []string) {
+// listen opens n loopback listeners for startFabric.
+func listen(t testing.TB, n int) (lns []net.Listener) {
 	t.Helper()
-	servers := make([]*server.Server, n)
-	addrs := make([]string, n)
-	lns := make([]net.Listener, n)
-	for i := range lns {
+	for range n {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		lns[i] = ln
+		lns = append(lns, ln)
+	}
+	return lns
+}
+
+// startFabric boots a live server on each of lns, closed at cleanup:
+// size-fair at λ = itLambda, server i with Seed i+1, every server after
+// the first joining through it, and gossip fan-out 1, strictly below n-1,
+// so no server ever holds all-to-all connections. Each tweak edits every
+// server's config before it boots. A late joiner is a fabric of its own
+// with the joining tweak.
+func startFabric(t testing.TB, lns []net.Listener, tweaks ...func(*server.Config)) ([]*server.Server, []string) {
+	t.Helper()
+	servers := make([]*server.Server, len(lns))
+	addrs := make([]string, len(lns))
+	for i, ln := range lns {
 		addrs[i] = ln.Addr().String()
 	}
-	for i := range lns {
-		cfg := server.Config{
-			Policy:       policy.SizeFair,
-			Lambda:       itLambda,
-			FailTimeout:  6 * itLambda,
-			GossipFanout: 1,
-			Seed:         int64(i + 1),
-			Quiet:        true,
-		}
+	for i, ln := range lns {
+		cfg := server.Config{Lambda: itLambda, GossipFanout: 1, Seed: int64(i + 1), Quiet: true}
 		if i > 0 {
 			cfg.Join = []string{addrs[0]}
 		}
-		for _, f := range tweak {
+		for _, f := range tweaks {
 			f(&cfg)
 		}
-		servers[i] = server.New(lns[i], cfg)
-		go servers[i].Serve()
-	}
-	t.Cleanup(func() {
-		for _, s := range servers {
-			s.Close()
+		servers[i] = server.New(ln, cfg)
+		if err := servers[i].BootErr(); err != nil {
+			t.Fatal(err)
 		}
-	})
+		go servers[i].Serve()
+		t.Cleanup(servers[i].Close)
+	}
 	return servers, addrs
+}
+
+// joining makes every server of a fabric join an existing one through
+// seed, with Seeds from 100 so that none repeats one of the fabric's.
+func joining(seed string) func(*server.Config) {
+	return func(c *server.Config) { c.Join, c.Seed = []string{seed}, c.Seed+99 }
+}
+
+// backed gives every server the shared backing store.
+func backed(store backing.Store) func(*server.Config) {
+	return func(c *server.Config) { c.Backing = store }
 }
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -83,23 +96,9 @@ func jobInfo(id string) policy.JobInfo {
 // trips across all four servers, and after one server is killed its
 // ring segment reassigns and the survivors keep serving.
 func TestFabricLive(t *testing.T) {
-	servers, addrs := startFabric(t, 4)
+	servers, addrs := startFabric(t, listen(t, 4))
 
-	// Membership convergence: every server sees all four members alive.
-	waitFor(t, 5*time.Second, "membership convergence", func() bool {
-		for _, s := range servers {
-			n := 0
-			for _, m := range s.Cluster().Membership().Snapshot() {
-				if m.State == cluster.StateAlive {
-					n++
-				}
-			}
-			if n != len(servers) {
-				return false
-			}
-		}
-		return true
-	})
+	waitFor(t, 5*time.Second, "membership convergence", converged(servers, 4))
 
 	// Gossip λ-sync: a job known to one server spreads to all job
 	// tables in O(log N) gossip rounds — budget a small multiple of λ.

@@ -16,63 +16,19 @@ import (
 	"themisio/internal/backing"
 	"themisio/internal/client"
 	"themisio/internal/obsv"
-	"themisio/internal/policy"
 	"themisio/internal/server"
 	"themisio/internal/transport"
 )
 
-// startMetricsFabric is startFabric with the operator surface wired in:
-// every server gets its own obsv.Registry served over a live HTTP
-// endpoint, and all servers share one backing store so the stage-out
-// families carry real traffic.
-func startMetricsFabric(t *testing.T, n int) (servers []*server.Server, addrs, endpoints []string) {
-	t.Helper()
-	store, err := backing.OpenDir(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	servers = make([]*server.Server, n)
-	addrs = make([]string, n)
-	endpoints = make([]string, n)
-	lns := make([]net.Listener, n)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	for i := range lns {
-		reg := obsv.NewRegistry()
-		cfg := server.Config{
-			Policy:       policy.SizeFair,
-			Lambda:       itLambda,
-			FailTimeout:  6 * itLambda,
-			GossipFanout: 1,
-			Seed:         int64(i + 1),
-			Quiet:        true,
-			Backing:      store,
-			Metrics:      reg,
-		}
-		if i > 0 {
-			cfg.Join = []string{addrs[0]}
-		}
-		servers[i] = server.New(lns[i], cfg)
-		if err := servers[i].BootErr(); err != nil {
-			t.Fatal(err)
-		}
-		go servers[i].Serve()
-		ep := httptest.NewServer(obsv.Mux(reg, servers[i].Ready))
+// metered wires the operator surface into every server: a registry of
+// its own, served over a live HTTP endpoint whose URL is appended to eps.
+func metered(t testing.TB, eps *[]string) func(*server.Config) {
+	return func(c *server.Config) {
+		c.Metrics = obsv.NewRegistry()
+		ep := httptest.NewServer(obsv.Mux(c.Metrics, nil))
 		t.Cleanup(ep.Close)
-		endpoints[i] = ep.URL
+		*eps = append(*eps, ep.URL)
 	}
-	t.Cleanup(func() {
-		for _, s := range servers {
-			s.Close()
-		}
-	})
-	return servers, addrs, endpoints
 }
 
 // scrape GETs url/metrics and returns every sample keyed by its full
@@ -159,11 +115,19 @@ func sameShares(a, b []transport.ShareRecord) bool {
 // servers with backing stores are flooded with striped traffic from two
 // jobs while each server's /metrics endpoint is scraped. The scrape
 // must carry live families from every layer — scheduler, transport,
-// worker latency histograms, backing, rebalance, cluster — and, once
-// the flood stops, the per-entity share residual gauges must agree with
-// the MsgShareReport wire report to within 0.001.
+// worker latency histograms, backing, rebalance, cluster — and the
+// per-entity share residual gauges must agree with the MsgShareReport
+// wire report to within 0.001; once the flood stops, the device gauges
+// must match the shards.
 func TestFabricMetricsLive(t *testing.T) {
-	servers, addrs, endpoints := startMetricsFabric(t, 4)
+	// All servers share one backing store so the stage-out families carry
+	// real traffic.
+	store, err := backing.OpenDir(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var endpoints []string
+	servers, addrs := startFabric(t, listen(t, 4), backed(store), metered(t, &endpoints))
 
 	// Two jobs from different users flood striped writes so every layer
 	// carries traffic while the endpoints are scraped.
@@ -217,6 +181,12 @@ func TestFabricMetricsLive(t *testing.T) {
 			}
 		}(j, c)
 	}
+
+	halt := sync.OnceFunc(func() {
+		close(stop)
+		wg.Wait()
+	})
+	defer halt() // a wait that gives up leaves no writer running
 
 	// Mid-flood: every server's endpoint must carry live series from all
 	// six layers.
@@ -272,43 +242,11 @@ func TestFabricMetricsLive(t *testing.T) {
 		return false
 	})
 
-	close(stop)
-	wg.Wait()
-
-	// The device gauges: the capacity the server was configured with (the
-	// 256 MiB default here) and, now that nothing writes, exactly the
-	// bytes the shard's allocator has handed out — the store is mapped
-	// outside the heap, so no runtime figure shows either.
-	gc, err := client.Dial(jobInfo("gauge"), addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gc.Close()
-	if f, err := gc.Open("/flood/gauge.bin", true); err != nil {
-		t.Fatal(err)
-	} else if _, err := f.Write(data); err != nil {
-		t.Fatal(err)
-	}
-	var used float64
-	for i, ep := range endpoints {
-		m := scrape(t, ep)
-		if got := m["themis_storage_capacity_bytes"]; got != 256<<20 {
-			t.Errorf("server %d: themis_storage_capacity_bytes = %v, want %d", i, got, 256<<20)
-		}
-		if got, want := m["themis_storage_used_bytes"], float64(servers[i].Shard().Used()); got != want {
-			t.Errorf("server %d: themis_storage_used_bytes = %v, the shard says %v", i, got, want)
-		}
-		used += m["themis_storage_used_bytes"]
-	}
-	if used < float64(len(data)) {
-		t.Errorf("themis_storage_used_bytes sums to %v across the fabric, which holds a %d-byte file", used, len(data))
-	}
-
 	// Residual agreement: the share gauges a scrape renders and the
-	// MsgShareReport wire report read the same ledger. The flood has
-	// stopped, so the report goes quiet; bracketing the scrape with two
-	// identical RPC reads rejects the rare scrape that straddles a λ
-	// roll.
+	// MsgShareReport wire report read the same ledger. They are compared
+	// mid-flood, where every λ window holds the flood jobs' bytes, so the
+	// ledger cannot roll them out of the report; bracketing the scrape
+	// with two identical RPC reads rejects a scrape that straddles a roll.
 	for i, ep := range endpoints {
 		i, ep := i, ep
 		waitFor(t, 10*time.Second, fmt.Sprintf("share residual agreement on server %d", i), func() bool {
@@ -338,5 +276,36 @@ func TestFabricMetricsLive(t *testing.T) {
 			}
 			return seenFlood
 		})
+	}
+
+	halt()
+
+	// The device gauges: the capacity the server was configured with (the
+	// 256 MiB default here) and, now that nothing writes, exactly the
+	// bytes the shard's allocator has handed out — the store is mapped
+	// outside the heap, so no runtime figure shows either.
+	gc, err := client.Dial(jobInfo("gauge"), addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gc.Close()
+	if f, err := gc.Open("/flood/gauge.bin", true); err != nil {
+		t.Fatal(err)
+	} else if _, err := f.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	var used float64
+	for i, ep := range endpoints {
+		m := scrape(t, ep)
+		if got := m["themis_storage_capacity_bytes"]; got != 256<<20 {
+			t.Errorf("server %d: themis_storage_capacity_bytes = %v, want %d", i, got, 256<<20)
+		}
+		if got, want := m["themis_storage_used_bytes"], float64(servers[i].Shard().Used()); got != want {
+			t.Errorf("server %d: themis_storage_used_bytes = %v, the shard says %v", i, got, want)
+		}
+		used += m["themis_storage_used_bytes"]
+	}
+	if used < float64(len(data)) {
+		t.Errorf("themis_storage_used_bytes sums to %v across the fabric, which holds a %d-byte file", used, len(data))
 	}
 }

@@ -30,7 +30,7 @@ import (
 func TestMigrationMatchesModel(t *testing.T) {
 	const unit = 64 << 10
 	rng := rand.New(rand.NewSource(27))
-	servers, addrs := startFabric(t, 3)
+	servers, addrs := startFabric(t, listen(t, 3))
 	waitConverged(t, servers, 3)
 
 	// The model: every file's bytes and every directory's entries.
@@ -90,9 +90,7 @@ func TestMigrationMatchesModel(t *testing.T) {
 		if try == 20 {
 			t.Fatal("no joiner address moves eight files")
 		}
-		if ln, err = net.Listen("tcp", "127.0.0.1:0"); err != nil {
-			t.Fatal(err)
-		}
+		ln = listen(t, 1)[0]
 		before, after := chash.New(0), chash.New(0)
 		for _, a := range addrs {
 			before.Add(a)
@@ -162,7 +160,8 @@ func TestMigrationMatchesModel(t *testing.T) {
 		}
 	}()
 
-	all := append(append([]*server.Server{}, servers...), joinOn(t, ln, 104, addrs[0]))
+	joined, _ := startFabric(t, []net.Listener{ln}, joining(addrs[0]))
+	all := append(append([]*server.Server{}, servers...), joined...)
 	waitConverged(t, all, 4)
 	waitRebalanced(t, all)
 	stop.Store(true)
@@ -254,12 +253,9 @@ func TestMigrationHeapBounded(t *testing.T) {
 		t.Skip("the race detector allocates on its own")
 	}
 	const fileBytes = 64 << 20
-	servers, addrs := startFabric(t, 2)
+	servers, addrs := startFabric(t, listen(t, 2))
 	waitConverged(t, servers, 2)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ln := listen(t, 1)[0]
 	// Three files the join moves, named once the joiner's address is known.
 	before, after := chash.New(0), chash.New(0)
 	for _, a := range addrs {
@@ -333,7 +329,8 @@ func TestMigrationHeapBounded(t *testing.T) {
 		}
 	}()
 	start := time.Now()
-	all := append(append([]*server.Server{}, servers...), joinOn(t, ln, 100, addrs[0]))
+	joined, _ := startFabric(t, []net.Listener{ln}, joining(addrs[0]))
+	all := append(append([]*server.Server{}, servers...), joined...)
 	waitConverged(t, all, 3)
 	waitRebalanced(t, all)
 	wall := time.Since(start)

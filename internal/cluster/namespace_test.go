@@ -31,7 +31,7 @@ func TestNamespaceRoundTrips(t *testing.T) {
 	// namespace reply it still reads, fails the calls below.
 	transport.SetLeasePoison(true)
 	defer transport.SetLeasePoison(false)
-	servers, addrs := startFabric(t, 2, func(c *server.Config) { c.RebalanceDisabled = true })
+	servers, addrs := startFabric(t, listen(t, 2), func(c *server.Config) { c.RebalanceDisabled = true })
 	waitConverged(t, servers, 2)
 	rpcs := func(what string, want int64, call func()) {
 		t.Helper()
@@ -192,25 +192,26 @@ func TestNamespaceRoundTrips(t *testing.T) {
 	ring.Add(addrs[0])
 	ring.Add(addrs[1])
 	var orphan string
-	deadline := time.Now().Add(10 * time.Second)
-	for i := 0; orphan == ""; i++ {
-		p := fmt.Sprintf("/rt/drained%d", i)
-		if owner, _ := ring.Lookup(p); owner != addrs[1] {
-			continue
+	next := 0
+	waitFor(t, 10*time.Second, "a create that avoids the draining owner", func() bool {
+		var p string
+		for p == "" { // the next path the draining server owns
+			q := fmt.Sprintf("/rt/drained%d", next)
+			if owner, _ := ring.Lookup(q); owner == addrs[1] {
+				p = q
+			}
+			next++
 		}
 		g, err := one.Open(p, true)
 		check("create", err)
 		check("close", g.Close())
-		if set, _, err := one.Layout(p); err != nil {
-			t.Fatal(err)
-		} else if set[0] != addrs[1] {
+		set, _, err := one.Layout(p)
+		check("layout", err)
+		if set[0] != addrs[1] {
 			orphan = p
-		} else if time.Now().After(deadline) {
-			t.Fatal("the client never learned of the drain")
-		} else {
-			time.Sleep(20 * time.Millisecond)
 		}
-	}
+		return orphan != ""
+	})
 	if servers[1].Shard().Exists(orphan) || !servers[0].Shard().Exists(orphan) {
 		t.Fatalf("%s is not placed off its draining owner", orphan)
 	}
@@ -234,7 +235,7 @@ func TestNamespaceRoundTrips(t *testing.T) {
 func TestNamespaceRepliesReleased(t *testing.T) {
 	transport.SetLeasePoison(true)
 	defer transport.SetLeasePoison(false)
-	servers, addrs := startFabric(t, 2, func(c *server.Config) { c.RebalanceDisabled = true })
+	servers, addrs := startFabric(t, listen(t, 2), func(c *server.Config) { c.RebalanceDisabled = true })
 	waitConverged(t, servers, 2)
 	c, err := client.DialOpts(jobInfo("ns-lease"), addrs, client.Options{Stripes: 2, StripeUnit: 4096, ConnsPerServer: 1})
 	if err != nil {

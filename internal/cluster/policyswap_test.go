@@ -3,7 +3,6 @@ package cluster_test
 import (
 	"fmt"
 	"math"
-	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -30,45 +29,6 @@ const (
 	psWrite   = 16 << 10 // bytes per Write call
 	psUnit    = 4 << 10  // stripe unit: every write fans to all 4 servers
 )
-
-// startSwapFabric launches n live servers under the job-fair boot
-// policy with saturating-delay device emulation.
-func startSwapFabric(t testing.TB, n int) ([]*server.Server, []string) {
-	t.Helper()
-	servers := make([]*server.Server, n)
-	addrs := make([]string, n)
-	lns := make([]net.Listener, n)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	for i := range lns {
-		cfg := server.Config{
-			Policy:       policy.JobFair,
-			Lambda:       psLambda,
-			FailTimeout:  6 * psLambda,
-			GossipFanout: 2,
-			OpDelay:      psOpDelay,
-			Seed:         int64(i + 1),
-			Quiet:        true,
-		}
-		if i > 0 {
-			cfg.Join = []string{addrs[0]}
-		}
-		servers[i] = server.New(lns[i], cfg)
-		go servers[i].Serve()
-	}
-	t.Cleanup(func() {
-		for _, s := range servers {
-			s.Close()
-		}
-	})
-	return servers, addrs
-}
 
 // psRotateWrites is how many appends a writer makes to one file before
 // unlinking it and starting over (3 MB per file): the flood runs for as
@@ -139,7 +99,10 @@ func TestFabricPolicySwap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live share-convergence scenario needs several seconds of saturated load")
 	}
-	servers, addrs := startSwapFabric(t, 4)
+	// Job-fair at boot, with saturating-delay device emulation.
+	servers, addrs := startFabric(t, listen(t, 4), func(c *server.Config) {
+		c.Policy, c.Lambda, c.GossipFanout, c.OpDelay = policy.JobFair, psLambda, 2, psOpDelay
+	})
 	waitConverged(t, servers, 4)
 
 	alice := policy.JobInfo{JobID: "job-a", UserID: "alice", GroupID: "g", Nodes: 3}
@@ -163,6 +126,12 @@ func TestFabricPolicySwap(t *testing.T) {
 	stop := make(chan struct{})
 	wgA := swapLoad(t, ca, "alice", stop, &errCount)
 	wgB := swapLoad(t, cb, "bob", stop, &errCount)
+	halt := sync.OnceFunc(func() {
+		close(stop)
+		wgA.Wait()
+		wgB.Wait()
+	})
+	defer halt() // a wait that gives up leaves no writer running
 
 	// Let the fabric settle into the saturated job-fair regime: every
 	// member has arbitrated a few hundred requests of each job.
@@ -246,23 +215,14 @@ func TestFabricPolicySwap(t *testing.T) {
 		}
 		return true
 	}
-	start := time.Now()
-	stillOK := false
-	for time.Since(start) < 20*time.Second {
-		if converged() {
-			stillOK = true
-			break
+	defer func() {
+		if t.Failed() {
+			t.Log("last mismatch: " + lastBad)
 		}
-		time.Sleep(50 * time.Millisecond)
-	}
+	}()
+	waitFor(t, 20*time.Second, "measured shares within ±0.02 of compiled", converged)
+	halt()
 
-	close(stop)
-	wgA.Wait()
-	wgB.Wait()
-
-	if !stillOK {
-		t.Fatalf("measured shares did not converge to ±0.02 of compiled: %s", lastBad)
-	}
 	if n := errCount.Load(); n != 0 {
 		t.Fatalf("%d request errors across the hot-swap, want 0", n)
 	}

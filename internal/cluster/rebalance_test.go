@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"net"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -14,46 +13,13 @@ import (
 	"themisio/internal/client"
 	"themisio/internal/cluster"
 	"themisio/internal/experiments"
-	"themisio/internal/policy"
 	"themisio/internal/server"
 	"themisio/internal/transport"
 )
 
-// joinServers starts extra servers that join an existing fabric through
-// seed.
-func joinServers(t testing.TB, n int, seed string) []*server.Server {
-	t.Helper()
-	out := make([]*server.Server, n)
-	for i := range out {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[i] = joinOn(t, ln, int64(100+i), seed)
-	}
-	return out
-}
-
-// joinOn boots a server on ln that joins the fabric through seed.
-func joinOn(t testing.TB, ln net.Listener, rngSeed int64, seed string) *server.Server {
-	s := server.New(ln, server.Config{
-		Policy:       policy.SizeFair,
-		Lambda:       itLambda,
-		FailTimeout:  6 * itLambda,
-		GossipFanout: 1,
-		Seed:         rngSeed,
-		Join:         []string{seed},
-		Quiet:        true,
-	})
-	go s.Serve()
-	t.Cleanup(s.Close)
-	return s
-}
-
-// waitConverged waits until every server sees want alive members.
-func waitConverged(t testing.TB, servers []*server.Server, want int) {
-	t.Helper()
-	waitFor(t, 10*time.Second, "membership convergence", func() bool {
+// converged reports whether every server sees want alive members.
+func converged(servers []*server.Server, want int) func() bool {
+	return func() bool {
 		for _, s := range servers {
 			n := 0
 			for _, m := range s.Cluster().Membership().Snapshot() {
@@ -66,7 +32,13 @@ func waitConverged(t testing.TB, servers []*server.Server, want int) {
 			}
 		}
 		return true
-	})
+	}
+}
+
+// waitConverged waits until every server sees want alive members.
+func waitConverged(t testing.TB, servers []*server.Server, want int) {
+	t.Helper()
+	waitFor(t, 10*time.Second, "membership convergence", converged(servers, want))
 }
 
 // waitRebalanced waits until every server's migrator has reconciled its
@@ -96,7 +68,7 @@ func waitRebalanced(t testing.TB, servers []*server.Server) {
 // readers (including one holding a file descriptor opened before the
 // join) observe every byte, with zero errors, throughout.
 func TestFabricRebalance(t *testing.T) {
-	servers, addrs := startFabric(t, 4)
+	servers, addrs := startFabric(t, listen(t, 4))
 	waitConverged(t, servers, 4)
 
 	// Existing data: unstriped files spread over the ring plus files
@@ -204,9 +176,8 @@ func TestFabricRebalance(t *testing.T) {
 
 	// Scale out: two more servers join; every fabric member must see
 	// six alive and settle its migrations against the grown ring.
-	joined := joinServers(t, 2, addrs[0])
+	joined, newAddrs := startFabric(t, listen(t, 2), joining(addrs[0]))
 	all := append(append([]*server.Server{}, servers...), joined...)
-	newAddrs := []string{joined[0].Addr(), joined[1].Addr()}
 	waitConverged(t, all, 6)
 	waitRebalanced(t, all)
 
@@ -348,7 +319,7 @@ func TestRebalanceShareTracksPolicy(t *testing.T) {
 func TestMigrationReleasesLeases(t *testing.T) {
 	transport.SetLeasePoison(true)
 	defer transport.SetLeasePoison(false)
-	servers, addrs := startFabric(t, 2)
+	servers, addrs := startFabric(t, listen(t, 2))
 	waitConverged(t, servers, 2)
 
 	const fileBytes = 3 << 20
@@ -383,14 +354,16 @@ func TestMigrationReleasesLeases(t *testing.T) {
 	}
 
 	// Warm-up: the first join's migrations fill the lease classes.
-	all := append(servers, joinServers(t, 1, addrs[0])...)
+	joined, _ := startFabric(t, listen(t, 1), joining(addrs[0]))
+	all := append(servers, joined...)
 	waitConverged(t, all, 3)
 	waitRebalanced(t, all)
 	moved0 := movedBytes(all)
 	_, misses0 := transport.LeaseStats()
 
 	// Measured: a second join moves more stripes through the warm pool.
-	all = append(all, joinServers(t, 1, addrs[0])...)
+	joined, _ = startFabric(t, listen(t, 1), joining(addrs[0]))
+	all = append(all, joined...)
 	waitConverged(t, all, 4)
 	waitRebalanced(t, all)
 	movedMiB := (movedBytes(all) - moved0) >> 20

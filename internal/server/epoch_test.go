@@ -15,44 +15,6 @@ import (
 	"themisio/internal/transport"
 )
 
-// startServersCompiles is startServers but returns the *Server handles so
-// tests can read scheduler counters.
-func startServersCompiles(t *testing.T, n int, pol policy.Policy) ([]*Server, []string, func()) {
-	t.Helper()
-	lns := make([]net.Listener, n)
-	addrs := make([]string, n)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	servers := make([]*Server, n)
-	for i := range lns {
-		var peers []string
-		for j, a := range addrs {
-			if j != i {
-				peers = append(peers, a)
-			}
-		}
-		servers[i] = New(lns[i], Config{
-			Policy: pol,
-			Lambda: 50 * time.Millisecond,
-			Join:   peers,
-			Seed:   int64(i + 1),
-			Quiet:  true,
-		})
-		go servers[i].Serve()
-	}
-	return servers, addrs, func() {
-		for _, s := range servers {
-			s.Close()
-		}
-	}
-}
-
 // Regression: the per-request hot path must not recompile policy. Before
 // the epoch refactor every message — data, heartbeat, gossip — called
 // sched.SetJobs, making compilation O(requests); now only the controller
@@ -61,9 +23,8 @@ func startServersCompiles(t *testing.T, n int, pol policy.Policy) ([]*Server, []
 // are pinned on virtual time by control's
 // TestCompileCountFollowsJobSetChanges; this is the live half.)
 func TestCompileCountScalesWithJobSetChanges(t *testing.T) {
-	servers, addrs, stop := startServersCompiles(t, 2, policy.SizeFair)
-	defer stop()
-	c, err := client.Dial(jobInfo("epoch-job", 4), addrs)
+	servers := startFabric(t, listen(t, 2))
+	c, err := client.Dial(jobInfo("epoch-job", 4), addrsOf(servers))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,19 +96,9 @@ func TestLateJoinerServedBeforeNextTick(t *testing.T) {
 	if raceEnabled {
 		opDelay = 1500 * time.Microsecond // see TestLiveSizeFairService
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := New(ln, Config{
-		Policy:  policy.JobFair,
-		Workers: 2,
-		Lambda:  time.Minute,
-		OpDelay: opDelay,
-		Quiet:   true,
-	})
-	go srv.Serve()
-	defer srv.Close()
+	srv := startFabric(t, listen(t, 1), func(c *Config) {
+		c.Policy, c.Workers, c.Lambda, c.OpDelay = policy.JobFair, 2, time.Minute, opDelay
+	})[0]
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -218,18 +169,7 @@ func TestLateJoinerServedBeforeNextTick(t *testing.T) {
 // pushes collapsed into one token and left workers parked on a 5ms
 // timeout treadmill while queues held work.
 func TestFloodFromFewConnsDrainsManyWorkers(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := New(ln, Config{
-		Policy:  policy.SizeFair,
-		Workers: 16,
-		Lambda:  50 * time.Millisecond,
-		Quiet:   true,
-	})
-	go srv.Serve()
-	defer srv.Close()
+	srv := startFabric(t, listen(t, 1), func(c *Config) { c.Workers = 16 })[0]
 
 	const conns = 4
 	const perConn = 100
@@ -240,7 +180,7 @@ func TestFloodFromFewConnsDrainsManyWorkers(t *testing.T) {
 		wg.Add(1)
 		go func(ci int) {
 			defer wg.Done()
-			raw, err := net.Dial("tcp", ln.Addr().String())
+			raw, err := net.Dial("tcp", srv.Addr())
 			if err != nil {
 				errs <- err
 				return
@@ -309,17 +249,11 @@ func TestFloodFromFewConnsDrainsManyWorkers(t *testing.T) {
 func TestWorkersBoundHoldsWithReaderDraws(t *testing.T) {
 	const workers, conns, perConn = 2, 8, 50
 	const delay = time.Millisecond
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := New(ln, Config{Policy: policy.SizeFair, Workers: workers, OpDelay: delay, Lambda: 50 * time.Millisecond, Quiet: true})
-	go srv.Serve()
-	defer srv.Close()
+	srv := startFabric(t, listen(t, 1), func(c *Config) { c.Workers, c.OpDelay = workers, delay })[0]
 
 	cs := make([]*transport.Conn, conns)
 	for i := range cs {
-		raw, err := net.Dial("tcp", ln.Addr().String())
+		raw, err := net.Dial("tcp", srv.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -371,11 +305,7 @@ func TestWorkersBoundHoldsWithReaderDraws(t *testing.T) {
 func TestEverySubmitServedWithoutATimer(t *testing.T) {
 	const submitters, holders, rounds, each = 8, 2, 100, 50
 	for _, workers := range []int{1, 2} {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := New(ln, Config{Policy: policy.SizeFair, Workers: workers, Metrics: obsv.NewRegistry(), Quiet: true})
+		srv := New(listen(t, 1)[0], Config{Policy: policy.SizeFair, Workers: workers, Metrics: obsv.NewRegistry(), Quiet: true})
 		served := func() (n int64) {
 			for _, h := range srv.met.queueWait {
 				n += h.Count()

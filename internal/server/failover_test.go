@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"runtime"
 	"slices"
 	"sync/atomic"
@@ -16,7 +15,6 @@ import (
 	"themisio/internal/client"
 	"themisio/internal/cluster"
 	"themisio/internal/fsys"
-	"themisio/internal/policy"
 )
 
 // failUnit and failSize are the stripe unit and length of the failover
@@ -34,31 +32,10 @@ const (
 // (closed at cleanup), the file's bytes and its stripe set.
 func failoverFabric(t *testing.T, n, width, size int, store backing.Store) ([]*Server, []byte, []string) {
 	t.Helper()
-	lns := make([]net.Listener, n+1)
-	addrs := make([]string, n+1)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i], addrs[i] = ln, ln.Addr().String()
-	}
-	dead := addrs[n]
-	lns[n].Close() // nobody answers there
-	servers := make([]*Server, n)
-	for i := range servers {
-		cfg := Config{Policy: policy.SizeFair, Lambda: 20 * time.Millisecond, Seed: int64(i + 1), Backing: store, Quiet: true}
-		if i > 0 {
-			cfg.Join = addrs[:1]
-		}
-		servers[i] = New(lns[i], cfg)
-		go servers[i].Serve()
-	}
-	t.Cleanup(func() {
-		for _, s := range servers {
-			s.Close()
-		}
-	})
+	gone := listen(t, 1)[0]
+	dead := gone.Addr().String()
+	gone.Close() // nobody answers there
+	servers := startFabric(t, listen(t, n), func(c *Config) { c.Lambda, c.Backing = 20*time.Millisecond, store }, star)
 	waitFor(t, 5*time.Second, "membership convergence", func() bool {
 		for _, s := range servers {
 			if len(s.Cluster().Membership().Ring().Nodes()) != n {
@@ -84,7 +61,7 @@ func failoverFabric(t *testing.T, n, width, size int, store backing.Store) ([]*S
 	for i := range data {
 		data[i] = byte(i*13 + i>>12)
 	}
-	set := append(slices.Clone(addrs[:width-1]), dead)
+	set := append(addrsOf(servers)[:width-1], dead)
 	for i, addr := range set {
 		stripe := make([]byte, fsys.LocalLen(int64(len(data)), i, width, failUnit))
 		for off := range stripe {
@@ -111,10 +88,9 @@ func failoverFabric(t *testing.T, n, width, size int, store backing.Store) ([]*S
 }
 
 // pass runs one migrator pass on s, exclusive of the controller's.
-func pass(s *Server) {
-	for !s.migr.running.CompareAndSwap(false, true) {
-		time.Sleep(time.Millisecond)
-	}
+func pass(t *testing.T, s *Server) {
+	t.Helper()
+	waitFor(t, 5*time.Second, "the controller's migrator pass to end", func() bool { return s.migr.running.CompareAndSwap(false, true) })
 	defer s.migr.running.Store(false)
 	s.migr.MarkDirty()
 	s.migr.Pass()
@@ -133,11 +109,7 @@ func layoutOn(t *testing.T, s *Server) ([]string, int64) {
 // readsBack checks that a client of servers reads /f as want.
 func readsBack(t *testing.T, servers []*Server, want []byte) {
 	t.Helper()
-	var addrs []string
-	for _, s := range servers {
-		addrs = append(addrs, s.Addr())
-	}
-	c, err := client.Dial(jobInfo("check", 1), addrs)
+	c, err := client.Dial(jobInfo("check", 1), addrsOf(servers))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +134,7 @@ func TestFailoverWithoutStoreKeepsFile(t *testing.T) {
 	if plan, skipped := coord.migr.plan(mem, nil); len(plan) != 0 || skipped != 1 {
 		t.Fatalf("plan %v, %d skipped; want nothing planned and the file skipped", plan, skipped)
 	}
-	pass(coord)
+	pass(t, coord)
 	if got, size := layoutOn(t, coord); !slices.Equal(got, set) || size != fsys.LocalLen(int64(len(data)), 0, 2, failUnit) {
 		t.Fatalf("after the pass: set %v, %d bytes; want %v unchanged", got, size, set)
 	}
@@ -204,7 +176,7 @@ func TestFailoverReadErrorKeepsObjects(t *testing.T) {
 		_, size := layoutOn(t, s)
 		sizes = append(sizes, size)
 	}
-	pass(coord)
+	pass(t, coord)
 	if coord.migr.LastErr() == nil || !coord.migr.dirty.Load() {
 		t.Fatalf("the pass reported %v and dirty %v; want the read error, dirty", coord.migr.LastErr(), coord.migr.dirty.Load())
 	}
@@ -218,7 +190,7 @@ func TestFailoverReadErrorKeepsObjects(t *testing.T) {
 		t.Fatalf("a failed pass deleted the dead holder's object: %v", err)
 	}
 	store.broken.Store(false)
-	pass(coord)
+	pass(t, coord)
 	target := coord.Cluster().Membership().Ring().LookupN("/f", 3)
 	for _, s := range servers {
 		if got, _ := layoutOn(t, s); !slices.Equal(got, target) {
@@ -268,19 +240,19 @@ func TestFailoverDeletesDeadObjectAfterReplacement(t *testing.T) {
 		_, err := base.ReadRange(dead, 0, make([]byte, 1))
 		return err
 	}
-	pass(coord)
+	pass(t, coord)
 	if got, _ := layoutOn(t, coord); !slices.Equal(got, target) {
 		t.Fatalf("the pass did not cut over: %v, want %v", got, target)
 	}
 	for i := 0; i < 3; i++ {
-		pass(coord)
+		pass(t, coord)
 		if err := staged(); err != nil {
 			t.Fatalf("the dead holder's object went before its replacement was staged: %v", err)
 		}
 	}
 	close(gate)
 	waitFor(t, 5*time.Second, "the dead holder's object retired", func() bool {
-		pass(coord)
+		pass(t, coord)
 		return errors.Is(staged(), backing.ErrNotStaged)
 	})
 	var want []string
@@ -289,12 +261,7 @@ func TestFailoverDeletesDeadObjectAfterReplacement(t *testing.T) {
 	}
 	slices.Sort(want)
 	var rows []string
-	deadline := time.Now().Add(5 * time.Second)
-	for !slices.Equal(rows, want) {
-		if time.Now().After(deadline) {
-			t.Fatalf("staged rows %v, want the new layout's %v", rows, want)
-		}
-		time.Sleep(5 * time.Millisecond)
+	waitFor(t, 5*time.Second, fmt.Sprintf("the new layout's staged rows %v", want), func() bool {
 		manifest, err := base.Manifest()
 		if err != nil {
 			t.Fatal(err)
@@ -306,7 +273,8 @@ func TestFailoverDeletesDeadObjectAfterReplacement(t *testing.T) {
 			}
 		}
 		slices.Sort(rows)
-	}
+		return slices.Equal(rows, want)
+	})
 	readsBack(t, servers, data)
 }
 
@@ -324,7 +292,7 @@ func TestFailoverTruncatesAtUnstagedStripe(t *testing.T) {
 		t.Fatal(err)
 	}
 	coord := servers[0]
-	pass(coord)
+	pass(t, coord)
 	target := coord.Cluster().Membership().Ring().LookupN("/f", 2)
 	for _, s := range servers {
 		if got, _ := layoutOn(t, s); !slices.Equal(got, target) {
@@ -334,7 +302,7 @@ func TestFailoverTruncatesAtUnstagedStripe(t *testing.T) {
 	readsBack(t, servers, data[:failUnit])
 	want := []string{fmt.Sprintf("%s#0:%d", target[0], failUnit), fmt.Sprintf("%s#1:0", target[1])}
 	waitFor(t, 5*time.Second, "the store holding the truncated layout's rows", func() bool {
-		pass(coord)
+		pass(t, coord)
 		manifest, err := store.Manifest()
 		if err != nil {
 			t.Fatal(err)
@@ -366,7 +334,7 @@ func TestFailoverHeapBound(t *testing.T) {
 	coord := servers[0]
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	pass(coord)
+	pass(t, coord)
 	runtime.ReadMemStats(&after)
 	heap := after.TotalAlloc - before.TotalAlloc
 	files, moved, _, _ := coord.migr.Stats()

@@ -2,11 +2,11 @@ package server
 
 import (
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"themisio/internal/backing"
 	"themisio/internal/obsv"
@@ -26,22 +26,11 @@ func (brokenStore) Manifest() ([]backing.FileMeta, error) {
 	return nil, fmt.Errorf("device gone")
 }
 
-func newTestListener(t *testing.T) net.Listener {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ln
-}
-
 // A healthy server is ready; /healthz answers 200 and flips to 503
 // after Close.
 func TestHealthzReadyLifecycle(t *testing.T) {
-	ln := newTestListener(t)
 	reg := obsv.NewRegistry()
-	srv := New(ln, Config{Policy: policy.SizeFair, Quiet: true, Metrics: reg})
-	go srv.Serve()
+	srv := startFabric(t, listen(t, 1), func(c *Config) { c.Lambda, c.Metrics = 500*time.Millisecond, reg })[0]
 	ep := httptest.NewServer(obsv.Mux(reg, srv.Ready))
 	defer ep.Close()
 
@@ -70,7 +59,7 @@ func TestHealthzReadyLifecycle(t *testing.T) {
 // /healthz answers 503 with the reason, and /metrics still renders the
 // full family set — the operator's view into why the server is down.
 func TestHealthz503OnBootError(t *testing.T) {
-	ln := newTestListener(t)
+	ln := listen(t, 1)[0]
 	defer ln.Close()
 	reg := obsv.NewRegistry()
 	srv := New(ln, Config{

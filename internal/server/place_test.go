@@ -14,12 +14,9 @@ import (
 // nothing else. (Shard.Unreserve panics on a second return.) Each payload
 // is 16 KiB, above the placement threshold.
 func TestRefusedWritesReturnTheirExtent(t *testing.T) {
-	ln := newTestListener(t)
 	// OpDelay holds each drawn request long enough for the closed
 	// connection case to close before its request executes.
-	srv := New(ln, Config{Workers: 1, Lambda: 50 * time.Millisecond, OpDelay: 5 * time.Millisecond, Quiet: true})
-	go srv.Serve()
-	defer srv.Close()
+	srv := startFabric(t, listen(t, 1), func(c *Config) { c.Workers, c.OpDelay = 1, 5*time.Millisecond })[0]
 	self := srv.Addr()
 	shard := srv.Shard()
 

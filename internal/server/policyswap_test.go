@@ -1,42 +1,19 @@
 package server
 
 import (
-	"net"
+	"fmt"
 	"testing"
 	"time"
 
 	"themisio/internal/policy"
 )
 
-// startSwapServer runs one quiet server with a fast λ for policy-apply
-// tests.
-func startSwapServer(t *testing.T) *Server {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(ln, Config{
-		Policy: policy.JobFair,
-		Lambda: 10 * time.Millisecond,
-		Quiet:  true,
-	})
-	go s.Serve()
-	t.Cleanup(s.Close)
-	return s
-}
-
 func waitApplied(t *testing.T, s *Server, wantStr string, wantEpoch uint64) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if str, e := s.AppliedPolicy(); str == wantStr && e == wantEpoch {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	str, e := s.AppliedPolicy()
-	t.Fatalf("applied policy = %q/%d, want %q/%d", str, e, wantStr, wantEpoch)
+	waitFor(t, 5*time.Second, fmt.Sprintf("applied policy %s/%d", wantStr, wantEpoch), func() bool {
+		str, e := s.AppliedPolicy()
+		return str == wantStr && e == wantEpoch
+	})
 }
 
 // The controller applies a gossiped policy version at its next λ, and —
@@ -45,7 +22,7 @@ func waitApplied(t *testing.T, s *Server, wantStr string, wantEpoch uint64) {
 // the same epoch: gating on the epoch alone would leave this member
 // enforcing the losing policy forever).
 func TestApplyPolicyEqualEpochTieBreak(t *testing.T) {
-	s := startSwapServer(t)
+	s := startFabric(t, listen(t, 1), func(c *Config) { c.Policy, c.Lambda = policy.JobFair, 10*time.Millisecond })[0]
 	if str, e := s.AppliedPolicy(); str != "job-fair" || e != 0 {
 		t.Fatalf("boot policy = %q/%d, want job-fair/0", str, e)
 	}

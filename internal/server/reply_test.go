@@ -37,21 +37,13 @@ func (l *lockedBuffer) String() string {
 // them — the first write error latches on the connection. The server
 // warns once per connection, not once per reply.
 func TestReplyFailedLoggedOncePerConn(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var logs lockedBuffer
-	srv := New(ln, Config{
-		Policy:  policy.SizeFair,
-		Workers: 4,
-		Lambda:  50 * time.Millisecond,
-		Logger:  slog.New(slog.NewTextHandler(&logs, &slog.HandlerOptions{Level: slog.LevelWarn})),
-	})
-	go srv.Serve()
-	defer srv.Close()
+	srv := startFabric(t, listen(t, 1), func(c *Config) {
+		c.Workers, c.Quiet = 4, false
+		c.Logger = slog.New(slog.NewTextHandler(&logs, &slog.HandlerOptions{Level: slog.LevelWarn}))
+	})[0]
 
-	raw, err := net.Dial("tcp", ln.Addr().String())
+	raw, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,14 +84,11 @@ func TestReplyFailedLoggedOncePerConn(t *testing.T) {
 		stalled = srv.Served() == before && srv.sched.Pending() > 0
 	}
 	conn.Close()
-	for drained := false; !drained; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("the dropped connection's replies never drained: pending %d", srv.sched.Pending())
-		}
+	waitFor(t, time.Until(deadline), "the dropped connection's replies to drain", func() bool {
 		srv.connMu.Lock()
-		drained = len(srv.conns) == 0 && srv.sched.Pending() == 0
-		srv.connMu.Unlock()
-	}
+		defer srv.connMu.Unlock()
+		return len(srv.conns) == 0 && srv.sched.Pending() == 0
+	})
 	srv.Close() // waits for the drainers' last sends
 	if n := strings.Count(logs.String(), "reply failed"); n != 1 {
 		t.Fatalf("%d \"reply failed\" warnings for one dropped connection, want 1:\n%s", n, logs.String())
@@ -110,9 +99,8 @@ func TestReplyFailedLoggedOncePerConn(t *testing.T) {
 // (once open), 4 (once close) and 11, a number past the last constant —
 // is answered with an error reply, never with an empty success.
 func TestUnknownRequestTypeRefused(t *testing.T) {
-	addrs, stop := startServers(t, 1, policy.SizeFair)
-	defer stop()
-	raw, err := net.Dial("tcp", addrs[0])
+	self := startFabric(t, listen(t, 1))[0].Addr()
+	raw, err := net.Dial("tcp", self)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,15 +129,13 @@ func TestUnknownRequestTypeRefused(t *testing.T) {
 // set of the wrong width, one naming a server twice, or one that leaves
 // out the receiving server. A width-1 create needs no set.
 func TestStrandableCreateRefused(t *testing.T) {
-	addrs, stop := startServers(t, 1, policy.SizeFair)
-	defer stop()
-	raw, err := net.Dial("tcp", addrs[0])
+	self := startFabric(t, listen(t, 1))[0].Addr()
+	raw, err := net.Dial("tcp", self)
 	if err != nil {
 		t.Fatal(err)
 	}
 	conn := transport.NewConn(raw)
 	defer conn.Close()
-	self := addrs[0]
 	seq := uint64(0)
 	send := func(req *transport.Request) *transport.Response {
 		t.Helper()
@@ -202,14 +188,8 @@ func TestFlushDoesNotParkTheConnection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
 	gate := make(chan struct{})
-	srv := New(ln, Config{Policy: policy.SizeFair, Lambda: 50 * time.Millisecond, Backing: gatedStore{Store: store, gate: gate}, Quiet: true})
-	go srv.Serve()
-	defer srv.Close()
+	srv := startFabric(t, listen(t, 1), func(c *Config) { c.Backing = gatedStore{Store: store, gate: gate} })[0]
 	held := true
 	defer func() {
 		if held {
@@ -223,7 +203,7 @@ func TestFlushDoesNotParkTheConnection(t *testing.T) {
 	if _, err := srv.Shard().Append("/held", []byte("unstaged")); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := net.Dial("tcp", ln.Addr().String())
+	raw, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,12 +239,8 @@ func TestReaderDrawnChunkDoesNotParkTheReader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
 	gate := make(chan struct{})
-	srv := New(ln, Config{Policy: policy.SizeFair, Workers: 1, Backing: gatedStore{Store: store, gate: gate}, Quiet: true})
+	srv := New(listen(t, 1)[0], Config{Policy: policy.SizeFair, Workers: 1, Backing: gatedStore{Store: store, gate: gate}, Quiet: true})
 	defer srv.Close()
 	if _, err := srv.Shard().CreateStriped("/held", 1, 0, nil); err != nil {
 		t.Fatal(err)
@@ -314,15 +290,14 @@ func TestReaderDrawnChunkDoesNotParkTheReader(t *testing.T) {
 // were not there — beside an old-layout stripe of the same path, or with
 // nothing beside it — until the commit swaps it in.
 func TestPendingEntryUnreachable(t *testing.T) {
-	addrs, stop := startServers(t, 1, policy.SizeFair)
-	defer stop()
-	raw, err := net.Dial("tcp", addrs[0])
+	self := startFabric(t, listen(t, 1))[0].Addr()
+	raw, err := net.Dial("tcp", self)
 	if err != nil {
 		t.Fatal(err)
 	}
 	conn := transport.NewConn(raw)
 	defer conn.Close()
-	self, seq := addrs[0], uint64(0)
+	seq := uint64(0)
 	send := func(req *transport.Request) *transport.Response {
 		t.Helper()
 		seq++

@@ -53,6 +53,7 @@ type Config struct {
 	// Capacity is the storage device size in bytes (default 256 MiB).
 	Capacity int64
 	// Lambda is the job-table sync interval with peers (default 500 ms).
+	// A suspect peer unseen for 6λ is confirmed failed.
 	Lambda time.Duration
 	// HeartbeatTimeout marks jobs inactive (default jobtable default).
 	HeartbeatTimeout time.Duration
@@ -75,9 +76,6 @@ type Config struct {
 	// GossipFanout is the number of random peers contacted per λ round
 	// (default cluster.DefaultFanout).
 	GossipFanout int
-	// FailTimeout confirms a suspect peer failed after this sighting age
-	// (default 6×Lambda).
-	FailTimeout time.Duration
 	// Backing is the stage-out backing store (the PFS behind the burst
 	// buffer). When set, the server re-hydrates its shard from it at
 	// start, drains dirty data back asynchronously — through the token
@@ -171,9 +169,6 @@ func New(ln net.Listener, cfg Config) *Server {
 	if len(cfg.Policy.Levels) == 0 && !cfg.Policy.FIFO {
 		cfg.Policy = policy.SizeFair
 	}
-	if cfg.FailTimeout <= 0 {
-		cfg.FailTimeout = 6 * cfg.Lambda
-	}
 	addr := ln.Addr().String()
 	shard := fsys.NewShard(addr, cfg.Capacity)
 	table := jobtable.New(addr, cfg.HeartbeatTimeout)
@@ -186,7 +181,7 @@ func New(ln net.Listener, cfg Config) *Server {
 		node: cluster.NewNode(cluster.Config{
 			Self:        addr,
 			Fanout:      cfg.GossipFanout,
-			FailTimeout: cfg.FailTimeout,
+			FailTimeout: 6 * cfg.Lambda,
 			Seed:        cfg.Seed,
 		}, table),
 		shard: shard,

@@ -17,45 +17,71 @@ import (
 	"themisio/internal/policy"
 )
 
-// startServers launches n live servers on loopback TCP, fully peered for
-// λ-sync, and returns their addresses plus a shutdown func.
-func startServers(t *testing.T, n int, pol policy.Policy) ([]string, func()) {
-	return startServersDelay(t, n, pol, 0)
-}
-
-func startServersDelay(t *testing.T, n int, pol policy.Policy, opDelay time.Duration) ([]string, func()) {
+// listen opens n loopback listeners for startFabric.
+func listen(t *testing.T, n int) (lns []net.Listener) {
 	t.Helper()
-	lns := make([]net.Listener, n)
-	addrs := make([]string, n)
-	for i := range lns {
+	for range n {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
+		lns = append(lns, ln)
 	}
-	servers := make([]*Server, n)
-	for i := range lns {
-		var peers []string
-		for j, a := range addrs {
+	return lns
+}
+
+// startFabric boots a live server on each of lns, closed at cleanup:
+// size-fair at λ = 50 ms, server i with Seed i+1, each joining all the
+// others (fully peered for λ-sync). Each tweak edits every server's
+// config before it boots.
+func startFabric(t *testing.T, lns []net.Listener, tweaks ...func(*Config)) []*Server {
+	t.Helper()
+	servers := make([]*Server, len(lns))
+	for i, ln := range lns {
+		cfg := Config{Lambda: 50 * time.Millisecond, Seed: int64(i + 1), Quiet: true}
+		for j, peer := range lns {
 			if j != i {
-				peers = append(peers, a)
+				cfg.Join = append(cfg.Join, peer.Addr().String())
 			}
 		}
-		servers[i] = New(lns[i], Config{
-			Policy:  pol,
-			Lambda:  50 * time.Millisecond,
-			Join:    peers,
-			Seed:    int64(i + 1),
-			OpDelay: opDelay,
-			Quiet:   true,
-		})
+		for _, f := range tweaks {
+			f(&cfg)
+		}
+		servers[i] = New(ln, cfg)
+		if err := servers[i].BootErr(); err != nil {
+			t.Fatal(err)
+		}
 		go servers[i].Serve()
+		t.Cleanup(servers[i].Close)
 	}
-	return addrs, func() {
-		for _, s := range servers {
-			s.Close()
+	return servers
+}
+
+// star makes a fabric join through its first server alone: server i's
+// Join lists the others in order, so for i > 0 it starts with server 0.
+func star(c *Config) {
+	if c.Seed == 1 {
+		c.Join = nil
+	} else {
+		c.Join = c.Join[:1]
+	}
+}
+
+// addrsOf returns the servers' listen addresses.
+func addrsOf(servers []*Server) []string {
+	addrs := make([]string, len(servers))
+	for i, s := range servers {
+		addrs[i] = s.Addr()
+	}
+	return addrs
+}
+
+// waitFor polls cond until it holds or d passes.
+func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(d); !cond(); time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out after %v waiting for %s", d, what)
 		}
 	}
 }
@@ -78,45 +104,29 @@ func TestSchedSeed(t *testing.T) {
 // A joiner announces itself when Serve starts: with λ = 2 s both members
 // see each other alive long before the first tick.
 func TestJoinBeforeFirstTick(t *testing.T) {
-	var servers [2]*Server
-	for i := range servers {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := Config{Lambda: 2 * time.Second, Quiet: true}
-		if i > 0 {
-			cfg.Join = []string{servers[0].ln.Addr().String()}
-		}
-		servers[i] = New(ln, cfg)
-		go servers[i].Serve()
-	}
-	defer func() { // Close waits out the controller's tick: overlap the two
+	servers := startFabric(t, listen(t, 2), func(c *Config) { c.Lambda = 2 * time.Second }, star)
+	t.Cleanup(func() { // Close waits out the controller's tick: overlap the two
 		var wg sync.WaitGroup
 		for _, s := range servers {
 			wg.Add(1)
 			go func() { defer wg.Done(); s.Close() }()
 		}
 		wg.Wait()
-	}()
-	deadline := time.Now().Add(500 * time.Millisecond)
-	for _, s := range servers {
-		for {
+	})
+	waitFor(t, 500*time.Millisecond, "both members alive on both", func() bool {
+		for _, s := range servers {
 			alive := 0
 			for _, m := range s.Cluster().Membership().Snapshot() {
 				if m.State == cluster.StateAlive {
 					alive++
 				}
 			}
-			if alive == len(servers) {
-				break
+			if alive != len(servers) {
+				return false
 			}
-			if time.Now().After(deadline) {
-				t.Fatalf("%s sees %d of %d members alive 500 ms after start", s.ln.Addr(), alive, len(servers))
-			}
-			time.Sleep(time.Millisecond)
 		}
-	}
+		return true
+	})
 }
 
 // A server without a backing store has nobody to hand its unlink
@@ -124,13 +134,7 @@ func TestJoinBeforeFirstTick(t *testing.T) {
 // a volatile server ever served stays in its memory (80 MB over a 20 s
 // meta_churn run).
 func TestVolatileServerDropsTombstones(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(ln, Config{Lambda: 20 * time.Millisecond, Quiet: true})
-	go s.Serve()
-	defer s.Close()
+	s := startFabric(t, listen(t, 1), func(c *Config) { c.Lambda = 20 * time.Millisecond })[0]
 	c, err := client.Dial(jobInfo("churn", 1), []string{s.Addr()})
 	if err != nil {
 		t.Fatal(err)
@@ -150,24 +154,10 @@ func TestVolatileServerDropsTombstones(t *testing.T) {
 	}
 	// Two more gossip rounds bracket one whole controller pass that began
 	// after the last unlink.
-	deadline := time.Now().Add(5 * time.Second)
-	for after := s.node.GossipRounds() + 2; s.node.GossipRounds() < after; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the controller stopped ticking")
-		}
-	}
+	after := s.node.GossipRounds() + 2
+	waitFor(t, 5*time.Second, "two more controller ticks", func() bool { return s.node.GossipRounds() >= after })
 	if left := s.Shard().TakeTombstones(); len(left) != 0 {
 		t.Fatalf("%d of %d unlink tombstones still held with no backing store to send them to", len(left), files)
-	}
-}
-
-// waitFor polls cond until it holds or d passes.
-func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
-	t.Helper()
-	for deadline := time.Now().Add(d); !cond(); time.Sleep(2 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out after %v waiting for %s", d, what)
-		}
 	}
 }
 
@@ -176,9 +166,8 @@ func jobInfo(id string, nodes int) policy.JobInfo {
 }
 
 func TestLiveRoundTripSingleServer(t *testing.T) {
-	addrs, stop := startServers(t, 1, policy.SizeFair)
-	defer stop()
-	c, err := client.Dial(jobInfo("job1", 4), addrs)
+	srv := startFabric(t, listen(t, 1))[0]
+	c, err := client.Dial(jobInfo("job1", 4), []string{srv.Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,9 +214,7 @@ func TestLiveRoundTripSingleServer(t *testing.T) {
 }
 
 func TestLiveMultiServerPlacementAndSync(t *testing.T) {
-	addrs, stop := startServers(t, 3, policy.SizeFair)
-	defer stop()
-	c, err := client.Dial(jobInfo("job1", 8), addrs)
+	c, err := client.Dial(jobInfo("job1", 8), addrsOf(startFabric(t, listen(t, 3))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,8 +273,7 @@ func TestLiveSizeFairService(t *testing.T) {
 	if raceEnabled {
 		opDelay = 1500 * time.Microsecond
 	}
-	addrs, stop := startServersDelay(t, 1, policy.SizeFair, opDelay)
-	defer stop()
+	addrs := addrsOf(startFabric(t, listen(t, 1), func(c *Config) { c.OpDelay = opDelay }))
 
 	run := func(job policy.JobInfo, workers int, stopCh chan struct{}, count *int64, mu *sync.Mutex) {
 		var wg sync.WaitGroup
@@ -357,9 +343,7 @@ func TestLiveSizeFairService(t *testing.T) {
 // Any File method after Close returns fs.ErrClosed, and opening a
 // missing path without create fails.
 func TestLiveClosedFile(t *testing.T) {
-	addrs, stop := startServers(t, 1, policy.SizeFair)
-	defer stop()
-	c, err := client.Dial(jobInfo("j", 1), addrs)
+	c, err := client.Dial(jobInfo("j", 1), addrsOf(startFabric(t, listen(t, 1))))
 	if err != nil {
 		t.Fatal(err)
 	}

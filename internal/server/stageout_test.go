@@ -1,4 +1,4 @@
-package server_test
+package server
 
 import (
 	"bytes"
@@ -10,19 +10,11 @@ import (
 	"themisio/internal/backing"
 	"themisio/internal/client"
 	"themisio/internal/policy"
-	"themisio/internal/server"
 )
 
-func startOne(t *testing.T, ln net.Listener, store backing.Store) *server.Server {
-	t.Helper()
-	s := server.New(ln, server.Config{
-		Policy:  policy.SizeFair,
-		Lambda:  20 * time.Millisecond,
-		Backing: store,
-		Quiet:   true,
-	})
-	go s.Serve()
-	return s
+// staging boots a server over store at λ = 20 ms.
+func staging(store backing.Store) func(*Config) {
+	return func(c *Config) { c.Lambda, c.Backing = 20*time.Millisecond, store }
 }
 
 // stagedObject reads the whole staged stripe-0 object of path, whichever
@@ -51,12 +43,8 @@ func TestStageOutRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	s := startOne(t, ln, store)
+	s := startFabric(t, listen(t, 1), staging(store))[0]
+	addr := s.Addr()
 
 	job := policy.JobInfo{JobID: "ckpt", UserID: "alice", Nodes: 2}
 	c, err := client.Dial(job, []string{addr})
@@ -81,12 +69,11 @@ func TestStageOutRestart(t *testing.T) {
 	c.Close()
 	s.Close()
 
-	ln2, err := net.Listen("tcp", addr)
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2 := startOne(t, ln2, store)
-	defer s2.Close()
+	startFabric(t, []net.Listener{ln}, staging(store))
 
 	c2, err := client.Dial(job, []string{addr})
 	if err != nil {
@@ -116,12 +103,8 @@ func TestStageOutUnlinkRecreate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	s := startOne(t, ln, store)
+	s := startFabric(t, listen(t, 1), staging(store))[0]
+	addr := s.Addr()
 
 	job := policy.JobInfo{JobID: "cycle", UserID: "alice"}
 	c, err := client.Dial(job, []string{addr})
@@ -157,12 +140,11 @@ func TestStageOutUnlinkRecreate(t *testing.T) {
 	c.Close()
 	s.Close()
 
-	ln2, err := net.Listen("tcp", addr)
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2 := startOne(t, ln2, store)
-	defer s2.Close()
+	startFabric(t, []net.Listener{ln}, staging(store))
 	c2, err := client.Dial(job, []string{addr})
 	if err != nil {
 		t.Fatal(err)
@@ -190,14 +172,8 @@ func TestBackgroundDrainNoFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := startOne(t, ln, store)
-	defer s.Close()
-
-	c, err := client.Dial(policy.JobInfo{JobID: "bg", UserID: "bob"}, []string{ln.Addr().String()})
+	s := startFabric(t, listen(t, 1), staging(store))[0]
+	c, err := client.Dial(policy.JobInfo{JobID: "bg", UserID: "bob"}, []string{s.Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,29 +186,17 @@ func TestBackgroundDrainNoFlush(t *testing.T) {
 	if _, err := f.Write(data); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if obj, err := stagedObject(store, "/lazy.bin"); err == nil && bytes.Equal(obj, data) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("background drain never staged the file out")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitFor(t, 5*time.Second, "the background drain to stage the file out", func() bool {
+		obj, err := stagedObject(store, "/lazy.bin")
+		return err == nil && bytes.Equal(obj, data)
+	})
 	if err := c.Unlink("/lazy.bin"); err != nil {
 		t.Fatal(err)
 	}
-	deadline = time.Now().Add(5 * time.Second)
-	for {
-		if _, err := stagedObject(store, "/lazy.bin"); err != nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("unlink never propagated to the backing store")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitFor(t, 5*time.Second, "the unlink to reach the backing store", func() bool {
+		_, err := stagedObject(store, "/lazy.bin")
+		return err != nil
+	})
 	if chunks, bytesOut, _ := s.Drainer().Stats(); chunks == 0 || bytesOut < int64(len(data)) {
 		t.Fatalf("drain stats: chunks=%d bytes=%d", chunks, bytesOut)
 	}

@@ -2,13 +2,10 @@ package server
 
 import (
 	"bytes"
-	"net"
 	"testing"
-	"time"
 
 	"themisio/internal/backing"
 	"themisio/internal/fsys"
-	"themisio/internal/policy"
 )
 
 // TestStreamFallsBackToStagedObject: when a migration source stops
@@ -20,17 +17,8 @@ func TestStreamFallsBackToStagedObject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := New(ln, Config{Policy: policy.SizeFair, Lambda: 50 * time.Millisecond, Quiet: true})
-	go dst.Serve()
-	defer dst.Close()
-	gone, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	dst := startFabric(t, listen(t, 1))[0]
+	gone := listen(t, 1)[0]
 	dead := gone.Addr().String()
 	gone.Close() // nobody answers there any more
 
