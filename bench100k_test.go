@@ -8,6 +8,7 @@ package themisio
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"themisio/internal/jobtable"
 	"themisio/internal/metrics"
@@ -120,28 +121,26 @@ func BenchmarkLedgerRoll100k(b *testing.B) {
 // "observe" is the new job's first sighting, which the connection reader
 // that saw it pays; "publish" is the controller's Refresh folding 20
 // such arrivals into one delta. Off the clock the arrivals are
-// removed again (every 100 sightings, or before each publish), so the
-// table stays within 10 % of its size.
+// expired again (every 100 sightings, or before each publish), so the
+// table stays within 10 % of its size: they are sighted at 0 and the
+// peer rows at 1 ms, so an expiry at 1 ms keeping 1 ns takes only them.
 func BenchmarkArrival(b *testing.B) {
 	const batch = 100
 	arrivals := make([]policy.JobInfo, batch)
 	for i := range arrivals {
 		arrivals[i] = policy.JobInfo{JobID: fmt.Sprintf("new%06d", i), UserID: "u", GroupID: "g", Nodes: 1}
 	}
-	retire := func(t *jobtable.Table, k int) {
-		for _, j := range arrivals[:k] {
-			t.Remove(j.JobID)
-		}
-	}
+	const at = time.Millisecond
+	retire := func(t *jobtable.Table) { t.Expire(at, time.Nanosecond) }
 	for _, n := range []int{1_000, 20_000, 100_000} {
 		peer := make([]jobtable.Entry, n)
 		for i, j := range makeJobsWide(n) {
-			peer[i] = jobtable.Entry{Info: j}
+			peer[i] = jobtable.Entry{Info: j, Last: at}
 		}
 		filled := func() *jobtable.Table {
 			t := jobtable.New("s0", 0)
-			t.Merge(peer, 0)
-			t.Refresh(0)
+			t.Merge(peer, at)
+			t.Refresh(at)
 			return t
 		}
 		b.Run(fmt.Sprintf("observe/jobs=%d", n), func(b *testing.B) {
@@ -151,7 +150,7 @@ func BenchmarkArrival(b *testing.B) {
 				t.Observe(arrivals[i%batch], 0)
 				if i%batch == batch-1 {
 					b.StopTimer()
-					retire(t, batch)
+					retire(t)
 					b.StartTimer()
 				}
 			}
@@ -162,13 +161,13 @@ func BenchmarkArrival(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				retire(t, k)
-				t.Refresh(0)
+				retire(t)
+				t.Refresh(at)
 				for _, j := range arrivals[:k] {
 					t.Observe(j, 0)
 				}
 				b.StartTimer()
-				t.Refresh(0)
+				t.Refresh(at)
 			}
 		})
 	}

@@ -70,8 +70,8 @@ func TestMetricsCommand(t *testing.T) {
 	}
 
 	reg := obsv.NewRegistry()
-	reg.Counter("themis_test_total", "A counter.").Add(7)
-	reg.Gauge("other_gauge", "A gauge.").Set(1)
+	reg.CounterFunc("themis_test_total", "A counter.", func() float64 { return 7 })
+	reg.GaugeFunc("other_gauge", "A gauge.", func() float64 { return 1 })
 	ts := httptest.NewServer(obsv.Mux(reg, func() (bool, string) { return true, "" }))
 	defer ts.Close()
 	addr := strings.TrimPrefix(ts.URL, "http://")

@@ -259,11 +259,13 @@ var rules = []rule{
 		doc:   cite{"ARCHITECTURE.md", "**One serve** (`Server.serve`) runs what a draw selects on the goroutine that drew"},
 		scope: scope{dirs: []string{"internal/server/"}},
 		check: func(_ *tree, files []*goFile) (hits []string) {
-			const why = "execute a request only in Server.serve, on the goroutine whose PopBatch drew it"
+			const why = "execute a request only in Server.serve, on the goroutine whose Pop drew it"
+			drawers := anyOf("Server.drainer", "Server.drawOnReader")
 			in := map[string]func(string) bool{
 				"execute":  anyOf("Server.serve"),
-				"serve":    anyOf("Server.drainer", "Server.drawOnReader"),
-				"PopBatch": anyOf("Server.drainer", "Server.drawOnReader"),
+				"serve":    drawers,
+				"Pop":      drawers,
+				"PopBatch": drawers,
 			}
 			for _, f := range files {
 				f.calls(func(c *ast.CallExpr, x ast.Expr, name string, fn *ast.FuncDecl) {

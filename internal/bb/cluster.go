@@ -185,25 +185,21 @@ func (c *Cluster) Efficiency() float64 { return c.eff }
 
 // SyncTables performs one λ synchronization round (the λ loop calls
 // this on schedule; tests may call it directly): an all-gather of the
-// live servers' job tables. With SyncDelay configured, peer snapshots
-// are captured now but merged SyncDelay later. What a merge changes is
-// published and compiled by the server's next submit or λ step.
+// live servers' job tables. Every snapshot is taken now and merged into
+// every other table now, or SyncDelay later when one is configured. The
+// tables share the virtual clock, so rows keep their times. What a merge
+// changes is published and compiled by the server's next submit or λ
+// step.
 func (c *Cluster) SyncTables() {
 	var tables []*jobtable.Table
+	var snaps [][]jobtable.Entry
 	for _, s := range c.servers {
 		if !s.failed {
 			tables = append(tables, s.table)
+			snaps = append(snaps, s.table.Snapshot())
 		}
 	}
-	if c.cfg.SyncDelay <= 0 {
-		jobtable.AllGather(tables, c.eng.Now())
-		return
-	}
-	snaps := make([][]jobtable.Entry, len(tables))
-	for i, t := range tables {
-		snaps[i] = t.Snapshot()
-	}
-	c.eng.After(c.cfg.SyncDelay, func(at time.Duration) {
+	merge := func(at time.Duration) {
 		for i, t := range tables {
 			for j, snap := range snaps {
 				if i != j {
@@ -211,7 +207,12 @@ func (c *Cluster) SyncTables() {
 				}
 			}
 		}
-	})
+	}
+	if c.cfg.SyncDelay <= 0 {
+		merge(c.eng.Now())
+		return
+	}
+	c.eng.After(c.cfg.SyncDelay, merge)
 }
 
 // FailServer marks server i failed, mirroring the live fabric's

@@ -150,9 +150,10 @@ func DialOpts(job policy.JobInfo, servers []string, opts Options) (*Client, erro
 	return c, nil
 }
 
-// Close notifies servers and tears down connections (§4.2: "when a
-// client exits, it notifies the ThemisIO servers to destroy the
-// corresponding mapping entry").
+// Close sends MsgBye on every connection, which ends it on the server,
+// and tears the connections down. The job stays in the servers' job
+// tables: one job spans many client processes, so it leaves by heartbeat
+// expiry once none of them heartbeats.
 func (c *Client) Close() {
 	close(c.hbStop)
 	<-c.hbDone

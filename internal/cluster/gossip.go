@@ -8,7 +8,9 @@
 // per round instead of N-1. Peers are reached through a
 // transport.Peers set: one cached connection each, redialed once when a
 // cached connection turns out stale (every exchange is an idempotent
-// merge).
+// merge). Servers share no clock, so a job-table row crosses the wire
+// as its sighting's age, converted from and back to the local clock at
+// each end (ages and times, below).
 package cluster
 
 import (
@@ -178,7 +180,7 @@ func (n *Node) Join(seeds []string, now time.Duration) error {
 		if addr == "" || addr == n.cfg.Self {
 			continue
 		}
-		resp, err := n.exchange(addr, n.digest(transport.MsgJoin))
+		resp, err := n.exchange(addr, n.digest(transport.MsgJoin, now))
 		if err != nil {
 			lastErr = err
 			continue
@@ -199,7 +201,7 @@ func (n *Node) Gossip(now time.Duration) {
 	n.rounds.Add(1)
 	n.mem.Tick(now)
 	for _, addr := range n.sample(n.mem.Peers(), n.cfg.Fanout) {
-		resp, err := n.exchange(addr, n.digest(transport.MsgGossip))
+		resp, err := n.exchange(addr, n.digest(transport.MsgGossip, now))
 		if err != nil {
 			n.mem.ReportFailure(addr, now)
 			continue
@@ -224,13 +226,13 @@ func (n *Node) sample(peers []string, k int) []string {
 	return out
 }
 
-// digest builds a push frame of the given type: the job-table snapshot,
-// the membership digest and the policy rumor.
-func (n *Node) digest(typ transport.MsgType) *transport.Request {
+// digest builds a push frame of the given type at time now: the
+// job-table snapshot as ages, the membership digest and the policy rumor.
+func (n *Node) digest(typ transport.MsgType, now time.Duration) *transport.Request {
 	req := &transport.Request{
 		Type:    typ,
 		From:    n.cfg.Self,
-		Table:   n.tab.Snapshot(),
+		Table:   ages(n.tab.Snapshot(), now),
 		Members: Records(n.mem.Snapshot()),
 	}
 	req.PolicyStr, req.PolicyEpoch = n.PolicyVersion()
@@ -251,10 +253,34 @@ func (n *Node) absorb(addr string, resp *transport.Response, now time.Duration) 
 	defer resp.Release()
 	n.mem.Sighting(addr, now)
 	n.mem.Merge(FromRecords(resp.Members), now)
-	n.tab.Merge(resp.Table, now)
+	n.tab.Merge(times(resp.Table, now), now)
 	n.MergePolicy(resp.PolicyStr, resp.PolicyEpoch)
 	n.scrub()
 }
+
+// ages rewrites each row's Last, a time on this node's clock, as its age
+// at now: the form a row crosses the fabric in, since another server's
+// clock started at another moment.
+func ages(rows []jobtable.Entry, now time.Duration) []jobtable.Entry {
+	for i := range rows {
+		rows[i].Last = now - rows[i].Last
+	}
+	return rows
+}
+
+// times rewrites each received row's age as a time on this node's clock.
+// A skewed or hostile peer's age is clamped to [0, maxAge]: below zero
+// it would date a sighting in this node's future, and near the int64
+// limit a later now−Last would wrap negative; either pins the job active.
+func times(rows []jobtable.Entry, now time.Duration) []jobtable.Entry {
+	for i := range rows {
+		rows[i].Last = now - min(max(rows[i].Last, 0), maxAge)
+	}
+	return rows
+}
+
+// maxAge is the oldest age a received row keeps: 146 years.
+const maxAge = time.Duration(1 << 62)
 
 // Handle services an incoming cluster control request (the server's
 // communicator routes MsgGossip/MsgJoin/MsgLeave/MsgClusterStatus/
@@ -267,10 +293,10 @@ func (n *Node) Handle(req *transport.Request, now time.Duration) *transport.Resp
 			n.mem.Sighting(req.From, now)
 		}
 		n.mem.Merge(FromRecords(req.Members), now)
-		n.tab.Merge(req.Table, now)
+		n.tab.Merge(times(req.Table, now), now)
 		n.MergePolicy(req.PolicyStr, req.PolicyEpoch)
 		n.scrub()
-		resp.Table = n.tab.Snapshot()
+		resp.Table = ages(n.tab.Snapshot(), now)
 		resp.Members = Records(n.mem.Snapshot())
 		resp.Epoch = n.mem.Epoch()
 		resp.PolicyStr, resp.PolicyEpoch = n.PolicyVersion()

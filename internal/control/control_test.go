@@ -102,7 +102,7 @@ func TestCompileCountFollowsJobSetChanges(t *testing.T) {
 
 // Every change reaches the scheduler exactly once. Over seeded random
 // churn through the loop — submits, heartbeats, merged peer rows,
-// failover scrubs, removals, and λ steps with their expiry and decay —
+// failover scrubs, early expiries, and λ steps with their expiry and decay —
 // the delta-compiled scheduler's shares equal those of a from-scratch
 // compile of the table's active set after every step, bit for bit.
 func TestDeltaCompilesMatchFullCompile(t *testing.T) {
@@ -129,7 +129,7 @@ func TestDeltaCompilesMatchFullCompile(t *testing.T) {
 			case 4:
 				tab.DropServer("s1")
 			case 5:
-				tab.Remove(j.JobID)
+				tab.Expire(now, time.Duration(rng.Intn(2000))*time.Millisecond)
 			}
 			switch {
 			case rng.Intn(4) == 0:

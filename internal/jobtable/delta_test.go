@@ -43,11 +43,12 @@ func TestRefreshDeltaSquashesEdits(t *testing.T) {
 		t.Fatalf("up-to-date consumer: got %+v, want empty", d)
 	}
 
-	tb.Observe(info("b", 2), 10*time.Millisecond)  // add b
-	tb.Observe(info("b", 8), 20*time.Millisecond)  // update b (nodes)
-	tb.Observe(info("c", 1), 30*time.Millisecond)  // add c
-	tb.Remove("c")                                 // remove c
+	tb.Observe(info("b", 2), 10*time.Millisecond) // add b
+	tb.Observe(info("b", 8), 20*time.Millisecond) // update b (nodes)
+	// add c, a peer's sighting from 0, then expire it
+	tb.Merge([]Entry{{Info: info("c", 1), Servers: map[string]bool{"s2": true}}}, 30*time.Millisecond)
 	tb.Observe(info("a", 16), 50*time.Millisecond) // update a
+	tb.Expire(50*time.Millisecond, 45*time.Millisecond)
 
 	_, d := tb.Refresh(50 * time.Millisecond)
 	if len(d.Added) != 1 || d.Added[0].JobID != "b" || d.Added[0].Nodes != 8 {
@@ -63,7 +64,7 @@ func TestRefreshDeltaSquashesEdits(t *testing.T) {
 
 // Replaying every delta Refresh hands over reproduces the active set.
 // Over seeded random churn — arrivals, resizes, revivals, merged
-// presence, failover scrubs, removals, expiry and decay, several edits
+// presence, failover scrubs, expiry and decay, several edits
 // per Refresh — the replayed set, the set Refresh returns and Active(now)
 // agree after every Refresh, and every delta is well formed: an add is
 // new, an update or a removal names a member, and an update changes it.
@@ -88,7 +89,7 @@ func TestRefreshDeltasReplayToActiveSet(t *testing.T) {
 			case 4:
 				tb.DropServer(server)
 			case 5:
-				tb.Remove(id)
+				tb.Expire(now, time.Duration(rng.Intn(2000))*time.Millisecond)
 			case 6:
 				tb.Expire(now, 0)
 			}

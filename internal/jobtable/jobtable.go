@@ -49,16 +49,18 @@ func (s Status) String() string {
 
 // Entry is one row of the job status table.
 type Entry struct {
+	// Info is the job's attributes; Presence is left zero, since active
+	// derives it from Servers.
 	Info policy.JobInfo
 	// Last is the time of the most recent heartbeat (or embedded-metadata
-	// sighting) for the job, in the owning clock's domain.
+	// sighting) for the job, on the clock of the table that holds the
+	// row: the simulator's virtual clock, or the live server's own.
+	// Another server's clock differs, so a row crosses the fabric as an
+	// age (internal/cluster converts it both ways).
 	Last time.Duration
 	// Servers is the set of server ids on which the job has been observed
 	// doing I/O. Populated locally by Observe and unioned during Merge.
 	Servers map[string]bool
-	// Demand counts I/O requests observed from the job since creation;
-	// used only for reporting.
-	Demand int64
 }
 
 func (e *Entry) clone() Entry {
@@ -95,7 +97,7 @@ type Table struct {
 	entries map[string]*Entry
 	timeout time.Duration
 
-	// The writers (Observe, Heartbeat, Merge, Expire, DropServer, Remove)
+	// The writers (Observe, Heartbeat, Merge, Expire, DropServer)
 	// only record the job ids whose row changed in pending and raise
 	// dirty, so a sighting costs O(1) whatever the table's size. Refresh
 	// folds them into pub, the set it last handed over, with one merge
@@ -151,7 +153,7 @@ func (t *Table) Heartbeat(info policy.JobInfo, now time.Duration) {
 func (t *Table) Observe(info policy.JobInfo, now time.Duration) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.touch(info, now, true).Demand++
+	t.touch(info, now, true)
 }
 
 // notePendingLocked marks the job id as touched since the last Refresh
@@ -166,24 +168,21 @@ func (t *Table) notePendingLocked(id string, now time.Duration) {
 	}
 }
 
-// touch implements Heartbeat/Observe under t.mu: it records the sighting,
-// marks the job pending if the active set could change (new job, stale
-// job revived, attributes or this server's presence moved), and returns
-// the entry.
-func (t *Table) touch(info policy.JobInfo, now time.Duration, io bool) *Entry {
+// touch implements Heartbeat/Observe under t.mu: it records the sighting
+// and marks the job pending if the active set could change (new job,
+// stale job revived, attributes or this server's presence moved).
+func (t *Table) touch(info policy.JobInfo, now time.Duration, io bool) {
+	info.Presence = 0 // presence is derived, not client-supplied
 	e, ok := t.entries[info.JobID]
 	changed := !ok
 	if !ok {
 		e = &Entry{Info: info, Last: now, Servers: map[string]bool{}}
 		t.entries[info.JobID] = e
 	} else {
-		changed = now-e.Last > t.timeout // stale → active counts as a change
-		next := info
-		next.Presence = e.Info.Presence // presence is derived, not client-supplied
-		if e.Info != next {
-			changed = true // policy-relevant metadata moved (nodes, user, …)
-		}
-		e.Info = next
+		// Stale → active, or policy-relevant metadata moved (nodes,
+		// user, …), counts as a change.
+		changed = now-e.Last > t.timeout || e.Info != info
+		e.Info = info
 		if now > e.Last {
 			e.Last = now
 		}
@@ -195,7 +194,6 @@ func (t *Table) touch(info policy.JobInfo, now time.Duration, io bool) *Entry {
 	if changed {
 		t.notePendingLocked(info.JobID, now)
 	}
-	return e
 }
 
 // Active returns the jobs whose last heartbeat is within the timeout as of
@@ -362,9 +360,10 @@ func (t *Table) StatusOf(jobID string, now time.Duration) (Status, bool) {
 }
 
 // Expire removes entries whose heartbeat age exceeds keep (defaulting to
-// 4× the timeout when keep <= 0) and returns the number removed. The live
-// server destroys the expired jobs' connection mappings when this fires
-// (§4.2).
+// 4× the timeout when keep <= 0) and returns the number removed. It is
+// the only way a row leaves the table: one job spans many client
+// processes, so no single client's exit can retire it, and a job that
+// stops heartbeating is inactive after the timeout and forgotten here.
 func (t *Table) Expire(now, keep time.Duration) int {
 	if keep <= 0 {
 		keep = 4 * t.timeout
@@ -383,16 +382,6 @@ func (t *Table) Expire(now, keep time.Duration) int {
 	return n
 }
 
-// Remove deletes the job outright (client notified exit, §4.2); the next
-// Refresh folds the departure in.
-func (t *Table) Remove(jobID string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	delete(t.entries, jobID)
-	t.pending[jobID] = struct{}{}
-	t.dirty.Store(true)
-}
-
 // Len returns the number of entries (active or not).
 func (t *Table) Len() int {
 	t.mu.RLock()
@@ -400,8 +389,8 @@ func (t *Table) Len() int {
 	return len(t.entries)
 }
 
-// Snapshot returns a deep copy of all entries, sorted by JobID. This is
-// what a controller sends to its peers during the λ all-gather.
+// Snapshot returns a deep copy of all entries, sorted by JobID: what a
+// server sends its peers each λ.
 func (t *Table) Snapshot() []Entry {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -439,9 +428,6 @@ func (t *Table) Merge(snap []Entry, now time.Duration) {
 					changed = true
 				}
 			}
-			if in.Demand > e.Demand {
-				e.Demand = in.Demand
-			}
 		}
 		if changed {
 			t.notePendingLocked(in.Info.JobID, now)
@@ -462,24 +448,6 @@ func (t *Table) DropServer(server string) {
 			delete(e.Servers, server)
 			t.pending[id] = struct{}{}
 			t.dirty.Store(true)
-		}
-	}
-}
-
-// AllGather performs the λ-interval synchronization across a set of
-// tables: every table merges every other table's snapshot. After the call
-// all tables agree on the global active job set and per-job presence.
-func AllGather(tables []*Table, now time.Duration) {
-	snaps := make([][]Entry, len(tables))
-	for i, t := range tables {
-		snaps[i] = t.Snapshot()
-	}
-	for i, t := range tables {
-		for j, snap := range snaps {
-			if i == j {
-				continue
-			}
-			t.Merge(snap, now)
 		}
 	}
 }

@@ -38,17 +38,19 @@ func TestHeartbeatInsertAndRefresh(t *testing.T) {
 	}
 }
 
-func TestObserveTracksPresenceAndDemand(t *testing.T) {
+func TestObserveTracksPresence(t *testing.T) {
 	tb := New("s1", time.Second)
-	tb.Observe(info("a", 4), 0)
+	claimed := info("a", 4)
+	claimed.Presence = 7 // a client's claim is not the table's presence
+	tb.Observe(claimed, 0)
 	tb.Observe(info("a", 4), time.Millisecond)
 	act := tb.Active(time.Millisecond)
 	if len(act) != 1 || act[0].Presence != 1 {
 		t.Fatalf("active = %+v, want presence 1", act)
 	}
 	snap := tb.Snapshot()
-	if snap[0].Demand != 2 {
-		t.Fatalf("demand = %d, want 2", snap[0].Demand)
+	if snap[0].Info.Presence != 0 {
+		t.Fatalf("row keeps presence %d, want none: it is derived", snap[0].Info.Presence)
 	}
 	if !snap[0].Servers["s1"] {
 		t.Fatal("server set should contain the observing server")
@@ -87,7 +89,7 @@ func TestActiveSortedAndFiltered(t *testing.T) {
 	}
 }
 
-func TestExpireAndRemove(t *testing.T) {
+func TestExpire(t *testing.T) {
 	tb := New("s1", time.Second)
 	tb.Observe(info("a", 1), 0)
 	tb.Observe(info("b", 1), 10*time.Second)
@@ -97,9 +99,24 @@ func TestExpireAndRemove(t *testing.T) {
 	if tb.Len() != 1 {
 		t.Fatalf("len = %d, want 1", tb.Len())
 	}
-	tb.Remove("b")
-	if tb.Len() != 0 {
-		t.Fatal("remove failed")
+	if n := tb.Expire(10*time.Second+time.Millisecond, time.Nanosecond); n != 1 || tb.Len() != 0 {
+		t.Fatalf("a keep of 1 ns expired %d, left %d, want the last row gone", n, tb.Len())
+	}
+}
+
+// allGather is the simulator's λ-sync (bb.SyncTables): snapshot every
+// table, then merge each snapshot into every other table.
+func allGather(tables []*Table, now time.Duration) {
+	snaps := make([][]Entry, len(tables))
+	for i, t := range tables {
+		snaps[i] = t.Snapshot()
+	}
+	for i, t := range tables {
+		for j, snap := range snaps {
+			if i != j {
+				t.Merge(snap, now)
+			}
+		}
 	}
 }
 
@@ -114,7 +131,7 @@ func TestAllGatherFigure5(t *testing.T) {
 	s2.Observe(info("job1", 16), 0)
 	s2.Observe(info("job3", 8), 0)
 
-	AllGather([]*Table{s1, s2}, time.Millisecond)
+	allGather([]*Table{s1, s2}, time.Millisecond)
 
 	for _, tb := range []*Table{s1, s2} {
 		act := tb.Active(time.Millisecond)
@@ -147,8 +164,8 @@ func TestMergeKeepsFreshest(t *testing.T) {
 	}
 }
 
-// Property: AllGather is idempotent and converges all tables to the same
-// active set in one round.
+// Property: an all-gather is idempotent and converges all tables to the
+// same active set in one round.
 func TestAllGatherConvergenceProperty(t *testing.T) {
 	f := func(assign []uint8) bool {
 		if len(assign) == 0 {
@@ -170,7 +187,7 @@ func TestAllGatherConvergenceProperty(t *testing.T) {
 			tables[s1].Observe(policy.JobInfo{JobID: id, UserID: "u", Nodes: 1}, 0)
 			tables[s2].Observe(policy.JobInfo{JobID: id, UserID: "u", Nodes: 1}, 0)
 		}
-		AllGather(tables, time.Millisecond)
+		allGather(tables, time.Millisecond)
 		ref := tables[0].Active(time.Millisecond)
 		for _, tb := range tables[1:] {
 			act := tb.Active(time.Millisecond)
@@ -184,7 +201,7 @@ func TestAllGatherConvergenceProperty(t *testing.T) {
 			}
 		}
 		// Idempotence.
-		AllGather(tables, time.Millisecond)
+		allGather(tables, time.Millisecond)
 		again := tables[0].Active(time.Millisecond)
 		if len(again) != len(ref) {
 			return false
@@ -221,7 +238,7 @@ func TestDropServerShiftsPresence(t *testing.T) {
 	b := New("s2", time.Second)
 	a.Observe(info("j", 4), 0)
 	b.Observe(info("j", 4), 0)
-	AllGather([]*Table{a, b}, 0)
+	a.Merge(b.Snapshot(), 0)
 	if act := a.Active(0); act[0].Presence != 2 {
 		t.Fatalf("presence = %d before drop, want 2", act[0].Presence)
 	}
@@ -292,7 +309,8 @@ func TestOnlyRefreshPublishes(t *testing.T) {
 		tb := New("s1", time.Second)
 		tb.Observe(info("old", 1), 0)       // silent since 0: revived below
 		tb.Heartbeat(info("ancient", 1), 0) // past 4× the timeout at `at`
-		for _, id := range []string{"big", "gone", "shared"} {
+		tb.Observe(info("gone", 2), at-900*time.Millisecond)
+		for _, id := range []string{"big", "shared"} {
 			tb.Observe(info(id, 2), at)
 		}
 		tb.Merge([]Entry{{Info: info("shared", 2), Last: at, Servers: map[string]bool{"s2": true}}}, at)
@@ -310,12 +328,11 @@ func TestOnlyRefreshPublishes(t *testing.T) {
 		{"Merge adding a job and a server", func(tb *Table) {
 			tb.Merge([]Entry{
 				{Info: info("peer", 1), Last: at, Servers: map[string]bool{"s3": true}},
-				{Info: info("gone", 2), Last: at, Servers: map[string]bool{"s3": true}},
+				{Info: info("gone", 2), Last: at - 900*time.Millisecond, Servers: map[string]bool{"s3": true}},
 			}, at)
 		}},
-		{"Expire", func(tb *Table) { tb.Expire(at, 0) }},
+		{"Expire", func(tb *Table) { tb.Expire(at, 800*time.Millisecond) }},
 		{"DropServer", func(tb *Table) { tb.DropServer("s2") }},
-		{"Remove", func(tb *Table) { tb.Remove("gone") }},
 	}
 	check := func(tb *Table, name string, prev, kept ActiveSet) {
 		t.Helper()
@@ -388,7 +405,7 @@ func TestRefreshCatchesDecayAndDropServer(t *testing.T) {
 	b := New("s2", time.Second)
 	a.Observe(info("j", 4), 0)
 	b.Observe(info("j", 4), 0)
-	AllGather([]*Table{a, b}, 0)
+	a.Merge(b.Snapshot(), 0)
 	a.Refresh(0)
 	a.DropServer("s2")
 	if !a.Unpublished() {

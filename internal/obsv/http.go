@@ -6,7 +6,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
-	"sync/atomic"
 )
 
 // ReadyFunc reports whether the process is ready to serve, and a human
@@ -48,39 +47,6 @@ func MetricsHandler(reg *Registry) http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		reg.WriteTo(w)
 	})
-}
-
-// Health is an atomic readiness latch implementing ReadyFunc — for
-// binaries whose readiness changes over a lifetime New can't capture
-// (boot → rehydrating → serving → draining).
-type Health struct {
-	state atomic.Pointer[healthState]
-}
-
-type healthState struct {
-	ready  bool
-	reason string
-}
-
-// NewHealth returns a not-ready latch with the given reason.
-func NewHealth(reason string) *Health {
-	h := &Health{}
-	h.SetNotReady(reason)
-	return h
-}
-
-// SetReady marks the process ready.
-func (h *Health) SetReady() { h.state.Store(&healthState{ready: true}) }
-
-// SetNotReady marks the process not ready with a reason.
-func (h *Health) SetNotReady(reason string) {
-	h.state.Store(&healthState{reason: reason})
-}
-
-// Ready implements ReadyFunc.
-func (h *Health) Ready() (bool, string) {
-	s := h.state.Load()
-	return s.ready, s.reason
 }
 
 // --- structured-logging helpers ------------------------------------------

@@ -4,21 +4,18 @@
 // /healthz and the pprof profiling hooks, and small structured-logging
 // helpers shared by the binaries.
 //
-// The registry is built for the same regime as the scheduler it
-// instruments: writes on the request hot path are single atomic
-// operations (counter adds, gauge stores, one bucket increment plus a
-// CAS-loop sum add for histograms) and take no lock; locks appear only
-// on the cold paths — family registration at boot and child creation on
-// a label value's first sighting. A scrape walks the families under the
-// registry lock but reads every sample with atomic loads, so a flood of
-// parallel writers never blocks (nor is blocked by) a scrape — pinned
-// by the package's -race hammer test.
-//
-// Values that the fabric already counts elsewhere (the scheduler's
-// lock-free serviced-byte counters, the drainer's stage-out tallies,
-// the membership table) are exported through callback collectors
-// (GaugeFunc / the *VecFunc variants) evaluated at scrape time, so
-// instrumenting them costs the hot path nothing at all.
+// Two kinds of family cover the fabric. Values that it already counts
+// elsewhere (the scheduler's lock-free serviced-byte counters, the
+// drainer's stage-out tallies, the membership table) are exported
+// through callback collectors (CounterFunc, GaugeFunc and the *VecFunc
+// variants) evaluated at scrape time, so instrumenting them costs the
+// hot path nothing at all. Latencies go into histograms, whose Observe
+// is one atomic bucket increment plus a CAS-loop sum add and takes no
+// lock; locks appear only on the cold paths — family registration at
+// boot and child creation on a label value's first sighting. A scrape
+// walks the families under the registry lock but reads every sample
+// with atomic loads, so a flood of parallel writers never blocks (nor
+// is blocked by) a scrape — pinned by the package's -race hammer test.
 package obsv
 
 import (
@@ -79,7 +76,7 @@ type family struct {
 
 type child struct {
 	labelValues []string
-	metric      any // *Counter, *Gauge, *Histogram, or func() float64
+	metric      any // *Histogram or func() float64
 }
 
 // Emit is the sample sink passed to callback collectors: one call per
@@ -145,43 +142,6 @@ func (f *family) child(values []string, mk func() any) any {
 
 // --- instrument types ----------------------------------------------------
 
-// Counter is a monotonically increasing sample. All methods are
-// lock-free and safe for concurrent use.
-type Counter struct{ v atomic.Int64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds delta; negative deltas panic (counters only go up).
-func (c *Counter) Add(delta int64) {
-	if delta < 0 {
-		panic("obsv: counter decrement")
-	}
-	c.v.Add(delta)
-}
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a sample that can go up and down. All methods are lock-free.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set stores the value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adds delta (CAS loop; contended adds retry).
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+delta)) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
 // Histogram is a fixed-bucket distribution. Observe is lock-free: one
 // atomic bucket increment, one count increment, and a CAS-loop float
 // add for the sum.
@@ -222,51 +182,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
 // --- registration API ----------------------------------------------------
-
-// Counter registers an unlabeled counter family and returns its single
-// instrument.
-func (r *Registry) Counter(name, help string) *Counter {
-	f := r.register(&family{name: name, help: help, typ: typeCounter})
-	return f.child(nil, func() any { return new(Counter) }).(*Counter)
-}
-
-// CounterVec registers a labeled counter family.
-func (r *Registry) CounterVec(name, help string, labelNames ...string) *CounterVec {
-	return &CounterVec{r.register(&family{
-		name: name, help: help, typ: typeCounter, labelNames: labelNames,
-	})}
-}
-
-// CounterVec is a labeled counter family.
-type CounterVec struct{ f *family }
-
-// With returns the counter for the label values, creating it on first
-// sight. Resolve once and keep the handle on hot paths.
-func (v *CounterVec) With(labelValues ...string) *Counter {
-	return v.f.child(labelValues, func() any { return new(Counter) }).(*Counter)
-}
-
-// Gauge registers an unlabeled gauge family.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.register(&family{name: name, help: help, typ: typeGauge})
-	return f.child(nil, func() any { return new(Gauge) }).(*Gauge)
-}
-
-// GaugeVec registers a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	return &GaugeVec{r.register(&family{
-		name: name, help: help, typ: typeGauge, labelNames: labelNames,
-	})}
-}
-
-// GaugeVec is a labeled gauge family.
-type GaugeVec struct{ f *family }
-
-// With returns the gauge for the label values, creating it on first
-// sight.
-func (v *GaugeVec) With(labelValues ...string) *Gauge {
-	return v.f.child(labelValues, func() any { return new(Gauge) }).(*Gauge)
-}
 
 // GaugeFunc registers a gauge whose value is fn evaluated at scrape
 // time — the zero-hot-path-cost way to export a value the fabric
@@ -394,10 +309,6 @@ func (f *family) render(w *countWriter) error {
 	f.mu.Unlock()
 	for _, c := range kids {
 		switch m := c.metric.(type) {
-		case *Counter:
-			writeSample(w, f.name, f.labelNames, c.labelValues, "", float64(m.Value()))
-		case *Gauge:
-			writeSample(w, f.name, f.labelNames, c.labelValues, "", m.Value())
 		case func() float64:
 			writeSample(w, f.name, f.labelNames, c.labelValues, "", m())
 		case *Histogram:

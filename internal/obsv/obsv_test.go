@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -155,17 +156,18 @@ func render(t *testing.T, r *Registry) string {
 }
 
 // TestExpositionConformance registers one family of every kind —
-// including label values exercising the escaping rules and a callback
-// collector — and validates the rendered output structurally.
+// including label values exercising the escaping rules — and validates
+// the rendered output structurally.
 func TestExpositionConformance(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("t_ops_total", "ops").Add(42)
-	cv := r.CounterVec("t_frames_total", "frames by type", "type", "dir")
-	cv.With("read", "in").Add(7)
-	cv.With(`we"ird\type`, "out").Inc()
-	cv.With("line\nbreak", "in").Inc()
-	g := r.Gauge("t_depth", "queue depth")
-	g.Set(3.5)
+	r.CounterFunc("t_ops_total", "ops", func() float64 { return 42 })
+	r.CounterVecFunc("t_frames_total", "frames by type", []string{"type", "dir"},
+		func(emit Emit) {
+			emit([]string{"read", "in"}, 7)
+			emit([]string{`we"ird\type`, "out"}, 1)
+			emit([]string{"line\nbreak", "in"}, 1)
+			emit([]string{"one label short"}, 9) // dropped, not rendered malformed
+		})
 	r.GaugeFunc("t_dirty_bytes", "dirty bytes", func() float64 { return 1024 })
 	r.GaugeVecFunc("t_residual", "per-entity residual", []string{"kind", "id"},
 		func(emit Emit) {
@@ -176,6 +178,7 @@ func TestExpositionConformance(t *testing.T) {
 	for _, v := range []float64{0.0002, 0.004, 0.004, 0.2, 99} {
 		h.Observe(v)
 	}
+	r.HistogramVec("t_op_seconds", "per-op latency", []float64{1}, "op").With(`a"b`).Observe(0.5)
 
 	out := render(t, r)
 	fams, samples := parseExposition(t, out)
@@ -200,6 +203,12 @@ func TestExpositionConformance(t *testing.T) {
 	}
 	if v := samples[`t_residual{kind="user",id="alice"}`]; v != -0.013 {
 		t.Fatalf("collector sample = %v", v)
+	}
+	if v := samples[`t_op_seconds_bucket{op="a\"b",le="1"}`]; v != 1 {
+		t.Fatalf("escaped histogram label sample missing; have %v", samples)
+	}
+	if v := samples[`t_dirty_bytes`]; v != 1024 {
+		t.Fatalf("t_dirty_bytes = %v", v)
 	}
 
 	// Histogram: buckets cumulative and monotone, +Inf present and equal
@@ -243,25 +252,31 @@ func TestExpositionConformance(t *testing.T) {
 // registration time.
 func TestDuplicateFamilyPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("dup_total", "x")
+	r.CounterFunc("dup_total", "x", func() float64 { return 0 })
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate registration did not panic")
 		}
 	}()
-	r.Gauge("dup_total", "y")
+	r.GaugeFunc("dup_total", "y", func() float64 { return 0 })
 }
 
 // TestRenderDeterministic pins that two scrapes of a quiet registry are
-// byte-identical (families sorted, children in registration order).
+// byte-identical, families sorted by name and children in registration
+// order.
 func TestRenderDeterministic(t *testing.T) {
 	r := NewRegistry()
-	cv := r.CounterVec("z_total", "z", "a")
-	cv.With("2").Inc()
-	cv.With("1").Inc()
-	r.Gauge("a_gauge", "a").Set(1)
-	if a, b := render(t, r), render(t, r); a != b {
-		t.Fatalf("non-deterministic render:\n%s\n---\n%s", a, b)
+	hv := r.HistogramVec("z_seconds", "z", []float64{1}, "a")
+	hv.With("2").Observe(1)
+	hv.With("1").Observe(1)
+	r.GaugeFunc("a_gauge", "a", func() float64 { return 1 })
+	out := render(t, r)
+	if b := render(t, r); out != b {
+		t.Fatalf("non-deterministic render:\n%s\n---\n%s", out, b)
+	}
+	a, two, one := strings.Index(out, "a_gauge 1"), strings.Index(out, `z_seconds_count{a="2"}`), strings.Index(out, `z_seconds_count{a="1"}`)
+	if a < 0 || two < a || one < two {
+		t.Fatalf("want a_gauge, then child 2, then child 1:\n%s", out)
 	}
 }
 
@@ -319,18 +334,23 @@ func TestHistogramBucketEdges(t *testing.T) {
 	}
 }
 
-// TestConcurrentWritersDuringScrape hammers every instrument kind from
-// parallel writers while scraping concurrently — the -race gate for the
-// lock-free hot path, plus a conformance parse of every mid-flight
-// scrape.
+// TestConcurrentWritersDuringScrape hammers histograms, and the atomics
+// that scrape-time families read, from parallel writers while scraping
+// concurrently — the -race gate for the lock-free hot path, plus a
+// conformance parse of every mid-flight scrape.
 func TestConcurrentWritersDuringScrape(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("hammer_ops_total", "ops")
-	cv := r.CounterVec("hammer_frames_total", "frames", "type")
-	g := r.Gauge("hammer_depth", "depth")
+	var ops, depth atomic.Int64
+	var frames [3]atomic.Int64
+	r.CounterFunc("hammer_ops_total", "ops", func() float64 { return float64(ops.Load()) })
+	r.CounterVecFunc("hammer_frames_total", "frames", []string{"type"}, func(emit Emit) {
+		for i := range frames {
+			emit([]string{fmt.Sprintf("t%d", i)}, float64(frames[i].Load()))
+		}
+	})
+	r.GaugeFunc("hammer_depth", "depth", func() float64 { return float64(depth.Load()) })
 	h := r.Histogram("hammer_latency_seconds", "lat", LatencyBuckets)
 	hv := r.HistogramVec("hammer_op_seconds", "per-op", []float64{0.001, 0.1}, "op")
-	r.GaugeFunc("hammer_live", "live", func() float64 { return 1 })
 
 	const writers = 8
 	const perWriter = 5000
@@ -340,13 +360,12 @@ func TestConcurrentWritersDuringScrape(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			typ := fmt.Sprintf("t%d", w%3)
-			fc := cv.With(typ)
-			fh := hv.With(typ)
+			fc := &frames[w%3]
+			fh := hv.With(fmt.Sprintf("t%d", w%3))
 			for i := 0; i < perWriter; i++ {
-				c.Inc()
+				ops.Add(1)
 				fc.Add(2)
-				g.Set(float64(i))
+				depth.Store(int64(i))
 				h.Observe(float64(i%100) / 1000)
 				fh.Observe(float64(i%7) / 100)
 			}
@@ -381,38 +400,13 @@ func TestConcurrentWritersDuringScrape(t *testing.T) {
 	if v := samples["hammer_latency_seconds_count"]; v != writers*perWriter {
 		t.Fatalf("lost observations: %v != %v", v, writers*perWriter)
 	}
-	var frames float64
+	var framesTotal, perOp float64
 	for i := 0; i < 3; i++ {
-		frames += samples[fmt.Sprintf(`hammer_frames_total{type="t%d"}`, i)]
+		framesTotal += samples[fmt.Sprintf(`hammer_frames_total{type="t%d"}`, i)]
+		perOp += samples[fmt.Sprintf(`hammer_op_seconds_count{op="t%d"}`, i)]
 	}
-	if frames != 2*writers*perWriter {
-		t.Fatalf("lost labeled increments: %v", frames)
-	}
-}
-
-// TestHealth pins the readiness latch and the /healthz status codes.
-func TestHealth(t *testing.T) {
-	h := NewHealth("booting")
-	srv := httptest.NewServer(Mux(NewRegistry(), h.Ready))
-	defer srv.Close()
-	get := func() int {
-		resp, err := srv.Client().Get(srv.URL + "/healthz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp.StatusCode
-	}
-	if code := get(); code != 503 {
-		t.Fatalf("not-ready healthz = %d, want 503", code)
-	}
-	h.SetReady()
-	if code := get(); code != 200 {
-		t.Fatalf("ready healthz = %d, want 200", code)
-	}
-	h.SetNotReady("draining")
-	if code := get(); code != 503 {
-		t.Fatalf("re-unready healthz = %d, want 503", code)
+	if framesTotal != 2*writers*perWriter || perOp != writers*perWriter {
+		t.Fatalf("lost labeled increments: frames %v, per-op observations %v", framesTotal, perOp)
 	}
 }
 

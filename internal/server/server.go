@@ -557,9 +557,12 @@ func (s *Server) drainer(first *sched.Request) {
 	if first != nil {
 		s.serve(first)
 	}
-	var one [1]*sched.Request
-	for !s.closed.Load() && s.sched.PopBatch(s.now(), nil, one[:]) == 1 {
-		s.serve(one[0])
+	for !s.closed.Load() {
+		r := s.sched.Pop(s.now(), nil)
+		if r == nil {
+			break
+		}
+		s.serve(r)
 	}
 	s.giveSlot()
 }
@@ -590,9 +593,7 @@ func (s *Server) startDrainer() {
 // a reply deadline, so the chunk and the slot go to a drainer. Otherwise
 // the slot goes back when the request is done.
 func (s *Server) drawOnReader() {
-	var one [1]*sched.Request
-	if s.sched.PopBatch(s.now(), nil, one[:]) == 1 {
-		r := one[0]
+	if r := s.sched.Pop(s.now(), nil); r != nil {
 		if _, ok := r.Tag.(*backing.Task); ok {
 			s.wg.Add(1)
 			go s.drainer(r)
@@ -732,7 +733,11 @@ func (s *Server) execute(req *transport.Request, resp *transport.Response) *tran
 		resp.N = int64(len(req.Data))
 	case transport.MsgRead:
 		// The reply payload is leased, not allocated: it rides out as its
-		// own iovec and serve returns it to the pool after the send.
+		// own iovec and serve returns it to the pool after the send. The
+		// size is the client's claim, so it is checked first.
+		if req.Size < 0 || req.Size > transport.MaxRead {
+			return fail(fmt.Errorf("server: read of %d bytes, want 0 to %d", req.Size, transport.MaxRead))
+		}
 		buf := transport.Lease(int(req.Size))
 		n, err := s.shard.ReadAtGen(req.Path, req.Offset, buf, req.LayoutGen)
 		if err != nil {

@@ -15,6 +15,7 @@ import (
 	"themisio/internal/client"
 	"themisio/internal/cluster"
 	"themisio/internal/policy"
+	"themisio/internal/transport"
 )
 
 // listen opens n loopback listeners for startFabric.
@@ -365,5 +366,90 @@ func TestLiveClosedFile(t *testing.T) {
 		if !errors.Is(err, fs.ErrClosed) {
 			t.Errorf("%s after Close: %v, want fs.ErrClosed", op, err)
 		}
+	}
+}
+
+// A read's size is the client's claim: one below zero or above the top
+// lease class is answered with an error, not leased, and the connection
+// goes on serving.
+func TestHostileReadSizeAnswered(t *testing.T) {
+	srv := startFabric(t, listen(t, 1))[0]
+	raw, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := transport.NewConn(raw)
+	defer conn.Close()
+	job := jobInfo("hostile", 1)
+	call := func(req *transport.Request) *transport.Response {
+		t.Helper()
+		req.Job = job
+		if err := conn.SendRequest(req); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := conn.RecvResponse()
+		if err != nil {
+			t.Fatalf("%v of size %d: %v", req.Type, req.Size, err)
+		}
+		return resp
+	}
+	for _, req := range []*transport.Request{
+		{Type: transport.MsgCreate, Path: "/h", Stripes: 1},
+		{Type: transport.MsgWrite, Path: "/h", Data: []byte("still here")},
+	} {
+		if resp := call(req); resp.Err != "" {
+			t.Fatalf("setup %v: %s", req.Type, resp.Err)
+		}
+	}
+	for _, size := range []int64{-1, transport.MaxRead + 1, 1 << 50} {
+		if resp := call(&transport.Request{Type: transport.MsgRead, Path: "/h", Size: size}); resp.Err == "" || resp.N != 0 {
+			t.Fatalf("read of size %d answered %+v, want an error", size, resp)
+		}
+	}
+	resp := call(&transport.Request{Type: transport.MsgRead, Path: "/h", Size: 64})
+	if resp.Err != "" || string(resp.Data) != "still here" {
+		t.Fatalf("the read after them: %q, err %q", resp.Data, resp.Err)
+	}
+	resp.Release()
+}
+
+// Servers whose clocks started apart agree on when a job leaves. A
+// joiner booted a second after the seed learns a job that heartbeats
+// only to the seed, and drops it from its compiled set within one
+// heartbeat timeout and 2λ of the seed doing so, not the second later
+// that a time on the seed's clock would read as on the joiner's.
+func TestJoinerAgesOutDepartedJob(t *testing.T) {
+	const timeout, lambda = 300 * time.Millisecond, 50 * time.Millisecond
+	short := func(c *Config) { c.HeartbeatTimeout, c.Lambda = timeout, lambda }
+	seed := startFabric(t, listen(t, 1), short)[0]
+	waitFor(t, 5*time.Second, "the seed's clock to pass 1 s", func() bool { return seed.now() >= time.Second })
+	joiner := startFabric(t, listen(t, 1), short, func(c *Config) { c.Join = []string{seed.Addr()} })[0]
+
+	raw, err := net.Dial("tcp", seed.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := transport.NewConn(raw)
+	defer conn.Close()
+	job := jobInfo("departing", 1)
+	waitFor(t, 10*time.Second, "the joiner to compile a job that heartbeats to the seed", func() bool {
+		if err := conn.SendRequest(&transport.Request{Type: transport.MsgHeartbeat, Job: job}); err != nil {
+			t.Fatal(err)
+		}
+		return joiner.Scheduler().Share(job.JobID) > 0
+	})
+	var leftSeed, leftJoiner time.Time
+	waitFor(t, 10*time.Second, "the silent job to leave both compiled sets", func() bool {
+		now := time.Now()
+		if leftSeed.IsZero() && seed.Scheduler().Share(job.JobID) == 0 {
+			leftSeed = now
+		}
+		if leftJoiner.IsZero() && joiner.Scheduler().Share(job.JobID) == 0 {
+			leftJoiner = now
+		}
+		return !leftSeed.IsZero() && !leftJoiner.IsZero()
+	})
+	if lag := leftJoiner.Sub(leftSeed); lag > timeout+2*lambda {
+		t.Fatalf("the joiner compiled the job %v after the seed dropped it, want at most %v", lag, timeout+2*lambda)
 	}
 }

@@ -412,8 +412,9 @@ func appendBool(b []byte, v bool) []byte {
 }
 
 // appendTable writes a job-table snapshot (gossip frames only — never
-// data messages, where the empty table is the single byte 0). Each
-// entry's server set goes out sorted, so equal tables encode equally.
+// data messages, where the empty table is the single byte 0): what a
+// compile reads of each row, the job's attributes, its Last and its
+// server set. The set goes out sorted, so equal tables encode equally.
 func appendTable(b []byte, t []jobtable.Entry) []byte {
 	b = binary.AppendUvarint(b, uint64(len(t)))
 	var servers []string
@@ -424,9 +425,7 @@ func appendTable(b []byte, t []jobtable.Entry) []byte {
 		b = appendString(b, e.Info.GroupID)
 		b = appendSvarint(b, int64(e.Info.Nodes))
 		b = appendSvarint(b, int64(e.Info.Priority))
-		b = appendSvarint(b, int64(e.Info.Presence))
 		b = appendSvarint(b, int64(e.Last))
-		b = appendSvarint(b, e.Demand)
 		servers = servers[:0]
 		for s, on := range e.Servers {
 			if on {
@@ -627,9 +626,7 @@ func (d *reader) table() []jobtable.Entry {
 		e.Info.GroupID = d.str()
 		e.Info.Nodes = int(d.svarint())
 		e.Info.Priority = int(d.svarint())
-		e.Info.Presence = int(d.svarint())
 		e.Last = time.Duration(d.svarint())
-		e.Demand = d.svarint()
 		if servers := d.strs(); len(servers) > 0 {
 			e.Servers = make(map[string]bool, len(servers))
 			for _, s := range servers {

@@ -43,10 +43,14 @@ import (
 // top class Lease falls back to a plain allocation (Release ignores it).
 var leaseClasses = [...]int{
 	4<<10 + leaseHeadroom, 16<<10 + leaseHeadroom, 64<<10 + leaseHeadroom,
-	256<<10 + leaseHeadroom, 1<<20 + leaseHeadroom, 4<<20 + leaseHeadroom,
+	256<<10 + leaseHeadroom, 1<<20 + leaseHeadroom, MaxRead + leaseHeadroom,
 }
 
 const leaseHeadroom = 512
+
+// MaxRead is the top class's payload and the largest read a server
+// answers; callers read ChunkBytes at a time.
+const MaxRead = 4 << 20
 
 // leasePools hold each class's free backing arrays as pointers to their
 // first byte: a pointer rides in the pool's interface value as it is,

@@ -223,7 +223,9 @@ type Request struct {
 	// install it is the new layout generation being installed.
 	LayoutGen uint64
 
-	// Table carries job status entries for MsgGossip.
+	// Table carries job status entries for MsgGossip and MsgJoin. Each
+	// row's Last is an age, the sender's now minus its sighting, not a
+	// time: servers share no clock (internal/cluster converts).
 	Table []jobtable.Entry
 
 	// From is the sender's advertised address for cluster control
@@ -326,7 +328,8 @@ type Response struct {
 	Gen       uint64
 
 	// Pull half of a gossip exchange (MsgGossip/MsgJoin replies), and
-	// the MsgClusterStatus answer.
+	// the MsgClusterStatus answer. Table's rows carry ages, as a
+	// request's do.
 	Table   []jobtable.Entry
 	Members []MemberRecord
 	Epoch   uint64

@@ -63,7 +63,6 @@ func TestGossipFrameRoundTrip(t *testing.T) {
 			Info:    policy.JobInfo{JobID: "j1", UserID: "u1", Nodes: 4},
 			Last:    3 * time.Second,
 			Servers: map[string]bool{"127.0.0.1:7001": true},
-			Demand:  9,
 		}},
 		Members: []MemberRecord{
 			{Addr: "127.0.0.1:7000", State: 0, Incarnation: 1},

@@ -95,8 +95,8 @@ func gossipRequest() *Request {
 	return &Request{
 		Type: MsgGossip, Seq: 42, From: "127.0.0.1:7001",
 		Table: []jobtable.Entry{
-			{Info: policy.JobInfo{JobID: "j1", UserID: "u1", GroupID: "g", Nodes: 4, Priority: 1, Presence: 2},
-				Last: 3 * time.Second, Servers: map[string]bool{"s1": true, "s2": true}, Demand: 9},
+			{Info: policy.JobInfo{JobID: "j1", UserID: "u1", GroupID: "g", Nodes: 4, Priority: 1},
+				Last: 3 * time.Second, Servers: map[string]bool{"s1": true, "s2": true}},
 			{Info: policy.JobInfo{JobID: "j2"}, Last: -1},
 		},
 		Members:   []MemberRecord{{Addr: "s1", State: 1, Incarnation: 3}, {Addr: "s2", State: 3, Incarnation: 5}},
